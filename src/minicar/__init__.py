@@ -13,7 +13,7 @@ from .datasets import (
     build_tire_dataset,
     estimate_steering_angle_series,
 )
-from .delay import estimate_delay_xcorr
+from .delay import delay_shift, estimate_delay_xcorr
 from .errors import (
     ConfigError,
     DataError,
@@ -67,7 +67,7 @@ from .params import (
 from .pipeline import PipelineConfig, PipelineResult, fit_pipeline
 from .preprocess import differentiate, smooth
 from .scenarios import Scenario, load_scenario, save_scenario, scenario_library
-from .simulator import DelayLine, NoiseSpec, Trajectory, simulate, synthesize_log
+from .simulator import NoiseSpec, Trajectory, simulate, simulate_batch, synthesize_log
 from .validation import one_step_rms
 
 __version__ = "0.1.0"

@@ -13,14 +13,14 @@ import hashlib
 import json
 import logging
 import sys
+from dataclasses import fields
 from importlib import metadata
 from pathlib import Path
 
 import numpy as np
 
-from . import datasets as ds
 from . import models, pipeline, scenarios, simulator, svgplot, validation
-from .errors import MinicarError
+from .errors import ConfigError, MinicarError
 from .logs import load_log, save_log
 from .params import Geometry, load_params, save_params
 from .simulator import NoiseSpec
@@ -45,8 +45,19 @@ def _sha256(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
+def _read_json(path: Path) -> dict:
+    try:
+        doc = json.loads(path.read_text())
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"invalid JSON in {path}: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise ConfigError(f"{path} must hold a JSON object")
+    return doc
+
+
 def _write_manifest(out_dir: Path, args: argparse.Namespace, inputs: list[Path],
                     extra: dict | None = None) -> None:
+    config = {f.name: f.default for f in fields(pipeline.PipelineConfig)}
     doc = {
         "command": args.command,
         "arguments": {
@@ -59,10 +70,11 @@ def _write_manifest(out_dir: Path, args: argparse.Namespace, inputs: list[Path],
             "python": sys.version.split()[0],
         },
         "defaults": {
-            "v_min": ds.V_MIN,
-            "smooth_window": ds.SMOOTH_WINDOW,
-            "delay_max_lag": pipeline.MAX_LAG_S,
-            "long_delay": pipeline.DEFAULT_LONG_DELAY,
+            "v_min": config["v_min"],
+            "smooth_window": config["smooth_window"],
+            "force_window": config["force_window"],
+            "delay_max_lag": config["delay_max_lag"],
+            "long_delay": config["long_delay"],
             "divergence_limit": simulator.DIVERGENCE_LIMIT,
         },
     }
@@ -85,7 +97,7 @@ def _collect_logs(logs_dir: Path) -> tuple[dict[str, list], list[Path]]:
     files: list[Path] = []
     manifest_path = logs_dir / "manifest.json"
     if manifest_path.is_file():
-        doc = json.loads(manifest_path.read_text())
+        doc = _read_json(manifest_path)
         for entry in doc.get("logs", []):
             tag, rel = entry.get("tag"), entry.get("file")
             if tag not in tagged:
@@ -195,6 +207,7 @@ def cmd_fit(args) -> int:
             {"name": r.name, "status": r.status, "detail": r.detail,
              "final_loss": None if r.result is None else r.result.loss,
              "iterations": None if r.result is None else r.result.iterations,
+             "converged": None if r.result is None else r.result.converged,
              "parameters": None if r.result is None else [float(p) for p in r.result.params]}
             for r in result.stages
         ],
@@ -264,30 +277,30 @@ def cmd_generate(args) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     params = load_params(args.params)
-    noise_doc = json.loads(Path(args.noise).read_text())
-    library = scenarios.scenario_library(dt=args.dt)
+    noise_doc = _read_json(Path(args.noise))
+    library = [(tag, scenario) for tag, battery in
+               scenarios.scenario_library(dt=args.dt).items() for scenario in battery]
 
-    seeds = np.random.SeedSequence(args.seed).spawn(
-        sum(len(v) for v in library.values())
+    try:
+        levels = {name: float(noise_doc.get(name, 0.0))
+                  for name in ("v_enc", "omega_imu", "mocap_xy", "mocap_eta")}
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"noise levels in {args.noise} must be numbers: {exc}") from exc
+    # each log's noise seed follows its library index, not completion order
+    seeds = np.random.SeedSequence(args.seed).spawn(len(library))
+    specs = [NoiseSpec(seed=int(seed.generate_state(1)[0]), **levels) for seed in seeds]
+
+    def write_log(index: int, traj: simulator.Trajectory) -> dict:
+        tag, scenario = library[index]
+        log = simulator.synthesize_log(scenario, params, specs[index], trajectory=traj)
+        filename = f"{scenario.name}.csv"
+        save_log(log, out_dir / filename)
+        return {"file": filename, "tag": tag}
+
+    entries = simulator.simulate_batch(
+        [scenario for _, scenario in library], params,
+        normalized=args.normalized_slip, on_done=write_log,
     )
-    entries = []
-    index = 0
-    for tag, battery in library.items():
-        for scenario in battery:
-            spec = NoiseSpec(
-                seed=int(seeds[index].generate_state(1)[0]),
-                v_enc=float(noise_doc.get("v_enc", 0.0)),
-                omega_imu=float(noise_doc.get("omega_imu", 0.0)),
-                mocap_xy=float(noise_doc.get("mocap_xy", 0.0)),
-                mocap_eta=float(noise_doc.get("mocap_eta", 0.0)),
-            )
-            log = simulator.synthesize_log(
-                scenario, params, spec, normalized=args.normalized_slip
-            )
-            filename = f"{scenario.name}.csv"
-            save_log(log, out_dir / filename)
-            entries.append({"file": filename, "tag": tag})
-            index += 1
     (out_dir / "manifest.json").write_text(
         json.dumps({"schema_version": 1, "logs": entries}, indent=2) + "\n"
     )

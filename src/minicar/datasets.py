@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import models
+from .delay import delay_shift
 from .errors import DataError
 from .logs import RawLog
 from .params import VehicleParams
@@ -302,8 +303,7 @@ def build_tire_dataset(
         v_x, v_y = models.body_frame_velocity(vx_abs, vy_abs, eta)
 
         # applied steering lags the command by the identified delay
-        shift = int(round(params.delays.steer_delay / log.dt))
-        s_applied = np.concatenate([np.full(shift, log.s[0]), log.s[:-shift]]) if shift else log.s
+        s_applied = delay_shift(log.s, params.delays.steer_delay, log.dt)
         delta = models.steering_angle(s_applied, params.steering)
 
         cos_e, sin_e = np.cos(eta), np.sin(eta)

@@ -1,14 +1,33 @@
-"""Actuation-delay estimation by cross correlation."""
+"""Actuation delay: applying it as a shift and estimating it by cross
+correlation."""
 
 from __future__ import annotations
 
 import numpy as np
 
-from .errors import DataError
+from .errors import ConfigError, DataError
 
 # Physical actuation delays are non-negative and well under half a
 # second on servo-class hardware, so the search stops there.
 MAX_LAG_S = 0.5
+
+
+def delay_shift(series, delay: float, dt: float) -> np.ndarray:
+    """``series`` as the actuator sees it ``delay`` seconds late.
+
+    The delay is rounded to whole samples and the first sample fills
+    the gap, as if the command had been held before the log began. The
+    result always has the length of ``series``.
+    """
+    if delay < 0 or dt <= 0:
+        raise ConfigError("delay must be >= 0 and dt > 0")
+    series = np.asarray(series, dtype=float)
+    n = series.size
+    k = min(int(round(delay / dt)), n)
+    out = np.empty_like(series)
+    out[:k] = series[:1]
+    out[k:] = series[: n - k]
+    return out
 
 
 def estimate_delay_xcorr(command, measured, dt: float, *, max_lag: float = MAX_LAG_S) -> float:

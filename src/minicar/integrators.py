@@ -12,7 +12,9 @@ def rk4_step(rhs, state, dt: float, t: float = 0.0) -> np.ndarray:
 
     ``rhs`` sees only the state; inputs are held constant over the step
     (zero-order hold), matching discrete command transmission on the
-    robot. ``t`` is used for diagnostics only.
+    robot. ``t`` is used for diagnostics only. A batch of states, shape
+    ``(B, n)``, advances row by row in one call; when a derivative is
+    non-finite, the error's ``rows`` lists the rows where it was.
     """
     if dt <= 0:
         raise IntegrationError(f"dt must be positive, got {dt}")
@@ -27,5 +29,7 @@ def rk4_step(rhs, state, dt: float, t: float = 0.0) -> np.ndarray:
         and np.all(np.isfinite(k3))
         and np.all(np.isfinite(k4))
     ):
-        raise IntegrationError(f"non-finite derivative at t={t:.6f} s")
+        finite = np.isfinite(k1) & np.isfinite(k2) & np.isfinite(k3) & np.isfinite(k4)
+        rows = tuple(np.flatnonzero(~finite.all(axis=-1)).tolist()) if finite.ndim > 1 else ()
+        raise IntegrationError(f"non-finite derivative at t={t:.6f} s", rows=rows)
     return y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)

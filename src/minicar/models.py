@@ -123,16 +123,12 @@ def kinematic_rhs(state, delta, f_total, geom: Geometry) -> np.ndarray:
         raise ConfigError("steering angle magnitude must stay below pi/2")
     eta = state[..., 2]
     v = state[..., 3]
-    acc = np.broadcast_to(np.asarray(f_total, dtype=float) / geom.m, eta.shape)
-    return np.stack(
-        [
-            v * np.cos(eta),
-            v * np.sin(eta),
-            np.broadcast_to(v * np.tan(delta) / geom.l, eta.shape),
-            acc,
-        ],
-        axis=-1,
-    )
+    out = np.empty(state.shape)
+    out[..., 0] = v * np.cos(eta)
+    out[..., 1] = v * np.sin(eta)
+    out[..., 2] = v * np.tan(delta) / geom.l
+    out[..., 3] = np.asarray(f_total, dtype=float) / geom.m
+    return out
 
 
 def slip_angles(v_x, v_y, omega, delta, geom: Geometry, *, normalized: bool = False,
@@ -196,21 +192,16 @@ def dynamic_rhs(state, delta, f_x_total, params: VehicleParams, *,
     f_half = np.asarray(f_x_total, dtype=float) / 2.0
 
     cos_d, sin_d = np.cos(delta), np.sin(delta)
+    cos_e, sin_e = np.cos(eta), np.sin(eta)
     front_y = f_yf * cos_d + f_half * sin_d  # front axle force, vehicle-frame y
-    dv_x = (f_half + f_half * cos_d - f_yf * sin_d) / geom.m + omega * v_y
-    dv_y = (f_yr + front_y) / geom.m - omega * v_x
-    domega = (geom.l_f * front_y - geom.l_r * f_yr) / geom.I_z
-    return np.stack(
-        [
-            v_x * np.cos(eta) - v_y * np.sin(eta),
-            v_x * np.sin(eta) + v_y * np.cos(eta),
-            omega,
-            np.broadcast_to(dv_x, eta.shape),
-            np.broadcast_to(dv_y, eta.shape),
-            np.broadcast_to(domega, eta.shape),
-        ],
-        axis=-1,
-    )
+    out = np.empty(state.shape)
+    out[..., 0] = v_x * cos_e - v_y * sin_e
+    out[..., 1] = v_x * sin_e + v_y * cos_e
+    out[..., 2] = omega
+    out[..., 3] = (f_half + f_half * cos_d - f_yf * sin_d) / geom.m + omega * v_y
+    out[..., 4] = (f_yr + front_y) / geom.m - omega * v_x
+    out[..., 5] = (geom.l_f * front_y - geom.l_r * f_yr) / geom.I_z
+    return out
 
 
 def body_frame_velocity(v_abs_x, v_abs_y, eta):

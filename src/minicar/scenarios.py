@@ -48,6 +48,9 @@ class StepSchedule:
     def __call__(self, time: float) -> float:
         return self.before if time < self.t else self.after
 
+    def sample(self, times: np.ndarray) -> np.ndarray:
+        return np.where(times < self.t, float(self.before), float(self.after))
+
     def to_json(self) -> dict:
         return {"type": "step", "t": self.t, "before": self.before, "after": self.after}
 
@@ -69,6 +72,10 @@ class PiecewiseSchedule:
         idx = int(np.searchsorted(self.times, time, side="right")) - 1
         return self.values[max(idx, 0)]
 
+    def sample(self, times: np.ndarray) -> np.ndarray:
+        idx = np.searchsorted(self.times, times, side="right") - 1
+        return np.asarray(self.values, dtype=float)[np.maximum(idx, 0)]
+
     def to_json(self) -> dict:
         return {"type": "piecewise", "times": list(self.times), "values": list(self.values)}
 
@@ -84,6 +91,11 @@ class SineSchedule:
         return self.offset + self.amplitude * math.sin(
             2.0 * math.pi * self.frequency * time + self.phase
         )
+
+    def sample(self, times: np.ndarray) -> np.ndarray:
+        # math.sin per point: np.sin may differ in the last bit, and
+        # logs must not change with how the grid is sampled
+        return np.array([self(float(t)) for t in times])
 
     def to_json(self) -> dict:
         return {
@@ -159,8 +171,8 @@ class Scenario:
         on the grid.
         """
         times = self.times
-        tau = np.array([self.throttle(t) for t in times])
-        s = np.array([self.steering(t) for t in times])
+        tau = self.throttle.sample(times)
+        s = self.steering.sample(times)
         for name, series in (("throttle", tau), ("steering", s)):
             if np.any(np.abs(series) > 1 + 1e-12):
                 raise ConfigError(f"{name} schedule leaves [-1, 1] in scenario {self.name!r}")

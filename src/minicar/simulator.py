@@ -1,30 +1,34 @@
 """Scenario simulation with actuation delays and log synthesis.
 
-Per step: sample the schedules, push the commands through the steering
-and longitudinal delay lines, map the delayed steering command to a
-road-wheel angle, then advance one RK4 step with the commands frozen
-(zero-order hold). The net longitudinal force is re-evaluated from the
-motor and friction curves inside every RK4 stage, since it depends on
-the evolving speed. Both the commanded and the applied input series
-are recorded.
+Scenario inputs are open loop, so every command is sampled before
+integration starts. Actuation delay is then a shift of the sampled
+command series (``delay.delay_shift``), and the delayed steering
+command is mapped to a road-wheel angle once per series. Scenarios
+that share a model and a time step advance together as one
+``(B, n_state)`` batch of RK4 steps, with the commands of each step
+frozen (zero-order hold); ``simulate`` is the batch of one. The net
+longitudinal force is re-evaluated from the motor and friction curves
+inside every RK4 stage, since it depends on the evolving speed. Both
+the commanded and the applied input series are recorded.
 
 The dynamic model can run with either slip-angle convention. The
 default raw-velocity form is regular at standstill and needs no special
 casing; the normalized form is singular as v_x -> 0, so below a blend
-speed the simulator falls back to kinematic propagation and pins
-(v_y, omega) to their rigid-rolling values.
+speed the simulator falls back to kinematic propagation, row by row,
+and pins (v_y, omega) to their rigid-rolling values.
 """
 
 from __future__ import annotations
 
-from collections import deque
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from . import models
-from .errors import ConfigError, SimulationDiverged
+from .delay import delay_shift
+from .errors import ConfigError, IntegrationError, SimulationDiverged
 from .integrators import rk4_step
 from .logs import MocapBlock, RawLog
 from .params import VehicleParams
@@ -37,29 +41,6 @@ DIVERGENCE_LIMIT = 1e6
 # v_x under which normalized-slip dynamics hand over to the kinematic
 # model (the raw-velocity form never blends).
 BLEND_SPEED = 0.3
-
-
-class DelayLine:
-    """Fixed ring buffer that delays a command stream by whole steps.
-
-    The requested delay is rounded to the nearest integer number of
-    steps; ``realized_delay`` reports what actually applies. Until the
-    buffer first fills, the fill value is returned.
-    """
-
-    def __init__(self, delay: float, dt: float, fill: float = 0.0):
-        if delay < 0 or dt <= 0:
-            raise ConfigError("delay must be >= 0 and dt > 0")
-        self.length = int(round(delay / dt))
-        self.realized_delay = self.length * dt
-        self.fill = fill
-        self._buffer = deque([fill] * self.length)
-
-    def push_pop(self, command: float) -> float:
-        if self.length == 0:
-            return command
-        self._buffer.append(command)
-        return self._buffer.popleft()
 
 
 @dataclass(frozen=True)
@@ -120,7 +101,7 @@ class Trajectory:
         )
 
 
-def _kinematic_rolling(v_x: float, delta: float, geom) -> tuple[float, float]:
+def _kinematic_rolling(v_x, delta, geom):
     """(v_y, omega) of a rigidly rolling bicycle at the CoM."""
     omega = v_x * np.tan(delta) / geom.l
     return omega * geom.l_r, omega
@@ -129,86 +110,135 @@ def _kinematic_rolling(v_x: float, delta: float, geom) -> tuple[float, float]:
 def simulate(scenario: Scenario, params: VehicleParams, *, normalized: bool = False,
              blend_speed: float = BLEND_SPEED) -> Trajectory:
     """Integrate a scenario and record states plus both input series."""
-    times = scenario.times
-    tau_cmd, s_cmd = scenario.sample_inputs()
-    dt = scenario.dt
+    return simulate_batch([scenario], params, normalized=normalized,
+                          blend_speed=blend_speed)[0]
+
+
+def simulate_batch(scenarios: Sequence[Scenario], params: VehicleParams, *,
+                   normalized: bool = False, blend_speed: float = BLEND_SPEED,
+                   on_done: Callable[[int, Trajectory], object] | None = None) -> list:
+    """Integrate scenarios, each group sharing (model, dt) as one batch.
+
+    Returns one entry per scenario, in input order: its Trajectory, or
+    what ``on_done(index, trajectory)`` returned for it. ``on_done``
+    runs as soon as a trajectory is complete, shortest first, so a
+    caller that writes each one out need not hold them all.
+    """
+    scenarios = list(scenarios)
+    results: list = [None] * len(scenarios)
+    groups: dict[tuple[str, float], list[int]] = {}
+    for i, scenario in enumerate(scenarios):
+        groups.setdefault((scenario.model, scenario.dt), []).append(i)
+    for members in groups.values():
+        # longest first, so the rows still integrating are always a prefix
+        members.sort(key=lambda i: -scenarios[i].times.size)
+
+        def done(row: int, traj: Trajectory, members=members) -> None:
+            i = members[row]
+            results[i] = traj if on_done is None else on_done(i, traj)
+
+        _integrate([scenarios[i] for i in members], params, normalized, blend_speed, done)
+    return results
+
+
+def _integrate(rows: list[Scenario], params: VehicleParams, normalized: bool,
+               blend_speed: float, done: Callable[[int, Trajectory], None]) -> None:
+    """RK4 over rows sorted by decreasing length; ``done(row, traj)`` as each ends."""
     geom = params.geometry
-    kinematic = scenario.model == "kinematic"
+    model, dt = rows[0].model, rows[0].dt
+    dynamic = model == "dynamic"
+    times = rows[0].times  # every row's grid is a prefix of the longest
+    lengths = [scenario.times.size for scenario in rows]
 
-    steer_line = DelayLine(params.delays.steer_delay, dt, fill=float(s_cmd[0]))
-    long_line = DelayLine(params.delays.long_delay, dt, fill=float(tau_cmd[0]))
+    def applied(tau_cmd, s_cmd):
+        return (delay_shift(tau_cmd, params.delays.long_delay, dt),
+                delay_shift(s_cmd, params.delays.steer_delay, dt))
 
-    n = times.size
-    states = np.empty((n, 4 if kinematic else 6))
-    states[0] = scenario.initial_state
-    tau_app = np.empty(n)
-    s_app = np.empty(n)
+    # Time-major applied inputs, so each step reads one contiguous row.
+    # Rows keep only their commands and states; the applied series are
+    # shifted again when a row ends, which is cheap, rather than held,
+    # which would add to peak memory.
+    tau_app = np.zeros((times.size, len(rows)))
+    delta = np.zeros((times.size, len(rows)))
+    commands, outputs = [], []
+    for j, scenario in enumerate(rows):
+        tau_cmd, s_cmd = scenario.sample_inputs()
+        n = lengths[j]
+        tau, s = applied(tau_cmd, s_cmd)
+        tau_app[:n, j] = tau
+        delta[:n, j] = models.steering_angle(s, params.steering)
+        states = np.empty((n, 6 if dynamic else 4))
+        states[0] = scenario.initial_state
+        commands.append((tau_cmd, s_cmd))
+        outputs.append(states)
 
-    def partial(k: int) -> Trajectory:
-        return Trajectory(
-            model=scenario.model,
-            t=times[:k].copy(),
-            states=states[:k].copy(),
-            commanded_tau=tau_cmd[:k].copy(),
-            commanded_s=s_cmd[:k].copy(),
-            applied_tau=tau_app[:k].copy(),
-            applied_s=s_app[:k].copy(),
+    def trajectory(j: int, n: int) -> Trajectory:
+        # a finished row hands its own arrays over; a partial one copies
+        t, tau_cmd, s_cmd, states = (
+            a if a.shape[0] == n else a[:n].copy() for a in (times, *commands[j], outputs[j])
         )
+        tau, s = applied(tau_cmd, s_cmd)
+        return Trajectory(model=model, t=t, states=states, commanded_tau=tau_cmd,
+                          commanded_s=s_cmd, applied_tau=tau, applied_s=s)
 
-    for k in range(n):
-        tau_k = long_line.push_pop(float(tau_cmd[k]))
-        s_k = steer_line.push_pop(float(s_cmd[k]))
-        tau_app[k] = tau_k
-        s_app[k] = s_k
-        if k == n - 1:
-            break
-
-        state = states[k]
-        delta = float(models.steering_angle(s_k, params.steering))
-
+    def advance(y, tau_k, delta_k, t, rhs_of, index):
         def net_force(v_long):
             # v (kinematic) and v_x (dynamic) share state slot 3
             return models.motor_force(tau_k, v_long, params.motor) + models.friction_force(
                 v_long, params.friction
             )
 
-        if kinematic:
-            nxt = rk4_step(
-                lambda y: models.kinematic_rhs(y, delta, net_force(y[3]), geom),
-                state, dt, t=float(times[k]),
-            )
-        elif normalized and state[3] < blend_speed:
-            # kinematic fallback where the normalized slip form is singular
-            kin = rk4_step(
-                lambda y: models.kinematic_rhs(y, delta, net_force(y[3]), geom),
-                state[:4], dt, t=float(times[k]),
-            )
-            v_y, omega = _kinematic_rolling(kin[3], delta, geom)
-            nxt = np.array([kin[0], kin[1], kin[2], kin[3], v_y, omega])
+        try:
+            return rk4_step(lambda s: rhs_of(s, delta_k, net_force(s[:, 3])), y, dt, t=t)
+        except IntegrationError as exc:
+            if not exc.rows:
+                raise
+            name = rows[index[exc.rows[0]]].name
+            raise IntegrationError(f"{exc} in scenario {name!r}") from exc
+
+    def kinematic_rhs(y, delta_k, force):
+        return models.kinematic_rhs(y, delta_k, force, geom)
+
+    def dynamic_rhs(y, delta_k, force):
+        return models.dynamic_rhs(y, delta_k, force, params, normalized=normalized)
+
+    y = np.array([scenario.initial_state for scenario in rows])
+    m = len(rows)
+    all_rows = np.arange(m)
+    for k in range(times.size):
+        while m and lengths[m - 1] <= k + 1:
+            m -= 1
+            done(m, trajectory(m, lengths[m]))
+            commands[m] = outputs[m] = None
+        if m == 0:
+            break
+        y = y[:m]
+        tau_k, delta_k, t = tau_app[k, :m], delta[k, :m], float(times[k])
+        slow = (y[:, 3] < blend_speed) if dynamic and normalized else None
+        if slow is None or not slow.any():
+            nxt = advance(y, tau_k, delta_k, t, dynamic_rhs if dynamic else kinematic_rhs,
+                          all_rows)
         else:
-            nxt = rk4_step(
-                lambda y: models.dynamic_rhs(y, delta, net_force(y[3]), params,
-                                             normalized=normalized),
-                state, dt, t=float(times[k]),
-            )
+            # kinematic fallback where the normalized slip form is singular
+            nxt = np.empty_like(y)
+            lo, hi = np.flatnonzero(slow), np.flatnonzero(~slow)
+            kin = advance(y[lo, :4], tau_k[lo], delta_k[lo], t, kinematic_rhs, lo)
+            nxt[lo, :4] = kin
+            nxt[lo, 4], nxt[lo, 5] = _kinematic_rolling(kin[:, 3], delta_k[lo], geom)
+            if hi.size:
+                nxt[hi] = advance(y[hi], tau_k[hi], delta_k[hi], t, dynamic_rhs, hi)
 
-        if not np.all(np.isfinite(nxt)) or np.any(np.abs(nxt) > DIVERGENCE_LIMIT):
+        sane = np.abs(nxt) <= DIVERGENCE_LIMIT  # False for NaN too
+        if not sane.all():
+            j = int(np.flatnonzero(~sane.all(axis=1))[0])
             raise SimulationDiverged(
-                f"state left the sane envelope in scenario {scenario.name!r}",
+                f"state left the sane envelope in scenario {rows[j].name!r}",
                 t=float(times[k + 1]),
-                trajectory=partial(k + 1),
+                trajectory=trajectory(j, k + 1),
             )
-        states[k + 1] = nxt
-
-    return Trajectory(
-        model=scenario.model,
-        t=times,
-        states=states,
-        commanded_tau=tau_cmd,
-        commanded_s=s_cmd,
-        applied_tau=tau_app,
-        applied_s=s_app,
-    )
+        for j in range(m):
+            outputs[j][k + 1] = nxt[j]
+        y = nxt
 
 
 def trajectory_yaw_rate(traj: Trajectory, params: VehicleParams) -> np.ndarray:
@@ -220,14 +250,16 @@ def trajectory_yaw_rate(traj: Trajectory, params: VehicleParams) -> np.ndarray:
 
 
 def synthesize_log(scenario: Scenario, params: VehicleParams, noise: NoiseSpec,
-                   *, normalized: bool = False) -> RawLog:
+                   *, normalized: bool = False, trajectory: Trajectory | None = None) -> RawLog:
     """Simulate a scenario and emit the RawLog a real robot would record.
 
     Commanded (pre-delay) inputs are logged; sensor channels get
     additive seeded Gaussian noise. The pose block is included only
-    when the scenario asks for motion capture.
+    when the scenario asks for motion capture. A ``trajectory`` already
+    simulated for the scenario is used as is.
     """
-    traj = simulate(scenario, params, normalized=normalized)
+    traj = trajectory if trajectory is not None else simulate(scenario, params,
+                                                              normalized=normalized)
     rng = np.random.default_rng(noise.seed)
     n = len(traj)
 

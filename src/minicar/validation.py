@@ -15,6 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from . import models
+from .delay import delay_shift
 from .errors import ConfigError, DataError, ParseError
 from .integrators import rk4_step
 from .params import VehicleParams
@@ -55,17 +56,9 @@ def _applied_inputs(table: dict, params: VehicleParams, dt: float):
     if tau_app is not None and s_app is not None:
         return tau_app, s_app
     # reconstruct what the actuators saw by shifting the commands
-    tau_cmd, s_cmd = table["tau"], table["s"]
-
-    def shift(series, delay):
-        k = int(round(delay / dt))
-        if k == 0:
-            return series
-        return np.concatenate([np.full(k, series[0]), series[:-k]])
-
     return (
-        shift(tau_cmd, params.delays.long_delay),
-        shift(s_cmd, params.delays.steer_delay),
+        delay_shift(table["tau"], params.delays.long_delay, dt),
+        delay_shift(table["s"], params.delays.steer_delay, dt),
     )
 
 

@@ -162,3 +162,54 @@ def test_fit_without_mocap_succeeds_with_tire_absent(tmp_path):
     status = {s["name"]: s["status"] for s in report["stages"]}
     assert status["tire"] == "skipped"
     assert status["friction"] == status["motor"] == status["steering"] == "fitted"
+
+
+@pytest.mark.parametrize("text", ["{bad", "[0.02]", '{"v_enc": "loud"}'])
+def test_generate_rejects_malformed_noise_json(tmp_path, params_file, caplog, text):
+    noise = tmp_path / "bad.json"
+    noise.write_text(text)
+    code = main(["generate", "--params", str(params_file), "--noise", str(noise),
+                 "--seed", "1", "--out", str(tmp_path / "g")])
+    assert code == 2
+    assert str(noise) in caplog.text
+
+
+def test_fit_rejects_malformed_manifest(tmp_path, caplog):
+    logs_dir = tmp_path / "logs"
+    logs_dir.mkdir()
+    (logs_dir / "manifest.json").write_text("{bad")
+    code = main(["fit", "--logs", str(logs_dir), "--out", str(tmp_path / "p.json")])
+    assert code == 2
+    assert "manifest.json" in caplog.text
+
+
+def test_run_manifest_records_both_smoothing_windows(tmp_path, params_file):
+    from minicar.pipeline import PipelineConfig
+
+    scenario = write_scenario(tmp_path, duration=0.5)
+    out = tmp_path / "sim"
+    assert main(["simulate", "--params", str(params_file), "--scenario", str(scenario),
+                 "--out", str(out)]) == 0
+    defaults = json.loads((out / "run_manifest.json").read_text())["defaults"]
+    config = PipelineConfig(geometry=reference_params().geometry)
+    assert defaults["smooth_window"] == config.smooth_window == 5
+    assert defaults["force_window"] == config.force_window == 21
+
+
+def test_fit_report_records_convergence(tmp_path):
+    from minicar.logs import save_log
+    from minicar.scenarios import constant_steering_battery
+    from minicar.simulator import NoiseSpec, synthesize_log
+
+    logs_dir = tmp_path / "logs" / "steer"
+    logs_dir.mkdir(parents=True)
+    ref = reference_params()
+    for i, scen in enumerate(constant_steering_battery(s_values=(-0.5, 0.5), duration=4.0)):
+        save_log(synthesize_log(scen, ref, NoiseSpec(seed=i)), logs_dir / f"{scen.name}.csv")
+    out = tmp_path / "fit" / "p.json"
+    assert main(["fit", "--logs", str(tmp_path / "logs"), "--out", str(out),
+                 "--stages", "steering"]) == 0
+    stages = {s["name"]: s for s in json.loads((out.parent / "report.json").read_text())["stages"]}
+    assert isinstance(stages["steering"]["converged"], bool)
+    assert stages["steering"]["iterations"] > 0
+    assert all(s["converged"] is None for s in stages.values() if s["status"] == "skipped")

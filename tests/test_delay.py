@@ -1,8 +1,51 @@
 import numpy as np
 import pytest
 
-from minicar.delay import estimate_delay_xcorr
-from minicar.errors import DataError
+from minicar.delay import delay_shift, estimate_delay_xcorr
+from minicar.errors import ConfigError, DataError
+
+
+# --- delay_shift ---------------------------------------------------------------
+
+
+def test_delay_shift_zero_is_passthrough(rng):
+    x = rng.normal(size=20)
+    np.testing.assert_array_equal(delay_shift(x, 0.0, 0.01), x)
+
+
+def test_delay_shift_by_whole_steps(rng):
+    x = rng.normal(size=100)
+    out = delay_shift(x, 0.15, 0.01)
+    assert out.shape == x.shape
+    np.testing.assert_array_equal(out[15:], x[:-15])
+
+
+def test_delay_shift_fills_with_first_sample():
+    x = np.array([-0.2] + [1.0] * 9)
+    out = delay_shift(x, 0.05, 0.01)
+    assert out.tolist() == [-0.2] * 6 + [1.0] * 4
+
+
+def test_delay_shift_rounds_to_whole_steps():
+    x = np.arange(5.0)
+    # 0.014 s at 0.01 s per sample rounds to one sample
+    np.testing.assert_array_equal(delay_shift(x, 0.014, 0.01), [0.0, 0.0, 1.0, 2.0, 3.0])
+
+
+def test_delay_shift_keeps_length_when_delay_exceeds_series():
+    out = delay_shift(np.array([0.3, 0.1, 0.2]), 0.05, 0.01)
+    assert out.tolist() == [0.3, 0.3, 0.3]
+    assert delay_shift(np.array([]), 0.05, 0.01).size == 0
+
+
+def test_delay_shift_rejects_negative():
+    with pytest.raises(ConfigError):
+        delay_shift(np.zeros(3), -0.1, 0.01)
+    with pytest.raises(ConfigError):
+        delay_shift(np.zeros(3), 0.1, 0.0)
+
+
+# --- estimate_delay_xcorr --------------------------------------------------------
 
 
 def test_identical_series_gives_zero_delay(rng):

@@ -67,6 +67,17 @@ def test_non_finite_derivative_raises():
         rk4_step(bad, np.array([1.0]), 0.01, t=2.0)
 
 
+def test_non_finite_derivative_names_batch_rows():
+    def bad(s):
+        out = -s.copy()
+        out[1] = np.nan
+        return out
+
+    with pytest.raises(IntegrationError) as err:
+        rk4_step(bad, np.ones((3, 2)), 0.01)
+    assert err.value.rows == (1,)
+
+
 def test_non_positive_dt_rejected():
     with pytest.raises(IntegrationError):
         rk4_step(lambda s: -s, np.array([1.0]), 0.0)

@@ -5,10 +5,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from minicar import models
+from minicar.delay import delay_shift
 from minicar.fitting import FitConfig, adam_fit
 from minicar.params import reference_params
 from minicar.preprocess import smooth
-from minicar.simulator import DelayLine
 
 REF = reference_params()
 
@@ -70,12 +70,11 @@ def test_smooth_stays_within_input_range(values, half):
     steps=st.integers(0, 25),
 )
 @settings(max_examples=60)
-def test_delay_line_is_a_pure_shift(commands, steps):
+def test_delay_shift_is_a_pure_shift(commands, steps):
     dt = 0.01
-    line = DelayLine(steps * dt, dt, fill=0.5)
-    reference = [0.5] * steps + list(commands)
-    out = [line.push_pop(c) for c in commands]
-    assert out == reference[: len(commands)]
+    reference = [commands[0]] * steps + list(commands)
+    out = delay_shift(commands, steps * dt, dt)
+    assert out.tolist() == reference[: len(commands)]
 
 
 @given(

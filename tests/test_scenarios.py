@@ -73,6 +73,32 @@ def test_scenario_rejects_out_of_range_schedule():
         scen.sample_inputs()
 
 
+@pytest.mark.parametrize("dt", [0.01, 0.02, 0.05])
+def test_vectorized_sampling_matches_schedule_callables(dt):
+    schedules = [
+        StepSchedule(t=1.0, before=-0.2, after=0.3),
+        StepSchedule(t=0.37, before=0, after=1),
+        PiecewiseSchedule(times=(0.0, 0.5, 1.0, 2.5), values=(0.1, -0.4, 0.2, 0.0)),
+        PiecewiseSchedule(times=(0.3, 0.7), values=(0.5, 0.6)),  # starts after t=0
+        mocap_circular_ramp(0.3, duration=3.0, ramp_steps=7).throttle,
+        SineSchedule(amplitude=0.8, frequency=0.5, phase=0.2, offset=0.1),
+    ]
+    scen = Scenario(name="grid", duration=3.0, dt=dt, model="kinematic",
+                    throttle=constant(0.0), steering=constant(0.0))
+    times = scen.times
+    # breakpoints that land exactly on the grid are the edge case
+    assert {1.0, 0.5, 2.5} <= set(times.tolist())
+    for sched in schedules:
+        sampled = sched.sample(times)
+        assert sampled.dtype == float
+        np.testing.assert_array_equal(sampled, [sched(t) for t in times])
+    scen = Scenario(name="pair", duration=3.0, dt=dt, model="kinematic",
+                    throttle=schedules[0], steering=schedules[2])
+    tau, s = scen.sample_inputs()
+    np.testing.assert_array_equal(tau, [schedules[0](t) for t in times])
+    np.testing.assert_array_equal(s, [schedules[2](t) for t in times])
+
+
 def test_scenario_grid():
     scen = Scenario(
         name="grid", duration=1.0, dt=0.01, model="kinematic",

@@ -4,49 +4,20 @@ from scipy.optimize import brentq
 
 from minicar import models, simulator
 from minicar.delay import estimate_delay_xcorr
-from minicar.errors import ConfigError, SimulationDiverged
+from minicar.errors import ConfigError, IntegrationError, SimulationDiverged
+from minicar.integrators import rk4_step
 from minicar.scenarios import (
     PiecewiseSchedule,
     Scenario,
     SineSchedule,
+    coast_down_battery,
     constant,
+    constant_steering_battery,
+    mocap_circular_battery,
     sinusoidal_steering,
+    step_throttle_battery,
 )
-from minicar.simulator import DelayLine, NoiseSpec, simulate, synthesize_log
-
-
-# --- DelayLine -------------------------------------------------------------
-
-
-def test_delay_line_zero_is_passthrough():
-    line = DelayLine(0.0, 0.01)
-    assert line.push_pop(0.7) == 0.7
-    assert line.realized_delay == 0.0
-
-
-def test_delay_line_shifts_by_whole_steps(rng):
-    line = DelayLine(0.15, 0.01, fill=0.0)
-    x = rng.normal(size=100)
-    out = np.array([line.push_pop(v) for v in x])
-    np.testing.assert_array_equal(out[15:], x[:-15])
-
-
-def test_delay_line_fill_until_primed():
-    line = DelayLine(0.05, 0.01, fill=-0.2)
-    out = [line.push_pop(1.0) for _ in range(10)]
-    assert out[:5] == [-0.2] * 5
-    assert out[5:] == [1.0] * 5
-
-
-def test_delay_line_reports_realized_delay():
-    line = DelayLine(0.014, 0.01)
-    assert line.length == 1
-    assert line.realized_delay == pytest.approx(0.01)
-
-
-def test_delay_line_rejects_negative():
-    with pytest.raises(ConfigError):
-        DelayLine(-0.1, 0.01)
+from minicar.simulator import NoiseSpec, simulate, simulate_batch, synthesize_log
 
 
 # --- simulate ----------------------------------------------------------------
@@ -130,6 +101,155 @@ def test_dynamic_blend_below_threshold_matches_kinematic(ref):
     )
     # terminal speed for tau=0.2 is ~0.085 m/s, well under the blend speed
     np.testing.assert_allclose(dyn.states[:, :4], kin.states, atol=1e-12)
+
+
+# --- simulate_batch ---------------------------------------------------------------
+
+TRAJECTORY_FIELDS = ("t", "states", "commanded_tau", "commanded_s", "applied_tau", "applied_s")
+
+
+def _assert_same_trajectory(a, b):
+    assert a.model == b.model
+    for name in TRAJECTORY_FIELDS:
+        np.testing.assert_array_equal(getattr(a, name), getattr(b, name), err_msg=name)
+
+
+def _short_library():
+    """Every library battery, shortened, so rows of both models and of
+    many lengths share each batch."""
+    return (
+        coast_down_battery(launch_levels=(0.4, 0.25), launch=2.0, coast=1.5,
+                           pulse_levels=(0.24, 0.3), pulse_cycles=2)
+        + step_throttle_battery(levels=(0.15, 0.4), t_on=0.5, hold=2.0, coast=1.0)
+        + constant_steering_battery(s_values=(-1.0, 0.4), duration=2.5)
+        + [sinusoidal_steering(duration=2.0)]
+        + mocap_circular_battery(s_values=(-0.45, 0.3), duration=3.0, ramp_steps=6)
+    )
+
+
+def _step_at_a_time(scenario, params, normalized=False):
+    """Reference states: one scenario, one step at a time, scalar inputs
+    drawn from the schedule callables and delayed by index."""
+    geom, dt, times = params.geometry, scenario.dt, scenario.times
+    lag_tau = int(round(params.delays.long_delay / dt))
+    lag_s = int(round(params.delays.steer_delay / dt))
+    states = np.empty((times.size, len(scenario.initial_state)))
+    states[0] = scenario.initial_state
+    for k in range(times.size - 1):
+        tau_k = float(scenario.throttle(times[max(k - lag_tau, 0)]))
+        delta = float(models.steering_angle(
+            float(scenario.steering(times[max(k - lag_s, 0)])), params.steering))
+
+        def net_force(v, tau_k=tau_k):
+            return models.motor_force(tau_k, v, params.motor) + models.friction_force(
+                v, params.friction)
+
+        def kin_rhs(y, delta=delta):
+            return models.kinematic_rhs(y, delta, net_force(y[3]), geom)
+
+        y = states[k]
+        if scenario.model == "kinematic":
+            states[k + 1] = rk4_step(kin_rhs, y, dt)
+        elif normalized and y[3] < simulator.BLEND_SPEED:
+            kin = rk4_step(kin_rhs, y[:4], dt)
+            omega = kin[3] * np.tan(delta) / geom.l
+            states[k + 1] = [*kin, omega * geom.l_r, omega]
+        else:
+            states[k + 1] = rk4_step(
+                lambda y: models.dynamic_rhs(y, delta, net_force(y[3]), params,
+                                             normalized=normalized), y, dt)
+    return states
+
+
+@pytest.mark.parametrize("normalized", [False, True])
+def test_batch_equals_step_at_a_time_reference(ref, normalized):
+    scenarios = [
+        sinusoidal_steering(duration=2.0),
+        _scenario(PiecewiseSchedule(times=(0.0, 0.5), values=(0.0, 0.35)), constant(-0.4),
+                  duration=1.5),
+        _scenario(constant(0.2), constant(0.3), duration=1.0, model="dynamic",
+                  init=(0, 0, 0, 0.2, 0, 0)),
+        mocap_circular_battery(s_values=(0.45,), duration=2.0, ramp_steps=4)[0],
+    ]
+    for scenario, traj in zip(scenarios, simulate_batch(scenarios, ref, normalized=normalized)):
+        np.testing.assert_array_equal(traj.states, _step_at_a_time(scenario, ref, normalized))
+
+
+@pytest.mark.parametrize("normalized", [False, True])
+def test_library_batch_equals_per_scenario_runs(ref, normalized):
+    library = _short_library()
+    assert {s.model for s in library} == {"kinematic", "dynamic"}
+    assert len({s.times.size for s in library}) > 4
+    batch = simulate_batch(library, ref, normalized=normalized)
+    assert len(batch) == len(library)
+    for scenario, traj in zip(library, batch):
+        _assert_same_trajectory(traj, simulate(scenario, ref, normalized=normalized))
+
+
+def test_batch_on_done_sees_each_index_once_shortest_first(ref):
+    library = _short_library()
+    seen = []
+    out = simulate_batch(library, ref, on_done=lambda i, traj: seen.append((i, len(traj))) or i)
+    assert out == list(range(len(library)))
+    assert sorted(i for i, _ in seen) == list(range(len(library)))
+    for model in ("kinematic", "dynamic"):
+        lengths = [n for i, n in seen if library[i].model == model]
+        assert lengths == sorted(lengths)
+
+
+def test_normalized_blend_is_per_row(ref):
+    """One row under the blend speed, one over it: each row of the
+    batch equals its own single-scenario run."""
+    slow = _scenario(constant(0.2), constant(0.3), duration=3.0, model="dynamic",
+                     init=(0, 0, 0, 0.2, 0, 0))
+    fast = _scenario(constant(0.3), constant(0.3), duration=3.0, model="dynamic",
+                     init=(0, 0, 0, 1.0, 0, 0))
+    batch = simulate_batch([slow, fast], ref, normalized=True)
+    assert np.all(batch[0].states[:, 3] < simulator.BLEND_SPEED)
+    assert np.all(batch[1].states[:100, 3] > simulator.BLEND_SPEED)
+    # the slow row rolls rigidly
+    v_y, omega = simulator._kinematic_rolling(
+        batch[0].states[1:, 3], models.steering_angle(batch[0].applied_s[:-1], ref.steering),
+        ref.geometry,
+    )
+    np.testing.assert_array_equal(batch[0].states[1:, 4], v_y)
+    np.testing.assert_array_equal(batch[0].states[1:, 5], omega)
+    for scenario, traj in zip((slow, fast), batch):
+        _assert_same_trajectory(traj, simulate(scenario, ref, normalized=True))
+
+
+def test_batch_divergence_names_the_failing_scenario(ref, monkeypatch):
+    calm = Scenario(name="calm", duration=8.0, dt=0.01, model="kinematic",
+                    throttle=constant(0.0), steering=constant(0.0))
+    wild = Scenario(name="wild", duration=6.0, dt=0.01, model="kinematic",
+                    throttle=constant(0.4), steering=constant(0.0))
+    full = simulate(wild, ref)
+    monkeypatch.setattr(simulator, "DIVERGENCE_LIMIT", 0.5)
+    with pytest.raises(SimulationDiverged, match="'wild'") as err:
+        simulate_batch([calm, wild], ref)
+    partial = err.value.trajectory
+    assert 1 < len(partial) < len(full)
+    assert np.all(np.abs(partial.states) <= 0.5)
+    assert err.value.t == pytest.approx(full.t[len(partial)])
+    for name in TRAJECTORY_FIELDS:
+        np.testing.assert_array_equal(getattr(partial, name),
+                                      getattr(full, name)[: len(partial)], err_msg=name)
+
+
+def test_batch_integration_error_names_the_failing_scenario(ref, monkeypatch):
+    rhs = models.kinematic_rhs
+
+    def fragile_rhs(state, *args):
+        out = rhs(state, *args)
+        out[state[:, 3] > 0.5] = np.nan
+        return out
+
+    monkeypatch.setattr(models, "kinematic_rhs", fragile_rhs)
+    calm = _scenario(constant(0.0), constant(0.0), duration=4.0)
+    wild = Scenario(name="wild", duration=3.0, dt=0.01, model="kinematic",
+                    throttle=constant(0.4), steering=constant(0.0))
+    with pytest.raises(IntegrationError, match="non-finite derivative.*'wild'"):
+        simulate_batch([calm, wild], ref)
 
 
 # --- synthesize_log ----------------------------------------------------------
