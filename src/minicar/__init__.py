@@ -32,13 +32,10 @@ from .fitting import (
     fit_motor,
     fit_rear_tire,
     fit_steering,
-    squared_error_loss,
 )
 from .integrators import rk4_step
 from .logs import RawLog, dump_log, load_log, save_log
 from .models import (
-    DynamicState,
-    KinematicState,
     body_frame_velocity,
     dynamic_rhs,
     friction_force,
@@ -52,7 +49,6 @@ from .models import (
     steering_angle,
 )
 from .params import (
-    ControlInput,
     Delays,
     FrictionParams,
     Geometry,

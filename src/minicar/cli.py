@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import models, pipeline, scenarios, simulator, svgplot, validation
+from . import datasets, models, pipeline, scenarios, simulator, svgplot, validation
 from .errors import ConfigError, MinicarError
 from .logs import load_log, save_log
 from .params import Geometry, load_params, save_params
@@ -55,9 +55,20 @@ def _read_json(path: Path) -> dict:
     return doc
 
 
+def _defaults() -> dict:
+    """Every scalar PipelineConfig default plus the fixed thresholds the
+    dataset builders and the simulator apply."""
+    doc = {f.name: f.default for f in fields(pipeline.PipelineConfig)
+           if isinstance(f.default, (bool, int, float))}
+    for name in ("STEADY_WINDOW_S", "STEADY_REL_TOL", "STEADY_OMEGA_FLOOR",
+                 "TRANSITION_GUARD_S"):
+        doc[name.lower()] = getattr(datasets, name)
+    doc["divergence_limit"] = simulator.DIVERGENCE_LIMIT
+    return doc
+
+
 def _write_manifest(out_dir: Path, args: argparse.Namespace, inputs: list[Path],
                     extra: dict | None = None) -> None:
-    config = {f.name: f.default for f in fields(pipeline.PipelineConfig)}
     doc = {
         "command": args.command,
         "arguments": {
@@ -69,14 +80,7 @@ def _write_manifest(out_dir: Path, args: argparse.Namespace, inputs: list[Path],
             "numpy": np.__version__,
             "python": sys.version.split()[0],
         },
-        "defaults": {
-            "v_min": config["v_min"],
-            "smooth_window": config["smooth_window"],
-            "force_window": config["force_window"],
-            "delay_max_lag": config["delay_max_lag"],
-            "long_delay": config["long_delay"],
-            "divergence_limit": simulator.DIVERGENCE_LIMIT,
-        },
+        "defaults": _defaults(),
     }
     if extra:
         doc.update(extra)

@@ -1,7 +1,9 @@
 """Bounded Adam least-squares fitting for every sub-model curve.
 
-Each sub-model exposes a vectorized ``predict(X, p)`` and the matching
-parameter Jacobian so the squared-error loss has an analytic gradient.
+Each stage fits one curve of ``models`` to a Dataset: the columns of X
+are the curve's inputs in argument order, the fit vector holds its
+parameters in field order, and ``models.<curve>_jacobian`` gives the
+squared-error loss an analytic gradient. No curve formula lives here.
 The optimizer is Adam with bias correction plus two practical
 additions: parameters are clamped to their box bounds after every
 step, and the learning rate follows a fixed four-phase schedule
@@ -14,7 +16,7 @@ iterate well below the round-trip accuracy the tests demand.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, replace
 from typing import Callable
 
 import numpy as np
@@ -94,12 +96,6 @@ class FitResult:
     converged: bool
 
 
-def squared_error_loss(predict: Callable, params, data: Dataset) -> float:
-    """Sum over rows of the squared residual norm."""
-    residual = predict(data.X, np.asarray(params, dtype=float)) - data.Y
-    return float(np.sum(residual * residual))
-
-
 def adam_fit(objective: Callable, config: FitConfig) -> FitResult:
     """Minimize ``objective(p) -> (loss, grad)`` inside a parameter box.
 
@@ -151,16 +147,20 @@ def adam_fit(objective: Callable, config: FitConfig) -> FitResult:
     )
 
 
-def least_squares_objective(predict: Callable, jacobian: Callable, data: Dataset) -> Callable:
-    """Wrap predict/jacobian into an ``objective(p) -> (loss, grad)``."""
+def least_squares_objective(curve: Callable, jacobian: Callable, data: Dataset) -> Callable:
+    """Wrap a curve and its Jacobian into an ``objective(p) -> (loss, grad)``.
 
-    X, Y = data.X, data.Y
+    The curve reads each column of ``data.X`` as one input argument.
+    """
+
+    columns = [data.X[:, j:j + 1] for j in range(data.X.shape[1])]
+    Y = data.Y
 
     def objective(p):
         p = np.asarray(p, dtype=float)
-        residual = predict(X, p) - Y  # (N, n)
+        residual = curve(*columns, p) - Y  # (N, n)
         loss = float(np.sum(residual * residual))
-        jac = jacobian(X, p)  # (N, n, n_p)
+        jac = jacobian(*columns, p)  # (N, n, n_p)
         grad = 2.0 * np.einsum("ij,ijk->k", residual, jac)
         return loss, grad
 
@@ -180,108 +180,14 @@ def finite_difference_gradient(fn: Callable, p, step: float = 1e-6) -> np.ndarra
     return grad
 
 
-# --- sub-model curves in fit-vector form -------------------------------
-#
-# Parameter vector orderings match the corresponding params dataclasses.
-
-
-def friction_predict(X, p):
-    v = X[:, 0:1]
-    return -(p[0] * np.tanh(p[1] * v) + v * p[2])
-
-
-def friction_jacobian(X, p):
-    v = X[:, 0:1]
-    th = np.tanh(p[1] * v)
-    return np.stack([-th, -p[0] * v * (1 - th * th), -v], axis=-1)
-
-
-def motor_predict(X, p):
-    tau, v = X[:, 0:1], X[:, 1:2]
-    gate = np.tanh(models.THROTTLE_SHARPNESS * (tau + p[2]))
-    soft = (tau + p[2]) * 0.5 * (gate + 1.0)
-    return (p[0] - v * p[1]) * soft
-
-
-def motor_jacobian(X, p):
-    tau, v = X[:, 0:1], X[:, 1:2]
-    k = models.THROTTLE_SHARPNESS
-    x = tau + p[2]
-    gate = np.tanh(k * x)
-    soft = x * 0.5 * (gate + 1.0)
-    dsoft_dg = 0.5 * (gate + 1.0) + x * 0.5 * k * (1 - gate * gate)
-    return np.stack([soft, -v * soft, (p[0] - v * p[1]) * dsoft_dg], axis=-1)
-
-
-def steering_predict(X, p):
-    s = X[:, 0:1]
-    a_t, b_t, c_t, d_t, e_t = p
-    x = s + c_t
-    w = 0.5 * (np.tanh(models.STEER_BLEND_SHARPNESS * x) + 1.0)
-    return w * a_t * np.tanh(b_t * x) + (1 - w) * d_t * np.tanh(e_t * x)
-
-
-def steering_jacobian(X, p):
-    s = X[:, 0:1]
-    a_t, b_t, c_t, d_t, e_t = p
-    k = models.STEER_BLEND_SHARPNESS
-    x = s + c_t
-    gate = np.tanh(k * x)
-    w = 0.5 * (gate + 1.0)
-    tb, te = np.tanh(b_t * x), np.tanh(e_t * x)
-    sech_b, sech_e = 1 - tb * tb, 1 - te * te
-    dw_dc = 0.5 * k * (1 - gate * gate)
-    d_c = (
-        w * a_t * b_t * sech_b
-        + (1 - w) * d_t * e_t * sech_e
-        + dw_dc * (a_t * tb - d_t * te)
-    )
-    return np.stack(
-        [w * tb, w * a_t * x * sech_b, d_c, (1 - w) * te, (1 - w) * d_t * x * sech_e],
-        axis=-1,
-    )
-
-
-def pacejka_predict(X, p):
-    alpha = X[:, 0:1]
-    D, C, B, E = p
-    ba = B * alpha
-    u = ba - E * (ba - np.arctan(ba))
-    return D * np.sin(C * np.arctan(u))
-
-
-def pacejka_jacobian(X, p):
-    alpha = X[:, 0:1]
-    D, C, B, E = p
-    ba = B * alpha
-    atan_ba = np.arctan(ba)
-    u = ba - E * (ba - atan_ba)
-    atan_u = np.arctan(u)
-    outer = np.cos(C * atan_u)
-    du = D * outer * C / (1 + u * u)
-    du_dB = alpha * (1 - E * (1 - 1 / (1 + ba * ba)))
-    return np.stack(
-        [np.sin(C * atan_u), D * outer * atan_u, du * du_dB, du * -(ba - atan_ba)],
-        axis=-1,
-    )
-
-
-def rear_tire_predict(X, p):
-    return p[0] * X[:, 0:1]
-
-
-def rear_tire_jacobian(X, p):
-    return X[:, 0:1][..., None]
-
-
-# --- default fit setups -------------------------------------------------
+# --- stages: the curve each one fits and its default setup -------------
 
 _SUBMODELS = {
-    "friction": (friction_predict, friction_jacobian),
-    "motor": (motor_predict, motor_jacobian),
-    "steering": (steering_predict, steering_jacobian),
-    "front_tire": (pacejka_predict, pacejka_jacobian),
-    "rear_tire": (rear_tire_predict, rear_tire_jacobian),
+    "friction": (models.friction_force, models.friction_force_jacobian),
+    "motor": (models.motor_force, models.motor_force_jacobian),
+    "steering": (models.steering_angle, models.steering_angle_jacobian),
+    "front_tire": (models.pacejka_lateral, models.pacejka_lateral_jacobian),
+    "rear_tire": (models.rear_lateral, models.rear_lateral_jacobian),
 }
 
 _DEFAULTS = {
@@ -304,57 +210,46 @@ _DEFAULTS = {
 
 
 def default_config(sub_model: str, **overrides) -> FitConfig:
+    """The stage's default setup with ``overrides`` applied, all validated."""
     if sub_model not in _DEFAULTS:
         raise ConfigError(f"unknown sub-model {sub_model!r}")
+    unknown = set(overrides) - {f.name for f in fields(FitConfig)}
+    if unknown:
+        raise ConfigError(f"unknown FitConfig field {sorted(unknown)[0]!r}")
     init, lo, hi, budget = _DEFAULTS[sub_model]
     cfg = FitConfig(
         initial=np.array(init), lower=np.array(lo), upper=np.array(hi),
         max_iterations=budget,
     )
-    for key, value in overrides.items():
-        if not hasattr(cfg, key):
-            raise ConfigError(f"unknown FitConfig field {key!r}")
-        setattr(cfg, key, value)
-    return cfg
+    return replace(cfg, **overrides)
 
 
 def submodel_objective(sub_model: str, data: Dataset) -> Callable:
-    predict, jacobian = _SUBMODELS[sub_model]
-    return least_squares_objective(predict, jacobian, data)
+    curve, jacobian = _SUBMODELS[sub_model]
+    return least_squares_objective(curve, jacobian, data)
 
 
-def _fit(sub_model: str, data: Dataset, config: FitConfig | None) -> FitResult:
-    cfg = config or default_config(sub_model)
-    return adam_fit(submodel_objective(sub_model, data), cfg)
+def _fit(sub_model: str, data: Dataset, config: FitConfig | None, convert: Callable):
+    result = adam_fit(submodel_objective(sub_model, data), config or default_config(sub_model))
+    return convert(result.params), result
 
 
 def fit_friction(data: Dataset, config: FitConfig | None = None):
-    result = _fit("friction", data, config)
-    a, b, c = result.params
-    return FrictionParams(a=float(a), b=float(b), c=float(c)), result
+    return _fit("friction", data, config, lambda p: FrictionParams(*map(float, p)))
 
 
 def fit_motor(data: Dataset, config: FitConfig | None = None):
-    result = _fit("motor", data, config)
-    d, e, g = result.params
-    return MotorParams(d=float(d), e=float(e), g=float(g)), result
+    return _fit("motor", data, config, lambda p: MotorParams(*map(float, p)))
 
 
 def fit_steering(data: Dataset, config: FitConfig | None = None):
-    result = _fit("steering", data, config)
-    a_t, b_t, c_t, d_t, e_t = result.params
-    return (
-        SteeringParams(a_t=float(a_t), b_t=float(b_t), c_t=float(c_t), d_t=float(d_t), e_t=float(e_t)),
-        result,
-    )
+    return _fit("steering", data, config, lambda p: SteeringParams(*map(float, p)))
 
 
 def fit_front_tire(data: Dataset, config: FitConfig | None = None):
     """Returns the magic-formula coefficients; C_r is fitted separately."""
-    result = _fit("front_tire", data, config)
-    return result.params, result
+    return _fit("front_tire", data, config, lambda p: p)
 
 
 def fit_rear_tire(data: Dataset, config: FitConfig | None = None):
-    result = _fit("rear_tire", data, config)
-    return float(result.params[0]), result
+    return _fit("rear_tire", data, config, lambda p: float(p[0]))

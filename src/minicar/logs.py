@@ -6,9 +6,16 @@ running, the global pose. CSV schema (header required)::
 
     t,tau,s,v_enc,omega_imu[,x_t,y_t,eta_t]
 
-UTF-8, '.' decimal separator, SI units, one row per sample. Row
-numbers in parse errors are 1-based over data rows (the header does
-not count).
+UTF-8, '.' decimal separator, SI units, one row per sample on a
+uniform time grid. Row numbers in parse errors are 1-based over data
+rows (the header does not count).
+
+This module owns the CSV dialect for every file minicar reads or
+writes: ``read_table`` parses any header-labelled numeric CSV
+(trajectory exports included) and ``format_table`` writes one, with
+floats in ``repr`` form so files are byte-stable and re-read without
+precision loss. ``load_log`` and ``dump_log`` add the RawLog header
+rules on top.
 """
 
 from __future__ import annotations
@@ -24,11 +31,19 @@ from .errors import ParseError
 REQUIRED_COLUMNS = ("t", "tau", "s", "v_enc", "omega_imu")
 MOCAP_COLUMNS = ("x_t", "y_t", "eta_t")
 
+# A step may differ from the median step by this much, relative to
+# max(dt, 1 s), and the grid still counts as uniform.
+GRID_TOLERANCE = 1e-6
 
-def _format_float(x: float) -> str:
-    # repr round-trips float64 exactly, keeping emitted files
-    # byte-stable and re-readable without precision loss
-    return repr(float(x))
+
+def uniform_step(t: np.ndarray) -> tuple[float, int | None]:
+    """Median step of a time grid with at least two samples, and the
+    index of the first sample whose step strays from it by more than
+    GRID_TOLERANCE (None when the grid is uniform)."""
+    steps = np.diff(t)
+    dt = float(np.median(steps))
+    off = np.flatnonzero(np.abs(steps - dt) > GRID_TOLERANCE * max(dt, 1.0))
+    return dt, (int(off[0]) + 1 if off.size else None)
 
 
 @dataclass(frozen=True)
@@ -62,6 +77,8 @@ class RawLog:
         if n >= 2 and np.any(np.diff(self.t) <= 0):
             bad = int(np.argmax(np.diff(self.t) <= 0)) + 1
             raise ParseError("time must be strictly increasing", row=bad + 1)
+        if n >= 2 and (bad := uniform_step(self.t)[1]) is not None:
+            raise ParseError("samples must lie on a uniform time grid", row=bad + 1)
         if np.any(np.abs(self.tau) > 1 + 1e-9) or np.any(np.abs(self.s) > 1 + 1e-9):
             bad = int(np.argmax((np.abs(self.tau) > 1 + 1e-9) | (np.abs(self.s) > 1 + 1e-9)))
             raise ParseError("throttle and steering must lie in [-1, 1]", row=bad + 1)
@@ -75,14 +92,16 @@ class RawLog:
     def dt(self) -> float:
         if len(self) < 2:
             raise ParseError("log too short to define a sample period")
-        return float(np.median(np.diff(self.t)))
+        return uniform_step(self.t)[0]
 
 
-def load_log(source, name: str = "") -> RawLog:
-    """Parse a RawLog from a path, text or binary stream.
+def read_table(source, name: str = "") -> dict[str, np.ndarray]:
+    """Parse a header line and numeric rows into named float columns.
 
-    Raises ParseError with a 1-based row number for malformed rows,
-    non-monotone time or out-of-range inputs.
+    ``source`` is a path, bytes, or a text or binary stream. Raises
+    ParseError, naming the 1-based row where there is one, for an empty
+    file, duplicate column names, a header without rows, a wrong field
+    count and a non-numeric or non-finite field.
     """
     if isinstance(source, (str, Path)):
         name = name or str(source)
@@ -93,43 +112,60 @@ def load_log(source, name: str = "") -> RawLog:
         text = source.read()
     else:  # binary stream
         text = source.read().decode("utf-8")
+    where = name or "<stream>"
 
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines:
-        raise ParseError(f"empty log {name or '<stream>'}")
+        raise ParseError(f"{where}: empty file")
     header = [h.strip() for h in lines[0].split(",")]
-    if tuple(header[: len(REQUIRED_COLUMNS)]) != REQUIRED_COLUMNS:
-        raise ParseError(
-            f"expected header starting with {','.join(REQUIRED_COLUMNS)}, got {lines[0]!r}"
-        )
-    extras = tuple(header[len(REQUIRED_COLUMNS) :])
-    if extras not in ((), MOCAP_COLUMNS):
-        raise ParseError(f"unrecognized extra columns {extras}")
-    has_mocap = extras == MOCAP_COLUMNS
-
+    if len(set(header)) != len(header):
+        raise ParseError(f"{where}: duplicate column names in {lines[0]!r}")
     rows = []
     for i, line in enumerate(lines[1:], start=1):
         parts = line.split(",")
         if len(parts) != len(header):
-            raise ParseError(f"expected {len(header)} fields, got {len(parts)}", row=i)
+            raise ParseError(f"{where}: expected {len(header)} fields, got {len(parts)}", row=i)
         try:
             rows.append([float(p) for p in parts])
         except ValueError as exc:
-            raise ParseError(f"non-numeric field: {exc}", row=i) from exc
+            raise ParseError(f"{where}: non-numeric field: {exc}", row=i) from exc
     if not rows:
-        raise ParseError(f"log {name or '<stream>'} has a header but no samples")
+        raise ParseError(f"{where}: header but no rows")
 
     data = np.asarray(rows, dtype=float)
-    mocap = MocapBlock(x_t=data[:, 5], y_t=data[:, 6], eta_t=data[:, 7]) if has_mocap else None
-    return RawLog(
-        t=data[:, 0],
-        tau=data[:, 1],
-        s=data[:, 2],
-        v_enc=data[:, 3],
-        omega_imu=data[:, 4],
-        mocap=mocap,
-        name=name,
-    )
+    bad = np.argwhere(~np.isfinite(data))
+    if bad.size:
+        i, j = bad[0]
+        raise ParseError(f"{where}: non-finite {header[j]}", row=int(i) + 1)
+    return {column: data[:, j] for j, column in enumerate(header)}
+
+
+def load_log(source, name: str = "") -> RawLog:
+    """Parse a RawLog from a path, text or binary stream.
+
+    Raises ParseError with a 1-based row number for malformed rows,
+    non-finite fields, non-monotone or non-uniform time and
+    out-of-range inputs.
+    """
+    if isinstance(source, (str, Path)):
+        name = name or str(source)
+    table = read_table(source, name)
+    header = tuple(table)
+    if header[: len(REQUIRED_COLUMNS)] != REQUIRED_COLUMNS:
+        raise ParseError(
+            f"expected header starting with {','.join(REQUIRED_COLUMNS)}, got {','.join(header)!r}"
+        )
+    extras = header[len(REQUIRED_COLUMNS) :]
+    if extras not in ((), MOCAP_COLUMNS):
+        raise ParseError(f"unrecognized extra columns {extras}")
+    mocap = MocapBlock(*(table[c] for c in MOCAP_COLUMNS)) if extras else None
+    return RawLog(*(table[c] for c in REQUIRED_COLUMNS), mocap=mocap, name=name)
+
+
+def format_table(header, columns) -> str:
+    """CSV text of equal-length float columns under a header line."""
+    rows = zip(*(np.asarray(c, dtype=float).tolist() for c in columns))
+    return "\n".join([",".join(header), *(",".join(map(repr, row)) for row in rows)]) + "\n"
 
 
 def dump_log(log: RawLog) -> str:
@@ -139,10 +175,7 @@ def dump_log(log: RawLog) -> str:
     if log.mocap is not None:
         columns += [log.mocap.x_t, log.mocap.y_t, log.mocap.eta_t]
         header += list(MOCAP_COLUMNS)
-    lines = [",".join(header)]
-    for row in zip(*columns):
-        lines.append(",".join(_format_float(x) for x in row))
-    return "\n".join(lines) + "\n"
+    return format_table(header, columns)
 
 
 def save_log(log: RawLog, path: str | Path) -> None:

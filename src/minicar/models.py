@@ -1,4 +1,13 @@
-"""Curves and ODE right-hand sides for the two bicycle models.
+"""Sub-model curves, their parameter Jacobians and the ODE right-hand
+sides of the two bicycle models.
+
+This is the one place a curve's formula is written: the simulator
+evaluates the curves and the fitting stages minimise their squared
+residuals. Each curve unpacks its parameters in field order
+(``a, b, c = p``), so ``p`` may be the parameter dataclass or a fit
+vector in the same order. Each ``<curve>_jacobian`` takes the same
+arguments and stacks the derivatives with respect to those parameters
+on a new last axis.
 
 Every function here is pure and broadcasts over numpy arrays, so the
 same code serves scalar evaluation, batched dataset work and the
@@ -13,12 +22,10 @@ Headings accumulate without wrapping; wrap only for display.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import ConfigError, DataError
-from .params import Geometry, TireParams, VehicleParams
+from .params import Geometry, VehicleParams
 
 # Fixed sharpness constants of the input maps. These are part of the
 # model structure, not fitting parameters.
@@ -29,56 +36,17 @@ KINEMATIC_STATE_NAMES = ("x", "y", "eta", "v")
 DYNAMIC_STATE_NAMES = ("x", "y", "eta", "v_x", "v_y", "omega")
 
 
-@dataclass(frozen=True)
-class KinematicState:
-    """Named view of the 4-state vector; (x, y) is the rear axle."""
-
-    x: float = 0.0
-    y: float = 0.0
-    eta: float = 0.0
-    v: float = 0.0
-
-    def __post_init__(self):
-        if not np.all(np.isfinite(self.as_array())):
-            raise ConfigError("state components must be finite")
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.x, self.y, self.eta, self.v])
-
-    @classmethod
-    def from_array(cls, state) -> "KinematicState":
-        x, y, eta, v = (float(c) for c in state)
-        return cls(x=x, y=y, eta=eta, v=v)
-
-
-@dataclass(frozen=True)
-class DynamicState:
-    """Named view of the 6-state vector; (x, y) is the CoM and the
-    velocities are body-frame."""
-
-    x: float = 0.0
-    y: float = 0.0
-    eta: float = 0.0
-    v_x: float = 0.0
-    v_y: float = 0.0
-    omega: float = 0.0
-
-    def __post_init__(self):
-        if not np.all(np.isfinite(self.as_array())):
-            raise ConfigError("state components must be finite")
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.x, self.y, self.eta, self.v_x, self.v_y, self.omega])
-
-    @classmethod
-    def from_array(cls, state) -> "DynamicState":
-        x, y, eta, v_x, v_y, omega = (float(c) for c in state)
-        return cls(x=x, y=y, eta=eta, v_x=v_x, v_y=v_y, omega=omega)
-
-
 def friction_force(v, p) -> np.ndarray:
     """Longitudinal resistance -(a*tanh(b*v) + v*c); odd in v, opposes motion."""
-    return -(p.a * np.tanh(p.b * np.asarray(v, dtype=float)) + np.asarray(v, dtype=float) * p.c)
+    a, b, c = p
+    v = np.asarray(v, dtype=float)
+    return -(a * np.tanh(b * v) + v * c)
+
+
+def friction_force_jacobian(v, p) -> np.ndarray:
+    a, b, c = p
+    th = np.tanh(b * v)
+    return np.stack([-th, -a * v * (1 - th * th), -v], axis=-1)
 
 
 def smooth_positive_throttle(tau, g) -> np.ndarray:
@@ -97,7 +65,18 @@ def motor_force(tau, v, p) -> np.ndarray:
 
     Zero below the dead zone (tau <= -g) and at the no-load speed d/e.
     """
-    return (p.d - np.asarray(v, dtype=float) * p.e) * smooth_positive_throttle(tau, p.g)
+    d, e, g = p
+    return (d - np.asarray(v, dtype=float) * e) * smooth_positive_throttle(tau, g)
+
+
+def motor_force_jacobian(tau, v, p) -> np.ndarray:
+    d, e, g = p
+    k = THROTTLE_SHARPNESS
+    x = tau + g
+    gate = np.tanh(k * x)
+    soft = x * 0.5 * (gate + 1.0)
+    dsoft_dg = 0.5 * (gate + 1.0) + x * 0.5 * k * (1 - gate * gate)
+    return np.stack([soft, -v * soft, (d - v * e) * dsoft_dg], axis=-1)
 
 
 def steering_angle(s, p) -> np.ndarray:
@@ -106,9 +85,30 @@ def steering_angle(s, p) -> np.ndarray:
     Two tanh branches are blended by a soft switch on the sign of
     (s + c_t), capturing left/right asymmetry of the linkage.
     """
-    x = np.asarray(s, dtype=float) + p.c_t
+    a_t, b_t, c_t, d_t, e_t = p
+    x = np.asarray(s, dtype=float) + c_t
     weight = 0.5 * (np.tanh(STEER_BLEND_SHARPNESS * x) + 1.0)
-    return weight * p.a_t * np.tanh(p.b_t * x) + (1.0 - weight) * p.d_t * np.tanh(p.e_t * x)
+    return weight * a_t * np.tanh(b_t * x) + (1.0 - weight) * d_t * np.tanh(e_t * x)
+
+
+def steering_angle_jacobian(s, p) -> np.ndarray:
+    a_t, b_t, c_t, d_t, e_t = p
+    k = STEER_BLEND_SHARPNESS
+    x = s + c_t
+    gate = np.tanh(k * x)
+    w = 0.5 * (gate + 1.0)
+    tb, te = np.tanh(b_t * x), np.tanh(e_t * x)
+    sech_b, sech_e = 1 - tb * tb, 1 - te * te
+    dw_dc = 0.5 * k * (1 - gate * gate)
+    d_c = (
+        w * a_t * b_t * sech_b
+        + (1 - w) * d_t * e_t * sech_e
+        + dw_dc * (a_t * tb - d_t * te)
+    )
+    return np.stack(
+        [w * tb, w * a_t * x * sech_b, d_c, (1 - w) * te, (1 - w) * d_t * x * sech_e],
+        axis=-1,
+    )
 
 
 def kinematic_rhs(state, delta, f_total, geom: Geometry) -> np.ndarray:
@@ -156,15 +156,42 @@ def slip_angles(v_x, v_y, omega, delta, geom: Geometry, *, normalized: bool = Fa
     return alpha_f, alpha_r
 
 
-def pacejka_lateral(alpha, p: TireParams) -> np.ndarray:
-    """Magic-formula lateral force D*sin(C*arctan(B*a - E*(B*a - arctan(B*a))))."""
-    ba = p.B * np.asarray(alpha, dtype=float)
-    return p.D * np.sin(p.C * np.arctan(ba - p.E * (ba - np.arctan(ba))))
+def pacejka_lateral(alpha, p) -> np.ndarray:
+    """Magic-formula lateral force D*sin(C*arctan(B*a - E*(B*a - arctan(B*a)))).
+
+    Reads the first four fields (D, C, B, E) of ``p``, so TireParams,
+    whose rear coefficient comes last, serves as is.
+    """
+    D, C, B, E, *_ = p
+    ba = B * np.asarray(alpha, dtype=float)
+    return D * np.sin(C * np.arctan(ba - E * (ba - np.arctan(ba))))
+
+
+def pacejka_lateral_jacobian(alpha, p) -> np.ndarray:
+    D, C, B, E, *_ = p
+    ba = B * alpha
+    atan_ba = np.arctan(ba)
+    u = ba - E * (ba - atan_ba)
+    atan_u = np.arctan(u)
+    outer = np.cos(C * atan_u)
+    du = D * outer * C / (1 + u * u)
+    du_dB = alpha * (1 - E * (1 - 1 / (1 + ba * ba)))
+    return np.stack(
+        [np.sin(C * atan_u), D * outer * atan_u, du * du_dB, du * -(ba - atan_ba)],
+        axis=-1,
+    )
 
 
 def rear_lateral(alpha, c_r) -> np.ndarray:
-    """Linear rear lateral force C_r * alpha (the rear never saturates here)."""
+    """Linear rear lateral force C_r * alpha (the rear never saturates here).
+
+    ``c_r`` is the coefficient itself or its one-element fit vector.
+    """
     return c_r * np.asarray(alpha, dtype=float)
+
+
+def rear_lateral_jacobian(alpha, c_r) -> np.ndarray:
+    return np.asarray(alpha, dtype=float)[..., None]
 
 
 def dynamic_rhs(state, delta, f_x_total, params: VehicleParams, *,

@@ -25,8 +25,17 @@ def _finite(*values: float) -> bool:
     return all(math.isfinite(v) for v in values)
 
 
+class _Group:
+    """Iterating a parameter group yields its field values in field
+    order, so ``a, b, c = group`` unpacks a group and its fit vector
+    alike."""
+
+    def __iter__(self):
+        return iter(self.__dict__.values())
+
+
 @dataclass(frozen=True)
-class FrictionParams:
+class FrictionParams(_Group):
     """Rolling/drag resistance curve F = -(a*tanh(b*v) + v*c)."""
 
     a: float  # force scale [N]
@@ -34,14 +43,14 @@ class FrictionParams:
     c: float  # viscous coefficient [N*s/m]
 
     def __post_init__(self):
-        _require(_finite(self.a, self.b, self.c), "friction params must be finite")
+        _require(_finite(*self), "friction params must be finite")
         _require(self.a > 0, "friction a must be > 0")
         _require(self.b > 0, "friction b must be > 0")
         _require(self.c >= 0, "friction c must be >= 0")
 
 
 @dataclass(frozen=True)
-class MotorParams:
+class MotorParams(_Group):
     """Brushed-motor curve F = (d - v*e) * relu-like(tau + g)."""
 
     d: float  # stall-force scale [N]
@@ -49,14 +58,14 @@ class MotorParams:
     g: float  # throttle dead-zone offset, in (-1, 0]
 
     def __post_init__(self):
-        _require(_finite(self.d, self.e, self.g), "motor params must be finite")
+        _require(_finite(*self), "motor params must be finite")
         _require(self.d > 0, "motor d must be > 0")
         _require(self.e > 0, "motor e must be > 0")
         _require(-1 < self.g <= 0, "motor g must lie in (-1, 0]")
 
 
 @dataclass(frozen=True)
-class SteeringParams:
+class SteeringParams(_Group):
     """Input-to-angle map built from two blended tanh branches.
 
     The weighting lets left and right steering have different gain and
@@ -70,17 +79,14 @@ class SteeringParams:
     e_t: float  # right-branch input gain
 
     def __post_init__(self):
-        _require(
-            _finite(self.a_t, self.b_t, self.c_t, self.d_t, self.e_t),
-            "steering params must be finite",
-        )
+        _require(_finite(*self), "steering params must be finite")
         _require(self.a_t > 0 and self.d_t > 0, "steering angle scales must be > 0")
         _require(self.b_t > 0 and self.e_t > 0, "steering input gains must be > 0")
         _require(abs(self.c_t) < 1, "steering offset must satisfy |c_t| < 1")
 
 
 @dataclass(frozen=True)
-class TireParams:
+class TireParams(_Group):
     """Front magic-formula lateral curve plus linear rear coefficient."""
 
     D: float  # peak force [N]
@@ -90,10 +96,7 @@ class TireParams:
     C_r: float  # rear cornering coefficient [N/rad]
 
     def __post_init__(self):
-        _require(
-            _finite(self.D, self.C, self.B, self.E, self.C_r),
-            "tire params must be finite",
-        )
+        _require(_finite(*self), "tire params must be finite")
         _require(self.D > 0, "tire D must be > 0")
         _require(self.C > 0, "tire C must be > 0")
         _require(self.B > 0, "tire B must be > 0")
@@ -101,7 +104,7 @@ class TireParams:
 
 
 @dataclass(frozen=True)
-class Geometry:
+class Geometry(_Group):
     """Mass and dimensions of the robot."""
 
     m: float  # mass [kg]
@@ -112,10 +115,7 @@ class Geometry:
     I_z: float  # yaw inertia [kg*m^2]
 
     def __post_init__(self):
-        _require(
-            _finite(self.m, self.l, self.l_f, self.l_r, self.w, self.I_z),
-            "geometry must be finite",
-        )
+        _require(_finite(*self), "geometry must be finite")
         _require(self.m > 0, "mass must be > 0")
         _require(self.w > 0, "width must be > 0")
         _require(self.I_z > 0, "yaw inertia must be > 0")
@@ -127,14 +127,14 @@ class Geometry:
 
 
 @dataclass(frozen=True)
-class Delays:
+class Delays(_Group):
     """Actuation delays between command and response."""
 
     steer_delay: float = 0.0  # [s]
     long_delay: float = 0.0  # [s]
 
     def __post_init__(self):
-        _require(_finite(self.steer_delay, self.long_delay), "delays must be finite")
+        _require(_finite(*self), "delays must be finite")
         _require(0 <= self.steer_delay < 1, "steer delay must lie in [0, 1) s")
         _require(0 <= self.long_delay < 1, "longitudinal delay must lie in [0, 1) s")
 
@@ -153,19 +153,6 @@ class VehicleParams:
     geometry: Geometry
     delays: Delays = field(default_factory=Delays)
     tire: TireParams | None = None
-
-
-@dataclass(frozen=True)
-class ControlInput:
-    """Normalized throttle and steering command pair."""
-
-    tau: float
-    s: float
-
-    def __post_init__(self):
-        _require(_finite(self.tau, self.s), "inputs must be finite")
-        _require(-1 <= self.tau <= 1, "throttle must lie in [-1, 1]")
-        _require(-1 <= self.s <= 1, "steering input must lie in [-1, 1]")
 
 
 _GROUPS = {

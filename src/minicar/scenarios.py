@@ -149,10 +149,7 @@ class Scenario:
         if self.model not in ("kinematic", "dynamic"):
             raise ConfigError(f"unknown model kind {self.model!r}")
         n_states = 4 if self.model == "kinematic" else 6
-        state = self.initial_state
-        if hasattr(state, "as_array"):  # KinematicState / DynamicState
-            state = tuple(state.as_array())
-        state = state or (0.0,) * n_states
+        state = tuple(self.initial_state) or (0.0,) * n_states
         if len(state) != n_states:
             raise ConfigError(
                 f"{self.model} model needs {n_states} initial states, got {len(state)}"

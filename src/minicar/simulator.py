@@ -30,7 +30,7 @@ from . import models
 from .delay import delay_shift
 from .errors import ConfigError, IntegrationError, SimulationDiverged
 from .integrators import rk4_step
-from .logs import MocapBlock, RawLog
+from .logs import MocapBlock, RawLog, format_table
 from .params import VehicleParams
 from .scenarios import Scenario
 
@@ -293,28 +293,14 @@ def synthesize_log(scenario: Scenario, params: VehicleParams, noise: NoiseSpec,
     )
 
 
-def _format_float(x: float) -> str:
-    return repr(float(x))
-
-
 def trajectory_to_csv(traj: Trajectory, params: VehicleParams) -> str:
     """Trajectory as CSV: the RawLog dialect extended with state columns."""
     omega = trajectory_yaw_rate(traj, params)
-    header = ["t", "tau", "s", "v_enc", "omega_imu", "tau_applied", "s_applied"]
-    header += list(traj.state_names)
-    columns = [
-        traj.t,
-        traj.commanded_tau,
-        traj.commanded_s,
-        traj.states[:, 3],
-        omega,
-        traj.applied_tau,
-        traj.applied_s,
-    ] + [traj.states[:, i] for i in range(traj.states.shape[1])]
-    lines = [",".join(header)]
-    for row in zip(*columns):
-        lines.append(",".join(_format_float(x) for x in row))
-    return "\n".join(lines) + "\n"
+    header = ["t", "tau", "s", "v_enc", "omega_imu", "tau_applied", "s_applied",
+              *traj.state_names]
+    columns = [traj.t, traj.commanded_tau, traj.commanded_s, traj.states[:, 3], omega,
+               traj.applied_tau, traj.applied_s, *traj.states.T]
+    return format_table(header, columns)
 
 
 def save_trajectory(traj: Trajectory, params: VehicleParams, path: str | Path) -> None:

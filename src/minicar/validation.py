@@ -1,46 +1,28 @@
 """One-step-ahead prediction error of a fitted model against a log.
 
-Works on any CSV in the RawLog dialect, including trajectory exports
-that carry exact state columns. When a dynamic-model validation has to
-fall back from state columns to motion-capture data, the body-frame
-lateral velocity is reconstructed by differentiation, which bounds the
-achievable accuracy; exact checks should use trajectory exports.
+Works on any CSV in the RawLog dialect (``read_table``, re-exported
+from ``logs``), including trajectory exports that carry exact state
+columns. When a dynamic-model validation has to fall back from state
+columns to motion-capture data, the body-frame lateral velocity is
+reconstructed by differentiation, which bounds the achievable
+accuracy; exact checks should use trajectory exports.
 """
 
 from __future__ import annotations
 
 import logging
-from pathlib import Path
 
 import numpy as np
 
 from . import models
 from .delay import delay_shift
-from .errors import ConfigError, DataError, ParseError
+from .errors import ConfigError, DataError
 from .integrators import rk4_step
+from .logs import read_table, uniform_step
 from .params import VehicleParams
 from .preprocess import differentiate, smooth
 
 logger = logging.getLogger(__name__)
-
-
-def read_table(path: str | Path) -> dict[str, np.ndarray]:
-    """Read a header-labelled numeric CSV into named columns."""
-    lines = [ln for ln in Path(path).read_text(encoding="utf-8").splitlines() if ln.strip()]
-    if len(lines) < 2:
-        raise ParseError(f"{path}: need a header and at least one row")
-    header = [h.strip() for h in lines[0].split(",")]
-    rows = []
-    for i, line in enumerate(lines[1:], start=1):
-        parts = line.split(",")
-        if len(parts) != len(header):
-            raise ParseError(f"{path}: expected {len(header)} fields", row=i)
-        try:
-            rows.append([float(p) for p in parts])
-        except ValueError as exc:
-            raise ParseError(f"{path}: non-numeric field: {exc}", row=i) from exc
-    data = np.asarray(rows, dtype=float)
-    return {name: data[:, j] for j, name in enumerate(header)}
 
 
 def _first_present(table: dict, *names: str) -> np.ndarray | None:
@@ -66,12 +48,11 @@ def _dt_of(table: dict) -> float:
     t = table.get("t")
     if t is None or t.size < 2:
         raise DataError("log needs a time column with at least two rows")
-    steps = np.diff(t)
-    if np.any(steps <= 0):
+    if np.any(np.diff(t) <= 0):
         raise DataError("log time must be strictly increasing")
-    dt = float(np.median(steps))
-    if np.max(np.abs(steps - dt)) > 1e-6 * max(dt, 1.0):
-        raise DataError("one-step validation needs a uniform sample rate")
+    dt, off_grid = uniform_step(t)
+    if off_grid is not None:
+        raise DataError(f"one-step validation needs a uniform sample rate (row {off_grid + 1})")
     return dt
 
 

@@ -196,6 +196,29 @@ def test_run_manifest_records_both_smoothing_windows(tmp_path, params_file):
     assert defaults["force_window"] == config.force_window == 21
 
 
+def test_run_manifest_records_every_scalar_default(tmp_path, params_file):
+    from dataclasses import MISSING, fields
+
+    from minicar import datasets
+    from minicar.pipeline import PipelineConfig
+
+    scenario = write_scenario(tmp_path, duration=0.5)
+    out = tmp_path / "sim"
+    assert main(["simulate", "--params", str(params_file), "--scenario", str(scenario),
+                 "--out", str(out)]) == 0
+    defaults = json.loads((out / "run_manifest.json").read_text())["defaults"]
+    scalars = {f.name: f.default for f in fields(PipelineConfig)
+               if f.default is not MISSING and f.default is not None}
+    assert set(scalars) == {"v_min", "smooth_window", "force_window", "normalized_slip",
+                            "long_delay", "delay_max_lag"}
+    for name, value in scalars.items():
+        assert defaults[name] == value
+    assert defaults["steady_window_s"] == datasets.STEADY_WINDOW_S
+    assert defaults["steady_rel_tol"] == datasets.STEADY_REL_TOL
+    assert defaults["steady_omega_floor"] == datasets.STEADY_OMEGA_FLOOR
+    assert defaults["transition_guard_s"] == datasets.TRANSITION_GUARD_S
+
+
 def test_fit_report_records_convergence(tmp_path):
     from minicar.logs import save_log
     from minicar.scenarios import constant_steering_battery

@@ -10,7 +10,6 @@ from minicar.fitting import (
     adam_fit,
     default_config,
     finite_difference_gradient,
-    squared_error_loss,
     submodel_objective,
 )
 
@@ -101,21 +100,6 @@ def test_learning_rate_schedule_shape():
     assert all(b <= a + 1e-15 for a, b in zip(lr, lr[1:]))  # non-increasing
 
 
-def test_squared_error_loss_contracts():
-    X = np.zeros((4, 1))
-    Y = np.ones((4, 1))
-    data = Dataset(X=X, Y=Y, x_names=("x",), y_names=("y",))
-
-    perfect = lambda X, p: np.ones((X.shape[0], 1))
-    zero = lambda X, p: np.zeros((X.shape[0], 1))
-    assert squared_error_loss(perfect, np.zeros(1), data) == 0.0
-    assert squared_error_loss(zero, np.zeros(1), data) == pytest.approx(4.0)
-
-    half = lambda X, p: np.full((X.shape[0], 1), 0.5)  # residual 0.5
-    quarter_loss = squared_error_loss(half, np.zeros(1), data)
-    assert squared_error_loss(zero, np.zeros(1), data) == pytest.approx(4 * quarter_loss)
-
-
 def _submodel_cases(ref, rng):
     return {
         "friction": (
@@ -147,11 +131,23 @@ def _submodel_cases(ref, rng):
     }
 
 
-@pytest.mark.parametrize("name", ["friction", "motor", "steering", "front_tire", "rear_tire"])
+CURVES = {
+    "friction": (models.friction_force, models.friction_force_jacobian),
+    "motor": (models.motor_force, models.motor_force_jacobian),
+    "steering": (models.steering_angle, models.steering_angle_jacobian),
+    "front_tire": (models.pacejka_lateral, models.pacejka_lateral_jacobian),
+    "rear_tire": (models.rear_lateral, models.rear_lateral_jacobian),
+}
+
+
+@pytest.mark.parametrize("name", CURVES)
 def test_analytic_gradient_matches_finite_differences(name, ref, rng):
-    """Loss gradients agree with central differences at 10 random
-    interior points around the realistic parameter region."""
+    """Loss gradients, and the curve's models Jacobian row by row, agree
+    with central differences at 10 random interior points around the
+    realistic parameter region."""
     X, truth, p_ref = _submodel_cases(ref, rng)[name]
+    curve, jacobian = CURVES[name]
+    columns = [X[:, j:j + 1] for j in range(X.shape[1])]
     data = Dataset(
         X=X, Y=truth(X), x_names=tuple(f"x{i}" for i in range(X.shape[1])), y_names=("y",)
     )
@@ -167,11 +163,28 @@ def test_analytic_gradient_matches_finite_differences(name, ref, rng):
             np.linalg.norm(grad), np.linalg.norm(grad_fd), 1e-300
         )
         assert rel < 1e-5
+        jac = jacobian(*columns, p)[:, 0, :]
+        for row in (0, X.shape[0] // 2, X.shape[0] - 1):
+            jac_fd = finite_difference_gradient(lambda q: curve(*columns, q)[row, 0], p)
+            np.testing.assert_allclose(jac[row], jac_fd, rtol=1e-5,
+                                       atol=1e-7 * max(np.abs(jac_fd).max(), 1.0))
 
 
 def test_default_config_rejects_unknown_submodel():
     with pytest.raises(ConfigError):
         default_config("downforce")
+
+
+@pytest.mark.parametrize("overrides", [
+    {"learning_rate": -1.0},
+    {"max_iterations": 0},
+    {"beta1": 1.0},
+    {"initial": np.array([50.0, 10.0, 0.1])},  # outside the friction box
+    {"not_a_field": 1},
+])
+def test_default_config_validates_overrides(overrides):
+    with pytest.raises(ConfigError):
+        default_config("friction", **overrides)
 
 
 def test_fit_wrappers_return_valid_params(ref, rng):

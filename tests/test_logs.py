@@ -48,6 +48,31 @@ def test_load_rejects_non_numeric():
         load_log(text.encode())
 
 
+@pytest.mark.parametrize("column", ["t", "v_enc", "omega_imu"])
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e400"])
+def test_load_rejects_non_finite_field(column, value):
+    rows = [[i * 0.01, 0.0, 0.0, 0.0, 0.0] for i in range(4)]
+    rows[2][("t", "tau", "s", "v_enc", "omega_imu").index(column)] = value
+    with pytest.raises(ParseError, match=rf"non-finite {column} \(row 3\)"):
+        load_log(_csv(rows).encode())
+
+
+def test_load_rejects_non_uniform_grid():
+    rows = [[t, 0.0, 0.0, 0.0, 0.0] for t in (0.0, 0.01, 0.5, 0.51)]
+    with pytest.raises(ParseError, match="uniform time grid.*row 3"):
+        load_log(_csv(rows).encode())
+
+
+def test_load_accepts_rounding_jitter_in_time():
+    rows = [[i * 0.01 + (1e-12 if i % 2 else 0.0), 0.0, 0.0, 0.0, 0.0] for i in range(5)]
+    assert load_log(_csv(rows).encode()).dt == pytest.approx(0.01)
+
+
+def test_load_rejects_duplicate_columns():
+    with pytest.raises(ParseError, match="duplicate"):
+        load_log(b"t,tau,s,v_enc,omega_imu,t\n0,0,0,0,0,0\n")
+
+
 def test_load_rejects_out_of_range_inputs():
     text = _csv([[0.0, 1.5, 0.0, 0.0, 0.0], [0.01, 0.0, 0.0, 0.0, 0.0]])
     with pytest.raises(ParseError, match=r"\[-1, 1\]"):

@@ -322,16 +322,6 @@ def test_friction_params_validation():
         FrictionParams(a=-1.0, b=1.0, c=0.0)
 
 
-def test_state_views_round_trip():
-    kin = models.KinematicState(x=1.0, y=-2.0, eta=0.3, v=1.5)
-    np.testing.assert_array_equal(kin.as_array(), [1.0, -2.0, 0.3, 1.5])
-    assert models.KinematicState.from_array(kin.as_array()) == kin
-    dyn = models.DynamicState(v_x=0.5, omega=0.1)
-    assert models.DynamicState.from_array(dyn.as_array()) == dyn
-    with pytest.raises(ConfigError):
-        models.KinematicState(v=float("nan"))
-
-
 def test_state_views_feed_scenarios(ref):
     from minicar.scenarios import Scenario, constant
     from minicar.simulator import simulate
@@ -339,15 +329,24 @@ def test_state_views_feed_scenarios(ref):
     scen = Scenario(
         name="state-view", duration=0.5, dt=0.01, model="dynamic",
         throttle=constant(0.0), steering=constant(0.0),
-        initial_state=models.DynamicState(v_x=0.4),
+        initial_state=np.array([0.0, 0.0, 0.0, 0.4, 0.0, 0.0]),
     )
     traj = simulate(scen, ref)
     assert traj.states[0, 3] == 0.4
 
 
-def test_control_input_validation():
-    from minicar.params import ControlInput
-
-    ControlInput(tau=0.3, s=-0.5)
-    with pytest.raises(ConfigError):
-        ControlInput(tau=1.2, s=0.0)
+@pytest.mark.parametrize("curve, inputs, group, n_fit", [
+    ("friction_force", 1, "friction", 3),
+    ("motor_force", 2, "motor", 3),
+    ("steering_angle", 1, "steering", 5),
+    ("pacejka_lateral", 1, "tire", 4),
+    ("rear_lateral", 1, None, 1),
+])
+def test_curve_takes_group_or_field_order_vector(curve, inputs, group, n_fit, ref, rng):
+    """Bit-identical output for the parameter group and for its fit vector;
+    rear_lateral takes C_r itself or [C_r]."""
+    fn = getattr(models, curve)
+    params = getattr(ref, group) if group else ref.tire.C_r
+    vector = np.array(list(params) if group else [params])[:n_fit]
+    args = [rng.uniform(-1, 1, (20, 1)) for _ in range(inputs)]
+    np.testing.assert_array_equal(fn(*args, params), fn(*args, vector))

@@ -23,15 +23,16 @@ def _dataset(X, Y):
     )
 
 
-def _curve_rms(predict, params, data):
-    return float(np.sqrt(np.mean((predict(data.X, params) - data.Y) ** 2)))
+def _curve_rms(curve, params, data):
+    columns = [data.X[:, j:j + 1] for j in range(data.X.shape[1])]
+    return float(np.sqrt(np.mean((curve(*columns, params) - data.Y) ** 2)))
 
 
 def test_friction_zero_noise_round_trip(ref):
     X = np.linspace(0.05, 3.0, 200)[:, None]
     data = _dataset(X, models.friction_force(X, ref.friction))
     _, result = fitting.fit_friction(data)
-    assert _curve_rms(fitting.friction_predict, result.params, data) < 1e-6
+    assert _curve_rms(models.friction_force, result.params, data) < 1e-6
 
 
 def test_motor_zero_noise_round_trip(ref):
@@ -39,14 +40,14 @@ def test_motor_zero_noise_round_trip(ref):
     X = np.column_stack([taus.ravel(), vs.ravel()])
     data = _dataset(X, models.motor_force(X[:, 0:1], X[:, 1:2], ref.motor))
     _, result = fitting.fit_motor(data)
-    assert _curve_rms(fitting.motor_predict, result.params, data) < 1e-6
+    assert _curve_rms(models.motor_force, result.params, data) < 1e-6
 
 
 def test_steering_zero_noise_round_trip(ref):
     X = np.linspace(-1, 1, 41)[:, None]
     data = _dataset(X, models.steering_angle(X, ref.steering))
     _, result = fitting.fit_steering(data)
-    assert _curve_rms(fitting.steering_predict, result.params, data) < 1e-6
+    assert _curve_rms(models.steering_angle, result.params, data) < 1e-6
 
 
 def test_front_tire_zero_noise_round_trip(ref):
@@ -58,12 +59,12 @@ def test_front_tire_zero_noise_round_trip(ref):
         max_iterations=20000,
     )
     _, result = fitting.fit_front_tire(data, config)
-    assert _curve_rms(fitting.pacejka_predict, result.params, data) < 1e-6
+    assert _curve_rms(models.pacejka_lateral, result.params, data) < 1e-6
 
 
 def test_rear_tire_zero_noise_round_trip(ref):
     X = np.linspace(-0.5, 0.5, 200)[:, None]
     data = _dataset(X, models.rear_lateral(X, ref.tire.C_r))
     c_r, result = fitting.fit_rear_tire(data)
-    assert _curve_rms(fitting.rear_tire_predict, result.params, data) < 1e-6
+    assert _curve_rms(models.rear_lateral, result.params, data) < 1e-6
     assert c_r == pytest.approx(ref.tire.C_r, rel=1e-6)

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from minicar.errors import DataError
@@ -101,3 +102,19 @@ def test_read_table_errors(tmp_path):
     path.write_text("t,v\n0.0\n")
     with pytest.raises(ParseError, match="row 1"):
         read_table(path)
+
+
+def test_read_table_rejects_non_finite_field(tmp_path):
+    from minicar.errors import ParseError
+
+    path = tmp_path / "bad.csv"
+    path.write_text("t,v_x\n0.0,1.0\n0.01,nan\n")
+    with pytest.raises(ParseError, match=r"non-finite v_x \(row 2\)"):
+        read_table(path)
+
+
+def test_one_step_rms_rejects_non_uniform_grid(ref):
+    t = np.array([0.0, 0.01, 0.5, 0.51])
+    table = {"t": t, "tau": np.zeros(4), "s": np.zeros(4), "v_enc": np.ones(4)}
+    with pytest.raises(DataError, match="uniform sample rate.*row 3"):
+        one_step_rms(table, ref, "kinematic")
