@@ -212,7 +212,8 @@ def cmd_fit(args) -> int:
              "final_loss": None if r.result is None else r.result.loss,
              "iterations": None if r.result is None else r.result.iterations,
              "converged": None if r.result is None else r.result.converged,
-             "parameters": None if r.result is None else [float(p) for p in r.result.params]}
+             "parameters": None if r.result is None else [float(p) for p in r.result.params],
+             "diagnostics": None if r.result is None else r.result.diagnostics}
             for r in result.stages
         ],
         "steer_delay": result.steer_delay,

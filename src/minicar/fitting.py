@@ -2,8 +2,13 @@
 
 Each stage fits one curve of ``models`` to a Dataset: the columns of X
 are the curve's inputs in argument order, the fit vector holds its
-parameters in field order, and ``models.<curve>_jacobian`` gives the
-squared-error loss an analytic gradient. No curve formula lives here.
+parameters in field order, and ``models.<curve>_and_jacobian`` gives
+the squared-error loss an analytic gradient. No curve formula lives
+here. The objective built for a dataset holds its columns as
+contiguous 1-D arrays and owns, for its whole life, one
+``(N, n_p)`` Jacobian buffer, the curve's scratch rows and a residual
+row; each call overwrites them, evaluates the curve and its Jacobian
+in one pass and returns a fresh gradient array.
 The optimizer is Adam with bias correction plus two practical
 additions: parameters are clamped to their box bounds after every
 step, and the learning rate follows a fixed four-phase schedule
@@ -23,8 +28,8 @@ import numpy as np
 
 from . import models
 from .datasets import Dataset
-from .errors import ConfigError, FitDivergedError
-from .params import FrictionParams, MotorParams, SteeringParams
+from .errors import ConfigError, DataError, FitDivergedError
+from .params import FrictionParams, MotorParams, SteeringParams, TireParams
 
 
 # Learning-rate schedule shape: fractions of the budget spent at the
@@ -94,6 +99,7 @@ class FitResult:
     trace: np.ndarray  # loss per iteration, trace[-1] == loss
     iterations: int
     converged: bool
+    diagnostics: dict | None = None  # fit_diagnostics at params, set by the fit_* stages
 
 
 def adam_fit(objective: Callable, config: FitConfig) -> FitResult:
@@ -147,21 +153,32 @@ def adam_fit(objective: Callable, config: FitConfig) -> FitResult:
     )
 
 
-def least_squares_objective(curve: Callable, jacobian: Callable, data: Dataset) -> Callable:
-    """Wrap a curve and its Jacobian into an ``objective(p) -> (loss, grad)``.
+def _columns(data: Dataset) -> tuple[list[np.ndarray], np.ndarray]:
+    """The inputs and the single label column of ``data`` as contiguous 1-D arrays."""
+    if data.Y.shape[1] != 1:
+        raise DataError(f"a least-squares stage fits one output column, got {data.Y.shape[1]}")
+    columns = [np.ascontiguousarray(data.X[:, j]) for j in range(data.X.shape[1])]
+    return columns, np.ascontiguousarray(data.Y[:, 0])
 
-    The curve reads each column of ``data.X`` as one input argument.
+
+def least_squares_objective(value_and_jacobian: Callable, data: Dataset,
+                            n_params: int) -> Callable:
+    """Wrap a ``models.<curve>_and_jacobian`` into ``objective(p) -> (loss, grad)``.
+
+    The curve reads each column of ``data.X`` as one input argument and
+    is fitted to the single column of ``data.Y``. The buffers are
+    allocated here, once, and reused by every call.
     """
-
-    columns = [data.X[:, j:j + 1] for j in range(data.X.shape[1])]
-    Y = data.Y
+    columns, y = _columns(data)
+    jac = np.empty((y.size, n_params))
+    work = np.empty((models.JACOBIAN_WORK_ROWS, y.size))
+    residual = np.empty(y.size)
 
     def objective(p):
         p = np.asarray(p, dtype=float)
-        residual = curve(*columns, p) - Y  # (N, n)
-        loss = float(np.sum(residual * residual))
-        jac = jacobian(*columns, p)  # (N, n, n_p)
-        grad = 2.0 * np.einsum("ij,ijk->k", residual, jac)
+        np.subtract(value_and_jacobian(*columns, p, jac, work), y, out=residual)
+        loss = float(np.sum(np.multiply(residual, residual, out=work[0])))
+        grad = 2.0 * np.einsum("i,ik->k", residual, jac)
         return loss, grad
 
     return objective
@@ -183,11 +200,25 @@ def finite_difference_gradient(fn: Callable, p, step: float = 1e-6) -> np.ndarra
 # --- stages: the curve each one fits and its default setup -------------
 
 _SUBMODELS = {
-    "friction": (models.friction_force, models.friction_force_jacobian),
-    "motor": (models.motor_force, models.motor_force_jacobian),
-    "steering": (models.steering_angle, models.steering_angle_jacobian),
-    "front_tire": (models.pacejka_lateral, models.pacejka_lateral_jacobian),
-    "rear_tire": (models.rear_lateral, models.rear_lateral_jacobian),
+    "friction": models.friction_force_and_jacobian,
+    "motor": models.motor_force_and_jacobian,
+    "steering": models.steering_angle_and_jacobian,
+    "front_tire": models.pacejka_lateral_and_jacobian,
+    "rear_tire": models.rear_lateral_and_jacobian,
+}
+
+
+def _field_names(group) -> tuple[str, ...]:
+    return tuple(f.name for f in fields(group))
+
+
+# each stage's parameter names, in fit-vector order
+_PARAM_NAMES = {
+    "friction": _field_names(FrictionParams),
+    "motor": _field_names(MotorParams),
+    "steering": _field_names(SteeringParams),
+    "front_tire": _field_names(TireParams)[:4],
+    "rear_tire": _field_names(TireParams)[4:],
 }
 
 _DEFAULTS = {
@@ -225,12 +256,54 @@ def default_config(sub_model: str, **overrides) -> FitConfig:
 
 
 def submodel_objective(sub_model: str, data: Dataset) -> Callable:
-    curve, jacobian = _SUBMODELS[sub_model]
-    return least_squares_objective(curve, jacobian, data)
+    return least_squares_objective(_SUBMODELS[sub_model], data, len(_PARAM_NAMES[sub_model]))
+
+
+def _finite_or_none(x: float) -> float | None:
+    return float(x) if np.isfinite(x) else None
+
+
+def fit_diagnostics(sub_model: str, data: Dataset, params, config: FitConfig) -> dict:
+    """How far a stage's fitted parameters can be trusted, from one more
+    value-and-Jacobian evaluation at ``params``.
+
+    Returns JSON-ready values: ``grad_norm``, the Euclidean norm of the
+    loss gradient; ``cond``, the condition number of JᵀJ; ``rel_std_err``,
+    per parameter name sqrt(diag(σ²(JᵀJ)⁻¹)) / |p| with σ² = loss / (N − n_p);
+    and ``active_bounds``, the names of the parameters sitting on a box
+    bound. A value that is infinite or undefined (singular JᵀJ, a zero
+    parameter, N ≤ n_p) is None.
+    """
+    params = np.asarray(params, dtype=float)
+    names = _PARAM_NAMES[sub_model]
+    columns, y = _columns(data)
+    jac = np.empty((y.size, params.size))
+    work = np.empty((models.JACOBIAN_WORK_ROWS, y.size))
+    residual = _SUBMODELS[sub_model](*columns, params, jac, work) - y
+    grad = 2.0 * np.einsum("i,ik->k", residual, jac)
+    # JᵀJ = V diag(s²) Vᵀ from the SVD of J, which keeps the small
+    # singular values that forming JᵀJ would square away. With fewer
+    # rows than parameters JᵀJ is singular.
+    _, s, vt = np.linalg.svd(jac, full_matrices=False)
+    dof = y.size - params.size
+    sigma2 = float(np.sum(residual * residual)) / dof if dof > 0 else np.nan
+    with np.errstate(divide="ignore", invalid="ignore"):
+        cond = (s[0] / s[-1]) ** 2 if dof >= 0 else np.inf
+        inverse_diag = np.sum((vt / s[:, None]) ** 2, axis=0)  # diag((JᵀJ)⁻¹)
+        rel_std_err = np.sqrt(sigma2 * inverse_diag) / np.abs(params)
+    on_bound = (params <= config.lower) | (params >= config.upper)
+    return {
+        "grad_norm": float(np.linalg.norm(grad)),
+        "cond": _finite_or_none(cond),
+        "rel_std_err": {n: _finite_or_none(r) for n, r in zip(names, rel_std_err)},
+        "active_bounds": [n for n, bound in zip(names, on_bound) if bound],
+    }
 
 
 def _fit(sub_model: str, data: Dataset, config: FitConfig | None, convert: Callable):
-    result = adam_fit(submodel_objective(sub_model, data), config or default_config(sub_model))
+    config = config or default_config(sub_model)
+    result = adam_fit(submodel_objective(sub_model, data), config)
+    result = replace(result, diagnostics=fit_diagnostics(sub_model, data, result.params, config))
     return convert(result.params), result
 
 

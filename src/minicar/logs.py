@@ -35,6 +35,8 @@ MOCAP_COLUMNS = ("x_t", "y_t", "eta_t")
 # max(dt, 1 s), and the grid still counts as uniform.
 GRID_TOLERANCE = 1e-6
 
+FORMAT_BLOCK_ROWS = 256
+
 
 def uniform_step(t: np.ndarray) -> tuple[float, int | None]:
     """Median step of a time grid with at least two samples, and the
@@ -163,9 +165,18 @@ def load_log(source, name: str = "") -> RawLog:
 
 
 def format_table(header, columns) -> str:
-    """CSV text of equal-length float columns under a header line."""
-    rows = zip(*(np.asarray(c, dtype=float).tolist() for c in columns))
-    return "\n".join([",".join(header), *(",".join(map(repr, row)) for row in rows)]) + "\n"
+    """CSV text of equal-length float columns under a header line.
+
+    Rows are formatted FORMAT_BLOCK_ROWS at a time, so only one block's
+    Python floats and lines are alive at once, not a whole log's.
+    """
+    columns = [np.asarray(c, dtype=float) for c in columns]
+    n = min((len(c) for c in columns), default=0)
+    blocks = [",".join(header)]
+    for start in range(0, n, FORMAT_BLOCK_ROWS):
+        rows = zip(*(c[start:start + FORMAT_BLOCK_ROWS].tolist() for c in columns))
+        blocks.append("\n".join([",".join(map(repr, row)) for row in rows]))
+    return "\n".join(blocks) + "\n"
 
 
 def dump_log(log: RawLog) -> str:

@@ -236,3 +236,10 @@ def test_fit_report_records_convergence(tmp_path):
     assert isinstance(stages["steering"]["converged"], bool)
     assert stages["steering"]["iterations"] > 0
     assert all(s["converged"] is None for s in stages.values() if s["status"] == "skipped")
+    diagnostics = stages["steering"]["diagnostics"]
+    assert set(diagnostics) == {"grad_norm", "cond", "rel_std_err", "active_bounds"}
+    assert list(diagnostics["rel_std_err"]) == ["a_t", "b_t", "c_t", "d_t", "e_t"]
+    # two segments cannot pin five parameters: JᵀJ is singular, σ² undefined
+    assert diagnostics["cond"] is None
+    assert all(v is None for v in diagnostics["rel_std_err"].values())
+    assert all(s["diagnostics"] is None for s in stages.values() if s["status"] == "skipped")

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from minicar.errors import ParseError
-from minicar.logs import RawLog, dump_log, load_log, save_log
+from minicar.logs import FORMAT_BLOCK_ROWS, RawLog, dump_log, format_table, load_log, save_log
 
 
 def _csv(rows, header="t,tau,s,v_enc,omega_imu"):
@@ -133,3 +133,14 @@ def test_rawlog_arrays_become_readonly():
     )
     with pytest.raises(ValueError):
         log.t[0] = 5.0
+
+
+@pytest.mark.parametrize("rows", [0, 1, FORMAT_BLOCK_ROWS - 1, FORMAT_BLOCK_ROWS,
+                                  FORMAT_BLOCK_ROWS + 1, 2 * FORMAT_BLOCK_ROWS + 3])
+def test_format_table_blocks_match_whole_table_formatting(rows):
+    """Formatting in row blocks gives the text of formatting every row at once."""
+    rng = np.random.default_rng(rows)
+    columns = [rng.normal(size=rows), np.arange(rows, dtype=float) * 0.01, rng.uniform(-1, 1, rows)]
+    whole = "\n".join(["a,b,c", *(",".join(map(repr, row))
+                                  for row in zip(*(c.tolist() for c in columns)))]) + "\n"
+    assert format_table(("a", "b", "c"), columns) == whole
