@@ -32,6 +32,7 @@ from .fitting import (
     fit_motor,
     fit_rear_tire,
     fit_steering,
+    lm_fit,
 )
 from .integrators import rk4_step
 from .logs import RawLog, dump_log, load_log, save_log

@@ -1,22 +1,29 @@
-"""Bounded Adam least-squares fitting for every sub-model curve.
+"""Bounded least-squares fitting for every sub-model curve.
 
 Each stage fits one curve of ``models`` to a Dataset: the columns of X
 are the curve's inputs in argument order, the fit vector holds its
 parameters in field order, and ``models.<curve>_and_jacobian`` gives
-the squared-error loss an analytic gradient. No curve formula lives
-here. The objective built for a dataset holds its columns as
-contiguous 1-D arrays and owns, for its whole life, one
+the residual vector r = curve(X; p) − y its analytic Jacobian J. No
+curve formula lives here. One private evaluator per dataset holds the
+columns as contiguous 1-D arrays and owns, for its whole life, one
 ``(N, n_p)`` Jacobian buffer, the curve's scratch rows and a residual
-row; each call overwrites them, evaluates the curve and its Jacobian
-in one pass and returns a fresh gradient array.
-The optimizer is Adam with bias correction plus two practical
-additions: parameters are clamped to their box bounds after every
-step, and the learning rate follows a fixed four-phase schedule
-(explore at the base rate, drop, crawl at a tenth of it, then anneal
-geometrically to a tiny floor). Constant-rate Adam orbits the optimum
-at a radius set by the rate; the crawl phase walks the long shallow
-valleys these curve families produce, and the anneal settles the
-iterate well below the round-trip accuracy the tests demand.
+row; each call overwrites them and evaluates the curve and its
+Jacobian in one pass. The stage fits, the diagnostics and the
+loss-and-gradient objective all read it.
+
+Every stage is solved by ``lm_fit``, a box-projected
+Levenberg–Marquardt method (Marquardt 1963; Moré 1978): each step
+solves (JᵀJ + λ·diag(JᵀJ)) δ = −Jᵀr for the parameters not held on a
+bound and clips p + δ to the box; a trial that does not lower the loss
+is rejected and λ grows, and an accepted one shrinks λ by Nielsen's
+(1999) gain-ratio rule. These
+curves are small, smooth least-squares problems, so a handful to a
+few hundred steps reach the optimum that first-order methods need
+tens of thousands of steps to approach.
+
+``adam_fit``, bias-corrected Adam with box clamping and a four-phase
+learning-rate schedule, remains as a library function for objectives
+that give only a loss and a gradient; no stage uses it.
 """
 
 from __future__ import annotations
@@ -40,9 +47,22 @@ _PHASE_DROP = 0.1
 _PHASE_CRAWL = 0.45
 _CRAWL_FACTOR = 0.1
 
+# Levenberg–Marquardt damping λ: its first value; the floor that keeps
+# λ·diag(JᵀJ) above rounding, so the damped system stays regular when
+# JᵀJ is singular (a long run of good steps would otherwise take λ
+# below 1e-16); and the ceiling at which a point no trial step can
+# improve counts as converged.
+_LM_LAMBDA_START = 1e-3
+_LM_LAMBDA_FLOOR = 1e-15
+_LM_LAMBDA_CEILING = 1e12
+
 
 @dataclass
 class FitConfig:
+    """Start, box and budget of one fit. ``lm_fit`` reads ``initial``,
+    ``lower``, ``upper``, ``max_iterations`` and ``tolerance``; the
+    remaining fields configure ``adam_fit`` only."""
+
     initial: np.ndarray
     lower: np.ndarray
     upper: np.ndarray
@@ -96,9 +116,10 @@ class FitConfig:
 class FitResult:
     params: np.ndarray
     loss: float
-    trace: np.ndarray  # loss per iteration, trace[-1] == loss
+    trace: np.ndarray  # loss at the start and after each iteration, trace[-1] == loss
     iterations: int
     converged: bool
+    evaluations: int  # objective or residual evaluations, rejected trials included
     diagnostics: dict | None = None  # fit_diagnostics at params, set by the fit_* stages
 
 
@@ -150,36 +171,124 @@ def adam_fit(objective: Callable, config: FitConfig) -> FitResult:
         trace=np.asarray(trace),
         iterations=len(trace) - 1,
         converged=converged,
+        evaluations=len(trace),
     )
 
 
-def _columns(data: Dataset) -> tuple[list[np.ndarray], np.ndarray]:
-    """The inputs and the single label column of ``data`` as contiguous 1-D arrays."""
+def _sum_squares(residual: np.ndarray) -> float:
+    return float(np.sum(residual * residual))
+
+
+def lm_fit(residuals: Callable, config: FitConfig) -> FitResult:
+    """Minimize ``‖r(p)‖²`` inside a parameter box, where
+    ``residuals(p) -> (r, J)`` gives the residual vector and its
+    ``(N, n_p)`` Jacobian; it may overwrite the arrays it returned
+    before.
+
+    Each step solves (JᵀJ + λ·diag(JᵀJ)) δ = −Jᵀr and clips p + δ to
+    ``[lower, upper]``; a parameter on a bound that the gradient pushes
+    outward keeps δ = 0 and drops out of the system. A trial whose loss
+    is not lower, or not finite, is rejected and λ grows; an accepted
+    one shrinks λ by the gain ratio of actual to predicted reduction
+    (Nielsen 1999). Converged when an accepted step lowers the loss by
+    less than ``config.tolerance`` relative, or when no λ below a fixed
+    ceiling lowers it; not converged when ``config.max_iterations``
+    steps ran.
+    Raises FitDivergedError for a non-finite start or Jacobian.
+    """
+    p = config.initial.copy()
+    r, jac = residuals(p)
+    loss = _sum_squares(r)
+    if not np.isfinite(loss):
+        raise FitDivergedError("non-finite starting loss", iteration=0)
+    trace = [loss]
+    evaluations = 1
+    lam, grow = _LM_LAMBDA_START, 2.0
+    converged = False
+
+    while len(trace) <= config.max_iterations:
+        jtj = jac.T @ jac
+        g = jac.T @ r
+        if not (np.all(np.isfinite(jtj)) and np.all(np.isfinite(g))):
+            raise FitDivergedError("non-finite Jacobian", iteration=len(trace) - 1)
+        # A parameter on a bound that the gradient pushes outward stays
+        # there for this step, so that the free ones take the full
+        # step of their own subsystem rather than a clipped share of a
+        # joint one. A parameter the curve does not depend on here gets
+        # unit scale, as in MINPACK, so the damped system stays regular.
+        free = ~(((p <= config.lower) & (g > 0)) | ((p >= config.upper) & (g < 0)))
+        jtj_free, g_free = jtj[np.ix_(free, free)], g[free]
+        scale = np.diag(jtj_free).copy()
+        scale[scale == 0.0] = 1.0
+        delta = np.zeros_like(p)
+        while lam <= _LM_LAMBDA_CEILING:
+            delta[free] = np.linalg.solve(jtj_free + np.diag(lam * scale), -g_free)
+            trial = np.clip(p + delta, config.lower, config.upper)
+            r, jac = residuals(trial)
+            evaluations += 1
+            new_loss = _sum_squares(r)
+            if new_loss < loss:  # False for NaN
+                break
+            lam *= grow
+            grow *= 2.0
+        else:  # no damping below the ceiling lowers the loss
+            converged = True
+            break
+        step = trial - p
+        predicted = -(2.0 * step @ g + step @ jtj @ step)
+        rho = (loss - new_loss) / predicted if predicted > 0 else 1.0
+        lam = max(lam * max(1.0 / 3.0, 1.0 - (2.0 * rho - 1.0) ** 3), _LM_LAMBDA_FLOOR)
+        grow = 2.0
+        converged = loss - new_loss < config.tolerance * loss
+        p, loss = trial, new_loss
+        trace.append(loss)
+        if converged:
+            break
+
+    return FitResult(
+        params=p,
+        loss=loss,
+        trace=np.asarray(trace),
+        iterations=len(trace) - 1,
+        converged=converged,
+        evaluations=evaluations,
+    )
+
+
+def _residuals(value_and_jacobian: Callable, data: Dataset, n_params: int) -> Callable:
+    """``evaluate(p) -> (residual, jac)`` for one curve on ``data``.
+
+    The curve reads each column of ``data.X`` as one input argument;
+    the residual is its value minus the single column of ``data.Y``,
+    and ``jac`` its ``(N, n_p)`` parameter Jacobian. Both live in
+    buffers allocated here, once: every call overwrites them.
+    """
     if data.Y.shape[1] != 1:
         raise DataError(f"a least-squares stage fits one output column, got {data.Y.shape[1]}")
     columns = [np.ascontiguousarray(data.X[:, j]) for j in range(data.X.shape[1])]
-    return columns, np.ascontiguousarray(data.Y[:, 0])
-
-
-def least_squares_objective(value_and_jacobian: Callable, data: Dataset,
-                            n_params: int) -> Callable:
-    """Wrap a ``models.<curve>_and_jacobian`` into ``objective(p) -> (loss, grad)``.
-
-    The curve reads each column of ``data.X`` as one input argument and
-    is fitted to the single column of ``data.Y``. The buffers are
-    allocated here, once, and reused by every call.
-    """
-    columns, y = _columns(data)
+    y = np.ascontiguousarray(data.Y[:, 0])
     jac = np.empty((y.size, n_params))
     work = np.empty((models.JACOBIAN_WORK_ROWS, y.size))
     residual = np.empty(y.size)
 
-    def objective(p):
+    def evaluate(p):
         p = np.asarray(p, dtype=float)
         np.subtract(value_and_jacobian(*columns, p, jac, work), y, out=residual)
-        loss = float(np.sum(np.multiply(residual, residual, out=work[0])))
-        grad = 2.0 * np.einsum("i,ik->k", residual, jac)
-        return loss, grad
+        return residual, jac
+
+    return evaluate
+
+
+def least_squares_objective(value_and_jacobian: Callable, data: Dataset,
+                            n_params: int) -> Callable:
+    """Wrap a ``models.<curve>_and_jacobian`` into ``objective(p) -> (loss, grad)``
+    for ``adam_fit``: the squared-error loss of the curve against
+    ``data`` and its gradient 2·Jᵀr."""
+    evaluate = _residuals(value_and_jacobian, data, n_params)
+
+    def objective(p):
+        residual, jac = evaluate(p)
+        return _sum_squares(residual), 2.0 * np.einsum("i,ik->k", residual, jac)
 
     return objective
 
@@ -255,6 +364,10 @@ def default_config(sub_model: str, **overrides) -> FitConfig:
     return replace(cfg, **overrides)
 
 
+def _stage_residuals(sub_model: str, data: Dataset) -> Callable:
+    return _residuals(_SUBMODELS[sub_model], data, len(_PARAM_NAMES[sub_model]))
+
+
 def submodel_objective(sub_model: str, data: Dataset) -> Callable:
     return least_squares_objective(_SUBMODELS[sub_model], data, len(_PARAM_NAMES[sub_model]))
 
@@ -276,17 +389,14 @@ def fit_diagnostics(sub_model: str, data: Dataset, params, config: FitConfig) ->
     """
     params = np.asarray(params, dtype=float)
     names = _PARAM_NAMES[sub_model]
-    columns, y = _columns(data)
-    jac = np.empty((y.size, params.size))
-    work = np.empty((models.JACOBIAN_WORK_ROWS, y.size))
-    residual = _SUBMODELS[sub_model](*columns, params, jac, work) - y
+    residual, jac = _stage_residuals(sub_model, data)(params)
     grad = 2.0 * np.einsum("i,ik->k", residual, jac)
     # JᵀJ = V diag(s²) Vᵀ from the SVD of J, which keeps the small
     # singular values that forming JᵀJ would square away. With fewer
     # rows than parameters JᵀJ is singular.
     _, s, vt = np.linalg.svd(jac, full_matrices=False)
-    dof = y.size - params.size
-    sigma2 = float(np.sum(residual * residual)) / dof if dof > 0 else np.nan
+    dof = residual.size - params.size
+    sigma2 = _sum_squares(residual) / dof if dof > 0 else np.nan
     with np.errstate(divide="ignore", invalid="ignore"):
         cond = (s[0] / s[-1]) ** 2 if dof >= 0 else np.inf
         inverse_diag = np.sum((vt / s[:, None]) ** 2, axis=0)  # diag((JᵀJ)⁻¹)
@@ -302,7 +412,7 @@ def fit_diagnostics(sub_model: str, data: Dataset, params, config: FitConfig) ->
 
 def _fit(sub_model: str, data: Dataset, config: FitConfig | None, convert: Callable):
     config = config or default_config(sub_model)
-    result = adam_fit(submodel_objective(sub_model, data), config)
+    result = lm_fit(_stage_residuals(sub_model, data), config)
     result = replace(result, diagnostics=fit_diagnostics(sub_model, data, result.params, config))
     return convert(result.params), result
 

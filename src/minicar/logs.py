@@ -101,20 +101,25 @@ def read_table(source, name: str = "") -> dict[str, np.ndarray]:
     """Parse a header line and numeric rows into named float columns.
 
     ``source`` is a path, bytes, or a text or binary stream. Raises
-    ParseError, naming the 1-based row where there is one, for an empty
-    file, duplicate column names, a header without rows, a wrong field
-    count and a non-numeric or non-finite field.
+    ParseError, naming the 1-based row where there is one, for text
+    that is not UTF-8, an empty file, duplicate column names, a header
+    without rows, a wrong field count and a non-numeric or non-finite
+    field.
     """
     if isinstance(source, (str, Path)):
         name = name or str(source)
-        text = Path(source).read_text(encoding="utf-8")
-    elif isinstance(source, bytes):
-        text = source.decode("utf-8")
-    elif isinstance(source, io.TextIOBase):
-        text = source.read()
-    else:  # binary stream
-        text = source.read().decode("utf-8")
     where = name or "<stream>"
+    try:
+        if isinstance(source, (str, Path)):
+            text = Path(source).read_text(encoding="utf-8")
+        elif isinstance(source, bytes):
+            text = source.decode("utf-8")
+        elif isinstance(source, io.TextIOBase):
+            text = source.read()
+        else:  # binary stream
+            text = source.read().decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{where}: not UTF-8 text: {exc}") from exc
 
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines:

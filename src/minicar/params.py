@@ -174,6 +174,10 @@ def params_to_dict(params: VehicleParams) -> dict:
 
 
 def params_from_dict(doc: dict) -> VehicleParams:
+    """A VehicleParams from its JSON object; ConfigError naming the group
+    for anything missing, mistyped, out of range or non-finite."""
+    if not isinstance(doc, dict):
+        raise ConfigError(f"parameters must be a JSON object, got {type(doc).__name__}")
     version = doc.get("schema_version")
     if version != PARAMS_SCHEMA_VERSION:
         raise ConfigError(f"unsupported parameter schema_version: {version!r}")
@@ -184,10 +188,14 @@ def params_from_dict(doc: dict) -> VehicleParams:
             if name != "tire":
                 raise ConfigError(f"parameter group '{name}' is required")
             kwargs[name] = None
+        elif not isinstance(group, dict):
+            raise ConfigError(f"parameter group '{name}' must be a JSON object")
         else:
+            # TypeError: a field missing, unknown or not a number;
+            # OverflowError: an integer too large for a float
             try:
                 kwargs[name] = cls(**group)
-            except TypeError as exc:
+            except (TypeError, OverflowError) as exc:
                 raise ConfigError(f"bad fields in parameter group '{name}': {exc}") from exc
     return VehicleParams(**kwargs)
 

@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -39,11 +40,33 @@ from .errors import ConfigError
 MAX_DT = 0.05
 
 
+def _real(value, what: str) -> float:
+    """``value`` as a finite float, or ConfigError naming ``what``."""
+    if isinstance(value, numbers.Real) and not isinstance(value, bool):
+        try:
+            x = float(value)
+        except OverflowError:
+            x = math.inf
+        if math.isfinite(x):
+            return x
+    raise ConfigError(f"{what} must be a finite number, got {value!r}")
+
+
+def _reals(values, what: str) -> tuple[float, ...]:
+    if isinstance(values, (str, bytes, dict)) or not hasattr(values, "__iter__"):
+        raise ConfigError(f"{what} must be a list of numbers, got {values!r}")
+    return tuple(_real(v, f"{what}[{i}]") for i, v in enumerate(values))
+
+
 @dataclass(frozen=True)
 class StepSchedule:
     t: float
     before: float
     after: float
+
+    def __post_init__(self):
+        for name in ("t", "before", "after"):
+            _real(getattr(self, name), f"step schedule field {name!r}")
 
     def __call__(self, time: float) -> float:
         return self.before if time < self.t else self.after
@@ -63,6 +86,9 @@ class PiecewiseSchedule:
     values: tuple[float, ...]
 
     def __post_init__(self):
+        object.__setattr__(self, "times", _reals(self.times, "piecewise schedule field 'times'"))
+        object.__setattr__(self, "values",
+                           _reals(self.values, "piecewise schedule field 'values'"))
         if len(self.times) != len(self.values) or not self.times:
             raise ConfigError("piecewise schedule needs matching, non-empty breakpoints")
         if any(b <= a for a, b in zip(self.times, self.times[1:])):
@@ -86,6 +112,10 @@ class SineSchedule:
     frequency: float
     phase: float = 0.0
     offset: float = 0.0
+
+    def __post_init__(self):
+        for name in ("amplitude", "frequency", "phase", "offset"):
+            _real(getattr(self, name), f"sine schedule field {name!r}")
 
     def __call__(self, time: float) -> float:
         return self.offset + self.amplitude * math.sin(
@@ -112,12 +142,14 @@ def constant(value: float) -> PiecewiseSchedule:
 
 
 def schedule_from_json(doc: dict):
+    if not isinstance(doc, dict):
+        raise ConfigError(f"a schedule must be a JSON object, got {doc!r}")
     kind = doc.get("type")
     try:
         if kind == "step":
             return StepSchedule(t=doc["t"], before=doc["before"], after=doc["after"])
         if kind == "piecewise":
-            return PiecewiseSchedule(times=tuple(doc["times"]), values=tuple(doc["values"]))
+            return PiecewiseSchedule(times=doc["times"], values=doc["values"])
         if kind == "sine":
             return SineSchedule(
                 amplitude=doc["amplitude"],
@@ -142,6 +174,10 @@ class Scenario:
     mocap: bool = False
 
     def __post_init__(self):
+        if not isinstance(self.name, str):
+            raise ConfigError(f"scenario name must be a string, got {self.name!r}")
+        object.__setattr__(self, "duration", _real(self.duration, "scenario duration"))
+        object.__setattr__(self, "dt", _real(self.dt, "scenario dt"))
         if self.duration <= 0:
             raise ConfigError("scenario duration must be > 0")
         if not 0 < self.dt <= MAX_DT:
@@ -149,12 +185,12 @@ class Scenario:
         if self.model not in ("kinematic", "dynamic"):
             raise ConfigError(f"unknown model kind {self.model!r}")
         n_states = 4 if self.model == "kinematic" else 6
-        state = tuple(self.initial_state) or (0.0,) * n_states
+        state = _reals(self.initial_state, "scenario initial_state") or (0.0,) * n_states
         if len(state) != n_states:
             raise ConfigError(
                 f"{self.model} model needs {n_states} initial states, got {len(state)}"
             )
-        object.__setattr__(self, "initial_state", tuple(float(x) for x in state))
+        object.__setattr__(self, "initial_state", state)
 
     @property
     def times(self) -> np.ndarray:
@@ -188,18 +224,29 @@ class Scenario:
         }
 
 
+def _schedule_field(doc: dict, key: str):
+    try:
+        return schedule_from_json(doc[key])
+    except ConfigError as exc:
+        raise ConfigError(f"scenario field {key!r}: {exc}") from exc
+
+
 def scenario_from_json(doc: dict) -> Scenario:
+    """A Scenario from its JSON object; ConfigError naming the field for
+    anything missing, mistyped or non-finite."""
+    if not isinstance(doc, dict):
+        raise ConfigError(f"a scenario must be a JSON object, got {type(doc).__name__}")
     for key in ("name", "duration", "dt", "model", "throttle", "steering"):
         if key not in doc:
             raise ConfigError(f"scenario is missing field {key!r}")
     return Scenario(
         name=doc["name"],
-        duration=float(doc["duration"]),
-        dt=float(doc["dt"]),
+        duration=doc["duration"],
+        dt=doc["dt"],
         model=doc["model"],
-        throttle=schedule_from_json(doc["throttle"]),
-        steering=schedule_from_json(doc["steering"]),
-        initial_state=tuple(doc.get("initial_state", ())),
+        throttle=_schedule_field(doc, "throttle"),
+        steering=_schedule_field(doc, "steering"),
+        initial_state=doc.get("initial_state", ()),
         mocap=bool(doc.get("mocap", False)),
     )
 

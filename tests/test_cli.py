@@ -62,6 +62,31 @@ def test_simulate_rejects_bad_scenario(tmp_path, params_file):
                  "--out", str(tmp_path / "x")]) != 0
 
 
+@pytest.mark.parametrize("params_text", ["[]", '{"schema_version": 1, "friction": [1]}'])
+def test_simulate_rejects_malformed_params_with_status_2(tmp_path, caplog, params_text):
+    params = tmp_path / "bad.json"
+    params.write_text(params_text)
+    code = main(["simulate", "--params", str(params), "--scenario", str(write_scenario(tmp_path)),
+                 "--out", str(tmp_path / "x")])
+    assert code == 2
+    assert "parameter" in caplog.text
+
+
+@pytest.mark.parametrize("overrides, field", [
+    ({"duration": "abc"}, "duration"),
+    ({"initial_state": 3}, "initial_state"),
+    ({"throttle": [1]}, "throttle"),
+    ({"steering": {"type": "piecewise", "times": ["a"], "values": [0.0]}}, "times"),
+])
+def test_simulate_rejects_malformed_scenario_fields_with_status_2(tmp_path, params_file, caplog,
+                                                                   overrides, field):
+    scenario = write_scenario(tmp_path, **overrides)
+    code = main(["simulate", "--params", str(params_file), "--scenario", str(scenario),
+                 "--out", str(tmp_path / "x")])
+    assert code == 2
+    assert field in caplog.text
+
+
 def test_validate_errors_on_missing_params(tmp_path):
     log = tmp_path / "log.csv"
     log.write_text("t,tau,s,v_enc,omega_imu\n0,0,0,0,0\n0.01,0,0,0,0\n")
@@ -235,7 +260,10 @@ def test_fit_report_records_convergence(tmp_path):
     stages = {s["name"]: s for s in json.loads((out.parent / "report.json").read_text())["stages"]}
     assert isinstance(stages["steering"]["converged"], bool)
     assert stages["steering"]["iterations"] > 0
+    # every evaluation of the curve and its Jacobian, rejected trials included
+    assert stages["steering"]["evaluations"] >= stages["steering"]["iterations"] + 1
     assert all(s["converged"] is None for s in stages.values() if s["status"] == "skipped")
+    assert all(s["evaluations"] is None for s in stages.values() if s["status"] == "skipped")
     diagnostics = stages["steering"]["diagnostics"]
     assert set(diagnostics) == {"grad_norm", "cond", "rel_std_err", "active_bounds"}
     assert list(diagnostics["rel_std_err"]) == ["a_t", "b_t", "c_t", "d_t", "e_t"]

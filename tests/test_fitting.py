@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.optimize import least_squares
 
 from minicar import models
 from minicar.datasets import Dataset
@@ -10,6 +13,7 @@ from minicar.fitting import (
     adam_fit,
     default_config,
     finite_difference_gradient,
+    lm_fit,
     submodel_objective,
 )
 
@@ -81,6 +85,117 @@ def test_fit_result_invariants():
     assert np.all(result.params >= cfg.lower) and np.all(result.params <= cfg.upper)
 
 
+def linear_residuals(target):
+    def residuals(p):
+        return p - target, np.eye(p.size)
+
+    return residuals
+
+
+def test_lm_solves_a_linear_problem_in_a_few_steps():
+    result = lm_fit(linear_residuals(3.0), scalar_config())
+    assert result.params[0] == pytest.approx(3.0, abs=1e-12)
+    assert result.converged and result.iterations < 10
+
+
+@pytest.mark.parametrize("x0", [0.5, 1.0])
+def test_lm_stops_on_an_active_bound(x0):
+    result = lm_fit(linear_residuals(3.0), scalar_config(x0=x0, lo=0.0, hi=1.0))
+    assert result.params[0] == 1.0
+    assert result.converged
+
+
+@given(
+    target=st.lists(st.floats(-3, 3, allow_nan=False), min_size=2, max_size=2),
+    lo=st.lists(st.floats(-2, 0, allow_nan=False), min_size=2, max_size=2),
+    width=st.lists(st.floats(0.5, 3, allow_nan=False), min_size=2, max_size=2),
+)
+@settings(max_examples=50)
+def test_lm_never_leaves_bounds(target, lo, width):
+    """Every trial point LM evaluates lies in the box, and it lands on
+    the box projection of a nonlinear problem's optimum."""
+    lo, target = np.array(lo), np.array(target)
+    hi = lo + np.array(width)
+    seen = []
+
+    def residuals(p):  # separable, minimum at target; the third row is quadratic
+        seen.append(p.copy())
+        r = np.array([p[0] - target[0], p[1] - target[1], 0.1 * (p[0] - target[0]) ** 2])
+        jac = np.array([[1.0, 0.0], [0.0, 1.0], [0.2 * (p[0] - target[0]), 0.0]])
+        return r, jac
+
+    config = FitConfig(initial=np.clip(np.zeros(2), lo, hi), lower=lo, upper=hi)
+    result = lm_fit(residuals, config)
+    seen = np.array(seen)
+    assert np.all(seen >= lo) and np.all(seen <= hi)
+    np.testing.assert_allclose(result.params, np.clip(target, lo, hi), atol=1e-6)
+
+
+def test_lm_raises_on_non_finite_start():
+    with pytest.raises(FitDivergedError) as err:
+        lm_fit(lambda p: (np.array([np.inf]), np.ones((1, 1))), scalar_config())
+    assert err.value.iteration == 0
+
+
+def test_lm_raises_on_non_finite_jacobian():
+    with pytest.raises(FitDivergedError):
+        lm_fit(lambda p: (p - 1.0, np.full((1, 1), np.nan)), scalar_config())
+
+
+def test_lm_rejects_steps_into_non_finite_losses():
+    """A trial whose loss is NaN counts as rejected; LM shortens its step
+    and still reaches the optimum next to the bad region."""
+    def residuals(p):
+        r = np.array([np.nan if p[0] > 2.0 else p[0] - 3.0])
+        return r, np.ones((1, 1))
+
+    result = lm_fit(residuals, scalar_config())
+    assert 1.9 < result.params[0] <= 2.0
+    assert result.evaluations > result.iterations + 1
+
+
+def test_lm_reports_an_exhausted_budget_as_not_converged(ref, rng):
+    data = _noisy_dataset("front_tire", ref, rng, 401)
+    _, result = fitting.fit_front_tire(data, default_config("front_tire", max_iterations=2))
+    assert not result.converged
+    assert result.iterations == 2
+
+
+@pytest.mark.parametrize("name", ["friction", "motor", "steering", "front_tire", "rear_tire"])
+def test_lm_result_invariants(name, ref, rng):
+    result = FIT[name](_noisy_dataset(name, ref, rng, 401))[1]
+    assert result.trace[-1] == result.loss
+    assert result.iterations == len(result.trace) - 1
+    assert np.all(np.diff(result.trace) < 0)  # only steps that lower the loss count
+    assert result.evaluations >= result.iterations + 1
+    assert result.converged
+
+
+@pytest.mark.parametrize("name", ["friction", "motor", "steering", "front_tire", "rear_tire"])
+def test_lm_matches_scipy_trust_region_reflective(name, ref, rng):
+    """On a noisy dataset per stage, LM's loss is within 1e-7 relative of
+    scipy's bounded trust-region least squares from the same start."""
+    data = _noisy_dataset(name, ref, rng, 401)
+    cfg = default_config(name)
+    _, value_and_jacobian = CURVES[name]
+    columns = [np.ascontiguousarray(data.X[:, j]) for j in range(data.X.shape[1])]
+    jac = np.empty((len(data), cfg.initial.size))
+    work = np.empty((models.JACOBIAN_WORK_ROWS, len(data)))
+
+    def fun(p):
+        return value_and_jacobian(*columns, p, jac, work) - data.Y[:, 0]
+
+    def jacobian(p):
+        value_and_jacobian(*columns, p, jac, work)
+        return jac.copy()
+
+    oracle = least_squares(fun, cfg.initial, jac=jacobian, bounds=(cfg.lower, cfg.upper),
+                           method="trf", xtol=1e-15, ftol=1e-15, gtol=1e-15)
+    oracle_loss = float(np.sum(oracle.fun ** 2))
+    result = FIT[name](data)[1]
+    assert result.loss <= oracle_loss * (1 + 1e-7)
+
+
 def test_fit_config_validation():
     with pytest.raises(ConfigError):
         scalar_config(learning_rate=0.0)
@@ -130,6 +245,14 @@ def _submodel_cases(ref, rng, rows=40):
         ),
     }
 
+
+FIT = {
+    "friction": fitting.fit_friction,
+    "motor": fitting.fit_motor,
+    "steering": fitting.fit_steering,
+    "front_tire": fitting.fit_front_tire,
+    "rear_tire": fitting.fit_rear_tire,
+}
 
 CURVES = {
     "friction": (models.friction_force, models.friction_force_and_jacobian),
