@@ -64,7 +64,7 @@ from .params import (
 from .pipeline import PipelineConfig, PipelineResult, fit_pipeline
 from .preprocess import differentiate, smooth
 from .scenarios import Scenario, load_scenario, save_scenario, scenario_library
-from .simulator import NoiseSpec, Trajectory, simulate, simulate_batch, synthesize_log
+from .simulator import NoiseSpec, Trajectory, simulate, synthesize_log
 from .validation import one_step_rms
 
 __version__ = "0.1.0"

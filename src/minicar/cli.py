@@ -13,6 +13,7 @@ import hashlib
 import json
 import logging
 import sys
+import time
 from dataclasses import fields
 from importlib import metadata
 from pathlib import Path
@@ -250,12 +251,21 @@ def cmd_fit(args) -> int:
     return 0
 
 
+def _simulate(scenario: scenarios.Scenario, params, normalized: bool):
+    """The scenario's trajectory, and its steps and wall time for the run manifest."""
+    start = time.perf_counter()
+    traj = simulator.simulate(scenario, params, normalized=normalized)
+    run = {"name": scenario.name, "steps": len(traj) - 1,
+           "wall_s": round(time.perf_counter() - start, 6)}
+    return traj, run
+
+
 def cmd_simulate(args) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     params = load_params(args.params)
     scenario = scenarios.load_scenario(args.scenario)
-    traj = simulator.simulate(scenario, params, normalized=args.normalized_slip)
+    traj, run = _simulate(scenario, params, args.normalized_slip)
     simulator.save_trajectory(traj, params, out_dir / "trajectory.csv")
 
     svgplot.save_plot(
@@ -274,7 +284,8 @@ def cmd_simulate(args) -> int:
         ],
         title=f"Channels: {scenario.name}", x_label="t [s]",
     )
-    _write_manifest(out_dir, args, [Path(args.params), Path(args.scenario)])
+    _write_manifest(out_dir, args, [Path(args.params), Path(args.scenario)],
+                    {"scenarios": [run]})
     print(f"wrote {out_dir / 'trajectory.csv'}")
     return 0
 
@@ -292,26 +303,22 @@ def cmd_generate(args) -> int:
                   for name in ("v_enc", "omega_imu", "mocap_xy", "mocap_eta")}
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"noise levels in {args.noise} must be numbers: {exc}") from exc
-    # each log's noise seed follows its library index, not completion order
     seeds = np.random.SeedSequence(args.seed).spawn(len(library))
     specs = [NoiseSpec(seed=int(seed.generate_state(1)[0]), **levels) for seed in seeds]
 
-    def write_log(index: int, traj: simulator.Trajectory) -> dict:
-        tag, scenario = library[index]
-        log = simulator.synthesize_log(scenario, params, specs[index], trajectory=traj)
+    entries, runs = [], []
+    for (tag, scenario), spec in zip(library, specs):
+        traj, run = _simulate(scenario, params, args.normalized_slip)
+        log = simulator.synthesize_log(scenario, params, spec, trajectory=traj)
         filename = f"{scenario.name}.csv"
         save_log(log, out_dir / filename)
-        return {"file": filename, "tag": tag}
-
-    entries = simulator.simulate_batch(
-        [scenario for _, scenario in library], params,
-        normalized=args.normalized_slip, on_done=write_log,
-    )
+        entries.append({"file": filename, "tag": tag})
+        runs.append(run)
     (out_dir / "manifest.json").write_text(
         json.dumps({"schema_version": 1, "logs": entries}, indent=2) + "\n"
     )
     _write_manifest(out_dir, args, [Path(args.params), Path(args.noise)],
-                    {"seed": args.seed})
+                    {"seed": args.seed, "scenarios": runs})
     print(f"wrote {len(entries)} logs to {out_dir}")
     return 0
 

@@ -32,14 +32,7 @@ class FitDivergedError(MinicarError):
 
 
 class IntegrationError(MinicarError):
-    """The integrator was handed a non-finite state or derivative.
-
-    ``rows`` lists the failing rows of a batched state, if any.
-    """
-
-    def __init__(self, message: str, rows: tuple[int, ...] = ()):
-        super().__init__(message)
-        self.rows = rows
+    """The integrator was handed a non-finite state or derivative."""
 
 
 class SimulationDiverged(MinicarError):

@@ -7,29 +7,28 @@ import numpy as np
 from .errors import IntegrationError
 
 
-def rk4_step(rhs, state, dt: float, t: float = 0.0) -> np.ndarray:
+def rk4_step(rhs, state, dt: float, t: float = 0.0) -> list:
     """One classical 4th-order Runge-Kutta step of ``dt`` seconds.
 
+    A state is a sequence of components, each a float or an array of
+    independent rows, and ``rhs`` maps a state to the sequence of its
+    derivative components; the step returns the next state as a list.
     ``rhs`` sees only the state; inputs are held constant over the step
     (zero-order hold), matching discrete command transmission on the
-    robot. ``t`` is used for diagnostics only. A batch of states, shape
-    ``(B, n)``, advances row by row in one call; when a derivative is
-    non-finite, the error's ``rows`` lists the rows where it was.
+    robot. ``t`` is used for diagnostics only.
     """
     if dt <= 0:
         raise IntegrationError(f"dt must be positive, got {dt}")
-    y = np.asarray(state, dtype=float)
-    k1 = np.asarray(rhs(y))
-    k2 = np.asarray(rhs(y + 0.5 * dt * k1))
-    k3 = np.asarray(rhs(y + 0.5 * dt * k2))
-    k4 = np.asarray(rhs(y + dt * k3))
-    if not (
-        np.all(np.isfinite(k1))
-        and np.all(np.isfinite(k2))
-        and np.all(np.isfinite(k3))
-        and np.all(np.isfinite(k4))
-    ):
-        finite = np.isfinite(k1) & np.isfinite(k2) & np.isfinite(k3) & np.isfinite(k4)
-        rows = tuple(np.flatnonzero(~finite.all(axis=-1)).tolist()) if finite.ndim > 1 else ()
-        raise IntegrationError(f"non-finite derivative at t={t:.6f} s", rows=rows)
-    return y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    half = 0.5 * dt
+    k1 = rhs(state)
+    k2 = rhs([y + half * k for y, k in zip(state, k1)])
+    k3 = rhs([y + half * k for y, k in zip(state, k2)])
+    k4 = rhs([y + dt * k for y, k in zip(state, k3)])
+    # 0 * k is 0 where k is finite and NaN where it is not
+    probe = sum(0.0 * k for stage in (k1, k2, k3, k4) for k in stage)
+    finite = probe == 0.0 if probe.__class__ is float else bool(np.all(probe == 0.0))
+    if not finite:
+        raise IntegrationError(f"non-finite derivative at t={t:.6f} s")
+    sixth = dt / 6.0
+    return [y + sixth * (a + 2.0 * b + 2.0 * c + d)
+            for y, a, b, c, d in zip(state, k1, k2, k3, k4)]

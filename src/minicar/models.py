@@ -20,12 +20,20 @@ that uses it. Transcendental functions run on contiguous ``work``
 rows only, and every expression keeps the evaluation order of the
 plain curve, so the value equals the curve's bit for bit.
 
-Every other function here is pure and broadcasts over numpy arrays,
-so the same code serves scalar evaluation, batched dataset work and
-the fixed-step integrator. States are plain float arrays:
+Every other function here is pure and takes either Python floats or
+numpy arrays, so one definition serves the simulator, which steps one
+scenario on floats, and the dataset, fitting and validation code,
+which works on columns of rows. Python float arithmetic is far cheaper
+than numpy's on single values. The transcendental functions still come
+from numpy's ufuncs, not from ``math``, whose results differ in the
+last bit, so a float input gives exactly what the array call gives at
+that element.
 
-* kinematic: ``[x, y, eta, v]`` with (x, y) at the rear axle
-* dynamic:   ``[x, y, eta, v_x, v_y, omega]`` with (x, y) at the CoM
+A state is a sequence of components, each a float or an array of
+rows, and a right-hand side returns the tuple of their derivatives:
+
+* kinematic: ``(x, y, eta, v)`` with (x, y) at the rear axle
+* dynamic:   ``(x, y, eta, v_x, v_y, omega)`` with (x, y) at the CoM
   and (v_x, v_y) in the body frame
 
 Headings accumulate without wrapping; wrap only for display.
@@ -50,11 +58,28 @@ KINEMATIC_STATE_NAMES = ("x", "y", "eta", "v")
 DYNAMIC_STATE_NAMES = ("x", "y", "eta", "v_x", "v_y", "omega")
 
 
-def friction_force(v, p) -> np.ndarray:
+def _float_kernel(ufunc):
+    """``ufunc`` made to return a Python float for a Python float."""
+
+    def kernel(x):
+        return float(ufunc(x)) if x.__class__ is float else ufunc(x)
+
+    return kernel
+
+
+_tanh, _arctan, _sin, _cos, _tan = map(_float_kernel, (np.tanh, np.arctan, np.sin, np.cos,
+                                                       np.tan))
+
+
+def _anywhere(flags) -> bool:
+    """Whether ``flags``, one bool or an array of them, holds anywhere."""
+    return flags if flags.__class__ is bool else bool(np.any(flags))
+
+
+def friction_force(v, p):
     """Longitudinal resistance -(a*tanh(b*v) + v*c); odd in v, opposes motion."""
     a, b, c = p
-    v = np.asarray(v, dtype=float)
-    return -(a * np.tanh(b * v) + v * c)
+    return -(a * _tanh(b * v) + v * c)
 
 
 def friction_force_and_jacobian(v, p, jac, work) -> np.ndarray:
@@ -69,24 +94,29 @@ def friction_force_and_jacobian(v, p, jac, work) -> np.ndarray:
     return np.negative(t, out=t)
 
 
-def smooth_positive_throttle(tau, g) -> np.ndarray:
+def smooth_positive_throttle(tau, g):
     """Smooth stand-in for max(0, tau + g).
 
     The tanh gate keeps the curve continuously differentiable so that
     gradient-based fitting and MPC-style consumers behave well around
     the dead-zone boundary.
     """
-    x = np.asarray(tau, dtype=float) + g
-    return x * 0.5 * (np.tanh(THROTTLE_SHARPNESS * x) + 1.0)
+    x = tau + g
+    return x * 0.5 * (_tanh(THROTTLE_SHARPNESS * x) + 1.0)
 
 
-def motor_force(tau, v, p) -> np.ndarray:
+def motor_force(tau, v, p):
     """Drive force (d - v*e) * smooth_positive_throttle(tau, g).
 
     Zero below the dead zone (tau <= -g) and at the no-load speed d/e.
     """
     d, e, g = p
-    return (d - np.asarray(v, dtype=float) * e) * smooth_positive_throttle(tau, g)
+    return (d - v * e) * smooth_positive_throttle(tau, g)
+
+
+def net_force(tau, v, motor, friction):
+    """Net longitudinal force: drive plus friction at speed ``v``."""
+    return motor_force(tau, v, motor) + friction_force(v, friction)
 
 
 def motor_force_and_jacobian(tau, v, p, jac, work) -> np.ndarray:
@@ -109,16 +139,16 @@ def motor_force_and_jacobian(tau, v, p, jac, work) -> np.ndarray:
     return np.multiply(drive, soft, out=soft)
 
 
-def steering_angle(s, p) -> np.ndarray:
+def steering_angle(s, p):
     """Map a normalized steering command to a road-wheel angle [rad].
 
     Two tanh branches are blended by a soft switch on the sign of
     (s + c_t), capturing left/right asymmetry of the linkage.
     """
     a_t, b_t, c_t, d_t, e_t = p
-    x = np.asarray(s, dtype=float) + c_t
-    weight = 0.5 * (np.tanh(STEER_BLEND_SHARPNESS * x) + 1.0)
-    return weight * a_t * np.tanh(b_t * x) + (1.0 - weight) * d_t * np.tanh(e_t * x)
+    x = s + c_t
+    weight = 0.5 * (_tanh(STEER_BLEND_SHARPNESS * x) + 1.0)
+    return weight * a_t * _tanh(b_t * x) + (1.0 - weight) * d_t * _tanh(e_t * x)
 
 
 def steering_angle_and_jacobian(s, p, jac, work) -> np.ndarray:
@@ -154,24 +184,22 @@ def steering_angle_and_jacobian(s, p, jac, work) -> np.ndarray:
     return value
 
 
-def kinematic_rhs(state, delta, f_total, geom: Geometry) -> np.ndarray:
-    """Time derivative of the kinematic state ``[x, y, eta, v]``.
+def kinematic_yaw_rate(v, delta, geom: Geometry):
+    """Yaw rate of a rigidly rolling bicycle at speed ``v``."""
+    return v * _tan(delta) / geom.l
+
+
+def kinematic_rhs(state, delta, f_total, geom: Geometry) -> tuple:
+    """Time derivative of the kinematic state ``(x, y, eta, v)``.
 
     ``f_total`` is the net longitudinal force (drive plus friction),
     precomputed by the caller.
     """
-    state = np.asarray(state, dtype=float)
-    delta = np.asarray(delta, dtype=float)
-    if np.any(np.abs(delta) >= np.pi / 2):
+    if _anywhere(abs(delta) >= np.pi / 2):
         raise ConfigError("steering angle magnitude must stay below pi/2")
-    eta = state[..., 2]
-    v = state[..., 3]
-    out = np.empty(state.shape)
-    out[..., 0] = v * np.cos(eta)
-    out[..., 1] = v * np.sin(eta)
-    out[..., 2] = v * np.tan(delta) / geom.l
-    out[..., 3] = np.asarray(f_total, dtype=float) / geom.m
-    return out
+    _, _, eta, v = state
+    return (v * _cos(eta), v * _sin(eta), kinematic_yaw_rate(v, delta, geom),
+            f_total / geom.m)
 
 
 def slip_angles(v_x, v_y, omega, delta, geom: Geometry, *, normalized: bool = False,
@@ -184,30 +212,27 @@ def slip_angles(v_x, v_y, omega, delta, geom: Geometry, *, normalized: bool = Fa
     the arguments are divided by ``v_x`` first (the textbook definition),
     which requires ``v_x`` to stay away from zero.
     """
-    v_y = np.asarray(v_y, dtype=float)
-    omega = np.asarray(omega, dtype=float)
     front_arg = v_y + omega * geom.l_f
     rear_arg = v_y - omega * geom.l_r
     if normalized:
-        v_x = np.asarray(v_x, dtype=float)
-        if np.any(v_x <= v_eps):
+        if _anywhere(v_x <= v_eps):
             raise DataError("normalized slip angles need v_x > 0")
         front_arg = front_arg / v_x
         rear_arg = rear_arg / v_x
-    alpha_f = -np.arctan(front_arg) + delta
-    alpha_r = -np.arctan(rear_arg)
+    alpha_f = -_arctan(front_arg) + delta
+    alpha_r = -_arctan(rear_arg)
     return alpha_f, alpha_r
 
 
-def pacejka_lateral(alpha, p) -> np.ndarray:
+def pacejka_lateral(alpha, p):
     """Magic-formula lateral force D*sin(C*arctan(B*a - E*(B*a - arctan(B*a)))).
 
     Reads the first four fields (D, C, B, E) of ``p``, so TireParams,
     whose rear coefficient comes last, serves as is.
     """
     D, C, B, E, *_ = p
-    ba = B * np.asarray(alpha, dtype=float)
-    return D * np.sin(C * np.arctan(ba - E * (ba - np.arctan(ba))))
+    ba = B * alpha
+    return D * _sin(C * _arctan(ba - E * (ba - _arctan(ba))))
 
 
 def pacejka_lateral_and_jacobian(alpha, p, jac, work) -> np.ndarray:
@@ -236,12 +261,12 @@ def pacejka_lateral_and_jacobian(alpha, p, jac, work) -> np.ndarray:
     return np.multiply(value, D, out=value)
 
 
-def rear_lateral(alpha, c_r) -> np.ndarray:
+def rear_lateral(alpha, c_r):
     """Linear rear lateral force C_r * alpha (the rear never saturates here).
 
     ``c_r`` is the coefficient itself or its one-element fit vector.
     """
-    return c_r * np.asarray(alpha, dtype=float)
+    return c_r * alpha
 
 
 def rear_lateral_and_jacobian(alpha, c_r, jac, work) -> np.ndarray:
@@ -250,40 +275,36 @@ def rear_lateral_and_jacobian(alpha, c_r, jac, work) -> np.ndarray:
 
 
 def dynamic_rhs(state, delta, f_x_total, params: VehicleParams, *,
-                normalized: bool = False) -> np.ndarray:
-    """Time derivative of the dynamic state ``[x, y, eta, v_x, v_y, omega]``.
+                normalized: bool = False) -> tuple:
+    """Time derivative of the dynamic state ``(x, y, eta, v_x, v_y, omega)``.
 
     ``f_x_total`` is the net longitudinal force; it is split equally
     between the axles (four-wheel drive), each half acting along its
     own tire frame. Lateral forces come from the magic-formula front
     tire and the linear rear tire.
     """
-    if params.tire is None:
+    tire = params.tire
+    if tire is None:
         raise ConfigError("dynamic model requires tire parameters")
-    state = np.asarray(state, dtype=float)
-    delta = np.asarray(delta, dtype=float)
     geom = params.geometry
-    eta = state[..., 2]
-    v_x = state[..., 3]
-    v_y = state[..., 4]
-    omega = state[..., 5]
+    _, _, eta, v_x, v_y, omega = state
 
     alpha_f, alpha_r = slip_angles(v_x, v_y, omega, delta, geom, normalized=normalized)
-    f_yf = pacejka_lateral(alpha_f, params.tire)
-    f_yr = rear_lateral(alpha_r, params.tire.C_r)
-    f_half = np.asarray(f_x_total, dtype=float) / 2.0
+    f_yf = pacejka_lateral(alpha_f, tire)
+    f_yr = rear_lateral(alpha_r, tire.C_r)
+    f_half = f_x_total / 2.0
 
-    cos_d, sin_d = np.cos(delta), np.sin(delta)
-    cos_e, sin_e = np.cos(eta), np.sin(eta)
+    cos_d, sin_d = _cos(delta), _sin(delta)
+    cos_e, sin_e = _cos(eta), _sin(eta)
     front_y = f_yf * cos_d + f_half * sin_d  # front axle force, vehicle-frame y
-    out = np.empty(state.shape)
-    out[..., 0] = v_x * cos_e - v_y * sin_e
-    out[..., 1] = v_x * sin_e + v_y * cos_e
-    out[..., 2] = omega
-    out[..., 3] = (f_half + f_half * cos_d - f_yf * sin_d) / geom.m + omega * v_y
-    out[..., 4] = (f_yr + front_y) / geom.m - omega * v_x
-    out[..., 5] = (geom.l_f * front_y - geom.l_r * f_yr) / geom.I_z
-    return out
+    return (
+        v_x * cos_e - v_y * sin_e,
+        v_x * sin_e + v_y * cos_e,
+        omega,
+        (f_half + f_half * cos_d - f_yf * sin_d) / geom.m + omega * v_y,
+        (f_yr + front_y) / geom.m - omega * v_x,
+        (geom.l_f * front_y - geom.l_r * f_yr) / geom.I_z,
+    )
 
 
 def body_frame_velocity(v_abs_x, v_abs_y, eta):

@@ -3,24 +3,23 @@
 Scenario inputs are open loop, so every command is sampled before
 integration starts. Actuation delay is then a shift of the sampled
 command series (``delay.delay_shift``), and the delayed steering
-command is mapped to a road-wheel angle once per series. Scenarios
-that share a model and a time step advance together as one
-``(B, n_state)`` batch of RK4 steps, with the commands of each step
-frozen (zero-order hold); ``simulate`` is the batch of one. The net
+command is mapped to a road-wheel angle once per series. Each scenario
+then advances one RK4 step at a time on Python floats, with the
+commands of each step frozen (zero-order hold), through the same model
+functions that the dataset and validation code call on arrays. The net
 longitudinal force is re-evaluated from the motor and friction curves
 inside every RK4 stage, since it depends on the evolving speed. Both
 the commanded and the applied input series are recorded.
 
 The dynamic model can run with either slip-angle convention. The
 default raw-velocity form is regular at standstill and needs no special
-casing; the normalized form is singular as v_x -> 0, so below a blend
-speed the simulator falls back to kinematic propagation, row by row,
-and pins (v_y, omega) to their rigid-rolling values.
+casing; the normalized form is singular as v_x -> 0, so in every step
+that starts below a blend speed the simulator falls back to kinematic
+propagation and pins (v_y, omega) to their rigid-rolling values.
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -101,144 +100,61 @@ class Trajectory:
         )
 
 
-def _kinematic_rolling(v_x, delta, geom):
-    """(v_y, omega) of a rigidly rolling bicycle at the CoM."""
-    omega = v_x * np.tan(delta) / geom.l
-    return omega * geom.l_r, omega
-
-
 def simulate(scenario: Scenario, params: VehicleParams, *, normalized: bool = False,
              blend_speed: float = BLEND_SPEED) -> Trajectory:
-    """Integrate a scenario and record states plus both input series."""
-    return simulate_batch([scenario], params, normalized=normalized,
-                          blend_speed=blend_speed)[0]
+    """Integrate a scenario and record states plus both input series.
 
-
-def simulate_batch(scenarios: Sequence[Scenario], params: VehicleParams, *,
-                   normalized: bool = False, blend_speed: float = BLEND_SPEED,
-                   on_done: Callable[[int, Trajectory], object] | None = None) -> list:
-    """Integrate scenarios, each group sharing (model, dt) as one batch.
-
-    Returns one entry per scenario, in input order: its Trajectory, or
-    what ``on_done(index, trajectory)`` returned for it. ``on_done``
-    runs as soon as a trajectory is complete, shortest first, so a
-    caller that writes each one out need not hold them all.
+    A non-finite derivative raises IntegrationError. A state beyond
+    DIVERGENCE_LIMIT raises SimulationDiverged carrying the trajectory
+    up to the last sane state. Both name the scenario.
     """
-    scenarios = list(scenarios)
-    results: list = [None] * len(scenarios)
-    groups: dict[tuple[str, float], list[int]] = {}
-    for i, scenario in enumerate(scenarios):
-        groups.setdefault((scenario.model, scenario.dt), []).append(i)
-    for members in groups.values():
-        # longest first, so the rows still integrating are always a prefix
-        members.sort(key=lambda i: -scenarios[i].times.size)
+    geom, dt, times = params.geometry, scenario.dt, scenario.times
+    tau_cmd, s_cmd = scenario.sample_inputs()
+    tau_app = delay_shift(tau_cmd, params.delays.long_delay, dt)
+    s_app = delay_shift(s_cmd, params.delays.steer_delay, dt)
+    delta = models.steering_angle(s_app, params.steering)
 
-        def done(row: int, traj: Trajectory, members=members) -> None:
-            i = members[row]
-            results[i] = traj if on_done is None else on_done(i, traj)
+    def trajectory(states: list) -> Trajectory:
+        n = len(states)
+        return Trajectory(model=scenario.model, t=times[:n].copy(), states=np.array(states),
+                          commanded_tau=tau_cmd[:n].copy(), commanded_s=s_cmd[:n].copy(),
+                          applied_tau=tau_app[:n].copy(), applied_s=s_app[:n].copy())
 
-        _integrate([scenarios[i] for i in members], params, normalized, blend_speed, done)
-    return results
+    # Each parameter group is unpacked once, into a tuple the curves read fast.
+    motor, friction = tuple(params.motor), tuple(params.friction)
+    tau_k = delta_k = 0.0  # the inputs of the current step
 
+    def kinematic_rhs(y):
+        return models.kinematic_rhs(y, delta_k, models.net_force(tau_k, y[3], motor, friction),
+                                    geom)
 
-def _integrate(rows: list[Scenario], params: VehicleParams, normalized: bool,
-               blend_speed: float, done: Callable[[int, Trajectory], None]) -> None:
-    """RK4 over rows sorted by decreasing length; ``done(row, traj)`` as each ends."""
-    geom = params.geometry
-    model, dt = rows[0].model, rows[0].dt
-    dynamic = model == "dynamic"
-    times = rows[0].times  # every row's grid is a prefix of the longest
-    lengths = [scenario.times.size for scenario in rows]
+    def dynamic_rhs(y):
+        return models.dynamic_rhs(y, delta_k, models.net_force(tau_k, y[3], motor, friction),
+                                  params, normalized=normalized)
 
-    def applied(tau_cmd, s_cmd):
-        return (delay_shift(tau_cmd, params.delays.long_delay, dt),
-                delay_shift(s_cmd, params.delays.steer_delay, dt))
-
-    # Time-major applied inputs, so each step reads one contiguous row.
-    # Rows keep only their commands and states; the applied series are
-    # shifted again when a row ends, which is cheap, rather than held,
-    # which would add to peak memory.
-    tau_app = np.zeros((times.size, len(rows)))
-    delta = np.zeros((times.size, len(rows)))
-    commands, outputs = [], []
-    for j, scenario in enumerate(rows):
-        tau_cmd, s_cmd = scenario.sample_inputs()
-        n = lengths[j]
-        tau, s = applied(tau_cmd, s_cmd)
-        tau_app[:n, j] = tau
-        delta[:n, j] = models.steering_angle(s, params.steering)
-        states = np.empty((n, 6 if dynamic else 4))
-        states[0] = scenario.initial_state
-        commands.append((tau_cmd, s_cmd))
-        outputs.append(states)
-
-    def trajectory(j: int, n: int) -> Trajectory:
-        # a finished row hands its own arrays over; a partial one copies
-        t, tau_cmd, s_cmd, states = (
-            a if a.shape[0] == n else a[:n].copy() for a in (times, *commands[j], outputs[j])
-        )
-        tau, s = applied(tau_cmd, s_cmd)
-        return Trajectory(model=model, t=t, states=states, commanded_tau=tau_cmd,
-                          commanded_s=s_cmd, applied_tau=tau, applied_s=s)
-
-    def advance(y, tau_k, delta_k, t, rhs_of, index):
-        def net_force(v_long):
-            # v (kinematic) and v_x (dynamic) share state slot 3
-            return models.motor_force(tau_k, v_long, params.motor) + models.friction_force(
-                v_long, params.friction
-            )
-
-        try:
-            return rk4_step(lambda s: rhs_of(s, delta_k, net_force(s[:, 3])), y, dt, t=t)
-        except IntegrationError as exc:
-            if not exc.rows:
-                raise
-            name = rows[index[exc.rows[0]]].name
-            raise IntegrationError(f"{exc} in scenario {name!r}") from exc
-
-    def kinematic_rhs(y, delta_k, force):
-        return models.kinematic_rhs(y, delta_k, force, geom)
-
-    def dynamic_rhs(y, delta_k, force):
-        return models.dynamic_rhs(y, delta_k, force, params, normalized=normalized)
-
-    y = np.array([scenario.initial_state for scenario in rows])
-    m = len(rows)
-    all_rows = np.arange(m)
-    for k in range(times.size):
-        while m and lengths[m - 1] <= k + 1:
-            m -= 1
-            done(m, trajectory(m, lengths[m]))
-            commands[m] = outputs[m] = None
-        if m == 0:
-            break
-        y = y[:m]
-        tau_k, delta_k, t = tau_app[k, :m], delta[k, :m], float(times[k])
-        slow = (y[:, 3] < blend_speed) if dynamic and normalized else None
-        if slow is None or not slow.any():
-            nxt = advance(y, tau_k, delta_k, t, dynamic_rhs if dynamic else kinematic_rhs,
-                          all_rows)
-        else:
-            # kinematic fallback where the normalized slip form is singular
-            nxt = np.empty_like(y)
-            lo, hi = np.flatnonzero(slow), np.flatnonzero(~slow)
-            kin = advance(y[lo, :4], tau_k[lo], delta_k[lo], t, kinematic_rhs, lo)
-            nxt[lo, :4] = kin
-            nxt[lo, 4], nxt[lo, 5] = _kinematic_rolling(kin[:, 3], delta_k[lo], geom)
-            if hi.size:
-                nxt[hi] = advance(y[hi], tau_k[hi], delta_k[hi], t, dynamic_rhs, hi)
-
-        sane = np.abs(nxt) <= DIVERGENCE_LIMIT  # False for NaN too
-        if not sane.all():
-            j = int(np.flatnonzero(~sane.all(axis=1))[0])
-            raise SimulationDiverged(
-                f"state left the sane envelope in scenario {rows[j].name!r}",
-                t=float(times[k + 1]),
-                trajectory=trajectory(j, k + 1),
-            )
-        for j in range(m):
-            outputs[j][k + 1] = nxt[j]
-        y = nxt
+    dynamic = scenario.model == "dynamic"
+    fallback = dynamic and normalized
+    limit = DIVERGENCE_LIMIT
+    y = scenario.initial_state
+    states = [y]
+    t = times.tolist()
+    try:
+        for k, (tau_k, delta_k) in enumerate(zip(tau_app[:-1].tolist(), delta[:-1].tolist())):
+            if fallback and y[3] < blend_speed:
+                # kinematic fallback where the normalized slip form is singular
+                y = rk4_step(kinematic_rhs, y[:4], dt, t[k])
+                omega = models.kinematic_yaw_rate(y[3], delta_k, geom)
+                y += (omega * geom.l_r, omega)
+            else:
+                y = rk4_step(dynamic_rhs if dynamic else kinematic_rhs, y, dt, t[k])
+            if not all(-limit <= v <= limit for v in y):  # False for NaN too
+                raise SimulationDiverged(
+                    f"state left the sane envelope in scenario {scenario.name!r}",
+                    t=t[k + 1], trajectory=trajectory(states))
+            states.append(y)
+    except IntegrationError as exc:
+        raise IntegrationError(f"{exc} in scenario {scenario.name!r}") from exc
+    return trajectory(states)
 
 
 def trajectory_yaw_rate(traj: Trajectory, params: VehicleParams) -> np.ndarray:
@@ -246,7 +162,7 @@ def trajectory_yaw_rate(traj: Trajectory, params: VehicleParams) -> np.ndarray:
     if traj.model == "dynamic":
         return traj.states[:, 5].copy()
     delta = models.steering_angle(traj.applied_s, params.steering)
-    return traj.states[:, 3] * np.tan(delta) / params.geometry.l
+    return models.kinematic_yaw_rate(traj.states[:, 3], delta, params.geometry)
 
 
 def synthesize_log(scenario: Scenario, params: VehicleParams, noise: NoiseSpec,

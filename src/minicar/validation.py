@@ -56,7 +56,7 @@ def _dt_of(table: dict) -> float:
     return dt
 
 
-def _kinematic_states(table: dict) -> tuple[np.ndarray, list[str]]:
+def _kinematic_states(table: dict) -> tuple[list, list[str]]:
     v = _first_present(table, "v", "v_enc")
     if v is None:
         raise DataError("kinematic validation needs a v or v_enc column")
@@ -64,13 +64,13 @@ def _kinematic_states(table: dict) -> tuple[np.ndarray, list[str]]:
     y = _first_present(table, "y", "y_t")
     eta = _first_present(table, "eta", "eta_t")
     if x is not None and y is not None and eta is not None:
-        return np.column_stack([x, y, eta, v]), ["x", "y", "eta", "v"]
+        return [x, y, eta, v], ["x", "y", "eta", "v"]
     # without pose the speed channel is still self-contained
     zeros = np.zeros_like(v)
-    return np.column_stack([zeros, zeros, zeros, v]), ["v"]
+    return [zeros, zeros, zeros, v], ["v"]
 
 
-def _dynamic_states(table: dict, smooth_window: int) -> tuple[np.ndarray, list[str]]:
+def _dynamic_states(table: dict, smooth_window: int) -> tuple[list, list[str]]:
     x = _first_present(table, "x", "x_t")
     y = _first_present(table, "y", "y_t")
     eta = _first_present(table, "eta", "eta_t")
@@ -87,8 +87,7 @@ def _dynamic_states(table: dict, smooth_window: int) -> tuple[np.ndarray, list[s
         vx_abs = differentiate(smooth(x, smooth_window), t)
         vy_abs = differentiate(smooth(y, smooth_window), t)
         _, v_y = models.body_frame_velocity(vx_abs, vy_abs, eta)
-    states = np.column_stack([x, y, eta, v_x, v_y, omega])
-    return states, ["x", "y", "eta", "v_x", "v_y", "omega"]
+    return [x, y, eta, v_x, v_y, omega], ["x", "y", "eta", "v_x", "v_y", "omega"]
 
 
 def one_step_rms(
@@ -110,29 +109,23 @@ def one_step_rms(
     else:
         states, channels = _dynamic_states(table, smooth_window)
 
-    current = states[:-1]
-    target = states[1:]
+    current = [column[:-1] for column in states]
     tau_k = tau_app[:-1]
     delta = models.steering_angle(s_app[:-1], params.steering)
 
-    def net_force(v_long):
-        return models.motor_force(tau_k, v_long, params.motor) + models.friction_force(
-            v_long, params.friction
-        )
+    def rhs(y):
+        force = models.net_force(tau_k, y[3], params.motor, params.friction)
+        if model == "kinematic":
+            return models.kinematic_rhs(y, delta, force, params.geometry)
+        return models.dynamic_rhs(y, delta, force, params, normalized=normalized)
 
-    if model == "kinematic":
-        rhs = lambda y: models.kinematic_rhs(y, delta, net_force(y[..., 3]), params.geometry)
-    else:
-        rhs = lambda y: models.dynamic_rhs(y, delta, net_force(y[..., 3]), params,
-                                           normalized=normalized)
     predicted = rk4_step(rhs, current, dt)
 
-    errors = predicted - target
     names = (
         models.KINEMATIC_STATE_NAMES if model == "kinematic" else models.DYNAMIC_STATE_NAMES
     )
     return {
-        name: float(np.sqrt(np.mean(errors[:, i] ** 2)))
+        name: float(np.sqrt(np.mean((predicted[i] - states[i][1:]) ** 2)))
         for i, name in enumerate(names)
         if name in channels
     }

@@ -210,9 +210,9 @@ def test_criterion_6_integrator_order_and_closure():
     under 1e-6 of its radius."""
     errors = []
     for dt in (0.01, 0.005, 0.0025):
-        y = np.array([1.0])
+        y = [1.0]
         for _ in range(int(round(1.0 / dt))):
-            y = rk4_step(lambda s: -s, y, dt)
+            y = rk4_step(lambda s: [-v for v in s], y, dt)
         errors.append(abs(y[0] - math.exp(-1)))
     orders = [math.log2(errors[i] / errors[i + 1]) for i in range(2)]
 

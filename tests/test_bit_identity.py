@@ -1,0 +1,92 @@
+"""On Python floats, every model function gives exactly what the array
+call gives at that element, so the simulator (floats, one scenario) and
+the dataset, fitting and validation code (arrays of rows) evaluate one
+model bit for bit."""
+
+import numpy as np
+import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+
+from minicar import models
+from minicar.integrators import rk4_step
+from minicar.params import reference_params
+
+REF = reference_params()
+
+
+def _floats(lo, hi):
+    return st.floats(lo, hi, allow_nan=False, allow_infinity=False)
+
+
+def _rows(*columns):
+    """Lists of 1 to 8 rows, one value per strategy in ``columns``."""
+    return st.lists(st.tuples(*columns), min_size=1, max_size=8)
+
+
+def _assert_rowwise_equal(fn, rows):
+    """``fn`` on column arrays equals ``fn`` on each row's floats, and
+    each float call returns Python floats."""
+    columns = [np.array(c) for c in zip(*rows)]
+    on_columns = fn(*columns)
+    for i, row in enumerate(rows):
+        on_floats = fn(*row)
+        flat = on_floats if isinstance(on_floats, tuple) else (on_floats,)
+        expected = on_columns if isinstance(on_columns, tuple) else (on_columns,)
+        assert all(type(value) is float for value in flat), flat
+        assert list(flat) == [float(np.broadcast_to(e, (len(rows),))[i]) for e in expected]
+
+
+CURVES = {
+    "friction_force": (lambda v: models.friction_force(v, REF.friction), (_floats(-5, 5),)),
+    "smooth_positive_throttle": (lambda tau: models.smooth_positive_throttle(tau, REF.motor.g),
+                                 (_floats(-1, 1),)),
+    "motor_force": (lambda tau, v: models.motor_force(tau, v, REF.motor),
+                    (_floats(-1, 1), _floats(-5, 5))),
+    "steering_angle": (lambda s: models.steering_angle(s, REF.steering), (_floats(-1, 1),)),
+    "pacejka_lateral": (lambda a: models.pacejka_lateral(a, REF.tire), (_floats(-3, 3),)),
+    "rear_lateral": (lambda a: models.rear_lateral(a, REF.tire.C_r), (_floats(-3, 3),)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CURVES))
+@given(data=st.data())
+def test_curve_on_floats_equals_array_element(name, data):
+    curve, columns = CURVES[name]
+    _assert_rowwise_equal(curve, data.draw(_rows(*columns)))
+
+
+@pytest.mark.parametrize("normalized", [False, True])
+@given(rows=_rows(_floats(0.01, 4), _floats(-2, 2), _floats(-6, 6), _floats(-0.6, 0.6)))
+def test_slip_angles_on_floats_equal_array_element(normalized, rows):
+    _assert_rowwise_equal(
+        lambda v_x, v_y, omega, delta: models.slip_angles(v_x, v_y, omega, delta, REF.geometry,
+                                                          normalized=normalized),
+        rows)
+
+
+_POSE = (_floats(-20, 20), _floats(-20, 20), _floats(-30, 30))
+
+
+@given(rows=_rows(*_POSE, _floats(-4, 4), _floats(-1.5, 1.5), _floats(-5, 5)))
+def test_kinematic_rhs_on_floats_equals_array_element(rows):
+    _assert_rowwise_equal(
+        lambda x, y, eta, v, delta, force: models.kinematic_rhs((x, y, eta, v), delta, force,
+                                                                REF.geometry),
+        rows)
+
+
+@pytest.mark.parametrize("normalized", [False, True])
+@given(rows=_rows(*_POSE, _floats(0.1, 4), _floats(-2, 2), _floats(-6, 6), _floats(-0.6, 0.6),
+                  _floats(-5, 5)))
+def test_dynamic_rhs_and_its_rk4_step_on_floats_equal_array_element(normalized, rows):
+    def rhs(x, y, eta, v_x, v_y, omega, delta, force):
+        return models.dynamic_rhs((x, y, eta, v_x, v_y, omega), delta, force, REF,
+                                  normalized=normalized)
+
+    def step(*row):
+        *state, delta, force = row
+        return tuple(rk4_step(lambda s: rhs(*s, delta, force), state, 0.01))
+
+    _assert_rowwise_equal(rhs, rows)
+    _assert_rowwise_equal(step, rows)

@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import minicar
 from minicar.cli import main
 from minicar.params import reference_params, save_params
 from minicar.validation import read_table
@@ -38,9 +43,11 @@ def test_simulate_writes_outputs(tmp_path, params_file):
     assert (out / "trajectory.csv").is_file()
     assert (out / "path.svg").is_file()
     assert (out / "channels.svg").is_file()
-    assert (out / "run_manifest.json").is_file()
     table = read_table(out / "trajectory.csv")
     assert np.all(np.diff(table["v"]) >= -1e-12)  # monotone step response
+    (run,) = json.loads((out / "run_manifest.json").read_text())["scenarios"]
+    assert run["name"] == "cli_step" and run["steps"] == table["t"].size - 1 == 300
+    assert run["wall_s"] > 0
 
 
 def test_simulate_zero_input_constant_state(tmp_path, params_file):
@@ -271,3 +278,53 @@ def test_fit_report_records_convergence(tmp_path):
     assert diagnostics["cond"] is None
     assert all(v is None for v in diagnostics["rel_std_err"].values())
     assert all(s["diagnostics"] is None for s in stages.values() if s["status"] == "skipped")
+
+
+def test_generate_records_steps_and_time_per_scenario(tmp_path, params_file):
+    """run_manifest.json carries each scenario's steps and wall time;
+    the digested outputs (manifest.json and the logs) carry no timing."""
+    from minicar.scenarios import scenario_library
+
+    noise = tmp_path / "noise.json"
+    noise.write_text("{}")
+    out = tmp_path / "g"
+    assert main(["generate", "--params", str(params_file), "--noise", str(noise),
+                 "--seed", "3", "--dt", "0.05", "--out", str(out)]) == 0
+    library = [s for battery in scenario_library(dt=0.05).values() for s in battery]
+    runs = json.loads((out / "run_manifest.json").read_text())["scenarios"]
+    assert [run["name"] for run in runs] == [s.name for s in library]
+    for run, scenario in zip(runs, library):
+        assert run["steps"] == scenario.times.size - 1
+        assert run["wall_s"] > 0
+    assert "wall_s" not in (out / "manifest.json").read_text()
+    assert [e["file"] for e in json.loads((out / "manifest.json").read_text())["logs"]] == [
+        f"{s.name}.csv" for s in library]
+
+
+@pytest.mark.parametrize("command", ["simulate", "generate"])
+def test_diverging_run_exits_2_naming_the_scenario(tmp_path, params_file, command):
+    """A run whose state leaves the sane envelope fails cleanly from the
+    command line: status 2, the scenario named, no traceback."""
+    from minicar.scenarios import scenario_library
+
+    doc = json.loads(params_file.read_text())
+    doc["motor"]["d"] = 1e9  # a stall force no state stays sane under
+    params = tmp_path / "wild.json"
+    params.write_text(json.dumps(doc))
+    if command == "simulate":
+        args, name = ["--scenario", str(write_scenario(tmp_path))], "cli_step"
+    else:
+        noise = tmp_path / "noise.json"
+        noise.write_text("{}")
+        args = ["--noise", str(noise), "--seed", "1"]
+        name = next(iter(scenario_library().values()))[0].name
+    src = str(Path(minicar.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run(
+        [sys.executable, "-m", "minicar.cli", command, "--params", str(params), *args,
+         "--out", str(tmp_path / "out")],
+        capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 2
+    assert f"scenario {name!r}" in proc.stderr
+    assert "sane envelope" in proc.stderr
+    assert "Traceback" not in proc.stderr

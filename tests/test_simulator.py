@@ -17,7 +17,7 @@ from minicar.scenarios import (
     sinusoidal_steering,
     step_throttle_battery,
 )
-from minicar.simulator import NoiseSpec, simulate, simulate_batch, synthesize_log
+from minicar.simulator import NoiseSpec, simulate, synthesize_log
 
 
 # --- simulate ----------------------------------------------------------------
@@ -103,20 +103,13 @@ def test_dynamic_blend_below_threshold_matches_kinematic(ref):
     np.testing.assert_allclose(dyn.states[:, :4], kin.states, atol=1e-12)
 
 
-# --- simulate_batch ---------------------------------------------------------------
+# --- simulate against a step-at-a-time reference -------------------------------
 
 TRAJECTORY_FIELDS = ("t", "states", "commanded_tau", "commanded_s", "applied_tau", "applied_s")
 
 
-def _assert_same_trajectory(a, b):
-    assert a.model == b.model
-    for name in TRAJECTORY_FIELDS:
-        np.testing.assert_array_equal(getattr(a, name), getattr(b, name), err_msg=name)
-
-
 def _short_library():
-    """Every library battery, shortened, so rows of both models and of
-    many lengths share each batch."""
+    """Every library battery, shortened: both models and many lengths."""
     return (
         coast_down_battery(launch_levels=(0.4, 0.25), launch=2.0, coast=1.5,
                            pulse_levels=(0.24, 0.3), pulse_cycles=2)
@@ -128,8 +121,9 @@ def _short_library():
 
 
 def _step_at_a_time(scenario, params, normalized=False):
-    """Reference states: one scenario, one step at a time, scalar inputs
-    drawn from the schedule callables and delayed by index."""
+    """Reference states: one scenario, one step at a time on numpy
+    scalars, inputs drawn from the schedule callables and delayed by
+    index."""
     geom, dt, times = params.geometry, scenario.dt, scenario.times
     lag_tau = int(round(params.delays.long_delay / dt))
     lag_s = int(round(params.delays.steer_delay / dt))
@@ -163,59 +157,50 @@ def _step_at_a_time(scenario, params, normalized=False):
 
 @pytest.mark.parametrize("normalized", [False, True])
 def test_batch_equals_step_at_a_time_reference(ref, normalized):
+    """Scenarios that start at rest, on a piecewise throttle, and in
+    the dynamic model under the blend speed."""
     scenarios = [
         sinusoidal_steering(duration=2.0),
         _scenario(PiecewiseSchedule(times=(0.0, 0.5), values=(0.0, 0.35)), constant(-0.4),
                   duration=1.5),
         _scenario(constant(0.2), constant(0.3), duration=1.0, model="dynamic",
                   init=(0, 0, 0, 0.2, 0, 0)),
-        mocap_circular_battery(s_values=(0.45,), duration=2.0, ramp_steps=4)[0],
     ]
-    for scenario, traj in zip(scenarios, simulate_batch(scenarios, ref, normalized=normalized)):
+    for scenario in scenarios:
+        traj = simulate(scenario, ref, normalized=normalized)
         np.testing.assert_array_equal(traj.states, _step_at_a_time(scenario, ref, normalized))
 
 
 @pytest.mark.parametrize("normalized", [False, True])
 def test_library_batch_equals_per_scenario_runs(ref, normalized):
+    """Every scenario of the shortened library, simulated one at a time
+    as ``minicar generate`` does, equals the step-at-a-time reference."""
     library = _short_library()
     assert {s.model for s in library} == {"kinematic", "dynamic"}
-    assert len({s.times.size for s in library}) > 4
-    batch = simulate_batch(library, ref, normalized=normalized)
-    assert len(batch) == len(library)
-    for scenario, traj in zip(library, batch):
-        _assert_same_trajectory(traj, simulate(scenario, ref, normalized=normalized))
-
-
-def test_batch_on_done_sees_each_index_once_shortest_first(ref):
-    library = _short_library()
-    seen = []
-    out = simulate_batch(library, ref, on_done=lambda i, traj: seen.append((i, len(traj))) or i)
-    assert out == list(range(len(library)))
-    assert sorted(i for i, _ in seen) == list(range(len(library)))
-    for model in ("kinematic", "dynamic"):
-        lengths = [n for i, n in seen if library[i].model == model]
-        assert lengths == sorted(lengths)
+    for scenario in library:
+        traj = simulate(scenario, ref, normalized=normalized)
+        np.testing.assert_array_equal(traj.t, scenario.times)
+        np.testing.assert_array_equal(traj.states, _step_at_a_time(scenario, ref, normalized),
+                                      err_msg=scenario.name)
 
 
 def test_normalized_blend_is_per_row(ref):
-    """One row under the blend speed, one over it: each row of the
-    batch equals its own single-scenario run."""
-    slow = _scenario(constant(0.2), constant(0.3), duration=3.0, model="dynamic",
-                     init=(0, 0, 0, 0.2, 0, 0))
-    fast = _scenario(constant(0.3), constant(0.3), duration=3.0, model="dynamic",
-                     init=(0, 0, 0, 1.0, 0, 0))
-    batch = simulate_batch([slow, fast], ref, normalized=True)
-    assert np.all(batch[0].states[:, 3] < simulator.BLEND_SPEED)
-    assert np.all(batch[1].states[:100, 3] > simulator.BLEND_SPEED)
-    # the slow row rolls rigidly
-    v_y, omega = simulator._kinematic_rolling(
-        batch[0].states[1:, 3], models.steering_angle(batch[0].applied_s[:-1], ref.steering),
-        ref.geometry,
-    )
-    np.testing.assert_array_equal(batch[0].states[1:, 4], v_y)
-    np.testing.assert_array_equal(batch[0].states[1:, 5], omega)
-    for scenario, traj in zip((slow, fast), batch):
-        _assert_same_trajectory(traj, simulate(scenario, ref, normalized=True))
+    """Each step picks its model from the speed it starts at: a
+    coast-down through the blend speed integrates the dynamic model
+    above it and rolls rigidly below it."""
+    coast = _scenario(constant(0.0), constant(0.3), duration=3.0, model="dynamic",
+                      init=(0, 0, 0, 0.6, 0, 0))
+    traj = simulate(coast, ref, normalized=True)
+    v_x = traj.states[:, 3]
+    slow = np.flatnonzero(v_x[:-1] < simulator.BLEND_SPEED)
+    assert 0 < slow[0] and slow.size < v_x.size - 1  # crosses the blend speed
+    omega = models.kinematic_yaw_rate(
+        v_x[slow + 1], models.steering_angle(traj.applied_s[slow], ref.steering), ref.geometry)
+    np.testing.assert_array_equal(traj.states[slow + 1, 5], omega)
+    np.testing.assert_array_equal(traj.states[slow + 1, 4], omega * ref.geometry.l_r)
+    fast = np.setdiff1d(np.arange(slow[0]), slow)
+    assert not np.any(traj.states[fast + 1, 4] == traj.states[fast + 1, 5] * ref.geometry.l_r)
+    np.testing.assert_array_equal(traj.states, _step_at_a_time(coast, ref, normalized=True))
 
 
 def test_batch_divergence_names_the_failing_scenario(ref, monkeypatch):
@@ -225,11 +210,13 @@ def test_batch_divergence_names_the_failing_scenario(ref, monkeypatch):
                     throttle=constant(0.4), steering=constant(0.0))
     full = simulate(wild, ref)
     monkeypatch.setattr(simulator, "DIVERGENCE_LIMIT", 0.5)
+    assert len(simulate(calm, ref)) == calm.times.size
     with pytest.raises(SimulationDiverged, match="'wild'") as err:
-        simulate_batch([calm, wild], ref)
+        simulate(wild, ref)
     partial = err.value.trajectory
     assert 1 < len(partial) < len(full)
     assert np.all(np.abs(partial.states) <= 0.5)
+    assert np.abs(full.states[len(partial)]).max() > 0.5
     assert err.value.t == pytest.approx(full.t[len(partial)])
     for name in TRAJECTORY_FIELDS:
         np.testing.assert_array_equal(getattr(partial, name),
@@ -240,16 +227,16 @@ def test_batch_integration_error_names_the_failing_scenario(ref, monkeypatch):
     rhs = models.kinematic_rhs
 
     def fragile_rhs(state, *args):
-        out = rhs(state, *args)
-        out[state[:, 3] > 0.5] = np.nan
-        return out
+        derivative = rhs(state, *args)
+        return (np.nan, *derivative[1:]) if state[3] > 0.5 else derivative
 
     monkeypatch.setattr(models, "kinematic_rhs", fragile_rhs)
     calm = _scenario(constant(0.0), constant(0.0), duration=4.0)
     wild = Scenario(name="wild", duration=3.0, dt=0.01, model="kinematic",
                     throttle=constant(0.4), steering=constant(0.0))
+    assert len(simulate(calm, ref)) == calm.times.size
     with pytest.raises(IntegrationError, match="non-finite derivative.*'wild'"):
-        simulate_batch([calm, wild], ref)
+        simulate(wild, ref)
 
 
 # --- synthesize_log ----------------------------------------------------------
