@@ -173,14 +173,16 @@ def format_table(header, columns) -> str:
     """CSV text of equal-length float columns under a header line.
 
     Rows are formatted FORMAT_BLOCK_ROWS at a time, so only one block's
-    Python floats and lines are alive at once, not a whole log's.
+    Python floats and lines are alive at once, not a whole log's. Within
+    a block, ``repr`` is mapped over each column and the fields are
+    joined row by row, both in C loops.
     """
     columns = [np.asarray(c, dtype=float) for c in columns]
     n = min((len(c) for c in columns), default=0)
     blocks = [",".join(header)]
     for start in range(0, n, FORMAT_BLOCK_ROWS):
-        rows = zip(*(c[start:start + FORMAT_BLOCK_ROWS].tolist() for c in columns))
-        blocks.append("\n".join([",".join(map(repr, row)) for row in rows]))
+        fields = [map(repr, c[start:start + FORMAT_BLOCK_ROWS].tolist()) for c in columns]
+        blocks.append("\n".join(map(",".join, zip(*fields))))
     return "\n".join(blocks) + "\n"
 
 

@@ -37,6 +37,15 @@ rows, and a right-hand side returns the tuple of their derivatives:
   and (v_x, v_y) in the body frame
 
 Headings accumulate without wrapping; wrap only for display.
+
+The inputs are held over an RK4 step, so the right-hand sides take
+what depends on them alone precomputed, once per input series: the
+throttle gate ``smooth_positive_throttle(tau, g)`` for ``net_force``,
+and the road-wheel angle with its ``steering_terms`` (tan, cos, sin)
+for ``kinematic_rhs`` and ``dynamic_rhs``. The kinematic yaw rate is
+singular at |delta| = pi/2, so the caller runs
+``check_kinematic_steering`` on the angles of every step it propagates
+kinematically; no right-hand side checks its inputs.
 """
 
 from __future__ import annotations
@@ -105,18 +114,28 @@ def smooth_positive_throttle(tau, g):
     return x * 0.5 * (_tanh(THROTTLE_SHARPNESS * x) + 1.0)
 
 
+def drive_force(gate, v, p):
+    """Drive force (d - v*e) * gate, for a precomputed throttle gate."""
+    d, e, _ = p
+    return (d - v * e) * gate
+
+
 def motor_force(tau, v, p):
     """Drive force (d - v*e) * smooth_positive_throttle(tau, g).
 
     Zero below the dead zone (tau <= -g) and at the no-load speed d/e.
     """
-    d, e, g = p
-    return (d - v * e) * smooth_positive_throttle(tau, g)
+    *_, g = p
+    return drive_force(smooth_positive_throttle(tau, g), v, p)
 
 
-def net_force(tau, v, motor, friction):
-    """Net longitudinal force: drive plus friction at speed ``v``."""
-    return motor_force(tau, v, motor) + friction_force(v, friction)
+def net_force(gate, v, motor, friction):
+    """Net longitudinal force at speed ``v``: drive plus friction.
+
+    ``gate`` is ``smooth_positive_throttle(tau, motor.g)`` of the
+    applied throttle, which stays fixed while ``v`` evolves.
+    """
+    return drive_force(gate, v, motor) + friction_force(v, friction)
 
 
 def motor_force_and_jacobian(tau, v, p, jac, work) -> np.ndarray:
@@ -184,21 +203,34 @@ def steering_angle_and_jacobian(s, p, jac, work) -> np.ndarray:
     return value
 
 
-def kinematic_yaw_rate(v, delta, geom: Geometry):
-    """Yaw rate of a rigidly rolling bicycle at speed ``v``."""
-    return v * _tan(delta) / geom.l
+def steering_terms(delta) -> tuple:
+    """``(tan, cos, sin)`` of the road-wheel angle ``delta``."""
+    return _tan(delta), _cos(delta), _sin(delta)
 
 
-def kinematic_rhs(state, delta, f_total, geom: Geometry) -> tuple:
-    """Time derivative of the kinematic state ``(x, y, eta, v)``.
+def check_kinematic_steering(delta) -> None:
+    """Reject a road-wheel angle the kinematic model cannot roll at.
 
-    ``f_total`` is the net longitudinal force (drive plus friction),
-    precomputed by the caller.
+    The kinematic yaw rate v*tan(delta)/l is singular at |delta| = pi/2.
     """
     if _anywhere(abs(delta) >= np.pi / 2):
         raise ConfigError("steering angle magnitude must stay below pi/2")
+
+
+def kinematic_yaw_rate(v, tan_delta, geom: Geometry):
+    """Yaw rate of a rigidly rolling bicycle at speed ``v``."""
+    return v * tan_delta / geom.l
+
+
+def kinematic_rhs(state, tan_delta, f_total, geom: Geometry) -> tuple:
+    """Time derivative of the kinematic state ``(x, y, eta, v)``.
+
+    ``tan_delta`` is the tangent of the road-wheel angle and ``f_total``
+    the net longitudinal force (drive plus friction), both precomputed
+    by the caller.
+    """
     _, _, eta, v = state
-    return (v * _cos(eta), v * _sin(eta), kinematic_yaw_rate(v, delta, geom),
+    return (v * _cos(eta), v * _sin(eta), kinematic_yaw_rate(v, tan_delta, geom),
             f_total / geom.m)
 
 
@@ -274,27 +306,31 @@ def rear_lateral_and_jacobian(alpha, c_r, jac, work) -> np.ndarray:
     return np.multiply(alpha, c_r, out=work[0])
 
 
-def dynamic_rhs(state, delta, f_x_total, params: VehicleParams, *,
-                normalized: bool = False) -> tuple:
+def tire_coefficients(params: VehicleParams) -> tuple:
+    """The tire group as the tuple ``dynamic_rhs`` reads, (D, C, B, E, C_r)."""
+    if params.tire is None:
+        raise ConfigError("dynamic model requires tire parameters")
+    return tuple(params.tire)
+
+
+def dynamic_rhs(state, delta, cos_d, sin_d, f_x_total, tire: tuple,
+                geom: Geometry, *, normalized: bool = False) -> tuple:
     """Time derivative of the dynamic state ``(x, y, eta, v_x, v_y, omega)``.
 
-    ``f_x_total`` is the net longitudinal force; it is split equally
-    between the axles (four-wheel drive), each half acting along its
-    own tire frame. Lateral forces come from the magic-formula front
-    tire and the linear rear tire.
+    ``delta`` is the road-wheel angle, ``cos_d`` and ``sin_d`` its
+    precomputed cosine and sine, and ``tire`` the tuple of
+    ``tire_coefficients``. ``f_x_total`` is the net longitudinal force;
+    it is split equally between the axles (four-wheel drive), each half
+    acting along its own tire frame. Lateral forces come from the
+    magic-formula front tire and the linear rear tire.
     """
-    tire = params.tire
-    if tire is None:
-        raise ConfigError("dynamic model requires tire parameters")
-    geom = params.geometry
     _, _, eta, v_x, v_y, omega = state
 
     alpha_f, alpha_r = slip_angles(v_x, v_y, omega, delta, geom, normalized=normalized)
     f_yf = pacejka_lateral(alpha_f, tire)
-    f_yr = rear_lateral(alpha_r, tire.C_r)
+    f_yr = rear_lateral(alpha_r, tire[4])
     f_half = f_x_total / 2.0
 
-    cos_d, sin_d = _cos(delta), _sin(delta)
     cos_e, sin_e = _cos(eta), _sin(eta)
     front_y = f_yf * cos_d + f_half * sin_d  # front axle force, vehicle-frame y
     return (

@@ -3,19 +3,23 @@
 Scenario inputs are open loop, so every command is sampled before
 integration starts. Actuation delay is then a shift of the sampled
 command series (``delay.delay_shift``), and the delayed steering
-command is mapped to a road-wheel angle once per series. Each scenario
-then advances one RK4 step at a time on Python floats, with the
-commands of each step frozen (zero-order hold), through the same model
-functions that the dataset and validation code call on arrays. The net
-longitudinal force is re-evaluated from the motor and friction curves
-inside every RK4 stage, since it depends on the evolving speed. Both
-the commanded and the applied input series are recorded.
+command is mapped to a road-wheel angle once per series. Everything
+else that stays fixed over a step is evaluated once per series too, as
+arrays: the throttle gate and the tan, cos and sin of the road-wheel
+angle. Each scenario then advances one RK4 step at a time on Python
+floats, with the inputs of each step frozen (zero-order hold), through
+the same model functions that the dataset and validation code call on
+arrays. The net longitudinal force is re-evaluated from the gate and
+the friction curve inside every RK4 stage, since it depends on the
+evolving speed. Both the commanded and the applied input series are
+recorded.
 
 The dynamic model can run with either slip-angle convention. The
 default raw-velocity form is regular at standstill and needs no special
 casing; the normalized form is singular as v_x -> 0, so in every step
-that starts below a blend speed the simulator falls back to kinematic
-propagation and pins (v_y, omega) to their rigid-rolling values.
+that starts below BLEND_SPEED the simulator falls back to kinematic
+propagation and pins (v_y, omega) to their rigid-rolling values
+(``rolling_fallback_step``, which one-step validation shares).
 """
 
 from __future__ import annotations
@@ -30,7 +34,7 @@ from .delay import delay_shift
 from .errors import ConfigError, IntegrationError, SimulationDiverged
 from .integrators import rk4_step
 from .logs import MocapBlock, RawLog, format_table
-from .params import VehicleParams
+from .params import Geometry, VehicleParams
 from .scenarios import Scenario
 
 # Any state component beyond this magnitude aborts the run: parameter
@@ -40,6 +44,9 @@ DIVERGENCE_LIMIT = 1e6
 # v_x under which normalized-slip dynamics hand over to the kinematic
 # model (the raw-velocity form never blends).
 BLEND_SPEED = 0.3
+
+# Steps whose inputs are turned into Python floats at once.
+INPUT_BLOCK_ROWS = 256
 
 
 @dataclass(frozen=True)
@@ -100,8 +107,8 @@ class Trajectory:
         )
 
 
-def simulate(scenario: Scenario, params: VehicleParams, *, normalized: bool = False,
-             blend_speed: float = BLEND_SPEED) -> Trajectory:
+def simulate(scenario: Scenario, params: VehicleParams, *,
+             normalized: bool = False) -> Trajectory:
     """Integrate a scenario and record states plus both input series.
 
     A non-finite derivative raises IntegrationError. A state beyond
@@ -112,7 +119,6 @@ def simulate(scenario: Scenario, params: VehicleParams, *, normalized: bool = Fa
     tau_cmd, s_cmd = scenario.sample_inputs()
     tau_app = delay_shift(tau_cmd, params.delays.long_delay, dt)
     s_app = delay_shift(s_cmd, params.delays.steer_delay, dt)
-    delta = models.steering_angle(s_app, params.steering)
 
     def trajectory(states: list) -> Trajectory:
         n = len(states)
@@ -120,41 +126,73 @@ def simulate(scenario: Scenario, params: VehicleParams, *, normalized: bool = Fa
                           commanded_tau=tau_cmd[:n].copy(), commanded_s=s_cmd[:n].copy(),
                           applied_tau=tau_app[:n].copy(), applied_s=s_app[:n].copy())
 
-    # Each parameter group is unpacked once, into a tuple the curves read fast.
+    # What stays fixed over a step is evaluated once per series, and each
+    # parameter group is unpacked once, into a tuple the curves read fast.
+    delta = models.steering_angle(s_app[:-1], params.steering)
+    gate = models.smooth_positive_throttle(tau_app[:-1], params.motor.g)
+    inputs = _float_rows((times[:-1], gate, delta, *models.steering_terms(delta)))
     motor, friction = tuple(params.motor), tuple(params.friction)
-    tau_k = delta_k = 0.0  # the inputs of the current step
+    gate_k = delta_k = tan_k = cos_k = sin_k = 0.0  # the inputs of the current step
 
     def kinematic_rhs(y):
-        return models.kinematic_rhs(y, delta_k, models.net_force(tau_k, y[3], motor, friction),
+        return models.kinematic_rhs(y, tan_k, models.net_force(gate_k, y[3], motor, friction),
                                     geom)
 
     def dynamic_rhs(y):
-        return models.dynamic_rhs(y, delta_k, models.net_force(tau_k, y[3], motor, friction),
-                                  params, normalized=normalized)
+        return models.dynamic_rhs(y, delta_k, cos_k, sin_k,
+                                  models.net_force(gate_k, y[3], motor, friction), tire, geom,
+                                  normalized=normalized)
 
     dynamic = scenario.model == "dynamic"
+    if dynamic:
+        tire = models.tire_coefficients(params)
+    else:
+        models.check_kinematic_steering(delta)
     fallback = dynamic and normalized
     limit = DIVERGENCE_LIMIT
     y = scenario.initial_state
     states = [y]
-    t = times.tolist()
     try:
-        for k, (tau_k, delta_k) in enumerate(zip(tau_app[:-1].tolist(), delta[:-1].tolist())):
-            if fallback and y[3] < blend_speed:
-                # kinematic fallback where the normalized slip form is singular
-                y = rk4_step(kinematic_rhs, y[:4], dt, t[k])
-                omega = models.kinematic_yaw_rate(y[3], delta_k, geom)
-                y += (omega * geom.l_r, omega)
+        for t_k, gate_k, delta_k, tan_k, cos_k, sin_k in inputs:
+            if fallback and y[3] < BLEND_SPEED:
+                y = rolling_fallback_step(kinematic_rhs, y, delta_k, tan_k, geom, dt, t_k)
             else:
-                y = rk4_step(dynamic_rhs if dynamic else kinematic_rhs, y, dt, t[k])
-            if not all(-limit <= v <= limit for v in y):  # False for NaN too
+                y = rk4_step(dynamic_rhs if dynamic else kinematic_rhs, y, dt, t_k)
+            if max(map(abs, y)) > limit:  # y is finite
                 raise SimulationDiverged(
                     f"state left the sane envelope in scenario {scenario.name!r}",
-                    t=t[k + 1], trajectory=trajectory(states))
+                    t=float(times[len(states)]), trajectory=trajectory(states))
             states.append(y)
     except IntegrationError as exc:
         raise IntegrationError(f"{exc} in scenario {scenario.name!r}") from exc
     return trajectory(states)
+
+
+def _float_rows(columns):
+    """The rows of equal-length arrays as tuples of Python floats.
+
+    Rows are converted INPUT_BLOCK_ROWS at a time, so a long series
+    never holds all its inputs as Python floats at once.
+    """
+    for start in range(0, len(columns[0]), INPUT_BLOCK_ROWS):
+        yield from zip(*(c[start:start + INPUT_BLOCK_ROWS].tolist() for c in columns))
+
+
+def rolling_fallback_step(kinematic_rhs, y, delta, tan_delta, geom: Geometry, dt: float,
+                          t: float = 0.0) -> list:
+    """One step of the normalized-slip dynamic model below BLEND_SPEED.
+
+    The normalized slip form is singular as v_x -> 0, so the dynamic
+    state ``y`` is propagated one RK4 step by the kinematic model
+    (``kinematic_rhs`` on its first four components) and (v_y, omega)
+    are pinned to their rigid-rolling values. Works on floats and on
+    arrays of rows alike.
+    """
+    models.check_kinematic_steering(delta)
+    y = rk4_step(kinematic_rhs, y[:4], dt, t)
+    omega = models.kinematic_yaw_rate(y[3], tan_delta, geom)
+    y += (omega * geom.l_r, omega)
+    return y
 
 
 def trajectory_yaw_rate(traj: Trajectory, params: VehicleParams) -> np.ndarray:
@@ -162,7 +200,7 @@ def trajectory_yaw_rate(traj: Trajectory, params: VehicleParams) -> np.ndarray:
     if traj.model == "dynamic":
         return traj.states[:, 5].copy()
     delta = models.steering_angle(traj.applied_s, params.steering)
-    return models.kinematic_yaw_rate(traj.states[:, 3], delta, params.geometry)
+    return models.kinematic_yaw_rate(traj.states[:, 3], np.tan(delta), params.geometry)
 
 
 def synthesize_log(scenario: Scenario, params: VehicleParams, noise: NoiseSpec,

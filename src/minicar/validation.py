@@ -21,6 +21,7 @@ from .integrators import rk4_step
 from .logs import read_table, uniform_step
 from .params import VehicleParams
 from .preprocess import differentiate, smooth
+from .simulator import BLEND_SPEED, rolling_fallback_step
 
 logger = logging.getLogger(__name__)
 
@@ -90,6 +91,33 @@ def _dynamic_states(table: dict, smooth_window: int) -> tuple[list, list[str]]:
     return [x, y, eta, v_x, v_y, omega], ["x", "y", "eta", "v_x", "v_y", "omega"]
 
 
+def _one_step(model: str, current: list, inputs: tuple, params: VehicleParams, dt: float,
+              normalized: bool) -> list:
+    """One-step-ahead prediction of rows whose inputs all take the same
+    branch: the kinematic model, the dynamic one, or (``model`` of
+    "fallback") the simulator's rolling fallback below BLEND_SPEED."""
+    gate, delta, tan_d, cos_d, sin_d = inputs
+    motor, friction, geom = tuple(params.motor), tuple(params.friction), params.geometry
+
+    def kinematic_rhs(y):
+        return models.kinematic_rhs(y, tan_d, models.net_force(gate, y[3], motor, friction),
+                                    geom)
+
+    if model == "fallback":
+        return rolling_fallback_step(kinematic_rhs, current, delta, tan_d, geom, dt)
+    if model == "kinematic":
+        models.check_kinematic_steering(delta)
+        return rk4_step(kinematic_rhs, current, dt)
+    tire = models.tire_coefficients(params)
+
+    def dynamic_rhs(y):
+        return models.dynamic_rhs(y, delta, cos_d, sin_d,
+                                  models.net_force(gate, y[3], motor, friction), tire, geom,
+                                  normalized=normalized)
+
+    return rk4_step(dynamic_rhs, current, dt)
+
+
 def one_step_rms(
     table: dict[str, np.ndarray],
     params: VehicleParams,
@@ -98,7 +126,13 @@ def one_step_rms(
     normalized: bool = False,
     smooth_window: int = 5,
 ) -> dict[str, float]:
-    """Per-channel RMS of one-step-ahead predictions along a log."""
+    """Per-channel RMS of one-step-ahead predictions along a log.
+
+    Each row is predicted as the simulator steps it: with
+    ``normalized`` slip, a dynamic row that starts below BLEND_SPEED
+    takes the simulator's rolling fallback, so a trajectory export
+    validates to round-off under either slip convention.
+    """
     if model not in ("kinematic", "dynamic"):
         raise ConfigError(f"unknown model kind {model!r}")
     dt = _dt_of(table)
@@ -110,16 +144,21 @@ def one_step_rms(
         states, channels = _dynamic_states(table, smooth_window)
 
     current = [column[:-1] for column in states]
-    tau_k = tau_app[:-1]
     delta = models.steering_angle(s_app[:-1], params.steering)
+    inputs = (models.smooth_positive_throttle(tau_app[:-1], params.motor.g), delta,
+              *models.steering_terms(delta))
 
-    def rhs(y):
-        force = models.net_force(tau_k, y[3], params.motor, params.friction)
-        if model == "kinematic":
-            return models.kinematic_rhs(y, delta, force, params.geometry)
-        return models.dynamic_rhs(y, delta, force, params, normalized=normalized)
-
-    predicted = rk4_step(rhs, current, dt)
+    if model == "dynamic" and normalized:
+        slow = current[3] < BLEND_SPEED
+        predicted = [np.empty_like(column) for column in current]
+        for rows, branch in ((slow, "fallback"), (~slow, "dynamic")):
+            if rows.any():
+                part = _one_step(branch, [column[rows] for column in current],
+                                 tuple(a[rows] for a in inputs), params, dt, normalized)
+                for out, column in zip(predicted, part):
+                    out[rows] = column
+    else:
+        predicted = _one_step(model, current, inputs, params, dt, normalized)
 
     names = (
         models.KINEMATIC_STATE_NAMES if model == "kinematic" else models.DYNAMIC_STATE_NAMES

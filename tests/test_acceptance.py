@@ -224,7 +224,7 @@ def test_criterion_6_integrator_order_and_closure():
     state = np.array([0.0, 0.0, 0.0, speed])
     for _ in range(n):
         state = rk4_step(
-            lambda s: models.kinematic_rhs(s, delta, 0.0, geom), state, period / n
+            lambda s: models.kinematic_rhs(s, math.tan(delta), 0.0, geom), state, period / n
         )
     closure = math.hypot(state[0], state[1])
 

@@ -11,8 +11,10 @@ from hypothesis import strategies as st
 from minicar import models
 from minicar.integrators import rk4_step
 from minicar.params import reference_params
+from minicar.simulator import rolling_fallback_step
 
 REF = reference_params()
+MOTOR, FRICTION, TIRE = tuple(REF.motor), tuple(REF.friction), models.tire_coefficients(REF)
 
 
 def _floats(lo, hi):
@@ -41,10 +43,17 @@ CURVES = {
     "friction_force": (lambda v: models.friction_force(v, REF.friction), (_floats(-5, 5),)),
     "smooth_positive_throttle": (lambda tau: models.smooth_positive_throttle(tau, REF.motor.g),
                                  (_floats(-1, 1),)),
+    "drive_force": (lambda gate, v: models.drive_force(gate, v, MOTOR),
+                    (_floats(0, 1.5), _floats(-5, 5))),
     "motor_force": (lambda tau, v: models.motor_force(tau, v, REF.motor),
                     (_floats(-1, 1), _floats(-5, 5))),
+    "net_force": (lambda gate, v: models.net_force(gate, v, MOTOR, FRICTION),
+                  (_floats(0, 1.5), _floats(-5, 5))),
     "steering_angle": (lambda s: models.steering_angle(s, REF.steering), (_floats(-1, 1),)),
-    "pacejka_lateral": (lambda a: models.pacejka_lateral(a, REF.tire), (_floats(-3, 3),)),
+    "steering_terms": (models.steering_terms, (_floats(-1.5, 1.5),)),
+    "kinematic_yaw_rate": (lambda v, tan_d: models.kinematic_yaw_rate(v, tan_d, REF.geometry),
+                           (_floats(-4, 4), _floats(-20, 20))),
+    "pacejka_lateral": (lambda a: models.pacejka_lateral(a, TIRE), (_floats(-3, 3),)),
     "rear_lateral": (lambda a: models.rear_lateral(a, REF.tire.C_r), (_floats(-3, 3),)),
 }
 
@@ -68,21 +77,28 @@ def test_slip_angles_on_floats_equal_array_element(normalized, rows):
 _POSE = (_floats(-20, 20), _floats(-20, 20), _floats(-30, 30))
 
 
+def _kinematic_rhs(x, y, eta, v, delta, force):
+    tan_d, _, _ = models.steering_terms(delta)
+    return models.kinematic_rhs((x, y, eta, v), tan_d, force, REF.geometry)
+
+
+def _dynamic_rhs(x, y, eta, v_x, v_y, omega, delta, force, normalized):
+    _, cos_d, sin_d = models.steering_terms(delta)
+    return models.dynamic_rhs((x, y, eta, v_x, v_y, omega), delta, cos_d, sin_d, force, TIRE,
+                              REF.geometry, normalized=normalized)
+
+
 @given(rows=_rows(*_POSE, _floats(-4, 4), _floats(-1.5, 1.5), _floats(-5, 5)))
 def test_kinematic_rhs_on_floats_equals_array_element(rows):
-    _assert_rowwise_equal(
-        lambda x, y, eta, v, delta, force: models.kinematic_rhs((x, y, eta, v), delta, force,
-                                                                REF.geometry),
-        rows)
+    _assert_rowwise_equal(_kinematic_rhs, rows)
 
 
 @pytest.mark.parametrize("normalized", [False, True])
 @given(rows=_rows(*_POSE, _floats(0.1, 4), _floats(-2, 2), _floats(-6, 6), _floats(-0.6, 0.6),
                   _floats(-5, 5)))
 def test_dynamic_rhs_and_its_rk4_step_on_floats_equal_array_element(normalized, rows):
-    def rhs(x, y, eta, v_x, v_y, omega, delta, force):
-        return models.dynamic_rhs((x, y, eta, v_x, v_y, omega), delta, force, REF,
-                                  normalized=normalized)
+    def rhs(*row):
+        return _dynamic_rhs(*row, normalized)
 
     def step(*row):
         *state, delta, force = row
@@ -90,3 +106,37 @@ def test_dynamic_rhs_and_its_rk4_step_on_floats_equal_array_element(normalized, 
 
     _assert_rowwise_equal(rhs, rows)
     _assert_rowwise_equal(step, rows)
+
+
+def _step_with_precomputed_inputs(kind, state, tau, s, normalized=False):
+    """One RK4 step composed as the simulator composes it: throttle gate,
+    road-wheel angle and its terms once, the net force in every stage."""
+    gate = models.smooth_positive_throttle(tau, REF.motor.g)
+    delta = models.steering_angle(s, REF.steering)
+    tan_d, cos_d, sin_d = models.steering_terms(delta)
+
+    def kinematic(y):
+        return models.kinematic_rhs(y, tan_d, models.net_force(gate, y[3], MOTOR, FRICTION),
+                                    REF.geometry)
+
+    def dynamic(y):
+        return models.dynamic_rhs(y, delta, cos_d, sin_d,
+                                  models.net_force(gate, y[3], MOTOR, FRICTION), TIRE,
+                                  REF.geometry, normalized=normalized)
+
+    if kind == "fallback":
+        return tuple(rolling_fallback_step(kinematic, state, delta, tan_d, REF.geometry, 0.01))
+    return tuple(rk4_step(kinematic if kind == "kinematic" else dynamic, state, 0.01))
+
+
+@pytest.mark.parametrize("kind, normalized", [("kinematic", False), ("dynamic", False),
+                                              ("dynamic", True), ("fallback", True)])
+@given(data=st.data())
+def test_rk4_step_on_precomputed_inputs_on_floats_equals_array_element(kind, normalized, data):
+    speed = _floats(0.01, 0.3) if kind == "fallback" else _floats(0.1, 4)
+    state = (*_POSE, _floats(-4, 4)) if kind == "kinematic" else (
+        *_POSE, speed, _floats(-2, 2), _floats(-6, 6))
+    rows = data.draw(_rows(*state, _floats(-1, 1), _floats(-1, 1)))
+    _assert_rowwise_equal(
+        lambda *row: _step_with_precomputed_inputs(kind, list(row[:-2]), *row[-2:],
+                                                   normalized=normalized), rows)

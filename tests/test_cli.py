@@ -115,6 +115,28 @@ def test_validate_on_own_trajectory(tmp_path, params_file, capsys):
     assert all(v < 1e-6 for v in doc["rms"].values())
 
 
+@pytest.mark.parametrize("v_x0", [0.2, 0.0])
+def test_validate_normalized_slip_on_own_slow_dynamic_export(tmp_path, params_file, v_x0):
+    """A normalized dynamic turn that stays under the blend speed, from
+    a slow start and from rest, validates to round-off against its own
+    export: validate falls back to rigid rolling row by row as the
+    simulator does step by step."""
+    scenario = write_scenario(
+        tmp_path, model="dynamic", duration=4.0,
+        throttle={"type": "piecewise", "times": [0.0], "values": [0.2]},
+        steering={"type": "piecewise", "times": [0.0], "values": [0.3]},
+        initial_state=[0.0, 0.0, 0.0, v_x0, 0.0, 0.0])
+    out = tmp_path / "sim"
+    assert main(["simulate", "--params", str(params_file), "--scenario", str(scenario),
+                 "--out", str(out), "--normalized-slip"]) == 0
+    report = tmp_path / "report.json"
+    assert main(["validate", "--params", str(params_file), "--log", str(out / "trajectory.csv"),
+                 "--model", "dynamic", "--normalized-slip", "--out", str(report)]) == 0
+    rms = json.loads(report.read_text())["rms"]
+    assert set(rms) == {"x", "y", "eta", "v_x", "v_y", "omega"}
+    assert all(v <= 1e-9 for v in rms.values()), rms
+
+
 def test_fit_on_empty_directory_fails(tmp_path, params_file):
     empty = tmp_path / "empty"
     empty.mkdir()

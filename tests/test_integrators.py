@@ -58,7 +58,7 @@ def test_kinematic_circle_closure(ref):
     dt = period / n
     state = np.array([0.0, 0.0, 0.0, v])
     for _ in range(n):
-        state = rk4_step(lambda s: models.kinematic_rhs(s, delta, 0.0, geom), state, dt)
+        state = rk4_step(lambda s: models.kinematic_rhs(s, math.tan(delta), 0.0, geom), state, dt)
     assert math.hypot(state[0], state[1]) < 1e-6 * radius
     assert state[2] == pytest.approx(2 * math.pi, rel=1e-9)
 
@@ -78,6 +78,21 @@ def test_non_finite_derivative_in_one_row_raises():
 
     with pytest.raises(IntegrationError, match="t=0.5"):
         rk4_step(bad, [np.array([-1.0, 1.0, -2.0])], 0.01, t=0.5)
+
+
+def test_infinite_derivative_on_floats_raises():
+    def bad(state):
+        return [math.inf, -state[1]]
+
+    with pytest.raises(IntegrationError, match="t=1.250000"):
+        rk4_step(bad, [1.0, 2.0], 0.01, t=1.25)
+
+
+@pytest.mark.parametrize("state", [[math.nan, 1.0], [1.0, -math.inf],
+                                   [np.array([1.0, 2.0]), np.array([0.0, math.nan])]])
+def test_non_finite_input_state_raises(state):
+    with pytest.raises(IntegrationError, match="t=3"):
+        rk4_step(decay, state, 0.01, t=3.0)
 
 
 def test_non_positive_dt_rejected():

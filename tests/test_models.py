@@ -93,8 +93,7 @@ def test_kinematic_rhs_straight_roll(ref):
 
 def test_kinematic_rhs_unit_yaw_rate(ref):
     # tan(delta) = l makes the yaw rate equal the speed
-    delta = math.atan(ref.geometry.l)
-    d = models.kinematic_rhs(np.array([0.0, 0.0, 0.0, 1.0]), delta, 0.0, ref.geometry)
+    d = models.kinematic_rhs(np.array([0.0, 0.0, 0.0, 1.0]), ref.geometry.l, 0.0, ref.geometry)
     assert d[2] == pytest.approx(1.0, rel=1e-12)
 
 
@@ -104,9 +103,30 @@ def test_kinematic_rhs_axis_aligned(ref):
     np.testing.assert_allclose(d, [0.0, 2.0, 0.0, 1.0], atol=1e-12)
 
 
-def test_kinematic_rhs_rejects_steering_singularity(ref):
-    with pytest.raises(ConfigError):
-        models.kinematic_rhs(np.array([0.0, 0.0, 0.0, 1.0]), math.pi / 2, 0.0, ref.geometry)
+def test_kinematic_rhs_rejects_steering_singularity():
+    """The kinematic model's angle check, on floats and on rows; the
+    simulator and validation run it on every kinematic step."""
+    for delta in (math.pi / 2, -math.pi / 2, np.array([0.1, 1.6, -0.2])):
+        with pytest.raises(ConfigError, match="pi/2"):
+            models.check_kinematic_steering(delta)
+    models.check_kinematic_steering(float(np.nextafter(math.pi / 2, 0.0)))
+    models.check_kinematic_steering(np.array([-1.5, 0.0, 1.5]))
+
+
+def test_steering_terms(ref):
+    delta = np.array([-0.4, 0.0, 0.3])
+    tan_d, cos_d, sin_d = models.steering_terms(delta)
+    np.testing.assert_array_equal(tan_d, np.tan(delta))
+    np.testing.assert_array_equal(cos_d, np.cos(delta))
+    np.testing.assert_array_equal(sin_d, np.sin(delta))
+
+
+def test_net_force_is_motor_plus_friction_at_the_throttle_gate(ref):
+    tau, v = np.array([-0.5, 0.05, 0.3, 1.0]), np.array([0.0, 0.4, -1.0, 2.0])
+    gate = models.smooth_positive_throttle(tau, ref.motor.g)
+    np.testing.assert_array_equal(
+        models.net_force(gate, v, ref.motor, ref.friction),
+        models.motor_force(tau, v, ref.motor) + models.friction_force(v, ref.friction))
 
 
 def test_slip_angles_zero(ref):
@@ -164,14 +184,23 @@ def test_rear_lateral(ref):
     assert models.rear_lateral(0.4, 0.39) == pytest.approx(2 * models.rear_lateral(0.2, 0.39))
 
 
+def _dynamic_rhs(state, delta, f_x_total, params, normalized=False):
+    """``models.dynamic_rhs`` with its steering terms and tire tuple
+    evaluated here."""
+    _, cos_d, sin_d = models.steering_terms(delta)
+    return models.dynamic_rhs(state, delta, cos_d, sin_d, f_x_total,
+                              models.tire_coefficients(params), params.geometry,
+                              normalized=normalized)
+
+
 def test_dynamic_rhs_equilibrium_at_rest(ref):
-    d = models.dynamic_rhs(np.zeros(6), 0.0, 0.0, ref)
+    d = _dynamic_rhs(np.zeros(6), 0.0, 0.0, ref)
     np.testing.assert_allclose(d, np.zeros(6), atol=1e-15)
 
 
 def test_dynamic_rhs_straight_roll(ref):
     state = np.array([0.0, 0.0, 0.0, 1.0, 0.0, 0.0])
-    d = models.dynamic_rhs(state, 0.0, 0.0, ref)
+    d = _dynamic_rhs(state, 0.0, 0.0, ref)
     np.testing.assert_allclose(d[:2], [1.0, 0.0], atol=1e-15)
     assert d[4] == 0.0 and d[5] == 0.0
 
@@ -179,8 +208,8 @@ def test_dynamic_rhs_straight_roll(ref):
 def test_dynamic_rhs_requires_tire(ref):
     from dataclasses import replace
 
-    with pytest.raises(ConfigError):
-        models.dynamic_rhs(np.zeros(6), 0.0, 0.0, replace(ref, tire=None))
+    with pytest.raises(ConfigError, match="tire"):
+        _dynamic_rhs(np.zeros(6), 0.0, 0.0, replace(ref, tire=None))
 
 
 def test_dynamic_rhs_steady_cornering_fixed_point(ref):
@@ -206,7 +235,7 @@ def test_dynamic_rhs_steady_cornering_fixed_point(ref):
     def lateral_rhs(z):
         v_y, omega = z
         state = np.array([0.0, 0.0, 0.0, v_x, v_y, omega])
-        d = models.dynamic_rhs(state, delta, holding_force(v_y, omega), ref, normalized=True)
+        d = _dynamic_rhs(state, delta, holding_force(v_y, omega), ref, normalized=True)
         assert abs(d[3]) < 1e-9  # the holding force does its job
         return np.array([d[4], d[5]])
 

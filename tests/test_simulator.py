@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from scipy.optimize import brentq
@@ -103,6 +105,27 @@ def test_dynamic_blend_below_threshold_matches_kinematic(ref):
     np.testing.assert_allclose(dyn.states[:, :4], kin.states, atol=1e-12)
 
 
+def test_only_kinematic_steps_reject_a_steering_angle_at_pi_over_2(ref):
+    """|delta| >= pi/2 stops a kinematic scenario and a normalized
+    dynamic one in its rolling fallback, but not the dynamic model."""
+    wide = replace(ref, steering=replace(ref.steering, a_t=6.0, d_t=6.0))
+    steer = PiecewiseSchedule(times=(0.0, 0.3), values=(0.0, 1.0))
+    with pytest.raises(ConfigError, match="pi/2"):
+        simulate(_scenario(constant(0.3), steer, duration=1.0), wide)
+    dynamic = _scenario(constant(0.0), steer, duration=1.0, model="dynamic",
+                        init=(0, 0, 0, 0.1, 0, 0))
+    assert len(simulate(dynamic, wide)) == dynamic.times.size
+    with pytest.raises(ConfigError, match="pi/2"):
+        simulate(dynamic, wide, normalized=True)
+
+
+def test_dynamic_scenario_requires_tire_parameters(ref):
+    dynamic = _scenario(constant(0.3), constant(0.0), duration=0.5, model="dynamic",
+                        init=(0, 0, 0, 0.5, 0, 0))
+    with pytest.raises(ConfigError, match="tire"):
+        simulate(dynamic, replace(ref, tire=None))
+
+
 # --- simulate against a step-at-a-time reference -------------------------------
 
 TRAJECTORY_FIELDS = ("t", "states", "commanded_tau", "commanded_s", "applied_tau", "applied_s")
@@ -139,7 +162,7 @@ def _step_at_a_time(scenario, params, normalized=False):
                 v, params.friction)
 
         def kin_rhs(y, delta=delta):
-            return models.kinematic_rhs(y, delta, net_force(y[3]), geom)
+            return models.kinematic_rhs(y, np.tan(delta), net_force(y[3]), geom)
 
         y = states[k]
         if scenario.model == "kinematic":
@@ -150,7 +173,8 @@ def _step_at_a_time(scenario, params, normalized=False):
             states[k + 1] = [*kin, omega * geom.l_r, omega]
         else:
             states[k + 1] = rk4_step(
-                lambda y: models.dynamic_rhs(y, delta, net_force(y[3]), params,
+                lambda y: models.dynamic_rhs(y, delta, np.cos(delta), np.sin(delta),
+                                             net_force(y[3]), tuple(params.tire), geom,
                                              normalized=normalized), y, dt)
     return states
 
@@ -194,8 +218,8 @@ def test_normalized_blend_is_per_row(ref):
     v_x = traj.states[:, 3]
     slow = np.flatnonzero(v_x[:-1] < simulator.BLEND_SPEED)
     assert 0 < slow[0] and slow.size < v_x.size - 1  # crosses the blend speed
-    omega = models.kinematic_yaw_rate(
-        v_x[slow + 1], models.steering_angle(traj.applied_s[slow], ref.steering), ref.geometry)
+    delta = models.steering_angle(traj.applied_s[slow], ref.steering)
+    omega = models.kinematic_yaw_rate(v_x[slow + 1], np.tan(delta), ref.geometry)
     np.testing.assert_array_equal(traj.states[slow + 1, 5], omega)
     np.testing.assert_array_equal(traj.states[slow + 1, 4], omega * ref.geometry.l_r)
     fast = np.setdiff1d(np.arange(slow[0]), slow)

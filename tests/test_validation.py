@@ -118,3 +118,19 @@ def test_one_step_rms_rejects_non_uniform_grid(ref):
     table = {"t": t, "tau": np.zeros(4), "s": np.zeros(4), "v_enc": np.ones(4)}
     with pytest.raises(DataError, match="uniform sample rate.*row 3"):
         one_step_rms(table, ref, "kinematic")
+
+
+def test_normalized_validation_follows_the_blend_row_by_row(ref, tmp_path):
+    """A normalized coast through the blend speed: rows above it take
+    the dynamic model, rows below it the rolling fallback, and the
+    export validates to round-off either way."""
+    coast = Scenario(name="coast", duration=3.0, dt=0.01, model="dynamic",
+                     throttle=constant(0.0), steering=constant(0.3),
+                     initial_state=(0, 0, 0, 0.6, 0, 0))
+    traj = simulate(coast, ref, normalized=True)
+    v_x = traj.states[:-1, 3]
+    assert np.any(v_x < 0.3) and np.any(v_x >= 0.3)
+    path = tmp_path / "coast.csv"
+    save_trajectory(traj, ref, path)
+    rms = one_step_rms(read_table(path), ref, "dynamic", normalized=True)
+    assert all(v <= 1e-9 for v in rms.values()), rms
