@@ -61,7 +61,7 @@ from .params import (
     reference_params,
     save_params,
 )
-from .pipeline import PipelineConfig, PipelineResult, fit_pipeline
+from .pipeline import PipelineResult, fit_pipeline
 from .preprocess import differentiate, smooth
 from .scenarios import Scenario, load_scenario, save_scenario, scenario_library
 from .simulator import NoiseSpec, Trajectory, simulate, synthesize_log

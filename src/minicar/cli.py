@@ -14,17 +14,16 @@ import json
 import logging
 import sys
 import time
-from dataclasses import fields
 from importlib import metadata
 from pathlib import Path
 
 import numpy as np
 
-from . import datasets, models, pipeline, scenarios, simulator, svgplot, validation
+from . import datasets, delay, models, pipeline, scenarios, simulator, svgplot, validation
 from .errors import ConfigError, MinicarError
 from .logs import load_log, save_log
-from .params import Geometry, load_params, save_params
-from .simulator import NoiseSpec
+from .params import Geometry, load_params, read_json_object, save_params
+from .simulator import NOISE_CHANNELS, NoiseSpec
 
 logger = logging.getLogger(__name__)
 
@@ -46,26 +45,22 @@ def _sha256(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
-def _read_json(path: Path) -> dict:
-    try:
-        doc = json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"invalid JSON in {path}: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise ConfigError(f"{path} must hold a JSON object")
-    return doc
-
-
 def _defaults() -> dict:
-    """Every scalar PipelineConfig default plus the fixed thresholds the
-    dataset builders and the simulator apply."""
-    doc = {f.name: f.default for f in fields(pipeline.PipelineConfig)
-           if isinstance(f.default, (bool, int, float))}
-    for name in ("STEADY_WINDOW_S", "STEADY_REL_TOL", "STEADY_OMEGA_FLOOR",
-                 "TRANSITION_GUARD_S"):
-        doc[name.lower()] = getattr(datasets, name)
-    doc["divergence_limit"] = simulator.DIVERGENCE_LIMIT
-    return doc
+    """The fixed thresholds the fit, validate and simulate paths apply,
+    and the default slip-angle convention."""
+    return {
+        "v_min": datasets.V_MIN,
+        "smooth_window": datasets.SMOOTH_WINDOW,
+        "force_window": datasets.FORCE_WINDOW,
+        "normalized_slip": False,
+        "long_delay": pipeline.DEFAULT_LONG_DELAY,
+        "delay_max_lag": delay.MAX_LAG_S,
+        "steady_window_s": datasets.STEADY_WINDOW_S,
+        "steady_rel_tol": datasets.STEADY_REL_TOL,
+        "steady_omega_floor": datasets.STEADY_OMEGA_FLOOR,
+        "transition_guard_s": datasets.TRANSITION_GUARD_S,
+        "divergence_limit": simulator.DIVERGENCE_LIMIT,
+    }
 
 
 def _write_manifest(out_dir: Path, args: argparse.Namespace, inputs: list[Path],
@@ -102,11 +97,20 @@ def _collect_logs(logs_dir: Path) -> tuple[dict[str, list], list[Path]]:
     files: list[Path] = []
     manifest_path = logs_dir / "manifest.json"
     if manifest_path.is_file():
-        doc = _read_json(manifest_path)
-        for entry in doc.get("logs", []):
-            tag, rel = entry.get("tag"), entry.get("file")
+        entries = read_json_object(manifest_path, "log manifest").get("logs", [])
+        if not isinstance(entries, list):
+            raise ConfigError(f"{manifest_path}: 'logs' must be a list")
+        for i, entry in enumerate(entries):
+            if not (isinstance(entry, dict) and isinstance(entry.get("tag"), str)
+                    and isinstance(entry.get("file"), str)):
+                raise ConfigError(
+                    f"{manifest_path}: logs[{i}] must be an object with string 'tag' and 'file'"
+                )
+            tag, rel = entry["tag"], entry["file"]
             if tag not in tagged:
-                raise MinicarError(f"manifest lists unknown experiment tag {tag!r}")
+                raise ConfigError(
+                    f"{manifest_path}: logs[{i}] has unknown experiment tag {tag!r}"
+                )
             path = logs_dir / rel
             tagged[tag].append(load_log(path))
             files.append(path)
@@ -197,12 +201,10 @@ def cmd_fit(args) -> int:
         logger.error("no tagged logs found under %s", logs_dir)
         return 2
 
-    config = pipeline.PipelineConfig(
-        geometry=_geometry_from_args(args), normalized_slip=args.normalized_slip
-    )
     stages = tuple(args.stages.split(",")) if args.stages else pipeline.STAGES
     try:
-        result = pipeline.fit_pipeline(tagged, config, stages=stages)
+        result = pipeline.fit_pipeline(tagged, _geometry_from_args(args),
+                                       normalized_slip=args.normalized_slip, stages=stages)
     except MinicarError as exc:
         logger.error("fit failed: %s", exc)
         return 2
@@ -294,17 +296,18 @@ def cmd_generate(args) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     params = load_params(args.params)
-    noise_doc = _read_json(Path(args.noise))
+    levels = read_json_object(args.noise, "noise")
+    for key in levels:
+        if key not in NOISE_CHANNELS:
+            raise ConfigError(f"unknown noise level {key!r} in {args.noise}")
     library = [(tag, scenario) for tag, battery in
                scenarios.scenario_library(dt=args.dt).items() for scenario in battery]
 
-    try:
-        levels = {name: float(noise_doc.get(name, 0.0))
-                  for name in ("v_enc", "omega_imu", "mocap_xy", "mocap_eta")}
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"noise levels in {args.noise} must be numbers: {exc}") from exc
     seeds = np.random.SeedSequence(args.seed).spawn(len(library))
-    specs = [NoiseSpec(seed=int(seed.generate_state(1)[0]), **levels) for seed in seeds]
+    try:
+        specs = [NoiseSpec(seed=int(seed.generate_state(1)[0]), **levels) for seed in seeds]
+    except ConfigError as exc:
+        raise ConfigError(f"{args.noise}: {exc}") from exc
 
     entries, runs = [], []
     for (tag, scenario), spec in zip(library, specs):
@@ -393,10 +396,7 @@ def main(argv=None) -> int:
     )
     try:
         return args.func(args)
-    except MinicarError as exc:
-        logger.error("%s", exc)
-        return 2
-    except FileNotFoundError as exc:
+    except (MinicarError, OSError) as exc:
         logger.error("%s", exc)
         return 2
 

@@ -33,8 +33,8 @@ logger = logging.getLogger(__name__)
 # rejected by every operation that divides by or inverts velocity.
 V_MIN = 0.05
 
-# Default moving-average width applied to encoder speed and pose tracks
-# before differentiation.
+# Moving-average width applied to encoder speed, yaw rate and pose
+# tracks before differentiation.
 SMOOTH_WINDOW = 5
 
 # Force labels differentiate noisy encoder speed, and the friction
@@ -51,6 +51,12 @@ STEADY_REL_TOL = 0.05
 # Absolute yaw-rate scale: a purely relative threshold would reject
 # every near-zero-yaw segment as soon as the IMU has any noise.
 STEADY_OMEGA_FLOOR = 0.3
+# Fewest rows a steering segment needs, in total and steady above V_MIN.
+MIN_SEGMENT_ROWS = 10
+
+# Pose rows whose force-balance matrix has a smaller determinant are
+# dropped from the tire dataset rather than solved.
+SINGULAR_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -92,29 +98,23 @@ def _column(values: np.ndarray) -> np.ndarray:
 TRANSITION_GUARD_S = 0.05
 
 
-def _stencil_guard(window: int, dt: float) -> int:
+def _stencil_guard(dt: float) -> int:
     # half smoothing window + central-difference reach + delay slack
-    return window // 2 + 1 + int(np.ceil(TRANSITION_GUARD_S / dt))
+    return FORCE_WINDOW // 2 + 1 + int(np.ceil(TRANSITION_GUARD_S / dt))
 
 
-def _force_rows(log: RawLog, m: float, window: int):
+def _force_rows(log: RawLog, m: float):
     """Smoothed speed and total-force labels m * dv/dt for one log."""
-    v = local_poly_value(log.v_enc, window)
-    force = m * local_poly_derivative(log.v_enc, log.dt, window)
+    v = local_poly_value(log.v_enc, FORCE_WINDOW)
+    force = m * local_poly_derivative(log.v_enc, log.dt, FORCE_WINDOW)
     interior = np.ones(len(log), dtype=bool)
-    trim = window // 2 + 1
+    trim = FORCE_WINDOW // 2 + 1
     interior[:trim] = False
     interior[len(log) - trim :] = False
     return v, force, interior
 
 
-def build_friction_dataset(
-    logs: Sequence[RawLog],
-    m: float,
-    *,
-    v_min: float = V_MIN,
-    smooth_window: int = FORCE_WINDOW,
-) -> Dataset:
+def build_friction_dataset(logs: Sequence[RawLog], m: float) -> Dataset:
     """Coasting rows only: X = speed, Y = total force (pure friction).
 
     A row qualifies when the commanded throttle is zero across the whole
@@ -125,10 +125,10 @@ def build_friction_dataset(
     for log in logs:
         if len(log) < 3:
             continue
-        guard = _stencil_guard(smooth_window, log.dt)
-        v, force, interior = _force_rows(log, m, smooth_window)
+        guard = _stencil_guard(log.dt)
+        v, force, interior = _force_rows(log, m)
         coasting = erode_mask(log.tau == 0.0, guard)
-        keep = coasting & interior & (v > v_min)
+        keep = coasting & interior & (v > V_MIN)
         if np.any(keep):
             xs.append(v[keep])
             ys.append(force[keep])
@@ -142,21 +142,14 @@ def build_friction_dataset(
     )
 
 
-def build_motor_dataset(
-    logs: Sequence[RawLog],
-    m: float,
-    friction,
-    *,
-    v_min: float = V_MIN,
-    smooth_window: int = FORCE_WINDOW,
-) -> Dataset:
+def build_motor_dataset(logs: Sequence[RawLog], m: float, friction) -> Dataset:
     """Powered rows: X = (throttle, speed), Y = total force minus friction."""
     xs, ys = [], []
     for log in logs:
         if len(log) < 3:
             continue
-        guard = _stencil_guard(smooth_window, log.dt)
-        v, force, interior = _force_rows(log, m, smooth_window)
+        guard = _stencil_guard(log.dt)
+        v, force, interior = _force_rows(log, m)
         powered = erode_mask(log.tau > 0.0, guard)
         keep = powered & interior
         if np.any(keep):
@@ -172,19 +165,19 @@ def build_motor_dataset(
     )
 
 
-def estimate_steering_angle_series(omega, v, l: float, *, v_min: float = V_MIN) -> np.ndarray:
+def estimate_steering_angle_series(omega, v, l: float) -> np.ndarray:
     """Steering angle arctan(l * omega / v) from yaw rate and speed.
 
-    Rows with v <= v_min are flagged as NaN rather than silently
+    Rows with v <= V_MIN are flagged as NaN rather than silently
     dropped, so callers keep their index alignment.
     """
     omega = np.asarray(omega, dtype=float)
     v = np.asarray(v, dtype=float)
     if omega.shape != v.shape:
         raise DataError("omega and v must have equal length")
-    ok = v > v_min
+    ok = v > V_MIN
     if not np.any(ok):
-        raise DataError(f"all rows have v <= v_min ({v_min} m/s)")
+        raise DataError(f"all rows have v <= v_min ({V_MIN} m/s)")
     out = np.full(omega.shape, np.nan)
     out[ok] = np.arctan(l * omega[ok] / v[ok])
     return out
@@ -200,22 +193,12 @@ def _constant_runs(values: np.ndarray):
             start = i
 
 
-def build_steering_dataset(
-    logs: Sequence[RawLog],
-    l: float,
-    *,
-    v_min: float = V_MIN,
-    smooth_window: int = SMOOTH_WINDOW,
-    steady_window_s: float = STEADY_WINDOW_S,
-    steady_rel_tol: float = STEADY_REL_TOL,
-    omega_floor: float = STEADY_OMEGA_FLOOR,
-    min_rows: int = 10,
-) -> Dataset:
+def build_steering_dataset(logs: Sequence[RawLog], l: float) -> Dataset:
     """One averaged (s, delta) pair per steady constant-steering segment.
 
     A segment qualifies when the commanded steering is constant and the
     rolling standard deviation of the yaw rate stays below
-    ``steady_rel_tol`` of max(|rolling mean|, ``omega_floor``), which
+    STEADY_REL_TOL of max(|rolling mean|, STEADY_OMEGA_FLOOR), which
     rejects spin-up transients while tolerating sensor noise around
     zero yaw.
     """
@@ -225,19 +208,19 @@ def build_steering_dataset(
         if len(log) < 3:
             continue
         dt = log.dt
-        stat_window = max(3, int(round(steady_window_s / dt)) | 1)
-        v = smooth(log.v_enc, smooth_window)
-        omega = smooth(log.omega_imu, smooth_window)
+        stat_window = max(3, int(round(STEADY_WINDOW_S / dt)) | 1)
+        v = smooth(log.v_enc, SMOOTH_WINDOW)
+        omega = smooth(log.omega_imu, SMOOTH_WINDOW)
         for start, stop in _constant_runs(log.s):
-            if stop - start < max(min_rows, stat_window):
+            if stop - start < max(MIN_SEGMENT_ROWS, stat_window):
                 skipped += 1
                 continue
             seg_omega = omega[start:stop]
             seg_v = v[start:stop]
             mean, std = rolling_stats(seg_omega, stat_window)
-            steady = std < steady_rel_tol * np.maximum(np.abs(mean), omega_floor)
-            usable = steady & (seg_v > v_min)
-            if np.count_nonzero(usable) < min_rows:
+            steady = std < STEADY_REL_TOL * np.maximum(np.abs(mean), STEADY_OMEGA_FLOOR)
+            usable = steady & (seg_v > V_MIN)
+            if np.count_nonzero(usable) < MIN_SEGMENT_ROWS:
                 skipped += 1
                 logger.warning(
                     "steering segment s=%+.2f in %s excluded (no steady rows above v_min)",
@@ -245,9 +228,7 @@ def build_steering_dataset(
                     log.name or "<log>",
                 )
                 continue
-            delta = estimate_steering_angle_series(
-                seg_omega[usable], seg_v[usable], l, v_min=v_min
-            )
+            delta = estimate_steering_angle_series(seg_omega[usable], seg_v[usable], l)
             xs.append(log.s[start])
             ys.append(np.nanmean(delta))
     if not xs:
@@ -266,10 +247,7 @@ def build_tire_dataset(
     logs: Sequence[RawLog],
     params: VehicleParams,
     *,
-    v_min: float = V_MIN,
-    smooth_window: int = SMOOTH_WINDOW,
     normalized: bool = False,
-    singular_tol: float = 1e-9,
 ) -> tuple[Dataset, Dataset]:
     """Slip-angle/lateral-force pairs for the front and rear tires.
 
@@ -286,19 +264,19 @@ def build_tire_dataset(
     for log in logs:
         if log.mocap is None:
             raise DataError(f"tire dataset needs motion-capture columns ({log.name or '<log>'})")
-        if len(log) < 3 + 2 * smooth_window:
+        if len(log) < 3 + 2 * SMOOTH_WINDOW:
             continue
         t = log.t
-        x = smooth(log.mocap.x_t, smooth_window)
-        y = smooth(log.mocap.y_t, smooth_window)
-        eta = smooth(log.mocap.eta_t, smooth_window)
+        x = smooth(log.mocap.x_t, SMOOTH_WINDOW)
+        y = smooth(log.mocap.y_t, SMOOTH_WINDOW)
+        eta = smooth(log.mocap.eta_t, SMOOTH_WINDOW)
 
         vx_abs = differentiate(x, t)
         vy_abs = differentiate(y, t)
         omega = differentiate(eta, t)
-        ax_abs = differentiate(smooth(vx_abs, smooth_window), t)
-        ay_abs = differentiate(smooth(vy_abs, smooth_window), t)
-        domega = differentiate(smooth(omega, smooth_window), t)
+        ax_abs = differentiate(smooth(vx_abs, SMOOTH_WINDOW), t)
+        ay_abs = differentiate(smooth(vy_abs, SMOOTH_WINDOW), t)
+        domega = differentiate(smooth(omega, SMOOTH_WINDOW), t)
 
         v_x, v_y = models.body_frame_velocity(vx_abs, vy_abs, eta)
 
@@ -321,7 +299,7 @@ def build_tire_dataset(
         rhs = np.column_stack([geom.m * ax_abs, geom.m * ay_abs, geom.I_z * domega])
 
         dets = np.linalg.det(m_rows)
-        solvable = np.abs(dets) > singular_tol
+        solvable = np.abs(dets) > SINGULAR_TOL
         if not np.all(solvable):
             logger.warning(
                 "tire dataset: %d near-singular rows dropped in %s",
@@ -336,9 +314,9 @@ def build_tire_dataset(
         f_xf = f_x / 2.0
         f_yf_tire = np.sin(-delta) * f_xf + np.cos(-delta) * f_yf_veh
 
-        moving = v_x > v_min
+        moving = v_x > V_MIN
         interior = np.ones(n, dtype=bool)
-        trim = 2 * (smooth_window // 2 + 1)
+        trim = 2 * (SMOOTH_WINDOW // 2 + 1)
         interior[:trim] = False
         interior[n - trim :] = False
         keep = moving & interior & solvable & np.isfinite(f_yf_tire)

@@ -30,12 +30,12 @@ def delay_shift(series, delay: float, dt: float) -> np.ndarray:
     return out
 
 
-def estimate_delay_xcorr(command, measured, dt: float, *, max_lag: float = MAX_LAG_S) -> float:
+def estimate_delay_xcorr(command, measured, dt: float) -> float:
     """Delay (in seconds) of ``measured`` behind ``command``.
 
     Returns the non-negative lag that maximizes the normalized cross
     correlation between the demeaned series. Restricting the search to
-    lags in [0, max_lag] avoids picking an aliased peak one period away
+    lags in [0, MAX_LAG_S] avoids picking an aliased peak one period away
     when the excitation is periodic.
     """
     command = np.asarray(command, dtype=float)
@@ -55,7 +55,7 @@ def estimate_delay_xcorr(command, measured, dt: float, *, max_lag: float = MAX_L
     if c_norm == 0.0 or m_norm == 0.0:
         raise DataError("correlation undefined for a zero-variance series")
 
-    max_shift = min(n - 2, int(round(max_lag / dt)))
+    max_shift = min(n - 2, int(round(MAX_LAG_S / dt)))
     scores = np.empty(max_shift + 1)
     for k in range(max_shift + 1):
         scores[k] = np.dot(c[: n - k], m[k:]) / (c_norm * m_norm)

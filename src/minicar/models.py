@@ -63,6 +63,10 @@ STEER_BLEND_SHARPNESS = 30.0
 # Rows of the scratch array a value-and-Jacobian function may use.
 JACOBIAN_WORK_ROWS = 6
 
+# Normalized slip angles divide by v_x, so they refuse any v_x at or
+# below this speed [m/s].
+SLIP_V_EPS = 1e-6
+
 KINEMATIC_STATE_NAMES = ("x", "y", "eta", "v")
 DYNAMIC_STATE_NAMES = ("x", "y", "eta", "v_x", "v_y", "omega")
 
@@ -234,8 +238,7 @@ def kinematic_rhs(state, tan_delta, f_total, geom: Geometry) -> tuple:
             f_total / geom.m)
 
 
-def slip_angles(v_x, v_y, omega, delta, geom: Geometry, *, normalized: bool = False,
-                v_eps: float = 1e-6):
+def slip_angles(v_x, v_y, omega, delta, geom: Geometry, *, normalized: bool = False):
     """Front and rear tire slip angles [rad].
 
     The default form feeds the raw lateral velocities ``v_y + omega*l_f``
@@ -247,7 +250,7 @@ def slip_angles(v_x, v_y, omega, delta, geom: Geometry, *, normalized: bool = Fa
     front_arg = v_y + omega * geom.l_f
     rear_arg = v_y - omega * geom.l_r
     if normalized:
-        if _anywhere(v_x <= v_eps):
+        if _anywhere(v_x <= SLIP_V_EPS):
             raise DataError("normalized slip angles need v_x > 0")
         front_arg = front_arg / v_x
         rear_arg = rear_arg / v_x

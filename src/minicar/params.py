@@ -178,6 +178,9 @@ def params_from_dict(doc: dict) -> VehicleParams:
     for anything missing, mistyped, out of range or non-finite."""
     if not isinstance(doc, dict):
         raise ConfigError(f"parameters must be a JSON object, got {type(doc).__name__}")
+    for key in doc:
+        if key != "schema_version" and key not in _GROUPS:
+            raise ConfigError(f"unknown parameter document key {key!r}")
     version = doc.get("schema_version")
     if version != PARAMS_SCHEMA_VERSION:
         raise ConfigError(f"unsupported parameter schema_version: {version!r}")
@@ -204,12 +207,22 @@ def save_params(params: VehicleParams, path: str | Path) -> None:
     Path(path).write_text(json.dumps(params_to_dict(params), indent=2) + "\n")
 
 
-def load_params(path: str | Path) -> VehicleParams:
+def read_json_object(path: str | Path, what: str) -> dict:
+    """The JSON object stored in ``path``, a ``what`` document (say,
+    "parameter"); ConfigError naming both when the file is not UTF-8,
+    not JSON (or nested too deeply to parse) or not an object."""
     try:
-        doc = json.loads(Path(path).read_text())
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"invalid parameter JSON in {path}: {exc}") from exc
-    return params_from_dict(doc)
+        doc = json.loads(Path(path).read_text(encoding="utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
+        raise ConfigError(f"invalid {what} JSON in {path}: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise ConfigError(f"{what} file {path} must hold a JSON object, "
+                          f"got {type(doc).__name__}")
+    return doc
+
+
+def load_params(path: str | Path) -> VehicleParams:
+    return params_from_dict(read_json_object(path, "parameter"))
 
 
 def reference_params() -> VehicleParams:

@@ -25,7 +25,7 @@ import numpy as np
 
 from . import datasets as ds
 from . import fitting, models
-from .delay import MAX_LAG_S, estimate_delay_xcorr
+from .delay import estimate_delay_xcorr
 from .errors import DataError, MinicarError
 from .logs import RawLog
 from .params import Delays, Geometry, TireParams, VehicleParams
@@ -39,22 +39,6 @@ EXPERIMENT_TAGS = ("coast", "step", "steer", "sine", "mocap")
 # Longitudinal actuation delay is not identifiable from driving logs
 # alone (it was measured on a bench); carried as a small default.
 DEFAULT_LONG_DELAY = 0.01
-
-
-@dataclass
-class PipelineConfig:
-    geometry: Geometry
-    v_min: float = ds.V_MIN
-    smooth_window: int = ds.SMOOTH_WINDOW
-    force_window: int = ds.FORCE_WINDOW
-    normalized_slip: bool = False
-    long_delay: float = DEFAULT_LONG_DELAY
-    delay_max_lag: float = MAX_LAG_S
-    friction_fit: fitting.FitConfig | None = None
-    motor_fit: fitting.FitConfig | None = None
-    steering_fit: fitting.FitConfig | None = None
-    front_tire_fit: fitting.FitConfig | None = None
-    rear_tire_fit: fitting.FitConfig | None = None
 
 
 @dataclass
@@ -83,13 +67,11 @@ class PipelineResult:
         raise KeyError(name)
 
 
-def measure_steer_delay(log: RawLog, steering, l: float, *, v_min: float = ds.V_MIN,
-                        smooth_window: int = ds.SMOOTH_WINDOW,
-                        max_lag: float = MAX_LAG_S) -> float:
+def measure_steer_delay(log: RawLog, steering, l: float) -> float:
     """Cross-correlate commanded vs kinematically observed steering angle."""
-    v = smooth(log.v_enc, smooth_window)
-    omega = smooth(log.omega_imu, smooth_window)
-    moving = v > v_min
+    v = smooth(log.v_enc, ds.SMOOTH_WINDOW)
+    omega = smooth(log.omega_imu, ds.SMOOTH_WINDOW)
+    moving = v > ds.V_MIN
     # longest contiguous stretch of valid speed keeps the series uniform
     best_start, best_len, start = 0, 0, None
     for i, ok in enumerate(moving):
@@ -105,15 +87,20 @@ def measure_steer_delay(log: RawLog, steering, l: float, *, v_min: float = ds.V_
     run = slice(best_start, best_start + best_len)
     commanded = models.steering_angle(log.s[run], steering)
     measured = np.arctan(l * omega[run] / v[run])
-    return estimate_delay_xcorr(commanded, measured, log.dt, max_lag=max_lag)
+    return estimate_delay_xcorr(commanded, measured, log.dt)
 
 
 def fit_pipeline(
     logs: Mapping[str, Sequence[RawLog]],
-    config: PipelineConfig,
+    geometry: Geometry,
+    *,
+    normalized_slip: bool = False,
     stages: Sequence[str] = STAGES,
 ) -> PipelineResult:
     """Run the staged fits on a tagged log collection.
+
+    ``normalized_slip`` selects the slip-angle convention of the tire
+    labels (see ``models.slip_angles``).
 
     Stages without data are reported as skipped; stages whose
     prerequisites did not fit fail explicitly. ``result.params`` is
@@ -126,7 +113,6 @@ def fit_pipeline(
         raise DataError("no logs supplied")
 
     result = PipelineResult(params=None)
-    geom = config.geometry
     friction = motor = steering = None
     tire = None
     steer_delay = None
@@ -154,42 +140,28 @@ def fit_pipeline(
             return None
 
     def friction_stage(data_logs):
-        data = ds.build_friction_dataset(
-            data_logs, geom.m, v_min=config.v_min,
-            smooth_window=config.force_window,
-        )
-        params, fit = fitting.fit_friction(data, config.friction_fit)
+        data = ds.build_friction_dataset(data_logs, geometry.m)
+        params, fit = fitting.fit_friction(data)
         result.datasets["friction"] = data
         result.stages.append(StageReport("friction", "fitted", f"{len(data)} rows", fit))
         return params
 
     def motor_stage(data_logs):
-        data = ds.build_motor_dataset(
-            data_logs, geom.m, friction, v_min=config.v_min,
-            smooth_window=config.force_window,
-        )
-        params, fit = fitting.fit_motor(data, config.motor_fit)
+        data = ds.build_motor_dataset(data_logs, geometry.m, friction)
+        params, fit = fitting.fit_motor(data)
         result.datasets["motor"] = data
         result.stages.append(StageReport("motor", "fitted", f"{len(data)} rows", fit))
         return params
 
     def steering_stage(data_logs):
-        data = ds.build_steering_dataset(
-            data_logs, geom.l, v_min=config.v_min, smooth_window=config.smooth_window
-        )
-        params, fit = fitting.fit_steering(data, config.steering_fit)
+        data = ds.build_steering_dataset(data_logs, geometry.l)
+        params, fit = fitting.fit_steering(data)
         result.datasets["steering"] = data
         result.stages.append(StageReport("steering", "fitted", f"{len(data)} segments", fit))
         return params
 
     def delay_stage(data_logs):
-        estimates = [
-            measure_steer_delay(
-                log, steering, geom.l, v_min=config.v_min,
-                smooth_window=config.smooth_window, max_lag=config.delay_max_lag,
-            )
-            for log in data_logs
-        ]
+        estimates = [measure_steer_delay(log, steering, geometry.l) for log in data_logs]
         value = float(np.median(estimates))
         result.stages.append(
             StageReport("delay", "fitted", f"{value:.3f} s from {len(estimates)} log(s)")
@@ -198,15 +170,12 @@ def fit_pipeline(
 
     def tire_stage(data_logs):
         interim = VehicleParams(
-            friction=friction, motor=motor, steering=steering, geometry=geom,
-            delays=Delays(steer_delay=steer_delay or 0.0, long_delay=config.long_delay),
+            friction=friction, motor=motor, steering=steering, geometry=geometry,
+            delays=Delays(steer_delay=steer_delay or 0.0, long_delay=DEFAULT_LONG_DELAY),
         )
-        front, rear = ds.build_tire_dataset(
-            data_logs, interim, v_min=config.v_min,
-            smooth_window=config.smooth_window, normalized=config.normalized_slip,
-        )
-        front_coeffs, front_fit = fitting.fit_front_tire(front, config.front_tire_fit)
-        c_r, rear_fit = fitting.fit_rear_tire(rear, config.rear_tire_fit)
+        front, rear = ds.build_tire_dataset(data_logs, interim, normalized=normalized_slip)
+        front_coeffs, front_fit = fitting.fit_front_tire(front)
+        c_r, rear_fit = fitting.fit_rear_tire(rear)
         result.datasets["tire_front"] = front
         result.datasets["tire_rear"] = rear
         result.stages.append(
@@ -241,8 +210,8 @@ def fit_pipeline(
             friction=friction,
             motor=motor,
             steering=steering,
-            geometry=geom,
-            delays=Delays(steer_delay=steer_delay or 0.0, long_delay=config.long_delay),
+            geometry=geometry,
+            delays=Delays(steer_delay=steer_delay or 0.0, long_delay=DEFAULT_LONG_DELAY),
             tire=tire,
         )
     return result

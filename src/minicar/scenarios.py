@@ -30,12 +30,13 @@ from __future__ import annotations
 import json
 import math
 import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
 
 from .errors import ConfigError
+from .params import read_json_object
 
 MAX_DT = 0.05
 
@@ -184,6 +185,8 @@ class Scenario:
             raise ConfigError(f"scenario dt must lie in (0, {MAX_DT}] s")
         if self.model not in ("kinematic", "dynamic"):
             raise ConfigError(f"unknown model kind {self.model!r}")
+        if not isinstance(self.mocap, bool):
+            raise ConfigError(f"scenario mocap must be true or false, got {self.mocap!r}")
         n_states = 4 if self.model == "kinematic" else 6
         state = _reals(self.initial_state, "scenario initial_state") or (0.0,) * n_states
         if len(state) != n_states:
@@ -233,9 +236,13 @@ def _schedule_field(doc: dict, key: str):
 
 def scenario_from_json(doc: dict) -> Scenario:
     """A Scenario from its JSON object; ConfigError naming the field for
-    anything missing, mistyped or non-finite."""
+    anything missing, unknown, mistyped or non-finite."""
     if not isinstance(doc, dict):
         raise ConfigError(f"a scenario must be a JSON object, got {type(doc).__name__}")
+    known = {f.name for f in fields(Scenario)}
+    for key in doc:
+        if key not in known:
+            raise ConfigError(f"unknown scenario field {key!r}")
     for key in ("name", "duration", "dt", "model", "throttle", "steering"):
         if key not in doc:
             raise ConfigError(f"scenario is missing field {key!r}")
@@ -247,16 +254,12 @@ def scenario_from_json(doc: dict) -> Scenario:
         throttle=_schedule_field(doc, "throttle"),
         steering=_schedule_field(doc, "steering"),
         initial_state=doc.get("initial_state", ()),
-        mocap=bool(doc.get("mocap", False)),
+        mocap=doc.get("mocap", False),
     )
 
 
 def load_scenario(path: str | Path) -> Scenario:
-    try:
-        doc = json.loads(Path(path).read_text())
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"invalid scenario JSON in {path}: {exc}") from exc
-    return scenario_from_json(doc)
+    return scenario_from_json(read_json_object(path, "scenario"))
 
 
 def save_scenario(scenario: Scenario, path: str | Path) -> None:

@@ -35,7 +35,7 @@ from .errors import ConfigError, IntegrationError, SimulationDiverged
 from .integrators import rk4_step
 from .logs import MocapBlock, RawLog, format_table
 from .params import Geometry, VehicleParams
-from .scenarios import Scenario
+from .scenarios import Scenario, _real
 
 # Any state component beyond this magnitude aborts the run: parameter
 # sets that unstable are diagnosed faster by failing than by NaNs.
@@ -47,6 +47,10 @@ BLEND_SPEED = 0.3
 
 # Steps whose inputs are turned into Python floats at once.
 INPUT_BLOCK_ROWS = 256
+
+# The noise levels a NoiseSpec holds, which are also the keys of a
+# noise file.
+NOISE_CHANNELS = ("v_enc", "omega_imu", "mocap_xy", "mocap_eta")
 
 
 @dataclass(frozen=True)
@@ -60,9 +64,11 @@ class NoiseSpec:
     mocap_eta: float = 0.0
 
     def __post_init__(self):
-        for name in ("v_enc", "omega_imu", "mocap_xy", "mocap_eta"):
-            if getattr(self, name) < 0:
+        for name in NOISE_CHANNELS:
+            std = _real(getattr(self, name), f"noise std {name}")
+            if std < 0:
                 raise ConfigError(f"noise std {name} must be >= 0")
+            object.__setattr__(self, name, std)
 
 
 @dataclass(frozen=True)

@@ -15,6 +15,7 @@ import logging
 import numpy as np
 
 from . import models
+from .datasets import SMOOTH_WINDOW
 from .delay import delay_shift
 from .errors import ConfigError, DataError
 from .integrators import rk4_step
@@ -71,7 +72,7 @@ def _kinematic_states(table: dict) -> tuple[list, list[str]]:
     return [zeros, zeros, zeros, v], ["v"]
 
 
-def _dynamic_states(table: dict, smooth_window: int) -> tuple[list, list[str]]:
+def _dynamic_states(table: dict) -> tuple[list, list[str]]:
     x = _first_present(table, "x", "x_t")
     y = _first_present(table, "y", "y_t")
     eta = _first_present(table, "eta", "eta_t")
@@ -85,8 +86,8 @@ def _dynamic_states(table: dict, smooth_window: int) -> tuple[list, list[str]]:
     if v_y is None:
         logger.warning("no v_y column; reconstructing it from pose by differentiation")
         t = table["t"]
-        vx_abs = differentiate(smooth(x, smooth_window), t)
-        vy_abs = differentiate(smooth(y, smooth_window), t)
+        vx_abs = differentiate(smooth(x, SMOOTH_WINDOW), t)
+        vy_abs = differentiate(smooth(y, SMOOTH_WINDOW), t)
         _, v_y = models.body_frame_velocity(vx_abs, vy_abs, eta)
     return [x, y, eta, v_x, v_y, omega], ["x", "y", "eta", "v_x", "v_y", "omega"]
 
@@ -124,7 +125,6 @@ def one_step_rms(
     model: str,
     *,
     normalized: bool = False,
-    smooth_window: int = 5,
 ) -> dict[str, float]:
     """Per-channel RMS of one-step-ahead predictions along a log.
 
@@ -141,7 +141,7 @@ def one_step_rms(
     if model == "kinematic":
         states, channels = _kinematic_states(table)
     else:
-        states, channels = _dynamic_states(table, smooth_window)
+        states, channels = _dynamic_states(table)
 
     current = [column[:-1] for column in states]
     delta = models.steering_angle(s_app[:-1], params.steering)

@@ -84,6 +84,8 @@ def test_simulate_rejects_malformed_params_with_status_2(tmp_path, caplog, param
     ({"initial_state": 3}, "initial_state"),
     ({"throttle": [1]}, "throttle"),
     ({"steering": {"type": "piecewise", "times": ["a"], "values": [0.0]}}, "times"),
+    ({"mocap": "false"}, "mocap"),
+    ({"intial_state": [0.0, 0.0, 0.0, 0.5]}, "intial_state"),
 ])
 def test_simulate_rejects_malformed_scenario_fields_with_status_2(tmp_path, params_file, caplog,
                                                                    overrides, field):
@@ -92,6 +94,23 @@ def test_simulate_rejects_malformed_scenario_fields_with_status_2(tmp_path, para
                  "--out", str(tmp_path / "x")])
     assert code == 2
     assert field in caplog.text
+
+
+@pytest.mark.parametrize("option", ["--params", "--scenario"])
+def test_simulate_rejects_non_utf8_documents_with_status_2(tmp_path, params_file, caplog,
+                                                           option):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(b"\xff\xfe{}")
+    files = {"--params": params_file, "--scenario": write_scenario(tmp_path), option: bad}
+    code = main(["simulate", "--params", str(files["--params"]),
+                 "--scenario", str(files["--scenario"]), "--out", str(tmp_path / "x")])
+    assert code == 2
+    assert str(bad) in caplog.text
+
+
+def test_validate_on_a_directory_exits_2(tmp_path, params_file):
+    assert main(["validate", "--params", str(params_file), "--log", str(tmp_path),
+                 "--model", "kinematic"]) == 2
 
 
 def test_validate_errors_on_missing_params(tmp_path):
@@ -218,7 +237,8 @@ def test_fit_without_mocap_succeeds_with_tire_absent(tmp_path):
     assert status["friction"] == status["motor"] == status["steering"] == "fitted"
 
 
-@pytest.mark.parametrize("text", ["{bad", "[0.02]", '{"v_enc": "loud"}'])
+@pytest.mark.parametrize("text", ["{bad", "[0.02]", '{"v_enc": "loud"}', '{"v_enc": NaN}',
+                                  '{"v_enc": true}', '{"v_encoder": 0.02}'])
 def test_generate_rejects_malformed_noise_json(tmp_path, params_file, caplog, text):
     noise = tmp_path / "bad.json"
     noise.write_text(text)
@@ -237,36 +257,51 @@ def test_fit_rejects_malformed_manifest(tmp_path, caplog):
     assert "manifest.json" in caplog.text
 
 
+@pytest.mark.parametrize("doc, entry", [
+    ({"logs": 5}, "'logs'"),
+    ({"logs": [3]}, "logs[0]"),
+    ({"logs": [{"tag": "coast"}]}, "logs[0]"),
+    ({"logs": [{"tag": ["coast"], "file": "a.csv"}]}, "logs[0]"),
+    ({"logs": [{"tag": "drift", "file": "a.csv"}]}, "logs[0]"),
+])
+def test_fit_rejects_malformed_manifest_entries(tmp_path, caplog, doc, entry):
+    logs_dir = tmp_path / "logs"
+    logs_dir.mkdir()
+    (logs_dir / "manifest.json").write_text(json.dumps(doc))
+    code = main(["fit", "--logs", str(logs_dir), "--out", str(tmp_path / "p.json")])
+    assert code == 2
+    assert entry in caplog.text
+
+
 def test_run_manifest_records_both_smoothing_windows(tmp_path, params_file):
-    from minicar.pipeline import PipelineConfig
+    from minicar import datasets
 
     scenario = write_scenario(tmp_path, duration=0.5)
     out = tmp_path / "sim"
     assert main(["simulate", "--params", str(params_file), "--scenario", str(scenario),
                  "--out", str(out)]) == 0
     defaults = json.loads((out / "run_manifest.json").read_text())["defaults"]
-    config = PipelineConfig(geometry=reference_params().geometry)
-    assert defaults["smooth_window"] == config.smooth_window == 5
-    assert defaults["force_window"] == config.force_window == 21
+    assert defaults["smooth_window"] == datasets.SMOOTH_WINDOW == 5
+    assert defaults["force_window"] == datasets.FORCE_WINDOW == 21
 
 
 def test_run_manifest_records_every_scalar_default(tmp_path, params_file):
-    from dataclasses import MISSING, fields
-
-    from minicar import datasets
-    from minicar.pipeline import PipelineConfig
+    from minicar import datasets, delay, pipeline, simulator
 
     scenario = write_scenario(tmp_path, duration=0.5)
     out = tmp_path / "sim"
     assert main(["simulate", "--params", str(params_file), "--scenario", str(scenario),
                  "--out", str(out)]) == 0
     defaults = json.loads((out / "run_manifest.json").read_text())["defaults"]
-    scalars = {f.name: f.default for f in fields(PipelineConfig)
-               if f.default is not MISSING and f.default is not None}
-    assert set(scalars) == {"v_min", "smooth_window", "force_window", "normalized_slip",
-                            "long_delay", "delay_max_lag"}
-    for name, value in scalars.items():
-        assert defaults[name] == value
+    assert list(defaults) == ["v_min", "smooth_window", "force_window", "normalized_slip",
+                              "long_delay", "delay_max_lag", "steady_window_s",
+                              "steady_rel_tol", "steady_omega_floor", "transition_guard_s",
+                              "divergence_limit"]
+    assert defaults["v_min"] == datasets.V_MIN
+    assert defaults["normalized_slip"] is False
+    assert defaults["long_delay"] == pipeline.DEFAULT_LONG_DELAY
+    assert defaults["delay_max_lag"] == delay.MAX_LAG_S
+    assert defaults["divergence_limit"] == simulator.DIVERGENCE_LIMIT
     assert defaults["steady_window_s"] == datasets.STEADY_WINDOW_S
     assert defaults["steady_rel_tol"] == datasets.STEADY_REL_TOL
     assert defaults["steady_omega_floor"] == datasets.STEADY_OMEGA_FLOOR

@@ -102,14 +102,15 @@ def test_motor_dataset_excludes_coasting(ref):
 
 def test_motor_zero_noise_label_residual(ref):
     """Sub-micronewton labels need the differentiation truncation error
-    out of the way: sample fast and skip smoothing."""
+    out of the way: sample fast, so that the cubic local fit over
+    FORCE_WINDOW samples is exact to round-off."""
     scen = Scenario(
         name="step_fast", duration=2.5, dt=1e-4, model="kinematic",
         throttle=PiecewiseSchedule(times=(0.0, 0.5), values=(0.0, 0.3)),
         steering=constant(0.0),
     )
     log = synthesize_log(scen, ref, NoiseSpec(seed=0))
-    data = build_motor_dataset([log], ref.geometry.m, ref.friction, smooth_window=5)
+    data = build_motor_dataset([log], ref.geometry.m, ref.friction)
     predicted = models.motor_force(data.X[:, 0], data.X[:, 1], ref.motor)
     rms = np.sqrt(np.mean((data.Y[:, 0] - predicted) ** 2))
     assert rms < 1e-6
@@ -233,7 +234,7 @@ def test_tire_dataset_matrix_solve_matches_closed_form_at_zero_heading(ref):
     # the tire-frame projection is the identity
     s0 = -ref.steering.c_t
     log = make_log(t, np.zeros(n), np.full(n, s0), np.ones(n), np.zeros(n), mocap=mocap)
-    front, rear = build_tire_dataset([log], ref, smooth_window=5)
+    front, rear = build_tire_dataset([log], ref)
     # omega and domega vanish; closed form per row:
     expected_front = (geom.l_r * geom.m * a_y) / geom.l
     expected_rear = (geom.l_f * geom.m * a_y) / geom.l

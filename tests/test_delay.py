@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from minicar.delay import delay_shift, estimate_delay_xcorr
+from minicar.delay import MAX_LAG_S, delay_shift, estimate_delay_xcorr
 from minicar.errors import ConfigError, DataError
 
 
@@ -89,5 +89,5 @@ def test_lag_search_respects_max_lag(rng):
     dt = 0.01
     x = rng.normal(size=400)
     shifted = np.concatenate([np.zeros(80), x[:-80]])  # 0.8 s shift
-    est = estimate_delay_xcorr(x, shifted, dt, max_lag=0.5)
-    assert est <= 0.5 + 1e-12
+    est = estimate_delay_xcorr(x, shifted, dt)
+    assert est <= MAX_LAG_S + 1e-12

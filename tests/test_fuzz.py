@@ -1,17 +1,26 @@
-"""Malformed input fails at the boundary: parameter files, scenario files
-and logs raise ConfigError or ParseError, never another exception."""
+"""Malformed input fails at the boundary: parameter files, scenario files,
+noise levels and logs raise ConfigError or ParseError, never another
+exception."""
 
 import io
 import math
+import re
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from minicar.errors import ConfigError, ParseError
 from minicar.logs import RawLog, load_log
-from minicar.params import VehicleParams, params_from_dict, params_to_dict, reference_params
-from minicar.scenarios import Scenario, scenario_from_json
+from minicar.params import (
+    VehicleParams,
+    load_params,
+    params_from_dict,
+    params_to_dict,
+    reference_params,
+)
+from minicar.scenarios import Scenario, load_scenario, scenario_from_json
+from minicar.simulator import NoiseSpec
 
 VALID_PARAMS = params_to_dict(reference_params())
 
@@ -23,6 +32,7 @@ VALID_SCENARIO = {
     "throttle": {"type": "step", "t": 0.5, "before": 0.0, "after": 0.3},
     "steering": {"type": "sine", "amplitude": 0.4, "frequency": 0.5},
     "initial_state": [0, 0, 0, 0.5, 0, 0],
+    "mocap": True,
 }
 
 json_values = st.recursive(
@@ -86,6 +96,40 @@ def test_scenario_with_one_bad_field_raises_only_config_error(path, value):
         return
     assert isinstance(scenario, Scenario)
     assert math.isfinite(scenario.duration) and all(map(math.isfinite, scenario.initial_state))
+    assert isinstance(scenario.mocap, bool)
+
+
+@pytest.mark.parametrize("valid, parse", [(VALID_PARAMS, params_from_dict),
+                                          (VALID_SCENARIO, scenario_from_json)])
+@given(key=st.text(max_size=12), value=json_values)
+def test_unknown_top_level_key_is_named(valid, parse, key, value):
+    assume(key not in valid)
+    with pytest.raises(ConfigError, match=re.escape(repr(key))):
+        parse({**valid, key: value})
+
+
+@pytest.mark.parametrize("load", [load_params, load_scenario])
+@given(data=st.binary(max_size=32))
+@example(data=b"\xff\xfe{}")
+@example(data=b"[" * 100_000)
+def test_json_documents_from_arbitrary_bytes_raise_only_config_error(tmp_path_factory, load,
+                                                                     data):
+    path = tmp_path_factory.getbasetemp() / "document.json"
+    path.write_bytes(data)
+    try:
+        load(path)
+    except ConfigError:
+        pass
+
+
+@given(level=json_values)
+@example(level=math.nan)
+def test_noise_levels_are_finite_non_negative_numbers(level):
+    try:
+        spec = NoiseSpec(seed=0, v_enc=level)
+    except ConfigError:
+        return
+    assert isinstance(spec.v_enc, float) and math.isfinite(spec.v_enc) and spec.v_enc >= 0
 
 
 @given(text=st.text(max_size=200))

@@ -3,7 +3,7 @@ import pytest
 
 from minicar import models
 from minicar.errors import DataError
-from minicar.pipeline import PipelineConfig, fit_pipeline, measure_steer_delay
+from minicar.pipeline import fit_pipeline, measure_steer_delay
 from minicar.scenarios import (
     PiecewiseSchedule,
     Scenario,
@@ -55,7 +55,7 @@ def small_suite(ref):
 
 @pytest.fixture(scope="module")
 def full_result(ref, small_suite):
-    return fit_pipeline(small_suite, PipelineConfig(geometry=ref.geometry))
+    return fit_pipeline(small_suite, ref.geometry)
 
 
 def test_pipeline_fits_all_stages(full_result):
@@ -90,7 +90,7 @@ def test_pipeline_recovers_parameters_coarsely(ref, full_result):
 
 def test_pipeline_without_mocap_skips_tire(ref, small_suite):
     logs = {k: v for k, v in small_suite.items() if k != "mocap"}
-    result = fit_pipeline(logs, PipelineConfig(geometry=ref.geometry))
+    result = fit_pipeline(logs, ref.geometry)
     assert result.stage("tire").status == "skipped"
     assert result.params is not None
     assert result.params.tire is None
@@ -98,14 +98,12 @@ def test_pipeline_without_mocap_skips_tire(ref, small_suite):
 
 def test_pipeline_empty_input_raises(ref):
     with pytest.raises(DataError, match="no logs"):
-        fit_pipeline({}, PipelineConfig(geometry=ref.geometry))
+        fit_pipeline({}, ref.geometry)
 
 
 def test_pipeline_motor_fails_without_friction(ref, small_suite):
     logs = {"step": small_suite["step"]}
-    result = fit_pipeline(
-        logs, PipelineConfig(geometry=ref.geometry), stages=("motor",)
-    )
+    result = fit_pipeline(logs, ref.geometry, stages=("motor",))
     motor = result.stage("motor")
     assert motor.status == "failed"
     assert "friction" in motor.detail
@@ -113,20 +111,18 @@ def test_pipeline_motor_fails_without_friction(ref, small_suite):
 
 def test_pipeline_delay_fails_without_steering(ref, small_suite):
     logs = {"sine": small_suite["sine"]}
-    result = fit_pipeline(logs, PipelineConfig(geometry=ref.geometry))
+    result = fit_pipeline(logs, ref.geometry)
     assert result.stage("delay").status == "failed"
     assert result.stage("steering").status == "skipped"
 
 
 def test_pipeline_rejects_unknown_stage(ref, small_suite):
     with pytest.raises(DataError, match="unknown stages"):
-        fit_pipeline(small_suite, PipelineConfig(geometry=ref.geometry), stages=("downforce",))
+        fit_pipeline(small_suite, ref.geometry, stages=("downforce",))
 
 
 def test_pipeline_subset_runs_only_requested(ref, small_suite):
-    result = fit_pipeline(
-        small_suite, PipelineConfig(geometry=ref.geometry), stages=("friction",)
-    )
+    result = fit_pipeline(small_suite, ref.geometry, stages=("friction",))
     assert result.stage("friction").status == "fitted"
     assert result.stage("motor").detail == "not requested"
     assert result.params is None  # cannot assemble a full set
