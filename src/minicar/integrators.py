@@ -1,12 +1,29 @@
-"""Fixed-step ODE integration."""
+"""Fixed-step ODE integration.
+
+``rk4_step`` advances a whole state by one classical Runge-Kutta step.
+A component whose derivative depends on nothing but itself and an input
+held over each step can instead be integrated on its own
+(``rk4_scalar_stages``), and a component whose stage derivatives are
+then known for every step needs no step loop at all: ``rk4_stage_points``
+gives its value at each stage and ``rk4_accumulate`` its series. All
+three combine the stages exactly as ``rk4_step`` does, with the same
+weights and the same order of operations, so the states they give are
+bit for bit those of repeated ``rk4_step`` calls.
+"""
 
 from __future__ import annotations
 
+from array import array
 from math import isfinite
 
 import numpy as np
 
 from .errors import IntegrationError
+
+
+def non_finite_state(t: float) -> IntegrationError:
+    """The error for a step started at ``t`` that ends in a non-finite state."""
+    return IntegrationError(f"non-finite derivative or state at t={t:.6f} s")
 
 
 def _all_finite(state) -> bool:
@@ -43,5 +60,59 @@ def rk4_step(rhs, state, dt: float, t: float = 0.0) -> list:
     out = [y + sixth * (a + 2.0 * b + 2.0 * c + d)
            for y, a, b, c, d in zip(state, k1, k2, k3, k4)]
     if not _all_finite(out):
-        raise IntegrationError(f"non-finite derivative or state at t={t:.6f} s")
+        raise non_finite_state(t)
     return out
+
+
+def rk4_scalar_stages(rate, y: float, inputs, dt: float, limit: float) -> tuple[array, float]:
+    """RK4 steps of a scalar ODE ``dy/dt = rate(u, y)`` on Python floats,
+    one step per input ``u`` of ``inputs``, each held over its step.
+
+    Returns the four stage values ``y`` took in each step (the values
+    ``rate`` was called at), flat in an ``array("d")`` that holds no
+    float objects, and the value after the last step. Stops after the
+    first step whose result lies outside [-limit, limit], as a
+    non-finite one does for a finite ``limit``; the caller tells the
+    two apart.
+    """
+    half, sixth = 0.5 * dt, dt / 6.0
+    stages = array("d")
+    for u in inputs:
+        a = rate(u, y)
+        y2 = y + half * a
+        b = rate(u, y2)
+        y3 = y + half * b
+        c = rate(u, y3)
+        y4 = y + dt * c
+        d = rate(u, y4)
+        stages.extend((y, y2, y3, y4))
+        y = y + sixth * (a + 2.0 * b + 2.0 * c + d)
+        if not -limit <= y <= limit:
+            break
+    return stages, y
+
+
+def rk4_stage_points(series: np.ndarray, k: np.ndarray, dt: float) -> np.ndarray:
+    """The four stage values of one state component in each of n steps.
+
+    ``series`` holds the component at the n + 1 step boundaries and
+    ``k`` its (4, n) stage derivatives; row j of the result is the
+    value the component takes in stage j + 1.
+    """
+    y, half = series[:-1], 0.5 * dt
+    return np.stack((y, y + half * k[0], y + half * k[1], y + dt * k[2]))
+
+
+def rk4_accumulate(y0: float, k: np.ndarray, dt: float) -> np.ndarray:
+    """The n + 1 values of one state component from ``y0`` over n steps
+    whose (4, n) stage derivatives ``k`` are known.
+
+    ``np.add.accumulate`` adds the step increments strictly in
+    sequence, so each value is what the float recurrence
+    ``y = y + dt/6 * (k1 + 2 k2 + 2 k3 + k4)`` gives.
+    """
+    out = np.empty(k.shape[1] + 1)
+    out[0] = y0
+    a, b, c, d = k
+    np.multiply(dt / 6.0, a + 2.0 * b + 2.0 * c + d, out=out[1:])
+    return np.add.accumulate(out, out=out)

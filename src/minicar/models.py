@@ -21,18 +21,23 @@ rows only, and every expression keeps the evaluation order of the
 plain curve, so the value equals the curve's bit for bit.
 
 Every other function here is pure and takes either Python floats or
-numpy arrays, so one definition serves the simulator, which steps one
-scenario on floats, and the dataset, fitting and validation code,
-which works on columns of rows. Python float arithmetic is far cheaper
-than numpy's on single values. The transcendental functions still come
-from numpy's ufuncs, not from ``math``, whose results differ in the
-last bit, so a float input gives exactly what the array call gives at
-that element.
+numpy arrays, so one definition serves the dataset, fitting and
+validation code, which works on columns of rows, and the simulator,
+which uses both. It steps a dynamic state, or a kinematic speed, one
+step at a time on floats, because Python float arithmetic is far
+cheaper than numpy's on single values, and it evaluates the rest of a
+kinematic state (yaw rate and velocity along the heading) on
+whole-series arrays. The transcendental functions still come from
+numpy's ufuncs, not from ``math``, whose results differ in the last
+bit, so a float input gives exactly what the array call gives at that
+element, and either way of integrating yields the same states.
 
 A state is a sequence of components, each a float or an array of
 rows, and a right-hand side returns the tuple of their derivatives:
 
-* kinematic: ``(x, y, eta, v)`` with (x, y) at the rear axle
+* kinematic: ``(x, y, eta, v)`` with (x, y) at the rear axle; its
+  right-hand side is ``heading_velocity``, ``kinematic_yaw_rate`` and
+  ``kinematic_acceleration``, which the simulator also calls alone
 * dynamic:   ``(x, y, eta, v_x, v_y, omega)`` with (x, y) at the CoM
   and (v_x, v_y) in the body frame
 
@@ -226,6 +231,16 @@ def kinematic_yaw_rate(v, tan_delta, geom: Geometry):
     return v * tan_delta / geom.l
 
 
+def kinematic_acceleration(f_total, geom: Geometry):
+    """Rate of change of the kinematic speed under the net force ``f_total``."""
+    return f_total / geom.m
+
+
+def heading_velocity(v, eta) -> tuple:
+    """World-frame velocity ``(dx/dt, dy/dt)`` at speed ``v`` along heading ``eta``."""
+    return v * _cos(eta), v * _sin(eta)
+
+
 def kinematic_rhs(state, tan_delta, f_total, geom: Geometry) -> tuple:
     """Time derivative of the kinematic state ``(x, y, eta, v)``.
 
@@ -234,8 +249,8 @@ def kinematic_rhs(state, tan_delta, f_total, geom: Geometry) -> tuple:
     by the caller.
     """
     _, _, eta, v = state
-    return (v * _cos(eta), v * _sin(eta), kinematic_yaw_rate(v, tan_delta, geom),
-            f_total / geom.m)
+    return (*heading_velocity(v, eta), kinematic_yaw_rate(v, tan_delta, geom),
+            kinematic_acceleration(f_total, geom))
 
 
 def slip_angles(v_x, v_y, omega, delta, geom: Geometry, *, normalized: bool = False):

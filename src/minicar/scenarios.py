@@ -30,7 +30,7 @@ from __future__ import annotations
 import json
 import math
 import numbers
-from dataclasses import dataclass, fields
+from dataclasses import MISSING, dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -142,25 +142,26 @@ def constant(value: float) -> PiecewiseSchedule:
     return PiecewiseSchedule(times=(0.0,), values=(value,))
 
 
+SCHEDULE_TYPES = {"step": StepSchedule, "piecewise": PiecewiseSchedule, "sine": SineSchedule}
+
+
 def schedule_from_json(doc: dict):
+    """A schedule from its JSON object; ConfigError naming an unknown
+    type, an unknown field or a missing one."""
     if not isinstance(doc, dict):
         raise ConfigError(f"a schedule must be a JSON object, got {doc!r}")
     kind = doc.get("type")
-    try:
-        if kind == "step":
-            return StepSchedule(t=doc["t"], before=doc["before"], after=doc["after"])
-        if kind == "piecewise":
-            return PiecewiseSchedule(times=doc["times"], values=doc["values"])
-        if kind == "sine":
-            return SineSchedule(
-                amplitude=doc["amplitude"],
-                frequency=doc["frequency"],
-                phase=doc.get("phase", 0.0),
-                offset=doc.get("offset", 0.0),
-            )
-    except KeyError as exc:
-        raise ConfigError(f"schedule {kind!r} is missing field {exc}") from exc
-    raise ConfigError(f"unknown schedule type {kind!r}")
+    schedule = SCHEDULE_TYPES.get(kind) if isinstance(kind, str) else None
+    if schedule is None:
+        raise ConfigError(f"unknown schedule type {kind!r}")
+    names = {f.name: f.default is MISSING for f in fields(schedule)}  # name -> required
+    for key in doc:
+        if key != "type" and key not in names:
+            raise ConfigError(f"unknown {kind} schedule field {key!r}")
+    for name, required in names.items():
+        if required and name not in doc:
+            raise ConfigError(f"schedule {kind!r} is missing field {name!r}")
+    return schedule(**{key: value for key, value in doc.items() if key != "type"})
 
 
 @dataclass(frozen=True)

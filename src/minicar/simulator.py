@@ -4,22 +4,37 @@ Scenario inputs are open loop, so every command is sampled before
 integration starts. Actuation delay is then a shift of the sampled
 command series (``delay.delay_shift``), and the delayed steering
 command is mapped to a road-wheel angle once per series. Everything
-else that stays fixed over a step is evaluated once per series too, as
-arrays: the throttle gate and the tan, cos and sin of the road-wheel
-angle. Each scenario then advances one RK4 step at a time on Python
-floats, with the inputs of each step frozen (zero-order hold), through
-the same model functions that the dataset and validation code call on
-arrays. The net longitudinal force is re-evaluated from the gate and
-the friction curve inside every RK4 stage, since it depends on the
-evolving speed. Both the commanded and the applied input series are
-recorded.
+else that stays fixed over a step (zero-order hold) is evaluated once
+per series too, as arrays: the throttle gate and the tan, cos and sin
+of the road-wheel angle. Both the commanded and the applied input
+series are recorded. Every stage goes through the model functions that
+the dataset and validation code call on arrays, and is combined as
+``rk4_step`` combines it, so every state is bit for bit what stepping
+the full state one ``rk4_step`` at a time on floats gives.
 
-The dynamic model can run with either slip-angle convention. The
-default raw-velocity form is regular at standstill and needs no special
-casing; the normalized form is singular as v_x -> 0, so in every step
-that starts below BLEND_SPEED the simulator falls back to kinematic
-propagation and pins (v_y, omega) to their rigid-rolling values
-(``rolling_fallback_step``, which one-step validation shares).
+A kinematic scenario is integrated in two passes. Its speed evolves on
+its own (dv/dt = net force / m), and its heading rate v*tan(delta)/l
+does not depend on the heading. Pass 1 steps only the speed, on Python
+floats, with the net force (gate and friction) at each stage's speed,
+and records the stage speeds. Pass 2 works on whole-series arrays: the
+yaw rate of every stage, the heading as the running sum of each step's
+RK4 increment, then the velocity v*(cos, sin) along each stage's
+heading and the position as its running sum. ``np.add.accumulate``
+adds strictly in sequence, so each sum is the float recurrence's own.
+Pose and speed are checked together after pass 2: the earliest
+offending state decides, and within one state a non-finite component
+(IntegrationError) beats one beyond DIVERGENCE_LIMIT
+(SimulationDiverged). Pass 1 stops at the first speed beyond the limit
+or non-finite, since no later state can count.
+
+A dynamic scenario couples all of its states, so it advances one
+``rk4_step`` at a time on Python floats. It can run with either
+slip-angle convention. The default raw-velocity form is
+regular at standstill and needs no special casing; the normalized form
+is singular as v_x -> 0, so in every step that starts below
+BLEND_SPEED the simulator falls back to kinematic propagation and pins
+(v_y, omega) to their rigid-rolling values (``rolling_fallback_step``,
+which one-step validation shares).
 """
 
 from __future__ import annotations
@@ -32,7 +47,8 @@ import numpy as np
 from . import models
 from .delay import delay_shift
 from .errors import ConfigError, IntegrationError, SimulationDiverged
-from .integrators import rk4_step
+from .integrators import (non_finite_state, rk4_accumulate, rk4_scalar_stages,
+                          rk4_stage_points, rk4_step)
 from .logs import MocapBlock, RawLog, format_table
 from .params import Geometry, VehicleParams
 from .scenarios import Scenario, _real
@@ -117,27 +133,78 @@ def simulate(scenario: Scenario, params: VehicleParams, *,
              normalized: bool = False) -> Trajectory:
     """Integrate a scenario and record states plus both input series.
 
-    A non-finite derivative raises IntegrationError. A state beyond
+    A non-finite state raises IntegrationError. A state beyond
     DIVERGENCE_LIMIT raises SimulationDiverged carrying the trajectory
-    up to the last sane state. Both name the scenario.
+    up to the last sane state. Both name the scenario; the earliest
+    offending step decides which is raised.
     """
-    geom, dt, times = params.geometry, scenario.dt, scenario.times
+    dt, times = scenario.dt, scenario.times
     tau_cmd, s_cmd = scenario.sample_inputs()
     tau_app = delay_shift(tau_cmd, params.delays.long_delay, dt)
     s_app = delay_shift(s_cmd, params.delays.steer_delay, dt)
 
-    def trajectory(states: list) -> Trajectory:
-        n = len(states)
-        return Trajectory(model=scenario.model, t=times[:n].copy(), states=np.array(states),
-                          commanded_tau=tau_cmd[:n].copy(), commanded_s=s_cmd[:n].copy(),
-                          applied_tau=tau_app[:n].copy(), applied_s=s_app[:n].copy())
-
-    # What stays fixed over a step is evaluated once per series, and each
-    # parameter group is unpacked once, into a tuple the curves read fast.
+    # What stays fixed over a step is evaluated once per series.
     delta = models.steering_angle(s_app[:-1], params.steering)
     gate = models.smooth_positive_throttle(tau_app[:-1], params.motor.g)
-    inputs = _float_rows((times[:-1], gate, delta, *models.steering_terms(delta)))
+    try:
+        if scenario.model == "kinematic":
+            states = _kinematic_states(scenario, params, gate, delta)
+        else:
+            states = _dynamic_states(scenario, params, gate, delta, normalized)
+    except IntegrationError as exc:
+        raise IntegrationError(f"{exc} in scenario {scenario.name!r}") from exc
+    n = len(states)
+    traj = Trajectory(model=scenario.model, t=times[:n].copy(), states=states,
+                      commanded_tau=tau_cmd[:n].copy(), commanded_s=s_cmd[:n].copy(),
+                      applied_tau=tau_app[:n].copy(), applied_s=s_app[:n].copy())
+    if n < times.size:
+        raise SimulationDiverged(f"state left the sane envelope in scenario {scenario.name!r}",
+                                 t=float(times[n]), trajectory=traj)
+    return traj
+
+
+def _kinematic_states(scenario: Scenario, params: VehicleParams, gate, delta) -> np.ndarray:
+    """The states of a kinematic scenario, in the two passes the module
+    docstring describes, up to the last sane one: fewer rows than the
+    scenario has times means that the next state left the envelope. A
+    non-finite state raises IntegrationError, unless an earlier one left
+    it."""
+    models.check_kinematic_steering(delta)
+    x0, y0, eta0, v0 = scenario.initial_state
+    geom, dt, limit = params.geometry, scenario.dt, DIVERGENCE_LIMIT
     motor, friction = tuple(params.motor), tuple(params.friction)
+
+    def acceleration(gate_k, v):
+        return models.kinematic_acceleration(models.net_force(gate_k, v, motor, friction), geom)
+
+    # pass 1 ends early at a speed beyond the envelope or a non-finite one
+    stages, v_end = rk4_scalar_stages(acceleration, v0, gate.tolist(), dt, limit)
+    v = np.ascontiguousarray(np.frombuffer(stages).reshape(-1, 4).T)  # (4, steps)
+    with np.errstate(invalid="ignore", over="ignore"):
+        yaw = models.kinematic_yaw_rate(v, np.tan(delta[:v.shape[1]]), geom)
+        eta = rk4_accumulate(eta0, yaw, dt)
+        vel_x, vel_y = models.heading_velocity(v, rk4_stage_points(eta, yaw, dt))
+        states = np.column_stack((rk4_accumulate(x0, vel_x, dt), rk4_accumulate(y0, vel_y, dt),
+                                  eta, np.append(v[0], v_end)))
+        finite = np.isfinite(states[1:]).all(axis=1)
+        sane = finite & (np.abs(states[1:]) <= limit).all(axis=1)
+    if sane.all():
+        return states
+    row = int(np.argmin(sane)) + 1  # the earliest offending state, pose or speed
+    if not finite[row - 1]:
+        raise non_finite_state(scenario.times[row - 1])
+    return states[:row]
+
+
+def _dynamic_states(scenario: Scenario, params: VehicleParams, gate, delta,
+                    normalized: bool) -> np.ndarray:
+    """The states of a dynamic scenario up to the last sane one, as
+    ``_kinematic_states`` returns them; ``rk4_step`` raises
+    IntegrationError at the first non-finite state."""
+    tire = models.tire_coefficients(params)
+    geom, dt, limit = params.geometry, scenario.dt, DIVERGENCE_LIMIT
+    motor, friction = tuple(params.motor), tuple(params.friction)
+    inputs = _float_rows((scenario.times[:-1], gate, delta, *models.steering_terms(delta)))
     gate_k = delta_k = tan_k = cos_k = sin_k = 0.0  # the inputs of the current step
 
     def kinematic_rhs(y):
@@ -149,29 +216,17 @@ def simulate(scenario: Scenario, params: VehicleParams, *,
                                   models.net_force(gate_k, y[3], motor, friction), tire, geom,
                                   normalized=normalized)
 
-    dynamic = scenario.model == "dynamic"
-    if dynamic:
-        tire = models.tire_coefficients(params)
-    else:
-        models.check_kinematic_steering(delta)
-    fallback = dynamic and normalized
-    limit = DIVERGENCE_LIMIT
     y = scenario.initial_state
     states = [y]
-    try:
-        for t_k, gate_k, delta_k, tan_k, cos_k, sin_k in inputs:
-            if fallback and y[3] < BLEND_SPEED:
-                y = rolling_fallback_step(kinematic_rhs, y, delta_k, tan_k, geom, dt, t_k)
-            else:
-                y = rk4_step(dynamic_rhs if dynamic else kinematic_rhs, y, dt, t_k)
-            if max(map(abs, y)) > limit:  # y is finite
-                raise SimulationDiverged(
-                    f"state left the sane envelope in scenario {scenario.name!r}",
-                    t=float(times[len(states)]), trajectory=trajectory(states))
-            states.append(y)
-    except IntegrationError as exc:
-        raise IntegrationError(f"{exc} in scenario {scenario.name!r}") from exc
-    return trajectory(states)
+    for t_k, gate_k, delta_k, tan_k, cos_k, sin_k in inputs:
+        if normalized and y[3] < BLEND_SPEED:
+            y = rolling_fallback_step(kinematic_rhs, y, delta_k, tan_k, geom, dt, t_k)
+        else:
+            y = rk4_step(dynamic_rhs, y, dt, t_k)
+        if max(map(abs, y)) > limit:  # y is finite
+            break
+        states.append(y)
+    return np.array(states)
 
 
 def _float_rows(columns):

@@ -108,6 +108,14 @@ def test_unknown_top_level_key_is_named(valid, parse, key, value):
         parse({**valid, key: value})
 
 
+@pytest.mark.parametrize("schedule", ["throttle", "steering"])
+@given(key=st.text(max_size=12), value=json_values)
+def test_unknown_schedule_key_is_named(schedule, key, value):
+    assume(key not in VALID_SCENARIO[schedule])
+    with pytest.raises(ConfigError, match=re.escape(repr(key))):
+        scenario_from_json(_replace(VALID_SCENARIO, (schedule, key), value))
+
+
 @pytest.mark.parametrize("load", [load_params, load_scenario])
 @given(data=st.binary(max_size=32))
 @example(data=b"\xff\xfe{}")

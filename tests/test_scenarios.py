@@ -16,6 +16,7 @@ from minicar.scenarios import (
     save_scenario,
     scenario_from_json,
     scenario_library,
+    schedule_from_json,
     sinusoidal_steering,
     step_throttle_battery,
 )
@@ -140,6 +141,21 @@ def test_schedule_json_rejects_unknown_type(tmp_path):
     path.write_text(json.dumps(doc))
     with pytest.raises(ConfigError, match="spline"):
         load_scenario(path)
+
+
+@pytest.mark.parametrize("doc, key", [
+    ({"type": "sine", "amplitude": 0.4, "frequency": 0.5, "ofset": 0.2}, "ofset"),
+    ({"type": "step", "t": 1.0, "before": 0.0, "after": 0.3, "aftr": 0.5}, "aftr"),
+    ({"type": "piecewise", "times": [0.0], "values": [0.1], "time": [1.0]}, "time"),
+])
+def test_schedule_json_names_an_unknown_field(doc, key):
+    """A mistyped optional field must not silently take its default."""
+    with pytest.raises(ConfigError, match=f"unknown {doc['type']} schedule field '{key}'"):
+        schedule_from_json(doc)
+    with pytest.raises(ConfigError, match=f"'steering'.*'{key}'"):
+        scenario_from_json({"name": "x", "duration": 1.0, "dt": 0.01, "model": "kinematic",
+                            "throttle": {"type": "step", "t": 0.5, "before": 0.0, "after": 0.2},
+                            "steering": doc})
 
 
 def test_step_battery_has_one_scenario_per_level():

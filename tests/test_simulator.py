@@ -2,6 +2,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.optimize import brentq
 
 from minicar import models, simulator
@@ -143,10 +145,12 @@ def _short_library():
     )
 
 
-def _step_at_a_time(scenario, params, normalized=False):
+def _step_at_a_time(scenario, params, normalized=False, limit=None):
     """Reference states: one scenario, one step at a time on numpy
     scalars, inputs drawn from the schedule callables and delayed by
-    index."""
+    index. ``rk4_step`` raises IntegrationError at a non-finite state;
+    with a ``limit``, a state beyond it raises SimulationDiverged with
+    the states before it."""
     geom, dt, times = params.geometry, scenario.dt, scenario.times
     lag_tau = int(round(params.delays.long_delay / dt))
     lag_s = int(round(params.delays.steer_delay / dt))
@@ -164,18 +168,21 @@ def _step_at_a_time(scenario, params, normalized=False):
         def kin_rhs(y, delta=delta):
             return models.kinematic_rhs(y, np.tan(delta), net_force(y[3]), geom)
 
-        y = states[k]
+        y, t = states[k], times[k]
         if scenario.model == "kinematic":
-            states[k + 1] = rk4_step(kin_rhs, y, dt)
+            states[k + 1] = rk4_step(kin_rhs, y, dt, t)
         elif normalized and y[3] < simulator.BLEND_SPEED:
-            kin = rk4_step(kin_rhs, y[:4], dt)
+            kin = rk4_step(kin_rhs, y[:4], dt, t)
             omega = kin[3] * np.tan(delta) / geom.l
             states[k + 1] = [*kin, omega * geom.l_r, omega]
         else:
             states[k + 1] = rk4_step(
                 lambda y: models.dynamic_rhs(y, delta, np.cos(delta), np.sin(delta),
                                              net_force(y[3]), tuple(params.tire), geom,
-                                             normalized=normalized), y, dt)
+                                             normalized=normalized), y, dt, t)
+        if limit is not None and np.abs(states[k + 1]).max() > limit:
+            raise SimulationDiverged("reference", t=float(times[k + 1]),
+                                     trajectory=states[:k + 1])
     return states
 
 
@@ -248,19 +255,92 @@ def test_batch_divergence_names_the_failing_scenario(ref, monkeypatch):
 
 
 def test_batch_integration_error_names_the_failing_scenario(ref, monkeypatch):
-    rhs = models.kinematic_rhs
+    net_force = models.net_force
 
-    def fragile_rhs(state, *args):
-        derivative = rhs(state, *args)
-        return (np.nan, *derivative[1:]) if state[3] > 0.5 else derivative
+    def fragile_net_force(gate, v, *args):
+        return np.nan if v > 0.5 else net_force(gate, v, *args)
 
-    monkeypatch.setattr(models, "kinematic_rhs", fragile_rhs)
+    monkeypatch.setattr(models, "net_force", fragile_net_force)
     calm = _scenario(constant(0.0), constant(0.0), duration=4.0)
     wild = Scenario(name="wild", duration=3.0, dt=0.01, model="kinematic",
                     throttle=constant(0.4), steering=constant(0.0))
     assert len(simulate(calm, ref)) == calm.times.size
     with pytest.raises(IntegrationError, match="non-finite derivative.*'wild'"):
         simulate(wild, ref)
+
+
+def _outcome(run):
+    with pytest.raises((IntegrationError, SimulationDiverged)) as err, np.errstate(all="ignore"):
+        run()
+    return err.value
+
+
+def _fragile_friction(v_max):
+    """The friction curve, made NaN above ``v_max``."""
+    friction = models.friction_force
+    return lambda v, p: np.nan if v > v_max else friction(v, p)
+
+
+# (throttle, steering, initial state, DIVERGENCE_LIMIT, friction NaN above,
+#  first state out of bounds: (pose beyond, speed beyond) or "non-finite")
+PRECEDENCE_CASES = {
+    # the pose passes the limit while the speed stays below it, and a
+    # later NaN speed does not count
+    "pose first": (0.22, 0.0, (), 0.5, 0.35, (True, False)),
+    "speed first": (0.4, 0.0, (), 0.5, None, (False, True)),
+    "non-finite speed": (0.4, 0.3, (0.2, -0.1, 0.4, 0.0), 1e6, 0.3, "non-finite"),
+    # one step from v = 2e307 at full lock overflows the heading to inf
+    # while the speed stays finite, beyond the limit
+    "non-finite pose with the speed beyond": (0.0, 1.0, (0, 0, 0, 2e307), 1e6, None,
+                                              "non-finite"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(PRECEDENCE_CASES))
+def test_earliest_offending_step_decides_the_error(ref, monkeypatch, case):
+    """The simulator raises what the step-at-a-time reference raises, at
+    the same t and with the same partial trajectory: pose and speed are
+    checked together, and a non-finite state beats one beyond the limit."""
+    tau, s, init, limit, nan_above, first = PRECEDENCE_CASES[case]
+    scenario = _scenario(constant(tau), constant(s), duration=4.0, init=init)
+    free = simulate(scenario, ref) if first != "non-finite" else None
+    monkeypatch.setattr(simulator, "DIVERGENCE_LIMIT", limit)
+    if nan_above is not None:
+        monkeypatch.setattr(models, "friction_force", _fragile_friction(nan_above))
+    got = _outcome(lambda: simulate(scenario, ref))
+    expected = _outcome(lambda: _step_at_a_time(scenario, ref, limit=limit))
+    assert type(got) is type(expected)
+    if first == "non-finite":
+        assert str(got) == f"{expected} in scenario 't'"
+        return
+    assert got.t == expected.t
+    np.testing.assert_array_equal(got.trajectory.states, expected.trajectory)
+    beyond = np.abs(free.states[len(got.trajectory)]) > limit
+    assert (bool(beyond[:3].any()), bool(beyond[3])) == first
+
+
+@st.composite
+def _kinematic_scenarios(draw):
+    """Short kinematic runs on piecewise throttle and steering over the
+    whole command range, from a moving pose, forwards or backwards."""
+    dt = draw(st.sampled_from([0.005, 0.01, 0.02, 0.05]))
+    n = draw(st.integers(1, 80))
+    breaks = draw(st.integers(1, min(4, n + 1)))
+    times = tuple(sorted(draw(st.sets(st.integers(0, n), min_size=breaks, max_size=breaks))))
+
+    def schedule():
+        values = draw(st.lists(st.floats(-1, 1), min_size=len(times), max_size=len(times)))
+        return PiecewiseSchedule(times=tuple(i * dt for i in times), values=tuple(values))
+
+    pose = st.floats(-50, 50, allow_nan=False).filter(lambda x: x != 0)
+    state = (draw(pose), draw(pose), draw(pose), draw(st.floats(-4, -0.01)))
+    return _scenario(schedule(), schedule(), duration=n * dt, dt=dt, init=state)
+
+
+@given(scenario=_kinematic_scenarios())
+@settings(max_examples=60)
+def test_kinematic_two_pass_states_equal_rk4_steps(ref, scenario):
+    np.testing.assert_array_equal(simulate(scenario, ref).states, _step_at_a_time(scenario, ref))
 
 
 # --- synthesize_log ----------------------------------------------------------

@@ -27,10 +27,12 @@ def test_tracer_installs_and_restores_every_patch():
     assert all(getattr(owner, attr) is original for owner, attr, original in patches)
 
 
-def test_traced_simulate_counts_one_rk4_step_and_four_rhs_calls_per_step():
-    """The benchmark's traced counts (simulator.steps, integrators.rk4_calls,
-    models.rhs_calls) stay meaningful: each step is one ``rk4_step`` span
-    and four spans of the scenario's right-hand side."""
+def test_traced_simulate_counts_dynamic_rk4_steps_and_kinematic_speed_stages():
+    """The benchmark's traced counts stay meaningful. A dynamic step is
+    one ``rk4_step`` span and four spans of its right-hand side. A
+    kinematic scenario steps only its speed, through four friction-curve
+    spans per step, and evaluates the rest of its right-hand side on
+    whole series, so it opens no ``rk4_step`` or right-hand-side span."""
     from minicar import simulator
     from minicar.params import reference_params
     from minicar.scenarios import Scenario, constant
@@ -52,6 +54,12 @@ def test_traced_simulate_counts_one_rk4_step_and_four_rhs_calls_per_step():
             def calls(name):
                 return spans.get(name, (0, 0.0, 0.0))[0] - before.get(name, 0)
 
+            if model == "kinematic":
+                assert calls("integrators.rk4_step") == 0
+                assert calls("models.kinematic_rhs") == calls("models.dynamic_rhs") == 0
+                assert calls("models.friction_force") == 4 * steps
+                assert calls("models.steering_angle") == 1
+                continue
             assert calls("integrators.rk4_step") == steps
             assert calls(f"models.{model}_rhs") == 4 * steps
             other = "dynamic" if model == "kinematic" else "kinematic"
