@@ -279,20 +279,6 @@ def _residuals(value_and_jacobian: Callable, data: Dataset, n_params: int) -> Ca
     return evaluate
 
 
-def least_squares_objective(value_and_jacobian: Callable, data: Dataset,
-                            n_params: int) -> Callable:
-    """Wrap a ``models.<curve>_and_jacobian`` into ``objective(p) -> (loss, grad)``
-    for ``adam_fit``: the squared-error loss of the curve against
-    ``data`` and its gradient 2·Jᵀr."""
-    evaluate = _residuals(value_and_jacobian, data, n_params)
-
-    def objective(p):
-        residual, jac = evaluate(p)
-        return _sum_squares(residual), 2.0 * np.einsum("i,ik->k", residual, jac)
-
-    return objective
-
-
 def finite_difference_gradient(fn: Callable, p, step: float = 1e-6) -> np.ndarray:
     """Central finite differences with per-parameter relative steps."""
     p = np.asarray(p, dtype=float)
@@ -333,7 +319,7 @@ _PARAM_NAMES = {
 _DEFAULTS = {
     # initial guess, lower, upper, iteration budget. Guesses are
     # order-of-magnitude values a practitioner would read off a plot of
-    # the data; everything is overridable via FitConfig. The two
+    # the data; default_config overrides any of them. The two
     # blended-sigmoid families crawl along shallow coupled valleys and
     # get longer budgets (their datasets are small, so this is cheap).
     "friction": ((1.0, 10.0, 0.1), (1e-3, 1e-3, 0.0), (20.0, 100.0, 10.0), 20000),
@@ -369,7 +355,15 @@ def _stage_residuals(sub_model: str, data: Dataset) -> Callable:
 
 
 def submodel_objective(sub_model: str, data: Dataset) -> Callable:
-    return least_squares_objective(_SUBMODELS[sub_model], data, len(_PARAM_NAMES[sub_model]))
+    """``objective(p) -> (loss, grad)`` for ``adam_fit``: the stage's
+    squared-error loss against ``data`` and its gradient 2·Jᵀr."""
+    evaluate = _stage_residuals(sub_model, data)
+
+    def objective(p):
+        residual, jac = evaluate(p)
+        return _sum_squares(residual), 2.0 * np.einsum("i,ik->k", residual, jac)
+
+    return objective
 
 
 def _finite_or_none(x: float) -> float | None:
@@ -410,29 +404,29 @@ def fit_diagnostics(sub_model: str, data: Dataset, params, config: FitConfig) ->
     }
 
 
-def _fit(sub_model: str, data: Dataset, config: FitConfig | None, convert: Callable):
-    config = config or default_config(sub_model)
+def _fit(sub_model: str, data: Dataset, convert: Callable):
+    config = default_config(sub_model)
     result = lm_fit(_stage_residuals(sub_model, data), config)
     result = replace(result, diagnostics=fit_diagnostics(sub_model, data, result.params, config))
     return convert(result.params), result
 
 
-def fit_friction(data: Dataset, config: FitConfig | None = None):
-    return _fit("friction", data, config, lambda p: FrictionParams(*map(float, p)))
+def fit_friction(data: Dataset):
+    return _fit("friction", data, lambda p: FrictionParams(*map(float, p)))
 
 
-def fit_motor(data: Dataset, config: FitConfig | None = None):
-    return _fit("motor", data, config, lambda p: MotorParams(*map(float, p)))
+def fit_motor(data: Dataset):
+    return _fit("motor", data, lambda p: MotorParams(*map(float, p)))
 
 
-def fit_steering(data: Dataset, config: FitConfig | None = None):
-    return _fit("steering", data, config, lambda p: SteeringParams(*map(float, p)))
+def fit_steering(data: Dataset):
+    return _fit("steering", data, lambda p: SteeringParams(*map(float, p)))
 
 
-def fit_front_tire(data: Dataset, config: FitConfig | None = None):
+def fit_front_tire(data: Dataset):
     """Returns the magic-formula coefficients; C_r is fitted separately."""
-    return _fit("front_tire", data, config, lambda p: p)
+    return _fit("front_tire", data, lambda p: p)
 
 
-def fit_rear_tire(data: Dataset, config: FitConfig | None = None):
-    return _fit("rear_tire", data, config, lambda p: float(p[0]))
+def fit_rear_tire(data: Dataset):
+    return _fit("rear_tire", data, lambda p: float(p[0]))

@@ -35,6 +35,9 @@ MOCAP_COLUMNS = ("x_t", "y_t", "eta_t")
 # max(dt, 1 s), and the grid still counts as uniform.
 GRID_TOLERANCE = 1e-6
 
+# A command may leave [-1, 1] by this much and still count as in range.
+COMMAND_TOLERANCE = 1e-9
+
 FORMAT_BLOCK_ROWS = 256
 
 
@@ -46,6 +49,13 @@ def uniform_step(t: np.ndarray) -> tuple[float, int | None]:
     dt = float(np.median(steps))
     off = np.flatnonzero(np.abs(steps - dt) > GRID_TOLERANCE * max(dt, 1.0))
     return dt, (int(off[0]) + 1 if off.size else None)
+
+
+def command_out_of_range(*columns: np.ndarray) -> int | None:
+    """Index of the first row at which a command column leaves [-1, 1]
+    by more than COMMAND_TOLERANCE (None when every row is in range)."""
+    outside = np.any(np.abs(np.stack(columns)) > 1 + COMMAND_TOLERANCE, axis=0)
+    return int(np.argmax(outside)) if outside.any() else None
 
 
 @dataclass(frozen=True)
@@ -81,8 +91,7 @@ class RawLog:
             raise ParseError("time must be strictly increasing", row=bad + 1)
         if n >= 2 and (bad := uniform_step(self.t)[1]) is not None:
             raise ParseError("samples must lie on a uniform time grid", row=bad + 1)
-        if np.any(np.abs(self.tau) > 1 + 1e-9) or np.any(np.abs(self.s) > 1 + 1e-9):
-            bad = int(np.argmax((np.abs(self.tau) > 1 + 1e-9) | (np.abs(self.s) > 1 + 1e-9)))
+        if (bad := command_out_of_range(self.tau, self.s)) is not None:
             raise ParseError("throttle and steering must lie in [-1, 1]", row=bad + 1)
         for a in arrays:
             a.setflags(write=False)

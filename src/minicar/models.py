@@ -44,13 +44,10 @@ rows, and a right-hand side returns the tuple of their derivatives:
 Headings accumulate without wrapping; wrap only for display.
 
 The inputs are held over an RK4 step, so the right-hand sides take
-what depends on them alone precomputed, once per input series: the
-throttle gate ``smooth_positive_throttle(tau, g)`` for ``net_force``,
-and the road-wheel angle with its ``steering_terms`` (tan, cos, sin)
-for ``kinematic_rhs`` and ``dynamic_rhs``. The kinematic yaw rate is
-singular at |delta| = pi/2, so the caller runs
-``check_kinematic_steering`` on the angles of every step it propagates
-kinematically; no right-hand side checks its inputs.
+what depends on them alone precomputed (``simulator.held_inputs``).
+The kinematic yaw rate is singular at |delta| = pi/2, so the caller
+runs ``check_kinematic_steering`` on the angle of every step it
+propagates kinematically; no right-hand side checks its inputs.
 """
 
 from __future__ import annotations

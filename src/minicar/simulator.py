@@ -3,14 +3,16 @@
 Scenario inputs are open loop, so every command is sampled before
 integration starts. Actuation delay is then a shift of the sampled
 command series (``delay.delay_shift``), and the delayed steering
-command is mapped to a road-wheel angle once per series. Everything
-else that stays fixed over a step (zero-order hold) is evaluated once
-per series too, as arrays: the throttle gate and the tan, cos and sin
-of the road-wheel angle. Both the commanded and the applied input
-series are recorded. Every stage goes through the model functions that
-the dataset and validation code call on arrays, and is combined as
-``rk4_step`` combines it, so every state is bit for bit what stepping
-the full state one ``rk4_step`` at a time on floats gives.
+command is mapped to a road-wheel angle once per series. Both the
+commanded and the applied input series are recorded.
+
+The discrete-time step law is defined here once, for the simulator and
+for one-step validation alike: ``held_inputs`` evaluates what stays
+fixed over a step (zero-order hold), the throttle gate and the
+road-wheel angle with its tan, cos and sin, and ``stepper`` advances a
+state one ``rk4_step`` under them, on floats or on column arrays of
+rows. Every state ``simulate`` returns is bit for bit what that step
+gives one step at a time on floats.
 
 A kinematic scenario is integrated in two passes. Its speed evolves on
 its own (dv/dt = net force / m), and its heading rate v*tan(delta)/l
@@ -27,14 +29,13 @@ offending state decides, and within one state a non-finite component
 (SimulationDiverged). Pass 1 stops at the first speed beyond the limit
 or non-finite, since no later state can count.
 
-A dynamic scenario couples all of its states, so it advances one
-``rk4_step`` at a time on Python floats. It can run with either
-slip-angle convention. The default raw-velocity form is
-regular at standstill and needs no special casing; the normalized form
-is singular as v_x -> 0, so in every step that starts below
-BLEND_SPEED the simulator falls back to kinematic propagation and pins
-(v_y, omega) to their rigid-rolling values (``rolling_fallback_step``,
-which one-step validation shares).
+A dynamic scenario couples all of its states, so it is a loop over
+the ``stepper`` step on Python floats. It can run with either
+slip-angle convention. The default raw-velocity form is regular at
+standstill and needs no special casing; the normalized form is
+singular as v_x -> 0, so every step that starts below BLEND_SPEED
+falls back to kinematic propagation and pins (v_y, omega) to their
+rigid-rolling values.
 """
 
 from __future__ import annotations
@@ -50,7 +51,7 @@ from .errors import ConfigError, IntegrationError, SimulationDiverged
 from .integrators import (non_finite_state, rk4_accumulate, rk4_scalar_stages,
                           rk4_stage_points, rk4_step)
 from .logs import MocapBlock, RawLog, format_table
-from .params import Geometry, VehicleParams
+from .params import VehicleParams
 from .scenarios import Scenario, _real
 
 # Any state component beyond this magnitude aborts the run: parameter
@@ -143,14 +144,12 @@ def simulate(scenario: Scenario, params: VehicleParams, *,
     tau_app = delay_shift(tau_cmd, params.delays.long_delay, dt)
     s_app = delay_shift(s_cmd, params.delays.steer_delay, dt)
 
-    # What stays fixed over a step is evaluated once per series.
-    delta = models.steering_angle(s_app[:-1], params.steering)
-    gate = models.smooth_positive_throttle(tau_app[:-1], params.motor.g)
+    inputs = held_inputs(tau_app[:-1], s_app[:-1], params)
     try:
         if scenario.model == "kinematic":
-            states = _kinematic_states(scenario, params, gate, delta)
+            states = _kinematic_states(scenario, params, inputs)
         else:
-            states = _dynamic_states(scenario, params, gate, delta, normalized)
+            states = _dynamic_states(scenario, params, inputs, normalized)
     except IntegrationError as exc:
         raise IntegrationError(f"{exc} in scenario {scenario.name!r}") from exc
     n = len(states)
@@ -163,12 +162,13 @@ def simulate(scenario: Scenario, params: VehicleParams, *,
     return traj
 
 
-def _kinematic_states(scenario: Scenario, params: VehicleParams, gate, delta) -> np.ndarray:
+def _kinematic_states(scenario: Scenario, params: VehicleParams, inputs: tuple) -> np.ndarray:
     """The states of a kinematic scenario, in the two passes the module
     docstring describes, up to the last sane one: fewer rows than the
     scenario has times means that the next state left the envelope. A
     non-finite state raises IntegrationError, unless an earlier one left
     it."""
+    gate, delta, tan_delta, _, _ = inputs
     models.check_kinematic_steering(delta)
     x0, y0, eta0, v0 = scenario.initial_state
     geom, dt, limit = params.geometry, scenario.dt, DIVERGENCE_LIMIT
@@ -181,7 +181,7 @@ def _kinematic_states(scenario: Scenario, params: VehicleParams, gate, delta) ->
     stages, v_end = rk4_scalar_stages(acceleration, v0, gate.tolist(), dt, limit)
     v = np.ascontiguousarray(np.frombuffer(stages).reshape(-1, 4).T)  # (4, steps)
     with np.errstate(invalid="ignore", over="ignore"):
-        yaw = models.kinematic_yaw_rate(v, np.tan(delta[:v.shape[1]]), geom)
+        yaw = models.kinematic_yaw_rate(v, tan_delta[:v.shape[1]], geom)
         eta = rk4_accumulate(eta0, yaw, dt)
         vel_x, vel_y = models.heading_velocity(v, rk4_stage_points(eta, yaw, dt))
         states = np.column_stack((rk4_accumulate(x0, vel_x, dt), rk4_accumulate(y0, vel_y, dt),
@@ -196,34 +196,17 @@ def _kinematic_states(scenario: Scenario, params: VehicleParams, gate, delta) ->
     return states[:row]
 
 
-def _dynamic_states(scenario: Scenario, params: VehicleParams, gate, delta,
+def _dynamic_states(scenario: Scenario, params: VehicleParams, inputs: tuple,
                     normalized: bool) -> np.ndarray:
     """The states of a dynamic scenario up to the last sane one, as
     ``_kinematic_states`` returns them; ``rk4_step`` raises
     IntegrationError at the first non-finite state."""
-    tire = models.tire_coefficients(params)
-    geom, dt, limit = params.geometry, scenario.dt, DIVERGENCE_LIMIT
-    motor, friction = tuple(params.motor), tuple(params.friction)
-    inputs = _float_rows((scenario.times[:-1], gate, delta, *models.steering_terms(delta)))
-    gate_k = delta_k = tan_k = cos_k = sin_k = 0.0  # the inputs of the current step
-
-    def kinematic_rhs(y):
-        return models.kinematic_rhs(y, tan_k, models.net_force(gate_k, y[3], motor, friction),
-                                    geom)
-
-    def dynamic_rhs(y):
-        return models.dynamic_rhs(y, delta_k, cos_k, sin_k,
-                                  models.net_force(gate_k, y[3], motor, friction), tire, geom,
-                                  normalized=normalized)
-
+    step = stepper("dynamic", params, scenario.dt, normalized=normalized)
     y = scenario.initial_state
     states = [y]
-    for t_k, gate_k, delta_k, tan_k, cos_k, sin_k in inputs:
-        if normalized and y[3] < BLEND_SPEED:
-            y = rolling_fallback_step(kinematic_rhs, y, delta_k, tan_k, geom, dt, t_k)
-        else:
-            y = rk4_step(dynamic_rhs, y, dt, t_k)
-        if max(map(abs, y)) > limit:  # y is finite
+    for t_k, *u in _float_rows((scenario.times[:-1], *inputs)):
+        y = step(y, u, t_k)
+        if max(map(abs, y)) > DIVERGENCE_LIMIT:  # y is finite
             break
         states.append(y)
     return np.array(states)
@@ -239,21 +222,58 @@ def _float_rows(columns):
         yield from zip(*(c[start:start + INPUT_BLOCK_ROWS].tolist() for c in columns))
 
 
-def rolling_fallback_step(kinematic_rhs, y, delta, tan_delta, geom: Geometry, dt: float,
-                          t: float = 0.0) -> list:
-    """One step of the normalized-slip dynamic model below BLEND_SPEED.
+def held_inputs(tau_applied, s_applied, params: VehicleParams) -> tuple:
+    """``(gate, delta, tan, cos, sin)``: the throttle gate and the
+    road-wheel angle with its ``steering_terms``, which stay fixed over a
+    step (zero-order hold). Works on floats and on arrays."""
+    delta = models.steering_angle(s_applied, params.steering)
+    return (models.smooth_positive_throttle(tau_applied, params.motor.g), delta,
+            *models.steering_terms(delta))
 
-    The normalized slip form is singular as v_x -> 0, so the dynamic
-    state ``y`` is propagated one RK4 step by the kinematic model
-    (``kinematic_rhs`` on its first four components) and (v_y, omega)
-    are pinned to their rigid-rolling values. Works on floats and on
-    arrays of rows alike.
+
+def stepper(model: str, params: VehicleParams, dt: float, *, normalized: bool = False):
+    """The one step law: ``step(y, u, t=0.0)`` advances the state ``y``
+    of ``model`` one ``rk4_step`` of ``dt`` under the ``held_inputs``
+    ``u``, both floats or column arrays of rows. A kinematic step checks
+    its steering angles. With ``normalized`` slip, a dynamic row that
+    starts below BLEND_SPEED propagates the kinematic model instead and
+    pins (v_y, omega) to their rigid-rolling values.
     """
-    models.check_kinematic_steering(delta)
-    y = rk4_step(kinematic_rhs, y[:4], dt, t)
-    omega = models.kinematic_yaw_rate(y[3], tan_delta, geom)
-    y += (omega * geom.l_r, omega)
-    return y
+    motor, friction, geom = tuple(params.motor), tuple(params.friction), params.geometry
+
+    def kinematic(y, u, t=0.0):
+        gate, delta, tan_d, _, _ = u
+        models.check_kinematic_steering(delta)
+        return rk4_step(lambda s: models.kinematic_rhs(
+            s, tan_d, models.net_force(gate, s[3], motor, friction), geom), y, dt, t)
+
+    if model == "kinematic":
+        return kinematic
+    tire = models.tire_coefficients(params)
+
+    def dynamic(y, u, t=0.0):
+        gate, delta, _, cos_d, sin_d = u
+        return rk4_step(lambda s: models.dynamic_rhs(
+            s, delta, cos_d, sin_d, models.net_force(gate, s[3], motor, friction), tire, geom,
+            normalized=normalized), y, dt, t)
+
+    def rolling(y, u, t):
+        y = kinematic(y[:4], u, t)
+        omega = models.kinematic_yaw_rate(y[3], u[2], geom)
+        return [*y, omega * geom.l_r, omega]
+
+    def blended(y, u, t=0.0):
+        slow = y[3] < BLEND_SPEED
+        if slow.__class__ is bool:
+            return (rolling if slow else dynamic)(y, u, t)
+        out = [np.empty_like(c) for c in y]
+        for rows, branch in ((slow, rolling), (~slow, dynamic)):
+            if rows.any():
+                for o, c in zip(out, branch([c[rows] for c in y], [a[rows] for a in u], t)):
+                    o[rows] = c
+        return out
+
+    return blended if normalized else dynamic
 
 
 def trajectory_yaw_rate(traj: Trajectory, params: VehicleParams) -> np.ndarray:

@@ -6,6 +6,9 @@ columns. When a dynamic-model validation has to fall back from state
 columns to motion-capture data, the body-frame lateral velocity is
 reconstructed by differentiation, which bounds the achievable
 accuracy; exact checks should use trajectory exports.
+
+Every row is predicted at once by the simulator's own step law
+(``simulator.held_inputs`` and ``simulator.stepper``) on column arrays.
 """
 
 from __future__ import annotations
@@ -18,11 +21,11 @@ from . import models
 from .datasets import SMOOTH_WINDOW
 from .delay import delay_shift
 from .errors import ConfigError, DataError
-from .integrators import rk4_step
-from .logs import read_table, uniform_step
+from .integrators import rk4_step  # unused; perfbench/tracing.py patches it by name
+from .logs import command_out_of_range, read_table, uniform_step
 from .params import VehicleParams
 from .preprocess import differentiate, smooth
-from .simulator import BLEND_SPEED, rolling_fallback_step
+from .simulator import held_inputs, stepper
 
 logger = logging.getLogger(__name__)
 
@@ -35,10 +38,14 @@ def _first_present(table: dict, *names: str) -> np.ndarray | None:
 
 
 def _applied_inputs(table: dict, params: VehicleParams, dt: float):
-    tau_app = _first_present(table, "tau_applied")
-    s_app = _first_present(table, "s_applied")
-    if tau_app is not None and s_app is not None:
-        return tau_app, s_app
+    for name in ("tau", "s", "tau_applied", "s_applied"):
+        if name in table and (bad := command_out_of_range(table[name])) is not None:
+            raise DataError(f"{name} must lie in [-1, 1] (row {bad + 1})")
+    if "tau_applied" in table and "s_applied" in table:
+        return table["tau_applied"], table["s_applied"]
+    for name in ("tau", "s"):
+        if name not in table:
+            raise DataError(f"log needs a {name} column (or tau_applied and s_applied)")
     # reconstruct what the actuators saw by shifting the commands
     return (
         delay_shift(table["tau"], params.delays.long_delay, dt),
@@ -92,33 +99,6 @@ def _dynamic_states(table: dict) -> tuple[list, list[str]]:
     return [x, y, eta, v_x, v_y, omega], ["x", "y", "eta", "v_x", "v_y", "omega"]
 
 
-def _one_step(model: str, current: list, inputs: tuple, params: VehicleParams, dt: float,
-              normalized: bool) -> list:
-    """One-step-ahead prediction of rows whose inputs all take the same
-    branch: the kinematic model, the dynamic one, or (``model`` of
-    "fallback") the simulator's rolling fallback below BLEND_SPEED."""
-    gate, delta, tan_d, cos_d, sin_d = inputs
-    motor, friction, geom = tuple(params.motor), tuple(params.friction), params.geometry
-
-    def kinematic_rhs(y):
-        return models.kinematic_rhs(y, tan_d, models.net_force(gate, y[3], motor, friction),
-                                    geom)
-
-    if model == "fallback":
-        return rolling_fallback_step(kinematic_rhs, current, delta, tan_d, geom, dt)
-    if model == "kinematic":
-        models.check_kinematic_steering(delta)
-        return rk4_step(kinematic_rhs, current, dt)
-    tire = models.tire_coefficients(params)
-
-    def dynamic_rhs(y):
-        return models.dynamic_rhs(y, delta, cos_d, sin_d,
-                                  models.net_force(gate, y[3], motor, friction), tire, geom,
-                                  normalized=normalized)
-
-    return rk4_step(dynamic_rhs, current, dt)
-
-
 def one_step_rms(
     table: dict[str, np.ndarray],
     params: VehicleParams,
@@ -126,13 +106,10 @@ def one_step_rms(
     *,
     normalized: bool = False,
 ) -> dict[str, float]:
-    """Per-channel RMS of one-step-ahead predictions along a log.
-
-    Each row is predicted as the simulator steps it: with
-    ``normalized`` slip, a dynamic row that starts below BLEND_SPEED
-    takes the simulator's rolling fallback, so a trajectory export
-    validates to round-off under either slip convention.
-    """
+    """Per-channel RMS of one-step-ahead predictions along a log whose
+    commands lie in [-1, 1]. Rows are stepped as the simulator steps
+    them, so a trajectory export validates to round-off under either
+    slip convention."""
     if model not in ("kinematic", "dynamic"):
         raise ConfigError(f"unknown model kind {model!r}")
     dt = _dt_of(table)
@@ -143,22 +120,8 @@ def one_step_rms(
     else:
         states, channels = _dynamic_states(table)
 
-    current = [column[:-1] for column in states]
-    delta = models.steering_angle(s_app[:-1], params.steering)
-    inputs = (models.smooth_positive_throttle(tau_app[:-1], params.motor.g), delta,
-              *models.steering_terms(delta))
-
-    if model == "dynamic" and normalized:
-        slow = current[3] < BLEND_SPEED
-        predicted = [np.empty_like(column) for column in current]
-        for rows, branch in ((slow, "fallback"), (~slow, "dynamic")):
-            if rows.any():
-                part = _one_step(branch, [column[rows] for column in current],
-                                 tuple(a[rows] for a in inputs), params, dt, normalized)
-                for out, column in zip(predicted, part):
-                    out[rows] = column
-    else:
-        predicted = _one_step(model, current, inputs, params, dt, normalized)
+    predicted = stepper(model, params, dt, normalized=normalized)(
+        [column[:-1] for column in states], held_inputs(tau_app[:-1], s_app[:-1], params))
 
     names = (
         models.KINEMATIC_STATE_NAMES if model == "kinematic" else models.DYNAMIC_STATE_NAMES

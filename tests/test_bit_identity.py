@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from minicar import models
 from minicar.integrators import rk4_step
 from minicar.params import reference_params
-from minicar.simulator import rolling_fallback_step
+from minicar.simulator import BLEND_SPEED, held_inputs, stepper
 
 REF = reference_params()
 MOTOR, FRICTION, TIRE = tuple(REF.motor), tuple(REF.friction), models.tire_coefficients(REF)
@@ -108,35 +108,24 @@ def test_dynamic_rhs_and_its_rk4_step_on_floats_equal_array_element(normalized, 
     _assert_rowwise_equal(step, rows)
 
 
-def _step_with_precomputed_inputs(kind, state, tau, s, normalized=False):
-    """One RK4 step composed as the simulator composes it: throttle gate,
-    road-wheel angle and its terms once, the net force in every stage."""
-    gate = models.smooth_positive_throttle(tau, REF.motor.g)
-    delta = models.steering_angle(s, REF.steering)
-    tan_d, cos_d, sin_d = models.steering_terms(delta)
-
-    def kinematic(y):
-        return models.kinematic_rhs(y, tan_d, models.net_force(gate, y[3], MOTOR, FRICTION),
-                                    REF.geometry)
-
-    def dynamic(y):
-        return models.dynamic_rhs(y, delta, cos_d, sin_d,
-                                  models.net_force(gate, y[3], MOTOR, FRICTION), TIRE,
-                                  REF.geometry, normalized=normalized)
-
-    if kind == "fallback":
-        return tuple(rolling_fallback_step(kinematic, state, delta, tan_d, REF.geometry, 0.01))
-    return tuple(rk4_step(kinematic if kind == "kinematic" else dynamic, state, 0.01))
+# The speed range of each case: "fallback" rows all start below
+# BLEND_SPEED, "dynamic" rows none, and "blend" rows on both sides, so
+# one array call splits its rows between the two branches.
+SPEEDS = {"kinematic": (-4, 4), "dynamic": (BLEND_SPEED, 4), "fallback": (0.01, BLEND_SPEED),
+          "blend": (0.01, 4)}
 
 
 @pytest.mark.parametrize("kind, normalized", [("kinematic", False), ("dynamic", False),
-                                              ("dynamic", True), ("fallback", True)])
+                                              ("dynamic", True), ("fallback", True),
+                                              ("blend", True)])
 @given(data=st.data())
 def test_rk4_step_on_precomputed_inputs_on_floats_equals_array_element(kind, normalized, data):
-    speed = _floats(0.01, 0.3) if kind == "fallback" else _floats(0.1, 4)
-    state = (*_POSE, _floats(-4, 4)) if kind == "kinematic" else (
+    """``stepper`` under ``held_inputs`` steps floats as it steps arrays."""
+    model = "kinematic" if kind == "kinematic" else "dynamic"
+    step = stepper(model, REF, 0.01, normalized=normalized)
+    speed = _floats(*SPEEDS[kind])
+    state = (*_POSE, speed) if model == "kinematic" else (
         *_POSE, speed, _floats(-2, 2), _floats(-6, 6))
     rows = data.draw(_rows(*state, _floats(-1, 1), _floats(-1, 1)))
     _assert_rowwise_equal(
-        lambda *row: _step_with_precomputed_inputs(kind, list(row[:-2]), *row[-2:],
-                                                   normalized=normalized), rows)
+        lambda *row: tuple(step(list(row[:-2]), held_inputs(*row[-2:], REF))), rows)

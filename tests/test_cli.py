@@ -115,6 +115,18 @@ def test_validate_on_a_directory_exits_2(tmp_path, params_file):
                  "--model", "kinematic"]) == 2
 
 
+@pytest.mark.parametrize("header, missing", [("t,v_enc", "tau"), ("t,tau,v_enc", "s"),
+                                             ("t,s,tau_applied,v_enc", "tau")])
+def test_validate_without_a_command_column_exits_2_naming_it(tmp_path, params_file, caplog,
+                                                            header, missing):
+    log = tmp_path / "log.csv"
+    row = ",".join("0" for _ in header.split(","))
+    log.write_text(f"{header}\n{row}\n{row.replace('0', '0.01', 1)}\n")
+    assert main(["validate", "--params", str(params_file), "--log", str(log),
+                 "--model", "kinematic"]) == 2
+    assert f"{missing} column" in caplog.text
+
+
 def test_validate_errors_on_missing_params(tmp_path):
     log = tmp_path / "log.csv"
     log.write_text("t,tau,s,v_enc,omega_imu\n0,0,0,0,0\n0.01,0,0,0,0\n")

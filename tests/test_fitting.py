@@ -156,7 +156,8 @@ def test_lm_rejects_steps_into_non_finite_losses():
 
 def test_lm_reports_an_exhausted_budget_as_not_converged(ref, rng):
     data = _noisy_dataset("front_tire", ref, rng, 401)
-    _, result = fitting.fit_front_tire(data, default_config("front_tire", max_iterations=2))
+    result = lm_fit(fitting._stage_residuals("front_tire", data),
+                    default_config("front_tire", max_iterations=2))
     assert not result.converged
     assert result.iterations == 2
 
@@ -494,6 +495,7 @@ def test_diagnostics_flag_a_tire_slip_range_that_pins_only_the_slope(rng):
 def test_diagnostics_list_a_parameter_whose_optimum_lies_outside_the_box():
     alpha = np.linspace(-0.6, 0.6, 50)[:, None]
     data = Dataset(X=alpha, Y=3.0 * alpha, x_names=("alpha",), y_names=("F",))
-    c_r, result = fitting.fit_rear_tire(data, default_config("rear_tire", upper=np.array([2.0])))
-    assert c_r == 2.0
-    assert result.diagnostics["active_bounds"] == ["C_r"]
+    cfg = default_config("rear_tire", upper=np.array([2.0]))
+    result = lm_fit(fitting._stage_residuals("rear_tire", data), cfg)
+    assert result.params[0] == 2.0
+    assert fitting.fit_diagnostics("rear_tire", data, result.params, cfg)["active_bounds"] == ["C_r"]

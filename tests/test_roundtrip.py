@@ -58,7 +58,7 @@ def test_front_tire_zero_noise_round_trip(ref):
         initial=np.array([3.0, 0.8, 0.35, -2.0]),  # read off the plotted curve
         max_iterations=20000,
     )
-    _, result = fitting.fit_front_tire(data, config)
+    result = fitting.lm_fit(fitting._stage_residuals("front_tire", data), config)
     assert _curve_rms(models.pacejka_lateral, result.params, data) < 1e-6
 
 

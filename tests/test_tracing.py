@@ -66,3 +66,33 @@ def test_traced_simulate_counts_dynamic_rk4_steps_and_kinematic_speed_stages():
             assert calls(f"models.{other}_rhs") == 0
     finally:
         tracer.restore()
+
+
+def test_traced_normalized_validation_counts_both_branches_as_rk4_steps():
+    """Validation steps its rows through the simulator's ``rk4_step``,
+    so the benchmark's step counts see it: a normalized dynamic log
+    with rows on both sides of the blend speed is one ``rk4_step`` span
+    for its rolling-fallback rows and one for its dynamic rows."""
+    from minicar import simulator, validation
+    from minicar.params import reference_params
+    from minicar.scenarios import Scenario, constant
+
+    ref = reference_params()
+    coast = Scenario(name="coast", duration=3.0, dt=0.01, model="dynamic",
+                     throttle=constant(0.0), steering=constant(0.3),
+                     initial_state=(0, 0, 0, 0.6, 0, 0))
+    traj = simulator.simulate(coast, ref, normalized=True)
+    v_x = traj.states[:-1, 3]
+    assert (v_x < simulator.BLEND_SPEED).any() and (v_x >= simulator.BLEND_SPEED).any()
+    table = validation.read_table(simulator.trajectory_to_csv(traj, ref).encode())
+    tracing = _tracing_module()
+    tracer = tracing.Tracer()
+    try:
+        tracing.install(tracer)
+        validation.one_step_rms(table, ref, "dynamic", normalized=True)
+        spans = tracer.snapshot()[0]
+    finally:
+        tracer.restore()
+    assert spans["validation.one_step_rms"][0] == 1
+    assert spans["integrators.rk4_step"][0] == 2
+    assert spans["models.kinematic_rhs"][0] == spans["models.dynamic_rhs"][0] == 4

@@ -120,6 +120,21 @@ def test_one_step_rms_rejects_non_uniform_grid(ref):
         one_step_rms(table, ref, "kinematic")
 
 
+@pytest.mark.parametrize("column", ["tau", "s", "tau_applied", "s_applied"])
+@pytest.mark.parametrize("value, row", [(2.0, 3), (-1.5, 1), (1 + 1e-8, 4)])
+def test_one_step_rms_rejects_commands_outside_unit_range(ref, column, value, row):
+    """Every command column, applied or not, must lie in [-1, 1] (to the
+    tolerance ``load_log`` allows), and the error names its 1-based row."""
+    n = 5
+    table = {name: np.zeros(n) for name in ("tau", "s", "tau_applied", "s_applied", "v_enc")}
+    table["t"] = np.arange(n) * 0.01
+    table[column][row - 1] = value
+    with pytest.raises(DataError, match=rf"{column} must lie in \[-1, 1\] \(row {row}\)"):
+        one_step_rms(table, ref, "kinematic")
+    table[column][row - 1] = 1 + 1e-10  # within the tolerance
+    one_step_rms(table, ref, "kinematic")
+
+
 def test_normalized_validation_follows_the_blend_row_by_row(ref, tmp_path):
     """A normalized coast through the blend speed: rows above it take
     the dynamic model, rows below it the rolling fallback, and the
