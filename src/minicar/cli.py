@@ -4,6 +4,13 @@ Every run writes a ``run_manifest.json`` beside its outputs recording
 the exact inputs (with content hashes), the seed, package and library
 versions and the preprocessing defaults in effect, so reruns reproduce
 outputs bit for bit.
+
+``fit`` runs the stages of ``pipeline.PLAN`` and writes one report
+entry per stage report, one loss trace per fit and one plot per fitted
+curve. The stages it requires come from ``pipeline.STAGES``: those of
+``--stages``, or else every stage but ``tire`` when there are no
+motion-capture logs, since a vehicle without a tire model still runs
+the kinematic model.
 """
 
 from __future__ import annotations
@@ -26,8 +33,6 @@ from .params import Geometry, load_params, read_json_object, save_params
 from .simulator import NOISE_CHANNELS, NoiseSpec
 
 logger = logging.getLogger(__name__)
-
-KINEMATIC_STAGES = ("friction", "motor", "steering", "delay")
 
 DEFAULT_MASS = 1.67
 DEFAULT_WHEELBASE = 0.192
@@ -125,66 +130,61 @@ def _collect_logs(logs_dir: Path) -> tuple[dict[str, list], list[Path]]:
     return tagged, files
 
 
+def _from_zero(x: np.ndarray) -> np.ndarray:
+    return np.linspace(0.0, float(x.max()) * 1.05 + 1e-9, 200)
+
+
+def _data_range(x: np.ndarray) -> np.ndarray:
+    return np.linspace(float(x.min()), float(x.max()), 200)
+
+
+# One plot per fitted curve, keyed by its stage report: the file, the
+# dataset's X column on the horizontal axis, the grid over that column,
+# the fitted curves on the grid as (label, values) given the dataset and
+# the parameters, the title and the axis labels.
+_PLOTS = {
+    "friction": ("fit_friction.svg", 0, _from_zero,
+                 lambda grid, _, p: [("fit", models.friction_force(grid, p.friction))],
+                 "Friction curve", "v [m/s]", "F [N]"),
+    "motor": ("fit_motor.svg", 1, _from_zero,
+              lambda grid, data, p: [
+                  (f"tau={tau:.2f}", models.motor_force(tau, grid, p.motor))
+                  for tau in sorted(set(np.round(data.X[:, 0], 6)))[:6]],
+              "Motor curve", "v [m/s]", "F [N]"),
+    "steering": ("fit_steering.svg", 0, lambda _: np.linspace(-1.0, 1.0, 200),
+                 lambda grid, _, p: [("fit", models.steering_angle(grid, p.steering))],
+                 "Steering map", "s", "delta [rad]"),
+    "tire": ("fit_tire_front.svg", 0, _data_range,
+             lambda grid, _, p: [("fit", models.pacejka_lateral(grid, p.tire))],
+             "Front tire", "alpha [rad]", "F_y [N]"),
+    "tire_rear": ("fit_tire_rear.svg", 0, _data_range,
+                  lambda grid, _, p: [("fit", models.rear_lateral(grid, p.tire.C_r))],
+                  "Rear tire", "alpha [rad]", "F_y [N]"),
+}
+
+
 def _fit_plots(result: pipeline.PipelineResult, out_dir: Path) -> None:
-    params = result.params
-    if "friction" in result.datasets and params is not None:
-        data = result.datasets["friction"]
-        grid = np.linspace(0.0, float(data.X.max()) * 1.05 + 1e-9, 200)
-        svgplot.save_plot(
-            out_dir / "fit_friction.svg",
-            [
-                svgplot.Series(data.X[:, 0], data.Y[:, 0], "data", "points"),
-                svgplot.Series(grid, models.friction_force(grid, params.friction), "fit"),
-            ],
-            title="Friction curve", x_label="v [m/s]", y_label="F [N]",
-        )
-    if "motor" in result.datasets and params is not None:
-        data = result.datasets["motor"]
-        grid = np.linspace(0.0, float(data.X[:, 1].max()) * 1.05 + 1e-9, 200)
-        series = [svgplot.Series(data.X[:, 1], data.Y[:, 0], "data", "points")]
-        for tau in sorted(set(np.round(data.X[:, 0], 6)))[:6]:
-            series.append(
-                svgplot.Series(
-                    grid, models.motor_force(tau, grid, params.motor), f"tau={tau:.2f}"
-                )
-            )
-        svgplot.save_plot(
-            out_dir / "fit_motor.svg", series,
-            title="Motor curve", x_label="v [m/s]", y_label="F [N]",
-        )
-    if "steering" in result.datasets and params is not None:
-        data = result.datasets["steering"]
-        grid = np.linspace(-1.0, 1.0, 200)
-        svgplot.save_plot(
-            out_dir / "fit_steering.svg",
-            [
-                svgplot.Series(data.X[:, 0], data.Y[:, 0], "data", "points"),
-                svgplot.Series(grid, models.steering_angle(grid, params.steering), "fit"),
-            ],
-            title="Steering map", x_label="s", y_label="delta [rad]",
-        )
-    if "tire_front" in result.datasets and params is not None and params.tire is not None:
-        data = result.datasets["tire_front"]
-        grid = np.linspace(float(data.X.min()), float(data.X.max()), 200)
-        svgplot.save_plot(
-            out_dir / "fit_tire_front.svg",
-            [
-                svgplot.Series(data.X[:, 0], data.Y[:, 0], "data", "points"),
-                svgplot.Series(grid, models.pacejka_lateral(grid, params.tire), "fit"),
-            ],
-            title="Front tire", x_label="alpha [rad]", y_label="F_y [N]",
-        )
-    if "tire_rear" in result.datasets and params is not None and params.tire is not None:
-        data = result.datasets["tire_rear"]
-        grid = np.linspace(float(data.X.min()), float(data.X.max()), 200)
-        svgplot.save_plot(
-            out_dir / "fit_tire_rear.svg",
-            [
-                svgplot.Series(data.X[:, 0], data.Y[:, 0], "data", "points"),
-                svgplot.Series(grid, models.rear_lateral(grid, params.tire.C_r), "fit"),
-            ],
-            title="Rear tire", x_label="alpha [rad]", y_label="F_y [N]",
-        )
+    for r in result.stages:
+        if r.data is None:
+            continue
+        filename, column, grid_of, curves, title, x_label, y_label = _PLOTS[r.name]
+        x = r.data.X[:, column]
+        grid = grid_of(x)
+        series = [svgplot.Series(x, r.data.Y[:, 0], "data", "points")] + [
+            svgplot.Series(grid, y, label) for label, y in curves(grid, r.data, result.params)]
+        svgplot.save_plot(out_dir / filename, series, title=title, x_label=x_label,
+                          y_label=y_label)
+
+
+# The report.json fields read from a stage's fit; each is null without one.
+_FIT_FIELDS = {
+    "final_loss": lambda fit: fit.loss,
+    "iterations": lambda fit: fit.iterations,
+    "converged": lambda fit: fit.converged,
+    "evaluations": lambda fit: fit.evaluations,
+    "parameters": lambda fit: [float(p) for p in fit.params],
+    "diagnostics": lambda fit: fit.diagnostics,
+}
 
 
 def cmd_fit(args) -> int:
@@ -212,12 +212,8 @@ def cmd_fit(args) -> int:
     report = {
         "stages": [
             {"name": r.name, "status": r.status, "detail": r.detail,
-             "final_loss": None if r.result is None else r.result.loss,
-             "iterations": None if r.result is None else r.result.iterations,
-             "converged": None if r.result is None else r.result.converged,
-             "evaluations": None if r.result is None else r.result.evaluations,
-             "parameters": None if r.result is None else [float(p) for p in r.result.params],
-             "diagnostics": None if r.result is None else r.result.diagnostics}
+             **{key: None if r.result is None else get(r.result)
+                for key, get in _FIT_FIELDS.items()}}
             for r in result.stages
         ],
         "steer_delay": result.steer_delay,
@@ -235,14 +231,9 @@ def cmd_fit(args) -> int:
         _fit_plots(result, out_dir)
     _write_manifest(out_dir, args, files, {"report": report})
 
-    if args.stages:
-        requested = set(stages)
-    else:
-        requested = set(KINEMATIC_STAGES)
-        if tagged.get("mocap"):
-            requested.add("tire")
-    fitted = {r.name for r in result.stages if r.fitted}
-    missing = sorted(requested - fitted)
+    requested = set(stages) if args.stages else {
+        name for name in pipeline.STAGES if name != "tire" or tagged["mocap"]}
+    missing = sorted(requested - {r.name for r in result.stages if r.fitted})
     for r in result.stages:
         if r.status != "fitted":
             logger.warning("stage %s: %s (%s)", r.name, r.status, r.detail)

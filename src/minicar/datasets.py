@@ -88,8 +88,15 @@ class Dataset:
         return int(self.X.shape[0])
 
 
-def _column(values: np.ndarray) -> np.ndarray:
-    return np.asarray(values, dtype=float).reshape(-1, 1)
+def _stacked(x_blocks: list, y_blocks: list, x_names: tuple[str, ...],
+             y_names: tuple[str, ...]) -> Dataset:
+    """The Dataset of a builder's row blocks, stacked in order; a block
+    of one column may be a 1-D array or a single value."""
+    def rows(blocks, width):
+        return np.concatenate([np.reshape(block, (-1, width)) for block in blocks])
+
+    return Dataset(X=rows(x_blocks, len(x_names)), Y=rows(y_blocks, len(y_names)),
+                   x_names=x_names, y_names=y_names)
 
 
 # Commanded throttle leads the applied force by the actuation delay;
@@ -98,20 +105,17 @@ def _column(values: np.ndarray) -> np.ndarray:
 TRANSITION_GUARD_S = 0.05
 
 
-def _stencil_guard(dt: float) -> int:
-    # half smoothing window + central-difference reach + delay slack
-    return FORCE_WINDOW // 2 + 1 + int(np.ceil(TRANSITION_GUARD_S / dt))
-
-
-def _force_rows(log: RawLog, m: float):
-    """Smoothed speed and total-force labels m * dv/dt for one log."""
+def _force_rows(log: RawLog, m: float, commanded: np.ndarray):
+    """Smoothed speed and total-force labels m * dv/dt for one log, and
+    the rows whose whole stencil shares the ``commanded`` condition and
+    lies inside the log."""
     v = local_poly_value(log.v_enc, FORCE_WINDOW)
     force = m * local_poly_derivative(log.v_enc, log.dt, FORCE_WINDOW)
-    interior = np.ones(len(log), dtype=bool)
-    trim = FORCE_WINDOW // 2 + 1
-    interior[:trim] = False
-    interior[len(log) - trim :] = False
-    return v, force, interior
+    trim = FORCE_WINDOW // 2 + 1  # half smoothing window + central-difference reach
+    keep = erode_mask(commanded, trim + int(np.ceil(TRANSITION_GUARD_S / log.dt)))
+    keep[:trim] = False
+    keep[len(log) - trim :] = False
+    return v, force, keep
 
 
 def build_friction_dataset(logs: Sequence[RawLog], m: float) -> Dataset:
@@ -125,21 +129,14 @@ def build_friction_dataset(logs: Sequence[RawLog], m: float) -> Dataset:
     for log in logs:
         if len(log) < 3:
             continue
-        guard = _stencil_guard(log.dt)
-        v, force, interior = _force_rows(log, m)
-        coasting = erode_mask(log.tau == 0.0, guard)
-        keep = coasting & interior & (v > V_MIN)
+        v, force, keep = _force_rows(log, m, log.tau == 0.0)
+        keep &= v > V_MIN
         if np.any(keep):
             xs.append(v[keep])
             ys.append(force[keep])
     if not xs:
         raise DataError("no coasting data: need rows with tau = 0 and v > v_min")
-    return Dataset(
-        X=_column(np.concatenate(xs)),
-        Y=_column(np.concatenate(ys)),
-        x_names=("v [m/s]",),
-        y_names=("F_friction [N]",),
-    )
+    return _stacked(xs, ys, ("v [m/s]",), ("F_friction [N]",))
 
 
 def build_motor_dataset(logs: Sequence[RawLog], m: float, friction) -> Dataset:
@@ -148,21 +145,13 @@ def build_motor_dataset(logs: Sequence[RawLog], m: float, friction) -> Dataset:
     for log in logs:
         if len(log) < 3:
             continue
-        guard = _stencil_guard(log.dt)
-        v, force, interior = _force_rows(log, m)
-        powered = erode_mask(log.tau > 0.0, guard)
-        keep = powered & interior
+        v, force, keep = _force_rows(log, m, log.tau > 0.0)
         if np.any(keep):
             xs.append(np.column_stack([log.tau[keep], v[keep]]))
             ys.append(force[keep] - models.friction_force(v[keep], friction))
     if not xs:
         raise DataError("no powered data: need rows with tau > 0")
-    return Dataset(
-        X=np.vstack(xs),
-        Y=_column(np.concatenate(ys)),
-        x_names=("tau", "v [m/s]"),
-        y_names=("F_motor [N]",),
-    )
+    return _stacked(xs, ys, ("tau", "v [m/s]"), ("F_motor [N]",))
 
 
 def estimate_steering_angle_series(omega, v, l: float) -> np.ndarray:
@@ -235,12 +224,7 @@ def build_steering_dataset(logs: Sequence[RawLog], l: float) -> Dataset:
         raise DataError("no steady constant-steering segments found")
     if skipped:
         logger.info("steering dataset: %d segments skipped", skipped)
-    return Dataset(
-        X=_column(np.asarray(xs)),
-        Y=_column(np.asarray(ys)),
-        x_names=("s",),
-        y_names=("delta [rad]",),
-    )
+    return _stacked(xs, ys, ("s",), ("delta [rad]",))
 
 
 def build_tire_dataset(
@@ -332,16 +316,5 @@ def build_tire_dataset(
         rear_y.append(f_yr_veh[keep])
     if not front_x:
         raise DataError("no usable tire rows (all below v_min or logs too short)")
-    front = Dataset(
-        X=_column(np.concatenate(front_x)),
-        Y=_column(np.concatenate(front_y)),
-        x_names=("alpha_f [rad]",),
-        y_names=("F_y_front [N]",),
-    )
-    rear = Dataset(
-        X=_column(np.concatenate(rear_x)),
-        Y=_column(np.concatenate(rear_y)),
-        x_names=("alpha_r [rad]",),
-        y_names=("F_y_rear [N]",),
-    )
-    return front, rear
+    return (_stacked(front_x, front_y, ("alpha_f [rad]",), ("F_y_front [N]",)),
+            _stacked(rear_x, rear_y, ("alpha_r [rad]",), ("F_y_rear [N]",)))

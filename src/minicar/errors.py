@@ -4,15 +4,16 @@ from __future__ import annotations
 
 
 class MinicarError(Exception):
-    """Base class for all package-specific errors."""
-
-
-class ParseError(MinicarError):
-    """Malformed input file; carries the offending row number when known."""
+    """Base class for all package-specific errors; carries the offending
+    1-based row of the input when known."""
 
     def __init__(self, message: str, row: int | None = None):
         super().__init__(message if row is None else f"{message} (row {row})")
         self.row = row
+
+
+class ParseError(MinicarError):
+    """Malformed input file."""
 
 
 class DataError(MinicarError):

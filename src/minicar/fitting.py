@@ -29,7 +29,7 @@ that give only a loss and a gradient; no stage uses it.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields, replace
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -294,64 +294,55 @@ def finite_difference_gradient(fn: Callable, p, step: float = 1e-6) -> np.ndarra
 
 # --- stages: the curve each one fits and its default setup -------------
 
-_SUBMODELS = {
-    "friction": models.friction_force_and_jacobian,
-    "motor": models.motor_force_and_jacobian,
-    "steering": models.steering_angle_and_jacobian,
-    "front_tire": models.pacejka_lateral_and_jacobian,
-    "rear_tire": models.rear_lateral_and_jacobian,
-}
-
 
 def _field_names(group) -> tuple[str, ...]:
     return tuple(f.name for f in fields(group))
 
 
-# each stage's parameter names, in fit-vector order
-_PARAM_NAMES = {
-    "friction": _field_names(FrictionParams),
-    "motor": _field_names(MotorParams),
-    "steering": _field_names(SteeringParams),
-    "front_tire": _field_names(TireParams)[:4],
-    "rear_tire": _field_names(TireParams)[4:],
-}
+class _Stage(NamedTuple):
+    curve: Callable  # models.<curve>_and_jacobian
+    names: tuple[str, ...]  # parameter names in fit-vector order
+    initial: tuple[float, ...]
+    lower: tuple[float, ...]
+    upper: tuple[float, ...]
+    budget: int  # iteration budget
 
-_DEFAULTS = {
-    # initial guess, lower, upper, iteration budget. Guesses are
-    # order-of-magnitude values a practitioner would read off a plot of
-    # the data; default_config overrides any of them. The two
-    # blended-sigmoid families crawl along shallow coupled valleys and
-    # get longer budgets (their datasets are small, so this is cheap).
-    "friction": ((1.0, 10.0, 0.1), (1e-3, 1e-3, 0.0), (20.0, 100.0, 10.0), 20000),
-    "motor": ((20.0, 5.0, -0.1), (1e-3, 1e-3, -0.99), (100.0, 100.0, 0.0), 20000),
-    "steering": (
-        (1.0, 1.0, 0.0, 1.0, 1.0),
-        (1e-3, 1e-3, -0.9, 1e-3, 1e-3),
-        (3.0, 5.0, 0.9, 3.0, 5.0),
-        40000,
-    ),
-    "front_tire": ((3.0, 1.0, 1.0, 0.0), (1e-3, 0.05, 1e-3, -10.0), (20.0, 2.0, 20.0, 0.99), 30000),
-    "rear_tire": ((1.0,), (1e-3,), (100.0,), 20000),
+
+# Guesses are order-of-magnitude values a practitioner would read off a
+# plot of the data; default_config overrides any of them. The two
+# blended-sigmoid families crawl along shallow coupled valleys and get
+# longer budgets (their datasets are small, so this is cheap).
+_STAGES = {
+    "friction": _Stage(models.friction_force_and_jacobian, _field_names(FrictionParams),
+                       (1.0, 10.0, 0.1), (1e-3, 1e-3, 0.0), (20.0, 100.0, 10.0), 20000),
+    "motor": _Stage(models.motor_force_and_jacobian, _field_names(MotorParams),
+                    (20.0, 5.0, -0.1), (1e-3, 1e-3, -0.99), (100.0, 100.0, 0.0), 20000),
+    "steering": _Stage(models.steering_angle_and_jacobian, _field_names(SteeringParams),
+                       (1.0, 1.0, 0.0, 1.0, 1.0), (1e-3, 1e-3, -0.9, 1e-3, 1e-3),
+                       (3.0, 5.0, 0.9, 3.0, 5.0), 40000),
+    "front_tire": _Stage(models.pacejka_lateral_and_jacobian, _field_names(TireParams)[:4],
+                         (3.0, 1.0, 1.0, 0.0), (1e-3, 0.05, 1e-3, -10.0),
+                         (20.0, 2.0, 20.0, 0.99), 30000),
+    "rear_tire": _Stage(models.rear_lateral_and_jacobian, _field_names(TireParams)[4:],
+                        (1.0,), (1e-3,), (100.0,), 20000),
 }
 
 
 def default_config(sub_model: str, **overrides) -> FitConfig:
     """The stage's default setup with ``overrides`` applied, all validated."""
-    if sub_model not in _DEFAULTS:
+    if sub_model not in _STAGES:
         raise ConfigError(f"unknown sub-model {sub_model!r}")
     unknown = set(overrides) - {f.name for f in fields(FitConfig)}
     if unknown:
         raise ConfigError(f"unknown FitConfig field {sorted(unknown)[0]!r}")
-    init, lo, hi, budget = _DEFAULTS[sub_model]
-    cfg = FitConfig(
-        initial=np.array(init), lower=np.array(lo), upper=np.array(hi),
-        max_iterations=budget,
-    )
-    return replace(cfg, **overrides)
+    stage = _STAGES[sub_model]
+    return FitConfig(**{"initial": stage.initial, "lower": stage.lower, "upper": stage.upper,
+                        "max_iterations": stage.budget, **overrides})
 
 
 def _stage_residuals(sub_model: str, data: Dataset) -> Callable:
-    return _residuals(_SUBMODELS[sub_model], data, len(_PARAM_NAMES[sub_model]))
+    stage = _STAGES[sub_model]
+    return _residuals(stage.curve, data, len(stage.names))
 
 
 def submodel_objective(sub_model: str, data: Dataset) -> Callable:
@@ -382,7 +373,7 @@ def fit_diagnostics(sub_model: str, data: Dataset, params, config: FitConfig) ->
     parameter, N ≤ n_p) is None.
     """
     params = np.asarray(params, dtype=float)
-    names = _PARAM_NAMES[sub_model]
+    names = _STAGES[sub_model].names
     residual, jac = _stage_residuals(sub_model, data)(params)
     grad = 2.0 * np.einsum("i,ik->k", residual, jac)
     # JᵀJ = V diag(s²) Vᵀ from the SVD of J, which keeps the small

@@ -26,7 +26,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ParseError
+from .errors import MinicarError, ParseError
 
 REQUIRED_COLUMNS = ("t", "tau", "s", "v_enc", "omega_imu")
 MOCAP_COLUMNS = ("x_t", "y_t", "eta_t")
@@ -41,14 +41,19 @@ COMMAND_TOLERANCE = 1e-9
 FORMAT_BLOCK_ROWS = 256
 
 
-def uniform_step(t: np.ndarray) -> tuple[float, int | None]:
-    """Median step of a time grid with at least two samples, and the
-    index of the first sample whose step strays from it by more than
-    GRID_TOLERANCE (None when the grid is uniform)."""
+def grid_step(t: np.ndarray, error: type[MinicarError] = ParseError) -> float:
+    """Median step of a time column of at least two samples. Raises
+    ``error`` naming the 1-based row where the column stops increasing
+    or a step strays from the median by more than GRID_TOLERANCE."""
     steps = np.diff(t)
+    back = np.flatnonzero(steps <= 0)
+    if back.size:
+        raise error("time must be strictly increasing", row=int(back[0]) + 2)
     dt = float(np.median(steps))
     off = np.flatnonzero(np.abs(steps - dt) > GRID_TOLERANCE * max(dt, 1.0))
-    return dt, (int(off[0]) + 1 if off.size else None)
+    if off.size:
+        raise error("samples must lie on a uniform time grid", row=int(off[0]) + 2)
+    return dt
 
 
 def command_out_of_range(*columns: np.ndarray) -> int | None:
@@ -86,11 +91,8 @@ class RawLog:
         n = self.t.size
         if any(a.size != n for a in arrays):
             raise ParseError("all log columns must have equal length")
-        if n >= 2 and np.any(np.diff(self.t) <= 0):
-            bad = int(np.argmax(np.diff(self.t) <= 0)) + 1
-            raise ParseError("time must be strictly increasing", row=bad + 1)
-        if n >= 2 and (bad := uniform_step(self.t)[1]) is not None:
-            raise ParseError("samples must lie on a uniform time grid", row=bad + 1)
+        if n >= 2:
+            grid_step(self.t)
         if (bad := command_out_of_range(self.tau, self.s)) is not None:
             raise ParseError("throttle and steering must lie in [-1, 1]", row=bad + 1)
         for a in arrays:
@@ -103,7 +105,7 @@ class RawLog:
     def dt(self) -> float:
         if len(self) < 2:
             raise ParseError("log too short to define a sample period")
-        return uniform_step(self.t)[0]
+        return grid_step(self.t)
 
 
 def read_table(source, name: str = "") -> dict[str, np.ndarray]:

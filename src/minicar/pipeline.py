@@ -4,7 +4,11 @@ Each stage consumes the results of the previous ones exactly as the
 experiment design requires: motor labels subtract the fitted friction
 curve, the steering delay is measured against the fitted static map,
 and tire-force labelling needs the steering map and delay to recover
-the road-wheel angle from logged commands.
+the road-wheel angle from logged commands. ``PLAN`` is the one list of
+the stages: each row names a stage, the experiment tags of its logs,
+the earlier stages it requires with the failure detail when one of
+them has no result, and its action. ``STAGES`` is its names in order
+and ``EXPERIMENT_TAGS`` the tags it reads.
 
 Logs arrive tagged by experiment type:
 
@@ -33,9 +37,6 @@ from .preprocess import smooth
 
 logger = logging.getLogger(__name__)
 
-STAGES = ("friction", "motor", "steering", "delay", "tire")
-EXPERIMENT_TAGS = ("coast", "step", "steer", "sine", "mocap")
-
 # Longitudinal actuation delay is not identifiable from driving logs
 # alone (it was measured on a bench); carried as a small default.
 DEFAULT_LONG_DELAY = 0.01
@@ -43,10 +44,14 @@ DEFAULT_LONG_DELAY = 0.01
 
 @dataclass
 class StageReport:
+    """What became of one stage, or of one curve a stage fitted: the
+    fit and the dataset it was fitted to, when there is one."""
+
     name: str
     status: str  # "fitted" | "skipped" | "failed"
     detail: str = ""
     result: fitting.FitResult | None = None
+    data: ds.Dataset | None = None
 
     @property
     def fitted(self) -> bool:
@@ -57,7 +62,6 @@ class StageReport:
 class PipelineResult:
     params: VehicleParams | None
     stages: list[StageReport] = field(default_factory=list)
-    datasets: dict[str, ds.Dataset] = field(default_factory=dict)
     steer_delay: float | None = None
 
     def stage(self, name: str) -> StageReport:
@@ -72,22 +76,64 @@ def measure_steer_delay(log: RawLog, steering, l: float) -> float:
     v = smooth(log.v_enc, ds.SMOOTH_WINDOW)
     omega = smooth(log.omega_imu, ds.SMOOTH_WINDOW)
     moving = v > ds.V_MIN
-    # longest contiguous stretch of valid speed keeps the series uniform
-    best_start, best_len, start = 0, 0, None
-    for i, ok in enumerate(moving):
-        if ok and start is None:
-            start = i
-        if (not ok or i == len(moving) - 1) and start is not None:
-            stop = i + 1 if ok else i
-            if stop - start > best_len:
-                best_start, best_len = start, stop - start
-            start = None
-    if best_len < 10:
+    # the first longest stretch of valid speed keeps the series uniform
+    runs = [(a, b) for a, b in ds._constant_runs(moving) if moving[a]]
+    start, stop = max(runs, key=lambda run: run[1] - run[0], default=(0, 0))
+    if stop - start < 10:
         raise DataError("sinusoidal log has no usable stretch with v > v_min")
-    run = slice(best_start, best_start + best_len)
-    commanded = models.steering_angle(log.s[run], steering)
-    measured = np.arctan(l * omega[run] / v[run])
+    commanded = models.steering_angle(log.s[start:stop], steering)
+    measured = np.arctan(l * omega[start:stop] / v[start:stop])
     return estimate_delay_xcorr(commanded, measured, log.dt)
+
+
+def _vehicle(values: Mapping[str, object], geometry: Geometry) -> VehicleParams:
+    """The vehicle of the stage results so far; None where a stage has none."""
+    return VehicleParams(
+        friction=values.get("friction"), motor=values.get("motor"),
+        steering=values.get("steering"), geometry=geometry,
+        delays=Delays(steer_delay=values.get("delay") or 0.0, long_delay=DEFAULT_LONG_DELAY),
+        tire=values.get("tire"),
+    )
+
+
+def _curve(name: str, data: ds.Dataset, fit, unit: str = "rows"):
+    """``fit(data)``'s value and the fitted report ``name`` of it."""
+    value, result = fit(data)
+    return value, StageReport(name, "fitted", f"{len(data)} {unit}", result, data)
+
+
+def _delay(logs, vehicle, _normalized_slip):
+    estimates = [measure_steer_delay(log, vehicle.steering, vehicle.geometry.l) for log in logs]
+    value = float(np.median(estimates))
+    return value, StageReport("delay", "fitted", f"{value:.3f} s from {len(estimates)} log(s)")
+
+
+def _tire(logs, vehicle, normalized_slip):
+    front, rear = ds.build_tire_dataset(logs, vehicle, normalized=normalized_slip)
+    coeffs, front_report = _curve("tire", front, fitting.fit_front_tire)
+    c_r, rear_report = _curve("tire_rear", rear, fitting.fit_rear_tire)
+    return TireParams(*map(float, coeffs), C_r=c_r), front_report, rear_report
+
+
+# (name, tags, requires, failure detail, action), in the order the stages
+# run. ``action(logs, vehicle, normalized_slip)`` gets the stage's logs and
+# the vehicle of the results so far, and returns the stage's result and
+# one fitted StageReport per curve it fits. It looks up every builder and
+# fit through its module when it runs.
+PLAN = (
+    ("friction", ("coast", "step"), (), "", lambda logs, vehicle, _: _curve(
+        "friction", ds.build_friction_dataset(logs, vehicle.geometry.m), fitting.fit_friction)),
+    ("motor", ("step",), ("friction",), "requires a fitted friction curve",
+     lambda logs, vehicle, _: _curve("motor", ds.build_motor_dataset(
+         logs, vehicle.geometry.m, vehicle.friction), fitting.fit_motor)),
+    ("steering", ("steer",), (), "", lambda logs, vehicle, _: _curve(
+        "steering", ds.build_steering_dataset(logs, vehicle.geometry.l), fitting.fit_steering,
+        "segments")),
+    ("delay", ("sine",), ("steering",), "requires a fitted steering map", _delay),
+    ("tire", ("mocap",), ("steering",), "requires a fitted steering map", _tire),
+)
+STAGES = tuple(row[0] for row in PLAN)
+EXPERIMENT_TAGS = tuple(dict.fromkeys(tag for row in PLAN for tag in row[1]))
 
 
 def fit_pipeline(
@@ -97,13 +143,15 @@ def fit_pipeline(
     normalized_slip: bool = False,
     stages: Sequence[str] = STAGES,
 ) -> PipelineResult:
-    """Run the staged fits on a tagged log collection.
+    """Run the stages of PLAN in order on a tagged log collection.
 
     ``normalized_slip`` selects the slip-angle convention of the tire
     labels (see ``models.slip_angles``).
 
-    Stages without data are reported as skipped; stages whose
-    prerequisites did not fit fail explicitly. ``result.params`` is
+    A stage not in ``stages`` or without logs is reported as skipped; a
+    stage whose prerequisites have no result, or whose action raises a
+    MinicarError, fails, and a stage that fits more than one curve
+    reports each of them only when all fitted. ``result.params`` is
     populated once the three kinematic sub-models exist.
     """
     unknown = set(stages) - set(STAGES)
@@ -113,105 +161,28 @@ def fit_pipeline(
         raise DataError("no logs supplied")
 
     result = PipelineResult(params=None)
-    friction = motor = steering = None
-    tire = None
-    steer_delay = None
-
-    def run_stage(name: str, prerequisite_ok: bool, prerequisite_msg: str, tags: tuple,
-                  action):
-        if name not in stages:
-            result.stages.append(StageReport(name, "skipped", "not requested"))
-            return None
+    values: dict[str, object] = {}
+    for name, tags, requires, missing, action in PLAN:
         data_logs = [log for tag in tags for log in logs.get(tag, ())]
-        if not data_logs:
-            msg = f"no logs tagged {' or '.join(tags)}"
-            logger.warning("stage %s skipped: %s", name, msg)
-            result.stages.append(StageReport(name, "skipped", msg))
-            return None
-        if not prerequisite_ok:
-            logger.warning("stage %s failed: %s", name, prerequisite_msg)
-            result.stages.append(StageReport(name, "failed", prerequisite_msg))
-            return None
-        try:
-            return action(data_logs)
-        except MinicarError as exc:
-            logger.warning("stage %s failed: %s", name, exc)
-            result.stages.append(StageReport(name, "failed", str(exc)))
-            return None
+        if name not in stages:
+            status, detail = "skipped", "not requested"
+        elif not data_logs:
+            status, detail = "skipped", f"no logs tagged {' or '.join(tags)}"
+        elif any(earlier not in values for earlier in requires):
+            status, detail = "failed", missing
+        else:
+            try:
+                values[name], *fitted = action(data_logs, _vehicle(values, geometry),
+                                               normalized_slip)
+            except MinicarError as exc:
+                status, detail = "failed", str(exc)
+            else:
+                result.stages += fitted
+                continue
+        logger.debug("stage %s %s: %s", name, status, detail)
+        result.stages.append(StageReport(name, status, detail))
 
-    def friction_stage(data_logs):
-        data = ds.build_friction_dataset(data_logs, geometry.m)
-        params, fit = fitting.fit_friction(data)
-        result.datasets["friction"] = data
-        result.stages.append(StageReport("friction", "fitted", f"{len(data)} rows", fit))
-        return params
-
-    def motor_stage(data_logs):
-        data = ds.build_motor_dataset(data_logs, geometry.m, friction)
-        params, fit = fitting.fit_motor(data)
-        result.datasets["motor"] = data
-        result.stages.append(StageReport("motor", "fitted", f"{len(data)} rows", fit))
-        return params
-
-    def steering_stage(data_logs):
-        data = ds.build_steering_dataset(data_logs, geometry.l)
-        params, fit = fitting.fit_steering(data)
-        result.datasets["steering"] = data
-        result.stages.append(StageReport("steering", "fitted", f"{len(data)} segments", fit))
-        return params
-
-    def delay_stage(data_logs):
-        estimates = [measure_steer_delay(log, steering, geometry.l) for log in data_logs]
-        value = float(np.median(estimates))
-        result.stages.append(
-            StageReport("delay", "fitted", f"{value:.3f} s from {len(estimates)} log(s)")
-        )
-        return value
-
-    def tire_stage(data_logs):
-        interim = VehicleParams(
-            friction=friction, motor=motor, steering=steering, geometry=geometry,
-            delays=Delays(steer_delay=steer_delay or 0.0, long_delay=DEFAULT_LONG_DELAY),
-        )
-        front, rear = ds.build_tire_dataset(data_logs, interim, normalized=normalized_slip)
-        front_coeffs, front_fit = fitting.fit_front_tire(front)
-        c_r, rear_fit = fitting.fit_rear_tire(rear)
-        result.datasets["tire_front"] = front
-        result.datasets["tire_rear"] = rear
-        result.stages.append(
-            StageReport("tire", "fitted", f"{len(front)} rows", front_fit)
-        )
-        result.stages.append(
-            StageReport("tire_rear", "fitted", f"{len(rear)} rows", rear_fit)
-        )
-        D, C, B, E = (float(v) for v in front_coeffs)
-        return TireParams(D=D, C=C, B=B, E=E, C_r=c_r)
-
-    friction = run_stage(
-        "friction", True, "", ("coast", "step"), friction_stage
-    )
-    motor = run_stage(
-        "motor", friction is not None, "requires a fitted friction curve",
-        ("step",), motor_stage,
-    )
-    steering = run_stage("steering", True, "", ("steer",), steering_stage)
-    steer_delay = run_stage(
-        "delay", steering is not None, "requires a fitted steering map",
-        ("sine",), delay_stage,
-    )
-    tire = run_stage(
-        "tire", steering is not None, "requires a fitted steering map",
-        ("mocap",), tire_stage,
-    )
-
-    result.steer_delay = steer_delay
-    if friction is not None and motor is not None and steering is not None:
-        result.params = VehicleParams(
-            friction=friction,
-            motor=motor,
-            steering=steering,
-            geometry=geometry,
-            delays=Delays(steer_delay=steer_delay or 0.0, long_delay=DEFAULT_LONG_DELAY),
-            tire=tire,
-        )
+    result.steer_delay = values.get("delay")
+    if all(name in values for name in ("friction", "motor", "steering")):
+        result.params = _vehicle(values, geometry)
     return result

@@ -20,6 +20,9 @@ Scenario JSON schema::
       "mocap": false                  # optional
     }
 
+``dt`` lies in (0, MAX_DT] s, and the grid's round(duration / dt)
+steps number from 1 to MAX_SAMPLES - 1 (MAX_SAMPLES = 10**6 samples).
+
 Schedule variants: ``step`` (one switch), ``piecewise`` (zero-order
 hold over breakpoints) and ``sine`` (offset + amplitude * sin(2*pi*f*t
 + phase)).
@@ -39,6 +42,9 @@ from .errors import ConfigError
 from .params import read_json_object
 
 MAX_DT = 0.05
+# Most samples a scenario grid may hold, its round(duration / dt) steps
+# plus one, so that a mistyped duration fails before memory runs out.
+MAX_SAMPLES = 10**6
 
 
 def _real(value, what: str) -> float:
@@ -184,6 +190,12 @@ class Scenario:
             raise ConfigError("scenario duration must be > 0")
         if not 0 < self.dt <= MAX_DT:
             raise ConfigError(f"scenario dt must lie in (0, {MAX_DT}] s")
+        # 0.5 < x < MAX_SAMPLES - 0.5 is 1 <= round(x) <= MAX_SAMPLES - 1
+        if not 0.5 < self.duration / self.dt < MAX_SAMPLES - 0.5:
+            raise ConfigError(
+                f"scenario duration / dt must give 1 to {MAX_SAMPLES - 1} steps, "
+                f"got {self.duration / self.dt:.6g}"
+            )
         if self.model not in ("kinematic", "dynamic"):
             raise ConfigError(f"unknown model kind {self.model!r}")
         if not isinstance(self.mocap, bool):

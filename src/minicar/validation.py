@@ -22,7 +22,7 @@ from .datasets import SMOOTH_WINDOW
 from .delay import delay_shift
 from .errors import ConfigError, DataError
 from .integrators import rk4_step  # unused; perfbench/tracing.py patches it by name
-from .logs import command_out_of_range, read_table, uniform_step
+from .logs import command_out_of_range, grid_step, read_table
 from .params import VehicleParams
 from .preprocess import differentiate, smooth
 from .simulator import held_inputs, stepper
@@ -57,12 +57,7 @@ def _dt_of(table: dict) -> float:
     t = table.get("t")
     if t is None or t.size < 2:
         raise DataError("log needs a time column with at least two rows")
-    if np.any(np.diff(t) <= 0):
-        raise DataError("log time must be strictly increasing")
-    dt, off_grid = uniform_step(t)
-    if off_grid is not None:
-        raise DataError(f"one-step validation needs a uniform sample rate (row {off_grid + 1})")
-    return dt
+    return grid_step(t, DataError)
 
 
 def _kinematic_states(table: dict) -> tuple[list, list[str]]:

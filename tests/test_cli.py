@@ -88,6 +88,7 @@ def test_simulate_rejects_malformed_params_with_status_2(tmp_path, caplog, param
     ({"intial_state": [0.0, 0.0, 0.0, 0.5]}, "intial_state"),
     ({"steering": {"type": "sine", "amplitude": 0.4, "frequency": 0.5, "ofset": 0.2}}, "ofset"),
     ({"throttle": {"type": "step", "t": 0.5, "before": 0.0, "after": 0.3, "aftr": 0.1}}, "aftr"),
+    ({"duration": 0.004}, "duration / dt"),
 ])
 def test_simulate_rejects_malformed_scenario_fields_with_status_2(tmp_path, params_file, caplog,
                                                                    overrides, field):

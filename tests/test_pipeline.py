@@ -1,56 +1,11 @@
 import numpy as np
 import pytest
 
-from minicar import models
+from minicar import fitting, models
 from minicar.errors import DataError
 from minicar.pipeline import fit_pipeline, measure_steer_delay
-from minicar.scenarios import (
-    PiecewiseSchedule,
-    Scenario,
-    constant,
-    constant_steering_battery,
-    mocap_circular_ramp,
-    sinusoidal_steering,
-    step_throttle_battery,
-)
+from minicar.scenarios import sinusoidal_steering
 from minicar.simulator import NoiseSpec, synthesize_log
-
-
-def _synthesize(scenarios, ref, base_seed, **noise):
-    seeds = np.random.SeedSequence(base_seed).spawn(len(scenarios))
-    return [
-        synthesize_log(
-            scen, ref, NoiseSpec(seed=int(seeds[i].generate_state(1)[0]), **noise)
-        )
-        for i, scen in enumerate(scenarios)
-    ]
-
-
-@pytest.fixture(scope="module")
-def small_suite(ref):
-    """A trimmed synthetic suite: enough data for coarse recovery,
-    small enough to keep this module quick."""
-    coast = [
-        Scenario(
-            name=f"coast_{tau}", duration=8.0, dt=0.01, model="kinematic",
-            throttle=PiecewiseSchedule(times=(0.0, 4.0), values=(tau, 0.0)),
-            steering=constant(0.0),
-        )
-        for tau in (0.4, 0.3)
-    ]
-    return {
-        "coast": _synthesize(coast, ref, 11, v_enc=0.01),
-        "step": _synthesize(step_throttle_battery(levels=(0.2, 0.3, 0.4), hold=5.0), ref, 22, v_enc=0.01),
-        "steer": _synthesize(
-            constant_steering_battery(s_values=(-0.8, -0.4, 0.0, 0.4, 0.8), duration=6.0),
-            ref, 33, v_enc=0.01, omega_imu=0.01,
-        ),
-        "sine": _synthesize([sinusoidal_steering(duration=10.0)], ref, 44, v_enc=0.01, omega_imu=0.01),
-        "mocap": _synthesize(
-            [mocap_circular_ramp(s, duration=20.0) for s in (-0.4, 0.4)],
-            ref, 55, mocap_xy=0.001, mocap_eta=0.002,
-        ),
-    }
 
 
 @pytest.fixture(scope="module")
@@ -94,6 +49,19 @@ def test_pipeline_without_mocap_skips_tire(ref, small_suite):
     assert result.stage("tire").status == "skipped"
     assert result.params is not None
     assert result.params.tire is None
+
+
+def test_pipeline_reports_a_failed_rear_tire_fit_as_one_failed_tire_stage(
+        ref, small_suite, monkeypatch):
+    def fail(data):
+        raise DataError("rear tire did not fit")
+
+    monkeypatch.setattr(fitting, "fit_rear_tire", fail)
+    result = fit_pipeline(small_suite, ref.geometry)
+    assert [(r.name, r.status) for r in result.stages][3:] == [("delay", "fitted"),
+                                                               ("tire", "failed")]
+    assert result.stage("tire").detail == "rear tire did not fit"
+    assert result.params is not None and result.params.tire is None
 
 
 def test_pipeline_empty_input_raises(ref):

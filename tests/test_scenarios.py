@@ -5,6 +5,7 @@ import pytest
 
 from minicar.errors import ConfigError
 from minicar.scenarios import (
+    MAX_SAMPLES,
     PiecewiseSchedule,
     Scenario,
     SineSchedule,
@@ -63,6 +64,21 @@ def test_scenario_validation():
         Scenario(name="bad", duration=1.0, dt=0.01, model="kinematic",
                  throttle=constant(0.2), steering=constant(0.0),
                  initial_state=(0.0,) * 6)
+
+
+@pytest.mark.parametrize("duration, dt", [(0.004, 0.01), (1e9, 0.05), (1.0, 5e-324),
+                                          (MAX_SAMPLES * 0.01, 0.01)])
+def test_scenario_rejects_a_grid_of_no_step_or_too_many_samples(duration, dt):
+    """Checked on the fields alone: neither grid is ever built."""
+    with pytest.raises(ConfigError, match="steps"):
+        Scenario(name="bad", duration=duration, dt=dt, model="kinematic",
+                 throttle=constant(0.2), steering=constant(0.0))
+
+
+def test_scenario_accepts_the_largest_and_smallest_grids():
+    for duration in ((MAX_SAMPLES - 1) * 0.01, 0.006):
+        Scenario(name="edge", duration=duration, dt=0.01, model="kinematic",
+                 throttle=constant(0.2), steering=constant(0.0))
 
 
 def test_scenario_rejects_out_of_range_schedule():

@@ -96,3 +96,32 @@ def test_traced_normalized_validation_counts_both_branches_as_rk4_steps():
     assert spans["validation.one_step_rms"][0] == 1
     assert spans["integrators.rk4_step"][0] == 2
     assert spans["models.kinematic_rhs"][0] == spans["models.dynamic_rhs"][0] == 4
+
+
+def test_traced_fit_pipeline_counts_every_stage_call(ref, small_suite):
+    """The benchmark's per-stage fit and dataset figures come from spans
+    around the functions the identification plan calls. The plan looks
+    each of them up through its module when a stage runs, so a traced
+    run opens one ``fitting.fit_<stage>`` span per fitted curve, one
+    ``datasets.<stage>`` span per builder and one
+    ``pipeline.measure_steer_delay`` span per sinusoidal log. A plan
+    that bound them at import would open none."""
+    from minicar import pipeline
+
+    tracing = _tracing_module()
+    tracer = tracing.Tracer()
+    try:
+        tracing.install(tracer)
+        result = pipeline.fit_pipeline(small_suite, ref.geometry)
+        spans = tracer.snapshot()[0]
+    finally:
+        tracer.restore()
+
+    def calls(name):
+        return spans.get(name, (0, 0.0, 0.0))[0]
+
+    curves = [r for r in result.stages if r.result is not None]
+    assert len(curves) == len(tracing.FIT_STAGES) == 5
+    assert all(calls(f"fitting.fit_{stage}") == 1 for stage in tracing.FIT_STAGES)
+    assert all(calls(f"datasets.{stage}") == 1 for stage in tracing.DATASET_STAGES)
+    assert calls("pipeline.measure_steer_delay") == len(small_suite["sine"]) == 1

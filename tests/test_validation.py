@@ -116,7 +116,15 @@ def test_read_table_rejects_non_finite_field(tmp_path):
 def test_one_step_rms_rejects_non_uniform_grid(ref):
     t = np.array([0.0, 0.01, 0.5, 0.51])
     table = {"t": t, "tau": np.zeros(4), "s": np.zeros(4), "v_enc": np.ones(4)}
-    with pytest.raises(DataError, match="uniform sample rate.*row 3"):
+    with pytest.raises(DataError, match="uniform time grid.*row 3"):
+        one_step_rms(table, ref, "kinematic")
+
+
+def test_one_step_rms_names_the_row_where_time_goes_back(ref):
+    t = np.arange(8) * 0.01
+    t[5] = 0.02  # row 6 (1-based) goes back in time
+    table = {"t": t, "tau": np.zeros(8), "s": np.zeros(8), "v_enc": np.ones(8)}
+    with pytest.raises(DataError, match=r"strictly increasing \(row 6\)"):
         one_step_rms(table, ref, "kinematic")
 
 
