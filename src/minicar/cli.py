@@ -226,21 +226,25 @@ def cmd_fit(args) -> int:
             ]
             (out_dir / f"loss_{r.name}.csv").write_text("\n".join(trace_lines) + "\n")
 
-    if result.params is not None:
+    fitted = {r.name for r in result.stages if r.fitted}
+    if result.params is None:
+        logger.warning("no parameter file written: %s not fitted", ", ".join(
+            name for name in pipeline.PARAMS_STAGES if name not in fitted))
+    else:
         save_params(result.params, out_path)
+        print(f"wrote {out_path}")
         _fit_plots(result, out_dir)
     _write_manifest(out_dir, args, files, {"report": report})
 
     requested = set(stages) if args.stages else {
         name for name in pipeline.STAGES if name != "tire" or tagged["mocap"]}
-    missing = sorted(requested - {r.name for r in result.stages if r.fitted})
+    missing = sorted(requested - fitted)
     for r in result.stages:
         if r.status != "fitted":
             logger.warning("stage %s: %s (%s)", r.name, r.status, r.detail)
     if missing:
         logger.error("requested stages did not complete: %s", ", ".join(missing))
         return 1
-    print(f"wrote {out_path}")
     return 0
 
 

@@ -17,7 +17,7 @@ from . import models
 from .delay import delay_shift
 from .errors import DataError
 from .logs import RawLog
-from .params import VehicleParams
+from .params import Geometry, VehicleParams
 from .preprocess import (
     differentiate,
     erode_mask,
@@ -53,11 +53,6 @@ STEADY_REL_TOL = 0.05
 STEADY_OMEGA_FLOOR = 0.3
 # Fewest rows a steering segment needs, in total and steady above V_MIN.
 MIN_SEGMENT_ROWS = 10
-
-# Pose rows whose force-balance matrix has a smaller determinant are
-# dropped from the tire dataset rather than solved.
-SINGULAR_TOL = 1e-9
-
 
 @dataclass(frozen=True)
 class Dataset:
@@ -227,6 +222,19 @@ def build_steering_dataset(logs: Sequence[RawLog], l: float) -> Dataset:
     return _stacked(xs, ys, ("s",), ("delta [rad]",))
 
 
+def _axle_forces(ax_abs, ay_abs, domega, eta, geom: Geometry) -> tuple:
+    """Body-frame longitudinal force and front and rear lateral forces
+    (f_x, f_yf, f_yr) of the planar rigid-body force balance.
+
+    The world-frame force m*(ax, ay), rotated into the body frame, is
+    (f_x, f_yf + f_yr); the yaw moment l_f*f_yf - l_r*f_yr = I_z*domega
+    splits the lateral total between the axles.
+    """
+    f_x, f_y = models.body_frame_velocity(geom.m * ax_abs, geom.m * ay_abs, eta)
+    moment = geom.I_z * domega
+    return f_x, (geom.l_r * f_y + moment) / geom.l, (geom.l_f * f_y - moment) / geom.l
+
+
 def build_tire_dataset(
     logs: Sequence[RawLog],
     params: VehicleParams,
@@ -237,11 +245,10 @@ def build_tire_dataset(
 
     Pose tracks are differentiated twice (with smoothing between
     stages) to get body-frame velocities, accelerations and yaw
-    acceleration. Per row, the planar rigid-body force balance is
-    solved as a 3x3 linear system for the total longitudinal force and
-    the two axle lateral forces; the front force is then projected into
-    the steered tire frame assuming the drive force splits equally
-    between the axles.
+    acceleration, from which ``_axle_forces`` gives each row's total
+    longitudinal force and the two axle lateral forces; the front force
+    is then projected into the steered tire frame assuming the drive
+    force splits equally between the axles.
     """
     geom = params.geometry
     front_x, front_y, rear_x, rear_y = [], [], [], []
@@ -268,42 +275,15 @@ def build_tire_dataset(
         s_applied = delay_shift(log.s, params.delays.steer_delay, log.dt)
         delta = models.steering_angle(s_applied, params.steering)
 
-        cos_e, sin_e = np.cos(eta), np.sin(eta)
-        n = len(log)
-        m_rows = np.empty((n, 3, 3))
-        m_rows[:, 0, 0] = cos_e
-        m_rows[:, 0, 1] = -sin_e
-        m_rows[:, 0, 2] = -sin_e
-        m_rows[:, 1, 0] = sin_e
-        m_rows[:, 1, 1] = cos_e
-        m_rows[:, 1, 2] = cos_e
-        m_rows[:, 2, 0] = 0.0
-        m_rows[:, 2, 1] = geom.l_f
-        m_rows[:, 2, 2] = -geom.l_r
-        rhs = np.column_stack([geom.m * ax_abs, geom.m * ay_abs, geom.I_z * domega])
-
-        dets = np.linalg.det(m_rows)
-        solvable = np.abs(dets) > SINGULAR_TOL
-        if not np.all(solvable):
-            logger.warning(
-                "tire dataset: %d near-singular rows dropped in %s",
-                int(np.count_nonzero(~solvable)),
-                log.name or "<log>",
-            )
-        forces = np.full((n, 3), np.nan)
-        forces[solvable] = np.linalg.solve(m_rows[solvable], rhs[solvable, :, None])[:, :, 0]
-        f_x, f_yf_veh, f_yr_veh = forces[:, 0], forces[:, 1], forces[:, 2]
-
+        f_x, f_yf_veh, f_yr_veh = _axle_forces(ax_abs, ay_abs, domega, eta, geom)
         # project the front axle force into the steered tire frame
         f_xf = f_x / 2.0
         f_yf_tire = np.sin(-delta) * f_xf + np.cos(-delta) * f_yf_veh
 
-        moving = v_x > V_MIN
-        interior = np.ones(n, dtype=bool)
+        keep = (v_x > V_MIN) & np.isfinite(f_yf_tire)
         trim = 2 * (SMOOTH_WINDOW // 2 + 1)
-        interior[:trim] = False
-        interior[n - trim :] = False
-        keep = moving & interior & solvable & np.isfinite(f_yf_tire)
+        keep[:trim] = False
+        keep[len(log) - trim :] = False
         if not np.any(keep):
             continue
 

@@ -2,14 +2,10 @@
 
 Each stage fits one curve of ``models`` to a Dataset: the columns of X
 are the curve's inputs in argument order, the fit vector holds its
-parameters in field order, and ``models.<curve>_and_jacobian`` gives
-the residual vector r = curve(X; p) − y its analytic Jacobian J. No
-curve formula lives here. One private evaluator per dataset holds the
-columns as contiguous 1-D arrays and owns, for its whole life, one
-``(N, n_p)`` Jacobian buffer, the curve's scratch rows and a residual
-row; each call overwrites them and evaluates the curve and its
-Jacobian in one pass. The stage fits, the diagnostics and the
-loss-and-gradient objective all read it.
+parameters in field order, the residual vector is r = curve(X; p) − y
+and ``models.<curve>_jacobian`` gives its analytic Jacobian J. No
+curve formula lives here. The stage fits, the diagnostics and the
+loss-and-gradient objective all evaluate r and J the same way.
 
 Every stage is solved by ``lm_fit``, a box-projected
 Levenberg–Marquardt method (Marquardt 1963; Moré 1978): each step
@@ -182,8 +178,7 @@ def _sum_squares(residual: np.ndarray) -> float:
 def lm_fit(residuals: Callable, config: FitConfig) -> FitResult:
     """Minimize ``‖r(p)‖²`` inside a parameter box, where
     ``residuals(p) -> (r, J)`` gives the residual vector and its
-    ``(N, n_p)`` Jacobian; it may overwrite the arrays it returned
-    before.
+    ``(N, n_p)`` Jacobian.
 
     Each step solves (JᵀJ + λ·diag(JᵀJ)) δ = −Jᵀr and clips p + δ to
     ``[lower, upper]``; a parameter on a bound that the gradient pushes
@@ -255,41 +250,22 @@ def lm_fit(residuals: Callable, config: FitConfig) -> FitResult:
     )
 
 
-def _residuals(value_and_jacobian: Callable, data: Dataset, n_params: int) -> Callable:
+def _residuals(curve: Callable, jacobian: Callable, data: Dataset) -> Callable:
     """``evaluate(p) -> (residual, jac)`` for one curve on ``data``.
 
     The curve reads each column of ``data.X`` as one input argument;
     the residual is its value minus the single column of ``data.Y``,
-    and ``jac`` its ``(N, n_p)`` parameter Jacobian. Both live in
-    buffers allocated here, once: every call overwrites them.
+    and ``jac`` its ``(N, n_p)`` parameter Jacobian.
     """
     if data.Y.shape[1] != 1:
         raise DataError(f"a least-squares stage fits one output column, got {data.Y.shape[1]}")
-    columns = [np.ascontiguousarray(data.X[:, j]) for j in range(data.X.shape[1])]
-    y = np.ascontiguousarray(data.Y[:, 0])
-    jac = np.empty((y.size, n_params))
-    work = np.empty((models.JACOBIAN_WORK_ROWS, y.size))
-    residual = np.empty(y.size)
+    columns, y = data.X.T, data.Y[:, 0]
 
     def evaluate(p):
         p = np.asarray(p, dtype=float)
-        np.subtract(value_and_jacobian(*columns, p, jac, work), y, out=residual)
-        return residual, jac
+        return curve(*columns, p) - y, jacobian(*columns, p)
 
     return evaluate
-
-
-def finite_difference_gradient(fn: Callable, p, step: float = 1e-6) -> np.ndarray:
-    """Central finite differences with per-parameter relative steps."""
-    p = np.asarray(p, dtype=float)
-    grad = np.empty_like(p)
-    for i in range(p.size):
-        h = step * max(1.0, abs(p[i]))
-        hi, lo = p.copy(), p.copy()
-        hi[i] += h
-        lo[i] -= h
-        grad[i] = (fn(hi) - fn(lo)) / (2 * h)
-    return grad
 
 
 # --- stages: the curve each one fits and its default setup -------------
@@ -300,7 +276,8 @@ def _field_names(group) -> tuple[str, ...]:
 
 
 class _Stage(NamedTuple):
-    curve: Callable  # models.<curve>_and_jacobian
+    curve: Callable  # models.<curve>
+    jacobian: Callable  # models.<curve>_jacobian
     names: tuple[str, ...]  # parameter names in fit-vector order
     initial: tuple[float, ...]
     lower: tuple[float, ...]
@@ -313,18 +290,21 @@ class _Stage(NamedTuple):
 # blended-sigmoid families crawl along shallow coupled valleys and get
 # longer budgets (their datasets are small, so this is cheap).
 _STAGES = {
-    "friction": _Stage(models.friction_force_and_jacobian, _field_names(FrictionParams),
+    "friction": _Stage(models.friction_force, models.friction_force_jacobian,
+                       _field_names(FrictionParams),
                        (1.0, 10.0, 0.1), (1e-3, 1e-3, 0.0), (20.0, 100.0, 10.0), 20000),
-    "motor": _Stage(models.motor_force_and_jacobian, _field_names(MotorParams),
+    "motor": _Stage(models.motor_force, models.motor_force_jacobian, _field_names(MotorParams),
                     (20.0, 5.0, -0.1), (1e-3, 1e-3, -0.99), (100.0, 100.0, 0.0), 20000),
-    "steering": _Stage(models.steering_angle_and_jacobian, _field_names(SteeringParams),
+    "steering": _Stage(models.steering_angle, models.steering_angle_jacobian,
+                       _field_names(SteeringParams),
                        (1.0, 1.0, 0.0, 1.0, 1.0), (1e-3, 1e-3, -0.9, 1e-3, 1e-3),
                        (3.0, 5.0, 0.9, 3.0, 5.0), 40000),
-    "front_tire": _Stage(models.pacejka_lateral_and_jacobian, _field_names(TireParams)[:4],
+    "front_tire": _Stage(models.pacejka_lateral, models.pacejka_lateral_jacobian,
+                         _field_names(TireParams)[:4],
                          (3.0, 1.0, 1.0, 0.0), (1e-3, 0.05, 1e-3, -10.0),
                          (20.0, 2.0, 20.0, 0.99), 30000),
-    "rear_tire": _Stage(models.rear_lateral_and_jacobian, _field_names(TireParams)[4:],
-                        (1.0,), (1e-3,), (100.0,), 20000),
+    "rear_tire": _Stage(models.rear_lateral, models.rear_lateral_jacobian,
+                        _field_names(TireParams)[4:], (1.0,), (1e-3,), (100.0,), 20000),
 }
 
 
@@ -342,7 +322,7 @@ def default_config(sub_model: str, **overrides) -> FitConfig:
 
 def _stage_residuals(sub_model: str, data: Dataset) -> Callable:
     stage = _STAGES[sub_model]
-    return _residuals(stage.curve, data, len(stage.names))
+    return _residuals(stage.curve, stage.jacobian, data)
 
 
 def submodel_objective(sub_model: str, data: Dataset) -> Callable:

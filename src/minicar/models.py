@@ -7,18 +7,9 @@ residuals. Each curve unpacks its parameters in field order
 (``a, b, c = p``), so ``p`` may be the parameter dataclass or a fit
 vector in the same order.
 
-Each curve has one value-and-Jacobian function,
-``<curve>_and_jacobian(*inputs, p, jac, work)``, which evaluates the
-curve and its derivatives with respect to ``p`` in one pass, so every
-intermediate they share is computed once. The inputs are 1-D float
-arrays of N rows. The caller owns both buffers and may reuse them
-from call to call: ``jac`` is a C-contiguous ``(N, n_p)`` array whose
-column k the function overwrites with d(curve)/d(p[k]), and ``work``
-is a C-contiguous ``(JACOBIAN_WORK_ROWS, N)`` scratch array. The
-returned curve value is a row of ``work``, valid until the next call
-that uses it. Transcendental functions run on contiguous ``work``
-rows only, and every expression keeps the evaluation order of the
-plain curve, so the value equals the curve's bit for bit.
+Each curve has one Jacobian, ``<curve>_jacobian(*inputs, p)``: for
+1-D input arrays of N rows it returns a fresh C-contiguous
+``(N, n_p)`` array whose column k is d(curve)/d(p[k]).
 
 Every other function here is pure and takes either Python floats or
 numpy arrays, so one definition serves the dataset, fitting and
@@ -62,9 +53,6 @@ from .params import Geometry, VehicleParams
 THROTTLE_SHARPNESS = 100.0
 STEER_BLEND_SHARPNESS = 30.0
 
-# Rows of the scratch array a value-and-Jacobian function may use.
-JACOBIAN_WORK_ROWS = 6
-
 # Normalized slip angles divide by v_x, so they refuse any v_x at or
 # below this speed [m/s].
 SLIP_V_EPS = 1e-6
@@ -97,16 +85,10 @@ def friction_force(v, p):
     return -(a * _tanh(b * v) + v * c)
 
 
-def friction_force_and_jacobian(v, p, jac, work) -> np.ndarray:
+def friction_force_jacobian(v, p) -> np.ndarray:
     a, b, c = p
-    th, t, u = work[:3]
-    np.tanh(np.multiply(v, b, out=th), out=th)
-    np.negative(th, out=jac[:, 0])
-    np.subtract(1, np.multiply(th, th, out=t), out=t)
-    np.multiply(np.multiply(v, -a, out=u), t, out=jac[:, 1])  # -a * v * (1 - th^2)
-    np.negative(v, out=jac[:, 2])
-    np.add(np.multiply(th, a, out=t), np.multiply(v, c, out=u), out=t)
-    return np.negative(t, out=t)
+    th = np.tanh(b * v)
+    return np.stack([-th, -a * v * (1 - th * th), -v], axis=-1)
 
 
 def smooth_positive_throttle(tau, g):
@@ -144,24 +126,13 @@ def net_force(gate, v, motor, friction):
     return drive_force(gate, v, motor) + friction_force(v, friction)
 
 
-def motor_force_and_jacobian(tau, v, p, jac, work) -> np.ndarray:
+def motor_force_jacobian(tau, v, p) -> np.ndarray:
     d, e, g = p
-    x, gate, half_gate, half_x, soft = work[:5]
-    np.add(tau, g, out=x)
-    np.tanh(np.multiply(x, THROTTLE_SHARPNESS, out=gate), out=gate)
-    np.add(gate, 1.0, out=half_gate)
-    np.multiply(x, 0.5, out=half_x)
-    np.multiply(half_x, half_gate, out=soft)  # smooth_positive_throttle(tau, g)
-    jac[:, 0] = soft
-    np.negative(np.multiply(v, soft, out=jac[:, 1]), out=jac[:, 1])
-    # d soft / d g = 0.5 * (gate + 1) + x * 0.5 * k * (1 - gate^2)
-    np.multiply(half_gate, 0.5, out=half_gate)
-    np.subtract(1, np.multiply(gate, gate, out=gate), out=gate)
-    np.multiply(np.multiply(half_x, THROTTLE_SHARPNESS, out=half_x), gate, out=half_x)
-    np.add(half_gate, half_x, out=half_gate)
-    drive = np.subtract(d, np.multiply(v, e, out=x), out=x)  # d - v * e
-    np.multiply(drive, half_gate, out=jac[:, 2])
-    return np.multiply(drive, soft, out=soft)
+    x = tau + g
+    gate = np.tanh(THROTTLE_SHARPNESS * x)
+    soft = x * 0.5 * (gate + 1.0)  # smooth_positive_throttle(tau, g)
+    dsoft_dg = 0.5 * (gate + 1.0) + x * 0.5 * THROTTLE_SHARPNESS * (1 - gate * gate)
+    return np.stack([soft, -v * soft, (d - v * e) * dsoft_dg], axis=-1)
 
 
 def steering_angle(s, p):
@@ -176,37 +147,17 @@ def steering_angle(s, p):
     return weight * a_t * _tanh(b_t * x) + (1.0 - weight) * d_t * _tanh(e_t * x)
 
 
-def steering_angle_and_jacobian(s, p, jac, work) -> np.ndarray:
+def steering_angle_jacobian(s, p) -> np.ndarray:
     a_t, b_t, c_t, d_t, e_t = p
-    x, dw_dc, w, tb, te, wa = work
-    np.add(s, c_t, out=x)
-    gate = np.tanh(np.multiply(x, STEER_BLEND_SHARPNESS, out=dw_dc), out=dw_dc)
-    np.multiply(np.add(gate, 1.0, out=w), 0.5, out=w)
-    # d w / d c_t = 0.5 * k * (1 - gate^2)
-    np.subtract(1, np.multiply(gate, gate, out=dw_dc), out=dw_dc)
-    np.multiply(dw_dc, 0.5 * STEER_BLEND_SHARPNESS, out=dw_dc)
-    np.tanh(np.multiply(x, b_t, out=tb), out=tb)
-    np.tanh(np.multiply(x, e_t, out=te), out=te)
-    np.multiply(w, tb, out=jac[:, 0])
-    np.multiply(w, a_t, out=wa)
-    wd = np.subtract(1, w, out=w)  # 1 - w, then (1 - w) * d_t
-    np.multiply(wd, te, out=jac[:, 3])
-    np.multiply(wd, d_t, out=wd)
-    # jac[:, 1], jac[:, 2] and jac[:, 4] double as scratch until written
-    np.multiply(wa, x, out=jac[:, 1])
-    d_c = np.multiply(tb, a_t, out=jac[:, 2])
-    np.subtract(d_c, np.multiply(te, d_t, out=jac[:, 4]), out=d_c)
-    np.multiply(dw_dc, d_c, out=d_c)  # dw_dc * (a_t * tb - d_t * te)
-    value = np.multiply(wa, tb, out=dw_dc)
-    np.add(value, np.multiply(wd, te, out=jac[:, 4]), out=value)
-    sech_b = np.subtract(1, np.multiply(tb, tb, out=tb), out=tb)
-    sech_e = np.subtract(1, np.multiply(te, te, out=te), out=te)
-    np.multiply(jac[:, 1], sech_b, out=jac[:, 1])
-    np.multiply(np.multiply(wa, b_t, out=wa), sech_b, out=wa)
-    np.multiply(np.multiply(wd, e_t, out=tb), sech_e, out=tb)
-    np.add(np.add(wa, tb, out=wa), d_c, out=d_c)
-    np.multiply(np.multiply(wd, x, out=jac[:, 4]), sech_e, out=jac[:, 4])
-    return value
+    x = s + c_t
+    gate = np.tanh(STEER_BLEND_SHARPNESS * x)
+    w = 0.5 * (gate + 1.0)
+    tb, te = np.tanh(b_t * x), np.tanh(e_t * x)
+    sech_b, sech_e = 1 - tb * tb, 1 - te * te
+    dw_dc = 0.5 * STEER_BLEND_SHARPNESS * (1 - gate * gate)
+    d_c = w * a_t * b_t * sech_b + (1 - w) * d_t * e_t * sech_e + dw_dc * (a_t * tb - d_t * te)
+    return np.stack([w * tb, w * a_t * x * sech_b, d_c, (1 - w) * te,
+                     (1 - w) * d_t * x * sech_e], axis=-1)
 
 
 def steering_terms(delta) -> tuple:
@@ -282,30 +233,17 @@ def pacejka_lateral(alpha, p):
     return D * _sin(C * _arctan(ba - E * (ba - _arctan(ba))))
 
 
-def pacejka_lateral_and_jacobian(alpha, p, jac, work) -> np.ndarray:
+def pacejka_lateral_jacobian(alpha, p) -> np.ndarray:
     D, C, B, E, *_ = p
-    ba, gap, u, du_dB, outer, value = work
-    np.multiply(alpha, B, out=ba)
-    np.subtract(np.arctan(ba, out=gap), ba, out=gap)  # -(ba - arctan(ba)), exactly
-    np.add(np.multiply(gap, E, out=u), ba, out=u)  # ba - E * (ba - arctan(ba))
-    # d u / d B = alpha * (1 - E * (1 - 1 / (1 + ba^2)))
-    np.add(np.multiply(ba, ba, out=du_dB), 1, out=du_dB)
-    np.subtract(1, np.divide(1, du_dB, out=du_dB), out=du_dB)
-    np.subtract(1, np.multiply(du_dB, E, out=du_dB), out=du_dB)
-    np.multiply(alpha, du_dB, out=du_dB)
-    atan_u = np.arctan(u, out=ba)
-    np.multiply(atan_u, C, out=outer)
-    np.sin(outer, out=value)
-    np.cos(outer, out=outer)
-    jac[:, 0] = value
-    np.multiply(outer, D, out=outer)
-    np.multiply(outer, atan_u, out=jac[:, 1])
-    # d(value)/du = D * cos(C * atan_u) * C / (1 + u^2)
-    np.multiply(outer, C, out=outer)
-    np.divide(outer, np.add(np.multiply(u, u, out=u), 1, out=u), out=outer)
-    np.multiply(outer, du_dB, out=jac[:, 2])
-    np.multiply(outer, gap, out=jac[:, 3])
-    return np.multiply(value, D, out=value)
+    ba = B * alpha
+    atan_ba = np.arctan(ba)
+    u = ba - E * (ba - atan_ba)
+    atan_u = np.arctan(u)
+    outer = np.cos(C * atan_u)
+    du = D * outer * C / (1 + u * u)  # d(value)/du
+    du_dB = alpha * (1 - E * (1 - 1 / (1 + ba * ba)))
+    return np.stack([np.sin(C * atan_u), D * outer * atan_u, du * du_dB, du * -(ba - atan_ba)],
+                    axis=-1)
 
 
 def rear_lateral(alpha, c_r):
@@ -316,9 +254,8 @@ def rear_lateral(alpha, c_r):
     return c_r * alpha
 
 
-def rear_lateral_and_jacobian(alpha, c_r, jac, work) -> np.ndarray:
-    jac[:, 0] = alpha
-    return np.multiply(alpha, c_r, out=work[0])
+def rear_lateral_jacobian(alpha, c_r) -> np.ndarray:
+    return np.stack([alpha], axis=-1)
 
 
 def tire_coefficients(params: VehicleParams) -> tuple:

@@ -41,6 +41,9 @@ logger = logging.getLogger(__name__)
 # alone (it was measured on a bench); carried as a small default.
 DEFAULT_LONG_DELAY = 0.01
 
+# The stages whose results a VehicleParams cannot do without.
+PARAMS_STAGES = ("friction", "motor", "steering")
+
 
 @dataclass
 class StageReport:
@@ -82,7 +85,7 @@ def measure_steer_delay(log: RawLog, steering, l: float) -> float:
     if stop - start < 10:
         raise DataError("sinusoidal log has no usable stretch with v > v_min")
     commanded = models.steering_angle(log.s[start:stop], steering)
-    measured = np.arctan(l * omega[start:stop] / v[start:stop])
+    measured = ds.estimate_steering_angle_series(omega[start:stop], v[start:stop], l)
     return estimate_delay_xcorr(commanded, measured, log.dt)
 
 
@@ -152,7 +155,7 @@ def fit_pipeline(
     stage whose prerequisites have no result, or whose action raises a
     MinicarError, fails, and a stage that fits more than one curve
     reports each of them only when all fitted. ``result.params`` is
-    populated once the three kinematic sub-models exist.
+    populated once every stage of PARAMS_STAGES has a result.
     """
     unknown = set(stages) - set(STAGES)
     if unknown:
@@ -183,6 +186,6 @@ def fit_pipeline(
         result.stages.append(StageReport(name, status, detail))
 
     result.steer_delay = values.get("delay")
-    if all(name in values for name in ("friction", "motor", "steering")):
+    if all(name in values for name in PARAMS_STAGES):
         result.params = _vehicle(values, geometry)
     return result

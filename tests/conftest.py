@@ -20,6 +20,19 @@ settings.register_profile("minicar", derandomize=True, deadline=None)
 settings.load_profile("minicar")
 
 
+def finite_difference_gradient(fn, p, step: float = 1e-6) -> np.ndarray:
+    """Central finite differences with per-parameter relative steps."""
+    p = np.asarray(p, dtype=float)
+    grad = np.empty_like(p)
+    for i in range(p.size):
+        h = step * max(1.0, abs(p[i]))
+        hi, lo = p.copy(), p.copy()
+        hi[i] += h
+        lo[i] -= h
+        grad[i] = (fn(hi) - fn(lo)) / (2 * h)
+    return grad
+
+
 @pytest.fixture(scope="session")
 def ref():
     """Reference parameter set used as ground truth throughout."""

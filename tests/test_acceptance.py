@@ -12,6 +12,7 @@ import math
 import time
 
 import numpy as np
+from conftest import finite_difference_gradient
 from scipy.optimize import brentq
 
 from minicar import models
@@ -25,7 +26,6 @@ from minicar.datasets import (
 )
 from minicar.fitting import (
     default_config,
-    finite_difference_gradient,
     fit_friction,
     fit_front_tire,
     fit_motor,

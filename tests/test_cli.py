@@ -352,6 +352,28 @@ def test_fit_report_records_convergence(tmp_path):
     assert all(s["diagnostics"] is None for s in stages.values() if s["status"] == "skipped")
 
 
+def test_fit_without_the_kinematic_stages_writes_and_claims_no_parameter_file(
+        tmp_path, capsys, caplog):
+    """A run whose requested stages all fit but that lacks friction or
+    motor writes no params.json, says so, names the stages it lacks and
+    exits 0."""
+    from minicar.logs import save_log
+    from minicar.scenarios import constant_steering_battery
+    from minicar.simulator import NoiseSpec, synthesize_log
+
+    logs_dir = tmp_path / "logs" / "steer"
+    logs_dir.mkdir(parents=True)
+    ref = reference_params()
+    for i, scen in enumerate(constant_steering_battery(s_values=(-0.5, 0.5), duration=4.0)):
+        save_log(synthesize_log(scen, ref, NoiseSpec(seed=i)), logs_dir / f"{scen.name}.csv")
+    out = tmp_path / "fit" / "p.json"
+    assert main(["fit", "--logs", str(tmp_path / "logs"), "--out", str(out),
+                 "--stages", "steering"]) == 0
+    assert not out.exists()
+    assert "wrote" not in capsys.readouterr().out
+    assert "no parameter file written: friction, motor not fitted" in caplog.text
+
+
 def test_generate_records_steps_and_time_per_scenario(tmp_path, params_file):
     """run_manifest.json carries each scenario's steps and wall time;
     the digested outputs (manifest.json and the logs) carry no timing."""

@@ -1,9 +1,10 @@
 import logging
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from minicar import models
+from minicar import datasets, models
 from minicar.datasets import (
     Dataset,
     build_friction_dataset,
@@ -14,7 +15,7 @@ from minicar.datasets import (
 )
 from minicar.errors import DataError
 from minicar.logs import MocapBlock, RawLog
-from minicar.scenarios import PiecewiseSchedule, Scenario, constant
+from minicar.scenarios import PiecewiseSchedule, Scenario, constant, mocap_circular_ramp
 from minicar.simulator import NoiseSpec, synthesize_log
 
 
@@ -252,17 +253,51 @@ def test_tire_dataset_zero_acceleration_gives_zero_labels(ref):
     np.testing.assert_allclose(rear.Y, 0.0, atol=1e-9)
 
 
-def test_tire_dataset_round_trip_points_on_curve(ref):
+@pytest.fixture(scope="module")
+def circle_logs(ref):
+    """Noiseless circular-ramp logs, one per turning direction."""
+    return [synthesize_log(mocap_circular_ramp(s, duration=20.0), ref, NoiseSpec(seed=9))
+            for s in (-0.4, 0.4)]
+
+
+def test_tire_dataset_round_trip_points_on_curve(ref, circle_logs):
     """Noiseless circular-ramp logs produce (alpha, force) pairs lying
     on the generating curves."""
-    from minicar.scenarios import mocap_circular_ramp
-
-    logs = [
-        synthesize_log(mocap_circular_ramp(s, duration=20.0), ref, NoiseSpec(seed=9))
-        for s in (-0.4, 0.4)
-    ]
-    front, rear = build_tire_dataset(logs, ref)
+    front, rear = build_tire_dataset(circle_logs, ref)
     front_true = models.pacejka_lateral(front.X[:, 0], ref.tire)
     rear_true = models.rear_lateral(rear.X[:, 0], ref.tire.C_r)
     assert np.sqrt(np.mean((front.Y[:, 0] - front_true) ** 2)) < 0.02
     assert np.sqrt(np.mean((rear.Y[:, 0] - rear_true) ** 2)) < 0.02
+
+
+def _solved_axle_forces(ax_abs, ay_abs, domega, eta, geom):
+    """The planar force balance solved row by row as a 3x3 linear system
+    for (f_x, f_yf, f_yr)."""
+    cos_e, sin_e = np.cos(eta), np.sin(eta)
+    m_rows = np.empty((eta.size, 3, 3))
+    m_rows[:, 0] = np.column_stack([cos_e, -sin_e, -sin_e])
+    m_rows[:, 1] = np.column_stack([sin_e, cos_e, cos_e])
+    m_rows[:, 2] = [0.0, geom.l_f, -geom.l_r]
+    rhs = np.column_stack([geom.m * ax_abs, geom.m * ay_abs, geom.I_z * domega])
+    return tuple(np.linalg.solve(m_rows, rhs[:, :, None])[:, :, 0].T)
+
+
+@pytest.mark.parametrize("noisy", [False, True])
+def test_tire_labels_equal_the_solved_force_balance(ref, circle_logs, monkeypatch, noisy):
+    """The closed-form axle forces give the labels that solving the 3x3
+    force balance per row gives, over whole circles of heading: to 1e-12
+    relative, or to 1e-12 of the largest label where a label near zero
+    is a difference of larger forces in both forms. The labelling
+    geometry puts the CoM off centre, so swapped axles would show."""
+    l = ref.geometry.l
+    params = replace(ref, geometry=replace(ref.geometry, l_f=0.3 * l, l_r=0.7 * l))
+    logs = circle_logs
+    if noisy:
+        noise = NoiseSpec(seed=4, mocap_xy=0.001, mocap_eta=0.002)
+        logs = [synthesize_log(mocap_circular_ramp(0.4, duration=20.0), ref, noise)]
+    closed = build_tire_dataset(logs, params)
+    monkeypatch.setattr(datasets, "_axle_forces", _solved_axle_forces)
+    for mine, solved in zip(closed, build_tire_dataset(logs, params)):
+        np.testing.assert_array_equal(mine.X, solved.X)
+        np.testing.assert_allclose(mine.Y, solved.Y, rtol=1e-12,
+                                   atol=1e-12 * np.abs(solved.Y).max())

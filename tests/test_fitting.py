@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from conftest import finite_difference_gradient
 from scipy.optimize import least_squares
 
 from minicar import models
@@ -12,7 +13,6 @@ from minicar.fitting import (
     FitConfig,
     adam_fit,
     default_config,
-    finite_difference_gradient,
     lm_fit,
     submodel_objective,
 )
@@ -178,19 +178,14 @@ def test_lm_matches_scipy_trust_region_reflective(name, ref, rng):
     scipy's bounded trust-region least squares from the same start."""
     data = _noisy_dataset(name, ref, rng, 401)
     cfg = default_config(name)
-    _, value_and_jacobian = CURVES[name]
-    columns = [np.ascontiguousarray(data.X[:, j]) for j in range(data.X.shape[1])]
-    jac = np.empty((len(data), cfg.initial.size))
-    work = np.empty((models.JACOBIAN_WORK_ROWS, len(data)))
+    curve, jacobian = CURVES[name]
+    columns = data.X.T
 
     def fun(p):
-        return value_and_jacobian(*columns, p, jac, work) - data.Y[:, 0]
+        return curve(*columns, p) - data.Y[:, 0]
 
-    def jacobian(p):
-        value_and_jacobian(*columns, p, jac, work)
-        return jac.copy()
-
-    oracle = least_squares(fun, cfg.initial, jac=jacobian, bounds=(cfg.lower, cfg.upper),
+    oracle = least_squares(fun, cfg.initial, jac=lambda p: jacobian(*columns, p),
+                           bounds=(cfg.lower, cfg.upper),
                            method="trf", xtol=1e-15, ftol=1e-15, gtol=1e-15)
     oracle_loss = float(np.sum(oracle.fun ** 2))
     result = FIT[name](data)[1]
@@ -256,92 +251,12 @@ FIT = {
 }
 
 CURVES = {
-    "friction": (models.friction_force, models.friction_force_and_jacobian),
-    "motor": (models.motor_force, models.motor_force_and_jacobian),
-    "steering": (models.steering_angle, models.steering_angle_and_jacobian),
-    "front_tire": (models.pacejka_lateral, models.pacejka_lateral_and_jacobian),
-    "rear_tire": (models.rear_lateral, models.rear_lateral_and_jacobian),
+    "friction": (models.friction_force, models.friction_force_jacobian),
+    "motor": (models.motor_force, models.motor_force_jacobian),
+    "steering": (models.steering_angle, models.steering_angle_jacobian),
+    "front_tire": (models.pacejka_lateral, models.pacejka_lateral_jacobian),
+    "rear_tire": (models.rear_lateral, models.rear_lateral_jacobian),
 }
-
-
-# --- reference: each Jacobian written out on its own, stacked on a new
-# last axis; the fused objective must reproduce it bit for bit ----------
-
-def _friction_jacobian(v, p):
-    a, b, c = p
-    th = np.tanh(b * v)
-    return np.stack([-th, -a * v * (1 - th * th), -v], axis=-1)
-
-
-def _motor_jacobian(tau, v, p):
-    d, e, g = p
-    k = models.THROTTLE_SHARPNESS
-    x = tau + g
-    gate = np.tanh(k * x)
-    soft = x * 0.5 * (gate + 1.0)
-    dsoft_dg = 0.5 * (gate + 1.0) + x * 0.5 * k * (1 - gate * gate)
-    return np.stack([soft, -v * soft, (d - v * e) * dsoft_dg], axis=-1)
-
-
-def _steering_jacobian(s, p):
-    a_t, b_t, c_t, d_t, e_t = p
-    k = models.STEER_BLEND_SHARPNESS
-    x = s + c_t
-    gate = np.tanh(k * x)
-    w = 0.5 * (gate + 1.0)
-    tb, te = np.tanh(b_t * x), np.tanh(e_t * x)
-    sech_b, sech_e = 1 - tb * tb, 1 - te * te
-    dw_dc = 0.5 * k * (1 - gate * gate)
-    d_c = (
-        w * a_t * b_t * sech_b
-        + (1 - w) * d_t * e_t * sech_e
-        + dw_dc * (a_t * tb - d_t * te)
-    )
-    return np.stack(
-        [w * tb, w * a_t * x * sech_b, d_c, (1 - w) * te, (1 - w) * d_t * x * sech_e],
-        axis=-1,
-    )
-
-
-def _pacejka_jacobian(alpha, p):
-    D, C, B, E = p
-    ba = B * alpha
-    atan_ba = np.arctan(ba)
-    u = ba - E * (ba - atan_ba)
-    atan_u = np.arctan(u)
-    outer = np.cos(C * atan_u)
-    du = D * outer * C / (1 + u * u)
-    du_dB = alpha * (1 - E * (1 - 1 / (1 + ba * ba)))
-    return np.stack(
-        [np.sin(C * atan_u), D * outer * atan_u, du * du_dB, du * -(ba - atan_ba)],
-        axis=-1,
-    )
-
-
-def _rear_jacobian(alpha, c_r):
-    return alpha[..., None]
-
-
-REFERENCE = {
-    "friction": (models.friction_force, _friction_jacobian),
-    "motor": (models.motor_force, _motor_jacobian),
-    "steering": (models.steering_angle, _steering_jacobian),
-    "front_tire": (models.pacejka_lateral, _pacejka_jacobian),
-    "rear_tire": (models.rear_lateral, _rear_jacobian),
-}
-
-
-def _reference_objective(name, data):
-    curve, jacobian = REFERENCE[name]
-    columns = [data.X[:, j:j + 1] for j in range(data.X.shape[1])]
-
-    def objective(p):
-        residual = curve(*columns, p) - data.Y  # (N, 1)
-        loss = float(np.sum(residual * residual))
-        grad = 2.0 * np.einsum("ij,ijk->k", residual, jacobian(*columns, p))  # (N, 1, n_p)
-        return loss, grad
-
-    return objective
 
 
 def _noisy_dataset(name, ref, rng, rows):
@@ -353,40 +268,8 @@ def _noisy_dataset(name, ref, rng, rows):
 
 
 @pytest.mark.parametrize("name", CURVES)
-def test_fused_objective_is_bit_identical_to_reference(name, ref, rng):
-    """Loss and gradient of the one-pass objective equal those of the plain
-    curve plus the stacked per-column Jacobian, bit for bit, at 25 random
-    parameter vectors drawn from the stage's whole box."""
-    cfg = default_config(name)
-    for rows in (11, 1001, 11602):
-        data = _noisy_dataset(name, ref, rng, rows)
-        fused, reference = submodel_objective(name, data), _reference_objective(name, data)
-        for _ in range(25):
-            p = rng.uniform(cfg.lower, cfg.upper)
-            loss, grad = fused(p)
-            ref_loss, ref_grad = reference(p)
-            assert loss == ref_loss
-            assert np.array_equal(grad, ref_grad)
-
-
-@pytest.mark.parametrize("name", CURVES)
-def test_fused_value_is_the_plain_curve(name, ref, rng):
-    """The value a value-and-Jacobian function returns is its curve's, bit for bit."""
-    curve, value_and_jacobian = CURVES[name]
-    X = _submodel_cases(ref, rng, 1001)[name][0]
-    columns = [np.ascontiguousarray(X[:, j]) for j in range(X.shape[1])]
-    cfg = default_config(name)
-    jac = np.empty((X.shape[0], cfg.initial.size))
-    work = np.empty((models.JACOBIAN_WORK_ROWS, X.shape[0]))
-    for _ in range(5):
-        p = rng.uniform(cfg.lower, cfg.upper)
-        assert np.array_equal(value_and_jacobian(*columns, p, jac, work), curve(*columns, p))
-
-
-@pytest.mark.parametrize("name", CURVES)
 def test_objective_gradient_does_not_alias_its_buffers(name, ref, rng):
-    """The objective reuses its buffers, but a gradient it returned stays
-    as it was after the next call."""
+    """A gradient the objective returned stays as it was after the next call."""
     objective = submodel_objective(name, _noisy_dataset(name, ref, rng, 101))
     cfg = default_config(name)
     _, first = objective(cfg.lower + 0.25 * (cfg.upper - cfg.lower))
@@ -408,10 +291,8 @@ def test_analytic_gradient_matches_finite_differences(name, ref, rng):
     with central differences at 10 random interior points around the
     realistic parameter region."""
     X, truth, p_ref = _submodel_cases(ref, rng)[name]
-    curve, value_and_jacobian = CURVES[name]
-    columns = [np.ascontiguousarray(X[:, j]) for j in range(X.shape[1])]
-    jac = np.empty((X.shape[0], p_ref.size))
-    work = np.empty((models.JACOBIAN_WORK_ROWS, X.shape[0]))
+    curve, jacobian = CURVES[name]
+    columns = X.T
     data = Dataset(
         X=X, Y=truth(X), x_names=tuple(f"x{i}" for i in range(X.shape[1])), y_names=("y",)
     )
@@ -427,7 +308,8 @@ def test_analytic_gradient_matches_finite_differences(name, ref, rng):
             np.linalg.norm(grad), np.linalg.norm(grad_fd), 1e-300
         )
         assert rel < 1e-5
-        value_and_jacobian(*columns, p, jac, work)
+        jac = jacobian(*columns, p)
+        assert jac.shape == (X.shape[0], p_ref.size) and jac.flags.c_contiguous
         for row in (0, X.shape[0] // 2, X.shape[0] - 1):
             jac_fd = finite_difference_gradient(lambda q: curve(*columns, q)[row], p)
             np.testing.assert_allclose(jac[row], jac_fd, rtol=1e-5,

@@ -125,3 +125,23 @@ def test_traced_fit_pipeline_counts_every_stage_call(ref, small_suite):
     assert all(calls(f"fitting.fit_{stage}") == 1 for stage in tracing.FIT_STAGES)
     assert all(calls(f"datasets.{stage}") == 1 for stage in tracing.DATASET_STAGES)
     assert calls("pipeline.measure_steer_delay") == len(small_suite["sine"]) == 1
+
+
+def test_traced_fit_pipeline_opens_no_tire_curve_span(ref, small_suite):
+    """The benchmark's ``models.curve_s`` times the simulator's curve
+    calls. The fit stages bind their curves when ``fitting`` is
+    imported, so the solver's evaluations stay out of it: a traced
+    identification run opens no span of the two tire curves, which no
+    dataset builder calls."""
+    from minicar import pipeline
+
+    tracing = _tracing_module()
+    tracer = tracing.Tracer()
+    try:
+        tracing.install(tracer)
+        result = pipeline.fit_pipeline(small_suite, ref.geometry)
+        spans = tracer.snapshot()[0]
+    finally:
+        tracer.restore()
+    assert result.stage("tire").fitted and result.stage("tire_rear").fitted
+    assert spans["models.pacejka_lateral"][0] == spans["models.rear_lateral"][0] == 0
