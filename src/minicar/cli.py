@@ -21,6 +21,7 @@ import json
 import logging
 import sys
 import time
+from dataclasses import asdict, dataclass, field
 from importlib import metadata
 from pathlib import Path
 
@@ -29,7 +30,8 @@ import numpy as np
 from . import datasets, delay, models, pipeline, scenarios, simulator, svgplot, validation
 from .errors import ConfigError, MinicarError
 from .logs import load_log, save_log
-from .params import Geometry, load_params, read_json_object, save_params
+from .params import (Geometry, check_fields, load_params, read_json_object, save_params,
+                     write_json)
 from .simulator import NOISE_CHANNELS, NoiseSpec
 
 logger = logging.getLogger(__name__)
@@ -85,7 +87,7 @@ def _write_manifest(out_dir: Path, args: argparse.Namespace, inputs: list[Path],
     }
     if extra:
         doc.update(extra)
-    (out_dir / "run_manifest.json").write_text(json.dumps(doc, indent=2) + "\n")
+    write_json(out_dir / "run_manifest.json", doc)
 
 
 def _geometry_from_args(args) -> Geometry:
@@ -96,26 +98,42 @@ def _geometry_from_args(args) -> Geometry:
                     I_z=models.rectangle_inertia(m, l, w))
 
 
+# The objects of a log directory's manifest.json, as ``generate`` writes
+# them; a hand-written manifest may omit either top-level field.
+@dataclass(frozen=True)
+class _LogEntry:
+    file: str
+    tag: str
+
+
+@dataclass(frozen=True)
+class _LogManifest:
+    schema_version: int = 1
+    logs: list[_LogEntry] = field(default_factory=list)
+
+
 def _collect_logs(logs_dir: Path) -> tuple[dict[str, list], list[Path]]:
     """Tagged logs from manifest.json, or from tag-named subdirectories."""
     tagged: dict[str, list] = {tag: [] for tag in pipeline.EXPERIMENT_TAGS}
     files: list[Path] = []
     manifest_path = logs_dir / "manifest.json"
     if manifest_path.is_file():
-        entries = read_json_object(manifest_path, "log manifest").get("logs", [])
+        doc = check_fields(_LogManifest, read_json_object(manifest_path, "log manifest"),
+                           str(manifest_path))
+        version = doc.get("schema_version", _LogManifest.schema_version)
+        if isinstance(version, bool) or version != _LogManifest.schema_version:
+            raise ConfigError(f"{manifest_path}: unsupported schema_version {version!r}")
+        entries = doc.get("logs", [])
         if not isinstance(entries, list):
             raise ConfigError(f"{manifest_path}: 'logs' must be a list")
         for i, entry in enumerate(entries):
-            if not (isinstance(entry, dict) and isinstance(entry.get("tag"), str)
-                    and isinstance(entry.get("file"), str)):
-                raise ConfigError(
-                    f"{manifest_path}: logs[{i}] must be an object with string 'tag' and 'file'"
-                )
+            what = f"{manifest_path}: logs[{i}]"
+            check_fields(_LogEntry, entry, what)
             tag, rel = entry["tag"], entry["file"]
-            if tag not in tagged:
-                raise ConfigError(
-                    f"{manifest_path}: logs[{i}] has unknown experiment tag {tag!r}"
-                )
+            if not isinstance(rel, str):
+                raise ConfigError(f"{what}: 'file' must be a string, got {rel!r}")
+            if tag not in pipeline.EXPERIMENT_TAGS:  # a tag that is not a string, too
+                raise ConfigError(f"{what}: unknown experiment tag {tag!r}")
             path = logs_dir / rel
             tagged[tag].append(load_log(path))
             files.append(path)
@@ -193,7 +211,7 @@ def cmd_fit(args) -> int:
         logger.error("logs directory %s does not exist", logs_dir)
         return 2
     out_path = Path(args.out)
-    out_dir = out_path.parent if out_path.parent != Path("") else Path(".")
+    out_dir = out_path.parent
     out_dir.mkdir(parents=True, exist_ok=True)
 
     tagged, files = _collect_logs(logs_dir)
@@ -218,7 +236,7 @@ def cmd_fit(args) -> int:
         ],
         "steer_delay": result.steer_delay,
     }
-    (out_dir / "report.json").write_text(json.dumps(report, indent=2) + "\n")
+    write_json(out_dir / "report.json", report)
     for r in result.stages:
         if r.result is not None:
             trace_lines = ["iteration,loss"] + [
@@ -233,6 +251,9 @@ def cmd_fit(args) -> int:
     else:
         save_params(result.params, out_path)
         print(f"wrote {out_path}")
+        if result.steer_delay is None:
+            logger.warning("%s: steer_delay is 0.0, no stage measured the steering delay",
+                           out_path)
         _fit_plots(result, out_dir)
     _write_manifest(out_dir, args, files, {"report": report})
 
@@ -294,7 +315,7 @@ def cmd_generate(args) -> int:
     levels = read_json_object(args.noise, "noise")
     for key in levels:
         if key not in NOISE_CHANNELS:
-            raise ConfigError(f"unknown noise level {key!r} in {args.noise}")
+            raise ConfigError(f"{args.noise}: unknown field {key!r}")
     library = [(tag, scenario) for tag, battery in
                scenarios.scenario_library(dt=args.dt).items() for scenario in battery]
 
@@ -310,11 +331,9 @@ def cmd_generate(args) -> int:
         log = simulator.synthesize_log(scenario, params, spec, trajectory=traj)
         filename = f"{scenario.name}.csv"
         save_log(log, out_dir / filename)
-        entries.append({"file": filename, "tag": tag})
+        entries.append(_LogEntry(filename, tag))
         runs.append(run)
-    (out_dir / "manifest.json").write_text(
-        json.dumps({"schema_version": 1, "logs": entries}, indent=2) + "\n"
-    )
+    write_json(out_dir / "manifest.json", asdict(_LogManifest(logs=entries)))
     _write_manifest(out_dir, args, [Path(args.params), Path(args.noise)],
                     {"seed": args.seed, "scenarios": runs})
     print(f"wrote {len(entries)} logs to {out_dir}")
@@ -327,10 +346,9 @@ def cmd_validate(args) -> int:
     rms = validation.one_step_rms(table, params, args.model,
                                   normalized=args.normalized_slip)
     report = {"log": str(args.log), "model": args.model, "rms": rms}
-    text = json.dumps(report, indent=2)
-    print(text)
+    print(json.dumps(report, indent=2))
     if args.out:
-        Path(args.out).write_text(text + "\n")
+        write_json(args.out, report)
     return 0
 
 

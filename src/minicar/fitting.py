@@ -383,15 +383,15 @@ def _fit(sub_model: str, data: Dataset, convert: Callable):
 
 
 def fit_friction(data: Dataset):
-    return _fit("friction", data, lambda p: FrictionParams(*map(float, p)))
+    return _fit("friction", data, lambda p: FrictionParams(*p))
 
 
 def fit_motor(data: Dataset):
-    return _fit("motor", data, lambda p: MotorParams(*map(float, p)))
+    return _fit("motor", data, lambda p: MotorParams(*p))
 
 
 def fit_steering(data: Dataset):
-    return _fit("steering", data, lambda p: SteeringParams(*map(float, p)))
+    return _fit("steering", data, lambda p: SteeringParams(*p))
 
 
 def fit_front_tire(data: Dataset):

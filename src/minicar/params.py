@@ -1,5 +1,8 @@
-"""Vehicle parameter groups and their JSON round-trip.
+"""Vehicle parameter groups and the JSON dialect of every minicar document.
 
+Each document is read through ``read_json_object``, its objects through
+``check_fields`` (a dataclass's fields are what its object may hold) and
+its numbers through ``finite_float``; each is written by ``write_json``.
 All values are SI unless noted. Throttle and steering inputs are
 dimensionless commands in [-1, 1].
 """
@@ -8,7 +11,8 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass, field
+import numbers
+from dataclasses import MISSING, asdict, dataclass, field, fields
 from pathlib import Path
 
 from .errors import ConfigError
@@ -21,21 +25,60 @@ def _require(cond: bool, msg: str) -> None:
         raise ConfigError(msg)
 
 
-def _finite(*values: float) -> bool:
-    return all(math.isfinite(v) for v in values)
+def finite_float(value, what: str) -> float:
+    """``value`` as a finite float, or ConfigError naming ``what``.
+    Booleans are not numbers."""
+    if isinstance(value, numbers.Real) and not isinstance(value, bool):
+        try:
+            x = float(value)
+        except OverflowError:
+            x = math.inf
+        if math.isfinite(x):
+            return x
+    raise ConfigError(f"{what} must be a finite number, got {value!r}")
 
 
-class _Group:
-    """Iterating a parameter group yields its field values in field
+def finite_floats(values, what: str) -> tuple[float, ...]:
+    """A list of numbers as a tuple of finite floats, by ``finite_float``."""
+    if isinstance(values, (str, bytes, dict)) or not hasattr(values, "__iter__"):
+        raise ConfigError(f"{what} must be a list of numbers, got {values!r}")
+    return tuple(finite_float(v, f"{what}[{i}]") for i, v in enumerate(values))
+
+
+def check_fields(cls, doc, what: str, extra: tuple[str, ...] = ()) -> dict:
+    """``doc`` when it is a JSON object holding only fields of the
+    dataclass ``cls`` (or ``extra`` keys) and every field without a
+    default; otherwise ConfigError "<what>: ..." naming the field."""
+    if not isinstance(doc, dict):
+        raise ConfigError(f"{what}: expected a JSON object, got {type(doc).__name__}")
+    required = {f.name: f.default is MISSING and f.default_factory is MISSING
+                for f in fields(cls)}
+    for key in doc:
+        if key not in required and key not in extra:
+            raise ConfigError(f"{what}: unknown field {key!r}")
+    for name, needed in required.items():
+        if needed and name not in doc:
+            raise ConfigError(f"{what}: missing field {name!r}")
+    return doc
+
+
+class FloatFields:
+    """Base of a frozen dataclass whose fields are all finite floats: a
+    parameter group or a schedule. Each field is set to its value as a
+    float by ``finite_float``. Iterating yields the values in field
     order, so ``a, b, c = group`` unpacks a group and its fit vector
     alike."""
+
+    def __post_init__(self):
+        for name, value in self.__dict__.items():
+            object.__setattr__(self, name, finite_float(value, f"field {name!r}"))
 
     def __iter__(self):
         return iter(self.__dict__.values())
 
 
 @dataclass(frozen=True)
-class FrictionParams(_Group):
+class FrictionParams(FloatFields):
     """Rolling/drag resistance curve F = -(a*tanh(b*v) + v*c)."""
 
     a: float  # force scale [N]
@@ -43,14 +86,14 @@ class FrictionParams(_Group):
     c: float  # viscous coefficient [N*s/m]
 
     def __post_init__(self):
-        _require(_finite(*self), "friction params must be finite")
+        super().__post_init__()
         _require(self.a > 0, "friction a must be > 0")
         _require(self.b > 0, "friction b must be > 0")
         _require(self.c >= 0, "friction c must be >= 0")
 
 
 @dataclass(frozen=True)
-class MotorParams(_Group):
+class MotorParams(FloatFields):
     """Brushed-motor curve F = (d - v*e) * relu-like(tau + g)."""
 
     d: float  # stall-force scale [N]
@@ -58,14 +101,14 @@ class MotorParams(_Group):
     g: float  # throttle dead-zone offset, in (-1, 0]
 
     def __post_init__(self):
-        _require(_finite(*self), "motor params must be finite")
+        super().__post_init__()
         _require(self.d > 0, "motor d must be > 0")
         _require(self.e > 0, "motor e must be > 0")
         _require(-1 < self.g <= 0, "motor g must lie in (-1, 0]")
 
 
 @dataclass(frozen=True)
-class SteeringParams(_Group):
+class SteeringParams(FloatFields):
     """Input-to-angle map built from two blended tanh branches.
 
     The weighting lets left and right steering have different gain and
@@ -79,14 +122,14 @@ class SteeringParams(_Group):
     e_t: float  # right-branch input gain
 
     def __post_init__(self):
-        _require(_finite(*self), "steering params must be finite")
+        super().__post_init__()
         _require(self.a_t > 0 and self.d_t > 0, "steering angle scales must be > 0")
         _require(self.b_t > 0 and self.e_t > 0, "steering input gains must be > 0")
         _require(abs(self.c_t) < 1, "steering offset must satisfy |c_t| < 1")
 
 
 @dataclass(frozen=True)
-class TireParams(_Group):
+class TireParams(FloatFields):
     """Front magic-formula lateral curve plus linear rear coefficient."""
 
     D: float  # peak force [N]
@@ -96,7 +139,7 @@ class TireParams(_Group):
     C_r: float  # rear cornering coefficient [N/rad]
 
     def __post_init__(self):
-        _require(_finite(*self), "tire params must be finite")
+        super().__post_init__()
         _require(self.D > 0, "tire D must be > 0")
         _require(self.C > 0, "tire C must be > 0")
         _require(self.B > 0, "tire B must be > 0")
@@ -104,7 +147,7 @@ class TireParams(_Group):
 
 
 @dataclass(frozen=True)
-class Geometry(_Group):
+class Geometry(FloatFields):
     """Mass and dimensions of the robot."""
 
     m: float  # mass [kg]
@@ -115,7 +158,7 @@ class Geometry(_Group):
     I_z: float  # yaw inertia [kg*m^2]
 
     def __post_init__(self):
-        _require(_finite(*self), "geometry must be finite")
+        super().__post_init__()
         _require(self.m > 0, "mass must be > 0")
         _require(self.w > 0, "width must be > 0")
         _require(self.I_z > 0, "yaw inertia must be > 0")
@@ -127,14 +170,14 @@ class Geometry(_Group):
 
 
 @dataclass(frozen=True)
-class Delays(_Group):
+class Delays(FloatFields):
     """Actuation delays between command and response."""
 
     steer_delay: float = 0.0  # [s]
     long_delay: float = 0.0  # [s]
 
     def __post_init__(self):
-        _require(_finite(*self), "delays must be finite")
+        super().__post_init__()
         _require(0 <= self.steer_delay < 1, "steer delay must lie in [0, 1) s")
         _require(0 <= self.long_delay < 1, "longitudinal delay must lie in [0, 1) s")
 
@@ -175,36 +218,32 @@ def params_to_dict(params: VehicleParams) -> dict:
 
 def params_from_dict(doc: dict) -> VehicleParams:
     """A VehicleParams from its JSON object; ConfigError naming the group
-    for anything missing, mistyped, out of range or non-finite."""
-    if not isinstance(doc, dict):
-        raise ConfigError(f"parameters must be a JSON object, got {type(doc).__name__}")
-    for key in doc:
-        if key != "schema_version" and key not in _GROUPS:
-            raise ConfigError(f"unknown parameter document key {key!r}")
+    and field for anything missing, unknown, mistyped, out of range or
+    non-finite. Every group but ``tire`` must be present and not null."""
+    check_fields(VehicleParams, doc, "parameter document", extra=("schema_version",))
     version = doc.get("schema_version")
-    if version != PARAMS_SCHEMA_VERSION:
+    if isinstance(version, bool) or version != PARAMS_SCHEMA_VERSION:
         raise ConfigError(f"unsupported parameter schema_version: {version!r}")
-    kwargs = {}
+    groups = {}
     for name, cls in _GROUPS.items():
-        group = doc.get(name)
-        if group is None:
-            if name != "tire":
-                raise ConfigError(f"parameter group '{name}' is required")
-            kwargs[name] = None
-        elif not isinstance(group, dict):
-            raise ConfigError(f"parameter group '{name}' must be a JSON object")
-        else:
-            # TypeError: a field missing, unknown or not a number;
-            # OverflowError: an integer too large for a float
-            try:
-                kwargs[name] = cls(**group)
-            except (TypeError, OverflowError) as exc:
-                raise ConfigError(f"bad fields in parameter group '{name}': {exc}") from exc
-    return VehicleParams(**kwargs)
+        if name == "tire" and doc.get(name) is None:
+            continue
+        what = f"parameter group {name!r}"
+        group = check_fields(cls, doc.get(name), what)
+        try:
+            groups[name] = cls(**group)
+        except ConfigError as exc:
+            raise ConfigError(f"{what}: {exc}") from exc
+    return VehicleParams(**groups)
+
+
+def write_json(path: str | Path, doc) -> None:
+    """Write ``doc`` as UTF-8 JSON, indented by 2, with a trailing newline."""
+    Path(path).write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
 
 
 def save_params(params: VehicleParams, path: str | Path) -> None:
-    Path(path).write_text(json.dumps(params_to_dict(params), indent=2) + "\n")
+    write_json(path, params_to_dict(params))
 
 
 def read_json_object(path: str | Path, what: str) -> dict:

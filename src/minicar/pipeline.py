@@ -115,7 +115,7 @@ def _tire(logs, vehicle, normalized_slip):
     front, rear = ds.build_tire_dataset(logs, vehicle, normalized=normalized_slip)
     coeffs, front_report = _curve("tire", front, fitting.fit_front_tire)
     c_r, rear_report = _curve("tire_rear", rear, fitting.fit_rear_tire)
-    return TireParams(*map(float, coeffs), C_r=c_r), front_report, rear_report
+    return TireParams(*coeffs, C_r=c_r), front_report, rear_report
 
 
 # (name, tags, requires, failure detail, action), in the order the stages

@@ -30,16 +30,15 @@ hold over breakpoints) and ``sine`` (offset + amplitude * sin(2*pi*f*t
 
 from __future__ import annotations
 
-import json
 import math
-import numbers
-from dataclasses import MISSING, dataclass, fields
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .errors import ConfigError
-from .params import read_json_object
+from .params import (FloatFields, check_fields, finite_float, finite_floats, read_json_object,
+                     write_json)
 
 MAX_DT = 0.05
 # Most samples a scenario grid may hold, its round(duration / dt) steps
@@ -47,42 +46,17 @@ MAX_DT = 0.05
 MAX_SAMPLES = 10**6
 
 
-def _real(value, what: str) -> float:
-    """``value`` as a finite float, or ConfigError naming ``what``."""
-    if isinstance(value, numbers.Real) and not isinstance(value, bool):
-        try:
-            x = float(value)
-        except OverflowError:
-            x = math.inf
-        if math.isfinite(x):
-            return x
-    raise ConfigError(f"{what} must be a finite number, got {value!r}")
-
-
-def _reals(values, what: str) -> tuple[float, ...]:
-    if isinstance(values, (str, bytes, dict)) or not hasattr(values, "__iter__"):
-        raise ConfigError(f"{what} must be a list of numbers, got {values!r}")
-    return tuple(_real(v, f"{what}[{i}]") for i, v in enumerate(values))
-
-
 @dataclass(frozen=True)
-class StepSchedule:
+class StepSchedule(FloatFields):
     t: float
     before: float
     after: float
-
-    def __post_init__(self):
-        for name in ("t", "before", "after"):
-            _real(getattr(self, name), f"step schedule field {name!r}")
 
     def __call__(self, time: float) -> float:
         return self.before if time < self.t else self.after
 
     def sample(self, times: np.ndarray) -> np.ndarray:
         return np.where(times < self.t, float(self.before), float(self.after))
-
-    def to_json(self) -> dict:
-        return {"type": "step", "t": self.t, "before": self.before, "after": self.after}
 
 
 @dataclass(frozen=True)
@@ -93,9 +67,8 @@ class PiecewiseSchedule:
     values: tuple[float, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "times", _reals(self.times, "piecewise schedule field 'times'"))
-        object.__setattr__(self, "values",
-                           _reals(self.values, "piecewise schedule field 'values'"))
+        object.__setattr__(self, "times", finite_floats(self.times, "field 'times'"))
+        object.__setattr__(self, "values", finite_floats(self.values, "field 'values'"))
         if len(self.times) != len(self.values) or not self.times:
             raise ConfigError("piecewise schedule needs matching, non-empty breakpoints")
         if any(b <= a for a, b in zip(self.times, self.times[1:])):
@@ -109,20 +82,13 @@ class PiecewiseSchedule:
         idx = np.searchsorted(self.times, times, side="right") - 1
         return np.asarray(self.values, dtype=float)[np.maximum(idx, 0)]
 
-    def to_json(self) -> dict:
-        return {"type": "piecewise", "times": list(self.times), "values": list(self.values)}
-
 
 @dataclass(frozen=True)
-class SineSchedule:
+class SineSchedule(FloatFields):
     amplitude: float
     frequency: float
     phase: float = 0.0
     offset: float = 0.0
-
-    def __post_init__(self):
-        for name in ("amplitude", "frequency", "phase", "offset"):
-            _real(getattr(self, name), f"sine schedule field {name!r}")
 
     def __call__(self, time: float) -> float:
         return self.offset + self.amplitude * math.sin(
@@ -134,21 +100,17 @@ class SineSchedule:
         # logs must not change with how the grid is sampled
         return np.array([self(float(t)) for t in times])
 
-    def to_json(self) -> dict:
-        return {
-            "type": "sine",
-            "amplitude": self.amplitude,
-            "frequency": self.frequency,
-            "phase": self.phase,
-            "offset": self.offset,
-        }
-
 
 def constant(value: float) -> PiecewiseSchedule:
     return PiecewiseSchedule(times=(0.0,), values=(value,))
 
 
 SCHEDULE_TYPES = {"step": StepSchedule, "piecewise": PiecewiseSchedule, "sine": SineSchedule}
+_SCHEDULE_KINDS = {cls: kind for kind, cls in SCHEDULE_TYPES.items()}
+
+
+def schedule_to_json(schedule) -> dict:
+    return {"type": _SCHEDULE_KINDS[type(schedule)], **asdict(schedule)}
 
 
 def schedule_from_json(doc: dict):
@@ -160,14 +122,11 @@ def schedule_from_json(doc: dict):
     schedule = SCHEDULE_TYPES.get(kind) if isinstance(kind, str) else None
     if schedule is None:
         raise ConfigError(f"unknown schedule type {kind!r}")
-    names = {f.name: f.default is MISSING for f in fields(schedule)}  # name -> required
-    for key in doc:
-        if key != "type" and key not in names:
-            raise ConfigError(f"unknown {kind} schedule field {key!r}")
-    for name, required in names.items():
-        if required and name not in doc:
-            raise ConfigError(f"schedule {kind!r} is missing field {name!r}")
-    return schedule(**{key: value for key, value in doc.items() if key != "type"})
+    check_fields(schedule, doc, f"{kind} schedule", extra=("type",))
+    try:
+        return schedule(**{key: value for key, value in doc.items() if key != "type"})
+    except ConfigError as exc:
+        raise ConfigError(f"{kind} schedule: {exc}") from exc
 
 
 @dataclass(frozen=True)
@@ -184,8 +143,8 @@ class Scenario:
     def __post_init__(self):
         if not isinstance(self.name, str):
             raise ConfigError(f"scenario name must be a string, got {self.name!r}")
-        object.__setattr__(self, "duration", _real(self.duration, "scenario duration"))
-        object.__setattr__(self, "dt", _real(self.dt, "scenario dt"))
+        object.__setattr__(self, "duration", finite_float(self.duration, "scenario duration"))
+        object.__setattr__(self, "dt", finite_float(self.dt, "scenario dt"))
         if self.duration <= 0:
             raise ConfigError("scenario duration must be > 0")
         if not 0 < self.dt <= MAX_DT:
@@ -201,7 +160,7 @@ class Scenario:
         if not isinstance(self.mocap, bool):
             raise ConfigError(f"scenario mocap must be true or false, got {self.mocap!r}")
         n_states = 4 if self.model == "kinematic" else 6
-        state = _reals(self.initial_state, "scenario initial_state") or (0.0,) * n_states
+        state = finite_floats(self.initial_state, "scenario initial_state") or (0.0,) * n_states
         if len(state) != n_states:
             raise ConfigError(
                 f"{self.model} model needs {n_states} initial states, got {len(state)}"
@@ -228,16 +187,8 @@ class Scenario:
         return tau, s
 
     def to_json(self) -> dict:
-        return {
-            "name": self.name,
-            "duration": self.duration,
-            "dt": self.dt,
-            "model": self.model,
-            "throttle": self.throttle.to_json(),
-            "steering": self.steering.to_json(),
-            "initial_state": list(self.initial_state),
-            "mocap": self.mocap,
-        }
+        return {**asdict(self), "throttle": schedule_to_json(self.throttle),
+                "steering": schedule_to_json(self.steering)}
 
 
 def _schedule_field(doc: dict, key: str):
@@ -250,25 +201,9 @@ def _schedule_field(doc: dict, key: str):
 def scenario_from_json(doc: dict) -> Scenario:
     """A Scenario from its JSON object; ConfigError naming the field for
     anything missing, unknown, mistyped or non-finite."""
-    if not isinstance(doc, dict):
-        raise ConfigError(f"a scenario must be a JSON object, got {type(doc).__name__}")
-    known = {f.name for f in fields(Scenario)}
-    for key in doc:
-        if key not in known:
-            raise ConfigError(f"unknown scenario field {key!r}")
-    for key in ("name", "duration", "dt", "model", "throttle", "steering"):
-        if key not in doc:
-            raise ConfigError(f"scenario is missing field {key!r}")
-    return Scenario(
-        name=doc["name"],
-        duration=doc["duration"],
-        dt=doc["dt"],
-        model=doc["model"],
-        throttle=_schedule_field(doc, "throttle"),
-        steering=_schedule_field(doc, "steering"),
-        initial_state=doc.get("initial_state", ()),
-        mocap=doc.get("mocap", False),
-    )
+    check_fields(Scenario, doc, "scenario")
+    return Scenario(**{**doc, "throttle": _schedule_field(doc, "throttle"),
+                       "steering": _schedule_field(doc, "steering")})
 
 
 def load_scenario(path: str | Path) -> Scenario:
@@ -276,7 +211,7 @@ def load_scenario(path: str | Path) -> Scenario:
 
 
 def save_scenario(scenario: Scenario, path: str | Path) -> None:
-    Path(path).write_text(json.dumps(scenario.to_json(), indent=2) + "\n")
+    write_json(path, scenario.to_json())
 
 
 # --- experiment batteries ----------------------------------------------

@@ -51,8 +51,8 @@ from .errors import ConfigError, IntegrationError, SimulationDiverged
 from .integrators import (non_finite_state, rk4_accumulate, rk4_scalar_stages,
                           rk4_stage_points, rk4_step)
 from .logs import MocapBlock, RawLog, format_table
-from .params import VehicleParams
-from .scenarios import Scenario, _real
+from .params import VehicleParams, finite_float
+from .scenarios import Scenario
 
 # Any state component beyond this magnitude aborts the run: parameter
 # sets that unstable are diagnosed faster by failing than by NaNs.
@@ -82,7 +82,7 @@ class NoiseSpec:
 
     def __post_init__(self):
         for name in NOISE_CHANNELS:
-            std = _real(getattr(self, name), f"noise std {name}")
+            std = finite_float(getattr(self, name), f"noise std {name}")
             if std < 0:
                 raise ConfigError(f"noise std {name} must be >= 0")
             object.__setattr__(self, name, std)

@@ -278,6 +278,10 @@ def test_fit_rejects_malformed_manifest(tmp_path, caplog):
     ({"logs": [{"tag": "coast"}]}, "logs[0]"),
     ({"logs": [{"tag": ["coast"], "file": "a.csv"}]}, "logs[0]"),
     ({"logs": [{"tag": "drift", "file": "a.csv"}]}, "logs[0]"),
+    ({"schema_version": 1, "logs": [], "bogus": 1}, "unknown field 'bogus'"),
+    ({"schema_version": 7, "logs": []}, "schema_version 7"),
+    ({"schema_version": True, "logs": []}, "schema_version True"),
+    ({"logs": [{"tag": "coast", "file": "a.csv", "size": 3}]}, "logs[0]: unknown field 'size'"),
 ])
 def test_fit_rejects_malformed_manifest_entries(tmp_path, caplog, doc, entry):
     logs_dir = tmp_path / "logs"
@@ -286,6 +290,7 @@ def test_fit_rejects_malformed_manifest_entries(tmp_path, caplog, doc, entry):
     code = main(["fit", "--logs", str(logs_dir), "--out", str(tmp_path / "p.json")])
     assert code == 2
     assert entry in caplog.text
+    assert str(logs_dir / "manifest.json") in caplog.text
 
 
 def test_run_manifest_records_both_smoothing_windows(tmp_path, params_file):
@@ -372,6 +377,21 @@ def test_fit_without_the_kinematic_stages_writes_and_claims_no_parameter_file(
     assert not out.exists()
     assert "wrote" not in capsys.readouterr().out
     assert "no parameter file written: friction, motor not fitted" in caplog.text
+
+
+def test_fit_without_the_delay_stage_warns_that_steer_delay_was_not_measured(
+        tmp_path, params_file, caplog):
+    """params.json still holds steer_delay 0.0, and the run still exits 0."""
+    noise = tmp_path / "noise.json"
+    noise.write_text("{}")
+    logs_dir = tmp_path / "g"
+    assert main(["generate", "--params", str(params_file), "--noise", str(noise),
+                 "--seed", "3", "--dt", "0.05", "--out", str(logs_dir)]) == 0
+    out = tmp_path / "fit" / "p.json"
+    assert main(["fit", "--logs", str(logs_dir), "--out", str(out),
+                 "--stages", "friction,motor,steering"]) == 0
+    assert json.loads(out.read_text())["delays"]["steer_delay"] == 0.0
+    assert f"{out}: steer_delay is 0.0, no stage measured the steering delay" in caplog.text
 
 
 def test_generate_records_steps_and_time_per_scenario(tmp_path, params_file):

@@ -1,0 +1,116 @@
+"""Every JSON document is read through one field checker and one
+finite-number rule, and written by one writer: an unknown or missing
+field gets one message shape, booleans are not numbers, and a saved
+document loads and saves back to the same bytes."""
+
+import json
+from dataclasses import MISSING, fields
+
+import pytest
+
+from minicar.errors import ConfigError
+from minicar.params import (_GROUPS, load_params, params_from_dict, params_to_dict,
+                            reference_params, save_params)
+from minicar.scenarios import (SCHEDULE_TYPES, Scenario, load_scenario, save_scenario,
+                               scenario_from_json, scenario_library, schedule_from_json)
+
+PARAMS = params_to_dict(reference_params())
+
+SCHEDULES = {
+    "step": {"type": "step", "t": 0.5, "before": 0.0, "after": 0.3},
+    "piecewise": {"type": "piecewise", "times": [0.0, 1.0], "values": [0.1, 0.2]},
+    "sine": {"type": "sine", "amplitude": 0.4, "frequency": 0.5, "phase": 0.1, "offset": 0.0},
+}
+
+SCENARIO = {
+    "name": "doc",
+    "duration": 2.0,
+    "dt": 0.01,
+    "model": "kinematic",
+    "throttle": SCHEDULES["step"],
+    "steering": SCHEDULES["sine"],
+    "initial_state": [0.0, 0.0, 0.0, 0.5],
+    "mocap": False,
+}
+
+
+def _params_group(name):
+    def parse(group):
+        return params_from_dict({**PARAMS, name: group})
+    return parse
+
+
+# (the "<what>" a document's errors start with, a valid object, its
+# dataclass, the parser of that object)
+DOCUMENTS = (
+    [pytest.param(f"parameter group {name!r}", PARAMS[name], cls, _params_group(name), id=name)
+     for name, cls in _GROUPS.items()]
+    + [pytest.param(f"{kind} schedule", SCHEDULES[kind], cls, schedule_from_json, id=kind)
+       for kind, cls in SCHEDULE_TYPES.items()]
+    + [pytest.param("scenario", SCENARIO, Scenario, scenario_from_json, id="scenario")]
+)
+
+
+def _required(cls):
+    return [f.name for f in fields(cls) if f.default is MISSING and f.default_factory is MISSING]
+
+
+@pytest.mark.parametrize("what, valid, cls, parse", DOCUMENTS)
+def test_unknown_and_missing_fields_have_one_message_shape(what, valid, cls, parse):
+    parse(valid)
+    with pytest.raises(ConfigError) as unknown:
+        parse({**valid, "bogus": 1.0})
+    assert str(unknown.value) == f"{what}: unknown field 'bogus'"
+    for name in _required(cls):
+        with pytest.raises(ConfigError) as missing:
+            parse({key: value for key, value in valid.items() if key != name})
+        assert str(missing.value) == f"{what}: missing field {name!r}"
+
+
+@pytest.mark.parametrize("path", [(group, key) for group in _GROUPS if PARAMS[group]
+                                  for key in PARAMS[group]] + [("schema_version",)])
+@pytest.mark.parametrize("value", [True, False])
+def test_parameter_files_reject_booleans_as_numbers(path, value):
+    doc = json.loads(json.dumps(PARAMS))
+    if len(path) == 1:
+        doc[path[0]] = value
+        pattern = "schema_version"
+    else:
+        doc[path[0]][path[1]] = value
+        pattern = f"parameter group '{path[0]}': field '{path[1]}' must be a finite number"
+    with pytest.raises(ConfigError, match=pattern):
+        params_from_dict(doc)
+
+
+def test_a_hand_written_integer_parameter_saves_back_as_a_float(tmp_path):
+    doc = json.loads(json.dumps(PARAMS))
+    doc["geometry"].update(m=2, w=1)
+    hand = tmp_path / "hand.json"
+    hand.write_text(json.dumps(doc))
+    saved = tmp_path / "saved.json"
+    save_params(load_params(hand), saved)
+    geometry = json.loads(saved.read_text())["geometry"]
+    assert (geometry["m"], geometry["w"]) == (2.0, 1.0)
+    assert '"m": 2.0' in saved.read_text()
+
+
+def _twice(save, load, value, tmp_path):
+    first, second = tmp_path / "first.json", tmp_path / "second.json"
+    save(value, first)
+    save(load(first), second)
+    return first.read_bytes(), second.read_bytes()
+
+
+def test_a_parameter_file_saves_loads_and_saves_to_the_same_bytes(tmp_path):
+    first, second = _twice(save_params, load_params, reference_params(), tmp_path)
+    assert first == second
+    assert first.endswith(b"}\n") and b'\n  "friction": {\n    "a": 1.72,' in first
+
+
+@pytest.mark.parametrize("scenario", [s for battery in scenario_library().values()
+                                      for s in battery[:1]] + [scenario_from_json(SCENARIO)],
+                         ids=lambda s: s.name)
+def test_a_scenario_file_saves_loads_and_saves_to_the_same_bytes(tmp_path, scenario):
+    first, second = _twice(save_scenario, load_scenario, scenario, tmp_path)
+    assert first == second
+    assert load_scenario(tmp_path / "second.json") == scenario

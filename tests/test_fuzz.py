@@ -71,12 +71,18 @@ def test_params_from_arbitrary_json_raises_only_config_error(doc):
 
 
 @given(path=st.sampled_from(_paths(VALID_PARAMS)), value=json_values)
+@example(path=("motor", "g"), value=False)
+@example(path=("geometry", "w"), value=1)
 @settings(max_examples=300)
 def test_params_with_one_bad_field_raise_only_config_error(path, value):
     try:
-        assert isinstance(params_from_dict(_replace(VALID_PARAMS, path, value)), VehicleParams)
+        params = params_from_dict(_replace(VALID_PARAMS, path, value))
     except ConfigError:
-        pass
+        return
+    assert isinstance(params, VehicleParams)
+    for group in (params.friction, params.motor, params.steering, params.tire,
+                  params.geometry, params.delays):
+        assert group is None or all(type(v) is float and math.isfinite(v) for v in group)
 
 
 @given(doc=json_values)

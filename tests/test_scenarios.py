@@ -166,7 +166,7 @@ def test_schedule_json_rejects_unknown_type(tmp_path):
 ])
 def test_schedule_json_names_an_unknown_field(doc, key):
     """A mistyped optional field must not silently take its default."""
-    with pytest.raises(ConfigError, match=f"unknown {doc['type']} schedule field '{key}'"):
+    with pytest.raises(ConfigError, match=f"{doc['type']} schedule: unknown field '{key}'"):
         schedule_from_json(doc)
     with pytest.raises(ConfigError, match=f"'steering'.*'{key}'"):
         scenario_from_json({"name": "x", "duration": 1.0, "dt": 0.01, "model": "kinematic",
