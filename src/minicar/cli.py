@@ -30,15 +30,10 @@ import numpy as np
 from . import datasets, delay, models, pipeline, scenarios, simulator, svgplot, validation
 from .errors import ConfigError, MinicarError
 from .logs import load_log, save_log
-from .params import (Geometry, check_fields, load_params, read_json_object, save_params,
-                     write_json)
-from .simulator import NOISE_CHANNELS, NoiseSpec
+from .params import (Geometry, from_json, load_params, read_json_object, reference_params,
+                     save_params, write_json)
 
 logger = logging.getLogger(__name__)
-
-DEFAULT_MASS = 1.67
-DEFAULT_WHEELBASE = 0.192
-DEFAULT_WIDTH = 0.1
 
 
 def _package_version() -> str:
@@ -105,11 +100,32 @@ class _LogEntry:
     file: str
     tag: str
 
+    def __post_init__(self):
+        if not isinstance(self.file, str):
+            raise ConfigError(f"'file' must be a string, got {self.file!r}")
+        if self.tag not in pipeline.EXPERIMENT_TAGS:  # a tag that is not a string, too
+            raise ConfigError(f"unknown experiment tag {self.tag!r}")
+
 
 @dataclass(frozen=True)
 class _LogManifest:
     schema_version: int = 1
     logs: list[_LogEntry] = field(default_factory=list)
+
+    def __post_init__(self):
+        if isinstance(self.schema_version, bool) or self.schema_version != 1:
+            raise ConfigError(f"unsupported schema_version {self.schema_version!r}")
+
+
+def _read_manifest(path: Path) -> _LogManifest:
+    """The log manifest in ``path``; ConfigError naming the file."""
+    def entries(_, docs):
+        if not isinstance(docs, list):
+            raise ConfigError(f"{path}: 'logs' must be a list")
+        return [from_json(_LogEntry, doc, f"{path}: logs[{i}]") for i, doc in enumerate(docs)]
+
+    return from_json(_LogManifest, read_json_object(path, "log manifest"), str(path),
+                     parse={"logs": entries})
 
 
 def _collect_logs(logs_dir: Path) -> tuple[dict[str, list], list[Path]]:
@@ -118,26 +134,11 @@ def _collect_logs(logs_dir: Path) -> tuple[dict[str, list], list[Path]]:
     files: list[Path] = []
     manifest_path = logs_dir / "manifest.json"
     if manifest_path.is_file():
-        doc = check_fields(_LogManifest, read_json_object(manifest_path, "log manifest"),
-                           str(manifest_path))
-        version = doc.get("schema_version", _LogManifest.schema_version)
-        if isinstance(version, bool) or version != _LogManifest.schema_version:
-            raise ConfigError(f"{manifest_path}: unsupported schema_version {version!r}")
-        entries = doc.get("logs", [])
-        if not isinstance(entries, list):
-            raise ConfigError(f"{manifest_path}: 'logs' must be a list")
-        for i, entry in enumerate(entries):
-            what = f"{manifest_path}: logs[{i}]"
-            check_fields(_LogEntry, entry, what)
-            tag, rel = entry["tag"], entry["file"]
-            if not isinstance(rel, str):
-                raise ConfigError(f"{what}: 'file' must be a string, got {rel!r}")
-            if tag not in pipeline.EXPERIMENT_TAGS:  # a tag that is not a string, too
-                raise ConfigError(f"{what}: unknown experiment tag {tag!r}")
-            path = logs_dir / rel
-            tagged[tag].append(load_log(path))
+        files.append(manifest_path)
+        for entry in _read_manifest(manifest_path).logs:
+            path = logs_dir / entry.file
+            tagged[entry.tag].append(load_log(path))
             files.append(path)
-        files.insert(0, manifest_path)
         return tagged, files
     for tag in pipeline.EXPERIMENT_TAGS:
         subdir = logs_dir / tag
@@ -312,23 +313,16 @@ def cmd_generate(args) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     params = load_params(args.params)
-    levels = read_json_object(args.noise, "noise")
-    for key in levels:
-        if key not in NOISE_CHANNELS:
-            raise ConfigError(f"{args.noise}: unknown field {key!r}")
+    noise = simulator.load_noise(args.noise)
     library = [(tag, scenario) for tag, battery in
                scenarios.scenario_library(dt=args.dt).items() for scenario in battery]
-
     seeds = np.random.SeedSequence(args.seed).spawn(len(library))
-    try:
-        specs = [NoiseSpec(seed=int(seed.generate_state(1)[0]), **levels) for seed in seeds]
-    except ConfigError as exc:
-        raise ConfigError(f"{args.noise}: {exc}") from exc
 
     entries, runs = [], []
-    for (tag, scenario), spec in zip(library, specs):
+    for (tag, scenario), seed in zip(library, seeds):
         traj, run = _simulate(scenario, params, args.normalized_slip)
-        log = simulator.synthesize_log(scenario, params, spec, trajectory=traj)
+        log = simulator.synthesize_log(scenario, params, noise, int(seed.generate_state(1)[0]),
+                                       trajectory=traj)
         filename = f"{scenario.name}.csv"
         save_log(log, out_dir / filename)
         entries.append(_LogEntry(filename, tag))
@@ -365,10 +359,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_fit.add_argument("--out", required=True, help="output parameter JSON path")
     p_fit.add_argument("--stages", default="",
                        help="comma-separated subset of: " + ",".join(pipeline.STAGES))
-    p_fit.add_argument("--mass", type=float, default=DEFAULT_MASS, help="vehicle mass [kg]")
-    p_fit.add_argument("--wheelbase", type=float, default=DEFAULT_WHEELBASE,
-                       help="axle distance [m]")
-    p_fit.add_argument("--width", type=float, default=DEFAULT_WIDTH, help="vehicle width [m]")
+    reference = reference_params().geometry
+    p_fit.add_argument("--mass", type=float, default=reference.m, help="vehicle mass [kg]")
+    p_fit.add_argument("--wheelbase", type=float, default=reference.l, help="axle distance [m]")
+    p_fit.add_argument("--width", type=float, default=reference.w, help="vehicle width [m]")
     p_fit.add_argument("--lf", type=float, default=None,
                        help="CoM to front axle [m] (default: wheelbase/2)")
     p_fit.add_argument("--normalized-slip", action="store_true",

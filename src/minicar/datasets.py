@@ -222,6 +222,15 @@ def build_steering_dataset(logs: Sequence[RawLog], l: float) -> Dataset:
     return _stacked(xs, ys, ("s",), ("delta [rad]",))
 
 
+def pose_velocities(t, x, y, eta) -> tuple:
+    """``(eta, vx, vy, v_x, v_y)`` of a pose track: the heading smoothed
+    over SMOOTH_WINDOW, the derivative of the smoothed position and that
+    velocity rotated into the body frame by the smoothed heading."""
+    x, y, eta = (smooth(track, SMOOTH_WINDOW) for track in (x, y, eta))
+    vx, vy = differentiate(x, t), differentiate(y, t)
+    return (eta, vx, vy, *models.body_frame_velocity(vx, vy, eta))
+
+
 def _axle_forces(ax_abs, ay_abs, domega, eta, geom: Geometry) -> tuple:
     """Body-frame longitudinal force and front and rear lateral forces
     (f_x, f_yf, f_yr) of the planar rigid-body force balance.
@@ -258,18 +267,12 @@ def build_tire_dataset(
         if len(log) < 3 + 2 * SMOOTH_WINDOW:
             continue
         t = log.t
-        x = smooth(log.mocap.x_t, SMOOTH_WINDOW)
-        y = smooth(log.mocap.y_t, SMOOTH_WINDOW)
-        eta = smooth(log.mocap.eta_t, SMOOTH_WINDOW)
-
-        vx_abs = differentiate(x, t)
-        vy_abs = differentiate(y, t)
+        eta, vx_abs, vy_abs, v_x, v_y = pose_velocities(t, log.mocap.x_t, log.mocap.y_t,
+                                                        log.mocap.eta_t)
         omega = differentiate(eta, t)
         ax_abs = differentiate(smooth(vx_abs, SMOOTH_WINDOW), t)
         ay_abs = differentiate(smooth(vy_abs, SMOOTH_WINDOW), t)
         domega = differentiate(smooth(omega, SMOOTH_WINDOW), t)
-
-        v_x, v_y = models.body_frame_velocity(vx_abs, vy_abs, eta)
 
         # applied steering lags the command by the identified delay
         s_applied = delay_shift(log.s, params.delays.steer_delay, log.dt)

@@ -83,6 +83,7 @@ class RawLog:
     omega_imu: np.ndarray
     mocap: MocapBlock | None = None
     name: str = ""
+    _dt: float | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         arrays = [self.t, self.tau, self.s, self.v_enc, self.omega_imu]
@@ -91,8 +92,7 @@ class RawLog:
         n = self.t.size
         if any(a.size != n for a in arrays):
             raise ParseError("all log columns must have equal length")
-        if n >= 2:
-            grid_step(self.t)
+        object.__setattr__(self, "_dt", grid_step(self.t) if n >= 2 else None)
         if (bad := command_out_of_range(self.tau, self.s)) is not None:
             raise ParseError("throttle and steering must lie in [-1, 1]", row=bad + 1)
         for a in arrays:
@@ -103,9 +103,10 @@ class RawLog:
 
     @property
     def dt(self) -> float:
-        if len(self) < 2:
+        """The grid step, as ``grid_step`` found it on construction."""
+        if self._dt is None:
             raise ParseError("log too short to define a sample period")
-        return grid_step(self.t)
+        return self._dt
 
 
 def read_table(source, name: str = "") -> dict[str, np.ndarray]:

@@ -1,10 +1,11 @@
 """Vehicle parameter groups and the JSON dialect of every minicar document.
 
-Each document is read through ``read_json_object``, its objects through
-``check_fields`` (a dataclass's fields are what its object may hold) and
-its numbers through ``finite_float``; each is written by ``write_json``.
-All values are SI unless noted. Throttle and steering inputs are
-dimensionless commands in [-1, 1].
+Each document is read by ``read_json_object``, each of its objects is
+built by ``from_json`` (a dataclass's fields are what its object may
+hold, and each error names the document), every number goes through
+``finite_float`` and ``write_json`` writes each document. All values
+are SI unless noted. Throttle and steering inputs are dimensionless
+commands in [-1, 1].
 """
 
 from __future__ import annotations
@@ -45,10 +46,13 @@ def finite_floats(values, what: str) -> tuple[float, ...]:
     return tuple(finite_float(v, f"{what}[{i}]") for i, v in enumerate(values))
 
 
-def check_fields(cls, doc, what: str, extra: tuple[str, ...] = ()) -> dict:
-    """``doc`` when it is a JSON object holding only fields of the
-    dataclass ``cls`` (or ``extra`` keys) and every field without a
-    default; otherwise ConfigError "<what>: ..." naming the field."""
+def from_json(cls, doc, what: str, *, extra: tuple[str, ...] = (), parse: dict | None = None):
+    """The dataclass ``cls`` built from the JSON object ``doc``, which
+    holds only its fields (and ``extra`` keys, not passed on) and each
+    field without a default. ``parse`` maps a field to the function that
+    builds its value from its name and JSON value, and names its own
+    errors. Anything else wrong, a ConfigError of ``cls`` included,
+    raises ConfigError "<what>: ..."."""
     if not isinstance(doc, dict):
         raise ConfigError(f"{what}: expected a JSON object, got {type(doc).__name__}")
     required = {f.name: f.default is MISSING and f.default_factory is MISSING
@@ -59,7 +63,13 @@ def check_fields(cls, doc, what: str, extra: tuple[str, ...] = ()) -> dict:
     for name, needed in required.items():
         if needed and name not in doc:
             raise ConfigError(f"{what}: missing field {name!r}")
-    return doc
+    parse = parse or {}
+    values = {key: parse[key](key, value) if key in parse else value
+              for key, value in doc.items() if key in required}
+    try:
+        return cls(**values)
+    except ConfigError as exc:
+        raise ConfigError(f"{what}: {exc}") from exc
 
 
 class FloatFields:
@@ -216,25 +226,24 @@ def params_to_dict(params: VehicleParams) -> dict:
     return doc
 
 
+def _group(name: str, doc):
+    """The parameter group ``name`` from its JSON object, or None from
+    null where the group's default is None."""
+    if doc is None and VehicleParams.__dataclass_fields__[name].default is None:
+        return None
+    return from_json(_GROUPS[name], doc, f"parameter group {name!r}")
+
+
 def params_from_dict(doc: dict) -> VehicleParams:
     """A VehicleParams from its JSON object; ConfigError naming the group
     and field for anything missing, unknown, mistyped, out of range or
-    non-finite. Every group but ``tire`` must be present and not null."""
-    check_fields(VehicleParams, doc, "parameter document", extra=("schema_version",))
-    version = doc.get("schema_version")
+    non-finite. A group may be left out exactly when its field has a
+    default: ``delays`` (then zero) and ``tire`` (then None)."""
+    version = doc.get("schema_version") if isinstance(doc, dict) else PARAMS_SCHEMA_VERSION
     if isinstance(version, bool) or version != PARAMS_SCHEMA_VERSION:
         raise ConfigError(f"unsupported parameter schema_version: {version!r}")
-    groups = {}
-    for name, cls in _GROUPS.items():
-        if name == "tire" and doc.get(name) is None:
-            continue
-        what = f"parameter group {name!r}"
-        group = check_fields(cls, doc.get(name), what)
-        try:
-            groups[name] = cls(**group)
-        except ConfigError as exc:
-            raise ConfigError(f"{what}: {exc}") from exc
-    return VehicleParams(**groups)
+    return from_json(VehicleParams, doc, "parameter document", extra=("schema_version",),
+                     parse=dict.fromkeys(_GROUPS, _group))
 
 
 def write_json(path: str | Path, doc) -> None:
@@ -272,12 +281,13 @@ def reference_params() -> VehicleParams:
     center of mass is assumed to sit midway between the axles; yaw
     inertia follows the uniform-rectangle approximation.
     """
+    from .models import rectangle_inertia  # models imports this module
     m, l, w = 1.67, 0.192, 0.1
     return VehicleParams(
         friction=FrictionParams(a=1.72, b=13.32, c=0.29),
         motor=MotorParams(d=28.88, e=5.99, g=-0.15),
         steering=SteeringParams(a_t=1.64, b_t=0.33, c_t=0.02, d_t=1.66, e_t=0.38),
         tire=TireParams(D=2.98, C=0.69, B=0.29, E=-3.07, C_r=0.39),
-        geometry=Geometry(m=m, l=l, l_f=l / 2, l_r=l / 2, w=w, I_z=m * (l * l + w * w) / 12),
+        geometry=Geometry(m=m, l=l, l_f=l / 2, l_r=l / 2, w=w, I_z=rectangle_inertia(m, l, w)),
         delays=Delays(steer_delay=0.15, long_delay=0.01),
     )

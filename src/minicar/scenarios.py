@@ -37,7 +37,8 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError
-from .params import (FloatFields, check_fields, finite_float, finite_floats, read_json_object,
+from .logs import command_out_of_range
+from .params import (FloatFields, finite_float, finite_floats, from_json, read_json_object,
                      write_json)
 
 MAX_DT = 0.05
@@ -122,11 +123,7 @@ def schedule_from_json(doc: dict):
     schedule = SCHEDULE_TYPES.get(kind) if isinstance(kind, str) else None
     if schedule is None:
         raise ConfigError(f"unknown schedule type {kind!r}")
-    check_fields(schedule, doc, f"{kind} schedule", extra=("type",))
-    try:
-        return schedule(**{key: value for key, value in doc.items() if key != "type"})
-    except ConfigError as exc:
-        raise ConfigError(f"{kind} schedule: {exc}") from exc
+    return from_json(schedule, doc, f"{kind} schedule", extra=("type",))
 
 
 @dataclass(frozen=True)
@@ -142,25 +139,23 @@ class Scenario:
 
     def __post_init__(self):
         if not isinstance(self.name, str):
-            raise ConfigError(f"scenario name must be a string, got {self.name!r}")
-        object.__setattr__(self, "duration", finite_float(self.duration, "scenario duration"))
-        object.__setattr__(self, "dt", finite_float(self.dt, "scenario dt"))
+            raise ConfigError(f"field 'name' must be a string, got {self.name!r}")
+        object.__setattr__(self, "duration", finite_float(self.duration, "field 'duration'"))
+        object.__setattr__(self, "dt", finite_float(self.dt, "field 'dt'"))
         if self.duration <= 0:
-            raise ConfigError("scenario duration must be > 0")
+            raise ConfigError("field 'duration' must be > 0")
         if not 0 < self.dt <= MAX_DT:
-            raise ConfigError(f"scenario dt must lie in (0, {MAX_DT}] s")
+            raise ConfigError(f"field 'dt' must lie in (0, {MAX_DT}] s")
         # 0.5 < x < MAX_SAMPLES - 0.5 is 1 <= round(x) <= MAX_SAMPLES - 1
         if not 0.5 < self.duration / self.dt < MAX_SAMPLES - 0.5:
-            raise ConfigError(
-                f"scenario duration / dt must give 1 to {MAX_SAMPLES - 1} steps, "
-                f"got {self.duration / self.dt:.6g}"
-            )
+            raise ConfigError(f"duration / dt must give 1 to {MAX_SAMPLES - 1} steps, "
+                              f"got {self.duration / self.dt:.6g}")
         if self.model not in ("kinematic", "dynamic"):
             raise ConfigError(f"unknown model kind {self.model!r}")
         if not isinstance(self.mocap, bool):
-            raise ConfigError(f"scenario mocap must be true or false, got {self.mocap!r}")
+            raise ConfigError(f"field 'mocap' must be true or false, got {self.mocap!r}")
         n_states = 4 if self.model == "kinematic" else 6
-        state = finite_floats(self.initial_state, "scenario initial_state") or (0.0,) * n_states
+        state = finite_floats(self.initial_state, "field 'initial_state'") or (0.0,) * n_states
         if len(state) != n_states:
             raise ConfigError(
                 f"{self.model} model needs {n_states} initial states, got {len(state)}"
@@ -176,13 +171,13 @@ class Scenario:
         """Commanded throttle and steering at every grid time.
 
         Raises ConfigError if either schedule leaves [-1, 1] anywhere
-        on the grid.
+        on the grid, by the logs' rule (``logs.command_out_of_range``).
         """
         times = self.times
         tau = self.throttle.sample(times)
         s = self.steering.sample(times)
         for name, series in (("throttle", tau), ("steering", s)):
-            if np.any(np.abs(series) > 1 + 1e-12):
+            if command_out_of_range(series) is not None:
                 raise ConfigError(f"{name} schedule leaves [-1, 1] in scenario {self.name!r}")
         return tau, s
 
@@ -191,9 +186,9 @@ class Scenario:
                 "steering": schedule_to_json(self.steering)}
 
 
-def _schedule_field(doc: dict, key: str):
+def _schedule_field(key: str, doc):
     try:
-        return schedule_from_json(doc[key])
+        return schedule_from_json(doc)
     except ConfigError as exc:
         raise ConfigError(f"scenario field {key!r}: {exc}") from exc
 
@@ -201,9 +196,8 @@ def _schedule_field(doc: dict, key: str):
 def scenario_from_json(doc: dict) -> Scenario:
     """A Scenario from its JSON object; ConfigError naming the field for
     anything missing, unknown, mistyped or non-finite."""
-    check_fields(Scenario, doc, "scenario")
-    return Scenario(**{**doc, "throttle": _schedule_field(doc, "throttle"),
-                       "steering": _schedule_field(doc, "steering")})
+    return from_json(Scenario, doc, "scenario",
+                     parse=dict.fromkeys(("throttle", "steering"), _schedule_field))
 
 
 def load_scenario(path: str | Path) -> Scenario:

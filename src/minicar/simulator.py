@@ -51,7 +51,7 @@ from .errors import ConfigError, IntegrationError, SimulationDiverged
 from .integrators import (non_finite_state, rk4_accumulate, rk4_scalar_stages,
                           rk4_stage_points, rk4_step)
 from .logs import MocapBlock, RawLog, format_table
-from .params import VehicleParams, finite_float
+from .params import FloatFields, VehicleParams, from_json, read_json_object
 from .scenarios import Scenario
 
 # Any state component beyond this magnitude aborts the run: parameter
@@ -65,27 +65,26 @@ BLEND_SPEED = 0.3
 # Steps whose inputs are turned into Python floats at once.
 INPUT_BLOCK_ROWS = 256
 
-# The noise levels a NoiseSpec holds, which are also the keys of a
-# noise file.
-NOISE_CHANNELS = ("v_enc", "omega_imu", "mocap_xy", "mocap_eta")
-
-
 @dataclass(frozen=True)
-class NoiseSpec:
-    """Per-channel additive Gaussian noise levels; the seed is mandatory."""
+class NoiseSpec(FloatFields):
+    """Standard deviations of the additive Gaussian noise on each sensor
+    channel, the fields of a noise file."""
 
-    seed: int
     v_enc: float = 0.0
     omega_imu: float = 0.0
     mocap_xy: float = 0.0
     mocap_eta: float = 0.0
 
     def __post_init__(self):
-        for name in NOISE_CHANNELS:
-            std = finite_float(getattr(self, name), f"noise std {name}")
+        super().__post_init__()
+        for name, std in self.__dict__.items():
             if std < 0:
-                raise ConfigError(f"noise std {name} must be >= 0")
-            object.__setattr__(self, name, std)
+                raise ConfigError(f"field {name!r} must be >= 0")
+
+
+def load_noise(path: str | Path) -> NoiseSpec:
+    """The NoiseSpec of a noise file; ConfigError naming the file."""
+    return from_json(NoiseSpec, read_json_object(path, "noise"), str(path))
 
 
 @dataclass(frozen=True)
@@ -284,18 +283,18 @@ def trajectory_yaw_rate(traj: Trajectory, params: VehicleParams) -> np.ndarray:
     return models.kinematic_yaw_rate(traj.states[:, 3], np.tan(delta), params.geometry)
 
 
-def synthesize_log(scenario: Scenario, params: VehicleParams, noise: NoiseSpec,
+def synthesize_log(scenario: Scenario, params: VehicleParams, noise: NoiseSpec, seed: int,
                    *, normalized: bool = False, trajectory: Trajectory | None = None) -> RawLog:
     """Simulate a scenario and emit the RawLog a real robot would record.
 
     Commanded (pre-delay) inputs are logged; sensor channels get
-    additive seeded Gaussian noise. The pose block is included only
-    when the scenario asks for motion capture. A ``trajectory`` already
-    simulated for the scenario is used as is.
+    additive Gaussian noise drawn from ``seed``. The pose block is
+    included only when the scenario asks for motion capture. A
+    ``trajectory`` already simulated for the scenario is used as is.
     """
     traj = trajectory if trajectory is not None else simulate(scenario, params,
                                                               normalized=normalized)
-    rng = np.random.default_rng(noise.seed)
+    rng = np.random.default_rng(seed)
     n = len(traj)
 
     v = traj.states[:, 3].copy()

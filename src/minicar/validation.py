@@ -4,8 +4,9 @@ Works on any CSV in the RawLog dialect (``read_table``, re-exported
 from ``logs``), including trajectory exports that carry exact state
 columns. When a dynamic-model validation has to fall back from state
 columns to motion-capture data, the body-frame lateral velocity is
-reconstructed by differentiation, which bounds the achievable
-accuracy; exact checks should use trajectory exports.
+reconstructed by differentiation, by the tire dataset's own rule
+(``datasets.pose_velocities``), which bounds the achievable accuracy;
+exact checks should use trajectory exports.
 
 Every row is predicted at once by the simulator's own step law
 (``simulator.held_inputs`` and ``simulator.stepper``) on column arrays.
@@ -18,13 +19,13 @@ import logging
 import numpy as np
 
 from . import models
-from .datasets import SMOOTH_WINDOW
+from .datasets import pose_velocities
 from .delay import delay_shift
 from .errors import ConfigError, DataError
 from .integrators import rk4_step  # unused; perfbench/tracing.py patches it by name
 from .logs import command_out_of_range, grid_step, read_table
 from .params import VehicleParams
-from .preprocess import differentiate, smooth
+from .preprocess import differentiate, smooth  # unused, like rk4_step
 from .simulator import held_inputs, stepper
 
 logger = logging.getLogger(__name__)
@@ -87,10 +88,7 @@ def _dynamic_states(table: dict) -> tuple[list, list[str]]:
     v_y = _first_present(table, "v_y")
     if v_y is None:
         logger.warning("no v_y column; reconstructing it from pose by differentiation")
-        t = table["t"]
-        vx_abs = differentiate(smooth(x, SMOOTH_WINDOW), t)
-        vy_abs = differentiate(smooth(y, SMOOTH_WINDOW), t)
-        _, v_y = models.body_frame_velocity(vx_abs, vy_abs, eta)
+        *_, v_y = pose_velocities(table["t"], x, y, eta)
     return [x, y, eta, v_x, v_y, omega], ["x", "y", "eta", "v_x", "v_y", "omega"]
 
 

@@ -48,7 +48,7 @@ def _synthesize(scenarios, ref, base_seed, **noise):
     seeds = np.random.SeedSequence(base_seed).spawn(len(scenarios))
     return [
         synthesize_log(
-            scen, ref, NoiseSpec(seed=int(seeds[i].generate_state(1)[0]), **noise)
+            scen, ref, NoiseSpec(**noise), int(seeds[i].generate_state(1)[0])
         )
         for i, scen in enumerate(scenarios)
     ]

@@ -58,7 +58,7 @@ def _report(criterion: int, ok: bool, detail: str) -> None:
 def _synthesize(battery, base_seed, **noise):
     seeds = np.random.SeedSequence(base_seed).spawn(len(battery))
     return [
-        synthesize_log(s, REF, NoiseSpec(seed=int(seeds[i].generate_state(1)[0]), **noise))
+        synthesize_log(s, REF, NoiseSpec(**noise), int(seeds[i].generate_state(1)[0]))
         for i, s in enumerate(battery)
     ]
 

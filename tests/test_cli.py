@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import minicar
-from minicar.cli import main
+from minicar.cli import _geometry_from_args, build_parser, main
 from minicar.params import reference_params, save_params
 from minicar.validation import read_table
 
@@ -187,7 +187,7 @@ def test_fit_missing_stage_with_explicit_request_fails(tmp_path, params_file):
     logs_dir.mkdir(parents=True)
     ref = reference_params()
     for i, scen in enumerate(constant_steering_battery(s_values=(-0.5, 0.5), duration=4.0)):
-        save_log(synthesize_log(scen, ref, NoiseSpec(seed=i)), logs_dir / f"{scen.name}.csv")
+        save_log(synthesize_log(scen, ref, NoiseSpec(), i), logs_dir / f"{scen.name}.csv")
     assert main(["fit", "--logs", str(tmp_path / "logs"),
                  "--out", str(tmp_path / "p.json"), "--stages", "friction"]) == 1
     # but fitting just the steering map succeeds
@@ -237,7 +237,7 @@ def test_fit_without_mocap_succeeds_with_tire_absent(tmp_path):
         subdir.mkdir(parents=True)
         for scen in battery:
             seed += 1
-            log = synthesize_log(scen, ref, NoiseSpec(seed=seed, v_enc=0.01, omega_imu=0.01))
+            log = synthesize_log(scen, ref, NoiseSpec(v_enc=0.01, omega_imu=0.01), seed)
             save_log(log, subdir / f"{scen.name}.csv")
 
     out = tmp_path / "fit" / "params.json"
@@ -261,6 +261,13 @@ def test_generate_rejects_malformed_noise_json(tmp_path, params_file, caplog, te
                  "--seed", "1", "--out", str(tmp_path / "g")])
     assert code == 2
     assert str(noise) in caplog.text
+
+
+def test_fit_defaults_to_the_reference_geometry():
+    args = build_parser().parse_args(["fit", "--logs", "logs", "--out", "p.json"])
+    geometry = reference_params().geometry
+    assert (args.mass, args.wheelbase, args.width) == (geometry.m, geometry.l, geometry.w)
+    assert _geometry_from_args(args) == geometry
 
 
 def test_fit_rejects_malformed_manifest(tmp_path, caplog):
@@ -337,7 +344,7 @@ def test_fit_report_records_convergence(tmp_path):
     logs_dir.mkdir(parents=True)
     ref = reference_params()
     for i, scen in enumerate(constant_steering_battery(s_values=(-0.5, 0.5), duration=4.0)):
-        save_log(synthesize_log(scen, ref, NoiseSpec(seed=i)), logs_dir / f"{scen.name}.csv")
+        save_log(synthesize_log(scen, ref, NoiseSpec(), i), logs_dir / f"{scen.name}.csv")
     out = tmp_path / "fit" / "p.json"
     assert main(["fit", "--logs", str(tmp_path / "logs"), "--out", str(out),
                  "--stages", "steering"]) == 0
@@ -370,7 +377,7 @@ def test_fit_without_the_kinematic_stages_writes_and_claims_no_parameter_file(
     logs_dir.mkdir(parents=True)
     ref = reference_params()
     for i, scen in enumerate(constant_steering_battery(s_values=(-0.5, 0.5), duration=4.0)):
-        save_log(synthesize_log(scen, ref, NoiseSpec(seed=i)), logs_dir / f"{scen.name}.csv")
+        save_log(synthesize_log(scen, ref, NoiseSpec(), i), logs_dir / f"{scen.name}.csv")
     out = tmp_path / "fit" / "p.json"
     assert main(["fit", "--logs", str(tmp_path / "logs"), "--out", str(out),
                  "--stages", "steering"]) == 0

@@ -65,7 +65,7 @@ def _coast_log(ref):
         throttle=PiecewiseSchedule(times=(0.0, 2.0), values=(0.35, 0.0)),
         steering=constant(0.0),
     )
-    return synthesize_log(scen, ref, NoiseSpec(seed=3))
+    return synthesize_log(scen, ref, NoiseSpec(), 3)
 
 
 def test_friction_excludes_standstill(ref):
@@ -92,7 +92,7 @@ def _step_log(ref, tau=0.3, seed=0, noise=0.0):
         throttle=PiecewiseSchedule(times=(0.0, 1.0, 6.0), values=(0.0, tau, 0.0)),
         steering=constant(0.0),
     )
-    return synthesize_log(scen, ref, NoiseSpec(seed=seed, v_enc=noise))
+    return synthesize_log(scen, ref, NoiseSpec(v_enc=noise), seed)
 
 
 def test_motor_dataset_excludes_coasting(ref):
@@ -110,7 +110,7 @@ def test_motor_zero_noise_label_residual(ref):
         throttle=PiecewiseSchedule(times=(0.0, 0.5), values=(0.0, 0.3)),
         steering=constant(0.0),
     )
-    log = synthesize_log(scen, ref, NoiseSpec(seed=0))
+    log = synthesize_log(scen, ref, NoiseSpec(), 0)
     data = build_motor_dataset([log], ref.geometry.m, ref.friction)
     predicted = models.motor_force(data.X[:, 0], data.X[:, 1], ref.motor)
     rms = np.sqrt(np.mean((data.Y[:, 0] - predicted) ** 2))
@@ -178,7 +178,7 @@ def _steer_logs(ref, s_values, seed=0, noise_v=0.0, noise_w=0.0):
             throttle=constant(0.25), steering=constant(float(s)),
         )
         logs.append(
-            synthesize_log(scen, ref, NoiseSpec(seed=seed + i, v_enc=noise_v, omega_imu=noise_w))
+            synthesize_log(scen, ref, NoiseSpec(v_enc=noise_v, omega_imu=noise_w), seed + i)
         )
     return logs
 
@@ -205,7 +205,7 @@ def test_steering_dataset_excludes_slow_segments(ref, caplog):
             name=f"slow_{s}", duration=4.0, dt=0.01, model="kinematic",
             throttle=constant(0.16), steering=constant(s),
         )
-        logs.append(synthesize_log(scen, ref, NoiseSpec(seed=1)))
+        logs.append(synthesize_log(scen, ref, NoiseSpec(), 1))
     with caplog.at_level(logging.WARNING):
         with pytest.raises(DataError, match="steady"):
             build_steering_dataset(logs, ref.geometry.l)
@@ -256,7 +256,7 @@ def test_tire_dataset_zero_acceleration_gives_zero_labels(ref):
 @pytest.fixture(scope="module")
 def circle_logs(ref):
     """Noiseless circular-ramp logs, one per turning direction."""
-    return [synthesize_log(mocap_circular_ramp(s, duration=20.0), ref, NoiseSpec(seed=9))
+    return [synthesize_log(mocap_circular_ramp(s, duration=20.0), ref, NoiseSpec(), 9)
             for s in (-0.4, 0.4)]
 
 
@@ -293,8 +293,8 @@ def test_tire_labels_equal_the_solved_force_balance(ref, circle_logs, monkeypatc
     params = replace(ref, geometry=replace(ref.geometry, l_f=0.3 * l, l_r=0.7 * l))
     logs = circle_logs
     if noisy:
-        noise = NoiseSpec(seed=4, mocap_xy=0.001, mocap_eta=0.002)
-        logs = [synthesize_log(mocap_circular_ramp(0.4, duration=20.0), ref, noise)]
+        noise = NoiseSpec(mocap_xy=0.001, mocap_eta=0.002)
+        logs = [synthesize_log(mocap_circular_ramp(0.4, duration=20.0), ref, noise, 4)]
     closed = build_tire_dataset(logs, params)
     monkeypatch.setattr(datasets, "_axle_forces", _solved_axle_forces)
     for mine, solved in zip(closed, build_tire_dataset(logs, params)):

@@ -4,15 +4,19 @@ field gets one message shape, booleans are not numbers, and a saved
 document loads and saves back to the same bytes."""
 
 import json
+import tempfile
 from dataclasses import MISSING, fields
+from pathlib import Path
 
 import pytest
 
+from minicar.cli import _LogEntry, _read_manifest
 from minicar.errors import ConfigError
-from minicar.params import (_GROUPS, load_params, params_from_dict, params_to_dict,
-                            reference_params, save_params)
+from minicar.params import (_GROUPS, Delays, VehicleParams, load_params, params_from_dict,
+                            params_to_dict, reference_params, save_params)
 from minicar.scenarios import (SCHEDULE_TYPES, Scenario, load_scenario, save_scenario,
                                scenario_from_json, scenario_library, schedule_from_json)
+from minicar.simulator import NoiseSpec, load_noise
 
 PARAMS = params_to_dict(reference_params())
 
@@ -40,6 +44,23 @@ def _params_group(name):
     return parse
 
 
+def _in_file(read, name, wrap=lambda doc: doc):
+    """A parser that writes ``wrap(doc)`` to a file called ``name`` and
+    reads it back with ``read``; the file's path reads as ``name`` in an
+    error."""
+    def parse(doc):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / name
+            path.write_text(json.dumps(wrap(doc)))
+            try:
+                return read(path)
+            except ConfigError as exc:
+                raise ConfigError(str(exc).replace(str(path), name)) from exc
+    return parse
+
+
+NOISE = {"v_enc": 0.02, "omega_imu": 0.02, "mocap_xy": 0.001, "mocap_eta": 0.002}
+
 # (the "<what>" a document's errors start with, a valid object, its
 # dataclass, the parser of that object)
 DOCUMENTS = (
@@ -47,7 +68,12 @@ DOCUMENTS = (
      for name, cls in _GROUPS.items()]
     + [pytest.param(f"{kind} schedule", SCHEDULES[kind], cls, schedule_from_json, id=kind)
        for kind, cls in SCHEDULE_TYPES.items()]
-    + [pytest.param("scenario", SCENARIO, Scenario, scenario_from_json, id="scenario")]
+    + [pytest.param("scenario", SCENARIO, Scenario, scenario_from_json, id="scenario"),
+       pytest.param("noise.json", NOISE, NoiseSpec, _in_file(load_noise, "noise.json"),
+                    id="noise"),
+       pytest.param("manifest.json: logs[0]", {"file": "a.csv", "tag": "coast"}, _LogEntry,
+                    _in_file(_read_manifest, "manifest.json", lambda entry: {"logs": [entry]}),
+                    id="log-entry")]
 )
 
 
@@ -65,6 +91,20 @@ def test_unknown_and_missing_fields_have_one_message_shape(what, valid, cls, par
         with pytest.raises(ConfigError) as missing:
             parse({key: value for key, value in valid.items() if key != name})
         assert str(missing.value) == f"{what}: missing field {name!r}"
+
+
+@pytest.mark.parametrize("name", list(_GROUPS))
+def test_a_parameter_group_may_be_left_out_exactly_when_it_has_a_default(name):
+    """``delays`` and ``tire`` have defaults; every other group is required."""
+    doc = {key: value for key, value in PARAMS.items() if key != name}
+    defaults = {"delays": Delays(steer_delay=0.0, long_delay=0.0), "tire": None}
+    if name not in defaults:
+        with pytest.raises(ConfigError) as missing:
+            params_from_dict(doc)
+        assert str(missing.value) == f"parameter document: missing field {name!r}"
+        return
+    params = params_from_dict(doc)
+    assert isinstance(params, VehicleParams) and getattr(params, name) == defaults[name]
 
 
 @pytest.mark.parametrize("path", [(group, key) for group in _GROUPS if PARAMS[group]

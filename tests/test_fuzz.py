@@ -3,6 +3,7 @@ noise levels and logs raise ConfigError or ParseError, never another
 exception."""
 
 import io
+import json
 import math
 import re
 
@@ -13,6 +14,7 @@ from hypothesis import strategies as st
 from minicar.errors import ConfigError, ParseError
 from minicar.logs import RawLog, load_log
 from minicar.params import (
+    _GROUPS,
     VehicleParams,
     load_params,
     params_from_dict,
@@ -20,7 +22,7 @@ from minicar.params import (
     reference_params,
 )
 from minicar.scenarios import Scenario, load_scenario, scenario_from_json
-from minicar.simulator import NoiseSpec
+from minicar.simulator import NoiseSpec, load_noise
 
 VALID_PARAMS = params_to_dict(reference_params())
 
@@ -140,10 +142,47 @@ def test_json_documents_from_arbitrary_bytes_raise_only_config_error(tmp_path_fa
 @example(level=math.nan)
 def test_noise_levels_are_finite_non_negative_numbers(level):
     try:
-        spec = NoiseSpec(seed=0, v_enc=level)
+        spec = NoiseSpec(v_enc=level)
     except ConfigError:
         return
     assert isinstance(spec.v_enc, float) and math.isfinite(spec.v_enc) and spec.v_enc >= 0
+
+
+def _near(valid: dict):
+    """JSON objects near ``valid``: some of its fields kept, and others
+    replaced or added."""
+    return st.builds(lambda keep, more: {**{k: valid[k] for k in keep}, **more},
+                     st.sets(st.sampled_from(sorted(valid))),
+                     st.dictionaries(st.sampled_from(sorted(valid)) | st.text(max_size=8),
+                                     json_values | st.floats(), max_size=3))
+
+
+def _all_finite_floats(group) -> bool:
+    return all(type(v) is float and math.isfinite(v) for v in group)
+
+
+@given(doc=_near({"v_enc": 0.02, "omega_imu": 0.02, "mocap_xy": 0.001, "mocap_eta": 0.002}))
+def test_a_noise_file_loads_or_raises_config_error_naming_it(tmp_path_factory, doc):
+    path = tmp_path_factory.getbasetemp() / "noise.json"
+    path.write_text(json.dumps(doc))
+    try:
+        noise = load_noise(path)
+    except ConfigError as exc:
+        assert str(exc).startswith(f"{path}: ")
+        return
+    assert _all_finite_floats(noise) and min(noise) >= 0
+
+
+@pytest.mark.parametrize("name", [name for name in _GROUPS if VALID_PARAMS[name]])
+@given(data=st.data())
+def test_a_parameter_group_loads_or_raises_config_error_naming_it(name, data):
+    doc = data.draw(_near(VALID_PARAMS[name]))
+    try:
+        params = params_from_dict({**VALID_PARAMS, name: doc})
+    except ConfigError as exc:
+        assert str(exc).startswith(f"parameter group {name!r}: ")
+        return
+    assert _all_finite_floats(getattr(params, name))
 
 
 @given(text=st.text(max_size=200))

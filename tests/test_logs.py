@@ -3,8 +3,10 @@ import io
 import numpy as np
 import pytest
 
-from minicar.errors import ParseError
+from minicar import logs
+from minicar.errors import ConfigError, ParseError
 from minicar.logs import FORMAT_BLOCK_ROWS, RawLog, dump_log, format_table, load_log, save_log
+from minicar.scenarios import Scenario, constant
 
 
 def _csv(rows, header="t,tau,s,v_enc,omega_imu"):
@@ -17,6 +19,35 @@ def test_load_wellformed_three_rows():
     assert len(log) == 3
     assert log.mocap is None
     assert log.dt == pytest.approx(0.01)
+
+
+def test_a_loaded_log_finds_its_grid_step_once(monkeypatch):
+    calls, grid_step = [], logs.grid_step
+
+    def counting(t, *args):
+        calls.append(t)
+        return grid_step(t, *args)
+
+    monkeypatch.setattr(logs, "grid_step", counting)
+    log = load_log(_csv([[k * 0.01, 0.1, 0.0, 0.5, 0.0] for k in range(5)]).encode())
+    assert [log.dt for _ in range(3)] == [pytest.approx(0.01)] * 3
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("excess, accepted", [(5e-10, True), (2e-9, False)])
+def test_scenarios_and_logs_share_one_command_tolerance(excess, accepted):
+    command = 1 + excess
+    scenario = Scenario(name="edge", duration=0.04, dt=0.01, model="kinematic",
+                        throttle=constant(0.2), steering=constant(command))
+    text = _csv([[k * 0.01, 0.2, command, 0.0, 0.0] for k in range(5)]).encode()
+    if accepted:
+        assert scenario.sample_inputs()[1][0] == command
+        assert load_log(text).s[0] == command
+        return
+    with pytest.raises(ConfigError, match="steering schedule leaves"):
+        scenario.sample_inputs()
+    with pytest.raises(ParseError, match="row 1"):
+        load_log(text)
 
 
 def test_load_decreasing_time_names_row():

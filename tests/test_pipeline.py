@@ -105,6 +105,6 @@ def test_measure_steer_delay(ref, small_suite):
 
 def test_measure_steer_delay_needs_motion(ref):
     scen = sinusoidal_steering(duration=4.0, tau=0.16)  # never exceeds v_min
-    log = synthesize_log(scen, ref, NoiseSpec(seed=1))
+    log = synthesize_log(scen, ref, NoiseSpec(), 1)
     with pytest.raises(DataError, match="v > v_min"):
         measure_steer_delay(log, ref.steering, ref.geometry.l)

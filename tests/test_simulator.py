@@ -349,7 +349,7 @@ def test_kinematic_two_pass_states_equal_rk4_steps(ref, scenario):
 def test_zero_noise_log_equals_trajectory(ref):
     scen = _scenario(constant(0.3), constant(0.1), duration=2.0)
     traj = simulate(scen, ref)
-    log = synthesize_log(scen, ref, NoiseSpec(seed=5))
+    log = synthesize_log(scen, ref, NoiseSpec(), 5)
     np.testing.assert_array_equal(log.v_enc, traj.states[:, 3])
     np.testing.assert_array_equal(log.tau, traj.commanded_tau)
     omega = simulator.trajectory_yaw_rate(traj, ref)
@@ -359,17 +359,17 @@ def test_zero_noise_log_equals_trajectory(ref):
 
 def test_same_seed_same_log(ref):
     scen = _scenario(constant(0.3), constant(0.1), duration=2.0)
-    spec = NoiseSpec(seed=42, v_enc=0.02, omega_imu=0.01)
-    a = synthesize_log(scen, ref, spec)
-    b = synthesize_log(scen, ref, spec)
+    spec = NoiseSpec(v_enc=0.02, omega_imu=0.01)
+    a = synthesize_log(scen, ref, spec, 42)
+    b = synthesize_log(scen, ref, spec, 42)
     np.testing.assert_array_equal(a.v_enc, b.v_enc)
     np.testing.assert_array_equal(a.omega_imu, b.omega_imu)
 
 
 def test_different_seed_differs(ref):
     scen = _scenario(constant(0.3), constant(0.1), duration=2.0)
-    a = synthesize_log(scen, ref, NoiseSpec(seed=1, v_enc=0.02))
-    b = synthesize_log(scen, ref, NoiseSpec(seed=2, v_enc=0.02))
+    a = synthesize_log(scen, ref, NoiseSpec(v_enc=0.02), 1)
+    b = synthesize_log(scen, ref, NoiseSpec(v_enc=0.02), 2)
     assert not np.array_equal(a.v_enc, b.v_enc)
 
 
@@ -378,14 +378,14 @@ def test_mocap_block_present_when_requested(ref):
         name="m", duration=1.0, dt=0.01, model="kinematic",
         throttle=constant(0.3), steering=constant(0.0), mocap=True,
     )
-    log = synthesize_log(scen, ref, NoiseSpec(seed=0, mocap_xy=0.001))
+    log = synthesize_log(scen, ref, NoiseSpec(mocap_xy=0.001), 0)
     assert log.mocap is not None
     assert log.mocap.x_t.size == len(log)
 
 
 def test_noise_spec_rejects_negative_std():
     with pytest.raises(ConfigError):
-        NoiseSpec(seed=1, v_enc=-0.1)
+        NoiseSpec(v_enc=-0.1)
 
 
 # --- trajectory CSV -----------------------------------------------------------

@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
 
+from minicar.datasets import SMOOTH_WINDOW
 from minicar.errors import DataError
 from minicar.logs import save_log
+from minicar.models import body_frame_velocity
+from minicar.preprocess import differentiate, smooth
 from minicar.scenarios import Scenario, SineSchedule, constant
 from minicar.simulator import NoiseSpec, save_trajectory, simulate, synthesize_log
 from minicar.validation import one_step_rms, read_table
@@ -19,7 +22,7 @@ def _scenario(model="kinematic", duration=4.0, mocap=False, init=(), steer=None)
 
 def test_kinematic_self_validation_is_exact(ref, tmp_path):
     scen = _scenario(mocap=True)
-    log = synthesize_log(scen, ref, NoiseSpec(seed=0))
+    log = synthesize_log(scen, ref, NoiseSpec(), 0)
     path = tmp_path / "log.csv"
     save_log(log, path)
     rms = one_step_rms(read_table(path), ref, "kinematic")
@@ -40,7 +43,7 @@ def test_dynamic_self_validation_on_trajectory_export(ref, tmp_path):
 
 
 def test_kinematic_without_pose_reports_speed_only(ref, tmp_path):
-    log = synthesize_log(_scenario(), ref, NoiseSpec(seed=0))
+    log = synthesize_log(_scenario(), ref, NoiseSpec(), 0)
     path = tmp_path / "log.csv"
     save_log(log, path)
     rms = one_step_rms(read_table(path), ref, "kinematic")
@@ -49,7 +52,7 @@ def test_kinematic_without_pose_reports_speed_only(ref, tmp_path):
 
 
 def test_dynamic_validation_requires_pose(ref, tmp_path):
-    log = synthesize_log(_scenario(), ref, NoiseSpec(seed=0))
+    log = synthesize_log(_scenario(), ref, NoiseSpec(), 0)
     path = tmp_path / "log.csv"
     save_log(log, path)
     with pytest.raises(DataError, match="pose"):
@@ -58,13 +61,27 @@ def test_dynamic_validation_requires_pose(ref, tmp_path):
 
 def test_dynamic_validation_reconstructs_lateral_velocity(ref, tmp_path):
     scen = _scenario(model="dynamic", duration=6.0, mocap=True, init=(0, 0, 0, 0.5, 0, 0))
-    log = synthesize_log(scen, ref, NoiseSpec(seed=0))
+    log = synthesize_log(scen, ref, NoiseSpec(), 0)
     path = tmp_path / "log.csv"
     save_log(log, path)
     rms = one_step_rms(read_table(path), ref, "dynamic")
     # reconstruction by differentiation bounds the attainable accuracy
     assert rms["v_y"] < 5e-3
     assert rms["x"] < 1e-4
+
+
+def test_dynamic_validation_reconstructs_lateral_velocity_by_the_tire_dataset_rule(ref, tmp_path):
+    """Without a v_y column, the differentiated pose is rotated into the
+    body frame by the smoothed heading, as ``build_tire_dataset`` does."""
+    scen = _scenario(model="dynamic", duration=6.0, mocap=True, init=(0, 0, 0, 0.5, 0, 0))
+    path = tmp_path / "log.csv"
+    save_log(synthesize_log(scen, ref, NoiseSpec(mocap_xy=0.001, mocap_eta=0.002), 3), path)
+    table = read_table(path)
+    t, x, y, eta = (table[name] for name in ("t", "x_t", "y_t", "eta_t"))
+    vx, vy = (differentiate(smooth(track, SMOOTH_WINDOW), t) for track in (x, y))
+    _, v_y = body_frame_velocity(vx, vy, smooth(eta, SMOOTH_WINDOW))
+    assert one_step_rms(table, ref, "dynamic") == one_step_rms({**table, "v_y": v_y}, ref,
+                                                                "dynamic")
 
 
 def test_kinematic_error_grows_with_speed_on_dynamic_logs(ref, tmp_path):
@@ -86,7 +103,7 @@ def test_kinematic_error_grows_with_speed_on_dynamic_logs(ref, tmp_path):
 
 
 def test_validation_rejects_unknown_model(ref, tmp_path):
-    log = synthesize_log(_scenario(), ref, NoiseSpec(seed=0))
+    log = synthesize_log(_scenario(), ref, NoiseSpec(), 0)
     path = tmp_path / "log.csv"
     save_log(log, path)
     from minicar.errors import ConfigError
