@@ -109,6 +109,33 @@ class RawLog:
         return self._dt
 
 
+def _parse_at_once(lines: list[str], width: int) -> np.ndarray | None:
+    """The rows after the header line as one (rows, width) array from one
+    numpy call, or None when numpy refuses a field or finds another
+    shape. Where the text holds no unit separator (U+001F), numpy reads
+    a strict subset of what ``float`` reads, to the same floats."""
+    try:
+        data = np.loadtxt(lines[1:], delimiter=",", comments=None, ndmin=2, dtype=float)
+    except ValueError:
+        return None
+    return data if data.shape == (len(lines) - 1, width) else None
+
+
+def _parse_rows(lines: list[str], width: int, where: str) -> np.ndarray:
+    """The rows after the header line parsed one by one; ParseError naming
+    the first row with a wrong field count or a non-numeric field."""
+    rows = []
+    for i, line in enumerate(lines[1:], start=1):
+        parts = line.split(",")
+        if len(parts) != width:
+            raise ParseError(f"{where}: expected {width} fields, got {len(parts)}", row=i)
+        try:
+            rows.append([float(p) for p in parts])
+        except ValueError as exc:
+            raise ParseError(f"{where}: non-numeric field: {exc}", row=i) from exc
+    return np.asarray(rows, dtype=float)
+
+
 def read_table(source, name: str = "") -> dict[str, np.ndarray]:
     """Parse a header line and numeric rows into named float columns.
 
@@ -116,7 +143,8 @@ def read_table(source, name: str = "") -> dict[str, np.ndarray]:
     ParseError, naming the 1-based row where there is one, for text
     that is not UTF-8, an empty file, duplicate column names, a header
     without rows, a wrong field count and a non-numeric or non-finite
-    field.
+    field. The rows are parsed in one numpy call; a table it refuses is
+    re-read row by row, and that re-read names the faulty row.
     """
     if isinstance(source, (str, Path)):
         name = name or str(source)
@@ -133,25 +161,19 @@ def read_table(source, name: str = "") -> dict[str, np.ndarray]:
     except UnicodeDecodeError as exc:
         raise ParseError(f"{where}: not UTF-8 text: {exc}") from exc
 
-    lines = [ln for ln in text.splitlines() if ln.strip()]
+    lines = list(filter(str.strip, text.splitlines()))
     if not lines:
         raise ParseError(f"{where}: empty file")
     header = [h.strip() for h in lines[0].split(",")]
     if len(set(header)) != len(header):
         raise ParseError(f"{where}: duplicate column names in {lines[0]!r}")
-    rows = []
-    for i, line in enumerate(lines[1:], start=1):
-        parts = line.split(",")
-        if len(parts) != len(header):
-            raise ParseError(f"{where}: expected {len(header)} fields, got {len(parts)}", row=i)
-        try:
-            rows.append([float(p) for p in parts])
-        except ValueError as exc:
-            raise ParseError(f"{where}: non-numeric field: {exc}", row=i) from exc
-    if not rows:
+    if len(lines) == 1:
         raise ParseError(f"{where}: header but no rows")
+    # numpy strips "\x1f" around a number as whitespace; float does not.
+    data = None if "\x1f" in text else _parse_at_once(lines, len(header))
+    if data is None:
+        data = _parse_rows(lines, len(header), where)
 
-    data = np.asarray(rows, dtype=float)
     bad = np.argwhere(~np.isfinite(data))
     if bad.size:
         i, j = bad[0]

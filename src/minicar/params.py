@@ -269,8 +269,18 @@ def read_json_object(path: str | Path, what: str) -> dict:
     return doc
 
 
+def load_json(path: str | Path, what: str, build):
+    """``build`` applied to the JSON object in ``path``, a ``what``
+    document; any ConfigError starts with the path."""
+    doc = read_json_object(path, what)
+    try:
+        return build(doc)
+    except ConfigError as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
+
+
 def load_params(path: str | Path) -> VehicleParams:
-    return params_from_dict(read_json_object(path, "parameter"))
+    return load_json(path, "parameter", params_from_dict)
 
 
 def reference_params() -> VehicleParams:

@@ -38,8 +38,7 @@ import numpy as np
 
 from .errors import ConfigError
 from .logs import command_out_of_range
-from .params import (FloatFields, finite_float, finite_floats, from_json, read_json_object,
-                     write_json)
+from .params import FloatFields, finite_float, finite_floats, from_json, load_json, write_json
 
 MAX_DT = 0.05
 # Most samples a scenario grid may hold, its round(duration / dt) steps
@@ -201,7 +200,7 @@ def scenario_from_json(doc: dict) -> Scenario:
 
 
 def load_scenario(path: str | Path) -> Scenario:
-    return scenario_from_json(read_json_object(path, "scenario"))
+    return load_json(path, "scenario", scenario_from_json)
 
 
 def save_scenario(scenario: Scenario, path: str | Path) -> None:

@@ -49,6 +49,21 @@ def _fmt(v: float) -> str:
     return f"{v:.6g}"
 
 
+def _marks(s: Series, color: str, px, py) -> list[str]:
+    """The SVG elements of one series' finite points. ``px`` and ``py``
+    map whole arrays, by the same IEEE operations as on one point, and
+    one comprehension formats the mapped points."""
+    x = np.asarray(s.x, dtype=float).ravel()
+    y = np.asarray(s.y, dtype=float).ravel()
+    ok = np.isfinite(x) & np.isfinite(y)
+    points = zip(px(x[ok]).tolist(), py(y[ok]).tolist())
+    if s.kind == "points":
+        return [f'<circle cx="{cx:.2f}" cy="{cy:.2f}" r="1.8" fill="{color}" fill-opacity="0.45"/>'
+                for cx, cy in points]
+    pts = " ".join([f"{cx:.2f},{cy:.2f}" for cx, cy in points])
+    return [f'<polyline points="{pts}" fill="none" stroke="{color}" stroke-width="1.6"/>']
+
+
 def render_plot(series_list, title: str = "", x_label: str = "", y_label: str = "") -> str:
     xs = np.concatenate([np.asarray(s.x, dtype=float).ravel() for s in series_list])
     ys = np.concatenate([np.asarray(s.y, dtype=float).ravel() for s in series_list])
@@ -63,10 +78,10 @@ def render_plot(series_list, title: str = "", x_label: str = "", y_label: str = 
     x_lo, x_hi = x_lo - pad_x, x_hi + pad_x
     y_lo, y_hi = y_lo - pad_y, y_hi + pad_y
 
-    def px(x: float) -> float:
+    def px(x):
         return _ML + (x - x_lo) / (x_hi - x_lo) * (_W - _ML - _MR)
 
-    def py(y: float) -> float:
+    def py(y):
         return _H - _MB - (y - y_lo) / (y_hi - y_lo) * (_H - _MT - _MB)
 
     out = [
@@ -99,22 +114,7 @@ def render_plot(series_list, title: str = "", x_label: str = "", y_label: str = 
     )
 
     for i, s in enumerate(series_list):
-        color = PALETTE[i % len(PALETTE)]
-        x = np.asarray(s.x, dtype=float).ravel()
-        y = np.asarray(s.y, dtype=float).ravel()
-        ok = np.isfinite(x) & np.isfinite(y)
-        x, y = x[ok], y[ok]
-        if s.kind == "points":
-            for xi, yi in zip(x, y):
-                out.append(
-                    f'<circle cx="{px(xi):.2f}" cy="{py(yi):.2f}" r="1.8" '
-                    f'fill="{color}" fill-opacity="0.45"/>'
-                )
-        else:
-            pts = " ".join(f"{px(xi):.2f},{py(yi):.2f}" for xi, yi in zip(x, y))
-            out.append(
-                f'<polyline points="{pts}" fill="none" stroke="{color}" stroke-width="1.6"/>'
-            )
+        out += _marks(s, PALETTE[i % len(PALETTE)], px, py)
 
     # labels and legend
     if title:

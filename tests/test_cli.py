@@ -263,6 +263,24 @@ def test_generate_rejects_malformed_noise_json(tmp_path, params_file, caplog, te
     assert str(noise) in caplog.text
 
 
+@pytest.mark.parametrize("bad", ["params", "scenario"])
+def test_simulate_names_the_faulty_document(tmp_path, params_file, caplog, bad):
+    files = {"params": params_file, "scenario": write_scenario(tmp_path)}
+    wrong = tmp_path / "bad.json"
+    if bad == "params":
+        doc = json.loads(params_file.read_text())
+        doc["motor"]["g"] = "loud"
+    else:
+        doc = {**json.loads(files["scenario"].read_text()), "dt": -1.0}
+    wrong.write_text(json.dumps(doc))
+    files[bad] = wrong
+    code = main(["simulate", "--params", str(files["params"]),
+                 "--scenario", str(files["scenario"]), "--out", str(tmp_path / "sim")])
+    assert code == 2
+    good = files["scenario" if bad == "params" else "params"]
+    assert f"{wrong}: " in caplog.text and str(good) not in caplog.text
+
+
 def test_fit_defaults_to_the_reference_geometry():
     args = build_parser().parse_args(["fit", "--logs", "logs", "--out", "p.json"])
     geometry = reference_params().geometry

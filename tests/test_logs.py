@@ -2,6 +2,8 @@ import io
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from minicar import logs
 from minicar.errors import ConfigError, ParseError
@@ -32,6 +34,13 @@ def test_a_loaded_log_finds_its_grid_step_once(monkeypatch):
     log = load_log(_csv([[k * 0.01, 0.1, 0.0, 0.5, 0.0] for k in range(5)]).encode())
     assert [log.dt for _ in range(3)] == [pytest.approx(0.01)] * 3
     assert len(calls) == 1
+
+
+def test_a_well_formed_log_is_parsed_without_the_row_loop(monkeypatch):
+    monkeypatch.setattr(logs, "_parse_rows", lambda *args: pytest.fail("the row loop ran"))
+    rows = [[k * 0.01, 0.1, -0.2, 0.5, 0.01, 1.0 + k, -2.0, 0.3] for k in range(50)]
+    log = load_log(_csv(rows, "t,tau,s,v_enc,omega_imu,x_t,y_t,eta_t").encode())
+    assert len(log) == 50 and log.mocap.x_t[-1] == 50.0
 
 
 @pytest.mark.parametrize("excess, accepted", [(5e-10, True), (2e-9, False)])
@@ -175,3 +184,60 @@ def test_format_table_blocks_match_whole_table_formatting(rows):
     whole = "\n".join(["a,b,c", *(",".join(map(repr, row))
                                   for row in zip(*(c.tolist() for c in columns)))]) + "\n"
     assert format_table(("a", "b", "c"), columns) == whole
+
+
+def _outcome(text):
+    """What read_table makes of ``text``: each column's bytes, or the
+    message and row of its ParseError."""
+    try:
+        table = logs.read_table(io.StringIO(text))
+    except ParseError as exc:
+        return str(exc), exc.row
+    return {name: column.tobytes() for name, column in table.items()}
+
+
+def _row_loop_outcome(text):
+    """``_outcome`` with the one-call parse refusing every table."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(logs, "_parse_at_once", lambda lines, width: None)
+        return _outcome(text)
+
+
+@given(rows=st.integers(1, 8).flatmap(lambda width: st.lists(
+    st.lists(st.floats(width=64), min_size=width, max_size=width), min_size=1, max_size=30)))
+def test_the_one_call_parse_and_the_row_loop_agree_bit_for_bit(rows):
+    """The one-call parse accepts every table format_table writes and
+    gives the row loop's columns, or its ParseError for a non-finite
+    field."""
+    header = [f"c{j}" for j in range(len(rows[0]))]
+    text = format_table(header, np.array(rows).T)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(logs, "_parse_rows", lambda *args: pytest.fail("the row loop ran"))
+        outcome = _outcome(text)
+    assert outcome == _row_loop_outcome(text)
+
+
+def _columns(*rows):
+    return {name: np.array(column, dtype=float).tobytes() for name, column in zip("ab", zip(*rows))}
+
+
+@pytest.mark.parametrize("body, expected", [
+    ("1_0,2", _columns((10.0, 2.0))),
+    ("\u0661,2", _columns((1.0, 2.0))),
+    ("1,2\r\n3,4\r\n", _columns((1.0, 2.0), (3.0, 4.0))),
+    ("1,2\n\n3,4\n", _columns((1.0, 2.0), (3.0, 4.0))),
+    ("1,2\n \t\n3,4\n", _columns((1.0, 2.0), (3.0, 4.0))),
+    ("1,2\x0c3,4\n", _columns((1.0, 2.0), (3.0, 4.0))),
+    ("1,\x852\n", ("<stream>: non-numeric field: could not convert string to float: '' (row 1)",
+                    1)),
+    ("1,2,\n", ("<stream>: expected 2 fields, got 3 (row 1)", 1)),
+    ("1\x1f,2\n", ("<stream>: non-numeric field: could not convert string to float: "
+                   "'1\\x1f' (row 1)", 1)),
+    ('1,2\n"3",4\n', ("<stream>: non-numeric field: could not convert string to float: "
+                       "'\"3\"' (row 2)", 2)),
+    ("1,2\n3,nan\n", ("<stream>: non-finite b (row 2)", 2)),
+    ("1e400,2\n", ("<stream>: non-finite a (row 1)", 1)),
+])
+def test_edge_cases_read_as_the_row_loop_reads_them(body, expected):
+    text = "a,b\n" + body
+    assert _outcome(text) == _row_loop_outcome(text) == expected
