@@ -3,12 +3,13 @@
 ``rk4_step`` advances a whole state by one classical Runge-Kutta step.
 A component whose derivative depends on nothing but itself and an input
 held over each step can instead be integrated on its own
-(``rk4_scalar_stages``), and a component whose stage derivatives are
-then known for every step needs no step loop at all: ``rk4_stage_points``
-gives its value at each stage and ``rk4_accumulate`` its series. All
-three combine the stages exactly as ``rk4_step`` does, with the same
-weights and the same order of operations, so the states they give are
-bit for bit those of repeated ``rk4_step`` calls.
+(``rk4_scalar_stages``), as can three of them (``rk4_tuple_stages``),
+and a component whose stage derivatives are then known for every step
+needs no step loop at all: ``rk4_stage_points`` gives its value at each
+stage and ``rk4_accumulate`` its series. All of them combine the stages
+exactly as ``rk4_step`` does, with the same weights and the same order
+of operations, so the states they give are bit for bit those of
+repeated ``rk4_step`` calls.
 """
 
 from __future__ import annotations
@@ -88,6 +89,36 @@ def rk4_scalar_stages(rate, y: float, inputs, dt: float, limit: float) -> tuple[
         stages.extend((y, y2, y3, y4))
         y = y + sixth * (a + 2.0 * b + 2.0 * c + d)
         if not -limit <= y <= limit:
+            break
+    return stages, y
+
+
+def rk4_tuple_stages(law, y: tuple, inputs, dt: float, limit: float) -> tuple[array, tuple]:
+    """``rk4_scalar_stages`` for a state ``y`` of three floats. ``law(u, y)``
+    gives the step from ``y`` under ``u`` its right-hand side (a state to
+    its three derivatives) and a function that settles the state it ends
+    in, or None. Stages are flat in step, stage and component order; the
+    loop stops after the first settled state beyond [-limit, limit]."""
+    half, sixth = 0.5 * dt, dt / 6.0
+    stages = array("d")
+    p, q, r = y
+    for u in inputs:
+        rhs, settle = law(u, y)
+        a = rhs(y)
+        y2 = (p + half * a[0], q + half * a[1], r + half * a[2])
+        b = rhs(y2)
+        y3 = (p + half * b[0], q + half * b[1], r + half * b[2])
+        c = rhs(y3)
+        y4 = (p + dt * c[0], q + dt * c[1], r + dt * c[2])
+        d = rhs(y4)
+        stages.extend((p, q, r, *y2, *y3, *y4))
+        y = (p + sixth * (a[0] + 2.0 * b[0] + 2.0 * c[0] + d[0]),
+             q + sixth * (a[1] + 2.0 * b[1] + 2.0 * c[1] + d[1]),
+             r + sixth * (a[2] + 2.0 * b[2] + 2.0 * c[2] + d[2]))
+        if settle is not None:
+            y = settle(y)
+        p, q, r = y
+        if not (-limit <= p <= limit and -limit <= q <= limit and -limit <= r <= limit):
             break
     return stages, y
 

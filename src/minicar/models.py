@@ -14,14 +14,14 @@ Each curve has one Jacobian, ``<curve>_jacobian(*inputs, p)``: for
 Every other function here is pure and takes either Python floats or
 numpy arrays, so one definition serves the dataset, fitting and
 validation code, which works on columns of rows, and the simulator,
-which uses both. It steps a dynamic state, or a kinematic speed, one
-step at a time on floats, because Python float arithmetic is far
-cheaper than numpy's on single values, and it evaluates the rest of a
-kinematic state (yaw rate and velocity along the heading) on
-whole-series arrays. The transcendental functions still come from
-numpy's ufuncs, not from ``math``, whose results differ in the last
-bit, so a float input gives exactly what the array call gives at that
-element, and either way of integrating yields the same states.
+which uses both. It steps a kinematic speed or a dynamic body state
+one step at a time on floats, because Python float arithmetic is far
+cheaper than numpy's on single values, and it evaluates the pose of
+either (yaw rate and world-frame velocity) on whole-series arrays. The
+transcendental functions still come from numpy's ufuncs, not from
+``math``, whose results differ in the last bit, so a float input gives
+exactly what the array call gives at that element, and either way of
+integrating yields the same states.
 
 A state is a sequence of components, each a float or an array of
 rows, and a right-hand side returns the tuple of their derivatives:
@@ -30,7 +30,8 @@ rows, and a right-hand side returns the tuple of their derivatives:
   right-hand side is ``heading_velocity``, ``kinematic_yaw_rate`` and
   ``kinematic_acceleration``, which the simulator also calls alone
 * dynamic:   ``(x, y, eta, v_x, v_y, omega)`` with (x, y) at the CoM
-  and (v_x, v_y) in the body frame
+  and (v_x, v_y) in the body frame; likewise ``world_velocity``, omega
+  and ``dynamic_body_rates``
 
 Headings accumulate without wrapping; wrap only for display.
 
@@ -179,6 +180,13 @@ def kinematic_yaw_rate(v, tan_delta, geom: Geometry):
     return v * tan_delta / geom.l
 
 
+def rolling_body(v, tan_delta, geom: Geometry) -> tuple:
+    """The body state ``(v_x, v_y, omega)`` of a dynamic model rolling
+    rigidly, like the kinematic one, at speed ``v``."""
+    omega = kinematic_yaw_rate(v, tan_delta, geom)
+    return v, omega * geom.l_r, omega
+
+
 def kinematic_acceleration(f_total, geom: Geometry):
     """Rate of change of the kinematic speed under the net force ``f_total``."""
     return f_total / geom.m
@@ -259,15 +267,15 @@ def rear_lateral_jacobian(alpha, c_r) -> np.ndarray:
 
 
 def tire_coefficients(params: VehicleParams) -> tuple:
-    """The tire group as the tuple ``dynamic_rhs`` reads, (D, C, B, E, C_r)."""
+    """The tire group as the tuple ``dynamic_body_rates`` reads, (D, C, B, E, C_r)."""
     if params.tire is None:
         raise ConfigError("dynamic model requires tire parameters")
     return tuple(params.tire)
 
 
-def dynamic_rhs(state, delta, cos_d, sin_d, f_x_total, tire: tuple,
-                geom: Geometry, *, normalized: bool = False) -> tuple:
-    """Time derivative of the dynamic state ``(x, y, eta, v_x, v_y, omega)``.
+def dynamic_body_rates(body, delta, cos_d, sin_d, f_x_total, tire: tuple,
+                       geom: Geometry, *, normalized: bool = False) -> tuple:
+    """Time derivative of the body state ``(v_x, v_y, omega)``.
 
     ``delta`` is the road-wheel angle, ``cos_d`` and ``sin_d`` its
     precomputed cosine and sine, and ``tire`` the tuple of
@@ -276,23 +284,33 @@ def dynamic_rhs(state, delta, cos_d, sin_d, f_x_total, tire: tuple,
     acting along its own tire frame. Lateral forces come from the
     magic-formula front tire and the linear rear tire.
     """
-    _, _, eta, v_x, v_y, omega = state
-
+    v_x, v_y, omega = body
     alpha_f, alpha_r = slip_angles(v_x, v_y, omega, delta, geom, normalized=normalized)
     f_yf = pacejka_lateral(alpha_f, tire)
     f_yr = rear_lateral(alpha_r, tire[4])
     f_half = f_x_total / 2.0
-
-    cos_e, sin_e = _cos(eta), _sin(eta)
     front_y = f_yf * cos_d + f_half * sin_d  # front axle force, vehicle-frame y
     return (
-        v_x * cos_e - v_y * sin_e,
-        v_x * sin_e + v_y * cos_e,
-        omega,
         (f_half + f_half * cos_d - f_yf * sin_d) / geom.m + omega * v_y,
         (f_yr + front_y) / geom.m - omega * v_x,
         (geom.l_f * front_y - geom.l_r * f_yr) / geom.I_z,
     )
+
+
+def world_velocity(v_x, v_y, eta) -> tuple:
+    """World-frame velocity ``(dx/dt, dy/dt)`` of ``(v_x, v_y)`` at heading ``eta``."""
+    cos_e, sin_e = _cos(eta), _sin(eta)
+    return v_x * cos_e - v_y * sin_e, v_x * sin_e + v_y * cos_e
+
+
+def dynamic_rhs(state, delta, cos_d, sin_d, f_x_total, tire: tuple,
+                geom: Geometry, *, normalized: bool = False) -> tuple:
+    """Time derivative of the dynamic state ``(x, y, eta, v_x, v_y, omega)``;
+    the other arguments are those of ``dynamic_body_rates``."""
+    _, _, eta, v_x, v_y, omega = state
+    return (*world_velocity(v_x, v_y, eta), omega,
+            *dynamic_body_rates((v_x, v_y, omega), delta, cos_d, sin_d, f_x_total, tire, geom,
+                                normalized=normalized))
 
 
 def body_frame_velocity(v_abs_x, v_abs_y, eta):

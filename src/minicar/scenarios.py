@@ -117,7 +117,7 @@ def schedule_from_json(doc: dict):
     """A schedule from its JSON object; ConfigError naming an unknown
     type, an unknown field or a missing one."""
     if not isinstance(doc, dict):
-        raise ConfigError(f"a schedule must be a JSON object, got {doc!r}")
+        raise ConfigError(f"schedule: expected a JSON object, got {type(doc).__name__}")
     kind = doc.get("type")
     schedule = SCHEDULE_TYPES.get(kind) if isinstance(kind, str) else None
     if schedule is None:

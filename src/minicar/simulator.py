@@ -14,28 +14,30 @@ state one ``rk4_step`` under them, on floats or on column arrays of
 rows. Every state ``simulate`` returns is bit for bit what that step
 gives one step at a time on floats.
 
-A kinematic scenario is integrated in two passes. Its speed evolves on
-its own (dv/dt = net force / m), and its heading rate v*tan(delta)/l
-does not depend on the heading. Pass 1 steps only the speed, on Python
-floats, with the net force (gate and friction) at each stage's speed,
-and records the stage speeds. Pass 2 works on whole-series arrays: the
-yaw rate of every stage, the heading as the running sum of each step's
-RK4 increment, then the velocity v*(cos, sin) along each stage's
-heading and the position as its running sum. ``np.add.accumulate``
-adds strictly in sequence, so each sum is the float recurrence's own.
-Pose and speed are checked together after pass 2: the earliest
-offending state decides, and within one state a non-finite component
-(IntegrationError) beats one beyond DIVERGENCE_LIMIT
-(SimulationDiverged). Pass 1 stops at the first speed beyond the limit
-or non-finite, since no later state can count.
+Both models are integrated in two passes, since neither reads its pose
+(x, y, eta) to evolve the rest of its state. Pass 1 steps only that
+rest on Python floats and records its four stage values in every step:
+a kinematic speed (dv/dt = net force / m) through
+``rk4_scalar_stages``, a dynamic body state (v_x, v_y, omega) through
+``rk4_tuple_stages``. It stops at the first value beyond
+DIVERGENCE_LIMIT or non-finite, since no later state can count, so an
+error it raises beats a pose that left the envelope earlier. Pass 2
+works on whole-series arrays: the yaw rate of every stage (v*tan(delta)/l
+or omega), the heading as the running sum of each step's RK4 increment,
+then the world-frame velocity at each stage's heading and the position
+as its running sum. ``np.add.accumulate`` adds strictly in sequence,
+so each sum is the float recurrence's own. The whole state is then
+checked: the earliest offending state decides, and within one state a
+non-finite component (IntegrationError) beats one beyond
+DIVERGENCE_LIMIT (SimulationDiverged).
 
-A dynamic scenario couples all of its states, so it is a loop over
-the ``stepper`` step on Python floats. It can run with either
-slip-angle convention. The default raw-velocity form is regular at
-standstill and needs no special casing; the normalized form is
-singular as v_x -> 0, so every step that starts below BLEND_SPEED
-falls back to kinematic propagation and pins (v_y, omega) to their
-rigid-rolling values.
+A dynamic scenario can run with either slip-angle convention. The
+default raw-velocity form is regular at standstill and needs no special
+casing; the normalized form is singular as v_x -> 0, so a step that
+starts below BLEND_SPEED rolls: pass 1 steps only its speed, as the
+kinematic model does, and pins (v_y, omega) to their rigid-rolling
+values after it, and pass 2 gives it the kinematic yaw rate and
+velocity along the heading.
 """
 
 from __future__ import annotations
@@ -49,7 +51,7 @@ from . import models
 from .delay import delay_shift
 from .errors import ConfigError, IntegrationError, SimulationDiverged
 from .integrators import (non_finite_state, rk4_accumulate, rk4_scalar_stages,
-                          rk4_stage_points, rk4_step)
+                          rk4_stage_points, rk4_step, rk4_tuple_stages)
 from .logs import MocapBlock, RawLog, format_table
 from .params import FloatFields, VehicleParams, from_json, read_json_object
 from .scenarios import Scenario
@@ -61,9 +63,6 @@ DIVERGENCE_LIMIT = 1e6
 # v_x under which normalized-slip dynamics hand over to the kinematic
 # model (the raw-velocity form never blends).
 BLEND_SPEED = 0.3
-
-# Steps whose inputs are turned into Python floats at once.
-INPUT_BLOCK_ROWS = 256
 
 @dataclass(frozen=True)
 class NoiseSpec(FloatFields):
@@ -145,10 +144,11 @@ def simulate(scenario: Scenario, params: VehicleParams, *,
 
     inputs = held_inputs(tau_app[:-1], s_app[:-1], params)
     try:
-        if scenario.model == "kinematic":
-            states = _kinematic_states(scenario, params, inputs)
-        else:
-            states = _dynamic_states(scenario, params, inputs, normalized)
+        with np.errstate(invalid="ignore", over="ignore"):
+            if scenario.model == "kinematic":
+                states = _kinematic_states(scenario, params, inputs)
+            else:
+                states = _dynamic_states(scenario, params, inputs, normalized)
     except IntegrationError as exc:
         raise IntegrationError(f"{exc} in scenario {scenario.name!r}") from exc
     n = len(states)
@@ -162,63 +162,73 @@ def simulate(scenario: Scenario, params: VehicleParams, *,
 
 
 def _kinematic_states(scenario: Scenario, params: VehicleParams, inputs: tuple) -> np.ndarray:
-    """The states of a kinematic scenario, in the two passes the module
-    docstring describes, up to the last sane one: fewer rows than the
-    scenario has times means that the next state left the envelope. A
-    non-finite state raises IntegrationError, unless an earlier one left
-    it."""
+    """A kinematic scenario's states up to the last sane one (``_sane_states``)."""
     gate, delta, tan_delta, _, _ = inputs
     models.check_kinematic_steering(delta)
-    x0, y0, eta0, v0 = scenario.initial_state
-    geom, dt, limit = params.geometry, scenario.dt, DIVERGENCE_LIMIT
-    motor, friction = tuple(params.motor), tuple(params.friction)
+    geom, motor, friction = params.geometry, tuple(params.motor), tuple(params.friction)
 
     def acceleration(gate_k, v):
         return models.kinematic_acceleration(models.net_force(gate_k, v, motor, friction), geom)
 
-    # pass 1 ends early at a speed beyond the envelope or a non-finite one
-    stages, v_end = rk4_scalar_stages(acceleration, v0, gate.tolist(), dt, limit)
+    stages, v_end = rk4_scalar_stages(acceleration, scenario.initial_state[3], gate.tolist(),
+                                      scenario.dt, DIVERGENCE_LIMIT)
     v = np.ascontiguousarray(np.frombuffer(stages).reshape(-1, 4).T)  # (4, steps)
-    with np.errstate(invalid="ignore", over="ignore"):
-        yaw = models.kinematic_yaw_rate(v, tan_delta[:v.shape[1]], geom)
-        eta = rk4_accumulate(eta0, yaw, dt)
-        vel_x, vel_y = models.heading_velocity(v, rk4_stage_points(eta, yaw, dt))
-        states = np.column_stack((rk4_accumulate(x0, vel_x, dt), rk4_accumulate(y0, vel_y, dt),
-                                  eta, np.append(v[0], v_end)))
-        finite = np.isfinite(states[1:]).all(axis=1)
-        sane = finite & (np.abs(states[1:]) <= limit).all(axis=1)
-    if sane.all():
-        return states
-    row = int(np.argmin(sane)) + 1  # the earliest offending state, pose or speed
-    if not finite[row - 1]:
-        raise non_finite_state(scenario.times[row - 1])
-    return states[:row]
+    yaw = models.kinematic_yaw_rate(v, tan_delta[:v.shape[1]], geom)
+    return _sane_states(scenario, yaw, lambda eta: models.heading_velocity(v, eta), [v], (v_end,))
 
 
 def _dynamic_states(scenario: Scenario, params: VehicleParams, inputs: tuple,
                     normalized: bool) -> np.ndarray:
-    """The states of a dynamic scenario up to the last sane one, as
-    ``_kinematic_states`` returns them; ``rk4_step`` raises
-    IntegrationError at the first non-finite state."""
-    step = stepper("dynamic", params, scenario.dt, normalized=normalized)
-    y = scenario.initial_state
-    states = [y]
-    for t_k, *u in _float_rows((scenario.times[:-1], *inputs)):
-        y = step(y, u, t_k)
-        if max(map(abs, y)) > DIVERGENCE_LIMIT:  # y is finite
-            break
-        states.append(y)
-    return np.array(states)
+    """A dynamic scenario's states up to the last sane one (``_sane_states``)."""
+    geom, motor, friction = params.geometry, tuple(params.motor), tuple(params.friction)
+    tire = models.tire_coefficients(params)
+
+    def law(u, body):
+        gate, delta, tan_d, cos_d, sin_d = u
+        if not (normalized and body[0] < BLEND_SPEED):
+            return (lambda s: models.dynamic_body_rates(
+                s, delta, cos_d, sin_d, models.net_force(gate, s[0], motor, friction), tire, geom,
+                normalized=normalized)), None
+        models.check_kinematic_steering(delta)  # it rolls: the speed alone, then pinned
+        return (lambda s: (models.kinematic_acceleration(
+            models.net_force(gate, s[0], motor, friction), geom), 0.0, 0.0),
+            lambda s: models.rolling_body(s[0], tan_d, geom))
+
+    stages, end = rk4_tuple_stages(law, scenario.initial_state[3:],
+                                   zip(*(c.tolist() for c in inputs)), scenario.dt,
+                                   DIVERGENCE_LIMIT)
+    body = np.ascontiguousarray(np.frombuffer(stages).reshape(-1, 4, 3).T)  # (3, 4, steps)
+    v_x, v_y, omega = body
+    rolls = (v_x[0] < BLEND_SPEED) & normalized  # as ``law`` chose
+    yaw = np.where(rolls, models.kinematic_yaw_rate(v_x, inputs[2][:rolls.size], geom), omega)
+
+    def velocity(eta):
+        return [np.where(rolls, kin, dyn) for kin, dyn in zip(
+            models.heading_velocity(v_x, eta), models.world_velocity(v_x, v_y, eta))]
+
+    return _sane_states(scenario, yaw, velocity, body, end)
 
 
-def _float_rows(columns):
-    """The rows of equal-length arrays as tuples of Python floats.
-
-    Rows are converted INPUT_BLOCK_ROWS at a time, so a long series
-    never holds all its inputs as Python floats at once.
-    """
-    for start in range(0, len(columns[0]), INPUT_BLOCK_ROWS):
-        yield from zip(*(c[start:start + INPUT_BLOCK_ROWS].tolist() for c in columns))
+def _sane_states(scenario: Scenario, yaw: np.ndarray, velocity, body, end) -> np.ndarray:
+    """Pass 2 and the envelope check: the states up to the last sane one
+    from the (4, steps) stage yaw rates, ``velocity(stage headings)`` in
+    the world frame, and the rest of the state as its stages and its
+    value after the last step. A non-finite state raises
+    IntegrationError, unless an earlier state left the envelope."""
+    x0, y0, eta0 = scenario.initial_state[:3]
+    dt = scenario.dt
+    eta = rk4_accumulate(eta0, yaw, dt)
+    vel_x, vel_y = velocity(rk4_stage_points(eta, yaw, dt))
+    states = np.column_stack((rk4_accumulate(x0, vel_x, dt), rk4_accumulate(y0, vel_y, dt), eta,
+                              *(np.append(c[0], e) for c, e in zip(body, end))))
+    finite = np.isfinite(states[1:]).all(axis=1)
+    sane = finite & (np.abs(states[1:]) <= DIVERGENCE_LIMIT).all(axis=1)
+    if sane.all():
+        return states
+    row = int(np.argmin(sane)) + 1  # the earliest offending state
+    if not finite[row - 1]:
+        raise non_finite_state(scenario.times[row - 1])
+    return states[:row]
 
 
 def held_inputs(tau_applied, s_applied, params: VehicleParams) -> tuple:
@@ -231,7 +241,7 @@ def held_inputs(tau_applied, s_applied, params: VehicleParams) -> tuple:
 
 
 def stepper(model: str, params: VehicleParams, dt: float, *, normalized: bool = False):
-    """The one step law: ``step(y, u, t=0.0)`` advances the state ``y``
+    """The one step law: ``step(y, u)`` advances the state ``y``
     of ``model`` one ``rk4_step`` of ``dt`` under the ``held_inputs``
     ``u``, both floats or column arrays of rows. A kinematic step checks
     its steering angles. With ``normalized`` slip, a dynamic row that
@@ -240,35 +250,34 @@ def stepper(model: str, params: VehicleParams, dt: float, *, normalized: bool = 
     """
     motor, friction, geom = tuple(params.motor), tuple(params.friction), params.geometry
 
-    def kinematic(y, u, t=0.0):
+    def kinematic(y, u):
         gate, delta, tan_d, _, _ = u
         models.check_kinematic_steering(delta)
         return rk4_step(lambda s: models.kinematic_rhs(
-            s, tan_d, models.net_force(gate, s[3], motor, friction), geom), y, dt, t)
+            s, tan_d, models.net_force(gate, s[3], motor, friction), geom), y, dt)
 
     if model == "kinematic":
         return kinematic
     tire = models.tire_coefficients(params)
 
-    def dynamic(y, u, t=0.0):
+    def dynamic(y, u):
         gate, delta, _, cos_d, sin_d = u
         return rk4_step(lambda s: models.dynamic_rhs(
             s, delta, cos_d, sin_d, models.net_force(gate, s[3], motor, friction), tire, geom,
-            normalized=normalized), y, dt, t)
+            normalized=normalized), y, dt)
 
-    def rolling(y, u, t):
-        y = kinematic(y[:4], u, t)
-        omega = models.kinematic_yaw_rate(y[3], u[2], geom)
-        return [*y, omega * geom.l_r, omega]
+    def rolling(y, u):
+        y = kinematic(y[:4], u)
+        return [*y[:3], *models.rolling_body(y[3], u[2], geom)]
 
-    def blended(y, u, t=0.0):
+    def blended(y, u):
         slow = y[3] < BLEND_SPEED
         if slow.__class__ is bool:
-            return (rolling if slow else dynamic)(y, u, t)
+            return (rolling if slow else dynamic)(y, u)
         out = [np.empty_like(c) for c in y]
         for rows, branch in ((slow, rolling), (~slow, dynamic)):
             if rows.any():
-                for o, c in zip(out, branch([c[rows] for c in y], [a[rows] for a in u], t)):
+                for o, c in zip(out, branch([c[rows] for c in y], [a[rows] for a in u])):
                     o[rows] = c
         return out
 
@@ -295,36 +304,18 @@ def synthesize_log(scenario: Scenario, params: VehicleParams, noise: NoiseSpec, 
     traj = trajectory if trajectory is not None else simulate(scenario, params,
                                                               normalized=normalized)
     rng = np.random.default_rng(seed)
-    n = len(traj)
 
-    v = traj.states[:, 3].copy()
-    omega = trajectory_yaw_rate(traj, params)
-    if noise.v_enc:
-        v = v + rng.normal(0.0, noise.v_enc, n)
-    if noise.omega_imu:
-        omega = omega + rng.normal(0.0, noise.omega_imu, n)
+    def sensed(column, std):
+        return column + rng.normal(0.0, std, len(column)) if std else column.copy()
 
+    v = sensed(traj.states[:, 3], noise.v_enc)
+    omega = sensed(trajectory_yaw_rate(traj, params), noise.omega_imu)
     mocap = None
     if scenario.mocap:
-        x = traj.states[:, 0].copy()
-        y = traj.states[:, 1].copy()
-        eta = traj.states[:, 2].copy()
-        if noise.mocap_xy:
-            x = x + rng.normal(0.0, noise.mocap_xy, n)
-            y = y + rng.normal(0.0, noise.mocap_xy, n)
-        if noise.mocap_eta:
-            eta = eta + rng.normal(0.0, noise.mocap_eta, n)
-        mocap = MocapBlock(x_t=x, y_t=y, eta_t=eta)
-
-    return RawLog(
-        t=traj.t.copy(),
-        tau=traj.commanded_tau.copy(),
-        s=traj.commanded_s.copy(),
-        v_enc=v,
-        omega_imu=omega,
-        mocap=mocap,
-        name=scenario.name,
-    )
+        mocap = MocapBlock(*(sensed(traj.states[:, i], std) for i, std in
+                             enumerate((noise.mocap_xy, noise.mocap_xy, noise.mocap_eta))))
+    return RawLog(t=traj.t.copy(), tau=traj.commanded_tau.copy(), s=traj.commanded_s.copy(),
+                  v_enc=v, omega_imu=omega, mocap=mocap, name=scenario.name)
 
 
 def trajectory_to_csv(traj: Trajectory, params: VehicleParams) -> str:

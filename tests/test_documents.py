@@ -93,6 +93,17 @@ def test_unknown_and_missing_fields_have_one_message_shape(what, valid, cls, par
         assert str(missing.value) == f"{what}: missing field {name!r}"
 
 
+@pytest.mark.parametrize("doc", [[1], "step", 0.5, None])
+def test_a_schedule_that_is_not_an_object_has_the_common_message(doc):
+    message = f"schedule: expected a JSON object, got {type(doc).__name__}"
+    with pytest.raises(ConfigError) as alone:
+        schedule_from_json(doc)
+    assert str(alone.value) == message
+    with pytest.raises(ConfigError) as in_scenario:
+        scenario_from_json({**SCENARIO, "throttle": doc})
+    assert str(in_scenario.value) == f"scenario field 'throttle': {message}"
+
+
 @pytest.mark.parametrize("name", list(_GROUPS))
 def test_a_parameter_group_may_be_left_out_exactly_when_it_has_a_default(name):
     """``delays`` and ``tire`` have defaults; every other group is required."""

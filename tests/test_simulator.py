@@ -8,7 +8,7 @@ from scipy.optimize import brentq
 
 from minicar import models, simulator
 from minicar.delay import estimate_delay_xcorr
-from minicar.errors import ConfigError, IntegrationError, SimulationDiverged
+from minicar.errors import ConfigError, DataError, IntegrationError, SimulationDiverged
 from minicar.integrators import rk4_step
 from minicar.scenarios import (
     PiecewiseSchedule,
@@ -281,48 +281,79 @@ def _fragile_friction(v_max):
     return lambda v, p: np.nan if v > v_max else friction(v, p)
 
 
-# (throttle, steering, initial state, DIVERGENCE_LIMIT, friction NaN above,
-#  first state out of bounds: (pose beyond, speed beyond) or "non-finite")
+# (model, throttle, steering, initial state, DIVERGENCE_LIMIT, friction NaN
+#  above, first state out of bounds: (pose beyond, rest beyond) or
+#  "non-finite"); a dynamic case runs under both slip conventions
 PRECEDENCE_CASES = {
     # the pose passes the limit while the speed stays below it, and a
     # later NaN speed does not count
-    "pose first": (0.22, 0.0, (), 0.5, 0.35, (True, False)),
-    "speed first": (0.4, 0.0, (), 0.5, None, (False, True)),
-    "non-finite speed": (0.4, 0.3, (0.2, -0.1, 0.4, 0.0), 1e6, 0.3, "non-finite"),
+    "pose first": ("kinematic", 0.22, 0.0, (), 0.5, 0.35, (True, False)),
+    "speed first": ("kinematic", 0.4, 0.0, (), 0.5, None, (False, True)),
+    "non-finite speed": ("kinematic", 0.4, 0.3, (0.2, -0.1, 0.4, 0.0), 1e6, 0.3, "non-finite"),
     # one step from v = 2e307 at full lock overflows the heading to inf
     # while the speed stays finite, beyond the limit
-    "non-finite pose with the speed beyond": (0.0, 1.0, (0, 0, 0, 2e307), 1e6, None,
+    "non-finite pose with the speed beyond": ("kinematic", 0.0, 1.0, (0, 0, 0, 2e307), 1e6, None,
                                               "non-finite"),
+    "dynamic pose first": ("dynamic", 0.22, 0.0, (0, 0, 0, 0.4, 0, 0), 0.5, 0.412, (True, False)),
+    # from rest, so the normalized run rolls before it crosses BLEND_SPEED
+    "dynamic body state first": ("dynamic", 0.4, 0.0, (), 0.5, None, (False, True)),
+    "dynamic non-finite body state": ("dynamic", 0.4, 0.3, (0.2, -0.1, 0.4, 0.5, 0.0, 0.0), 1e6,
+                                      0.8, "non-finite"),
+    # in one step omega = 1e308 overflows the heading; a normalized run
+    # rolls at v_x = -2e307 instead, its yaw rate at full lock overflows
+    # the heading and its body state stays finite, beyond the limit
+    "dynamic heading overflow": ("dynamic", 0.0, 1.0, (0, 0, 0, -2e307, 0, 1e308), 1e6, None,
+                                 "non-finite"),
 }
 
 
 @pytest.mark.parametrize("case", sorted(PRECEDENCE_CASES))
 def test_earliest_offending_step_decides_the_error(ref, monkeypatch, case):
     """The simulator raises what the step-at-a-time reference raises, at
-    the same t and with the same partial trajectory: pose and speed are
-    checked together, and a non-finite state beats one beyond the limit."""
-    tau, s, init, limit, nan_above, first = PRECEDENCE_CASES[case]
-    scenario = _scenario(constant(tau), constant(s), duration=4.0, init=init)
-    free = simulate(scenario, ref) if first != "non-finite" else None
-    monkeypatch.setattr(simulator, "DIVERGENCE_LIMIT", limit)
-    if nan_above is not None:
-        monkeypatch.setattr(models, "friction_force", _fragile_friction(nan_above))
-    got = _outcome(lambda: simulate(scenario, ref))
-    expected = _outcome(lambda: _step_at_a_time(scenario, ref, limit=limit))
-    assert type(got) is type(expected)
-    if first == "non-finite":
-        assert str(got) == f"{expected} in scenario 't'"
-        return
-    assert got.t == expected.t
-    np.testing.assert_array_equal(got.trajectory.states, expected.trajectory)
-    beyond = np.abs(free.states[len(got.trajectory)]) > limit
-    assert (bool(beyond[:3].any()), bool(beyond[3])) == first
+    the same t and with the same partial trajectory: pose and the rest
+    of the state are checked together, and a non-finite state beats one
+    beyond the limit."""
+    model, tau, s, init, limit, nan_above, first = PRECEDENCE_CASES[case]
+    scenario = _scenario(constant(tau), constant(s), duration=4.0, model=model, init=init)
+    for normalized in (False, True) if model == "dynamic" else (False,):
+        free = simulate(scenario, ref, normalized=normalized) if first != "non-finite" else None
+        with monkeypatch.context() as patch:
+            patch.setattr(simulator, "DIVERGENCE_LIMIT", limit)
+            if nan_above is not None:
+                patch.setattr(models, "friction_force", _fragile_friction(nan_above))
+            got = _outcome(lambda: simulate(scenario, ref, normalized=normalized))
+            expected = _outcome(lambda: _step_at_a_time(scenario, ref, normalized, limit=limit))
+        assert type(got) is type(expected)
+        if first == "non-finite":
+            assert str(got) == f"{expected} in scenario 't'"
+            continue
+        assert got.t == expected.t
+        np.testing.assert_array_equal(got.trajectory.states, expected.trajectory)
+        beyond = np.abs(free.states[len(got.trajectory)]) > limit
+        assert (bool(beyond[:3].any()), bool(beyond[3:].any())) == first
+
+
+@pytest.mark.parametrize("model, normalized", [("kinematic", False), ("dynamic", False),
+                                               ("dynamic", True)])
+def test_pass_1_takes_no_step_after_the_first_speed_beyond_the_limit(ref, monkeypatch, model,
+                                                                     normalized):
+    """Each step evaluates the friction curve four times, and the step
+    that ends in the first state beyond the envelope is the last one."""
+    speeds, friction = [], models.friction_force
+    monkeypatch.setattr(models, "friction_force", lambda v, p: speeds.append(v) or friction(v, p))
+    monkeypatch.setattr(simulator, "DIVERGENCE_LIMIT", 0.5)
+    with pytest.raises(SimulationDiverged) as err:
+        simulate(_scenario(constant(0.4), constant(0.0), duration=4.0, model=model), ref,
+                 normalized=normalized)
+    assert len(speeds) == 4 * len(err.value.trajectory)
+    assert np.abs(err.value.trajectory.states[:, :3]).max() <= 0.5  # the speed left first
 
 
 @st.composite
-def _kinematic_scenarios(draw):
-    """Short kinematic runs on piecewise throttle and steering over the
-    whole command range, from a moving pose, forwards or backwards."""
+def _short_runs(draw, model):
+    """Short runs on piecewise throttle and steering over the whole
+    command range, from a moving pose: a kinematic one forwards or
+    backwards, a dynamic one with v_x on either side of BLEND_SPEED."""
     dt = draw(st.sampled_from([0.005, 0.01, 0.02, 0.05]))
     n = draw(st.integers(1, 80))
     breaks = draw(st.integers(1, min(4, n + 1)))
@@ -333,14 +364,35 @@ def _kinematic_scenarios(draw):
         return PiecewiseSchedule(times=tuple(i * dt for i in times), values=tuple(values))
 
     pose = st.floats(-50, 50, allow_nan=False).filter(lambda x: x != 0)
-    state = (draw(pose), draw(pose), draw(pose), draw(st.floats(-4, -0.01)))
-    return _scenario(schedule(), schedule(), duration=n * dt, dt=dt, init=state)
+    state = (draw(pose), draw(pose), draw(pose))
+    if model == "kinematic":
+        state += (draw(st.floats(-4, -0.01)),)
+    else:
+        blend = simulator.BLEND_SPEED
+        v_x = draw(st.one_of(st.floats(-1, blend, exclude_max=True), st.floats(blend, 3)))
+        state += (v_x, draw(st.floats(-0.5, 0.5)), draw(st.floats(-2, 2)))
+    return _scenario(schedule(), schedule(), duration=n * dt, dt=dt, model=model, init=state)
 
 
-@given(scenario=_kinematic_scenarios())
+@given(scenario=_short_runs("kinematic"))
 @settings(max_examples=60)
 def test_kinematic_two_pass_states_equal_rk4_steps(ref, scenario):
     np.testing.assert_array_equal(simulate(scenario, ref).states, _step_at_a_time(scenario, ref))
+
+
+@given(scenario=_short_runs("dynamic"), normalized=st.booleans())
+@settings(max_examples=60)
+def test_dynamic_two_pass_states_equal_rk4_steps(ref, scenario, normalized):
+    """A normalized run whose v_x falls to 0 within a dynamic step stops
+    with the reference's DataError."""
+    try:
+        expected = _step_at_a_time(scenario, ref, normalized)
+    except DataError as exc:
+        with pytest.raises(DataError) as got:
+            simulate(scenario, ref, normalized=normalized)
+        assert str(got.value) == str(exc)
+        return
+    np.testing.assert_array_equal(simulate(scenario, ref, normalized=normalized).states, expected)
 
 
 # --- synthesize_log ----------------------------------------------------------

@@ -27,12 +27,12 @@ def test_tracer_installs_and_restores_every_patch():
     assert all(getattr(owner, attr) is original for owner, attr, original in patches)
 
 
-def test_traced_simulate_counts_dynamic_rk4_steps_and_kinematic_speed_stages():
-    """The benchmark's traced counts stay meaningful. A dynamic step is
-    one ``rk4_step`` span and four spans of its right-hand side. A
-    kinematic scenario steps only its speed, through four friction-curve
-    spans per step, and evaluates the rest of its right-hand side on
-    whole series, so it opens no ``rk4_step`` or right-hand-side span."""
+def test_traced_simulate_counts_the_stages_of_pass_1():
+    """The benchmark's traced spans of a simulation are exact. Both
+    models step only what their pose depends on (the speed, or the body
+    state of a dynamic model), through four spans of each curve it
+    reads per step, and evaluate the pose on whole series, so neither
+    opens an ``rk4_step`` or right-hand-side span."""
     from minicar import simulator
     from minicar.params import reference_params
     from minicar.scenarios import Scenario, constant
@@ -54,16 +54,11 @@ def test_traced_simulate_counts_dynamic_rk4_steps_and_kinematic_speed_stages():
             def calls(name):
                 return spans.get(name, (0, 0.0, 0.0))[0] - before.get(name, 0)
 
-            if model == "kinematic":
-                assert calls("integrators.rk4_step") == 0
-                assert calls("models.kinematic_rhs") == calls("models.dynamic_rhs") == 0
-                assert calls("models.friction_force") == 4 * steps
-                assert calls("models.steering_angle") == 1
-                continue
-            assert calls("integrators.rk4_step") == steps
-            assert calls(f"models.{model}_rhs") == 4 * steps
-            other = "dynamic" if model == "kinematic" else "kinematic"
-            assert calls(f"models.{other}_rhs") == 0
+            assert calls("integrators.rk4_step") == 0
+            assert calls("models.kinematic_rhs") == calls("models.dynamic_rhs") == 0
+            assert calls("models.friction_force") == 4 * steps
+            assert calls("models.steering_angle") == 1
+            assert calls("models.pacejka_lateral") == (4 * steps if model == "dynamic" else 0)
     finally:
         tracer.restore()
 
