@@ -11,6 +11,13 @@ curve. The stages it requires come from ``pipeline.STAGES``: those of
 ``--stages``, or else every stage but ``tire`` when there are no
 motion-capture logs, since a vehicle without a tire model still runs
 the kinematic model.
+
+``generate`` runs its scenarios in worker processes forked from the
+command, one per CPU it may run on, or in process where the platform
+cannot fork. Each scenario's noise seed follows its place in the
+library, so the outputs do not depend on the number of CPUs, and the
+manifests list the scenarios in library order. A failure reports the
+first failing scenario in library order and writes no manifest.
 """
 
 from __future__ import annotations
@@ -19,8 +26,11 @@ import argparse
 import hashlib
 import json
 import logging
+import multiprocessing
+import os
 import sys
 import time
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field
 from importlib import metadata
 from pathlib import Path
@@ -309,6 +319,40 @@ def cmd_simulate(args) -> int:
     return 0
 
 
+def _generate_one(tag: str, scenario: scenarios.Scenario, seed: int, params, noise,
+                  normalized: bool, out_dir: Path):
+    """One job of ``generate``: simulate the scenario, write its noisy log,
+    and return the log's manifest entry and the scenario's run record."""
+    traj, run = _simulate(scenario, params, normalized)
+    log = simulator.synthesize_log(scenario, params, noise, seed, trajectory=traj)
+    filename = f"{scenario.name}.csv"
+    save_log(log, out_dir / filename)
+    return _LogEntry(filename, tag), run
+
+
+def _generate_all(jobs: list[tuple]) -> list[tuple]:
+    """``_generate_one`` of every job, in job order.
+
+    Where the platform can fork, the jobs run in forked workers, one per
+    CPU this process may run on, the longest scenario first. A forked
+    worker starts without importing numpy again, which takes 0.3-0.8 s,
+    and the pool forks every worker before it starts a thread of its
+    own. The error of the first failing job in job order is raised once
+    no job runs any more.
+    """
+    if "fork" not in multiprocessing.get_all_start_methods():
+        return [_generate_one(*job) for job in jobs]
+    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
+    pool = ProcessPoolExecutor(min(cpus, len(jobs)), mp_context=multiprocessing.get_context("fork"))
+    try:
+        longest_first = sorted(range(len(jobs)), key=lambda i: jobs[i][1].times.size, reverse=True)
+        futures = {i: pool.submit(_generate_one, *jobs[i]) for i in longest_first}
+        return [futures[i].result() for i in range(len(jobs))]
+    finally:
+        pool.shutdown(cancel_futures=True)
+
+
 def cmd_generate(args) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -317,19 +361,12 @@ def cmd_generate(args) -> int:
     library = [(tag, scenario) for tag, battery in
                scenarios.scenario_library(dt=args.dt).items() for scenario in battery]
     seeds = np.random.SeedSequence(args.seed).spawn(len(library))
-
-    entries, runs = [], []
-    for (tag, scenario), seed in zip(library, seeds):
-        traj, run = _simulate(scenario, params, args.normalized_slip)
-        log = simulator.synthesize_log(scenario, params, noise, int(seed.generate_state(1)[0]),
-                                       trajectory=traj)
-        filename = f"{scenario.name}.csv"
-        save_log(log, out_dir / filename)
-        entries.append(_LogEntry(filename, tag))
-        runs.append(run)
-    write_json(out_dir / "manifest.json", asdict(_LogManifest(logs=entries)))
+    entries, runs = zip(*_generate_all([
+        (tag, scenario, int(seed.generate_state(1)[0]), params, noise, args.normalized_slip,
+         out_dir) for (tag, scenario), seed in zip(library, seeds)]))
+    write_json(out_dir / "manifest.json", asdict(_LogManifest(logs=list(entries))))
     _write_manifest(out_dir, args, [Path(args.params), Path(args.noise)],
-                    {"seed": args.seed, "scenarios": runs})
+                    {"seed": args.seed, "scenarios": list(runs)})
     print(f"wrote {len(entries)} logs to {out_dir}")
     return 0
 

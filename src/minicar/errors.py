@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import copyreg
+
 
 class MinicarError(Exception):
     """Base class for all package-specific errors; carries the offending
@@ -10,6 +12,11 @@ class MinicarError(Exception):
     def __init__(self, message: str, row: int | None = None):
         super().__init__(message if row is None else f"{message} (row {row})")
         self.row = row
+
+    def __reduce__(self):
+        # Unpickling rebuilds the error from its class, args and attributes,
+        # without __init__, whose parameters differ between subclasses.
+        return copyreg.__newobj__, (type(self), *self.args), self.__dict__
 
 
 class ParseError(MinicarError):

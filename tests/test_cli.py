@@ -1,13 +1,16 @@
 import json
+import multiprocessing
 import os
 import subprocess
 import sys
+from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import minicar
+from minicar import cli
 from minicar.cli import _geometry_from_args, build_parser, main
 from minicar.params import reference_params, save_params
 from minicar.validation import read_table
@@ -33,6 +36,14 @@ def write_scenario(tmp_path, **overrides):
     path = tmp_path / "scenario.json"
     path.write_text(json.dumps(doc))
     return path
+
+
+def _wild_params(tmp_path, params_file):
+    doc = json.loads(params_file.read_text())
+    doc["motor"]["d"] = 1e9  # a stall force no state stays sane under
+    params = tmp_path / "wild.json"
+    params.write_text(json.dumps(doc))
+    return params
 
 
 def test_simulate_writes_outputs(tmp_path, params_file):
@@ -446,10 +457,7 @@ def test_diverging_run_exits_2_naming_the_scenario(tmp_path, params_file, comman
     command line: status 2, the scenario named, no traceback."""
     from minicar.scenarios import scenario_library
 
-    doc = json.loads(params_file.read_text())
-    doc["motor"]["d"] = 1e9  # a stall force no state stays sane under
-    params = tmp_path / "wild.json"
-    params.write_text(json.dumps(doc))
+    params = _wild_params(tmp_path, params_file)
     if command == "simulate":
         args, name = ["--scenario", str(write_scenario(tmp_path))], "cli_step"
     else:
@@ -467,3 +475,58 @@ def test_diverging_run_exits_2_naming_the_scenario(tmp_path, params_file, comman
     assert f"scenario {name!r}" in proc.stderr
     assert "sane envelope" in proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("slip", [[], ["--normalized-slip"]])
+def test_generate_writes_the_same_bytes_on_any_number_of_workers(tmp_path, params_file,
+                                                                monkeypatch, slip):
+    """The logs and manifest.json are the same with a worker per CPU, with
+    one worker and with no worker at all (the in-process path)."""
+    noise = tmp_path / "noise.json"
+    noise.write_text(json.dumps({"v_enc": 0.02, "omega_imu": 0.02, "mocap_xy": 0.001,
+                                 "mocap_eta": 0.002}))
+    pools = []
+
+    def counted_pool(max_workers, **kwargs):
+        pools.append(max_workers)
+        return ProcessPoolExecutor(max_workers, **kwargs)
+
+    def outputs(name):
+        out = tmp_path / name
+        assert main(["generate", "--params", str(params_file), "--noise", str(noise),
+                     "--seed", "5", "--dt", "0.05", "--out", str(out), *slip]) == 0
+        files = sorted(p.name for p in out.iterdir() if p.name != "run_manifest.json")
+        assert len(files) == 33
+        return {f: (out / f).read_bytes() for f in files}
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", counted_pool)
+    every_cpu = outputs("every_cpu")
+    with monkeypatch.context() as m:
+        m.setattr(os, "sched_getaffinity", lambda pid: {0})
+        assert outputs("one_cpu") == every_cpu
+    with monkeypatch.context() as m:
+        m.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+        assert outputs("in_process") == every_cpu
+    assert pools == [min(len(os.sched_getaffinity(0)), 32), 1]
+
+
+def test_generate_leaves_no_worker_behind(tmp_path, params_file, caplog):
+    """After a run, whether it succeeds or fails, no worker process is left;
+    a failure names the first failing scenario in library order and
+    writes no manifest.json."""
+    from minicar.scenarios import scenario_library
+
+    noise = tmp_path / "noise.json"
+    noise.write_text("{}")
+    args = ["generate", "--noise", str(noise), "--seed", "1", "--dt", "0.05", "--out"]
+    assert main([*args, str(tmp_path / "ok"), "--params", str(params_file)]) == 0
+    assert multiprocessing.active_children() == []
+
+    out = tmp_path / "wild"
+    caplog.clear()
+    assert main([*args, str(out), "--params", str(_wild_params(tmp_path, params_file))]) == 2
+    assert multiprocessing.active_children() == []
+    library = [s.name for battery in scenario_library(dt=0.05).values() for s in battery]
+    assert f"scenario {library[0]!r}" in caplog.text
+    assert not any(f"scenario {name!r}" in caplog.text for name in library[1:])
+    assert not (out / "manifest.json").exists()
