@@ -168,7 +168,7 @@ def _data_range(x: np.ndarray) -> np.ndarray:
 
 
 # One plot per fitted curve, keyed by its stage report: the file, the
-# dataset's X column on the horizontal axis, the grid over that column,
+# dataset's input column on the horizontal axis, the grid over that column,
 # the fitted curves on the grid as (label, values) given the dataset and
 # the parameters, the title and the axis labels.
 _PLOTS = {
@@ -178,7 +178,7 @@ _PLOTS = {
     "motor": ("fit_motor.svg", 1, _from_zero,
               lambda grid, data, p: [
                   (f"tau={tau:.2f}", models.motor_force(tau, grid, p.motor))
-                  for tau in sorted(set(np.round(data.X[:, 0], 6)))[:6]],
+                  for tau in sorted(set(np.round(data.inputs[0], 6)))[:6]],
               "Motor curve", "v [m/s]", "F [N]"),
     "steering": ("fit_steering.svg", 0, lambda _: np.linspace(-1.0, 1.0, 200),
                  lambda grid, _, p: [("fit", models.steering_angle(grid, p.steering))],
@@ -197,9 +197,9 @@ def _fit_plots(result: pipeline.PipelineResult, out_dir: Path) -> None:
         if r.data is None:
             continue
         filename, column, grid_of, curves, title, x_label, y_label = _PLOTS[r.name]
-        x = r.data.X[:, column]
+        x = r.data.inputs[column]
         grid = grid_of(x)
-        series = [svgplot.Series(x, r.data.Y[:, 0], "data", "points")] + [
+        series = [svgplot.Series(x, r.data.label, "data", "points")] + [
             svgplot.Series(grid, y, label) for label, y in curves(grid, r.data, result.params)]
         svgplot.save_plot(out_dir / filename, series, title=title, x_label=x_label,
                           y_label=y_label)
@@ -377,7 +377,7 @@ def cmd_validate(args) -> int:
     rms = validation.one_step_rms(table, params, args.model,
                                   normalized=args.normalized_slip)
     report = {"log": str(args.log), "model": args.model, "rms": rms}
-    print(json.dumps(report, indent=2))
+    print(json.dumps(report, indent=2, allow_nan=False))
     if args.out:
         write_json(args.out, report)
     return 0

@@ -1,7 +1,7 @@
-"""Turn raw logs into training matrices for the staged sub-model fits.
+"""Turn raw logs into labelled rows for the staged sub-model fits.
 
-Each builder produces a Dataset whose X rows feed one sub-model curve
-and whose Y rows are force or angle labels derived from the log by
+Each builder's Dataset holds the argument columns of one sub-model
+curve and a label of forces or angles derived from the log by
 smoothing, numerical differentiation and rigid-body bookkeeping.
 """
 
@@ -56,42 +56,38 @@ MIN_SEGMENT_ROWS = 10
 
 @dataclass(frozen=True)
 class Dataset:
-    """Paired training inputs X (N x M) and labels Y (N x n)."""
+    """Labelled rows for one sub-model curve: ``inputs`` holds one 1-D
+    column per argument of the curve, in argument order, and ``label``
+    the value the curve should take on each row. Finite, non-empty and
+    read-only."""
 
-    X: np.ndarray
-    Y: np.ndarray
-    x_names: tuple[str, ...]
-    y_names: tuple[str, ...]
+    inputs: tuple[np.ndarray, ...]
+    label: np.ndarray
 
     def __post_init__(self):
-        X = np.atleast_2d(np.asarray(self.X, dtype=float))
-        Y = np.atleast_2d(np.asarray(self.Y, dtype=float))
-        if X.shape[0] != Y.shape[0]:
-            raise DataError(f"X has {X.shape[0]} rows but Y has {Y.shape[0]}")
-        if X.shape[0] == 0:
+        inputs = tuple(np.array(column, dtype=float) for column in self.inputs)
+        label = np.array(self.label, dtype=float)
+        columns = (*inputs, label)
+        if label.ndim != 1 or any(column.shape != label.shape for column in inputs):
+            raise DataError("inputs and label must be 1-D columns of equal length")
+        if label.size == 0:
             raise DataError("dataset is empty")
-        if not (np.all(np.isfinite(X)) and np.all(np.isfinite(Y))):
+        if not all(np.isfinite(column).all() for column in columns):
             raise DataError("dataset contains non-finite entries")
-        if X.shape[1] != len(self.x_names) or Y.shape[1] != len(self.y_names):
-            raise DataError("column descriptor count does not match matrix width")
-        X.setflags(write=False)
-        Y.setflags(write=False)
-        object.__setattr__(self, "X", X)
-        object.__setattr__(self, "Y", Y)
+        for column in columns:
+            column.setflags(write=False)
+        object.__setattr__(self, "inputs", inputs)
+        object.__setattr__(self, "label", label)
 
     def __len__(self) -> int:
-        return int(self.X.shape[0])
+        return self.label.size
 
 
-def _stacked(x_blocks: list, y_blocks: list, x_names: tuple[str, ...],
-             y_names: tuple[str, ...]) -> Dataset:
-    """The Dataset of a builder's row blocks, stacked in order; a block
-    of one column may be a 1-D array or a single value."""
-    def rows(blocks, width):
-        return np.concatenate([np.reshape(block, (-1, width)) for block in blocks])
-
-    return Dataset(X=rows(x_blocks, len(x_names)), Y=rows(y_blocks, len(y_names)),
-                   x_names=x_names, y_names=y_names)
+def _stacked(blocks: list) -> Dataset:
+    """The Dataset of a builder's ``(inputs, label)`` row blocks, stacked
+    in order; a block's column may be a 1-D array or a single value."""
+    inputs, labels = zip(*blocks)
+    return Dataset(tuple(map(np.hstack, zip(*inputs))), np.hstack(labels))
 
 
 # Commanded throttle leads the applied force by the actuation delay;
@@ -114,39 +110,39 @@ def _force_rows(log: RawLog, m: float, commanded: np.ndarray):
 
 
 def build_friction_dataset(logs: Sequence[RawLog], m: float) -> Dataset:
-    """Coasting rows only: X = speed, Y = total force (pure friction).
+    """Coasting rows only: speed, labelled with the total force (pure friction).
 
     A row qualifies when the commanded throttle is zero across the whole
     differentiation stencil (so delayed actuation and smoothing cannot
     leak motor force into the labels) and the vehicle is still moving.
     """
-    xs, ys = [], []
+    blocks = []
     for log in logs:
         if len(log) < 3:
             continue
         v, force, keep = _force_rows(log, m, log.tau == 0.0)
         keep &= v > V_MIN
         if np.any(keep):
-            xs.append(v[keep])
-            ys.append(force[keep])
-    if not xs:
+            blocks.append(((v[keep],), force[keep]))
+    if not blocks:
         raise DataError("no coasting data: need rows with tau = 0 and v > v_min")
-    return _stacked(xs, ys, ("v [m/s]",), ("F_friction [N]",))
+    return _stacked(blocks)
 
 
 def build_motor_dataset(logs: Sequence[RawLog], m: float, friction) -> Dataset:
-    """Powered rows: X = (throttle, speed), Y = total force minus friction."""
-    xs, ys = [], []
+    """Powered rows: throttle and speed, labelled with the total force
+    minus friction."""
+    blocks = []
     for log in logs:
         if len(log) < 3:
             continue
         v, force, keep = _force_rows(log, m, log.tau > 0.0)
         if np.any(keep):
-            xs.append(np.column_stack([log.tau[keep], v[keep]]))
-            ys.append(force[keep] - models.friction_force(v[keep], friction))
-    if not xs:
+            blocks.append(((log.tau[keep], v[keep]),
+                           force[keep] - models.friction_force(v[keep], friction)))
+    if not blocks:
         raise DataError("no powered data: need rows with tau > 0")
-    return _stacked(xs, ys, ("tau", "v [m/s]"), ("F_motor [N]",))
+    return _stacked(blocks)
 
 
 def estimate_steering_angle_series(omega, v, l: float) -> np.ndarray:
@@ -186,7 +182,7 @@ def build_steering_dataset(logs: Sequence[RawLog], l: float) -> Dataset:
     rejects spin-up transients while tolerating sensor noise around
     zero yaw.
     """
-    xs, ys = [], []
+    blocks = []
     skipped = 0
     for log in logs:
         if len(log) < 3:
@@ -213,13 +209,12 @@ def build_steering_dataset(logs: Sequence[RawLog], l: float) -> Dataset:
                 )
                 continue
             delta = estimate_steering_angle_series(seg_omega[usable], seg_v[usable], l)
-            xs.append(log.s[start])
-            ys.append(np.nanmean(delta))
-    if not xs:
+            blocks.append(((log.s[start],), np.nanmean(delta)))
+    if not blocks:
         raise DataError("no steady constant-steering segments found")
     if skipped:
         logger.info("steering dataset: %d segments skipped", skipped)
-    return _stacked(xs, ys, ("s",), ("delta [rad]",))
+    return _stacked(blocks)
 
 
 def pose_velocities(t, x, y, eta) -> tuple:
@@ -260,7 +255,7 @@ def build_tire_dataset(
     force splits equally between the axles.
     """
     geom = params.geometry
-    front_x, front_y, rear_x, rear_y = [], [], [], []
+    front, rear = [], []
     for log in logs:
         if log.mocap is None:
             raise DataError(f"tire dataset needs motion-capture columns ({log.name or '<log>'})")
@@ -293,11 +288,8 @@ def build_tire_dataset(
         alpha_f, alpha_r = models.slip_angles(
             v_x[keep], v_y[keep], omega[keep], delta[keep], geom, normalized=normalized
         )
-        front_x.append(alpha_f)
-        front_y.append(f_yf_tire[keep])
-        rear_x.append(alpha_r)
-        rear_y.append(f_yr_veh[keep])
-    if not front_x:
+        front.append(((alpha_f,), f_yf_tire[keep]))
+        rear.append(((alpha_r,), f_yr_veh[keep]))
+    if not front:
         raise DataError("no usable tire rows (all below v_min or logs too short)")
-    return (_stacked(front_x, front_y, ("alpha_f [rad]",), ("F_y_front [N]",)),
-            _stacked(rear_x, rear_y, ("alpha_r [rad]",), ("F_y_rear [N]",)))
+    return _stacked(front), _stacked(rear)

@@ -1,10 +1,10 @@
 """Bounded least-squares fitting for every sub-model curve.
 
-Each stage fits one curve of ``models`` to a Dataset: the columns of X
-are the curve's inputs in argument order, the fit vector holds its
-parameters in field order, the residual vector is r = curve(X; p) − y
-and ``models.<curve>_jacobian`` gives its analytic Jacobian J. No
-curve formula lives here. The stage fits, the diagnostics and the
+Each stage fits one curve of ``models`` to a Dataset, whose inputs are
+the curve's arguments in order: the fit vector holds its parameters in
+field order, r = curve(inputs; p) − label is the residual vector and
+``models.<curve>_jacobian`` gives its analytic Jacobian J. No curve
+formula lives here. The stage fits, the diagnostics and the
 loss-and-gradient objective all evaluate r and J the same way.
 
 Every stage is solved by ``lm_fit``, a box-projected
@@ -31,7 +31,7 @@ import numpy as np
 
 from . import models
 from .datasets import Dataset
-from .errors import ConfigError, DataError, FitDivergedError
+from .errors import ConfigError, FitDivergedError
 from .params import FrictionParams, MotorParams, SteeringParams, TireParams
 
 
@@ -251,19 +251,13 @@ def lm_fit(residuals: Callable, config: FitConfig) -> FitResult:
 
 
 def _residuals(curve: Callable, jacobian: Callable, data: Dataset) -> Callable:
-    """``evaluate(p) -> (residual, jac)`` for one curve on ``data``.
-
-    The curve reads each column of ``data.X`` as one input argument;
-    the residual is its value minus the single column of ``data.Y``,
-    and ``jac`` its ``(N, n_p)`` parameter Jacobian.
+    """``evaluate(p) -> (residual, jac)`` for one curve on ``data``: the
+    curve's value on ``data.inputs`` minus ``data.label``, and its
+    ``(N, n_p)`` parameter Jacobian.
     """
-    if data.Y.shape[1] != 1:
-        raise DataError(f"a least-squares stage fits one output column, got {data.Y.shape[1]}")
-    columns, y = data.X.T, data.Y[:, 0]
-
     def evaluate(p):
         p = np.asarray(p, dtype=float)
-        return curve(*columns, p) - y, jacobian(*columns, p)
+        return curve(*data.inputs, p) - data.label, jacobian(*data.inputs, p)
 
     return evaluate
 
@@ -282,42 +276,35 @@ class _Stage(NamedTuple):
     initial: tuple[float, ...]
     lower: tuple[float, ...]
     upper: tuple[float, ...]
-    budget: int  # iteration budget
 
 
 # Guesses are order-of-magnitude values a practitioner would read off a
-# plot of the data; default_config overrides any of them. The two
-# blended-sigmoid families crawl along shallow coupled valleys and get
-# longer budgets (their datasets are small, so this is cheap).
+# plot of the data.
 _STAGES = {
     "friction": _Stage(models.friction_force, models.friction_force_jacobian,
                        _field_names(FrictionParams),
-                       (1.0, 10.0, 0.1), (1e-3, 1e-3, 0.0), (20.0, 100.0, 10.0), 20000),
+                       (1.0, 10.0, 0.1), (1e-3, 1e-3, 0.0), (20.0, 100.0, 10.0)),
     "motor": _Stage(models.motor_force, models.motor_force_jacobian, _field_names(MotorParams),
-                    (20.0, 5.0, -0.1), (1e-3, 1e-3, -0.99), (100.0, 100.0, 0.0), 20000),
+                    (20.0, 5.0, -0.1), (1e-3, 1e-3, -0.99), (100.0, 100.0, 0.0)),
     "steering": _Stage(models.steering_angle, models.steering_angle_jacobian,
                        _field_names(SteeringParams),
                        (1.0, 1.0, 0.0, 1.0, 1.0), (1e-3, 1e-3, -0.9, 1e-3, 1e-3),
-                       (3.0, 5.0, 0.9, 3.0, 5.0), 40000),
+                       (3.0, 5.0, 0.9, 3.0, 5.0)),
     "front_tire": _Stage(models.pacejka_lateral, models.pacejka_lateral_jacobian,
                          _field_names(TireParams)[:4],
                          (3.0, 1.0, 1.0, 0.0), (1e-3, 0.05, 1e-3, -10.0),
-                         (20.0, 2.0, 20.0, 0.99), 30000),
+                         (20.0, 2.0, 20.0, 0.99)),
     "rear_tire": _Stage(models.rear_lateral, models.rear_lateral_jacobian,
-                        _field_names(TireParams)[4:], (1.0,), (1e-3,), (100.0,), 20000),
+                        _field_names(TireParams)[4:], (1.0,), (1e-3,), (100.0,)),
 }
 
 
-def default_config(sub_model: str, **overrides) -> FitConfig:
-    """The stage's default setup with ``overrides`` applied, all validated."""
+def default_config(sub_model: str) -> FitConfig:
+    """The stage's start and box, with FitConfig's default budget."""
     if sub_model not in _STAGES:
         raise ConfigError(f"unknown sub-model {sub_model!r}")
-    unknown = set(overrides) - {f.name for f in fields(FitConfig)}
-    if unknown:
-        raise ConfigError(f"unknown FitConfig field {sorted(unknown)[0]!r}")
     stage = _STAGES[sub_model]
-    return FitConfig(**{"initial": stage.initial, "lower": stage.lower, "upper": stage.upper,
-                        "max_iterations": stage.budget, **overrides})
+    return FitConfig(stage.initial, stage.lower, stage.upper)
 
 
 def _stage_residuals(sub_model: str, data: Dataset) -> Callable:
@@ -368,7 +355,7 @@ def fit_diagnostics(sub_model: str, data: Dataset, params, config: FitConfig) ->
         rel_std_err = np.sqrt(sigma2 * inverse_diag) / np.abs(params)
     on_bound = (params <= config.lower) | (params >= config.upper)
     return {
-        "grad_norm": float(np.linalg.norm(grad)),
+        "grad_norm": _finite_or_none(np.linalg.norm(grad)),
         "cond": _finite_or_none(cond),
         "rel_std_err": {n: _finite_or_none(r) for n, r in zip(names, rel_std_err)},
         "active_bounds": [n for n, bound in zip(names, on_bound) if bound],

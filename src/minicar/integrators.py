@@ -22,9 +22,9 @@ import numpy as np
 from .errors import IntegrationError
 
 
-def non_finite_state(t: float) -> IntegrationError:
-    """The error for a step started at ``t`` that ends in a non-finite state."""
-    return IntegrationError(f"non-finite derivative or state at t={t:.6f} s")
+def non_finite_state(t: float, row: int | None = None) -> IntegrationError:
+    """The error for a step from ``t`` (and 1-based log ``row``) that ends non-finite."""
+    return IntegrationError(f"non-finite derivative or state at t={t:.6f} s", row=row)
 
 
 def _all_finite(state) -> bool:

@@ -247,8 +247,9 @@ def params_from_dict(doc: dict) -> VehicleParams:
 
 
 def write_json(path: str | Path, doc) -> None:
-    """Write ``doc`` as UTF-8 JSON, indented by 2, with a trailing newline."""
-    Path(path).write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
+    """Write ``doc`` as UTF-8 JSON, indented by 2, with a trailing newline;
+    a non-finite number, which JSON lacks, raises ValueError."""
+    Path(path).write_text(json.dumps(doc, indent=2, allow_nan=False) + "\n", encoding="utf-8")
 
 
 def save_params(params: VehicleParams, path: str | Path) -> None:

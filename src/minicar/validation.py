@@ -21,7 +21,8 @@ import numpy as np
 from . import models
 from .datasets import pose_velocities
 from .delay import delay_shift
-from .errors import ConfigError, DataError
+from .errors import ConfigError, DataError, IntegrationError
+from .integrators import non_finite_state
 from .integrators import rk4_step  # unused; perfbench/tracing.py patches it by name
 from .logs import command_out_of_range, grid_step, read_table
 from .params import VehicleParams
@@ -92,6 +93,7 @@ def _dynamic_states(table: dict) -> tuple[list, list[str]]:
     return [x, y, eta, v_x, v_y, omega], ["x", "y", "eta", "v_x", "v_y", "omega"]
 
 
+@np.errstate(all="ignore")  # every prediction and RMS is checked to be finite
 def one_step_rms(
     table: dict[str, np.ndarray],
     params: VehicleParams,
@@ -102,7 +104,8 @@ def one_step_rms(
     """Per-channel RMS of one-step-ahead predictions along a log whose
     commands lie in [-1, 1]. Rows are stepped as the simulator steps
     them, so a trajectory export validates to round-off under either
-    slip convention."""
+    slip convention. A non-finite prediction raises IntegrationError
+    naming its 1-based row and time, a non-finite RMS DataError."""
     if model not in ("kinematic", "dynamic"):
         raise ConfigError(f"unknown model kind {model!r}")
     dt = _dt_of(table)
@@ -113,14 +116,28 @@ def one_step_rms(
     else:
         states, channels = _dynamic_states(table)
 
-    predicted = stepper(model, params, dt, normalized=normalized)(
-        [column[:-1] for column in states], held_inputs(tau_app[:-1], s_app[:-1], params))
+    step = stepper(model, params, dt, normalized=normalized)
+    rows = [column[:-1] for column in states]
+    inputs = held_inputs(tau_app[:-1], s_app[:-1], params)
+    try:
+        predicted = step(rows, inputs)
+    except IntegrationError:  # rows step independently: find the first that fails
+        for i in range(rows[0].size):
+            try:
+                step([c[i:i + 1] for c in rows], [a[i:i + 1] for a in inputs])
+            except IntegrationError:
+                raise non_finite_state(table["t"][i], row=i + 1) from None
+        raise
 
     names = (
         models.KINEMATIC_STATE_NAMES if model == "kinematic" else models.DYNAMIC_STATE_NAMES
     )
-    return {
+    rms = {
         name: float(np.sqrt(np.mean((predicted[i] - states[i][1:]) ** 2)))
         for i, name in enumerate(names)
         if name in channels
     }
+    for name, value in rms.items():
+        if not np.isfinite(value):
+            raise DataError(f"one-step RMS of channel {name!r} is not finite")
+    return rms

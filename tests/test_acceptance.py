@@ -139,7 +139,7 @@ def test_criterion_4_tire_round_trip():
         D=float(coeffs[0]), C=float(coeffs[1]), B=float(coeffs[2]), E=float(coeffs[3]),
         C_r=max(c_r, 1e-3),
     )
-    grid = np.linspace(float(front.X.min()), float(front.X.max()), 301)
+    grid = np.linspace(float(front.inputs[0].min()), float(front.inputs[0].max()), 301)
     err = models.pacejka_lateral(grid, fitted) - models.pacejka_lateral(grid, REF.tire)
     rms = float(np.sqrt(np.mean(err**2)))
     c_r_err = abs(c_r - 0.39) / 0.39
@@ -157,37 +157,34 @@ def test_criterion_5_gradient_suite():
     rng = np.random.default_rng(2024)
     cases = {
         "friction": (
-            np.linspace(0.05, 3, 40)[:, None],
-            lambda X: models.friction_force(X[:, 0:1], REF.friction),
+            (np.linspace(0.05, 3, 40),),
+            lambda v: models.friction_force(v, REF.friction),
             np.array([1.72, 13.32, 0.29]),
         ),
         "motor": (
-            np.column_stack([rng.uniform(0.2, 0.4, 40), rng.uniform(0, 3, 40)]),
-            lambda X: models.motor_force(X[:, 0:1], X[:, 1:2], REF.motor),
+            (rng.uniform(0.2, 0.4, 40), rng.uniform(0, 3, 40)),
+            lambda tau, v: models.motor_force(tau, v, REF.motor),
             np.array([28.88, 5.99, -0.15]),
         ),
         "steering": (
-            np.linspace(-1, 1, 40)[:, None],
-            lambda X: models.steering_angle(X[:, 0:1], REF.steering),
+            (np.linspace(-1, 1, 40),),
+            lambda s: models.steering_angle(s, REF.steering),
             np.array([1.64, 0.33, 0.02, 1.66, 0.38]),
         ),
         "front_tire": (
-            np.linspace(-0.6, 0.6, 40)[:, None],
-            lambda X: models.pacejka_lateral(X[:, 0:1], REF.tire),
+            (np.linspace(-0.6, 0.6, 40),),
+            lambda alpha: models.pacejka_lateral(alpha, REF.tire),
             np.array([2.98, 0.69, 0.29, -3.07]),
         ),
         "rear_tire": (
-            np.linspace(-0.6, 0.6, 40)[:, None],
-            lambda X: models.rear_lateral(X[:, 0:1], REF.tire.C_r),
+            (np.linspace(-0.6, 0.6, 40),),
+            lambda alpha: models.rear_lateral(alpha, REF.tire.C_r),
             np.array([0.39]),
         ),
     }
     worst = 0.0
-    for name, (X, truth, p_ref) in cases.items():
-        data = Dataset(
-            X=X, Y=truth(X),
-            x_names=tuple(f"x{i}" for i in range(X.shape[1])), y_names=("y",),
-        )
+    for name, (inputs, truth, p_ref) in cases.items():
+        data = Dataset(inputs, truth(*inputs))
         objective = submodel_objective(name, data)
         cfg = default_config(name)
         for _ in range(10):

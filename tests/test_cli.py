@@ -3,6 +3,7 @@ import multiprocessing
 import os
 import subprocess
 import sys
+import warnings
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
@@ -158,6 +159,53 @@ def test_validate_on_own_trajectory(tmp_path, params_file, capsys):
     assert code == 0
     doc = json.loads(report.read_text())
     assert all(v < 1e-6 for v in doc["rms"].values())
+
+
+@pytest.mark.parametrize("case", ["overflowed rms", "non-finite prediction"])
+def test_validate_exits_2_on_a_non_finite_result_writing_no_json(tmp_path, params_file, caplog,
+                                                                capsys, case):
+    """A stall force of 1e305 N overflows the RMS of a step log, and a
+    speed of 1e300 in data row 101 of a dynamic circle's export
+    overflows that row's prediction. Each fails with status 2 and one
+    logged error naming the channel or the row, without a warning; no
+    report reaches stdout or --out."""
+    if case == "overflowed rms":
+        doc = json.loads(params_file.read_text())
+        doc["motor"]["d"] = 1e305
+        params = tmp_path / "wild.json"
+        params.write_text(json.dumps(doc))
+        scenario, model, named = write_scenario(tmp_path), "kinematic", "RMS of channel"
+    else:
+        params = params_file
+        scenario = write_scenario(
+            tmp_path, model="dynamic", duration=4.0,
+            throttle={"type": "piecewise", "times": [0.0], "values": [0.3]},
+            steering={"type": "piecewise", "times": [0.0], "values": [0.4]},
+            initial_state=[0.0, 0.0, 0.0, 0.5, 0.0, 0.0])
+        model, named = "dynamic", "t=1.000000 s (row 101)"
+    sim = tmp_path / "sim"
+    assert main(["simulate", "--params", str(params_file), "--scenario", str(scenario),
+                 "--out", str(sim)]) == 0
+    log = sim / "trajectory.csv"
+    if case == "non-finite prediction":
+        lines = log.read_text().splitlines()
+        fields = lines[101].split(",")
+        fields[lines[0].split(",").index("v_x")] = "1e300"
+        lines[101] = ",".join(fields)
+        log.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    caplog.clear()
+    report = tmp_path / "report.json"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(["validate", "--params", str(params), "--log", str(log), "--model", model,
+                     "--out", str(report)])
+    assert code == 2
+    assert not caught
+    errors = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
+    assert len(errors) == 1 and named in errors[0], errors
+    assert capsys.readouterr().out == ""
+    assert not report.exists()
 
 
 @pytest.mark.parametrize("v_x0", [0.2, 0.0])

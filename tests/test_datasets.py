@@ -1,10 +1,11 @@
+import inspect
 import logging
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from minicar import datasets, models
+from minicar import datasets, fitting, models
 from minicar.datasets import (
     Dataset,
     build_friction_dataset,
@@ -35,18 +36,63 @@ def make_log(t, tau, s, v, omega, mocap=None, name="test"):
 
 
 def test_dataset_rejects_row_mismatch():
-    with pytest.raises(DataError):
-        Dataset(X=np.zeros((3, 1)), Y=np.zeros((2, 1)), x_names=("x",), y_names=("y",))
+    with pytest.raises(DataError, match="equal length"):
+        Dataset((np.zeros(3),), np.zeros(2))
+    with pytest.raises(DataError, match="equal length"):
+        Dataset((np.zeros(2), np.zeros(3)), np.zeros(2))
+
+
+def test_dataset_rejects_a_2d_label():
+    with pytest.raises(DataError, match="1-D"):
+        Dataset((np.ones(4),), np.ones((4, 2)))
+    with pytest.raises(DataError, match="1-D"):
+        Dataset((np.ones(4),), np.ones((4, 1)))
 
 
 def test_dataset_rejects_non_finite():
-    with pytest.raises(DataError):
-        Dataset(X=np.array([[np.nan]]), Y=np.zeros((1, 1)), x_names=("x",), y_names=("y",))
+    with pytest.raises(DataError, match="non-finite"):
+        Dataset((np.array([np.nan]),), np.zeros(1))
+    with pytest.raises(DataError, match="non-finite"):
+        Dataset((np.zeros(1),), np.array([np.inf]))
 
 
 def test_dataset_rejects_empty():
-    with pytest.raises(DataError):
-        Dataset(X=np.zeros((0, 1)), Y=np.zeros((0, 1)), x_names=("x",), y_names=("y",))
+    with pytest.raises(DataError, match="empty"):
+        Dataset((np.zeros(0),), np.zeros(0))
+
+
+def test_dataset_is_read_only_and_leaves_its_arguments_writable():
+    tau, v, force = np.array([1.0, 2.0]), np.array([3.0, 4.0]), np.array([5.0, 6.0])
+    data = Dataset((tau, v), force)
+    assert len(data) == 2
+    for column in (*data.inputs, data.label):
+        with pytest.raises(ValueError):
+            column[0] = 0.0
+    force[0] = 0.0
+    assert data.label[0] == 5.0
+
+
+@pytest.fixture(scope="module")
+def stage_datasets(ref, circle_logs):
+    """One builder's dataset per fit stage, from small noiseless logs."""
+    front, rear = build_tire_dataset(circle_logs, ref)
+    return {
+        "friction": build_friction_dataset([_coast_log(ref)], ref.geometry.m),
+        "motor": build_motor_dataset([_step_log(ref)], ref.geometry.m, ref.friction),
+        "steering": build_steering_dataset(_steer_logs(ref, (-0.4, 0.4)), ref.geometry.l),
+        "front_tire": front,
+        "rear_tire": rear,
+    }
+
+
+@pytest.mark.parametrize("stage", ["friction", "motor", "steering", "front_tire", "rear_tire"])
+def test_builder_gives_one_input_column_per_curve_argument(stage, stage_datasets):
+    """A stage's dataset holds one input column for each argument its
+    ``models`` curve takes before the parameters."""
+    data = stage_datasets[stage]
+    arguments = list(inspect.signature(fitting._STAGES[stage].curve).parameters)[:-1]
+    assert len(data.inputs) == len(arguments)
+    assert all(column.shape == data.label.shape == (len(data),) for column in data.inputs)
 
 
 # --- friction ------------------------------------------------------------
@@ -71,7 +117,7 @@ def _coast_log(ref):
 def test_friction_excludes_standstill(ref):
     # coasting log that comes to rest: no rows below v_min survive
     data = build_friction_dataset([_coast_log(ref)], ref.geometry.m)
-    assert np.all(data.X[:, 0] > 0.05)
+    assert np.all(data.inputs[0] > 0.05)
 
 
 def test_friction_zero_noise_labels_match_curve(ref):
@@ -79,7 +125,7 @@ def test_friction_zero_noise_labels_match_curve(ref):
     # curved roll-out profile at 100 Hz
     log = _coast_log(ref)
     data = build_friction_dataset([log], ref.geometry.m)
-    residual = data.Y[:, 0] - models.friction_force(data.X[:, 0], ref.friction)
+    residual = data.label - models.friction_force(data.inputs[0], ref.friction)
     assert np.sqrt(np.mean(residual**2)) < 5e-3
 
 
@@ -98,7 +144,7 @@ def _step_log(ref, tau=0.3, seed=0, noise=0.0):
 def test_motor_dataset_excludes_coasting(ref):
     log = _step_log(ref)
     data = build_motor_dataset([log], ref.geometry.m, ref.friction)
-    assert np.all(data.X[:, 0] > 0)
+    assert np.all(data.inputs[0] > 0)
 
 
 def test_motor_zero_noise_label_residual(ref):
@@ -112,16 +158,16 @@ def test_motor_zero_noise_label_residual(ref):
     )
     log = synthesize_log(scen, ref, NoiseSpec(), 0)
     data = build_motor_dataset([log], ref.geometry.m, ref.friction)
-    predicted = models.motor_force(data.X[:, 0], data.X[:, 1], ref.motor)
-    rms = np.sqrt(np.mean((data.Y[:, 0] - predicted) ** 2))
+    predicted = models.motor_force(*data.inputs, ref.motor)
+    rms = np.sqrt(np.mean((data.label - predicted) ** 2))
     assert rms < 1e-6
 
 
 def test_motor_label_residual_at_logging_rate(ref):
     log = _step_log(ref)
     data = build_motor_dataset([log], ref.geometry.m, ref.friction)
-    predicted = models.motor_force(data.X[:, 0], data.X[:, 1], ref.motor)
-    rms = np.sqrt(np.mean((data.Y[:, 0] - predicted) ** 2))
+    predicted = models.motor_force(*data.inputs, ref.motor)
+    rms = np.sqrt(np.mean((data.label - predicted) ** 2))
     assert rms < 2e-2  # truncation floor of 100 Hz central differences
 
 
@@ -187,14 +233,14 @@ def test_steering_dataset_one_row_per_grid_segment(ref):
     s_values = np.round(np.arange(-1.0, 1.01, 0.2), 10)
     data = build_steering_dataset(_steer_logs(ref, s_values), ref.geometry.l)
     assert len(data) == 11
-    np.testing.assert_allclose(np.sort(data.X[:, 0]), s_values, atol=1e-12)
+    np.testing.assert_allclose(np.sort(data.inputs[0]), s_values, atol=1e-12)
 
 
 def test_steering_dataset_matches_true_map(ref):
     s_values = (-0.8, -0.4, 0.0, 0.4, 0.8)
     data = build_steering_dataset(_steer_logs(ref, s_values), ref.geometry.l)
-    expected = models.steering_angle(data.X[:, 0], ref.steering)
-    np.testing.assert_allclose(data.Y[:, 0], expected, atol=2e-4)
+    expected = models.steering_angle(data.inputs[0], ref.steering)
+    np.testing.assert_allclose(data.label, expected, atol=2e-4)
 
 
 def test_steering_dataset_excludes_slow_segments(ref, caplog):
@@ -239,8 +285,8 @@ def test_tire_dataset_matrix_solve_matches_closed_form_at_zero_heading(ref):
     # omega and domega vanish; closed form per row:
     expected_front = (geom.l_r * geom.m * a_y) / geom.l
     expected_rear = (geom.l_f * geom.m * a_y) / geom.l
-    np.testing.assert_allclose(front.Y[:, 0], expected_front, rtol=1e-10)
-    np.testing.assert_allclose(rear.Y[:, 0], expected_rear, rtol=1e-10)
+    np.testing.assert_allclose(front.label, expected_front, rtol=1e-10)
+    np.testing.assert_allclose(rear.label, expected_rear, rtol=1e-10)
 
 
 def test_tire_dataset_zero_acceleration_gives_zero_labels(ref):
@@ -249,8 +295,8 @@ def test_tire_dataset_zero_acceleration_gives_zero_labels(ref):
     mocap = MocapBlock(x_t=1.2 * t, y_t=np.zeros(n), eta_t=np.zeros(n))
     log = make_log(t, np.zeros(n), np.zeros(n), np.full(n, 1.2), np.zeros(n), mocap=mocap)
     front, rear = build_tire_dataset([log], ref)
-    np.testing.assert_allclose(front.Y, 0.0, atol=1e-9)
-    np.testing.assert_allclose(rear.Y, 0.0, atol=1e-9)
+    np.testing.assert_allclose(front.label, 0.0, atol=1e-9)
+    np.testing.assert_allclose(rear.label, 0.0, atol=1e-9)
 
 
 @pytest.fixture(scope="module")
@@ -264,10 +310,10 @@ def test_tire_dataset_round_trip_points_on_curve(ref, circle_logs):
     """Noiseless circular-ramp logs produce (alpha, force) pairs lying
     on the generating curves."""
     front, rear = build_tire_dataset(circle_logs, ref)
-    front_true = models.pacejka_lateral(front.X[:, 0], ref.tire)
-    rear_true = models.rear_lateral(rear.X[:, 0], ref.tire.C_r)
-    assert np.sqrt(np.mean((front.Y[:, 0] - front_true) ** 2)) < 0.02
-    assert np.sqrt(np.mean((rear.Y[:, 0] - rear_true) ** 2)) < 0.02
+    front_true = models.pacejka_lateral(front.inputs[0], ref.tire)
+    rear_true = models.rear_lateral(rear.inputs[0], ref.tire.C_r)
+    assert np.sqrt(np.mean((front.label - front_true) ** 2)) < 0.02
+    assert np.sqrt(np.mean((rear.label - rear_true) ** 2)) < 0.02
 
 
 def _solved_axle_forces(ax_abs, ay_abs, domega, eta, geom):
@@ -298,6 +344,6 @@ def test_tire_labels_equal_the_solved_force_balance(ref, circle_logs, monkeypatc
     closed = build_tire_dataset(logs, params)
     monkeypatch.setattr(datasets, "_axle_forces", _solved_axle_forces)
     for mine, solved in zip(closed, build_tire_dataset(logs, params)):
-        np.testing.assert_array_equal(mine.X, solved.X)
-        np.testing.assert_allclose(mine.Y, solved.Y, rtol=1e-12,
-                                   atol=1e-12 * np.abs(solved.Y).max())
+        np.testing.assert_array_equal(mine.inputs, solved.inputs)
+        np.testing.assert_allclose(mine.label, solved.label, rtol=1e-12,
+                                   atol=1e-12 * np.abs(solved.label).max())

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,7 +10,7 @@ from scipy.optimize import least_squares
 from minicar import models
 from minicar.datasets import Dataset
 from minicar import fitting
-from minicar.errors import ConfigError, DataError, FitDivergedError
+from minicar.errors import ConfigError, FitDivergedError
 from minicar.fitting import (
     FitConfig,
     adam_fit,
@@ -157,7 +159,7 @@ def test_lm_rejects_steps_into_non_finite_losses():
 def test_lm_reports_an_exhausted_budget_as_not_converged(ref, rng):
     data = _noisy_dataset("front_tire", ref, rng, 401)
     result = lm_fit(fitting._stage_residuals("front_tire", data),
-                    default_config("front_tire", max_iterations=2))
+                    replace(default_config("front_tire"), max_iterations=2))
     assert not result.converged
     assert result.iterations == 2
 
@@ -179,12 +181,11 @@ def test_lm_matches_scipy_trust_region_reflective(name, ref, rng):
     data = _noisy_dataset(name, ref, rng, 401)
     cfg = default_config(name)
     curve, jacobian = CURVES[name]
-    columns = data.X.T
 
     def fun(p):
-        return curve(*columns, p) - data.Y[:, 0]
+        return curve(*data.inputs, p) - data.label
 
-    oracle = least_squares(fun, cfg.initial, jac=lambda p: jacobian(*columns, p),
+    oracle = least_squares(fun, cfg.initial, jac=lambda p: jacobian(*data.inputs, p),
                            bounds=(cfg.lower, cfg.upper),
                            method="trf", xtol=1e-15, ftol=1e-15, gtol=1e-15)
     oracle_loss = float(np.sum(oracle.fun ** 2))
@@ -214,29 +215,29 @@ def test_learning_rate_schedule_shape():
 def _submodel_cases(ref, rng, rows=40):
     return {
         "friction": (
-            np.linspace(0.05, 3, rows)[:, None],
-            lambda X: models.friction_force(X[:, 0:1], ref.friction),
+            (np.linspace(0.05, 3, rows),),
+            lambda v: models.friction_force(v, ref.friction),
             np.array([ref.friction.a, ref.friction.b, ref.friction.c]),
         ),
         "motor": (
-            np.column_stack([rng.uniform(0.2, 0.4, rows), rng.uniform(0, 3, rows)]),
-            lambda X: models.motor_force(X[:, 0:1], X[:, 1:2], ref.motor),
+            (rng.uniform(0.2, 0.4, rows), rng.uniform(0, 3, rows)),
+            lambda tau, v: models.motor_force(tau, v, ref.motor),
             np.array([ref.motor.d, ref.motor.e, ref.motor.g]),
         ),
         "steering": (
-            np.linspace(-1, 1, rows)[:, None],
-            lambda X: models.steering_angle(X[:, 0:1], ref.steering),
+            (np.linspace(-1, 1, rows),),
+            lambda s: models.steering_angle(s, ref.steering),
             np.array([ref.steering.a_t, ref.steering.b_t, ref.steering.c_t,
                       ref.steering.d_t, ref.steering.e_t]),
         ),
         "front_tire": (
-            np.linspace(-0.6, 0.6, rows)[:, None],
-            lambda X: models.pacejka_lateral(X[:, 0:1], ref.tire),
+            (np.linspace(-0.6, 0.6, rows),),
+            lambda alpha: models.pacejka_lateral(alpha, ref.tire),
             np.array([ref.tire.D, ref.tire.C, ref.tire.B, ref.tire.E]),
         ),
         "rear_tire": (
-            np.linspace(-0.6, 0.6, rows)[:, None],
-            lambda X: models.rear_lateral(X[:, 0:1], ref.tire.C_r),
+            (np.linspace(-0.6, 0.6, rows),),
+            lambda alpha: models.rear_lateral(alpha, ref.tire.C_r),
             np.array([ref.tire.C_r]),
         ),
     }
@@ -262,9 +263,8 @@ CURVES = {
 def _noisy_dataset(name, ref, rng, rows):
     """The stage's inputs over its realistic range, with noisy labels, and
     a row count that is no multiple of a SIMD width."""
-    X, truth, _ = _submodel_cases(ref, rng, rows)[name]
-    Y = truth(X) + rng.normal(0.0, 0.05, (rows, 1))
-    return Dataset(X=X, Y=Y, x_names=tuple(f"x{i}" for i in range(X.shape[1])), y_names=("y",))
+    inputs, truth, _ = _submodel_cases(ref, rng, rows)[name]
+    return Dataset(inputs, truth(*inputs) + rng.normal(0.0, 0.05, rows))
 
 
 @pytest.mark.parametrize("name", CURVES)
@@ -279,23 +279,14 @@ def test_objective_gradient_does_not_alias_its_buffers(name, ref, rng):
     assert np.array_equal(first, kept)
 
 
-def test_objective_rejects_several_label_columns():
-    data = Dataset(X=np.ones((4, 1)), Y=np.ones((4, 2)), x_names=("v",), y_names=("a", "b"))
-    with pytest.raises(DataError):
-        submodel_objective("friction", data)
-
-
 @pytest.mark.parametrize("name", CURVES)
 def test_analytic_gradient_matches_finite_differences(name, ref, rng):
     """Loss gradients, and the curve's models Jacobian row by row, agree
     with central differences at 10 random interior points around the
     realistic parameter region."""
-    X, truth, p_ref = _submodel_cases(ref, rng)[name]
+    columns, truth, p_ref = _submodel_cases(ref, rng)[name]
     curve, jacobian = CURVES[name]
-    columns = X.T
-    data = Dataset(
-        X=X, Y=truth(X), x_names=tuple(f"x{i}" for i in range(X.shape[1])), y_names=("y",)
-    )
+    data = Dataset(columns, truth(*columns))
     objective = submodel_objective(name, data)
     cfg = default_config(name)
     for _ in range(10):
@@ -309,8 +300,8 @@ def test_analytic_gradient_matches_finite_differences(name, ref, rng):
         )
         assert rel < 1e-5
         jac = jacobian(*columns, p)
-        assert jac.shape == (X.shape[0], p_ref.size) and jac.flags.c_contiguous
-        for row in (0, X.shape[0] // 2, X.shape[0] - 1):
+        assert jac.shape == (len(data), p_ref.size) and jac.flags.c_contiguous
+        for row in (0, len(data) // 2, len(data) - 1):
             jac_fd = finite_difference_gradient(lambda q: curve(*columns, q)[row], p)
             np.testing.assert_allclose(jac[row], jac_fd, rtol=1e-5,
                                        atol=1e-7 * max(np.abs(jac_fd).max(), 1.0))
@@ -326,27 +317,23 @@ def test_default_config_rejects_unknown_submodel():
     {"max_iterations": 0},
     {"beta1": 1.0},
     {"initial": np.array([50.0, 10.0, 0.1])},  # outside the friction box
-    {"not_a_field": 1},
 ])
 def test_default_config_validates_overrides(overrides):
     with pytest.raises(ConfigError):
-        default_config("friction", **overrides)
+        replace(default_config("friction"), **overrides)
 
 
 def test_fit_wrappers_return_valid_params(ref, rng):
-    X = np.linspace(0.05, 3, 60)[:, None]
-    data = Dataset(
-        X=X, Y=models.friction_force(X[:, 0:1], ref.friction), x_names=("v",), y_names=("F",)
-    )
+    v = np.linspace(0.05, 3, 60)
+    data = Dataset((v,), models.friction_force(v, ref.friction))
     params, result = fitting.fit_friction(data)
     assert params.a > 0 and params.b > 0 and params.c >= 0
     assert result.converged
 
 
 def test_diagnostics_of_a_well_posed_friction_fit(ref, rng):
-    v = np.linspace(0.05, 3, 400)[:, None]
-    data = Dataset(X=v, Y=models.friction_force(v, ref.friction) + rng.normal(0, 0.01, v.shape),
-                   x_names=("v",), y_names=("F",))
+    v = np.linspace(0.05, 3, 400)
+    data = Dataset((v,), models.friction_force(v, ref.friction) + rng.normal(0, 0.01, v.shape))
     diag = fitting.fit_diagnostics("friction", data, np.array(list(ref.friction)),
                                    default_config("friction"))
     assert diag["grad_norm"] > 0
@@ -363,9 +350,8 @@ def test_diagnostics_flag_a_tire_slip_range_that_pins_only_the_slope(rng):
     p = np.array([1.0, 1.5, 5.0, 0.5])
 
     def diagnostics(reach):
-        alpha = np.linspace(-reach, reach, 400)[:, None]
-        data = Dataset(X=alpha, Y=models.pacejka_lateral(alpha, p) + rng.normal(0, 0.01, alpha.shape),
-                       x_names=("alpha",), y_names=("F",))
+        alpha = np.linspace(-reach, reach, 400)
+        data = Dataset((alpha,), models.pacejka_lateral(alpha, p) + rng.normal(0, 0.01, alpha.shape))
         return fitting.fit_diagnostics("front_tire", data, p, default_config("front_tire"))
 
     wide, narrow = diagnostics(0.6), diagnostics(0.01)
@@ -375,9 +361,9 @@ def test_diagnostics_flag_a_tire_slip_range_that_pins_only_the_slope(rng):
 
 
 def test_diagnostics_list_a_parameter_whose_optimum_lies_outside_the_box():
-    alpha = np.linspace(-0.6, 0.6, 50)[:, None]
-    data = Dataset(X=alpha, Y=3.0 * alpha, x_names=("alpha",), y_names=("F",))
-    cfg = default_config("rear_tire", upper=np.array([2.0]))
+    alpha = np.linspace(-0.6, 0.6, 50)
+    data = Dataset((alpha,), 3.0 * alpha)
+    cfg = replace(default_config("rear_tire"), upper=np.array([2.0]))
     result = lm_fit(fitting._stage_residuals("rear_tire", data), cfg)
     assert result.params[0] == 2.0
     assert fitting.fit_diagnostics("rear_tire", data, result.params, cfg)["active_bounds"] == ["C_r"]

@@ -1,8 +1,10 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from minicar.datasets import SMOOTH_WINDOW
-from minicar.errors import DataError
+from minicar.errors import DataError, IntegrationError
 from minicar.logs import save_log
 from minicar.models import body_frame_velocity
 from minicar.preprocess import differentiate, smooth
@@ -174,3 +176,29 @@ def test_normalized_validation_follows_the_blend_row_by_row(ref, tmp_path):
     save_trajectory(traj, ref, path)
     rms = one_step_rms(read_table(path), ref, "dynamic", normalized=True)
     assert all(v <= 1e-9 for v in rms.values()), rms
+
+
+@pytest.mark.parametrize("normalized", [False, True])
+def test_one_step_rms_names_the_row_and_time_of_a_non_finite_prediction(ref, tmp_path,
+                                                                         normalized):
+    """A speed of 1e300 in data row 101 (t = 1.0 s) of a dynamic
+    circle's export overflows that row's step: the error names the row
+    and its time, and no RuntimeWarning escapes."""
+    circle = _scenario(model="dynamic", init=(0, 0, 0, 0.5, 0, 0), steer=constant(0.4))
+    path = tmp_path / "circle.csv"
+    save_trajectory(simulate(circle, ref, normalized=normalized), ref, path)
+    table = read_table(path)
+    table["v_x"] = table["v_x"].copy()
+    table["v_x"][100] = 1e300
+    with pytest.raises(IntegrationError, match=r"at t=1\.000000 s \(row 101\)"):
+        one_step_rms(table, ref, "dynamic", normalized=normalized)
+
+
+def test_one_step_rms_rejects_an_rms_that_overflows(ref, tmp_path):
+    """With a stall force of 1e305 N every predicted speed is finite but
+    their squared errors overflow: the error names the channel."""
+    path = tmp_path / "log.csv"
+    save_log(synthesize_log(_scenario(), ref, NoiseSpec(), 0), path)
+    wild = replace(ref, motor=replace(ref.motor, d=1e305))
+    with pytest.raises(DataError, match="RMS of channel 'v' is not finite"):
+        one_step_rms(read_table(path), wild, "kinematic")
