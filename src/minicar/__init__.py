@@ -26,7 +26,6 @@ from .errors import (
 from .fitting import (
     FitConfig,
     FitResult,
-    adam_fit,
     fit_friction,
     fit_front_tire,
     fit_motor,

@@ -353,13 +353,25 @@ def _generate_all(jobs: list[tuple]) -> list[tuple]:
         pool.shutdown(cancel_futures=True)
 
 
+def _seed(text: str) -> int:
+    """A ``--seed`` value: the non-negative integer that numpy's
+    SeedSequence takes."""
+    try:
+        seed = int(text)
+    except ValueError:
+        seed = -1
+    if seed < 0:
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
+    return seed
+
+
 def cmd_generate(args) -> int:
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     params = load_params(args.params)
     noise = simulator.load_noise(args.noise)
     library = [(tag, scenario) for tag, battery in
                scenarios.scenario_library(dt=args.dt).items() for scenario in battery]
+    out_dir = Path(args.out)
+    out_dir.mkdir(parents=True, exist_ok=True)
     seeds = np.random.SeedSequence(args.seed).spawn(len(library))
     entries, runs = zip(*_generate_all([
         (tag, scenario, int(seed.generate_state(1)[0]), params, noise, args.normalized_slip,
@@ -416,7 +428,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_gen = sub.add_parser("generate", help="synthesize the experiment battery")
     p_gen.add_argument("--params", required=True)
     p_gen.add_argument("--noise", required=True, help="noise spec JSON")
-    p_gen.add_argument("--seed", required=True, type=int)
+    p_gen.add_argument("--seed", required=True, type=_seed)
     p_gen.add_argument("--out", required=True, help="output directory")
     p_gen.add_argument("--dt", type=float, default=0.01, help="sample period [s]")
     p_gen.add_argument("--normalized-slip", action="store_true")

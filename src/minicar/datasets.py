@@ -163,14 +163,12 @@ def estimate_steering_angle_series(omega, v, l: float) -> np.ndarray:
     return out
 
 
-def _constant_runs(values: np.ndarray):
-    """Yield (start, stop) index pairs of maximal constant runs."""
-    n = values.size
-    start = 0
-    for i in range(1, n + 1):
-        if i == n or values[i] != values[start]:
-            yield start, i
-            start = i
+def _constant_runs(values: np.ndarray) -> list[tuple[int, int]]:
+    """(start, stop) index pairs of the maximal runs of equal values."""
+    if values.size == 0:
+        return []
+    bounds = [0, *(np.flatnonzero(values[1:] != values[:-1]) + 1).tolist(), values.size]
+    return list(zip(bounds[:-1], bounds[1:]))
 
 
 def build_steering_dataset(logs: Sequence[RawLog], l: float) -> Dataset:

@@ -12,14 +12,12 @@ Levenberg–Marquardt method (Marquardt 1963; Moré 1978): each step
 solves (JᵀJ + λ·diag(JᵀJ)) δ = −Jᵀr for the parameters not held on a
 bound and clips p + δ to the box; a trial that does not lower the loss
 is rejected and λ grows, and an accepted one shrinks λ by Nielsen's
-(1999) gain-ratio rule. These
-curves are small, smooth least-squares problems, so a handful to a
-few hundred steps reach the optimum that first-order methods need
-tens of thousands of steps to approach.
+(1999) gain-ratio rule. These curves are small, smooth least-squares
+problems, so a handful to a few hundred steps reach the optimum.
+``FitConfig`` holds that solver's start, box and stopping rule.
 
-``adam_fit``, bias-corrected Adam with box clamping and a four-phase
-learning-rate schedule, remains as a library function for objectives
-that give only a loss and a gradient; no stage uses it.
+``adam_fit`` and ``submodel_objective``, a constant-step Adam and the
+loss-and-gradient objective it minimizes, are not used by any stage.
 """
 
 from __future__ import annotations
@@ -35,14 +33,6 @@ from .errors import ConfigError, FitDivergedError
 from .params import FrictionParams, MotorParams, SteeringParams, TireParams
 
 
-# Learning-rate schedule shape: fractions of the budget spent at the
-# base rate, dropping to the crawl rate, and crawling; the remainder
-# anneals to final_learning_rate.
-_PHASE_CONST = 0.2
-_PHASE_DROP = 0.1
-_PHASE_CRAWL = 0.45
-_CRAWL_FACTOR = 0.1
-
 # Levenberg–Marquardt damping λ: its first value; the floor that keeps
 # λ·diag(JᵀJ) above rounding, so the damped system stays regular when
 # JᵀJ is singular (a long run of good steps would otherwise take λ
@@ -55,32 +45,18 @@ _LM_LAMBDA_CEILING = 1e12
 
 @dataclass
 class FitConfig:
-    """Start, box and budget of one fit. ``lm_fit`` reads ``initial``,
-    ``lower``, ``upper``, ``max_iterations`` and ``tolerance``; the
-    remaining fields configure ``adam_fit`` only."""
+    """Start, box and stopping rule of one ``lm_fit``."""
 
     initial: np.ndarray
     lower: np.ndarray
     upper: np.ndarray
-    learning_rate: float = 0.01
-    beta1: float = 0.9
-    beta2: float = 0.999
-    max_iterations: int = 20000
-    tolerance: float = 1e-10  # relative loss-delta considered "no movement"
-    patience: int = 50  # consecutive no-movement iterations before stopping
-    eps: float = 1e-8
-    final_learning_rate: float = 1e-9
+    max_iterations: int = 20000  # accepted steps before the fit stops unconverged
+    tolerance: float = 1e-10  # an accepted step lowering the loss by less, relative, converges
 
     def __post_init__(self):
         self.initial = np.asarray(self.initial, dtype=float)
         self.lower = np.asarray(self.lower, dtype=float)
         self.upper = np.asarray(self.upper, dtype=float)
-        if self.learning_rate <= 0:
-            raise ConfigError("learning rate must be > 0")
-        if not 0 < self.final_learning_rate <= self.learning_rate:
-            raise ConfigError("final learning rate must lie in (0, learning_rate]")
-        if not (0 < self.beta1 < 1 and 0 < self.beta2 < 1):
-            raise ConfigError("decay rates must lie in (0, 1)")
         if self.max_iterations < 1:
             raise ConfigError("iteration budget must be >= 1")
         if not (self.initial.shape == self.lower.shape == self.upper.shape):
@@ -89,23 +65,6 @@ class FitConfig:
             raise ConfigError("lower bounds exceed upper bounds")
         if np.any(self.initial < self.lower) or np.any(self.initial > self.upper):
             raise ConfigError("initial parameters must lie within bounds")
-
-    def learning_rate_at(self, k: int) -> float:
-        """Scheduled rate at iteration k (1-based)."""
-        n = self.max_iterations
-        k1 = int(n * _PHASE_CONST)
-        k2 = int(n * (_PHASE_CONST + _PHASE_DROP))
-        k3 = int(n * (_PHASE_CONST + _PHASE_DROP + _PHASE_CRAWL))
-        crawl = self.learning_rate * _CRAWL_FACTOR
-        if k <= k1:
-            return self.learning_rate
-        if k <= k2:
-            ratio = (crawl / self.learning_rate) ** (1.0 / max(k2 - k1, 1))
-            return self.learning_rate * ratio ** (k - k1)
-        if k <= k3:
-            return crawl
-        ratio = (self.final_learning_rate / crawl) ** (1.0 / max(n - k3, 1))
-        return crawl * ratio ** (k - k3)
 
 
 @dataclass(frozen=True)
@@ -119,13 +78,23 @@ class FitResult:
     diagnostics: dict | None = None  # fit_diagnostics at params, set by the fit_* stages
 
 
+# Adam's constant step size, moment decay rates and denominator guard
+# (Kingma and Ba 2015), and the run of still iterations that stops it.
+_ADAM_STEP = 0.01
+_ADAM_BETA1 = 0.9
+_ADAM_BETA2 = 0.999
+_ADAM_EPS = 1e-8
+_ADAM_PATIENCE = 50
+
+
 def adam_fit(objective: Callable, config: FitConfig) -> FitResult:
     """Minimize ``objective(p) -> (loss, grad)`` inside a parameter box.
 
-    Adaptive-moment steps with bias correction; iterates are clamped to
-    the box after every update. Stops early once the loss has stopped
-    moving (delta below tolerance) for ``patience`` consecutive
-    iterations, otherwise runs the full scheduled budget.
+    Adaptive-moment steps of constant size with bias correction; iterates
+    are clamped to the box after every update. Stops early once the loss
+    has changed by less than ``config.tolerance`` relative for
+    ``_ADAM_PATIENCE`` consecutive iterations, otherwise after
+    ``config.max_iterations``.
     """
     p = config.initial.copy()
     m = np.zeros_like(p)
@@ -140,11 +109,11 @@ def adam_fit(objective: Callable, config: FitConfig) -> FitResult:
             raise FitDivergedError("non-finite loss or gradient", iteration=k - 1)
         trace.append(loss)
 
-        m = config.beta1 * m + (1 - config.beta1) * grad
-        v = config.beta2 * v + (1 - config.beta2) * grad * grad
-        m_hat = m / (1 - config.beta1**k)
-        v_hat = v / (1 - config.beta2**k)
-        p = p - config.learning_rate_at(k) * m_hat / (np.sqrt(v_hat) + config.eps)
+        m = _ADAM_BETA1 * m + (1 - _ADAM_BETA1) * grad
+        v = _ADAM_BETA2 * v + (1 - _ADAM_BETA2) * grad * grad
+        m_hat = m / (1 - _ADAM_BETA1**k)
+        v_hat = v / (1 - _ADAM_BETA2**k)
+        p = p - _ADAM_STEP * m_hat / (np.sqrt(v_hat) + _ADAM_EPS)
         p = np.clip(p, config.lower, config.upper)
 
         new_loss, grad = objective(p)
@@ -154,7 +123,7 @@ def adam_fit(objective: Callable, config: FitConfig) -> FitResult:
         moved = abs(new_loss - loss) >= config.tolerance * max(loss, 1e-300)
         still = 0 if moved else still + 1
         loss = new_loss
-        if still >= config.patience:
+        if still >= _ADAM_PATIENCE:
             trace.append(loss)
             converged = True
             break

@@ -320,6 +320,22 @@ def test_generate_rejects_malformed_noise_json(tmp_path, params_file, caplog, te
                  "--seed", "1", "--out", str(tmp_path / "g")])
     assert code == 2
     assert str(noise) in caplog.text
+    assert not (tmp_path / "g").exists()
+
+
+@pytest.mark.parametrize("seed", ["-1", "1.5"])
+def test_generate_rejects_a_seed_that_is_no_non_negative_integer(tmp_path, params_file,
+                                                                  capsys, seed):
+    noise = tmp_path / "noise.json"
+    noise.write_text("{}")
+    out = tmp_path / "g"
+    with pytest.raises(SystemExit) as stop:
+        main(["generate", "--params", str(params_file), "--noise", str(noise),
+              "--seed", seed, "--out", str(out)])
+    assert stop.value.code == 2
+    err = capsys.readouterr().err
+    assert err.count("error:") == 1 and "--seed" in err and "Traceback" not in err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("bad", ["params", "scenario"])

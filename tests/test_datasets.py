@@ -216,6 +216,32 @@ def test_estimate_steering_angle_rejects_all_slow():
 # --- steering dataset ------------------------------------------------------
 
 
+def _constant_runs_by_loop(values):
+    runs, start = [], 0
+    for i in range(1, len(values) + 1):
+        if i == len(values) or values[i] != values[start]:
+            runs.append((start, i))
+            start = i
+    return runs
+
+
+def _piecewise_constant(rng, rows):
+    return np.repeat(rng.choice([-0.4, 0.0, 0.4], 12), rng.integers(1, 20, 12))[:rows]
+
+
+@pytest.mark.parametrize("make", [
+    lambda rng: np.array([0.3]),
+    lambda rng: np.full(801, 0.2),
+    lambda rng: rng.uniform(0, 1, 1401) > 0.2,  # a mask, as measure_steer_delay passes
+    *[lambda rng, rows=rows: _piecewise_constant(rng, rows) for rows in (7, 60, 500)],
+], ids=["one_row", "all_equal", "mask", "piecewise7", "piecewise60", "piecewise500"])
+def test_constant_runs_match_a_plain_loop(make, rng):
+    values = make(rng)
+    runs = list(datasets._constant_runs(values))
+    assert runs == _constant_runs_by_loop(values.tolist())
+    assert all(type(a) is int and type(b) is int for a, b in runs)
+
+
 def _steer_logs(ref, s_values, seed=0, noise_v=0.0, noise_w=0.0):
     logs = []
     for i, s in enumerate(s_values):
