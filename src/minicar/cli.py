@@ -221,9 +221,6 @@ def cmd_fit(args) -> int:
     if not logs_dir.is_dir():
         logger.error("logs directory %s does not exist", logs_dir)
         return 2
-    out_path = Path(args.out)
-    out_dir = out_path.parent
-    out_dir.mkdir(parents=True, exist_ok=True)
 
     tagged, files = _collect_logs(logs_dir)
     if not any(tagged.values()):
@@ -238,6 +235,9 @@ def cmd_fit(args) -> int:
         logger.error("fit failed: %s", exc)
         return 2
 
+    out_path = Path(args.out)
+    out_dir = out_path.parent
+    out_dir.mkdir(parents=True, exist_ok=True)
     report = {
         "stages": [
             {"name": r.name, "status": r.status, "detail": r.detail,
@@ -290,11 +290,11 @@ def _simulate(scenario: scenarios.Scenario, params, normalized: bool):
 
 
 def cmd_simulate(args) -> int:
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     params = load_params(args.params)
     scenario = scenarios.load_scenario(args.scenario)
     traj, run = _simulate(scenario, params, args.normalized_slip)
+    out_dir = Path(args.out)
+    out_dir.mkdir(parents=True, exist_ok=True)
     simulator.save_trajectory(traj, params, out_dir / "trajectory.csv")
 
     svgplot.save_plot(

@@ -191,14 +191,13 @@ def load_log(source, name: str = "") -> RawLog:
     if isinstance(source, (str, Path)):
         name = name or str(source)
     table = read_table(source, name)
-    header = tuple(table)
+    where, header = name or "<stream>", tuple(table)
     if header[: len(REQUIRED_COLUMNS)] != REQUIRED_COLUMNS:
-        raise ParseError(
-            f"expected header starting with {','.join(REQUIRED_COLUMNS)}, got {','.join(header)!r}"
-        )
+        raise ParseError(f"{where}: expected header starting with "
+                         f"{','.join(REQUIRED_COLUMNS)}, got {','.join(header)!r}")
     extras = header[len(REQUIRED_COLUMNS) :]
     if extras not in ((), MOCAP_COLUMNS):
-        raise ParseError(f"unrecognized extra columns {extras}")
+        raise ParseError(f"{where}: unrecognized extra columns {extras}")
     mocap = MocapBlock(*(table[c] for c in MOCAP_COLUMNS)) if extras else None
     return RawLog(*(table[c] for c in REQUIRED_COLUMNS), mocap=mocap, name=name)
 

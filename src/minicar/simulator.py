@@ -49,7 +49,7 @@ import numpy as np
 
 from . import models
 from .delay import delay_shift
-from .errors import ConfigError, IntegrationError, SimulationDiverged
+from .errors import ConfigError, DataError, IntegrationError, SimulationDiverged
 from .integrators import (non_finite_state, rk4_accumulate, rk4_scalar_stages,
                           rk4_stage_points, rk4_step, rk4_tuple_stages)
 from .logs import MocapBlock, RawLog, format_table
@@ -134,8 +134,9 @@ def simulate(scenario: Scenario, params: VehicleParams, *,
 
     A non-finite state raises IntegrationError. A state beyond
     DIVERGENCE_LIMIT raises SimulationDiverged carrying the trajectory
-    up to the last sane state. Both name the scenario; the earliest
-    offending step decides which is raised.
+    up to the last sane state; the earliest offending step decides
+    which is raised. A kinematic step at |delta| >= pi/2 raises
+    ConfigError naming its time. Every error names the scenario.
     """
     dt, times = scenario.dt, scenario.times
     tau_cmd, s_cmd = scenario.sample_inputs()
@@ -149,8 +150,8 @@ def simulate(scenario: Scenario, params: VehicleParams, *,
                 states = _kinematic_states(scenario, params, inputs)
             else:
                 states = _dynamic_states(scenario, params, inputs, normalized)
-    except IntegrationError as exc:
-        raise IntegrationError(f"{exc} in scenario {scenario.name!r}") from exc
+    except (ConfigError, DataError, IntegrationError) as exc:
+        raise type(exc)(f"{exc} in scenario {scenario.name!r}") from exc
     n = len(states)
     traj = Trajectory(model=scenario.model, t=times[:n].copy(), states=states,
                       commanded_tau=tau_cmd[:n].copy(), commanded_s=s_cmd[:n].copy(),
@@ -164,7 +165,10 @@ def simulate(scenario: Scenario, params: VehicleParams, *,
 def _kinematic_states(scenario: Scenario, params: VehicleParams, inputs: tuple) -> np.ndarray:
     """A kinematic scenario's states up to the last sane one (``_sane_states``)."""
     gate, delta, tan_delta, _, _ = inputs
-    models.check_kinematic_steering(delta)
+    try:
+        models.check_kinematic_steering(delta)
+    except ConfigError as exc:
+        raise _steering_error(exc, scenario, int(np.argmax(np.abs(delta) >= np.pi / 2))) from exc
     geom, motor, friction = params.geometry, tuple(params.motor), tuple(params.friction)
 
     def acceleration(gate_k, v):
@@ -194,9 +198,12 @@ def _dynamic_states(scenario: Scenario, params: VehicleParams, inputs: tuple,
             models.net_force(gate, s[0], motor, friction), geom), 0.0, 0.0),
             lambda s: models.rolling_body(s[0], tan_d, geom))
 
-    stages, end = rk4_tuple_stages(law, scenario.initial_state[3:],
-                                   zip(*(c.tolist() for c in inputs)), scenario.dt,
-                                   DIVERGENCE_LIMIT)
+    steps = zip(*(c.tolist() for c in inputs))
+    try:
+        stages, end = rk4_tuple_stages(law, scenario.initial_state[3:], steps, scenario.dt,
+                                       DIVERGENCE_LIMIT)
+    except ConfigError as exc:  # a rolling step's check; ``steps`` holds the steps after it
+        raise _steering_error(exc, scenario, inputs[0].size - 1 - sum(1 for _ in steps)) from exc
     body = np.ascontiguousarray(np.frombuffer(stages).reshape(-1, 4, 3).T)  # (3, 4, steps)
     v_x, v_y, omega = body
     rolls = (v_x[0] < BLEND_SPEED) & normalized  # as ``law`` chose
@@ -207,6 +214,11 @@ def _dynamic_states(scenario: Scenario, params: VehicleParams, inputs: tuple,
             models.heading_velocity(v_x, eta), models.world_velocity(v_x, v_y, eta))]
 
     return _sane_states(scenario, yaw, velocity, body, end)
+
+
+def _steering_error(exc: ConfigError, scenario: Scenario, step: int) -> ConfigError:
+    """The kinematic steering check's error, naming the time of the step it refused."""
+    return ConfigError(f"{exc} at t={scenario.times[step]:.6f} s")
 
 
 def _sane_states(scenario: Scenario, yaw: np.ndarray, velocity, body, end) -> np.ndarray:

@@ -81,6 +81,59 @@ def test_simulate_rejects_bad_scenario(tmp_path, params_file):
                  "--out", str(tmp_path / "x")]) != 0
 
 
+def _one_error(caplog) -> str:
+    (error,) = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
+    return error
+
+
+def _full_lock(tmp_path, params_file):
+    """A steering map whose full lock reaches |delta| >= pi/2, and a
+    scenario that commands full lock from t = 0.3 s (applied at 0.45 s)."""
+    doc = json.loads(params_file.read_text())
+    doc["steering"].update(a_t=3.0, d_t=3.0, b_t=5.0, e_t=5.0)
+    wide = tmp_path / "wide.json"
+    wide.write_text(json.dumps(doc))
+    return wide, write_scenario(tmp_path, steering={"type": "piecewise", "times": [0.0, 0.3],
+                                                    "values": [0.0, 1.0]})
+
+
+def test_simulate_that_fails_creates_no_output_directory(tmp_path, params_file, caplog):
+    """A scenario that does not load, and one whose steering reaches
+    |delta| >= pi/2, each fail with status 2 and one error naming the
+    file or the scenario and the step's time, and leave no --out."""
+    bad = tmp_path / "bad.json"
+    bad.write_text('{"name": "x"}')
+    out = tmp_path / "simout"
+    assert main(["simulate", "--params", str(params_file), "--scenario", str(bad),
+                 "--out", str(out)]) == 2
+    assert str(bad) in _one_error(caplog) and not out.exists()
+    caplog.clear()
+    wide, scenario = _full_lock(tmp_path, params_file)
+    assert main(["simulate", "--params", str(wide), "--scenario", str(scenario),
+                 "--out", str(out)]) == 2
+    assert "at t=0.450000 s in scenario 'cli_step'" in _one_error(caplog) and not out.exists()
+
+
+def test_fit_on_a_log_it_cannot_read_creates_no_output_directory(tmp_path, caplog):
+    log = tmp_path / "logs" / "coast" / "a.csv"
+    log.parent.mkdir(parents=True)
+    log.write_text("t,tau\n0,0\n0.01,0\n")
+    out = tmp_path / "fitout"
+    assert main(["fit", "--logs", str(tmp_path / "logs"), "--out", str(out / "p.json")]) == 2
+    assert _one_error(caplog).startswith(f"{log}: expected header") and not out.exists()
+
+
+def test_validate_names_the_row_of_a_refused_steering_angle(tmp_path, params_file, caplog):
+    wide, scenario = _full_lock(tmp_path, params_file)
+    sim = tmp_path / "sim"
+    assert main(["simulate", "--params", str(params_file), "--scenario", str(scenario),
+                 "--out", str(sim)]) == 0
+    caplog.clear()
+    assert main(["validate", "--params", str(wide), "--log", str(sim / "trajectory.csv"),
+                 "--model", "kinematic"]) == 2
+    assert _one_error(caplog).endswith("pi/2 at t=0.450000 s (row 46)")
+
+
 @pytest.mark.parametrize("params_text", ["[]", '{"schema_version": 1, "friction": [1]}'])
 def test_simulate_rejects_malformed_params_with_status_2(tmp_path, caplog, params_text):
     params = tmp_path / "bad.json"
@@ -190,7 +243,7 @@ def test_validate_exits_2_on_a_non_finite_result_writing_no_json(tmp_path, param
     if case == "non-finite prediction":
         lines = log.read_text().splitlines()
         fields = lines[101].split(",")
-        fields[lines[0].split(",").index("v_x")] = "1e300"
+        fields[lines[0].split(",").index("v_enc")] = "1e300"
         lines[101] = ",".join(fields)
         log.write_text("\n".join(lines) + "\n")
     capsys.readouterr()

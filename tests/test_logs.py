@@ -119,9 +119,19 @@ def test_load_rejects_out_of_range_inputs():
         load_log(text.encode())
 
 
-def test_load_rejects_unknown_header():
-    with pytest.raises(ParseError, match="header"):
-        load_log(b"time,throttle\n0,0\n")
+def test_load_rejects_unknown_header(tmp_path):
+    """Both header errors name the file, as every parse error does."""
+    path = tmp_path / "log.csv"
+    for header, error in (("time,throttle", "expected header starting with"),
+                          ("t,tau", "expected header starting with"),
+                          ("t,tau,s,v_enc,omega_imu,x_t", "unrecognized extra columns")):
+        text = f"{header}\n{','.join('0' for _ in header.split(','))}\n"
+        with pytest.raises(ParseError, match=f"^<stream>: {error}"):
+            load_log(text.encode())
+        path.write_text(text)
+        with pytest.raises(ParseError) as refused:
+            load_log(path)
+        assert str(refused.value).startswith(f"{path}: {error}")
 
 
 def test_load_rejects_empty():

@@ -109,16 +109,35 @@ def test_dynamic_blend_below_threshold_matches_kinematic(ref):
 
 def test_only_kinematic_steps_reject_a_steering_angle_at_pi_over_2(ref):
     """|delta| >= pi/2 stops a kinematic scenario and a normalized
-    dynamic one in its rolling fallback, but not the dynamic model."""
+    dynamic one in its rolling fallback, but not the dynamic model. The
+    error names the scenario and the time of the first such step: full
+    lock is commanded at t = 0.3 s and applied one steering delay later."""
     wide = replace(ref, steering=replace(ref.steering, a_t=6.0, d_t=6.0))
     steer = PiecewiseSchedule(times=(0.0, 0.3), values=(0.0, 1.0))
-    with pytest.raises(ConfigError, match="pi/2"):
+    refused = rf"pi/2 at t={0.3 + wide.delays.steer_delay:.6f} s in scenario 't'$"
+    with pytest.raises(ConfigError, match=refused):
         simulate(_scenario(constant(0.3), steer, duration=1.0), wide)
     dynamic = _scenario(constant(0.0), steer, duration=1.0, model="dynamic",
                         init=(0, 0, 0, 0.1, 0, 0))
     assert len(simulate(dynamic, wide)) == dynamic.times.size
-    with pytest.raises(ConfigError, match="pi/2"):
+    with pytest.raises(ConfigError, match=refused):
         simulate(dynamic, wide, normalized=True)
+
+
+def test_a_refused_rolling_step_is_named_by_its_own_time(ref):
+    """A normalized dynamic coast at full lock takes its fast steps at
+    |delta| >= pi/2 unchecked and stops at its first rolling step: the
+    run up to the named time succeeds, one step more fails."""
+    wide = replace(ref, steering=replace(ref.steering, a_t=3.0, d_t=3.0, b_t=5.0, e_t=5.0))
+    coast = _scenario(constant(0.0), constant(1.0), duration=5.0, model="dynamic",
+                      init=(0, 0, 0, 0.6, 0, 0))
+    with pytest.raises(ConfigError, match=r"pi/2 at t=(\S+) s in scenario 't'") as refused:
+        simulate(coast, wide, normalized=True)
+    t = float(str(refused.value).split("at t=")[1].split(" s")[0])
+    assert t > coast.dt
+    assert len(simulate(replace(coast, duration=t), wide, normalized=True)) == round(t / coast.dt) + 1
+    with pytest.raises(ConfigError, match=f"at t={t:.6f} s"):
+        simulate(replace(coast, duration=t + coast.dt), wide, normalized=True)
 
 
 def test_dynamic_scenario_requires_tire_parameters(ref):

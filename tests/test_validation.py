@@ -4,12 +4,13 @@ import numpy as np
 import pytest
 
 from minicar.datasets import SMOOTH_WINDOW
-from minicar.errors import DataError, IntegrationError
+from minicar.errors import ConfigError, DataError, IntegrationError
 from minicar.logs import save_log
 from minicar.models import body_frame_velocity
 from minicar.preprocess import differentiate, smooth
 from minicar.scenarios import Scenario, SineSchedule, constant
-from minicar.simulator import NoiseSpec, save_trajectory, simulate, synthesize_log
+from minicar.simulator import (NoiseSpec, save_trajectory, simulate, synthesize_log,
+                               trajectory_to_csv)
 from minicar.validation import one_step_rms, read_table
 
 
@@ -188,8 +189,8 @@ def test_one_step_rms_names_the_row_and_time_of_a_non_finite_prediction(ref, tmp
     path = tmp_path / "circle.csv"
     save_trajectory(simulate(circle, ref, normalized=normalized), ref, path)
     table = read_table(path)
-    table["v_x"] = table["v_x"].copy()
-    table["v_x"][100] = 1e300
+    table["v_enc"] = table["v_enc"].copy()
+    table["v_enc"][100] = 1e300
     with pytest.raises(IntegrationError, match=r"at t=1\.000000 s \(row 101\)"):
         one_step_rms(table, ref, "dynamic", normalized=normalized)
 
@@ -202,3 +203,56 @@ def test_one_step_rms_rejects_an_rms_that_overflows(ref, tmp_path):
     wild = replace(ref, motor=replace(ref.motor, d=1e305))
     with pytest.raises(DataError, match="RMS of channel 'v' is not finite"):
         one_step_rms(read_table(path), wild, "kinematic")
+
+
+@pytest.mark.parametrize("model", ["kinematic", "dynamic"])
+def test_an_export_writes_its_sensor_columns_bit_equal_to_its_states(ref, model):
+    """``v_enc`` is the speed state and, for the dynamic model,
+    ``omega_imu`` the yaw-rate state, bit for bit, so validate reads an
+    export's states from the columns it reads a log's from."""
+    scen = _scenario(model=model, init=(0, 0, 0, 0.5, 0, 0) if model == "dynamic" else ())
+    table = read_table(trajectory_to_csv(simulate(scen, ref), ref).encode())
+    speed = "v" if model == "kinematic" else "v_x"
+    assert table["v_enc"].tobytes() == table[speed].tobytes()
+    if model == "dynamic":
+        assert table["omega_imu"].tobytes() == table["omega"].tobytes()
+
+
+def test_a_pose_is_one_whole_triple(ref, tmp_path):
+    """A table with x and y but no eta validates on the mocap triple
+    alone, never on a pose put together from both vocabularies."""
+    scen = _scenario(mocap=True)
+    path = tmp_path / "log.csv"
+    save_log(synthesize_log(scen, ref, NoiseSpec(mocap_xy=0.01), 1), path)
+    table = read_table(path)
+    mocap = one_step_rms(table, ref, "kinematic")
+    assert set(mocap) == {"x", "y", "eta", "v"}
+    wrong = {"x": table["y_t"], "y": table["x_t"]}
+    assert one_step_rms({**table, **wrong}, ref, "kinematic") == mocap
+
+
+@pytest.mark.parametrize("have, missing", [("tau_applied", "s_applied"),
+                                           ("s_applied", "tau_applied")])
+def test_one_applied_input_without_its_pair_is_refused(ref, have, missing):
+    """A lone ``tau_applied`` or ``s_applied`` fails naming the missing
+    one, though the commands it could be shifted from are there."""
+    n = 5
+    table = {name: np.zeros(n) for name in ("tau", "s", "v_enc", have)}
+    table["t"] = np.arange(n) * 0.01
+    with pytest.raises(DataError, match=f"no {missing} column"):
+        one_step_rms(table, ref, "kinematic")
+
+
+@pytest.mark.parametrize("model", ["kinematic", "dynamic"])
+def test_a_refused_steering_angle_names_its_row(ref, tmp_path, model):
+    """Steering that reaches |delta| >= pi/2 from data row 46 (t = 0.45 s)
+    on: a kinematic step, or a normalized dynamic step that rolls, fails
+    naming that row."""
+    wide = replace(ref, steering=replace(ref.steering, a_t=3.0, d_t=3.0, b_t=5.0, e_t=5.0))
+    path = tmp_path / "log.csv"
+    save_log(synthesize_log(_scenario(duration=1.0, mocap=True), ref, NoiseSpec(), 0), path)
+    table = read_table(path)
+    table["s"] = np.where(table["t"] < 0.295, 0.0, 1.0)  # full lock from row 31, applied at row 46
+    table["v_enc"] = np.full_like(table["t"], 0.1)  # below the blend speed
+    with pytest.raises(ConfigError, match=r"pi/2 at t=0\.450000 s \(row 46\)$"):
+        one_step_rms(table, wide, model, normalized=True)
