@@ -217,6 +217,10 @@ _FIT_FIELDS = {
 
 
 def cmd_fit(args) -> int:
+    out_path = Path(args.out)
+    if args.out.endswith(("/", os.sep)) or out_path.is_dir():
+        logger.error("--out %s names a directory, not the parameter file", args.out)
+        return 2
     logs_dir = Path(args.logs)
     if not logs_dir.is_dir():
         logger.error("logs directory %s does not exist", logs_dir)
@@ -235,7 +239,6 @@ def cmd_fit(args) -> int:
         logger.error("fit failed: %s", exc)
         return 2
 
-    out_path = Path(args.out)
     out_dir = out_path.parent
     out_dir.mkdir(parents=True, exist_ok=True)
     report = {

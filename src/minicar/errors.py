@@ -32,7 +32,7 @@ class ConfigError(MinicarError):
 
 
 class FitDivergedError(MinicarError):
-    """Optimization hit a non-finite loss or gradient."""
+    """A fit started at a non-finite loss or met a non-finite Jacobian."""
 
     def __init__(self, message: str, iteration: int):
         super().__init__(f"{message} (iteration {iteration})")

@@ -4,8 +4,8 @@ Each stage fits one curve of ``models`` to a Dataset, whose inputs are
 the curve's arguments in order: the fit vector holds its parameters in
 field order, r = curve(inputs; p) − label is the residual vector and
 ``models.<curve>_jacobian`` gives its analytic Jacobian J. No curve
-formula lives here. The stage fits, the diagnostics and the
-loss-and-gradient objective all evaluate r and J the same way.
+formula lives here. The stage fits and the diagnostics evaluate r and
+J the same way.
 
 Every stage is solved by ``lm_fit``, a box-projected
 Levenberg–Marquardt method (Marquardt 1963; Moré 1978): each step
@@ -14,10 +14,8 @@ bound and clips p + δ to the box; a trial that does not lower the loss
 is rejected and λ grows, and an accepted one shrinks λ by Nielsen's
 (1999) gain-ratio rule. These curves are small, smooth least-squares
 problems, so a handful to a few hundred steps reach the optimum.
-``FitConfig`` holds that solver's start, box and stopping rule.
-
-``adam_fit`` and ``submodel_objective``, a constant-step Adam and the
-loss-and-gradient objective it minimizes, are not used by any stage.
+``FitConfig`` holds the start and the box; the step cap and the stop
+are this module's constants.
 """
 
 from __future__ import annotations
@@ -41,24 +39,24 @@ from .params import FrictionParams, MotorParams, SteeringParams, TireParams
 _LM_LAMBDA_START = 1e-3
 _LM_LAMBDA_FLOOR = 1e-15
 _LM_LAMBDA_CEILING = 1e12
+# Accepted steps before a fit stops unconverged, and the relative loss
+# decrease below which an accepted step converges.
+_LM_MAX_STEPS = 20000
+_LM_TOLERANCE = 1e-10
 
 
 @dataclass
 class FitConfig:
-    """Start, box and stopping rule of one ``lm_fit``."""
+    """Start and box of one ``lm_fit``."""
 
     initial: np.ndarray
     lower: np.ndarray
     upper: np.ndarray
-    max_iterations: int = 20000  # accepted steps before the fit stops unconverged
-    tolerance: float = 1e-10  # an accepted step lowering the loss by less, relative, converges
 
     def __post_init__(self):
         self.initial = np.asarray(self.initial, dtype=float)
         self.lower = np.asarray(self.lower, dtype=float)
         self.upper = np.asarray(self.upper, dtype=float)
-        if self.max_iterations < 1:
-            raise ConfigError("iteration budget must be >= 1")
         if not (self.initial.shape == self.lower.shape == self.upper.shape):
             raise ConfigError("initial, lower and upper must have equal shape")
         if np.any(self.lower > self.upper):
@@ -74,70 +72,13 @@ class FitResult:
     trace: np.ndarray  # loss at the start and after each iteration, trace[-1] == loss
     iterations: int
     converged: bool
-    evaluations: int  # objective or residual evaluations, rejected trials included
+    evaluations: int  # residual evaluations, rejected trials included
     diagnostics: dict | None = None  # fit_diagnostics at params, set by the fit_* stages
 
 
-# Adam's constant step size, moment decay rates and denominator guard
-# (Kingma and Ba 2015), and the run of still iterations that stops it.
-_ADAM_STEP = 0.01
-_ADAM_BETA1 = 0.9
-_ADAM_BETA2 = 0.999
-_ADAM_EPS = 1e-8
-_ADAM_PATIENCE = 50
-
-
-def adam_fit(objective: Callable, config: FitConfig) -> FitResult:
-    """Minimize ``objective(p) -> (loss, grad)`` inside a parameter box.
-
-    Adaptive-moment steps of constant size with bias correction; iterates
-    are clamped to the box after every update. Stops early once the loss
-    has changed by less than ``config.tolerance`` relative for
-    ``_ADAM_PATIENCE`` consecutive iterations, otherwise after
-    ``config.max_iterations``.
-    """
-    p = config.initial.copy()
-    m = np.zeros_like(p)
-    v = np.zeros_like(p)
-    trace = []
-    still = 0
-    converged = False
-
-    loss, grad = objective(p)
-    for k in range(1, config.max_iterations + 1):
-        if not (np.isfinite(loss) and np.all(np.isfinite(grad))):
-            raise FitDivergedError("non-finite loss or gradient", iteration=k - 1)
-        trace.append(loss)
-
-        m = _ADAM_BETA1 * m + (1 - _ADAM_BETA1) * grad
-        v = _ADAM_BETA2 * v + (1 - _ADAM_BETA2) * grad * grad
-        m_hat = m / (1 - _ADAM_BETA1**k)
-        v_hat = v / (1 - _ADAM_BETA2**k)
-        p = p - _ADAM_STEP * m_hat / (np.sqrt(v_hat) + _ADAM_EPS)
-        p = np.clip(p, config.lower, config.upper)
-
-        new_loss, grad = objective(p)
-        if not np.isfinite(new_loss):
-            raise FitDivergedError("non-finite loss", iteration=k)
-
-        moved = abs(new_loss - loss) >= config.tolerance * max(loss, 1e-300)
-        still = 0 if moved else still + 1
-        loss = new_loss
-        if still >= _ADAM_PATIENCE:
-            trace.append(loss)
-            converged = True
-            break
-    else:
-        trace.append(loss)
-
-    return FitResult(
-        params=p,
-        loss=float(loss),
-        trace=np.asarray(trace),
-        iterations=len(trace) - 1,
-        converged=converged,
-        evaluations=len(trace),
-    )
+# perfbench/tracing.py looks both names up and calls neither; they go
+# with the benchmark's next change.
+adam_fit = submodel_objective = None
 
 
 def _sum_squares(residual: np.ndarray) -> float:
@@ -155,9 +96,8 @@ def lm_fit(residuals: Callable, config: FitConfig) -> FitResult:
     is not lower, or not finite, is rejected and λ grows; an accepted
     one shrinks λ by the gain ratio of actual to predicted reduction
     (Nielsen 1999). Converged when an accepted step lowers the loss by
-    less than ``config.tolerance`` relative, or when no λ below a fixed
-    ceiling lowers it; not converged when ``config.max_iterations``
-    steps ran.
+    less than ``_LM_TOLERANCE`` relative, or when no λ below a fixed
+    ceiling lowers it; not converged when ``_LM_MAX_STEPS`` steps ran.
     Raises FitDivergedError for a non-finite start or Jacobian.
     """
     p = config.initial.copy()
@@ -170,7 +110,7 @@ def lm_fit(residuals: Callable, config: FitConfig) -> FitResult:
     lam, grow = _LM_LAMBDA_START, 2.0
     converged = False
 
-    while len(trace) <= config.max_iterations:
+    while len(trace) <= _LM_MAX_STEPS:
         jtj = jac.T @ jac
         g = jac.T @ r
         if not (np.all(np.isfinite(jtj)) and np.all(np.isfinite(g))):
@@ -203,7 +143,7 @@ def lm_fit(residuals: Callable, config: FitConfig) -> FitResult:
         rho = (loss - new_loss) / predicted if predicted > 0 else 1.0
         lam = max(lam * max(1.0 / 3.0, 1.0 - (2.0 * rho - 1.0) ** 3), _LM_LAMBDA_FLOOR)
         grow = 2.0
-        converged = loss - new_loss < config.tolerance * loss
+        converged = loss - new_loss < _LM_TOLERANCE * loss
         p, loss = trial, new_loss
         trace.append(loss)
         if converged:
@@ -217,18 +157,6 @@ def lm_fit(residuals: Callable, config: FitConfig) -> FitResult:
         converged=converged,
         evaluations=evaluations,
     )
-
-
-def _residuals(curve: Callable, jacobian: Callable, data: Dataset) -> Callable:
-    """``evaluate(p) -> (residual, jac)`` for one curve on ``data``: the
-    curve's value on ``data.inputs`` minus ``data.label``, and its
-    ``(N, n_p)`` parameter Jacobian.
-    """
-    def evaluate(p):
-        p = np.asarray(p, dtype=float)
-        return curve(*data.inputs, p) - data.label, jacobian(*data.inputs, p)
-
-    return evaluate
 
 
 # --- stages: the curve each one fits and its default setup -------------
@@ -269,7 +197,7 @@ _STAGES = {
 
 
 def default_config(sub_model: str) -> FitConfig:
-    """The stage's start and box, with FitConfig's default budget."""
+    """The stage's start and box."""
     if sub_model not in _STAGES:
         raise ConfigError(f"unknown sub-model {sub_model!r}")
     stage = _STAGES[sub_model]
@@ -277,20 +205,16 @@ def default_config(sub_model: str) -> FitConfig:
 
 
 def _stage_residuals(sub_model: str, data: Dataset) -> Callable:
+    """``evaluate(p) -> (r, J)`` for the stage's curve on ``data``: the
+    curve's value on ``data.inputs`` minus ``data.label``, and its
+    ``(N, n_p)`` parameter Jacobian."""
     stage = _STAGES[sub_model]
-    return _residuals(stage.curve, stage.jacobian, data)
 
+    def evaluate(p):
+        p = np.asarray(p, dtype=float)
+        return stage.curve(*data.inputs, p) - data.label, stage.jacobian(*data.inputs, p)
 
-def submodel_objective(sub_model: str, data: Dataset) -> Callable:
-    """``objective(p) -> (loss, grad)`` for ``adam_fit``: the stage's
-    squared-error loss against ``data`` and its gradient 2·Jᵀr."""
-    evaluate = _stage_residuals(sub_model, data)
-
-    def objective(p):
-        residual, jac = evaluate(p)
-        return _sum_squares(residual), 2.0 * np.einsum("i,ik->k", residual, jac)
-
-    return objective
+    return evaluate
 
 
 def _finite_or_none(x: float) -> float | None:

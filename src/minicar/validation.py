@@ -111,14 +111,21 @@ def one_step_rms(
     inputs = held_inputs(tau_app[:-1], s_app[:-1], params)
     try:
         predicted = step(rows, inputs)
-    except (IntegrationError, ConfigError):  # rows step independently: find the first that fails
-        for i in range(rows[0].size):
+    except (IntegrationError, ConfigError):  # rows step independently: bisect for the first
+        lo, hi = 0, rows[0].size  # the first failing row lies in [lo, hi)
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
             try:
-                step([c[i:i + 1] for c in rows], [a[i:i + 1] for a in inputs])
-            except IntegrationError:
-                raise non_finite_state(table["t"][i], row=i + 1) from None
-            except ConfigError as exc:  # a kinematic step at |delta| >= pi/2
-                raise ConfigError(f"{exc} at t={table['t'][i]:.6f} s", row=i + 1) from None
+                step([c[lo:mid] for c in rows], [a[lo:mid] for a in inputs])
+                lo = mid
+            except (IntegrationError, ConfigError):
+                hi = mid
+        try:
+            step([c[lo:hi] for c in rows], [a[lo:hi] for a in inputs])
+        except IntegrationError:
+            raise non_finite_state(table["t"][lo], row=lo + 1) from None
+        except ConfigError as exc:  # a kinematic step at |delta| >= pi/2
+            raise ConfigError(f"{exc} at t={table['t'][lo]:.6f} s", row=lo + 1) from None
         raise
 
     names = models.KINEMATIC_STATE_NAMES if model == "kinematic" else models.DYNAMIC_STATE_NAMES

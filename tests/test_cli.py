@@ -283,14 +283,8 @@ def test_validate_normalized_slip_on_own_slow_dynamic_export(tmp_path, params_fi
     assert all(v <= 1e-9 for v in rms.values()), rms
 
 
-def test_fit_on_empty_directory_fails(tmp_path, params_file):
-    empty = tmp_path / "empty"
-    empty.mkdir()
-    assert main(["fit", "--logs", str(empty), "--out", str(tmp_path / "p.json")]) != 0
-
-
-def test_fit_missing_stage_with_explicit_request_fails(tmp_path, params_file):
-    # a directory holding only steer logs cannot satisfy --stages friction
+def _steer_logs(tmp_path) -> Path:
+    """A log directory holding two noiseless constant-steering logs."""
     from minicar.logs import save_log
     from minicar.scenarios import constant_steering_battery
     from minicar.simulator import NoiseSpec, synthesize_log
@@ -300,6 +294,33 @@ def test_fit_missing_stage_with_explicit_request_fails(tmp_path, params_file):
     ref = reference_params()
     for i, scen in enumerate(constant_steering_battery(s_values=(-0.5, 0.5), duration=4.0)):
         save_log(synthesize_log(scen, ref, NoiseSpec(), i), logs_dir / f"{scen.name}.csv")
+    return logs_dir.parent
+
+
+@pytest.mark.parametrize("out", ["existing", "new/"])
+def test_fit_refuses_an_out_that_names_a_directory(tmp_path, caplog, monkeypatch, out):
+    """``--out`` names the parameter file: an existing directory, or a
+    path ending in a slash, exits 2 with one error naming it before any
+    log loads, and writes nothing."""
+    logs = _steer_logs(tmp_path)
+    (tmp_path / "existing").mkdir()
+    before = sorted(tmp_path.rglob("*"))
+    load_log, loaded = cli.load_log, []
+    monkeypatch.setattr(cli, "load_log", lambda path: loaded.append(path) or load_log(path))
+    target = f"{tmp_path}/{out}"
+    assert main(["fit", "--logs", str(logs), "--out", target, "--stages", "steering"]) == 2
+    assert target in _one_error(caplog)
+    assert loaded == [] and sorted(tmp_path.rglob("*")) == before
+
+
+def test_fit_on_empty_directory_fails(tmp_path, params_file):
+    empty = tmp_path / "empty"
+    empty.mkdir()
+    assert main(["fit", "--logs", str(empty), "--out", str(tmp_path / "p.json")]) != 0
+
+
+def test_fit_missing_stage_with_explicit_request_fails(tmp_path, params_file):
+    _steer_logs(tmp_path)  # only steer logs cannot satisfy --stages friction
     assert main(["fit", "--logs", str(tmp_path / "logs"),
                  "--out", str(tmp_path / "p.json"), "--stages", "friction"]) == 1
     # but fitting just the steering map succeeds
@@ -482,15 +503,7 @@ def test_run_manifest_records_every_scalar_default(tmp_path, params_file):
 
 
 def test_fit_report_records_convergence(tmp_path):
-    from minicar.logs import save_log
-    from minicar.scenarios import constant_steering_battery
-    from minicar.simulator import NoiseSpec, synthesize_log
-
-    logs_dir = tmp_path / "logs" / "steer"
-    logs_dir.mkdir(parents=True)
-    ref = reference_params()
-    for i, scen in enumerate(constant_steering_battery(s_values=(-0.5, 0.5), duration=4.0)):
-        save_log(synthesize_log(scen, ref, NoiseSpec(), i), logs_dir / f"{scen.name}.csv")
+    _steer_logs(tmp_path)
     out = tmp_path / "fit" / "p.json"
     assert main(["fit", "--logs", str(tmp_path / "logs"), "--out", str(out),
                  "--stages", "steering"]) == 0
@@ -515,15 +528,7 @@ def test_fit_without_the_kinematic_stages_writes_and_claims_no_parameter_file(
     """A run whose requested stages all fit but that lacks friction or
     motor writes no params.json, says so, names the stages it lacks and
     exits 0."""
-    from minicar.logs import save_log
-    from minicar.scenarios import constant_steering_battery
-    from minicar.simulator import NoiseSpec, synthesize_log
-
-    logs_dir = tmp_path / "logs" / "steer"
-    logs_dir.mkdir(parents=True)
-    ref = reference_params()
-    for i, scen in enumerate(constant_steering_battery(s_values=(-0.5, 0.5), duration=4.0)):
-        save_log(synthesize_log(scen, ref, NoiseSpec(), i), logs_dir / f"{scen.name}.csv")
+    _steer_logs(tmp_path)
     out = tmp_path / "fit" / "p.json"
     assert main(["fit", "--logs", str(tmp_path / "logs"), "--out", str(out),
                  "--stages", "steering"]) == 0

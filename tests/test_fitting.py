@@ -11,92 +11,11 @@ from minicar import models
 from minicar.datasets import Dataset
 from minicar import fitting
 from minicar.errors import ConfigError, FitDivergedError
-from minicar.fitting import (
-    FitConfig,
-    adam_fit,
-    default_config,
-    lm_fit,
-    submodel_objective,
-)
+from minicar.fitting import FitConfig, default_config, lm_fit
 
 
-def scalar_config(x0=0.0, lo=-10.0, hi=10.0, **kw):
-    return FitConfig(initial=np.array([x0]), lower=np.array([lo]), upper=np.array([hi]), **kw)
-
-
-def quadratic(target):
-    def objective(p):
-        return float(np.sum((p - target) ** 2)), 2.0 * (p - target)
-
-    return objective
-
-
-def test_adam_converges_on_scalar_quadratic():
-    result = adam_fit(quadratic(3.0), scalar_config())
-    assert result.params[0] == pytest.approx(3.0, abs=1e-4)
-    assert result.loss < 1e-8
-
-
-def test_adam_respects_active_bound():
-    result = adam_fit(quadratic(3.0), scalar_config(x0=0.5, lo=0.0, hi=1.0))
-    assert result.params[0] == pytest.approx(1.0, abs=1e-12)
-
-
-def test_adam_never_leaves_bounds():
-    trace_params = []
-
-    def spying(p):
-        trace_params.append(p.copy())
-        return quadratic(3.0)(p)
-
-    adam_fit(spying, scalar_config(x0=0.5, lo=0.0, hi=1.0))
-    arr = np.array(trace_params)
-    assert np.all(arr >= -1e-15) and np.all(arr <= 1.0 + 1e-15)
-
-
-def test_adam_raises_on_non_finite_loss():
-    def bad(p):
-        if p[0] > 0.5:
-            return np.inf, np.zeros_like(p)
-        return float((p[0] - 3.0) ** 2), 2 * (p - 3.0)
-
-    with pytest.raises(FitDivergedError) as err:
-        adam_fit(bad, scalar_config(x0=0.49, lo=-1, hi=1))
-    assert err.value.iteration >= 0
-
-
-def test_adam_loss_non_increasing_windows_on_quadratic():
-    """Over any 50-iteration window of a convex quadratic the loss
-    must not increase end to end."""
-    target = np.array([2.0, -1.0, 0.5])
-    cfg = FitConfig(
-        initial=np.zeros(3), lower=np.full(3, -5.0), upper=np.full(3, 5.0)
-    )
-    result = adam_fit(quadratic(target), cfg)
-    trace = result.trace
-    for start in range(0, len(trace) - 50, 50):
-        assert trace[start + 50] <= trace[start] + 1e-12
-
-
-def test_adam_steps_by_a_constant_size_on_a_constant_gradient():
-    seen = []
-
-    def slope(p):
-        seen.append(p[0])
-        return float(p[0]), np.ones(1)
-
-    adam_fit(slope, scalar_config(max_iterations=500))
-    np.testing.assert_allclose(np.diff(seen), -0.01, rtol=1e-6)
-    assert len(seen) == 501
-
-
-def test_fit_result_invariants():
-    cfg = scalar_config()
-    result = adam_fit(quadratic(1.0), cfg)
-    assert len(result.trace) >= 1
-    assert result.trace[-1] == result.loss
-    assert result.iterations == len(result.trace) - 1
-    assert np.all(result.params >= cfg.lower) and np.all(result.params <= cfg.upper)
+def scalar_config(x0=0.0, lo=-10.0, hi=10.0):
+    return FitConfig(initial=np.array([x0]), lower=np.array([lo]), upper=np.array([hi]))
 
 
 def linear_residuals(target):
@@ -168,10 +87,10 @@ def test_lm_rejects_steps_into_non_finite_losses():
     assert result.evaluations > result.iterations + 1
 
 
-def test_lm_reports_an_exhausted_budget_as_not_converged(ref, rng):
+def test_lm_reports_an_exhausted_budget_as_not_converged(ref, rng, monkeypatch):
     data = _noisy_dataset("front_tire", ref, rng, 401)
-    result = lm_fit(fitting._stage_residuals("front_tire", data),
-                    replace(default_config("front_tire"), max_iterations=2))
+    monkeypatch.setattr(fitting, "_LM_MAX_STEPS", 2)
+    result = lm_fit(fitting._stage_residuals("front_tire", data), default_config("front_tire"))
     assert not result.converged
     assert result.iterations == 2
 
@@ -206,8 +125,6 @@ def test_lm_matches_scipy_trust_region_reflective(name, ref, rng):
 
 
 def test_fit_config_validation():
-    with pytest.raises(ConfigError):
-        scalar_config(max_iterations=0)
     with pytest.raises(ConfigError):
         FitConfig(initial=np.zeros(2), lower=np.zeros(2), upper=np.ones(3))
     with pytest.raises(ConfigError):
@@ -273,32 +190,34 @@ def _noisy_dataset(name, ref, rng, rows):
 
 @pytest.mark.parametrize("name", CURVES)
 def test_objective_gradient_does_not_alias_its_buffers(name, ref, rng):
-    """A gradient the objective returned stays as it was after the next call."""
-    objective = submodel_objective(name, _noisy_dataset(name, ref, rng, 101))
+    """The residuals and Jacobian a stage's evaluator returned stay as
+    they were after the next call."""
+    evaluate = fitting._stage_residuals(name, _noisy_dataset(name, ref, rng, 101))
     cfg = default_config(name)
-    _, first = objective(cfg.lower + 0.25 * (cfg.upper - cfg.lower))
-    kept = first.copy()
-    _, second = objective(cfg.lower + 0.75 * (cfg.upper - cfg.lower))
-    assert not np.array_equal(first, second)
-    assert np.array_equal(first, kept)
+    first = evaluate(cfg.lower + 0.25 * (cfg.upper - cfg.lower))
+    kept = [a.copy() for a in first]
+    second = evaluate(cfg.lower + 0.75 * (cfg.upper - cfg.lower))
+    assert not np.array_equal(first[0], second[0])
+    assert all(np.array_equal(a, b) for a, b in zip(first, kept))
 
 
 @pytest.mark.parametrize("name", CURVES)
 def test_analytic_gradient_matches_finite_differences(name, ref, rng):
-    """Loss gradients, and the curve's models Jacobian row by row, agree
-    with central differences at 10 random interior points around the
-    realistic parameter region."""
+    """Loss gradients 2·Jᵀr, and the curve's models Jacobian row by row,
+    agree with central differences at 10 random interior points around
+    the realistic parameter region."""
     columns, truth, p_ref = _submodel_cases(ref, rng)[name]
     curve, jacobian = CURVES[name]
     data = Dataset(columns, truth(*columns))
-    objective = submodel_objective(name, data)
+    evaluate = fitting._stage_residuals(name, data)
     cfg = default_config(name)
     for _ in range(10):
         scale = rng.uniform(0.6, 1.4, p_ref.size)
         p = np.clip(p_ref * scale + rng.uniform(-0.05, 0.05, p_ref.size),
                     cfg.lower, cfg.upper)
-        _, grad = objective(p)
-        grad_fd = finite_difference_gradient(lambda q: objective(q)[0], p)
+        r, jac = evaluate(p)
+        grad = 2.0 * jac.T @ r
+        grad_fd = finite_difference_gradient(lambda q: float(np.sum(evaluate(q)[0] ** 2)), p)
         rel = np.linalg.norm(grad - grad_fd) / max(
             np.linalg.norm(grad), np.linalg.norm(grad_fd), 1e-300
         )
@@ -318,7 +237,7 @@ def test_default_config_rejects_unknown_submodel():
 
 @pytest.mark.parametrize("overrides", [
     {"upper": np.array([20.0, 100.0])},  # one bound short
-    {"max_iterations": 0},
+    {"initial": np.array([1.0, 10.0])},  # one value short
     {"lower": np.array([1e-3, 200.0, 0.0])},  # above the upper b
     {"initial": np.array([50.0, 10.0, 0.1])},  # outside the friction box
 ])

@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 
 from minicar import models
 from minicar.delay import delay_shift
-from minicar.fitting import FitConfig, adam_fit
 from minicar.params import reference_params
 from minicar.preprocess import smooth
 
@@ -75,23 +74,3 @@ def test_delay_shift_is_a_pure_shift(commands, steps):
     reference = [commands[0]] * steps + list(commands)
     out = delay_shift(commands, steps * dt, dt)
     assert out.tolist() == reference[: len(commands)]
-
-
-@given(
-    target=st.floats(-3, 3, allow_nan=False),
-    lo=st.floats(-2, 0, allow_nan=False),
-    width=st.floats(0.5, 3, allow_nan=False),
-)
-@settings(max_examples=25, deadline=None)
-def test_adam_result_always_inside_bounds(target, lo, width):
-    hi = lo + width
-    start = np.clip(0.0, lo, hi)
-    config = FitConfig(
-        initial=np.array([start]), lower=np.array([lo]), upper=np.array([hi]),
-        max_iterations=3000,
-    )
-    objective = lambda p: (float(np.sum((p - target) ** 2)), 2 * (p - target))
-    result = adam_fit(objective, config)
-    assert lo - 1e-12 <= result.params[0] <= hi + 1e-12
-    # lands on the box projection of the target
-    assert abs(result.params[0] - np.clip(target, lo, hi)) < 0.02

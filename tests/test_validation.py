@@ -1,3 +1,4 @@
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -11,6 +12,7 @@ from minicar.preprocess import differentiate, smooth
 from minicar.scenarios import Scenario, SineSchedule, constant
 from minicar.simulator import (NoiseSpec, save_trajectory, simulate, synthesize_log,
                                trajectory_to_csv)
+from minicar import validation
 from minicar.validation import one_step_rms, read_table
 
 
@@ -256,3 +258,30 @@ def test_a_refused_steering_angle_names_its_row(ref, tmp_path, model):
     table["v_enc"] = np.full_like(table["t"], 0.1)  # below the blend speed
     with pytest.raises(ConfigError, match=r"pi/2 at t=0\.450000 s \(row 46\)$"):
         one_step_rms(table, wide, model, normalized=True)
+
+
+def test_a_refused_row_is_found_by_bisection(ref, tmp_path, monkeypatch):
+    """Row 3,990 of a 4,001-row kinematic export, the first at full lock
+    of a widened steering map, is named after at most 2·⌈log₂ 4000⌉ + 2
+    calls of the step, not one call per row before it."""
+    wide = replace(ref, steering=replace(ref.steering, a_t=3.0, d_t=3.0, b_t=5.0, e_t=5.0))
+    path = tmp_path / "traj.csv"
+    save_trajectory(simulate(_scenario(duration=40.0, steer=constant(0.0)), ref), ref, path)
+    table = read_table(path)
+    assert table["t"].size == 4001
+    table["s_applied"] = np.where(np.arange(4001) < 3989, table["s_applied"], 1.0)
+    make, calls = validation.stepper, []
+
+    def counting_stepper(*args, **kwargs):
+        step = make(*args, **kwargs)
+
+        def counted(rows, inputs):
+            calls.append(rows[0].size)
+            return step(rows, inputs)
+
+        return counted
+
+    monkeypatch.setattr(validation, "stepper", counting_stepper)
+    with pytest.raises(ConfigError, match=r"pi/2 at t=39\.890000 s \(row 3990\)$"):
+        one_step_rms(table, wide, "kinematic")
+    assert len(calls) <= 2 * math.ceil(math.log2(4000)) + 2
