@@ -43,7 +43,6 @@ from .models import (
     motor_force,
     pacejka_lateral,
     rear_lateral,
-    rectangle_inertia,
     slip_angles,
     smooth_positive_throttle,
     steering_angle,
@@ -57,6 +56,7 @@ from .params import (
     TireParams,
     VehicleParams,
     load_params,
+    rectangle_inertia,
     reference_params,
     save_params,
 )

@@ -37,7 +37,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import datasets, delay, models, pipeline, scenarios, simulator, svgplot, validation
+from . import datasets, delay, fitting, models, pipeline, scenarios, simulator, svgplot, validation
 from .errors import ConfigError, MinicarError
 from .logs import load_log, save_log
 from .params import (Geometry, from_json, load_params, read_json_object, reference_params,
@@ -93,14 +93,6 @@ def _write_manifest(out_dir: Path, args: argparse.Namespace, inputs: list[Path],
     if extra:
         doc.update(extra)
     write_json(out_dir / "run_manifest.json", doc)
-
-
-def _geometry_from_args(args) -> Geometry:
-    m, l, w = args.mass, args.wheelbase, args.width
-    l_f = args.lf if args.lf is not None else l / 2
-    l_r = l - l_f
-    return Geometry(m=m, l=l, l_f=l_f, l_r=l_r, w=w,
-                    I_z=models.rectangle_inertia(m, l, w))
 
 
 # The objects of a log directory's manifest.json, as ``generate`` writes
@@ -167,27 +159,19 @@ def _data_range(x: np.ndarray) -> np.ndarray:
     return np.linspace(float(x.min()), float(x.max()), 200)
 
 
-# One plot per fitted curve, keyed by its stage report: the file, the
-# dataset's input column on the horizontal axis, the grid over that column,
-# the fitted curves on the grid as (label, values) given the dataset and
-# the parameters, the title and the axis labels.
+# One plot per fitted curve, keyed by its stage report: the file, the fit
+# stage whose curve it draws at its fitted parameters, the dataset's input
+# column on the horizontal axis, the grid over it, the title and the axis
+# labels. The motor curve is drawn at each of the first six throttle levels.
 _PLOTS = {
-    "friction": ("fit_friction.svg", 0, _from_zero,
-                 lambda grid, _, p: [("fit", models.friction_force(grid, p.friction))],
+    "friction": ("fit_friction.svg", "friction", 0, _from_zero,
                  "Friction curve", "v [m/s]", "F [N]"),
-    "motor": ("fit_motor.svg", 1, _from_zero,
-              lambda grid, data, p: [
-                  (f"tau={tau:.2f}", models.motor_force(tau, grid, p.motor))
-                  for tau in sorted(set(np.round(data.inputs[0], 6)))[:6]],
-              "Motor curve", "v [m/s]", "F [N]"),
-    "steering": ("fit_steering.svg", 0, lambda _: np.linspace(-1.0, 1.0, 200),
-                 lambda grid, _, p: [("fit", models.steering_angle(grid, p.steering))],
+    "motor": ("fit_motor.svg", "motor", 1, _from_zero, "Motor curve", "v [m/s]", "F [N]"),
+    "steering": ("fit_steering.svg", "steering", 0, lambda _: np.linspace(-1.0, 1.0, 200),
                  "Steering map", "s", "delta [rad]"),
-    "tire": ("fit_tire_front.svg", 0, _data_range,
-             lambda grid, _, p: [("fit", models.pacejka_lateral(grid, p.tire))],
+    "tire": ("fit_tire_front.svg", "front_tire", 0, _data_range,
              "Front tire", "alpha [rad]", "F_y [N]"),
-    "tire_rear": ("fit_tire_rear.svg", 0, _data_range,
-                  lambda grid, _, p: [("fit", models.rear_lateral(grid, p.tire.C_r))],
+    "tire_rear": ("fit_tire_rear.svg", "rear_tire", 0, _data_range,
                   "Rear tire", "alpha [rad]", "F_y [N]"),
 }
 
@@ -196,11 +180,15 @@ def _fit_plots(result: pipeline.PipelineResult, out_dir: Path) -> None:
     for r in result.stages:
         if r.data is None:
             continue
-        filename, column, grid_of, curves, title, x_label, y_label = _PLOTS[r.name]
+        filename, stage, column, grid_of, title, x_label, y_label = _PLOTS[r.name]
+        curve, p = fitting._STAGES[stage].curve, r.result.params
         x = r.data.inputs[column]
         grid = grid_of(x)
+        curves = [("fit", curve(grid, p))] if len(r.data.inputs) == 1 else [
+            (f"tau={tau:.2f}", curve(tau, grid, p))
+            for tau in sorted(set(np.round(r.data.inputs[0], 6)))[:6]]
         series = [svgplot.Series(x, r.data.label, "data", "points")] + [
-            svgplot.Series(grid, y, label) for label, y in curves(grid, r.data, result.params)]
+            svgplot.Series(grid, y, label) for label, y in curves]
         svgplot.save_plot(out_dir / filename, series, title=title, x_label=x_label,
                           y_label=y_label)
 
@@ -233,8 +221,9 @@ def cmd_fit(args) -> int:
 
     stages = tuple(args.stages.split(",")) if args.stages else pipeline.STAGES
     try:
-        result = pipeline.fit_pipeline(tagged, _geometry_from_args(args),
-                                       normalized_slip=args.normalized_slip, stages=stages)
+        geometry = Geometry.rectangle(args.mass, args.wheelbase, args.width, args.lf)
+        result = pipeline.fit_pipeline(tagged, geometry, normalized_slip=args.normalized_slip,
+                                       stages=stages)
     except MinicarError as exc:
         logger.error("fit failed: %s", exc)
         return 2
@@ -440,7 +429,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_val = sub.add_parser("validate", help="one-step-ahead RMS against a log")
     p_val.add_argument("--params", required=True)
     p_val.add_argument("--log", required=True)
-    p_val.add_argument("--model", required=True, choices=("kinematic", "dynamic"))
+    p_val.add_argument("--model", required=True, choices=tuple(models.STATE_NAMES))
     p_val.add_argument("--out", default="", help="optional report JSON path")
     p_val.add_argument("--normalized-slip", action="store_true")
     p_val.set_defaults(func=cmd_validate)

@@ -2,7 +2,9 @@
 
 Each builder's Dataset holds the argument columns of one sub-model
 curve and a label of forces or angles derived from the log by
-smoothing, numerical differentiation and rigid-body bookkeeping.
+smoothing, numerical differentiation and rigid-body bookkeeping. A
+builder skips a log too short for its smoothing windows, and raises
+DataError only when no log gives a row.
 """
 
 from __future__ import annotations
@@ -118,7 +120,7 @@ def build_friction_dataset(logs: Sequence[RawLog], m: float) -> Dataset:
     """
     blocks = []
     for log in logs:
-        if len(log) < 3:
+        if len(log) < FORCE_WINDOW:
             continue
         v, force, keep = _force_rows(log, m, log.tau == 0.0)
         keep &= v > V_MIN
@@ -134,7 +136,7 @@ def build_motor_dataset(logs: Sequence[RawLog], m: float, friction) -> Dataset:
     minus friction."""
     blocks = []
     for log in logs:
-        if len(log) < 3:
+        if len(log) < FORCE_WINDOW:
             continue
         v, force, keep = _force_rows(log, m, log.tau > 0.0)
         if np.any(keep):
@@ -183,7 +185,7 @@ def build_steering_dataset(logs: Sequence[RawLog], l: float) -> Dataset:
     blocks = []
     skipped = 0
     for log in logs:
-        if len(log) < 3:
+        if len(log) < SMOOTH_WINDOW:
             continue
         dt = log.dt
         stat_window = max(3, int(round(STEADY_WINDOW_S / dt)) | 1)

@@ -30,6 +30,8 @@ from .errors import MinicarError, ParseError
 
 REQUIRED_COLUMNS = ("t", "tau", "s", "v_enc", "omega_imu")
 MOCAP_COLUMNS = ("x_t", "y_t", "eta_t")
+# The inputs after the actuation delays, which a trajectory export adds.
+APPLIED_COLUMNS = ("tau_applied", "s_applied")
 
 # A step may differ from the median step by this much, relative to
 # max(dt, 1 s), and the grid still counts as uniform.

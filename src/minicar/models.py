@@ -58,8 +58,9 @@ STEER_BLEND_SHARPNESS = 30.0
 # below this speed [m/s].
 SLIP_V_EPS = 1e-6
 
-KINEMATIC_STATE_NAMES = ("x", "y", "eta", "v")
-DYNAMIC_STATE_NAMES = ("x", "y", "eta", "v_x", "v_y", "omega")
+# The model kinds and the names of their state components, in order.
+STATE_NAMES = {"kinematic": ("x", "y", "eta", "v"),
+               "dynamic": ("x", "y", "eta", "v_x", "v_y", "omega")}
 
 
 def _float_kernel(ufunc):
@@ -320,9 +321,3 @@ def body_frame_velocity(v_abs_x, v_abs_y, eta):
     cos_e, sin_e = np.cos(eta), np.sin(eta)
     return cos_e * v_abs_x + sin_e * v_abs_y, -sin_e * v_abs_x + cos_e * v_abs_y
 
-
-def rectangle_inertia(m: float, l: float, w: float) -> float:
-    """Yaw inertia of a uniform l-by-w rectangle of mass m."""
-    if m <= 0 or l <= 0 or w <= 0:
-        raise ConfigError("rectangle_inertia needs positive mass and dimensions")
-    return m * (l * l + w * w) / 12.0

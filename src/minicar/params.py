@@ -156,6 +156,13 @@ class TireParams(FloatFields):
         _require(self.C_r > 0, "tire C_r must be > 0")
 
 
+def rectangle_inertia(m: float, l: float, w: float) -> float:
+    """Yaw inertia of a uniform l-by-w rectangle of mass m."""
+    if m <= 0 or l <= 0 or w <= 0:
+        raise ConfigError("rectangle_inertia needs positive mass and dimensions")
+    return m * (l * l + w * w) / 12.0
+
+
 @dataclass(frozen=True)
 class Geometry(FloatFields):
     """Mass and dimensions of the robot."""
@@ -177,6 +184,13 @@ class Geometry(FloatFields):
             abs(self.l - (self.l_f + self.l_r)) < 1e-9,
             "wheelbase must equal l_f + l_r",
         )
+
+    @classmethod
+    def rectangle(cls, m: float, l: float, w: float, l_f: float | None = None) -> Geometry:
+        """A uniform l-by-w rectangle of mass m (``rectangle_inertia``),
+        its centre of mass midway between the axles unless ``l_f`` is given."""
+        l_f = l / 2 if l_f is None else l_f
+        return cls(m=m, l=l, l_f=l_f, l_r=l - l_f, w=w, I_z=rectangle_inertia(m, l, w))
 
 
 @dataclass(frozen=True)
@@ -292,13 +306,11 @@ def reference_params() -> VehicleParams:
     center of mass is assumed to sit midway between the axles; yaw
     inertia follows the uniform-rectangle approximation.
     """
-    from .models import rectangle_inertia  # models imports this module
-    m, l, w = 1.67, 0.192, 0.1
     return VehicleParams(
         friction=FrictionParams(a=1.72, b=13.32, c=0.29),
         motor=MotorParams(d=28.88, e=5.99, g=-0.15),
         steering=SteeringParams(a_t=1.64, b_t=0.33, c_t=0.02, d_t=1.66, e_t=0.38),
         tire=TireParams(D=2.98, C=0.69, B=0.29, E=-3.07, C_r=0.39),
-        geometry=Geometry(m=m, l=l, l_f=l / 2, l_r=l / 2, w=w, I_z=rectangle_inertia(m, l, w)),
+        geometry=Geometry.rectangle(m=1.67, l=0.192, w=0.1),
         delays=Delays(steer_delay=0.15, long_delay=0.01),
     )

@@ -74,9 +74,13 @@ def rolling_stats(series, window: int):
     return mean, np.sqrt(var)
 
 
-def _local_cubic_kernels(window: int):
-    # least-squares cubic over a symmetric window; row 0 of the
-    # pseudo-inverse evaluates the fit at the center, row 1 its slope
+def _local_cubic_kernels(window: int, size: int):
+    # least-squares cubic over a symmetric window of a series of ``size``;
+    # row 0 of the pseudo-inverse evaluates the fit at the center, row 1 its slope
+    if window < 5 or window % 2 == 0:
+        raise ConfigError(f"local polynomial window must be odd and >= 5, got {window}")
+    if window > size:
+        raise ConfigError(f"window {window} exceeds series length {size}")
     half = window // 2
     offsets = np.arange(-half, half + 1, dtype=float)
     design = np.vander(offsets, 4, increasing=True)
@@ -93,11 +97,7 @@ def local_poly_value(series, window: int) -> np.ndarray:
     trustworthy and callers are expected to trim them.
     """
     series = np.asarray(series, dtype=float)
-    if window < 5 or window % 2 == 0:
-        raise ConfigError(f"local polynomial window must be odd and >= 5, got {window}")
-    if window > series.size:
-        raise ConfigError(f"window {window} exceeds series length {series.size}")
-    value_kernel, _ = _local_cubic_kernels(window)
+    value_kernel, _ = _local_cubic_kernels(window, series.size)
     return np.convolve(series, value_kernel[::-1], mode="same")
 
 
@@ -113,9 +113,5 @@ def local_poly_derivative(series, dt: float, window: int) -> np.ndarray:
     series = np.asarray(series, dtype=float)
     if dt <= 0:
         raise ConfigError("dt must be positive")
-    if window < 5 or window % 2 == 0:
-        raise ConfigError(f"local polynomial window must be odd and >= 5, got {window}")
-    if window > series.size:
-        raise ConfigError(f"window {window} exceeds series length {series.size}")
-    _, slope_kernel = _local_cubic_kernels(window)
+    _, slope_kernel = _local_cubic_kernels(window, series.size)
     return np.convolve(series, slope_kernel[::-1], mode="same") / dt

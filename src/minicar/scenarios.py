@@ -38,6 +38,7 @@ import numpy as np
 
 from .errors import ConfigError
 from .logs import command_out_of_range
+from .models import STATE_NAMES
 from .params import FloatFields, finite_float, finite_floats, from_json, load_json, write_json
 
 MAX_DT = 0.05
@@ -149,11 +150,11 @@ class Scenario:
         if not 0.5 < self.duration / self.dt < MAX_SAMPLES - 0.5:
             raise ConfigError(f"duration / dt must give 1 to {MAX_SAMPLES - 1} steps, "
                               f"got {self.duration / self.dt:.6g}")
-        if self.model not in ("kinematic", "dynamic"):
+        if self.model not in tuple(STATE_NAMES):  # not a dict lookup: the model may be a list
             raise ConfigError(f"unknown model kind {self.model!r}")
         if not isinstance(self.mocap, bool):
             raise ConfigError(f"field 'mocap' must be true or false, got {self.mocap!r}")
-        n_states = 4 if self.model == "kinematic" else 6
+        n_states = len(STATE_NAMES[self.model])
         state = finite_floats(self.initial_state, "field 'initial_state'") or (0.0,) * n_states
         if len(state) != n_states:
             raise ConfigError(

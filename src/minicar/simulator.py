@@ -52,7 +52,7 @@ from .delay import delay_shift
 from .errors import ConfigError, DataError, IntegrationError, SimulationDiverged
 from .integrators import (non_finite_state, rk4_accumulate, rk4_scalar_stages,
                           rk4_stage_points, rk4_step, rk4_tuple_stages)
-from .logs import MocapBlock, RawLog, format_table
+from .logs import APPLIED_COLUMNS, REQUIRED_COLUMNS, MocapBlock, RawLog, format_table
 from .params import FloatFields, VehicleParams, from_json, read_json_object
 from .scenarios import Scenario
 
@@ -121,11 +121,7 @@ class Trajectory:
 
     @property
     def state_names(self) -> tuple[str, ...]:
-        return (
-            models.KINEMATIC_STATE_NAMES
-            if self.model == "kinematic"
-            else models.DYNAMIC_STATE_NAMES
-        )
+        return models.STATE_NAMES[self.model]
 
 
 def simulate(scenario: Scenario, params: VehicleParams, *,
@@ -333,8 +329,7 @@ def synthesize_log(scenario: Scenario, params: VehicleParams, noise: NoiseSpec, 
 def trajectory_to_csv(traj: Trajectory, params: VehicleParams) -> str:
     """Trajectory as CSV: the RawLog dialect extended with state columns."""
     omega = trajectory_yaw_rate(traj, params)
-    header = ["t", "tau", "s", "v_enc", "omega_imu", "tau_applied", "s_applied",
-              *traj.state_names]
+    header = [*REQUIRED_COLUMNS, *APPLIED_COLUMNS, *traj.state_names]
     columns = [traj.t, traj.commanded_tau, traj.commanded_s, traj.states[:, 3], omega,
                traj.applied_tau, traj.applied_s, *traj.states.T]
     return format_table(header, columns)

@@ -28,30 +28,29 @@ from .delay import delay_shift
 from .errors import ConfigError, DataError, IntegrationError
 from .integrators import non_finite_state
 from .integrators import rk4_step  # unused; perfbench/tracing.py patches it by name
-from .logs import MOCAP_COLUMNS, command_out_of_range, grid_step, read_table
+from .logs import APPLIED_COLUMNS, MOCAP_COLUMNS, command_out_of_range, grid_step, read_table
 from .params import VehicleParams
 from .preprocess import differentiate, smooth  # unused, like rk4_step
 from .simulator import held_inputs, stepper
 
 logger = logging.getLogger(__name__)
 
-APPLIED_COLUMNS = ("tau_applied", "s_applied")
-POSE_COLUMNS = (("x", "y", "eta"), MOCAP_COLUMNS)
+POSE_COLUMNS = (models.STATE_NAMES["kinematic"][:3], MOCAP_COLUMNS)
 
 
 def _applied_inputs(table: dict, params: VehicleParams, dt: float):
     for name in ("tau", "s", *APPLIED_COLUMNS):
         if name in table and (bad := command_out_of_range(table[name])) is not None:
             raise DataError(f"{name} must lie in [-1, 1] (row {bad + 1})")
-    if "tau_applied" in table and "s_applied" in table:
-        return table["tau_applied"], table["s_applied"]
+    if all(name in table for name in APPLIED_COLUMNS):
+        return tuple(table[name] for name in APPLIED_COLUMNS)
     for have, missing in (APPLIED_COLUMNS, APPLIED_COLUMNS[::-1]):
         if have in table:
             raise DataError(f"log has {have} but no {missing} column; a log without the pair "
                             "needs a tau column and an s column")
     for name in ("tau", "s"):
         if name not in table:
-            raise DataError(f"log needs a {name} column (or tau_applied and s_applied)")
+            raise DataError(f"log needs a {name} column (or {' and '.join(APPLIED_COLUMNS)})")
     # reconstruct what the actuators saw by shifting the commands
     return (delay_shift(table["tau"], params.delays.long_delay, dt),
             delay_shift(table["s"], params.delays.steer_delay, dt))
@@ -76,14 +75,14 @@ def _logged_states(table: dict, model: str) -> tuple[list, tuple[str, ...]]:
     if model == "kinematic":
         if pose is None:  # without pose the speed channel is still self-contained
             return [*[np.zeros_like(speed)] * 3, speed], ("v",)
-        return [*pose, speed], models.KINEMATIC_STATE_NAMES
+        return [*pose, speed], models.STATE_NAMES[model]
     if pose is None:
         raise DataError("dynamic validation needs an x, y, eta or x_t, y_t, eta_t pose")
     v_y = table.get("v_y")
     if v_y is None:
         logger.warning("no v_y column; reconstructing it from pose by differentiation")
         *_, v_y = pose_velocities(table["t"], *pose)
-    return [*pose, speed, v_y, table["omega_imu"]], models.DYNAMIC_STATE_NAMES
+    return [*pose, speed, v_y, table["omega_imu"]], models.STATE_NAMES[model]
 
 
 @np.errstate(all="ignore")  # every prediction and RMS is checked to be finite
@@ -100,7 +99,7 @@ def one_step_rms(
     slip convention. A non-finite prediction raises IntegrationError
     naming its 1-based row and time, a kinematic step at |delta| >= pi/2
     ConfigError naming the same, and a non-finite RMS DataError."""
-    if model not in ("kinematic", "dynamic"):
+    if model not in tuple(models.STATE_NAMES):  # not a dict lookup: the model may be a list
         raise ConfigError(f"unknown model kind {model!r}")
     dt = _dt_of(table)
     tau_app, s_app = _applied_inputs(table, params, dt)
@@ -128,9 +127,8 @@ def one_step_rms(
             raise ConfigError(f"{exc} at t={table['t'][lo]:.6f} s", row=lo + 1) from None
         raise
 
-    names = models.KINEMATIC_STATE_NAMES if model == "kinematic" else models.DYNAMIC_STATE_NAMES
-    rms = {name: float(np.sqrt(np.mean((y - column[1:]) ** 2)))
-           for name, y, column in zip(names, predicted, states) if name in channels}
+    rms = {name: float(np.sqrt(np.mean((y - column[1:]) ** 2))) for name, y, column
+           in zip(models.STATE_NAMES[model], predicted, states) if name in channels}
     for name, value in rms.items():
         if not np.isfinite(value):
             raise DataError(f"one-step RMS of channel {name!r} is not finite")

@@ -34,7 +34,7 @@ from minicar.fitting import (
     fit_steering,
 )
 from minicar.integrators import rk4_step
-from minicar.params import TireParams, reference_params, save_params
+from minicar.params import TireParams, rectangle_inertia, reference_params, save_params
 from minicar.pipeline import measure_steer_delay
 from minicar.scenarios import (
     Scenario,
@@ -285,7 +285,7 @@ def test_criterion_8_inertia_consistency():
     """rectangle_inertia reproduces the reference yaw inertia at the
     back-derived wheelbase."""
     l = math.sqrt(12 * 0.006513 / 1.67 - 0.1**2)
-    i_z = models.rectangle_inertia(1.67, l, 0.1)
+    i_z = rectangle_inertia(1.67, l, 0.1)
     ok = abs(l - 0.192) < 5e-4 and abs(i_z - 0.006513) / 0.006513 < 1e-9
     _report(8, ok, f"l = {l:.4f} m, I_z = {i_z:.6f} kg*m^2 (target 0.006513)")
 

@@ -12,8 +12,8 @@ import pytest
 
 import minicar
 from minicar import cli
-from minicar.cli import _geometry_from_args, build_parser, main
-from minicar.params import reference_params, save_params
+from minicar.cli import build_parser, main
+from minicar.params import Geometry, reference_params, save_params
 from minicar.validation import read_table
 
 
@@ -434,7 +434,7 @@ def test_fit_defaults_to_the_reference_geometry():
     args = build_parser().parse_args(["fit", "--logs", "logs", "--out", "p.json"])
     geometry = reference_params().geometry
     assert (args.mass, args.wheelbase, args.width) == (geometry.m, geometry.l, geometry.w)
-    assert _geometry_from_args(args) == geometry
+    assert Geometry.rectangle(args.mass, args.wheelbase, args.width, args.lf) == geometry
 
 
 def test_fit_rejects_malformed_manifest(tmp_path, caplog):
@@ -550,6 +550,35 @@ def test_fit_without_the_delay_stage_warns_that_steer_delay_was_not_measured(
                  "--stages", "friction,motor,steering"]) == 0
     assert json.loads(out.read_text())["delays"]["steer_delay"] == 0.0
     assert f"{out}: steer_delay is 0.0, no stage measured the steering delay" in caplog.text
+
+
+def test_fit_skips_a_log_too_short_for_its_stage(tmp_path, params_file, caplog):
+    """A 10-row coasting log is shorter than the force builders' window:
+    it adds no rows, and the fit writes the parameter file it writes
+    without it."""
+    from minicar.logs import RawLog, save_log
+
+    noise = tmp_path / "noise.json"
+    noise.write_text("{}")
+    logs_dir = tmp_path / "g"
+    assert main(["generate", "--params", str(params_file), "--noise", str(noise),
+                 "--seed", "3", "--dt", "0.05", "--out", str(logs_dir)]) == 0
+
+    def fit(name):
+        out = tmp_path / name / "p.json"
+        assert main(["fit", "--logs", str(logs_dir), "--out", str(out),
+                     "--stages", "friction,motor,steering"]) == 0
+        return out.read_bytes()
+
+    alone = fit("alone")
+    n = 10
+    save_log(RawLog(t=np.arange(n) * 0.01, tau=np.zeros(n), s=np.zeros(n),
+                    v_enc=np.full(n, 0.5), omega_imu=np.zeros(n)), logs_dir / "short.csv")
+    manifest = json.loads((logs_dir / "manifest.json").read_text())
+    manifest["logs"].append({"file": "short.csv", "tag": "coast"})
+    (logs_dir / "manifest.json").write_text(json.dumps(manifest))
+    assert fit("with_short") == alone
+    assert "failed" not in caplog.text
 
 
 def test_generate_records_steps_and_time_per_scenario(tmp_path, params_file):

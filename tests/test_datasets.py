@@ -284,6 +284,34 @@ def test_steering_dataset_excludes_slow_segments(ref, caplog):
     assert any("excluded" in r.message for r in caplog.records)
 
 
+# --- logs too short for a builder's window ---------------------------------
+
+
+def _short_log(n, tau, s=0.0):
+    """``n`` samples at 100 Hz of one held command at 0.5 m/s."""
+    return make_log(np.arange(n) * 0.01, np.full(n, tau), np.full(n, s), np.full(n, 0.5),
+                    np.zeros(n), name=f"short_{n}")
+
+
+@pytest.mark.parametrize("stage", ["friction", "motor", "steering"])
+def test_a_log_shorter_than_the_builder_window_adds_no_rows(ref, stage):
+    """Friction and motor need FORCE_WINDOW rows for their local cubic,
+    steering SMOOTH_WINDOW rows for its moving average: a shorter log is
+    skipped, and the dataset is the one built without it."""
+    build, logs, short = {
+        "friction": (lambda logs: build_friction_dataset(logs, ref.geometry.m),
+                     [_coast_log(ref)], _short_log(10, 0.0)),
+        "motor": (lambda logs: build_motor_dataset(logs, ref.geometry.m, ref.friction),
+                  [_step_log(ref)], _short_log(10, 0.3)),
+        "steering": (lambda logs: build_steering_dataset(logs, ref.geometry.l),
+                     _steer_logs(ref, (-0.4, 0.4)), _short_log(4, 0.25, 0.4)),
+    }[stage]
+    alone, with_short = build(logs), build([short, *logs])
+    assert len(with_short.inputs) == len(alone.inputs)
+    for got, want in zip((*with_short.inputs, with_short.label), (*alone.inputs, alone.label)):
+        np.testing.assert_array_equal(got, want)
+
+
 # --- tire dataset ----------------------------------------------------------
 
 

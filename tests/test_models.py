@@ -6,7 +6,7 @@ from scipy.optimize import fsolve
 
 from minicar import models
 from minicar.errors import ConfigError, DataError
-from minicar.params import FrictionParams, Geometry
+from minicar.params import FrictionParams, Geometry, rectangle_inertia
 
 
 def test_friction_zero_at_rest(ref):
@@ -269,27 +269,27 @@ def test_body_frame_velocity_preserves_norm(rng):
 
 
 def test_rectangle_inertia_unit_square():
-    assert models.rectangle_inertia(12.0, 1.0, 1.0) == pytest.approx(2.0, rel=1e-12)
+    assert rectangle_inertia(12.0, 1.0, 1.0) == pytest.approx(2.0, rel=1e-12)
 
 
 def test_rectangle_inertia_reproduces_reference_value():
     # length back-derived from I_z = 0.006513 with m = 1.67, w = 0.1
     l = math.sqrt(12 * 0.006513 / 1.67 - 0.1**2)
     assert l == pytest.approx(0.192, abs=5e-4)
-    assert models.rectangle_inertia(1.67, l, 0.1) == pytest.approx(0.006513, rel=1e-9)
+    assert rectangle_inertia(1.67, l, 0.1) == pytest.approx(0.006513, rel=1e-9)
 
 
 def test_rectangle_inertia_scales_with_mass():
-    assert models.rectangle_inertia(2.0, 0.3, 0.1) == pytest.approx(
-        2 * models.rectangle_inertia(1.0, 0.3, 0.1)
+    assert rectangle_inertia(2.0, 0.3, 0.1) == pytest.approx(
+        2 * rectangle_inertia(1.0, 0.3, 0.1)
     )
 
 
 def test_rectangle_inertia_rejects_nonpositive():
     with pytest.raises(ConfigError):
-        models.rectangle_inertia(0.0, 1.0, 1.0)
+        rectangle_inertia(0.0, 1.0, 1.0)
     with pytest.raises(ConfigError):
-        models.rectangle_inertia(1.0, -1.0, 1.0)
+        rectangle_inertia(1.0, -1.0, 1.0)
 
 
 def test_curves_match_analytic_input_derivatives(ref, rng):
@@ -344,6 +344,13 @@ def test_curves_match_analytic_input_derivatives(ref, rng):
 def test_geometry_wheelbase_consistency():
     with pytest.raises(ConfigError):
         Geometry(m=1.0, l=0.2, l_f=0.05, l_r=0.05, w=0.1, I_z=0.01)
+
+
+def test_rectangle_geometry_puts_the_centre_of_mass_midway_unless_told():
+    midway = Geometry.rectangle(2.0, 0.3, 0.1)
+    assert (midway.l_f, midway.l_r, midway.I_z) == (0.15, 0.15, rectangle_inertia(2.0, 0.3, 0.1))
+    forward = Geometry.rectangle(2.0, 0.3, 0.1, l_f=0.1)
+    assert (forward.l_f, forward.l_r, forward.I_z) == (0.1, 0.3 - 0.1, midway.I_z)
 
 
 def test_friction_params_validation():

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from minicar import pipeline
 from minicar.errors import ConfigError
 from minicar.scenarios import (
     MAX_SAMPLES,
@@ -203,6 +204,7 @@ def test_sinusoidal_steering_scenario():
 def test_scenario_library_tags():
     lib = scenario_library()
     assert set(lib) == {"coast", "step", "steer", "sine", "mocap"}
+    assert set(lib) == set(pipeline.EXPERIMENT_TAGS)  # what generate writes is what fit reads
     assert all(lib[tag] for tag in lib)
     names = [s.name for battery in lib.values() for s in battery]
     assert len(names) == len(set(names))

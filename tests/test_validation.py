@@ -111,10 +111,9 @@ def test_validation_rejects_unknown_model(ref, tmp_path):
     log = synthesize_log(_scenario(), ref, NoiseSpec(), 0)
     path = tmp_path / "log.csv"
     save_log(log, path)
-    from minicar.errors import ConfigError
-
-    with pytest.raises(ConfigError):
-        one_step_rms(read_table(path), ref, "unicycle")
+    for model in ("unicycle", ["kinematic"]):  # a list is not hashable
+        with pytest.raises(ConfigError, match="unknown model kind"):
+            one_step_rms(read_table(path), ref, model)
 
 
 def test_read_table_errors(tmp_path):
