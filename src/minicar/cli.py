@@ -32,25 +32,18 @@ import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field
-from importlib import metadata
 from pathlib import Path
 
 import numpy as np
 
-from . import datasets, delay, fitting, models, pipeline, scenarios, simulator, svgplot, validation
+from . import (__version__, datasets, delay, fitting, models, pipeline, scenarios, simulator,
+               svgplot, validation)
 from .errors import ConfigError, MinicarError
 from .logs import load_log, save_log
 from .params import (Geometry, from_json, load_params, read_json_object, reference_params,
                      save_params, write_json)
 
 logger = logging.getLogger(__name__)
-
-
-def _package_version() -> str:
-    try:
-        return metadata.version("minicar")
-    except metadata.PackageNotFoundError:
-        return "unknown"
 
 
 def _sha256(path: Path) -> str:
@@ -84,7 +77,7 @@ def _write_manifest(out_dir: Path, args: argparse.Namespace, inputs: list[Path],
         },
         "inputs": {str(p): _sha256(p) for p in inputs if p.is_file()},
         "versions": {
-            "minicar": _package_version(),
+            "minicar": __version__,
             "numpy": np.__version__,
             "python": sys.version.split()[0],
         },

@@ -82,7 +82,7 @@ def measure_steer_delay(log: RawLog, steering, l: float) -> float:
     # the first longest stretch of valid speed keeps the series uniform
     runs = [(a, b) for a, b in ds._constant_runs(moving) if moving[a]]
     start, stop = max(runs, key=lambda run: run[1] - run[0], default=(0, 0))
-    if stop - start < 10:
+    if stop - start < ds.MIN_SEGMENT_ROWS:
         raise DataError("sinusoidal log has no usable stretch with v > v_min")
     commanded = models.steering_angle(log.s[start:stop], steering)
     measured = ds.estimate_steering_angle_series(omega[start:stop], v[start:stop], l)
@@ -106,7 +106,20 @@ def _curve(name: str, data: ds.Dataset, fit, unit: str = "rows"):
 
 
 def _delay(logs, vehicle, _normalized_slip):
-    estimates = [measure_steer_delay(log, vehicle.steering, vehicle.geometry.l) for log in logs]
+    """The median delay over the sinusoidal logs; a log too short to
+    smooth, or with no usable stretch, is skipped as the builders do."""
+    estimates = []
+    for log in logs:
+        name = log.name or "<log>"
+        if len(log) < ds.SMOOTH_WINDOW:
+            logger.info("delay: log %s skipped (shorter than %d rows)", name, ds.SMOOTH_WINDOW)
+            continue
+        try:
+            estimates.append(measure_steer_delay(log, vehicle.steering, vehicle.geometry.l))
+        except DataError as exc:
+            logger.info("delay: log %s skipped (%s)", name, exc)
+    if not estimates:
+        raise DataError("no sinusoidal log has a usable stretch with v > v_min")
     value = float(np.median(estimates))
     return value, StageReport("delay", "fitted", f"{value:.3f} s from {len(estimates)} log(s)")
 

@@ -479,6 +479,15 @@ def test_run_manifest_records_both_smoothing_windows(tmp_path, params_file):
     assert defaults["force_window"] == datasets.FORCE_WINDOW == 21
 
 
+def test_run_manifest_records_the_package_version(tmp_path, params_file):
+    scenario = write_scenario(tmp_path, duration=0.5)
+    out = tmp_path / "sim"
+    assert main(["simulate", "--params", str(params_file), "--scenario", str(scenario),
+                 "--out", str(out)]) == 0
+    versions = json.loads((out / "run_manifest.json").read_text())["versions"]
+    assert versions["minicar"] == minicar.__version__
+
+
 def test_run_manifest_records_every_scalar_default(tmp_path, params_file):
     from minicar import datasets, delay, pipeline, simulator
 
@@ -552,11 +561,11 @@ def test_fit_without_the_delay_stage_warns_that_steer_delay_was_not_measured(
     assert f"{out}: steer_delay is 0.0, no stage measured the steering delay" in caplog.text
 
 
-def test_fit_skips_a_log_too_short_for_its_stage(tmp_path, params_file, caplog):
-    """A 10-row coasting log is shorter than the force builders' window:
-    it adds no rows, and the fit writes the parameter file it writes
-    without it."""
-    from minicar.logs import RawLog, save_log
+def _fit_with_short_logs(tmp_path, params_file, stages, short_logs):
+    """The parameter file of a fit of ``stages`` on a --dt 0.05 battery,
+    without and with ``short_logs(logs_dir)``'s (file, tag, log) triples
+    added to its manifest."""
+    from minicar.logs import save_log
 
     noise = tmp_path / "noise.json"
     noise.write_text("{}")
@@ -567,18 +576,53 @@ def test_fit_skips_a_log_too_short_for_its_stage(tmp_path, params_file, caplog):
     def fit(name):
         out = tmp_path / name / "p.json"
         assert main(["fit", "--logs", str(logs_dir), "--out", str(out),
-                     "--stages", "friction,motor,steering"]) == 0
+                     "--stages", stages]) == 0
         return out.read_bytes()
 
     alone = fit("alone")
-    n = 10
-    save_log(RawLog(t=np.arange(n) * 0.01, tau=np.zeros(n), s=np.zeros(n),
-                    v_enc=np.full(n, 0.5), omega_imu=np.zeros(n)), logs_dir / "short.csv")
     manifest = json.loads((logs_dir / "manifest.json").read_text())
-    manifest["logs"].append({"file": "short.csv", "tag": "coast"})
+    for file, tag, log in short_logs(logs_dir):
+        save_log(log, logs_dir / file)
+        manifest["logs"].append({"file": file, "tag": tag})
     (logs_dir / "manifest.json").write_text(json.dumps(manifest))
-    assert fit("with_short") == alone
+    return alone, fit("with_short")
+
+
+def test_fit_skips_a_log_too_short_for_its_stage(tmp_path, params_file, caplog):
+    """A 10-row coasting log is shorter than the force builders' window:
+    it adds no rows, and the fit writes the parameter file it writes
+    without it."""
+    from minicar.logs import RawLog
+
+    n = 10
+    short = RawLog(t=np.arange(n) * 0.01, tau=np.zeros(n), s=np.zeros(n),
+                   v_enc=np.full(n, 0.5), omega_imu=np.zeros(n))
+    alone, with_short = _fit_with_short_logs(tmp_path, params_file, "friction,motor,steering",
+                                             lambda logs_dir: [("short.csv", "coast", short)])
+    assert with_short == alone
     assert "failed" not in caplog.text
+
+
+def test_fit_skips_a_sine_log_too_short_for_the_delay_stage(tmp_path, params_file, caplog):
+    """A 4-row and an 8-row head of the battery's sine log give no
+    steering delay: the delay stage skips both, naming each, and the fit
+    writes the parameter file it writes without them."""
+    from minicar.logs import RawLog, load_log
+
+    def heads(logs_dir):
+        sine = load_log(logs_dir / "sine_0.50Hz.csv")
+        return [(f"sine_head{n}.csv", "sine",
+                 RawLog(sine.t[:n], sine.tau[:n], sine.s[:n], sine.v_enc[:n],
+                        sine.omega_imu[:n]))
+                for n in (4, 8)]
+
+    caplog.set_level("INFO", logger="minicar.pipeline")
+    alone, with_short = _fit_with_short_logs(tmp_path, params_file,
+                                             "friction,motor,steering,delay", heads)
+    assert with_short == alone
+    assert json.loads(alone)["delays"]["steer_delay"] > 0
+    assert "failed" not in caplog.text
+    assert "sine_head4" in caplog.text and "sine_head8" in caplog.text
 
 
 def test_generate_records_steps_and_time_per_scenario(tmp_path, params_file):

@@ -1,0 +1,26 @@
+"""The package root holds only its version: every public name is
+imported from the one module that defines it, as the README does."""
+
+import ast
+import re
+import types
+from pathlib import Path
+
+import minicar
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def test_the_package_root_exports_only_submodules_and_its_version():
+    public = {name: value for name, value in vars(minicar).items() if not name.startswith("_")}
+    assert all(isinstance(value, types.ModuleType) for value in public.values()), public
+    assert isinstance(minicar.__version__, str)
+
+
+def test_every_import_in_the_readme_python_blocks_runs():
+    blocks = re.findall(r"^```python\n(.*?)^```", README.read_text(), re.M | re.S)
+    imports = [node for block in blocks for node in ast.walk(ast.parse(block))
+               if isinstance(node, (ast.Import, ast.ImportFrom))]
+    assert imports
+    for node in imports:
+        exec(compile(ast.Module([node], type_ignores=[]), str(README), "exec"), {})

@@ -3,6 +3,7 @@ import pytest
 
 from minicar import fitting, models
 from minicar.errors import DataError
+from minicar.logs import RawLog
 from minicar.pipeline import fit_pipeline, measure_steer_delay
 from minicar.scenarios import sinusoidal_steering
 from minicar.simulator import NoiseSpec, synthesize_log
@@ -82,6 +83,33 @@ def test_pipeline_delay_fails_without_steering(ref, small_suite):
     result = fit_pipeline(logs, ref.geometry)
     assert result.stage("delay").status == "failed"
     assert result.stage("steering").status == "skipped"
+
+
+def _sine_heads(small_suite):
+    """A 4-row and an 8-row head of the suite's sine log: too short to
+    smooth, and too short for a usable stretch."""
+    sine = small_suite["sine"][0]
+    return [RawLog(sine.t[:n], sine.tau[:n], sine.s[:n], sine.v_enc[:n], sine.omega_imu[:n],
+                   name=f"head{n}") for n in (4, 8)]
+
+
+def test_pipeline_delay_skips_sine_logs_too_short_to_use(ref, small_suite, full_result, caplog):
+    caplog.set_level("INFO", logger="minicar.pipeline")
+    logs = {"steer": small_suite["steer"],
+            "sine": _sine_heads(small_suite) + small_suite["sine"]}
+    result = fit_pipeline(logs, ref.geometry, stages=("steering", "delay"))
+    assert result.stage("delay").status == "fitted"
+    assert result.steer_delay == full_result.steer_delay
+    assert "head4" in caplog.text and "head8" in caplog.text
+
+
+def test_pipeline_delay_fails_when_no_sine_log_has_a_usable_stretch(ref, small_suite):
+    logs = {"steer": small_suite["steer"], "sine": _sine_heads(small_suite)}
+    result = fit_pipeline(logs, ref.geometry, stages=("steering", "delay"))
+    delay = result.stage("delay")
+    assert delay.status == "failed"
+    assert "usable stretch" in delay.detail
+    assert result.steer_delay is None
 
 
 def test_pipeline_rejects_unknown_stage(ref, small_suite):
