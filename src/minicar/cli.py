@@ -123,25 +123,22 @@ def _read_manifest(path: Path) -> _LogManifest:
                      parse={"logs": entries})
 
 
-def _collect_logs(logs_dir: Path) -> tuple[dict[str, list], list[Path]]:
-    """Tagged logs from manifest.json, or from tag-named subdirectories."""
-    tagged: dict[str, list] = {tag: [] for tag in pipeline.EXPERIMENT_TAGS}
-    files: list[Path] = []
+def _collect_logs(logs_dir: Path, tags) -> tuple[dict[str, list], list[Path]]:
+    """Tagged logs from manifest.json, or from tag-named subdirectories,
+    and the files read. Every entry is listed and checked, but only the
+    logs of ``tags`` are parsed: another tag lists its paths, unread."""
     manifest_path = logs_dir / "manifest.json"
     if manifest_path.is_file():
-        files.append(manifest_path)
-        for entry in _read_manifest(manifest_path).logs:
-            path = logs_dir / entry.file
-            tagged[entry.tag].append(load_log(path))
-            files.append(path)
-        return tagged, files
-    for tag in pipeline.EXPERIMENT_TAGS:
-        subdir = logs_dir / tag
-        if subdir.is_dir():
-            for path in sorted(subdir.glob("*.csv")):
-                tagged[tag].append(load_log(path))
-                files.append(path)
-    return tagged, files
+        files = [manifest_path]
+        entries = [(e.tag, logs_dir / e.file) for e in _read_manifest(manifest_path).logs]
+    else:
+        files = []
+        entries = [(tag, path) for tag in pipeline.EXPERIMENT_TAGS if (logs_dir / tag).is_dir()
+                   for path in sorted((logs_dir / tag).glob("*.csv"))]
+    tagged: dict[str, list] = {tag: [] for tag in pipeline.EXPERIMENT_TAGS}
+    for tag, path in entries:
+        tagged[tag].append(load_log(path) if tag in tags else path)
+    return tagged, files + [path for tag, path in entries if tag in tags]
 
 
 def _from_zero(x: np.ndarray) -> np.ndarray:
@@ -207,12 +204,13 @@ def cmd_fit(args) -> int:
         logger.error("logs directory %s does not exist", logs_dir)
         return 2
 
-    tagged, files = _collect_logs(logs_dir)
+    stages = tuple(args.stages.split(",")) if args.stages else pipeline.STAGES
+    tagged, files = _collect_logs(logs_dir, {tag for name, tags, *_ in pipeline.PLAN
+                                             if name in stages for tag in tags})
     if not any(tagged.values()):
         logger.error("no tagged logs found under %s", logs_dir)
         return 2
 
-    stages = tuple(args.stages.split(",")) if args.stages else pipeline.STAGES
     try:
         geometry = Geometry.rectangle(args.mass, args.wheelbase, args.width, args.lf)
         result = pipeline.fit_pipeline(tagged, geometry, normalized_slip=args.normalized_slip,

@@ -3,11 +3,12 @@
 ``rk4_step`` advances a whole state by one classical Runge-Kutta step.
 A component whose derivative depends on nothing but itself and an input
 held over each step can instead be integrated on its own
-(``rk4_scalar_stages``), as can three of them (``rk4_tuple_stages``),
-and a component whose stage derivatives are then known for every step
-needs no step loop at all: ``rk4_stage_points`` gives its value at each
-stage and ``rk4_accumulate`` its series. All of them combine the stages
-exactly as ``rk4_step`` does, with the same weights and the same order
+(``rk4_scalar_stages``), as can three of them (``rk4_tuple_stages``);
+both stop after the first state beyond a limit and before a refused
+step. A component whose stage derivatives are then known for every
+step needs no step loop at all: ``rk4_stage_points`` gives its value at
+each stage and ``rk4_accumulate`` its series. All of them combine the
+stages exactly as ``rk4_step`` does, with the same weights and the same order
 of operations, so the states they give are bit for bit those of
 repeated ``rk4_step`` calls.
 """
@@ -74,7 +75,7 @@ def rk4_scalar_stages(rate, y: float, inputs, dt: float, limit: float) -> tuple[
     float objects, and the value after the last step. Stops after the
     first step whose result lies outside [-limit, limit], as a
     non-finite one does for a finite ``limit``; the caller tells the
-    two apart.
+    two apart, and ends ``inputs`` before a step it refuses.
     """
     half, sixth = 0.5 * dt, dt / 6.0
     stages = array("d")
@@ -96,14 +97,16 @@ def rk4_scalar_stages(rate, y: float, inputs, dt: float, limit: float) -> tuple[
 def rk4_tuple_stages(law, y: tuple, inputs, dt: float, limit: float) -> tuple[array, tuple]:
     """``rk4_scalar_stages`` for a state ``y`` of three floats. ``law(u, y)``
     gives the step from ``y`` under ``u`` its right-hand side (a state to
-    its three derivatives) and a function that settles the state it ends
-    in, or None. Stages are flat in step, stage and component order; the
-    loop stops after the first settled state beyond [-limit, limit]."""
+    its three derivatives), None if it refuses the step, and a function
+    that settles the state the step ends in, or None. Stages are flat in
+    step, stage and component order."""
     half, sixth = 0.5 * dt, dt / 6.0
     stages = array("d")
     p, q, r = y
     for u in inputs:
         rhs, settle = law(u, y)
+        if rhs is None:
+            break
         a = rhs(y)
         y2 = (p + half * a[0], q + half * a[1], r + half * a[2])
         b = rhs(y2)

@@ -37,9 +37,9 @@ Headings accumulate without wrapping; wrap only for display.
 
 The inputs are held over an RK4 step, so the right-hand sides take
 what depends on them alone precomputed (``simulator.held_inputs``).
-The kinematic yaw rate is singular at |delta| = pi/2, so the caller
-runs ``check_kinematic_steering`` on the angle of every step it
-propagates kinematically; no right-hand side checks its inputs.
+The kinematic yaw rate is singular at |delta| = pi/2, so no step may
+propagate kinematically at an angle that ``steering_refused`` flags; no
+right-hand side checks its inputs.
 """
 
 from __future__ import annotations
@@ -167,13 +167,16 @@ def steering_terms(delta) -> tuple:
     return _tan(delta), _cos(delta), _sin(delta)
 
 
-def check_kinematic_steering(delta) -> None:
-    """Reject a road-wheel angle the kinematic model cannot roll at.
+def steering_refused(delta):
+    """Whether the kinematic model refuses the road-wheel angle ``delta``,
+    elementwise: its yaw rate v*tan(delta)/l is singular at |delta| = pi/2."""
+    return abs(delta) >= np.pi / 2
 
-    The kinematic yaw rate v*tan(delta)/l is singular at |delta| = pi/2.
-    """
-    if _anywhere(abs(delta) >= np.pi / 2):
-        raise ConfigError("steering angle magnitude must stay below pi/2")
+
+def steering_refusal(t: float | None = None, row: int | None = None) -> ConfigError:
+    """The error for a kinematic step at a refused angle, from ``t`` (at 1-based log ``row``)."""
+    return ConfigError("steering angle magnitude must stay below pi/2"
+                       + ("" if t is None else f" at t={t:.6f} s"), row=row)
 
 
 def kinematic_yaw_rate(v, tan_delta, geom: Geometry):

@@ -164,11 +164,12 @@ def fit_pipeline(
     ``normalized_slip`` selects the slip-angle convention of the tire
     labels (see ``models.slip_angles``).
 
-    A stage not in ``stages`` or without logs is reported as skipped; a
-    stage whose prerequisites have no result, or whose action raises a
-    MinicarError, fails, and a stage that fits more than one curve
-    reports each of them only when all fitted. ``result.params`` is
-    populated once every stage of PARAMS_STAGES has a result.
+    A stage not in ``stages`` (its logs are not read) or without logs is
+    reported as skipped; a stage whose prerequisites have no result, or
+    whose action raises a MinicarError, fails, and a stage that fits
+    more than one curve reports each of them only when all fitted.
+    ``result.params`` is populated once every stage of PARAMS_STAGES has
+    a result.
     """
     unknown = set(stages) - set(STAGES)
     if unknown:

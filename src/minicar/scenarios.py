@@ -53,9 +53,6 @@ class StepSchedule(FloatFields):
     before: float
     after: float
 
-    def __call__(self, time: float) -> float:
-        return self.before if time < self.t else self.after
-
     def sample(self, times: np.ndarray) -> np.ndarray:
         return np.where(times < self.t, float(self.before), float(self.after))
 
@@ -75,10 +72,6 @@ class PiecewiseSchedule:
         if any(b <= a for a, b in zip(self.times, self.times[1:])):
             raise ConfigError("piecewise breakpoint times must increase")
 
-    def __call__(self, time: float) -> float:
-        idx = int(np.searchsorted(self.times, time, side="right")) - 1
-        return self.values[max(idx, 0)]
-
     def sample(self, times: np.ndarray) -> np.ndarray:
         idx = np.searchsorted(self.times, times, side="right") - 1
         return np.asarray(self.values, dtype=float)[np.maximum(idx, 0)]
@@ -91,15 +84,11 @@ class SineSchedule(FloatFields):
     phase: float = 0.0
     offset: float = 0.0
 
-    def __call__(self, time: float) -> float:
-        return self.offset + self.amplitude * math.sin(
-            2.0 * math.pi * self.frequency * time + self.phase
-        )
-
     def sample(self, times: np.ndarray) -> np.ndarray:
         # math.sin per point: np.sin may differ in the last bit, and
         # logs must not change with how the grid is sampled
-        return np.array([self(float(t)) for t in times])
+        return np.array([self.offset + self.amplitude * math.sin(
+            2.0 * math.pi * self.frequency * t + self.phase) for t in times.tolist()])
 
 
 def constant(value: float) -> PiecewiseSchedule:

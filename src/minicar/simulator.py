@@ -19,17 +19,20 @@ Both models are integrated in two passes, since neither reads its pose
 rest on Python floats and records its four stage values in every step:
 a kinematic speed (dv/dt = net force / m) through
 ``rk4_scalar_stages``, a dynamic body state (v_x, v_y, omega) through
-``rk4_tuple_stages``. It stops at the first value beyond
-DIVERGENCE_LIMIT or non-finite, since no later state can count, so an
-error it raises beats a pose that left the envelope earlier. Pass 2
-works on whole-series arrays: the yaw rate of every stage (v*tan(delta)/l
-or omega), the heading as the running sum of each step's RK4 increment,
+``rk4_tuple_stages``. It is the one place a run stops: after the first
+value beyond DIVERGENCE_LIMIT or non-finite, since no later state can
+count, and before the first step that would roll at an angle
+``models.steering_refused`` flags (a kinematic run's input series ends
+there, a rolling step's law gives it no right-hand side). Pass 2 works on
+whole-series arrays: the yaw rate of every stage (v*tan(delta)/l or
+omega), the heading as the running sum of each step's RK4 increment,
 then the world-frame velocity at each stage's heading and the position
 as its running sum. ``np.add.accumulate`` adds strictly in sequence,
 so each sum is the float recurrence's own. The whole state is then
-checked: the earliest offending state decides, and within one state a
-non-finite component (IntegrationError) beats one beyond
-DIVERGENCE_LIMIT (SimulationDiverged).
+checked by one rule: the earliest offending step decides. Within one
+state a non-finite component (IntegrationError) beats one beyond
+DIVERGENCE_LIMIT (SimulationDiverged), and a run that pass 1 cut short
+with every state sane was refused its next step (ConfigError).
 
 A dynamic scenario can run with either slip-angle convention. The
 default raw-velocity form is regular at standstill and needs no special
@@ -116,10 +119,6 @@ class Trajectory:
         return int(self.t.size)
 
     @property
-    def dt(self) -> float:
-        return float(self.t[1] - self.t[0])
-
-    @property
     def state_names(self) -> tuple[str, ...]:
         return models.STATE_NAMES[self.model]
 
@@ -128,11 +127,11 @@ def simulate(scenario: Scenario, params: VehicleParams, *,
              normalized: bool = False) -> Trajectory:
     """Integrate a scenario and record states plus both input series.
 
-    A non-finite state raises IntegrationError. A state beyond
-    DIVERGENCE_LIMIT raises SimulationDiverged carrying the trajectory
-    up to the last sane state; the earliest offending step decides
-    which is raised. A kinematic step at |delta| >= pi/2 raises
-    ConfigError naming its time. Every error names the scenario.
+    A non-finite state raises IntegrationError, a state beyond
+    DIVERGENCE_LIMIT SimulationDiverged carrying the trajectory up to
+    the last sane state, and a step that would roll at |delta| >= pi/2
+    ConfigError naming its time; the earliest offending step decides.
+    Every error names the scenario.
     """
     dt, times = scenario.dt, scenario.times
     tau_cmd, s_cmd = scenario.sample_inputs()
@@ -161,17 +160,14 @@ def simulate(scenario: Scenario, params: VehicleParams, *,
 def _kinematic_states(scenario: Scenario, params: VehicleParams, inputs: tuple) -> np.ndarray:
     """A kinematic scenario's states up to the last sane one (``_sane_states``)."""
     gate, delta, tan_delta, _, _ = inputs
-    try:
-        models.check_kinematic_steering(delta)
-    except ConfigError as exc:
-        raise _steering_error(exc, scenario, int(np.argmax(np.abs(delta) >= np.pi / 2))) from exc
     geom, motor, friction = params.geometry, tuple(params.motor), tuple(params.friction)
 
     def acceleration(gate_k, v):
         return models.kinematic_acceleration(models.net_force(gate_k, v, motor, friction), geom)
 
-    stages, v_end = rk4_scalar_stages(acceleration, scenario.initial_state[3], gate.tolist(),
-                                      scenario.dt, DIVERGENCE_LIMIT)
+    steps = int(np.argmax(np.append(models.steering_refused(delta), True)))  # up to a refused one
+    stages, v_end = rk4_scalar_stages(acceleration, scenario.initial_state[3],
+                                      gate[:steps].tolist(), scenario.dt, DIVERGENCE_LIMIT)
     v = np.ascontiguousarray(np.frombuffer(stages).reshape(-1, 4).T)  # (4, steps)
     yaw = models.kinematic_yaw_rate(v, tan_delta[:v.shape[1]], geom)
     return _sane_states(scenario, yaw, lambda eta: models.heading_velocity(v, eta), [v], (v_end,))
@@ -189,17 +185,15 @@ def _dynamic_states(scenario: Scenario, params: VehicleParams, inputs: tuple,
             return (lambda s: models.dynamic_body_rates(
                 s, delta, cos_d, sin_d, models.net_force(gate, s[0], motor, friction), tire, geom,
                 normalized=normalized)), None
-        models.check_kinematic_steering(delta)  # it rolls: the speed alone, then pinned
-        return (lambda s: (models.kinematic_acceleration(
+        if models.steering_refused(delta):
+            return None, None
+        return (lambda s: (models.kinematic_acceleration(  # it rolls: the speed alone, then pinned
             models.net_force(gate, s[0], motor, friction), geom), 0.0, 0.0),
             lambda s: models.rolling_body(s[0], tan_d, geom))
 
     steps = zip(*(c.tolist() for c in inputs))
-    try:
-        stages, end = rk4_tuple_stages(law, scenario.initial_state[3:], steps, scenario.dt,
-                                       DIVERGENCE_LIMIT)
-    except ConfigError as exc:  # a rolling step's check; ``steps`` holds the steps after it
-        raise _steering_error(exc, scenario, inputs[0].size - 1 - sum(1 for _ in steps)) from exc
+    stages, end = rk4_tuple_stages(law, scenario.initial_state[3:], steps, scenario.dt,
+                                   DIVERGENCE_LIMIT)
     body = np.ascontiguousarray(np.frombuffer(stages).reshape(-1, 4, 3).T)  # (3, 4, steps)
     v_x, v_y, omega = body
     rolls = (v_x[0] < BLEND_SPEED) & normalized  # as ``law`` chose
@@ -212,17 +206,13 @@ def _dynamic_states(scenario: Scenario, params: VehicleParams, inputs: tuple,
     return _sane_states(scenario, yaw, velocity, body, end)
 
 
-def _steering_error(exc: ConfigError, scenario: Scenario, step: int) -> ConfigError:
-    """The kinematic steering check's error, naming the time of the step it refused."""
-    return ConfigError(f"{exc} at t={scenario.times[step]:.6f} s")
-
-
 def _sane_states(scenario: Scenario, yaw: np.ndarray, velocity, body, end) -> np.ndarray:
-    """Pass 2 and the envelope check: the states up to the last sane one
+    """Pass 2 and the one stop rule: the states up to the last sane one
     from the (4, steps) stage yaw rates, ``velocity(stage headings)`` in
     the world frame, and the rest of the state as its stages and its
-    value after the last step. A non-finite state raises
-    IntegrationError, unless an earlier state left the envelope."""
+    value after the last step of pass 1. The earliest offending step
+    decides: a non-finite state raises IntegrationError, and a run cut
+    short with every state sane was refused its next step."""
     x0, y0, eta0 = scenario.initial_state[:3]
     dt = scenario.dt
     eta = rk4_accumulate(eta0, yaw, dt)
@@ -232,6 +222,8 @@ def _sane_states(scenario: Scenario, yaw: np.ndarray, velocity, body, end) -> np
     finite = np.isfinite(states[1:]).all(axis=1)
     sane = finite & (np.abs(states[1:]) <= DIVERGENCE_LIMIT).all(axis=1)
     if sane.all():
+        if len(states) < scenario.times.size:
+            raise models.steering_refusal(scenario.times[len(states) - 1])
         return states
     row = int(np.argmin(sane)) + 1  # the earliest offending state
     if not finite[row - 1]:
@@ -251,16 +243,18 @@ def held_inputs(tau_applied, s_applied, params: VehicleParams) -> tuple:
 def stepper(model: str, params: VehicleParams, dt: float, *, normalized: bool = False):
     """The one step law: ``step(y, u)`` advances the state ``y``
     of ``model`` one ``rk4_step`` of ``dt`` under the ``held_inputs``
-    ``u``, both floats or column arrays of rows. A kinematic step checks
-    its steering angles. With ``normalized`` slip, a dynamic row that
-    starts below BLEND_SPEED propagates the kinematic model instead and
-    pins (v_y, omega) to their rigid-rolling values.
+    ``u``, both floats or column arrays of rows. A kinematic step raises
+    ``models.steering_refusal()`` if any of its angles is refused. With
+    ``normalized`` slip, a dynamic row that starts below BLEND_SPEED
+    propagates the kinematic model instead and pins (v_y, omega) to
+    their rigid-rolling values.
     """
     motor, friction, geom = tuple(params.motor), tuple(params.friction), params.geometry
 
     def kinematic(y, u):
         gate, delta, tan_d, _, _ = u
-        models.check_kinematic_steering(delta)
+        if np.any(models.steering_refused(delta)):
+            raise models.steering_refusal()
         return rk4_step(lambda s: models.kinematic_rhs(
             s, tan_d, models.net_force(gate, s[3], motor, friction), geom), y, dt)
 
@@ -301,7 +295,7 @@ def trajectory_yaw_rate(traj: Trajectory, params: VehicleParams) -> np.ndarray:
 
 
 def synthesize_log(scenario: Scenario, params: VehicleParams, noise: NoiseSpec, seed: int,
-                   *, normalized: bool = False, trajectory: Trajectory | None = None) -> RawLog:
+                   *, trajectory: Trajectory | None = None) -> RawLog:
     """Simulate a scenario and emit the RawLog a real robot would record.
 
     Commanded (pre-delay) inputs are logged; sensor channels get
@@ -309,8 +303,7 @@ def synthesize_log(scenario: Scenario, params: VehicleParams, noise: NoiseSpec, 
     included only when the scenario asks for motion capture. A
     ``trajectory`` already simulated for the scenario is used as is.
     """
-    traj = trajectory if trajectory is not None else simulate(scenario, params,
-                                                              normalized=normalized)
+    traj = trajectory if trajectory is not None else simulate(scenario, params)
     rng = np.random.default_rng(seed)
 
     def sensed(column, std):

@@ -123,8 +123,8 @@ def one_step_rms(
             step([c[lo:hi] for c in rows], [a[lo:hi] for a in inputs])
         except IntegrationError:
             raise non_finite_state(table["t"][lo], row=lo + 1) from None
-        except ConfigError as exc:  # a kinematic step at |delta| >= pi/2
-            raise ConfigError(f"{exc} at t={table['t'][lo]:.6f} s", row=lo + 1) from None
+        except ConfigError:  # a kinematic step at |delta| >= pi/2
+            raise models.steering_refusal(table["t"][lo], row=lo + 1) from None
         raise
 
     rms = {name: float(np.sqrt(np.mean((y - column[1:]) ** 2))) for name, y, column

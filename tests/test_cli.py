@@ -561,6 +561,32 @@ def test_fit_without_the_delay_stage_warns_that_steer_delay_was_not_measured(
     assert f"{out}: steer_delay is 0.0, no stage measured the steering delay" in caplog.text
 
 
+def test_fit_parses_only_the_logs_its_stages_read(tmp_path, params_file, monkeypatch):
+    """``--stages friction`` parses the 16 coast and step logs of the
+    32-log battery and lists them, beside the manifest, as the run's
+    inputs; a malformed log of a tag it does not read cannot fail it."""
+    noise = tmp_path / "noise.json"
+    noise.write_text("{}")
+    logs_dir = tmp_path / "g"
+    assert main(["generate", "--params", str(params_file), "--noise", str(noise),
+                 "--seed", "3", "--dt", "0.05", "--out", str(logs_dir)]) == 0
+    entries = json.loads((logs_dir / "manifest.json").read_text())["logs"]
+    friction = [logs_dir / e["file"] for e in entries if e["tag"] in ("coast", "step")]
+    assert (len(entries), len(friction)) == (32, 16)
+    loaded, load_log = [], cli.load_log
+    monkeypatch.setattr(cli, "load_log", lambda path: loaded.append(path) or load_log(path))
+    out = tmp_path / "fit" / "p.json"
+    args = ["fit", "--logs", str(logs_dir), "--out", str(out), "--stages", "friction"]
+    assert main(args) == 0
+    assert loaded == friction
+    inputs = json.loads((out.parent / "run_manifest.json").read_text())["inputs"]
+    assert list(inputs) == [str(p) for p in [logs_dir / "manifest.json", *friction]]
+    report = (out.parent / "report.json").read_bytes()
+    (logs_dir / "sine_0.50Hz.csv").write_text("not,a,log\n")
+    assert main(args) == 0
+    assert (out.parent / "report.json").read_bytes() == report
+
+
 def _fit_with_short_logs(tmp_path, params_file, stages, short_logs):
     """The parameter file of a fit of ``stages`` on a --dt 0.05 battery,
     without and with ``short_logs(logs_dir)``'s (file, tag, log) triples

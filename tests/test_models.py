@@ -104,13 +104,17 @@ def test_kinematic_rhs_axis_aligned(ref):
 
 
 def test_kinematic_rhs_rejects_steering_singularity():
-    """The kinematic model's angle check, on floats and on rows; the
-    simulator and validation run it on every kinematic step."""
-    for delta in (math.pi / 2, -math.pi / 2, np.array([0.1, 1.6, -0.2])):
-        with pytest.raises(ConfigError, match="pi/2"):
-            models.check_kinematic_steering(delta)
-    models.check_kinematic_steering(float(np.nextafter(math.pi / 2, 0.0)))
-    models.check_kinematic_steering(np.array([-1.5, 0.0, 1.5]))
+    """The kinematic model's one angle rule, on floats and on rows, and
+    its error; the simulator and validation apply them to every step
+    that propagates kinematically."""
+    assert models.steering_refused(math.pi / 2) and models.steering_refused(-math.pi / 2)
+    assert not models.steering_refused(float(np.nextafter(math.pi / 2, 0.0)))
+    np.testing.assert_array_equal(models.steering_refused(np.array([0.1, 1.6, -0.2, 1.5])),
+                                  [False, True, False, False])
+    refusal = models.steering_refusal(0.45, row=46)
+    assert isinstance(refusal, ConfigError)
+    assert str(refusal) == "steering angle magnitude must stay below pi/2 at t=0.450000 s (row 46)"
+    assert str(models.steering_refusal()) == "steering angle magnitude must stay below pi/2"
 
 
 def test_steering_terms(ref):
@@ -225,21 +229,22 @@ def test_dynamic_rhs_steady_cornering_fixed_point(ref):
 
     delta, v_x = 0.2, 0.3
     geom = ref.geometry
+    sin_d, cos_d = float(np.sin(delta)), float(np.cos(delta))
 
     def holding_force(v_y, omega):
         # net longitudinal force that keeps dv_x = 0 at this instant
         alpha_f, _ = models.slip_angles(v_x, v_y, omega, delta, geom, normalized=True)
         f_yf = models.pacejka_lateral(alpha_f, ref.tire)
-        return 2 * (f_yf * np.sin(delta) - geom.m * omega * v_y) / (1 + np.cos(delta))
+        return 2 * (f_yf * sin_d - geom.m * omega * v_y) / (1 + cos_d)
 
     def lateral_rhs(z):
         v_y, omega = z
-        state = np.array([0.0, 0.0, 0.0, v_x, v_y, omega])
-        d = _dynamic_rhs(state, delta, holding_force(v_y, omega), ref, normalized=True)
+        d = _dynamic_rhs((0.0, 0.0, 0.0, v_x, v_y, omega), delta, holding_force(v_y, omega), ref,
+                         normalized=True)
         assert abs(d[3]) < 1e-9  # the holding force does its job
-        return np.array([d[4], d[5]])
+        return d[4], d[5]
 
-    z = np.array([0.0, 0.0])
+    z = (0.0, 0.0)  # stepped on Python floats, far cheaper than numpy's on two values
     for _ in range(30000):
         z = rk4_step(lateral_rhs, z, 0.002)
 

@@ -1,7 +1,6 @@
 """The package root holds only its version: every public name is
 imported from the one module that defines it, as the README does."""
 
-import ast
 import re
 import types
 from pathlib import Path
@@ -17,10 +16,10 @@ def test_the_package_root_exports_only_submodules_and_its_version():
     assert isinstance(minicar.__version__, str)
 
 
-def test_every_import_in_the_readme_python_blocks_runs():
+def test_the_readme_python_blocks_run():
+    """Each Python block of the README runs as written, end to end, so
+    its imports and its calls follow the library's signatures."""
     blocks = re.findall(r"^```python\n(.*?)^```", README.read_text(), re.M | re.S)
-    imports = [node for block in blocks for node in ast.walk(ast.parse(block))
-               if isinstance(node, (ast.Import, ast.ImportFrom))]
-    assert imports
-    for node in imports:
-        exec(compile(ast.Module([node], type_ignores=[]), str(README), "exec"), {})
+    assert blocks
+    for block in blocks:
+        exec(compile(block, str(README), "exec"), {})

@@ -1,4 +1,6 @@
+import bisect
 import json
+import math
 
 import numpy as np
 import pytest
@@ -26,15 +28,12 @@ from minicar.scenarios import (
 
 def test_step_schedule():
     sched = StepSchedule(t=1.0, before=0.0, after=0.3)
-    assert sched(0.99) == 0.0
-    assert sched(1.0) == 0.3
+    assert sched.sample(np.array([0.99, 1.0])).tolist() == [0.0, 0.3]
 
 
 def test_piecewise_schedule_zero_order_hold():
     sched = PiecewiseSchedule(times=(0.0, 1.0, 2.0), values=(0.1, 0.2, 0.3))
-    assert sched(0.5) == 0.1
-    assert sched(1.0) == 0.2
-    assert sched(5.0) == 0.3
+    assert sched.sample(np.array([0.5, 1.0, 5.0])).tolist() == [0.1, 0.2, 0.3]
 
 
 def test_piecewise_schedule_validation():
@@ -46,8 +45,9 @@ def test_piecewise_schedule_validation():
 
 def test_sine_schedule():
     sched = SineSchedule(amplitude=0.5, frequency=1.0)
-    assert sched(0.25) == pytest.approx(0.5)
-    assert sched(0.0) == pytest.approx(0.0, abs=1e-15)
+    at_quarter, at_zero = sched.sample(np.array([0.25, 0.0]))
+    assert at_quarter == pytest.approx(0.5)
+    assert at_zero == pytest.approx(0.0, abs=1e-15)
 
 
 def test_scenario_validation():
@@ -91,6 +91,17 @@ def test_scenario_rejects_out_of_range_schedule():
         scen.sample_inputs()
 
 
+def _callable(sched):
+    """The schedule's law at one time, written per point apart from
+    ``sample``: a switch, a zero-order hold, or ``math.sin``."""
+    if isinstance(sched, StepSchedule):
+        return lambda t: sched.before if t < sched.t else sched.after
+    if isinstance(sched, PiecewiseSchedule):
+        return lambda t: sched.values[max(bisect.bisect_right(sched.times, t) - 1, 0)]
+    return lambda t: sched.offset + sched.amplitude * math.sin(
+        2.0 * math.pi * sched.frequency * t + sched.phase)
+
+
 @pytest.mark.parametrize("dt", [0.01, 0.02, 0.05])
 def test_vectorized_sampling_matches_schedule_callables(dt):
     schedules = [
@@ -109,12 +120,12 @@ def test_vectorized_sampling_matches_schedule_callables(dt):
     for sched in schedules:
         sampled = sched.sample(times)
         assert sampled.dtype == float
-        np.testing.assert_array_equal(sampled, [sched(t) for t in times])
+        np.testing.assert_array_equal(sampled, list(map(_callable(sched), times.tolist())))
     scen = Scenario(name="pair", duration=3.0, dt=dt, model="kinematic",
                     throttle=schedules[0], steering=schedules[2])
     tau, s = scen.sample_inputs()
-    np.testing.assert_array_equal(tau, [schedules[0](t) for t in times])
-    np.testing.assert_array_equal(s, [schedules[2](t) for t in times])
+    np.testing.assert_array_equal(tau, list(map(_callable(schedules[0]), times.tolist())))
+    np.testing.assert_array_equal(s, list(map(_callable(schedules[2]), times.tolist())))
 
 
 def test_scenario_grid():
@@ -183,14 +194,15 @@ def test_step_battery_has_one_scenario_per_level():
 def test_constant_steering_battery_grid():
     battery = constant_steering_battery()
     assert len(battery) == 11
-    values = sorted(s.steering(0.0) for s in battery)
+    values = sorted(s.sample_inputs()[1][0] for s in battery)
     np.testing.assert_allclose(values, np.arange(-1.0, 1.01, 0.2), atol=1e-9)
 
 
 def test_circular_ramp_reaches_final_level():
     scen = mocap_circular_ramp(0.4, tau_start=0.2, tau_end=0.36, duration=30.0)
-    assert scen.throttle(scen.duration - 1e-9) == pytest.approx(0.36)
-    assert scen.throttle(0.0) == pytest.approx(0.2)
+    end, start = scen.throttle.sample(np.array([scen.duration - 1e-9, 0.0]))
+    assert end == pytest.approx(0.36)
+    assert start == pytest.approx(0.2)
     assert scen.mocap and scen.model == "dynamic"
 
 

@@ -14,6 +14,7 @@ from minicar.scenarios import (
     PiecewiseSchedule,
     Scenario,
     SineSchedule,
+    StepSchedule,
     coast_down_battery,
     constant,
     constant_steering_battery,
@@ -56,9 +57,10 @@ def test_step_throttle_approaches_force_balance_speed(ref):
 
 
 def test_sinusoidal_steering_lags_by_configured_delay(ref):
-    traj = simulate(sinusoidal_steering(), ref)
-    est = estimate_delay_xcorr(traj.commanded_s, traj.applied_s, traj.dt)
-    assert est == pytest.approx(ref.delays.steer_delay, abs=traj.dt)
+    scenario = sinusoidal_steering()
+    traj = simulate(scenario, ref)
+    est = estimate_delay_xcorr(traj.commanded_s, traj.applied_s, scenario.dt)
+    assert est == pytest.approx(ref.delays.steer_delay, abs=scenario.dt)
 
 
 def test_coasting_speed_never_increases(ref):
@@ -140,6 +142,42 @@ def test_a_refused_rolling_step_is_named_by_its_own_time(ref):
         simulate(replace(coast, duration=t + coast.dt), wide, normalized=True)
 
 
+def test_a_speed_beyond_the_envelope_beats_a_later_refused_kinematic_step(ref):
+    """One stop rule for both: full lock reaches the wheels at t = 900.15 s,
+    but with almost no back-EMF and no viscous friction full throttle has
+    driven the speed beyond DIVERGENCE_LIMIT by t = 827.65 s, so the run
+    diverges there; at a lower throttle it is refused at full lock."""
+    fast = replace(ref, motor=replace(ref.motor, e=1e-9), friction=replace(ref.friction, c=0.0),
+                   steering=replace(ref.steering, a_t=6.0, d_t=6.0))
+    lock = StepSchedule(t=900.0, before=0.0, after=1.0)
+    with pytest.raises(SimulationDiverged, match="'t'") as err:
+        simulate(_scenario(constant(1.0), lock, duration=1000.0, dt=0.05), fast)
+    assert err.value.t == pytest.approx(827.65, abs=1e-9)
+    assert np.abs(err.value.trajectory.states).max() <= simulator.DIVERGENCE_LIMIT
+    with pytest.raises(ConfigError, match=r"pi/2 at t=900\.150000 s in scenario 't'$"):
+        simulate(_scenario(constant(0.3), lock, duration=1000.0, dt=0.05), fast)
+
+
+def test_a_pose_beyond_the_envelope_beats_a_later_refused_rolling_step(ref, monkeypatch):
+    """A normalized dynamic run that rolls below BLEND_SPEED carries its
+    pose past the lowered limit before full lock reaches the wheels at
+    t = 1.15 s: it diverges as the step-at-a-time reference does, with
+    the same time and partial trajectory."""
+    wide = replace(ref, steering=replace(ref.steering, a_t=6.0, d_t=6.0))
+    roll = _scenario(constant(0.2), StepSchedule(t=1.0, before=0.0, after=1.0), duration=2.0,
+                     model="dynamic", init=(0.45, 0, 0, 0.2, 0, 0))
+    with pytest.raises(ConfigError, match=r"pi/2 at t=1\.150000 s in scenario 't'$"):
+        simulate(roll, wide, normalized=True)
+    monkeypatch.setattr(simulator, "DIVERGENCE_LIMIT", 0.5)
+    with pytest.raises(SimulationDiverged) as got:
+        simulate(roll, wide, normalized=True)
+    with pytest.raises(SimulationDiverged) as expected:
+        _step_at_a_time(roll, wide, normalized=True, limit=0.5)
+    assert got.value.t == expected.value.t < 1.15
+    np.testing.assert_array_equal(got.value.trajectory.states, expected.value.trajectory)
+    assert got.value.trajectory.states[-1, 3] < simulator.BLEND_SPEED  # it rolls throughout
+
+
 def test_dynamic_scenario_requires_tire_parameters(ref):
     dynamic = _scenario(constant(0.3), constant(0.0), duration=0.5, model="dynamic",
                         init=(0, 0, 0, 0.5, 0, 0))
@@ -166,19 +204,19 @@ def _short_library():
 
 def _step_at_a_time(scenario, params, normalized=False, limit=None):
     """Reference states: one scenario, one step at a time on numpy
-    scalars, inputs drawn from the schedule callables and delayed by
-    index. ``rk4_step`` raises IntegrationError at a non-finite state;
-    with a ``limit``, a state beyond it raises SimulationDiverged with
-    the states before it."""
+    scalars, inputs sampled from the schedules and delayed by index.
+    ``rk4_step`` raises IntegrationError at a non-finite state; with a
+    ``limit``, a state beyond it raises SimulationDiverged with the
+    states before it."""
     geom, dt, times = params.geometry, scenario.dt, scenario.times
     lag_tau = int(round(params.delays.long_delay / dt))
     lag_s = int(round(params.delays.steer_delay / dt))
     states = np.empty((times.size, len(scenario.initial_state)))
     states[0] = scenario.initial_state
+    tau, s = scenario.throttle.sample(times), scenario.steering.sample(times)
     for k in range(times.size - 1):
-        tau_k = float(scenario.throttle(times[max(k - lag_tau, 0)]))
-        delta = float(models.steering_angle(
-            float(scenario.steering(times[max(k - lag_s, 0)])), params.steering))
+        tau_k = float(tau[max(k - lag_tau, 0)])
+        delta = float(models.steering_angle(float(s[max(k - lag_s, 0)]), params.steering))
 
         def net_force(v, tau_k=tau_k):
             return models.motor_force(tau_k, v, params.motor) + models.friction_force(
