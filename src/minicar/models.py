@@ -14,21 +14,28 @@ Each curve has one Jacobian, ``<curve>_jacobian(*inputs, p)``: for
 Every other function here is pure and takes either Python floats or
 numpy arrays, so one definition serves the dataset, fitting and
 validation code, which works on columns of rows, and the simulator,
-which uses both. It steps a kinematic speed or a dynamic body state
-one step at a time on floats, because Python float arithmetic is far
-cheaper than numpy's on single values, and it evaluates the pose of
-either (yaw rate and world-frame velocity) on whole-series arrays. The
-transcendental functions still come from numpy's ufuncs, not from
-``math``, whose results differ in the last bit, so a float input gives
-exactly what the array call gives at that element, and either way of
-integrating yields the same states.
+which evaluates the pose of either model (yaw rate and world-frame
+velocity) on whole-series arrays. The transcendental functions come
+from numpy's ufuncs, not from ``math``, whose results differ in the
+last bit, so a float input gives exactly what the array call gives at
+that element.
+
+The simulator steps the rest of a state on floats, where a Python call
+costs more than the arithmetic it wraps, so it steps on flat float laws
+built once per run: ``kinematic_speed_law`` (``kinematic_rhs``'s speed
+rate) and ``dynamic_body_law`` (``dynamic_body_rates``), both of
+``net_force``. They keep every operation's order and call
+``friction_force`` and ``pacejka_lateral`` through this module, so
+either way of integrating yields the same states; tests/test_bit_identity.py
+pins each law to what it restates, and tests/test_simulator.py pins
+``simulate`` to ``rk4_step`` on drawn vehicles.
 
 A state is a sequence of components, each a float or an array of
 rows, and a right-hand side returns the tuple of their derivatives:
 
 * kinematic: ``(x, y, eta, v)`` with (x, y) at the rear axle; its
   right-hand side is ``heading_velocity``, ``kinematic_yaw_rate`` and
-  ``kinematic_acceleration``, which the simulator also calls alone
+  the net force over the mass
 * dynamic:   ``(x, y, eta, v_x, v_y, omega)`` with (x, y) at the CoM
   and (v_x, v_y) in the body frame; likewise ``world_velocity``, omega
   and ``dynamic_body_rates``
@@ -57,6 +64,7 @@ STEER_BLEND_SHARPNESS = 30.0
 # Normalized slip angles divide by v_x, so they refuse any v_x at or
 # below this speed [m/s].
 SLIP_V_EPS = 1e-6
+_SLIP_REFUSAL = "normalized slip angles need v_x > 0"
 
 # The model kinds and the names of their state components, in order.
 STATE_NAMES = {"kinematic": ("x", "y", "eta", "v"),
@@ -74,11 +82,6 @@ def _float_kernel(ufunc):
 
 _tanh, _arctan, _sin, _cos, _tan = map(_float_kernel, (np.tanh, np.arctan, np.sin, np.cos,
                                                        np.tan))
-
-
-def _anywhere(flags) -> bool:
-    """Whether ``flags``, one bool or an array of them, holds anywhere."""
-    return flags if flags.__class__ is bool else bool(np.any(flags))
 
 
 def friction_force(v, p):
@@ -191,11 +194,6 @@ def rolling_body(v, tan_delta, geom: Geometry) -> tuple:
     return v, omega * geom.l_r, omega
 
 
-def kinematic_acceleration(f_total, geom: Geometry):
-    """Rate of change of the kinematic speed under the net force ``f_total``."""
-    return f_total / geom.m
-
-
 def heading_velocity(v, eta) -> tuple:
     """World-frame velocity ``(dx/dt, dy/dt)`` at speed ``v`` along heading ``eta``."""
     return v * _cos(eta), v * _sin(eta)
@@ -209,8 +207,20 @@ def kinematic_rhs(state, tan_delta, f_total, geom: Geometry) -> tuple:
     by the caller.
     """
     _, _, eta, v = state
-    return (*heading_velocity(v, eta), kinematic_yaw_rate(v, tan_delta, geom),
-            kinematic_acceleration(f_total, geom))
+    return (*heading_velocity(v, eta), kinematic_yaw_rate(v, tan_delta, geom), f_total / geom.m)
+
+
+def kinematic_speed_law(motor, friction, geom: Geometry):
+    """``rate(gate, v)``, the speed rate of ``kinematic_rhs`` under
+    ``net_force(gate, v, motor, friction)``, flat on floats with
+    ``drive_force`` inline and ``d``, ``e`` and ``m`` bound once."""
+    d, e, _ = motor
+    m = geom.m
+
+    def rate(gate, v):
+        return ((d - v * e) * gate + friction_force(v, friction)) / m
+
+    return rate
 
 
 def slip_angles(v_x, v_y, omega, delta, geom: Geometry, *, normalized: bool = False):
@@ -225,8 +235,8 @@ def slip_angles(v_x, v_y, omega, delta, geom: Geometry, *, normalized: bool = Fa
     front_arg = v_y + omega * geom.l_f
     rear_arg = v_y - omega * geom.l_r
     if normalized:
-        if _anywhere(v_x <= SLIP_V_EPS):
-            raise DataError("normalized slip angles need v_x > 0")
+        if np.any(v_x <= SLIP_V_EPS):
+            raise DataError(_SLIP_REFUSAL)
         front_arg = front_arg / v_x
         rear_arg = rear_arg / v_x
     alpha_f = -_arctan(front_arg) + delta
@@ -299,6 +309,37 @@ def dynamic_body_rates(body, delta, cos_d, sin_d, f_x_total, tire: tuple,
         (f_yr + front_y) / geom.m - omega * v_x,
         (geom.l_f * front_y - geom.l_r * f_yr) / geom.I_z,
     )
+
+
+def dynamic_body_law(motor, friction, tire: tuple, geom: Geometry, *,
+                     normalized: bool = False):
+    """``rates_at(gate, delta, cos_d, sin_d)``, the right-hand side
+    ``body -> dynamic_body_rates(body, delta, cos_d, sin_d, net_force(gate,
+    v_x, motor, friction), tire, geom, normalized=normalized)``, flat on
+    floats with ``drive_force``, ``slip_angles`` and ``rear_lateral``
+    inline and ``d``, ``e``, the geometry and ``C_r`` bound once."""
+    d, e, _ = motor
+    l_f, l_r, m, I_z, c_r = geom.l_f, geom.l_r, geom.m, geom.I_z, tire[4]
+
+    def rates_at(gate, delta, cos_d, sin_d):
+        def rates(body):
+            v_x, v_y, omega = body
+            f_half = ((d - v_x * e) * gate + friction_force(v_x, friction)) / 2.0
+            front_arg, rear_arg = v_y + omega * l_f, v_y - omega * l_r
+            if normalized:
+                if v_x <= SLIP_V_EPS:
+                    raise DataError(_SLIP_REFUSAL)
+                front_arg, rear_arg = front_arg / v_x, rear_arg / v_x
+            alpha_f, alpha_r = -float(np.arctan(front_arg)) + delta, -float(np.arctan(rear_arg))
+            f_yf, f_yr = pacejka_lateral(alpha_f, tire), c_r * alpha_r
+            front_y = f_yf * cos_d + f_half * sin_d
+            return ((f_half + f_half * cos_d - f_yf * sin_d) / m + omega * v_y,
+                    (f_yr + front_y) / m - omega * v_x,
+                    (l_f * front_y - l_r * f_yr) / I_z)
+
+        return rates
+
+    return rates_at
 
 
 def world_velocity(v_x, v_y, eta) -> tuple:

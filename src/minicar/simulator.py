@@ -19,7 +19,9 @@ Both models are integrated in two passes, since neither reads its pose
 rest on Python floats and records its four stage values in every step:
 a kinematic speed (dv/dt = net force / m) through
 ``rk4_scalar_stages``, a dynamic body state (v_x, v_y, omega) through
-``rk4_tuple_stages``. It is the one place a run stops: after the first
+``rk4_tuple_stages``, each on the flat float law that ``models`` builds
+once per run (``kinematic_speed_law``, ``dynamic_body_law``). It is the
+one place a run stops: after the first
 value beyond DIVERGENCE_LIMIT or non-finite, since no later state can
 count, and before the first step that would roll at an angle
 ``models.steering_refused`` flags (a kinematic run's input series ends
@@ -160,14 +162,11 @@ def simulate(scenario: Scenario, params: VehicleParams, *,
 def _kinematic_states(scenario: Scenario, params: VehicleParams, inputs: tuple) -> np.ndarray:
     """A kinematic scenario's states up to the last sane one (``_sane_states``)."""
     gate, delta, tan_delta, _, _ = inputs
-    geom, motor, friction = params.geometry, tuple(params.motor), tuple(params.friction)
-
-    def acceleration(gate_k, v):
-        return models.kinematic_acceleration(models.net_force(gate_k, v, motor, friction), geom)
-
+    geom = params.geometry
+    rate = models.kinematic_speed_law(tuple(params.motor), tuple(params.friction), geom)
     steps = int(np.argmax(np.append(models.steering_refused(delta), True)))  # up to a refused one
-    stages, v_end = rk4_scalar_stages(acceleration, scenario.initial_state[3],
-                                      gate[:steps].tolist(), scenario.dt, DIVERGENCE_LIMIT)
+    stages, v_end = rk4_scalar_stages(rate, scenario.initial_state[3], gate[:steps].tolist(),
+                                      scenario.dt, DIVERGENCE_LIMIT)
     v = np.ascontiguousarray(np.frombuffer(stages).reshape(-1, 4).T)  # (4, steps)
     yaw = models.kinematic_yaw_rate(v, tan_delta[:v.shape[1]], geom)
     return _sane_states(scenario, yaw, lambda eta: models.heading_velocity(v, eta), [v], (v_end,))
@@ -177,19 +176,18 @@ def _dynamic_states(scenario: Scenario, params: VehicleParams, inputs: tuple,
                     normalized: bool) -> np.ndarray:
     """A dynamic scenario's states up to the last sane one (``_sane_states``)."""
     geom, motor, friction = params.geometry, tuple(params.motor), tuple(params.friction)
-    tire = models.tire_coefficients(params)
+    rates_at = models.dynamic_body_law(motor, friction, models.tire_coefficients(params), geom,
+                                       normalized=normalized)
+    rate = models.kinematic_speed_law(motor, friction, geom)
 
     def law(u, body):
         gate, delta, tan_d, cos_d, sin_d = u
         if not (normalized and body[0] < BLEND_SPEED):
-            return (lambda s: models.dynamic_body_rates(
-                s, delta, cos_d, sin_d, models.net_force(gate, s[0], motor, friction), tire, geom,
-                normalized=normalized)), None
+            return rates_at(gate, delta, cos_d, sin_d), None
         if models.steering_refused(delta):
             return None, None
-        return (lambda s: (models.kinematic_acceleration(  # it rolls: the speed alone, then pinned
-            models.net_force(gate, s[0], motor, friction), geom), 0.0, 0.0),
-            lambda s: models.rolling_body(s[0], tan_d, geom))
+        return (lambda s: (rate(gate, s[0]), 0.0, 0.0),  # it rolls: the speed alone, then pinned
+                lambda s: models.rolling_body(s[0], tan_d, geom))
 
     steps = zip(*(c.tolist() for c in inputs))
     stages, end = rk4_tuple_stages(law, scenario.initial_state[3:], steps, scenario.dt,

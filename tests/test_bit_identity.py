@@ -129,3 +129,24 @@ def test_rk4_step_on_precomputed_inputs_on_floats_equals_array_element(kind, nor
     rows = data.draw(_rows(*state, _floats(-1, 1), _floats(-1, 1)))
     _assert_rowwise_equal(
         lambda *row: tuple(step(list(row[:-2]), held_inputs(*row[-2:], REF))), rows)
+
+
+@given(rows=_rows(_floats(0, 1.5), _floats(-0.6, 0.6), _floats(0.01, 4), _floats(-2, 2),
+                  _floats(-6, 6)), normalized=st.booleans())
+def test_flat_float_laws_equal_the_array_functions_they_restate(rows, normalized):
+    """The simulator's pass 1 steps on ``kinematic_speed_law`` and
+    ``dynamic_body_law``; on floats they give what the array functions
+    they restate give at each element."""
+    geom = REF.geometry
+    gate, delta, v_x, v_y, omega = (np.array(c) for c in zip(*rows))
+    _, cos_d, sin_d = models.steering_terms(delta)
+    force = models.net_force(gate, v_x, MOTOR, FRICTION)
+    speed = models.kinematic_rhs((0.0, 0.0, 0.0, v_x), 0.0, force, geom)[3]
+    body = models.dynamic_body_rates((v_x, v_y, omega), delta, cos_d, sin_d, force, TIRE, geom,
+                                     normalized=normalized)
+    rate = models.kinematic_speed_law(MOTOR, FRICTION, geom)
+    rates_at = models.dynamic_body_law(MOTOR, FRICTION, TIRE, geom, normalized=normalized)
+    for i, (g, d, *state) in enumerate(rows):
+        flat = (rate(g, state[0]), *rates_at(g, d, *models.steering_terms(d)[1:])(state))
+        assert all(type(value) is float for value in flat), flat
+        assert list(flat) == [float(c[i]) for c in (speed, *body)]

@@ -10,6 +10,8 @@ from minicar import models, simulator
 from minicar.delay import estimate_delay_xcorr
 from minicar.errors import ConfigError, DataError, IntegrationError, SimulationDiverged
 from minicar.integrators import rk4_step
+from minicar.params import (Delays, FrictionParams, Geometry, MotorParams, SteeringParams,
+                            TireParams, VehicleParams)
 from minicar.scenarios import (
     PiecewiseSchedule,
     Scenario,
@@ -312,17 +314,13 @@ def test_batch_divergence_names_the_failing_scenario(ref, monkeypatch):
 
 
 def test_batch_integration_error_names_the_failing_scenario(ref, monkeypatch):
-    net_force = models.net_force
-
-    def fragile_net_force(gate, v, *args):
-        return np.nan if v > 0.5 else net_force(gate, v, *args)
-
-    monkeypatch.setattr(models, "net_force", fragile_net_force)
+    monkeypatch.setattr(models, "friction_force", _fragile_friction(0.5))
     calm = _scenario(constant(0.0), constant(0.0), duration=4.0)
     wild = Scenario(name="wild", duration=3.0, dt=0.01, model="kinematic",
                     throttle=constant(0.4), steering=constant(0.0))
     assert len(simulate(calm, ref)) == calm.times.size
-    with pytest.raises(IntegrationError, match="non-finite derivative.*'wild'"):
+    with pytest.raises(IntegrationError,
+                       match=r"non-finite derivative or state at t=0\.160000 s in scenario 'wild'$"):
         simulate(wild, ref)
 
 
@@ -406,13 +404,9 @@ def test_pass_1_takes_no_step_after_the_first_speed_beyond_the_limit(ref, monkey
     assert np.abs(err.value.trajectory.states[:, :3]).max() <= 0.5  # the speed left first
 
 
-@st.composite
-def _short_runs(draw, model):
-    """Short runs on piecewise throttle and steering over the whole
-    command range, from a moving pose: a kinematic one forwards or
-    backwards, a dynamic one with v_x on either side of BLEND_SPEED."""
-    dt = draw(st.sampled_from([0.005, 0.01, 0.02, 0.05]))
-    n = draw(st.integers(1, 80))
+def _piecewise_inputs(draw, n, dt):
+    """Piecewise throttle and steering over the whole command range, on
+    shared breaks among the n steps of dt."""
     breaks = draw(st.integers(1, min(4, n + 1)))
     times = tuple(sorted(draw(st.sets(st.integers(0, n), min_size=breaks, max_size=breaks))))
 
@@ -420,6 +414,17 @@ def _short_runs(draw, model):
         values = draw(st.lists(st.floats(-1, 1), min_size=len(times), max_size=len(times)))
         return PiecewiseSchedule(times=tuple(i * dt for i in times), values=tuple(values))
 
+    return schedule(), schedule()
+
+
+@st.composite
+def _short_runs(draw, model):
+    """Short runs on piecewise throttle and steering over the whole
+    command range, from a moving pose: a kinematic one forwards or
+    backwards, a dynamic one with v_x on either side of BLEND_SPEED."""
+    dt = draw(st.sampled_from([0.005, 0.01, 0.02, 0.05]))
+    n = draw(st.integers(1, 80))
+    throttle, steering = _piecewise_inputs(draw, n, dt)
     pose = st.floats(-50, 50, allow_nan=False).filter(lambda x: x != 0)
     state = (draw(pose), draw(pose), draw(pose))
     if model == "kinematic":
@@ -428,7 +433,7 @@ def _short_runs(draw, model):
         blend = simulator.BLEND_SPEED
         v_x = draw(st.one_of(st.floats(-1, blend, exclude_max=True), st.floats(blend, 3)))
         state += (v_x, draw(st.floats(-0.5, 0.5)), draw(st.floats(-2, 2)))
-    return _scenario(schedule(), schedule(), duration=n * dt, dt=dt, model=model, init=state)
+    return _scenario(throttle, steering, duration=n * dt, dt=dt, model=model, init=state)
 
 
 @given(scenario=_short_runs("kinematic"))
@@ -447,9 +452,64 @@ def test_dynamic_two_pass_states_equal_rk4_steps(ref, scenario, normalized):
     except DataError as exc:
         with pytest.raises(DataError) as got:
             simulate(scenario, ref, normalized=normalized)
-        assert str(got.value) == str(exc)
+        assert str(got.value) == f"{exc} in scenario 't'"
         return
     np.testing.assert_array_equal(simulate(scenario, ref, normalized=normalized).states, expected)
+
+
+@st.composite
+def _vehicles(draw):
+    """Parameter sets the loaders accept, every field drawn over a range
+    around the reference vehicle's; the steering scales stay below
+    pi/2, so no kinematic step is refused."""
+
+    def group(cls, **ranges):
+        return cls(**{name: draw(st.floats(lo, hi)) for name, (lo, hi) in ranges.items()})
+
+    wheelbase = draw(st.floats(0.1, 0.4))
+    return VehicleParams(
+        friction=group(FrictionParams, a=(0.8, 3.0), b=(5.0, 25.0), c=(0.0, 1.0)),
+        motor=group(MotorParams, d=(10.0, 60.0), e=(2.0, 12.0), g=(-0.5, 0.0)),
+        steering=group(SteeringParams, a_t=(0.2, 1.5), b_t=(0.1, 2.0), c_t=(-0.2, 0.2),
+                       d_t=(0.2, 1.5), e_t=(0.1, 2.0)),
+        tire=group(TireParams, D=(1.0, 6.0), C=(0.3, 1.4), B=(0.1, 0.6), E=(-6.0, 0.5),
+                   C_r=(0.2, 0.8)),
+        geometry=Geometry.rectangle(m=draw(st.floats(1.0, 3.0)), l=wheelbase,
+                                    w=draw(st.floats(0.05, 0.2)),
+                                    l_f=wheelbase * draw(st.floats(0.3, 0.7))),
+        delays=group(Delays, steer_delay=(0.0, 0.2), long_delay=(0.0, 0.05)))
+
+
+@st.composite
+def _drawn_vehicle_runs(draw):
+    """A drawn vehicle on a 0.3-0.5 s run of either model under either
+    slip convention, a dynamic one often starting near BLEND_SPEED."""
+    model, normalized = draw(st.sampled_from([("kinematic", False), ("dynamic", False),
+                                              ("dynamic", True)]))
+    dt = draw(st.sampled_from([0.005, 0.01, 0.02]))
+    n = draw(st.integers(round(0.3 / dt), round(0.5 / dt)))
+    throttle, steering = _piecewise_inputs(draw, n, dt)
+    pose = st.floats(-5, 5)
+    state = (draw(pose), draw(pose), draw(pose))
+    if model == "kinematic":
+        state += (draw(st.floats(0, 2)),)
+    else:
+        near = simulator.BLEND_SPEED + 0.15
+        state += (draw(st.floats(0.2, near) | st.floats(near, 3)), draw(st.floats(-0.3, 0.3)),
+                  draw(st.floats(-2, 2)))
+    scenario = _scenario(throttle, steering, duration=n * dt, dt=dt, model=model, init=state)
+    return draw(_vehicles()), scenario, normalized
+
+
+@given(run=_drawn_vehicle_runs())
+@settings(max_examples=60)
+def test_simulate_equals_step_at_a_time_on_drawn_vehicles(run):
+    """Pass 1 steps each model on a flat float restatement of its
+    right-hand side; on drawn vehicles, not the reference alone, its
+    states are the step-at-a-time reference's bit for bit."""
+    params, scenario, normalized = run
+    np.testing.assert_array_equal(simulate(scenario, params, normalized=normalized).states,
+                                  _step_at_a_time(scenario, params, normalized))
 
 
 # --- synthesize_log ----------------------------------------------------------

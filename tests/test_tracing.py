@@ -32,7 +32,9 @@ def test_traced_simulate_counts_the_stages_of_pass_1():
     models step only what their pose depends on (the speed, or the body
     state of a dynamic model), through four spans of each curve it
     reads per step, and evaluate the pose on whole series, so neither
-    opens an ``rk4_step`` or right-hand-side span."""
+    opens an ``rk4_step`` or right-hand-side span. A normalized-slip
+    dynamic run above the blend speed, which never rolls, reads the
+    same curves."""
     from minicar import simulator
     from minicar.params import reference_params
     from minicar.scenarios import Scenario, constant
@@ -42,13 +44,16 @@ def test_traced_simulate_counts_the_stages_of_pass_1():
     tracer = tracing.Tracer()
     try:
         tracing.install(tracer)
-        for model, init in (("kinematic", (0, 0, 0, 0.5)), ("dynamic", (0, 0, 0, 0.5, 0, 0))):
+        for model, init, normalized in (("kinematic", (0, 0, 0, 0.5), False),
+                                        ("dynamic", (0, 0, 0, 0.5, 0, 0), False),
+                                        ("dynamic", (0, 0, 0, 0.5, 0, 0), True)):
             before = {name: calls for name, (calls, _, _) in tracer.snapshot()[0].items()}
             traj = simulator.simulate(
                 Scenario(name=model, duration=0.3, dt=0.01, model=model, throttle=constant(0.3),
-                         steering=constant(0.2), initial_state=init), ref)
+                         steering=constant(0.2), initial_state=init), ref, normalized=normalized)
             steps = len(traj) - 1
             assert steps == 30
+            assert traj.states[:, 3].min() >= simulator.BLEND_SPEED  # no step rolls
             spans = tracer.snapshot()[0]
 
             def calls(name):
