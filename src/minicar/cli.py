@@ -18,11 +18,15 @@ cannot fork. Each scenario's noise seed follows its place in the
 library, so the outputs do not depend on the number of CPUs, and the
 manifests list the scenarios in library order. A failure reports the
 first failing scenario in library order and writes no manifest.
+
+``main`` parses with one parser per process. It is built on the first
+call, and its set_defaults(func=...) binds the command functions then.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import logging
@@ -367,6 +371,9 @@ def cmd_generate(args) -> int:
 
 
 def cmd_validate(args) -> int:
+    if args.out and (args.out.endswith(("/", os.sep)) or Path(args.out).is_dir()):
+        logger.error("--out %s names a directory, not the report file", args.out)
+        return 2
     params = load_params(args.params)
     table = validation.read_table(args.log)
     rms = validation.one_step_rms(table, params, args.model,
@@ -374,6 +381,7 @@ def cmd_validate(args) -> int:
     report = {"log": str(args.log), "model": args.model, "rms": rms}
     print(json.dumps(report, indent=2, allow_nan=False))
     if args.out:
+        Path(args.out).parent.mkdir(parents=True, exist_ok=True)
         write_json(args.out, report)
     return 0
 
@@ -427,8 +435,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_parser = functools.cache(build_parser)
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     logging.basicConfig(
         level=logging.DEBUG if args.verbose else logging.INFO,
         format="%(levelname)s %(name)s: %(message)s",

@@ -14,8 +14,9 @@ This module owns the CSV dialect for every file minicar reads or
 writes: ``read_table`` parses any header-labelled numeric CSV
 (trajectory exports included) and ``format_table`` writes one, with
 floats in ``repr`` form so files are byte-stable and re-read without
-precision loss. ``load_log`` and ``dump_log`` add the RawLog header
-rules on top.
+precision loss (each distinct bit pattern of a row block is formatted
+once, to the same bytes). ``load_log`` and ``dump_log`` add the RawLog
+header rules on top.
 """
 
 from __future__ import annotations
@@ -209,15 +210,17 @@ def format_table(header, columns) -> str:
 
     Rows are formatted FORMAT_BLOCK_ROWS at a time, so only one block's
     Python floats and lines are alive at once, not a whole log's. Within
-    a block, ``repr`` is mapped over each column and the fields are
-    joined row by row, both in C loops.
+    a block, ``repr`` runs once per distinct bit pattern (0.0 and -0.0
+    differ), which gives the bytes of one ``repr`` per field.
     """
     columns = [np.asarray(c, dtype=float) for c in columns]
     n = min((len(c) for c in columns), default=0)
     blocks = [",".join(header)]
     for start in range(0, n, FORMAT_BLOCK_ROWS):
-        fields = [map(repr, c[start:start + FORMAT_BLOCK_ROWS].tolist()) for c in columns]
-        blocks.append("\n".join(map(",".join, zip(*fields))))
+        block = np.stack([c[start:min(start + FORMAT_BLOCK_ROWS, n)] for c in columns])
+        bits, inverse = np.unique(block.view(np.int64), return_inverse=True)
+        texts = np.array(list(map(repr, bits.view(float).tolist())), dtype=object)[inverse]
+        blocks.append("\n".join(map(",".join, zip(*texts.reshape(block.shape).tolist()))))
     return "\n".join(blocks) + "\n"
 
 

@@ -193,6 +193,68 @@ def test_validate_without_a_command_column_exits_2_naming_it(tmp_path, params_fi
     assert f"{missing} column" in caplog.text
 
 
+def _straight_log(tmp_path) -> Path:
+    log = tmp_path / "log.csv"
+    log.write_text("t,tau,s,v_enc,omega_imu\n0,0,0,0,0\n0.01,0,0,0,0\n")
+    return log
+
+
+@pytest.mark.parametrize("out", ["existing", "new/"])
+def test_validate_refuses_an_out_that_names_a_directory(tmp_path, params_file, caplog, capsys,
+                                                       monkeypatch, out):
+    """``--out`` names the report file: an existing directory, or a path
+    ending in a slash, exits 2 with one error naming it before the log
+    is read, and prints and writes nothing."""
+    log = _straight_log(tmp_path)
+    (tmp_path / "existing").mkdir()
+    before = sorted(tmp_path.rglob("*"))
+    monkeypatch.setattr(cli.validation, "read_table", lambda path: pytest.fail("the log was read"))
+    target = f"{tmp_path}/{out}"
+    assert main(["validate", "--params", str(params_file), "--log", str(log),
+                 "--model", "kinematic", "--out", target]) == 2
+    assert target in _one_error(caplog)
+    assert capsys.readouterr().out == ""
+    assert sorted(tmp_path.rglob("*")) == before
+
+
+def test_validate_creates_the_missing_parent_of_its_out(tmp_path, params_file, capsys):
+    report = tmp_path / "missing" / "dir" / "r.json"
+    assert main(["validate", "--params", str(params_file), "--log", str(_straight_log(tmp_path)),
+                 "--model", "kinematic", "--out", str(report)]) == 0
+    assert json.loads(report.read_text()) == json.loads(capsys.readouterr().out)
+
+
+def test_main_reuses_one_parser_without_carrying_state_between_calls(tmp_path, params_file,
+                                                                     capsys):
+    """In one process, a flag given to one call does not reach the next,
+    an argparse error does not stop the next call, and ``build_parser``
+    still returns a fresh parser."""
+    scenario = write_scenario(
+        tmp_path, model="dynamic", duration=2.0,
+        throttle={"type": "piecewise", "times": [0.0], "values": [0.3]},
+        steering={"type": "piecewise", "times": [0.0], "values": [0.4]},
+        initial_state=[0.0, 0.0, 0.0, 0.5, 0.0, 0.0])
+    out = tmp_path / "sim"
+    assert main(["simulate", "--params", str(params_file), "--scenario", str(scenario),
+                 "--out", str(out)]) == 0
+    validate = ["validate", "--params", str(params_file), "--log", str(out / "trajectory.csv"),
+                "--model", "dynamic"]
+
+    def rms(*flags):
+        capsys.readouterr()
+        assert main([*validate, *flags]) == 0
+        return json.loads(capsys.readouterr().out)["rms"]
+
+    default = rms()
+    assert rms("--normalized-slip") != default
+    assert rms() == default
+    with pytest.raises(SystemExit) as exc:
+        main(["fit"])
+    assert exc.value.code == 2
+    assert rms() == default
+    assert build_parser() is not build_parser()
+
+
 def test_validate_errors_on_missing_params(tmp_path):
     log = tmp_path / "log.csv"
     log.write_text("t,tau,s,v_enc,omega_imu\n0,0,0,0,0\n0.01,0,0,0,0\n")

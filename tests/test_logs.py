@@ -1,8 +1,9 @@
 import io
+import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from minicar import logs
@@ -185,15 +186,59 @@ def test_rawlog_arrays_become_readonly():
         log.t[0] = 5.0
 
 
+def _repr_per_field(header, columns):
+    """The reference CSV text: one ``repr`` per field, in rows that stop
+    at the shortest column."""
+    rows = zip(*(np.asarray(c, dtype=float).tolist() for c in columns))
+    return "\n".join([",".join(header), *(",".join(map(repr, row)) for row in rows)]) + "\n"
+
+
 @pytest.mark.parametrize("rows", [0, 1, FORMAT_BLOCK_ROWS - 1, FORMAT_BLOCK_ROWS,
                                   FORMAT_BLOCK_ROWS + 1, 2 * FORMAT_BLOCK_ROWS + 3])
 def test_format_table_blocks_match_whole_table_formatting(rows):
     """Formatting in row blocks gives the text of formatting every row at once."""
     rng = np.random.default_rng(rows)
     columns = [rng.normal(size=rows), np.arange(rows, dtype=float) * 0.01, rng.uniform(-1, 1, rows)]
-    whole = "\n".join(["a,b,c", *(",".join(map(repr, row))
-                                  for row in zip(*(c.tolist() for c in columns)))]) + "\n"
-    assert format_table(("a", "b", "c"), columns) == whole
+    assert format_table(("a", "b", "c"), columns) == _repr_per_field(("a", "b", "c"), columns)
+
+
+# A few values, so that fields repeat within a block, and the ones whose
+# bit patterns and repr are easy to confuse: the signed zeros, NaN and the
+# infinities.
+_POOL = (0.0, -0.0, 0.1, -0.1, 1.0, 5e-324, 1e300, math.nan, math.inf, -math.inf)
+_ROWS = [k * FORMAT_BLOCK_ROWS + d for k in range(3) for d in (-1, 0, 1) if k or d >= 0]
+# A column: runs of values, as piecewise-constant commands have, repeated
+# to its length.
+_RUNS = st.lists(st.tuples(st.sampled_from(_POOL) | st.floats(),
+                           st.integers(1, FORMAT_BLOCK_ROWS + 1)), min_size=1, max_size=6)
+
+
+@example(runs=[[(0.0, 1), (-0.0, 1), (math.nan, 1), (math.inf, 1), (-math.inf, 1)]],
+         rows=FORMAT_BLOCK_ROWS + 1, extra=[0], duplicate=None)
+@given(runs=st.lists(_RUNS, min_size=1, max_size=4),
+       rows=st.sampled_from(_ROWS) | st.integers(0, 3 * FORMAT_BLOCK_ROWS),
+       extra=st.lists(st.integers(0, 2), min_size=4, max_size=4),
+       duplicate=st.none() | st.integers(0, 3))
+def test_format_table_equals_a_repr_per_field(runs, rows, extra, duplicate):
+    """Formatting each distinct bit pattern once per block gives the bytes
+    of a ``repr`` per field: on runs and repeats, signed zeros, NaN and
+    infinities in one block, a column that duplicates another, row counts
+    on either side of a block boundary, and columns of unequal length,
+    where the shortest decides."""
+    columns = [np.resize(np.repeat(*zip(*r)), rows + more) for r, more in zip(runs, extra)]
+    if duplicate is not None:
+        columns.append(columns[duplicate % len(columns)].copy())
+    header = [f"c{j}" for j in range(len(columns))]
+    assert format_table(header, columns) == _repr_per_field(header, columns)
+
+
+def test_format_table_formats_a_constant_once_per_block(monkeypatch):
+    """Three columns holding one value make one repr call per block."""
+    calls = []
+    monkeypatch.setattr(logs, "repr", lambda x: calls.append(x) or repr(x), raising=False)
+    text = format_table("abc", [np.full(1000, 0.25)] * 3)
+    assert text == "a,b,c\n" + "0.25,0.25,0.25\n" * 1000
+    assert len(calls) <= math.ceil(1000 / FORMAT_BLOCK_ROWS) == 4
 
 
 def _outcome(text):
