@@ -256,10 +256,8 @@ def test_main_reuses_one_parser_without_carrying_state_between_calls(tmp_path, p
 
 
 def test_validate_errors_on_missing_params(tmp_path):
-    log = tmp_path / "log.csv"
-    log.write_text("t,tau,s,v_enc,omega_imu\n0,0,0,0,0\n0.01,0,0,0,0\n")
     assert main(["validate", "--params", str(tmp_path / "nope.json"),
-                 "--log", str(log), "--model", "kinematic"]) != 0
+                 "--log", str(_straight_log(tmp_path)), "--model", "kinematic"]) != 0
 
 
 def test_validate_on_own_trajectory(tmp_path, params_file, capsys):
