@@ -19,8 +19,12 @@ library, so the outputs do not depend on the number of CPUs, and the
 manifests list the scenarios in library order. A failure reports the
 first failing scenario in library order and writes no manifest.
 
+``fit --normalized-slip`` picks the slip-angle convention, which the
+parameter file records; the other commands follow their ``--params``.
+
 ``main`` parses with one parser per process. It is built on the first
 call, and its set_defaults(func=...) binds the command functions then.
+Each call sets the ``minicar`` loggers' level: DEBUG with -v, else INFO.
 """
 
 from __future__ import annotations
@@ -55,13 +59,11 @@ def _sha256(path: Path) -> str:
 
 
 def _defaults() -> dict:
-    """The fixed thresholds the fit, validate and simulate paths apply,
-    and the default slip-angle convention."""
+    """The fixed thresholds the fit, validate and simulate paths apply."""
     return {
         "v_min": datasets.V_MIN,
         "smooth_window": datasets.SMOOTH_WINDOW,
         "force_window": datasets.FORCE_WINDOW,
-        "normalized_slip": False,
         "long_delay": pipeline.DEFAULT_LONG_DELAY,
         "delay_max_lag": delay.MAX_LAG_S,
         "steady_window_s": datasets.STEADY_WINDOW_S,
@@ -198,10 +200,16 @@ _FIT_FIELDS = {
 }
 
 
+def _out_names_directory(out: str, what: str) -> bool:
+    """Whether ``--out`` names a directory, not the ``what`` file; logs why."""
+    if out.endswith(("/", os.sep)) or Path(out).is_dir():
+        logger.error("--out %s names a directory, not the %s", out, what)
+        return True
+    return False
+
+
 def cmd_fit(args) -> int:
-    out_path = Path(args.out)
-    if args.out.endswith(("/", os.sep)) or out_path.is_dir():
-        logger.error("--out %s names a directory, not the parameter file", args.out)
+    if _out_names_directory(args.out, "parameter file"):
         return 2
     logs_dir = Path(args.logs)
     if not logs_dir.is_dir():
@@ -223,6 +231,7 @@ def cmd_fit(args) -> int:
         logger.error("fit failed: %s", exc)
         return 2
 
+    out_path = Path(args.out)
     out_dir = out_path.parent
     out_dir.mkdir(parents=True, exist_ok=True)
     report = {
@@ -267,10 +276,10 @@ def cmd_fit(args) -> int:
     return 0
 
 
-def _simulate(scenario: scenarios.Scenario, params, normalized: bool):
+def _simulate(scenario: scenarios.Scenario, params):
     """The scenario's trajectory, and its steps and wall time for the run manifest."""
     start = time.perf_counter()
-    traj = simulator.simulate(scenario, params, normalized=normalized)
+    traj = simulator.simulate(scenario, params)
     run = {"name": scenario.name, "steps": len(traj) - 1,
            "wall_s": round(time.perf_counter() - start, 6)}
     return traj, run
@@ -279,7 +288,7 @@ def _simulate(scenario: scenarios.Scenario, params, normalized: bool):
 def cmd_simulate(args) -> int:
     params = load_params(args.params)
     scenario = scenarios.load_scenario(args.scenario)
-    traj, run = _simulate(scenario, params, args.normalized_slip)
+    traj, run = _simulate(scenario, params)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     simulator.save_trajectory(traj, params, out_dir / "trajectory.csv")
@@ -307,10 +316,10 @@ def cmd_simulate(args) -> int:
 
 
 def _generate_one(tag: str, scenario: scenarios.Scenario, seed: int, params, noise,
-                  normalized: bool, out_dir: Path):
+                  out_dir: Path):
     """One job of ``generate``: simulate the scenario, write its noisy log,
     and return the log's manifest entry and the scenario's run record."""
-    traj, run = _simulate(scenario, params, normalized)
+    traj, run = _simulate(scenario, params)
     log = simulator.synthesize_log(scenario, params, noise, seed, trajectory=traj)
     filename = f"{scenario.name}.csv"
     save_log(log, out_dir / filename)
@@ -361,8 +370,8 @@ def cmd_generate(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     seeds = np.random.SeedSequence(args.seed).spawn(len(library))
     entries, runs = zip(*_generate_all([
-        (tag, scenario, int(seed.generate_state(1)[0]), params, noise, args.normalized_slip,
-         out_dir) for (tag, scenario), seed in zip(library, seeds)]))
+        (tag, scenario, int(seed.generate_state(1)[0]), params, noise, out_dir)
+        for (tag, scenario), seed in zip(library, seeds)]))
     write_json(out_dir / "manifest.json", asdict(_LogManifest(logs=list(entries))))
     _write_manifest(out_dir, args, [Path(args.params), Path(args.noise)],
                     {"seed": args.seed, "scenarios": list(runs)})
@@ -371,13 +380,11 @@ def cmd_generate(args) -> int:
 
 
 def cmd_validate(args) -> int:
-    if args.out and (args.out.endswith(("/", os.sep)) or Path(args.out).is_dir()):
-        logger.error("--out %s names a directory, not the report file", args.out)
+    if args.out and _out_names_directory(args.out, "report file"):
         return 2
     params = load_params(args.params)
     table = validation.read_table(args.log)
-    rms = validation.one_step_rms(table, params, args.model,
-                                  normalized=args.normalized_slip)
+    rms = validation.one_step_rms(table, params, args.model)
     report = {"log": str(args.log), "model": args.model, "rms": rms}
     print(json.dumps(report, indent=2, allow_nan=False))
     if args.out:
@@ -406,14 +413,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_fit.add_argument("--lf", type=float, default=None,
                        help="CoM to front axle [m] (default: wheelbase/2)")
     p_fit.add_argument("--normalized-slip", action="store_true",
-                       help="divide slip-angle arguments by v_x")
+                       help="divide slip-angle arguments by v_x; the parameter file records it")
     p_fit.set_defaults(func=cmd_fit)
 
     p_sim = sub.add_parser("simulate", help="integrate a scenario")
     p_sim.add_argument("--params", required=True)
     p_sim.add_argument("--scenario", required=True)
     p_sim.add_argument("--out", required=True, help="output directory")
-    p_sim.add_argument("--normalized-slip", action="store_true")
     p_sim.set_defaults(func=cmd_simulate)
 
     p_gen = sub.add_parser("generate", help="synthesize the experiment battery")
@@ -422,7 +428,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_gen.add_argument("--seed", required=True, type=_seed)
     p_gen.add_argument("--out", required=True, help="output directory")
     p_gen.add_argument("--dt", type=float, default=0.01, help="sample period [s]")
-    p_gen.add_argument("--normalized-slip", action="store_true")
     p_gen.set_defaults(func=cmd_generate)
 
     p_val = sub.add_parser("validate", help="one-step-ahead RMS against a log")
@@ -430,7 +435,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_val.add_argument("--log", required=True)
     p_val.add_argument("--model", required=True, choices=tuple(models.STATE_NAMES))
     p_val.add_argument("--out", default="", help="optional report JSON path")
-    p_val.add_argument("--normalized-slip", action="store_true")
     p_val.set_defaults(func=cmd_validate)
     return parser
 
@@ -440,10 +444,8 @@ _parser = functools.cache(build_parser)
 
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
-    logging.basicConfig(
-        level=logging.DEBUG if args.verbose else logging.INFO,
-        format="%(levelname)s %(name)s: %(message)s",
-    )
+    logging.basicConfig(format="%(levelname)s %(name)s: %(message)s")
+    logging.getLogger("minicar").setLevel(logging.DEBUG if args.verbose else logging.INFO)
     try:
         return args.func(args)
     except (MinicarError, OSError) as exc:

@@ -239,13 +239,9 @@ def _axle_forces(ax_abs, ay_abs, domega, eta, geom: Geometry) -> tuple:
     return f_x, (geom.l_r * f_y + moment) / geom.l, (geom.l_f * f_y - moment) / geom.l
 
 
-def build_tire_dataset(
-    logs: Sequence[RawLog],
-    params: VehicleParams,
-    *,
-    normalized: bool = False,
-) -> tuple[Dataset, Dataset]:
-    """Slip-angle/lateral-force pairs for the front and rear tires.
+def build_tire_dataset(logs: Sequence[RawLog], params: VehicleParams) -> tuple[Dataset, Dataset]:
+    """Slip-angle/lateral-force pairs for the front and rear tires, the
+    slip angles in the parameters' convention.
 
     Pose tracks are differentiated twice (with smoothing between
     stages) to get body-frame velocities, accelerations and yaw
@@ -286,8 +282,8 @@ def build_tire_dataset(
             continue
 
         alpha_f, alpha_r = models.slip_angles(
-            v_x[keep], v_y[keep], omega[keep], delta[keep], geom, normalized=normalized
-        )
+            v_x[keep], v_y[keep], omega[keep], delta[keep], geom,
+            normalized=params.normalized_slip)
         front.append(((alpha_f,), f_yf_tire[keep]))
         rear.append(((alpha_r,), f_yr_veh[keep]))
     if not front:

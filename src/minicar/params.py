@@ -220,6 +220,11 @@ class VehicleParams:
     geometry: Geometry
     delays: Delays = field(default_factory=Delays)
     tire: TireParams | None = None
+    normalized_slip: bool = False  # the tire model's slip convention (models.slip_angles)
+
+    def __post_init__(self):
+        _require(isinstance(self.normalized_slip, bool), "field 'normalized_slip' must be "
+                 f"true or false, got {self.normalized_slip!r}")
 
 
 _GROUPS = {
@@ -237,6 +242,7 @@ def params_to_dict(params: VehicleParams) -> dict:
     for name in _GROUPS:
         group = getattr(params, name)
         doc[name] = None if group is None else asdict(group)
+    doc["normalized_slip"] = params.normalized_slip
     return doc
 
 
@@ -251,8 +257,8 @@ def _group(name: str, doc):
 def params_from_dict(doc: dict) -> VehicleParams:
     """A VehicleParams from its JSON object; ConfigError naming the group
     and field for anything missing, unknown, mistyped, out of range or
-    non-finite. A group may be left out exactly when its field has a
-    default: ``delays`` (then zero) and ``tire`` (then None)."""
+    non-finite. A field may be left out exactly when it has a default:
+    ``delays`` (then zero), ``tire`` (then None) and ``normalized_slip`` (false)."""
     version = doc.get("schema_version") if isinstance(doc, dict) else PARAMS_SCHEMA_VERSION
     if isinstance(version, bool) or version != PARAMS_SCHEMA_VERSION:
         raise ConfigError(f"unsupported parameter schema_version: {version!r}")

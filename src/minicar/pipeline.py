@@ -89,13 +89,14 @@ def measure_steer_delay(log: RawLog, steering, l: float) -> float:
     return estimate_delay_xcorr(commanded, measured, log.dt)
 
 
-def _vehicle(values: Mapping[str, object], geometry: Geometry) -> VehicleParams:
+def _vehicle(values: Mapping[str, object], geometry: Geometry,
+             normalized_slip: bool) -> VehicleParams:
     """The vehicle of the stage results so far; None where a stage has none."""
     return VehicleParams(
         friction=values.get("friction"), motor=values.get("motor"),
         steering=values.get("steering"), geometry=geometry,
         delays=Delays(steer_delay=values.get("delay") or 0.0, long_delay=DEFAULT_LONG_DELAY),
-        tire=values.get("tire"),
+        tire=values.get("tire"), normalized_slip=normalized_slip,
     )
 
 
@@ -105,7 +106,7 @@ def _curve(name: str, data: ds.Dataset, fit, unit: str = "rows"):
     return value, StageReport(name, "fitted", f"{len(data)} {unit}", result, data)
 
 
-def _delay(logs, vehicle, _normalized_slip):
+def _delay(logs, vehicle):
     """The median delay over the sinusoidal logs; a log too short to
     smooth, or with no usable stretch, is skipped as the builders do."""
     estimates = []
@@ -124,25 +125,25 @@ def _delay(logs, vehicle, _normalized_slip):
     return value, StageReport("delay", "fitted", f"{value:.3f} s from {len(estimates)} log(s)")
 
 
-def _tire(logs, vehicle, normalized_slip):
-    front, rear = ds.build_tire_dataset(logs, vehicle, normalized=normalized_slip)
+def _tire(logs, vehicle):
+    front, rear = ds.build_tire_dataset(logs, vehicle)
     coeffs, front_report = _curve("tire", front, fitting.fit_front_tire)
     c_r, rear_report = _curve("tire_rear", rear, fitting.fit_rear_tire)
     return TireParams(*coeffs, C_r=c_r), front_report, rear_report
 
 
 # (name, tags, requires, failure detail, action), in the order the stages
-# run. ``action(logs, vehicle, normalized_slip)`` gets the stage's logs and
-# the vehicle of the results so far, and returns the stage's result and
-# one fitted StageReport per curve it fits. It looks up every builder and
-# fit through its module when it runs.
+# run. ``action(logs, vehicle)`` gets the stage's logs and the vehicle of
+# the results so far, in the fit's slip convention, and returns the
+# stage's result and one fitted StageReport per curve it fits. It looks
+# up every builder and fit through its module when it runs.
 PLAN = (
-    ("friction", ("coast", "step"), (), "", lambda logs, vehicle, _: _curve(
+    ("friction", ("coast", "step"), (), "", lambda logs, vehicle: _curve(
         "friction", ds.build_friction_dataset(logs, vehicle.geometry.m), fitting.fit_friction)),
     ("motor", ("step",), ("friction",), "requires a fitted friction curve",
-     lambda logs, vehicle, _: _curve("motor", ds.build_motor_dataset(
+     lambda logs, vehicle: _curve("motor", ds.build_motor_dataset(
          logs, vehicle.geometry.m, vehicle.friction), fitting.fit_motor)),
-    ("steering", ("steer",), (), "", lambda logs, vehicle, _: _curve(
+    ("steering", ("steer",), (), "", lambda logs, vehicle: _curve(
         "steering", ds.build_steering_dataset(logs, vehicle.geometry.l), fitting.fit_steering,
         "segments")),
     ("delay", ("sine",), ("steering",), "requires a fitted steering map", _delay),
@@ -162,7 +163,7 @@ def fit_pipeline(
     """Run the stages of PLAN in order on a tagged log collection.
 
     ``normalized_slip`` selects the slip-angle convention of the tire
-    labels (see ``models.slip_angles``).
+    labels (see ``models.slip_angles``), which ``result.params`` records.
 
     A stage not in ``stages`` (its logs are not read) or without logs is
     reported as skipped; a stage whose prerequisites have no result, or
@@ -189,8 +190,8 @@ def fit_pipeline(
             status, detail = "failed", missing
         else:
             try:
-                values[name], *fitted = action(data_logs, _vehicle(values, geometry),
-                                               normalized_slip)
+                values[name], *fitted = action(data_logs,
+                                               _vehicle(values, geometry, normalized_slip))
             except MinicarError as exc:
                 status, detail = "failed", str(exc)
             else:
@@ -201,5 +202,5 @@ def fit_pipeline(
 
     result.steer_delay = values.get("delay")
     if all(name in values for name in PARAMS_STAGES):
-        result.params = _vehicle(values, geometry)
+        result.params = _vehicle(values, geometry, normalized_slip)
     return result

@@ -36,13 +36,13 @@ state a non-finite component (IntegrationError) beats one beyond
 DIVERGENCE_LIMIT (SimulationDiverged), and a run that pass 1 cut short
 with every state sane was refused its next step (ConfigError).
 
-A dynamic scenario can run with either slip-angle convention. The
-default raw-velocity form is regular at standstill and needs no special
-casing; the normalized form is singular as v_x -> 0, so a step that
-starts below BLEND_SPEED rolls: pass 1 steps only its speed, as the
-kinematic model does, and pins (v_y, omega) to their rigid-rolling
-values after it, and pass 2 gives it the kinematic yaw rate and
-velocity along the heading.
+A dynamic scenario runs in the slip-angle convention of its parameters
+(``VehicleParams.normalized_slip``). The default raw-velocity form is
+regular at standstill and needs no special casing; the normalized form
+is singular as v_x -> 0, so a step that starts below BLEND_SPEED rolls:
+pass 1 steps only its speed, as the kinematic model does, and pins
+(v_y, omega) to their rigid-rolling values after it, and pass 2 gives
+it the kinematic yaw rate and velocity along the heading.
 """
 
 from __future__ import annotations
@@ -125,8 +125,7 @@ class Trajectory:
         return models.STATE_NAMES[self.model]
 
 
-def simulate(scenario: Scenario, params: VehicleParams, *,
-             normalized: bool = False) -> Trajectory:
+def simulate(scenario: Scenario, params: VehicleParams) -> Trajectory:
     """Integrate a scenario and record states plus both input series.
 
     A non-finite state raises IntegrationError, a state beyond
@@ -146,7 +145,7 @@ def simulate(scenario: Scenario, params: VehicleParams, *,
             if scenario.model == "kinematic":
                 states = _kinematic_states(scenario, params, inputs)
             else:
-                states = _dynamic_states(scenario, params, inputs, normalized)
+                states = _dynamic_states(scenario, params, inputs)
     except (ConfigError, DataError, IntegrationError) as exc:
         raise type(exc)(f"{exc} in scenario {scenario.name!r}") from exc
     n = len(states)
@@ -172,10 +171,10 @@ def _kinematic_states(scenario: Scenario, params: VehicleParams, inputs: tuple) 
     return _sane_states(scenario, yaw, lambda eta: models.heading_velocity(v, eta), [v], (v_end,))
 
 
-def _dynamic_states(scenario: Scenario, params: VehicleParams, inputs: tuple,
-                    normalized: bool) -> np.ndarray:
+def _dynamic_states(scenario: Scenario, params: VehicleParams, inputs: tuple) -> np.ndarray:
     """A dynamic scenario's states up to the last sane one (``_sane_states``)."""
     geom, motor, friction = params.geometry, tuple(params.motor), tuple(params.friction)
+    normalized = params.normalized_slip
     rates_at = models.dynamic_body_law(motor, friction, models.tire_coefficients(params), geom,
                                        normalized=normalized)
     rate = models.kinematic_speed_law(motor, friction, geom)
@@ -238,14 +237,14 @@ def held_inputs(tau_applied, s_applied, params: VehicleParams) -> tuple:
             *models.steering_terms(delta))
 
 
-def stepper(model: str, params: VehicleParams, dt: float, *, normalized: bool = False):
+def stepper(model: str, params: VehicleParams, dt: float):
     """The one step law: ``step(y, u)`` advances the state ``y``
     of ``model`` one ``rk4_step`` of ``dt`` under the ``held_inputs``
     ``u``, both floats or column arrays of rows. A kinematic step raises
-    ``models.steering_refusal()`` if any of its angles is refused. With
-    ``normalized`` slip, a dynamic row that starts below BLEND_SPEED
-    propagates the kinematic model instead and pins (v_y, omega) to
-    their rigid-rolling values.
+    ``models.steering_refusal()`` if any of its angles is refused. Under
+    the parameters' normalized slip, a dynamic row that starts below
+    BLEND_SPEED propagates the kinematic model instead and pins
+    (v_y, omega) to their rigid-rolling values.
     """
     motor, friction, geom = tuple(params.motor), tuple(params.friction), params.geometry
 
@@ -264,7 +263,7 @@ def stepper(model: str, params: VehicleParams, dt: float, *, normalized: bool = 
         gate, delta, _, cos_d, sin_d = u
         return rk4_step(lambda s: models.dynamic_rhs(
             s, delta, cos_d, sin_d, models.net_force(gate, s[3], motor, friction), tire, geom,
-            normalized=normalized), y, dt)
+            normalized=params.normalized_slip), y, dt)
 
     def rolling(y, u):
         y = kinematic(y[:4], u)
@@ -281,7 +280,7 @@ def stepper(model: str, params: VehicleParams, dt: float, *, normalized: bool = 
                     o[rows] = c
         return out
 
-    return blended if normalized else dynamic
+    return blended if params.normalized_slip else dynamic
 
 
 def trajectory_yaw_rate(traj: Trajectory, params: VehicleParams) -> np.ndarray:

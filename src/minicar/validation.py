@@ -13,7 +13,8 @@ inputs are ``tau_applied`` and ``s_applied`` together, or else ``tau``
 and ``s`` shifted by the parameters' delays.
 
 Every row is predicted at once by the simulator's own step law
-(``simulator.held_inputs`` and ``simulator.stepper``) on column arrays.
+(``simulator.held_inputs`` and ``simulator.stepper``) on column arrays,
+in the slip-angle convention of the parameters.
 """
 
 from __future__ import annotations
@@ -86,17 +87,12 @@ def _logged_states(table: dict, model: str) -> tuple[list, tuple[str, ...]]:
 
 
 @np.errstate(all="ignore")  # every prediction and RMS is checked to be finite
-def one_step_rms(
-    table: dict[str, np.ndarray],
-    params: VehicleParams,
-    model: str,
-    *,
-    normalized: bool = False,
-) -> dict[str, float]:
+def one_step_rms(table: dict[str, np.ndarray], params: VehicleParams,
+                 model: str) -> dict[str, float]:
     """Per-channel RMS of one-step-ahead predictions along a log whose
     commands lie in [-1, 1]. Rows are stepped as the simulator steps
-    them, so a trajectory export validates to round-off under either
-    slip convention. A non-finite prediction raises IntegrationError
+    them, so an export validates to round-off against the parameters it
+    was simulated with. A non-finite prediction raises IntegrationError
     naming its 1-based row and time, a kinematic step at |delta| >= pi/2
     ConfigError naming the same, and a non-finite RMS DataError."""
     if model not in tuple(models.STATE_NAMES):  # not a dict lookup: the model may be a list
@@ -105,7 +101,7 @@ def one_step_rms(
     tau_app, s_app = _applied_inputs(table, params, dt)
     states, channels = _logged_states(table, model)
 
-    step = stepper(model, params, dt, normalized=normalized)
+    step = stepper(model, params, dt)
     rows = [column[:-1] for column in states]
     inputs = held_inputs(tau_app[:-1], s_app[:-1], params)
     try:

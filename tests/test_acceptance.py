@@ -10,6 +10,7 @@ import filecmp
 import json
 import math
 import time
+from dataclasses import replace
 
 import numpy as np
 from conftest import finite_difference_gradient
@@ -269,8 +270,7 @@ def test_criterion_7_low_speed_model_consistency():
             throttle=constant(0.0), steering=constant(s_star),
             initial_state=(0, 0, 0, v0, omega0 * REF.geometry.l_r, omega0),
         ),
-        REF,
-        normalized=True,
+        replace(REF, normalized_slip=True),
     )
     assert np.max(kin.states[:, 3]) <= v0 + 1e-9  # envelope: v never exceeds 0.5
     path = float(np.sum(np.linalg.norm(np.diff(kin.states[:, :2], axis=0), axis=1)))

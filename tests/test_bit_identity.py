@@ -3,6 +3,8 @@ call gives at that element, so the simulator (floats, one scenario) and
 the dataset, fitting and validation code (arrays of rows) evaluate one
 model bit for bit."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -122,13 +124,14 @@ SPEEDS = {"kinematic": (-4, 4), "dynamic": (BLEND_SPEED, 4), "fallback": (0.01, 
 def test_rk4_step_on_precomputed_inputs_on_floats_equals_array_element(kind, normalized, data):
     """``stepper`` under ``held_inputs`` steps floats as it steps arrays."""
     model = "kinematic" if kind == "kinematic" else "dynamic"
-    step = stepper(model, REF, 0.01, normalized=normalized)
+    params = replace(REF, normalized_slip=normalized)
+    step = stepper(model, params, 0.01)
     speed = _floats(*SPEEDS[kind])
     state = (*_POSE, speed) if model == "kinematic" else (
         *_POSE, speed, _floats(-2, 2), _floats(-6, 6))
     rows = data.draw(_rows(*state, _floats(-1, 1), _floats(-1, 1)))
     _assert_rowwise_equal(
-        lambda *row: tuple(step(list(row[:-2]), held_inputs(*row[-2:], REF))), rows)
+        lambda *row: tuple(step(list(row[:-2]), held_inputs(*row[-2:], params))), rows)
 
 
 @given(rows=_rows(_floats(0, 1.5), _floats(-0.6, 0.6), _floats(0.01, 4), _floats(-2, 2),

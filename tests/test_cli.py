@@ -1,4 +1,5 @@
 import json
+import logging
 import multiprocessing
 import os
 import subprocess
@@ -37,6 +38,15 @@ def write_scenario(tmp_path, **overrides):
     path = tmp_path / "scenario.json"
     path.write_text(json.dumps(doc))
     return path
+
+
+def _normalized_params(tmp_path, params_file):
+    """A copy of the parameter file in the normalized slip convention."""
+    doc = json.loads(params_file.read_text())
+    assert doc["normalized_slip"] is False
+    params = tmp_path / "normalized.json"
+    params.write_text(json.dumps({**doc, "normalized_slip": True}))
+    return params
 
 
 def _wild_params(tmp_path, params_file):
@@ -246,8 +256,11 @@ def test_main_reuses_one_parser_without_carrying_state_between_calls(tmp_path, p
         return json.loads(capsys.readouterr().out)["rms"]
 
     default = rms()
-    assert rms("--normalized-slip") != default
+    report = tmp_path / "report.json"
+    assert rms("--out", str(report)) == default
+    report.unlink()
     assert rms() == default
+    assert not report.exists()
     with pytest.raises(SystemExit) as exc:
         main(["fit"])
     assert exc.value.code == 2
@@ -326,7 +339,9 @@ def test_validate_normalized_slip_on_own_slow_dynamic_export(tmp_path, params_fi
     """A normalized dynamic turn that stays under the blend speed, from
     a slow start and from rest, validates to round-off against its own
     export: validate falls back to rigid rolling row by row as the
-    simulator does step by step."""
+    simulator does step by step. The parameter file carries the
+    convention, so neither command takes a flag."""
+    params_file = _normalized_params(tmp_path, params_file)
     scenario = write_scenario(
         tmp_path, model="dynamic", duration=4.0,
         throttle={"type": "piecewise", "times": [0.0], "values": [0.2]},
@@ -334,13 +349,86 @@ def test_validate_normalized_slip_on_own_slow_dynamic_export(tmp_path, params_fi
         initial_state=[0.0, 0.0, 0.0, v_x0, 0.0, 0.0])
     out = tmp_path / "sim"
     assert main(["simulate", "--params", str(params_file), "--scenario", str(scenario),
-                 "--out", str(out), "--normalized-slip"]) == 0
+                 "--out", str(out)]) == 0
     report = tmp_path / "report.json"
     assert main(["validate", "--params", str(params_file), "--log", str(out / "trajectory.csv"),
-                 "--model", "dynamic", "--normalized-slip", "--out", str(report)]) == 0
+                 "--model", "dynamic", "--out", str(report)]) == 0
     rms = json.loads(report.read_text())["rms"]
     assert set(rms) == {"x", "y", "eta", "v_x", "v_y", "omega"}
     assert all(v <= 1e-9 for v in rms.values()), rms
+
+
+def test_the_parameter_file_carries_the_slip_convention(tmp_path, params_file):
+    """A file that records ``"normalized_slip": true`` simulates a coast
+    through the blend speed whose export validates to round-off with no
+    flag; the same export checked against the raw-slip file is far off."""
+    from minicar.simulator import BLEND_SPEED
+
+    normalized = _normalized_params(tmp_path, params_file)
+    scenario = write_scenario(
+        tmp_path, model="dynamic", duration=3.0,
+        throttle={"type": "piecewise", "times": [0.0], "values": [0.0]},
+        steering={"type": "piecewise", "times": [0.0], "values": [0.3]},
+        initial_state=[0.0, 0.0, 0.0, 0.6, 0.0, 0.0])
+    out = tmp_path / "sim"
+    assert main(["simulate", "--params", str(normalized), "--scenario", str(scenario),
+                 "--out", str(out)]) == 0
+    log = out / "trajectory.csv"
+    v_x = read_table(log)["v_x"][:-1]
+    assert (v_x < BLEND_SPEED).any() and (v_x >= BLEND_SPEED).any()
+
+    def rms(params):
+        report = tmp_path / "report.json"
+        assert main(["validate", "--params", str(params), "--log", str(log),
+                     "--model", "dynamic", "--out", str(report)]) == 0
+        return json.loads(report.read_text())["rms"]
+
+    own = rms(normalized)
+    assert set(own) == {"x", "y", "eta", "v_x", "v_y", "omega"}
+    assert all(v <= 1e-12 for v in own.values()), own
+    assert rms(params_file)["omega"] > 1e-3
+
+
+def test_fit_normalized_slip_writes_the_convention_into_the_parameter_file(tmp_path,
+                                                                            params_file):
+    noise = tmp_path / "noise.json"
+    noise.write_text(json.dumps({"v_enc": 0.02, "omega_imu": 0.02, "mocap_xy": 0.001,
+                                 "mocap_eta": 0.002}))
+    logs, fitted = tmp_path / "logs", tmp_path / "fit" / "params.json"
+    assert main(["generate", "--params", str(_normalized_params(tmp_path, params_file)),
+                 "--noise", str(noise), "--seed", "3", "--dt", "0.05", "--out", str(logs)]) == 0
+    assert main(["fit", "--logs", str(logs), "--out", str(fitted), "--normalized-slip"]) == 0
+    report = json.loads((fitted.parent / "report.json").read_text())
+    assert "tire" in {stage["name"] for stage in report["stages"] if stage["status"] == "fitted"}
+    assert json.loads(fitted.read_text())["normalized_slip"] is True
+
+
+@pytest.mark.parametrize("command, args", [
+    ("simulate", ["--params", "p.json", "--scenario", "s.json", "--out", "o"]),
+    ("generate", ["--params", "p.json", "--noise", "n.json", "--seed", "1", "--out", "o"]),
+    ("validate", ["--params", "p.json", "--log", "l.csv", "--model", "dynamic"]),
+])
+def test_only_fit_takes_normalized_slip(capsys, command, args):
+    """The other commands follow the convention their parameter file records."""
+    with pytest.raises(SystemExit) as exc:
+        main([command, *args, "--normalized-slip"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --normalized-slip" in capsys.readouterr().err
+
+
+def test_each_call_applies_its_own_log_level(tmp_path, caplog):
+    """In one process, a plain call, a -v call and a plain call again:
+    the pipeline's per-stage DEBUG records come from the middle call
+    alone."""
+    logs = _steer_logs(tmp_path)
+    debug = []
+    for i, flags in enumerate([[], ["-v"], []]):
+        caplog.clear()
+        assert main([*flags, "fit", "--logs", str(logs), "--stages", "steering",
+                     "--out", str(tmp_path / f"fit{i}" / "params.json")]) == 0
+        debug.append([r.getMessage() for r in caplog.records if r.levelno == logging.DEBUG])
+    assert not debug[0] and not debug[2]
+    assert "stage friction skipped: not requested" in debug[1]
 
 
 def _steer_logs(tmp_path) -> Path:
@@ -556,12 +644,10 @@ def test_run_manifest_records_every_scalar_default(tmp_path, params_file):
     assert main(["simulate", "--params", str(params_file), "--scenario", str(scenario),
                  "--out", str(out)]) == 0
     defaults = json.loads((out / "run_manifest.json").read_text())["defaults"]
-    assert list(defaults) == ["v_min", "smooth_window", "force_window", "normalized_slip",
-                              "long_delay", "delay_max_lag", "steady_window_s",
-                              "steady_rel_tol", "steady_omega_floor", "transition_guard_s",
-                              "divergence_limit"]
+    assert list(defaults) == ["v_min", "smooth_window", "force_window", "long_delay",
+                              "delay_max_lag", "steady_window_s", "steady_rel_tol",
+                              "steady_omega_floor", "transition_guard_s", "divergence_limit"]
     assert defaults["v_min"] == datasets.V_MIN
-    assert defaults["normalized_slip"] is False
     assert defaults["long_delay"] == pipeline.DEFAULT_LONG_DELAY
     assert defaults["delay_max_lag"] == delay.MAX_LAG_S
     assert defaults["divergence_limit"] == simulator.DIVERGENCE_LIMIT
@@ -758,11 +844,13 @@ def test_diverging_run_exits_2_naming_the_scenario(tmp_path, params_file, comman
     assert "Traceback" not in proc.stderr
 
 
-@pytest.mark.parametrize("slip", [[], ["--normalized-slip"]])
+@pytest.mark.parametrize("slip", [{}, {"normalized_slip": True}])
 def test_generate_writes_the_same_bytes_on_any_number_of_workers(tmp_path, params_file,
                                                                 monkeypatch, slip):
     """The logs and manifest.json are the same with a worker per CPU, with
-    one worker and with no worker at all (the in-process path)."""
+    one worker and with no worker at all (the in-process path), in either
+    slip convention of the parameter file."""
+    params_file.write_text(json.dumps({**json.loads(params_file.read_text()), **slip}))
     noise = tmp_path / "noise.json"
     noise.write_text(json.dumps({"v_enc": 0.02, "omega_imu": 0.02, "mocap_xy": 0.001,
                                  "mocap_eta": 0.002}))
@@ -775,7 +863,7 @@ def test_generate_writes_the_same_bytes_on_any_number_of_workers(tmp_path, param
     def outputs(name):
         out = tmp_path / name
         assert main(["generate", "--params", str(params_file), "--noise", str(noise),
-                     "--seed", "5", "--dt", "0.05", "--out", str(out), *slip]) == 0
+                     "--seed", "5", "--dt", "0.05", "--out", str(out)]) == 0
         files = sorted(p.name for p in out.iterdir() if p.name != "run_manifest.json")
         assert len(files) == 33
         return {f: (out / f).read_bytes() for f in files}

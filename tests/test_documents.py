@@ -5,12 +5,12 @@ document loads and saves back to the same bytes."""
 
 import json
 import tempfile
-from dataclasses import MISSING, fields
+from dataclasses import MISSING, fields, replace
 from pathlib import Path
 
 import pytest
 
-from minicar.cli import _LogEntry, _read_manifest
+from minicar.cli import _LogEntry, _read_manifest, main
 from minicar.errors import ConfigError
 from minicar.params import (_GROUPS, Delays, VehicleParams, load_params, params_from_dict,
                             params_to_dict, reference_params, save_params)
@@ -104,11 +104,14 @@ def test_a_schedule_that_is_not_an_object_has_the_common_message(doc):
     assert str(in_scenario.value) == f"scenario field 'throttle': {message}"
 
 
-@pytest.mark.parametrize("name", list(_GROUPS))
+@pytest.mark.parametrize("name", [*_GROUPS, "normalized_slip"])
 def test_a_parameter_group_may_be_left_out_exactly_when_it_has_a_default(name):
-    """``delays`` and ``tire`` have defaults; every other group is required."""
+    """``delays`` and ``tire`` have defaults; every other group is
+    required. A file without ``normalized_slip``, as every file written
+    before the field existed, reads as the raw-velocity convention."""
     doc = {key: value for key, value in PARAMS.items() if key != name}
-    defaults = {"delays": Delays(steer_delay=0.0, long_delay=0.0), "tire": None}
+    defaults = {"delays": Delays(steer_delay=0.0, long_delay=0.0), "tire": None,
+                "normalized_slip": False}
     if name not in defaults:
         with pytest.raises(ConfigError) as missing:
             params_from_dict(doc)
@@ -131,6 +134,23 @@ def test_parameter_files_reject_booleans_as_numbers(path, value):
         pattern = f"parameter group '{path[0]}': field '{path[1]}' must be a finite number"
     with pytest.raises(ConfigError, match=pattern):
         params_from_dict(doc)
+
+
+@pytest.mark.parametrize("value", [1, 0, "true", None], ids=repr)
+def test_normalized_slip_must_be_a_json_boolean(tmp_path, caplog, value):
+    """As a scenario's ``mocap`` is; ``simulate --params`` on such a
+    file exits 2 naming the field and writes nothing."""
+    message = f"field 'normalized_slip' must be true or false, got {value!r}"
+    doc = {**PARAMS, "normalized_slip": value}
+    with pytest.raises(ConfigError) as err:
+        params_from_dict(doc)
+    assert str(err.value) == f"parameter document: {message}"
+    params, scenario, out = tmp_path / "params.json", tmp_path / "scenario.json", tmp_path / "out"
+    params.write_text(json.dumps(doc))
+    save_scenario(scenario_from_json(SCENARIO), scenario)
+    assert main(["simulate", "--params", str(params), "--scenario", str(scenario),
+                 "--out", str(out)]) == 2
+    assert message in caplog.text and not out.exists()
 
 
 def test_a_hand_written_integer_parameter_saves_back_as_a_float(tmp_path):
@@ -156,6 +176,14 @@ def test_a_parameter_file_saves_loads_and_saves_to_the_same_bytes(tmp_path):
     first, second = _twice(save_params, load_params, reference_params(), tmp_path)
     assert first == second
     assert first.endswith(b"}\n") and b'\n  "friction": {\n    "a": 1.72,' in first
+
+
+def test_a_normalized_parameter_file_saves_loads_and_saves_to_the_same_bytes(tmp_path):
+    params = replace(reference_params(), normalized_slip=True)
+    first, second = _twice(save_params, load_params, params, tmp_path)
+    assert first == second
+    assert load_params(tmp_path / "second.json") == params
+    assert first.endswith(b'\n  },\n  "normalized_slip": true\n}\n')
 
 
 @pytest.mark.parametrize("scenario", [s for battery in scenario_library().values()

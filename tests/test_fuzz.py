@@ -75,6 +75,7 @@ def test_params_from_arbitrary_json_raises_only_config_error(doc):
 @given(path=st.sampled_from(_paths(VALID_PARAMS)), value=json_values)
 @example(path=("motor", "g"), value=False)
 @example(path=("geometry", "w"), value=1)
+@example(path=("normalized_slip",), value=0)
 @settings(max_examples=300)
 def test_params_with_one_bad_field_raise_only_config_error(path, value):
     try:
@@ -82,6 +83,7 @@ def test_params_with_one_bad_field_raise_only_config_error(path, value):
     except ConfigError:
         return
     assert isinstance(params, VehicleParams)
+    assert type(params.normalized_slip) is bool
     for group in (params.friction, params.motor, params.steering, params.tire,
                   params.geometry, params.delays):
         assert group is None or all(type(v) is float and math.isfinite(v) for v in group)

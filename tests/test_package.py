@@ -1,11 +1,14 @@
 """The package root holds only its version: every public name is
-imported from the one module that defines it, as the README does."""
+imported from the one module that defines it, as the README does, and
+the README's command-line section names exactly the CLI's options."""
 
+import argparse
 import re
 import types
 from pathlib import Path
 
 import minicar
+from minicar.cli import build_parser
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -23,3 +26,25 @@ def test_the_readme_python_blocks_run():
     assert blocks
     for block in blocks:
         exec(compile(block, str(README), "exec"), {})
+
+
+def _options(parser) -> set[str]:
+    """Every option string of ``parser`` and of its subcommands, but help."""
+    options = set()
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for sub in action.choices.values():
+                options |= _options(sub)
+        elif not isinstance(action, argparse._HelpAction):
+            options |= set(action.option_strings)
+    return options
+
+
+def test_the_readme_command_line_section_names_every_option_and_no_other():
+    """Every ``--flag`` the README's "Command line" section names is an
+    option of a ``minicar`` command, and every option appears there."""
+    section = README.read_text().split("\n## Command line\n")[1].split("\n## ")[0]
+    named = set(re.findall(r"(?<![\w-])--?[a-z][a-z-]*", section))
+    options = _options(build_parser())
+    assert {flag for flag in named if flag.startswith("--")} <= options
+    assert options <= named, sorted(options - named)

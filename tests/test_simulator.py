@@ -105,7 +105,7 @@ def test_dynamic_blend_below_threshold_matches_kinematic(ref):
     dyn = simulate(
         _scenario(constant(0.2), constant(s_cmd), duration=4.0, model="dynamic",
                   init=(0, 0, 0, 0.2, 0, 0)),
-        ref, normalized=True,
+        replace(ref, normalized_slip=True),
     )
     # terminal speed for tau=0.2 is ~0.085 m/s, well under the blend speed
     np.testing.assert_allclose(dyn.states[:, :4], kin.states, atol=1e-12)
@@ -125,23 +125,24 @@ def test_only_kinematic_steps_reject_a_steering_angle_at_pi_over_2(ref):
                         init=(0, 0, 0, 0.1, 0, 0))
     assert len(simulate(dynamic, wide)) == dynamic.times.size
     with pytest.raises(ConfigError, match=refused):
-        simulate(dynamic, wide, normalized=True)
+        simulate(dynamic, replace(wide, normalized_slip=True))
 
 
 def test_a_refused_rolling_step_is_named_by_its_own_time(ref):
     """A normalized dynamic coast at full lock takes its fast steps at
     |delta| >= pi/2 unchecked and stops at its first rolling step: the
     run up to the named time succeeds, one step more fails."""
-    wide = replace(ref, steering=replace(ref.steering, a_t=3.0, d_t=3.0, b_t=5.0, e_t=5.0))
+    wide = replace(ref, steering=replace(ref.steering, a_t=3.0, d_t=3.0, b_t=5.0, e_t=5.0),
+                   normalized_slip=True)
     coast = _scenario(constant(0.0), constant(1.0), duration=5.0, model="dynamic",
                       init=(0, 0, 0, 0.6, 0, 0))
     with pytest.raises(ConfigError, match=r"pi/2 at t=(\S+) s in scenario 't'") as refused:
-        simulate(coast, wide, normalized=True)
+        simulate(coast, wide)
     t = float(str(refused.value).split("at t=")[1].split(" s")[0])
     assert t > coast.dt
-    assert len(simulate(replace(coast, duration=t), wide, normalized=True)) == round(t / coast.dt) + 1
+    assert len(simulate(replace(coast, duration=t), wide)) == round(t / coast.dt) + 1
     with pytest.raises(ConfigError, match=f"at t={t:.6f} s"):
-        simulate(replace(coast, duration=t + coast.dt), wide, normalized=True)
+        simulate(replace(coast, duration=t + coast.dt), wide)
 
 
 def test_a_speed_beyond_the_envelope_beats_a_later_refused_kinematic_step(ref):
@@ -165,16 +166,16 @@ def test_a_pose_beyond_the_envelope_beats_a_later_refused_rolling_step(ref, monk
     pose past the lowered limit before full lock reaches the wheels at
     t = 1.15 s: it diverges as the step-at-a-time reference does, with
     the same time and partial trajectory."""
-    wide = replace(ref, steering=replace(ref.steering, a_t=6.0, d_t=6.0))
+    wide = replace(ref, steering=replace(ref.steering, a_t=6.0, d_t=6.0), normalized_slip=True)
     roll = _scenario(constant(0.2), StepSchedule(t=1.0, before=0.0, after=1.0), duration=2.0,
                      model="dynamic", init=(0.45, 0, 0, 0.2, 0, 0))
     with pytest.raises(ConfigError, match=r"pi/2 at t=1\.150000 s in scenario 't'$"):
-        simulate(roll, wide, normalized=True)
+        simulate(roll, wide)
     monkeypatch.setattr(simulator, "DIVERGENCE_LIMIT", 0.5)
     with pytest.raises(SimulationDiverged) as got:
-        simulate(roll, wide, normalized=True)
+        simulate(roll, wide)
     with pytest.raises(SimulationDiverged) as expected:
-        _step_at_a_time(roll, wide, normalized=True, limit=0.5)
+        _step_at_a_time(roll, wide, limit=0.5)
     assert got.value.t == expected.value.t < 1.15
     np.testing.assert_array_equal(got.value.trajectory.states, expected.value.trajectory)
     assert got.value.trajectory.states[-1, 3] < simulator.BLEND_SPEED  # it rolls throughout
@@ -204,13 +205,15 @@ def _short_library():
     )
 
 
-def _step_at_a_time(scenario, params, normalized=False, limit=None):
+def _step_at_a_time(scenario, params, limit=None):
     """Reference states: one scenario, one step at a time on numpy
-    scalars, inputs sampled from the schedules and delayed by index.
+    scalars, inputs sampled from the schedules and delayed by index, in
+    the parameters' slip convention.
     ``rk4_step`` raises IntegrationError at a non-finite state; with a
     ``limit``, a state beyond it raises SimulationDiverged with the
     states before it."""
     geom, dt, times = params.geometry, scenario.dt, scenario.times
+    normalized = params.normalized_slip
     lag_tau = int(round(params.delays.long_delay / dt))
     lag_s = int(round(params.delays.steer_delay / dt))
     states = np.empty((times.size, len(scenario.initial_state)))
@@ -256,9 +259,10 @@ def test_batch_equals_step_at_a_time_reference(ref, normalized):
         _scenario(constant(0.2), constant(0.3), duration=1.0, model="dynamic",
                   init=(0, 0, 0, 0.2, 0, 0)),
     ]
+    params = replace(ref, normalized_slip=normalized)
     for scenario in scenarios:
-        traj = simulate(scenario, ref, normalized=normalized)
-        np.testing.assert_array_equal(traj.states, _step_at_a_time(scenario, ref, normalized))
+        traj = simulate(scenario, params)
+        np.testing.assert_array_equal(traj.states, _step_at_a_time(scenario, params))
 
 
 @pytest.mark.parametrize("normalized", [False, True])
@@ -267,10 +271,11 @@ def test_library_batch_equals_per_scenario_runs(ref, normalized):
     as ``minicar generate`` does, equals the step-at-a-time reference."""
     library = _short_library()
     assert {s.model for s in library} == {"kinematic", "dynamic"}
+    params = replace(ref, normalized_slip=normalized)
     for scenario in library:
-        traj = simulate(scenario, ref, normalized=normalized)
+        traj = simulate(scenario, params)
         np.testing.assert_array_equal(traj.t, scenario.times)
-        np.testing.assert_array_equal(traj.states, _step_at_a_time(scenario, ref, normalized),
+        np.testing.assert_array_equal(traj.states, _step_at_a_time(scenario, params),
                                       err_msg=scenario.name)
 
 
@@ -280,7 +285,8 @@ def test_normalized_blend_is_per_row(ref):
     above it and rolls rigidly below it."""
     coast = _scenario(constant(0.0), constant(0.3), duration=3.0, model="dynamic",
                       init=(0, 0, 0, 0.6, 0, 0))
-    traj = simulate(coast, ref, normalized=True)
+    normalized = replace(ref, normalized_slip=True)
+    traj = simulate(coast, normalized)
     v_x = traj.states[:, 3]
     slow = np.flatnonzero(v_x[:-1] < simulator.BLEND_SPEED)
     assert 0 < slow[0] and slow.size < v_x.size - 1  # crosses the blend speed
@@ -290,7 +296,7 @@ def test_normalized_blend_is_per_row(ref):
     np.testing.assert_array_equal(traj.states[slow + 1, 4], omega * ref.geometry.l_r)
     fast = np.setdiff1d(np.arange(slow[0]), slow)
     assert not np.any(traj.states[fast + 1, 4] == traj.states[fast + 1, 5] * ref.geometry.l_r)
-    np.testing.assert_array_equal(traj.states, _step_at_a_time(coast, ref, normalized=True))
+    np.testing.assert_array_equal(traj.states, _step_at_a_time(coast, normalized))
 
 
 def test_batch_divergence_names_the_failing_scenario(ref, monkeypatch):
@@ -371,13 +377,14 @@ def test_earliest_offending_step_decides_the_error(ref, monkeypatch, case):
     model, tau, s, init, limit, nan_above, first = PRECEDENCE_CASES[case]
     scenario = _scenario(constant(tau), constant(s), duration=4.0, model=model, init=init)
     for normalized in (False, True) if model == "dynamic" else (False,):
-        free = simulate(scenario, ref, normalized=normalized) if first != "non-finite" else None
+        params = replace(ref, normalized_slip=normalized)
+        free = simulate(scenario, params) if first != "non-finite" else None
         with monkeypatch.context() as patch:
             patch.setattr(simulator, "DIVERGENCE_LIMIT", limit)
             if nan_above is not None:
                 patch.setattr(models, "friction_force", _fragile_friction(nan_above))
-            got = _outcome(lambda: simulate(scenario, ref, normalized=normalized))
-            expected = _outcome(lambda: _step_at_a_time(scenario, ref, normalized, limit=limit))
+            got = _outcome(lambda: simulate(scenario, params))
+            expected = _outcome(lambda: _step_at_a_time(scenario, params, limit=limit))
         assert type(got) is type(expected)
         if first == "non-finite":
             assert str(got) == f"{expected} in scenario 't'"
@@ -398,8 +405,8 @@ def test_pass_1_takes_no_step_after_the_first_speed_beyond_the_limit(ref, monkey
     monkeypatch.setattr(models, "friction_force", lambda v, p: speeds.append(v) or friction(v, p))
     monkeypatch.setattr(simulator, "DIVERGENCE_LIMIT", 0.5)
     with pytest.raises(SimulationDiverged) as err:
-        simulate(_scenario(constant(0.4), constant(0.0), duration=4.0, model=model), ref,
-                 normalized=normalized)
+        simulate(_scenario(constant(0.4), constant(0.0), duration=4.0, model=model),
+                 replace(ref, normalized_slip=normalized))
     assert len(speeds) == 4 * len(err.value.trajectory)
     assert np.abs(err.value.trajectory.states[:, :3]).max() <= 0.5  # the speed left first
 
@@ -442,19 +449,24 @@ def test_kinematic_two_pass_states_equal_rk4_steps(ref, scenario):
     np.testing.assert_array_equal(simulate(scenario, ref).states, _step_at_a_time(scenario, ref))
 
 
+def _assert_simulate_equals_step_at_a_time(scenario, params):
+    """``simulate`` gives the reference's states, or the reference's
+    DataError where a normalized run's v_x falls to 0 within a dynamic
+    step."""
+    try:
+        expected = _step_at_a_time(scenario, params)
+    except DataError as exc:
+        with pytest.raises(DataError) as got:
+            simulate(scenario, params)
+        assert str(got.value) == f"{exc} in scenario 't'"
+        return
+    np.testing.assert_array_equal(simulate(scenario, params).states, expected)
+
+
 @given(scenario=_short_runs("dynamic"), normalized=st.booleans())
 @settings(max_examples=60)
 def test_dynamic_two_pass_states_equal_rk4_steps(ref, scenario, normalized):
-    """A normalized run whose v_x falls to 0 within a dynamic step stops
-    with the reference's DataError."""
-    try:
-        expected = _step_at_a_time(scenario, ref, normalized)
-    except DataError as exc:
-        with pytest.raises(DataError) as got:
-            simulate(scenario, ref, normalized=normalized)
-        assert str(got.value) == f"{exc} in scenario 't'"
-        return
-    np.testing.assert_array_equal(simulate(scenario, ref, normalized=normalized).states, expected)
+    _assert_simulate_equals_step_at_a_time(scenario, replace(ref, normalized_slip=normalized))
 
 
 @st.composite
@@ -498,7 +510,7 @@ def _drawn_vehicle_runs(draw):
         state += (draw(st.floats(0.2, near) | st.floats(near, 3)), draw(st.floats(-0.3, 0.3)),
                   draw(st.floats(-2, 2)))
     scenario = _scenario(throttle, steering, duration=n * dt, dt=dt, model=model, init=state)
-    return draw(_vehicles()), scenario, normalized
+    return replace(draw(_vehicles()), normalized_slip=normalized), scenario
 
 
 @given(run=_drawn_vehicle_runs())
@@ -506,10 +518,11 @@ def _drawn_vehicle_runs(draw):
 def test_simulate_equals_step_at_a_time_on_drawn_vehicles(run):
     """Pass 1 steps each model on a flat float restatement of its
     right-hand side; on drawn vehicles, not the reference alone, its
-    states are the step-at-a-time reference's bit for bit."""
-    params, scenario, normalized = run
-    np.testing.assert_array_equal(simulate(scenario, params, normalized=normalized).states,
-                                  _step_at_a_time(scenario, params, normalized))
+    states are the step-at-a-time reference's bit for bit. A drawn
+    vehicle may spin until a normalized run's v_x falls to 0 within a
+    dynamic step; then both raise one DataError."""
+    params, scenario = run
+    _assert_simulate_equals_step_at_a_time(scenario, params)
 
 
 # --- synthesize_log ----------------------------------------------------------

@@ -35,6 +35,8 @@ def test_traced_simulate_counts_the_stages_of_pass_1():
     opens an ``rk4_step`` or right-hand-side span. A normalized-slip
     dynamic run above the blend speed, which never rolls, reads the
     same curves."""
+    from dataclasses import replace
+
     from minicar import simulator
     from minicar.params import reference_params
     from minicar.scenarios import Scenario, constant
@@ -50,7 +52,8 @@ def test_traced_simulate_counts_the_stages_of_pass_1():
             before = {name: calls for name, (calls, _, _) in tracer.snapshot()[0].items()}
             traj = simulator.simulate(
                 Scenario(name=model, duration=0.3, dt=0.01, model=model, throttle=constant(0.3),
-                         steering=constant(0.2), initial_state=init), ref, normalized=normalized)
+                         steering=constant(0.2), initial_state=init),
+                replace(ref, normalized_slip=normalized))
             steps = len(traj) - 1
             assert steps == 30
             assert traj.states[:, 3].min() >= simulator.BLEND_SPEED  # no step rolls
@@ -73,15 +76,17 @@ def test_traced_normalized_validation_counts_both_branches_as_rk4_steps():
     so the benchmark's step counts see it: a normalized dynamic log
     with rows on both sides of the blend speed is one ``rk4_step`` span
     for its rolling-fallback rows and one for its dynamic rows."""
+    from dataclasses import replace
+
     from minicar import simulator, validation
     from minicar.params import reference_params
     from minicar.scenarios import Scenario, constant
 
-    ref = reference_params()
+    ref = replace(reference_params(), normalized_slip=True)
     coast = Scenario(name="coast", duration=3.0, dt=0.01, model="dynamic",
                      throttle=constant(0.0), steering=constant(0.3),
                      initial_state=(0, 0, 0, 0.6, 0, 0))
-    traj = simulator.simulate(coast, ref, normalized=True)
+    traj = simulator.simulate(coast, ref)
     v_x = traj.states[:-1, 3]
     assert (v_x < simulator.BLEND_SPEED).any() and (v_x >= simulator.BLEND_SPEED).any()
     table = validation.read_table(simulator.trajectory_to_csv(traj, ref).encode())
@@ -89,7 +94,7 @@ def test_traced_normalized_validation_counts_both_branches_as_rk4_steps():
     tracer = tracing.Tracer()
     try:
         tracing.install(tracer)
-        validation.one_step_rms(table, ref, "dynamic", normalized=True)
+        validation.one_step_rms(table, ref, "dynamic")
         spans = tracer.snapshot()[0]
     finally:
         tracer.restore()

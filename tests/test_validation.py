@@ -171,12 +171,13 @@ def test_normalized_validation_follows_the_blend_row_by_row(ref, tmp_path):
     coast = Scenario(name="coast", duration=3.0, dt=0.01, model="dynamic",
                      throttle=constant(0.0), steering=constant(0.3),
                      initial_state=(0, 0, 0, 0.6, 0, 0))
-    traj = simulate(coast, ref, normalized=True)
+    normalized = replace(ref, normalized_slip=True)
+    traj = simulate(coast, normalized)
     v_x = traj.states[:-1, 3]
     assert np.any(v_x < 0.3) and np.any(v_x >= 0.3)
     path = tmp_path / "coast.csv"
-    save_trajectory(traj, ref, path)
-    rms = one_step_rms(read_table(path), ref, "dynamic", normalized=True)
+    save_trajectory(traj, normalized, path)
+    rms = one_step_rms(read_table(path), normalized, "dynamic")
     assert all(v <= 1e-9 for v in rms.values()), rms
 
 
@@ -187,13 +188,14 @@ def test_one_step_rms_names_the_row_and_time_of_a_non_finite_prediction(ref, tmp
     circle's export overflows that row's step: the error names the row
     and its time, and no RuntimeWarning escapes."""
     circle = _scenario(model="dynamic", init=(0, 0, 0, 0.5, 0, 0), steer=constant(0.4))
+    params = replace(ref, normalized_slip=normalized)
     path = tmp_path / "circle.csv"
-    save_trajectory(simulate(circle, ref, normalized=normalized), ref, path)
+    save_trajectory(simulate(circle, params), params, path)
     table = read_table(path)
     table["v_enc"] = table["v_enc"].copy()
     table["v_enc"][100] = 1e300
     with pytest.raises(IntegrationError, match=r"at t=1\.000000 s \(row 101\)"):
-        one_step_rms(table, ref, "dynamic", normalized=normalized)
+        one_step_rms(table, params, "dynamic")
 
 
 def test_one_step_rms_rejects_an_rms_that_overflows(ref, tmp_path):
@@ -249,14 +251,15 @@ def test_a_refused_steering_angle_names_its_row(ref, tmp_path, model):
     """Steering that reaches |delta| >= pi/2 from data row 46 (t = 0.45 s)
     on: a kinematic step, or a normalized dynamic step that rolls, fails
     naming that row."""
-    wide = replace(ref, steering=replace(ref.steering, a_t=3.0, d_t=3.0, b_t=5.0, e_t=5.0))
+    wide = replace(ref, steering=replace(ref.steering, a_t=3.0, d_t=3.0, b_t=5.0, e_t=5.0),
+                   normalized_slip=True)
     path = tmp_path / "log.csv"
     save_log(synthesize_log(_scenario(duration=1.0, mocap=True), ref, NoiseSpec(), 0), path)
     table = read_table(path)
     table["s"] = np.where(table["t"] < 0.295, 0.0, 1.0)  # full lock from row 31, applied at row 46
     table["v_enc"] = np.full_like(table["t"], 0.1)  # below the blend speed
     with pytest.raises(ConfigError, match=r"pi/2 at t=0\.450000 s \(row 46\)$"):
-        one_step_rms(table, wide, model, normalized=True)
+        one_step_rms(table, wide, model)
 
 
 def test_a_refused_row_is_found_by_bisection(ref, tmp_path, monkeypatch):
