@@ -51,7 +51,7 @@ from .logs import load_log, save_log
 from .params import (Geometry, from_json, load_params, read_json_object, reference_params,
                      save_params, write_json)
 
-logger = logging.getLogger(__name__)
+logger = logging.getLogger("minicar.cli")
 
 
 def _sha256(path: Path) -> str:

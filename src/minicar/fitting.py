@@ -3,9 +3,10 @@
 Each stage fits one curve of ``models`` to a Dataset, whose inputs are
 the curve's arguments in order: the fit vector holds its parameters in
 field order, r = curve(inputs; p) − label is the residual vector and
-``models.<curve>_jacobian`` gives its analytic Jacobian J. No curve
-formula lives here. The stage fits and the diagnostics evaluate r and
-J the same way.
+its analytic Jacobian J comes with the value from one function:
+``models.pacejka_lateral_and_jacobian``, or ``models.<curve>`` and
+``models.<curve>_jacobian`` side by side. No curve formula lives here.
+The stage fits and the diagnostics evaluate r and J the same way.
 
 Every stage is solved by ``lm_fit``, a box-projected
 Levenberg–Marquardt method (Marquardt 1963; Moré 1978): each step
@@ -166,9 +167,13 @@ def _field_names(group) -> tuple[str, ...]:
     return tuple(f.name for f in fields(group))
 
 
+def _side_by_side(curve: Callable, jacobian: Callable) -> tuple[Callable, Callable]:
+    return curve, lambda *args: (curve(*args), jacobian(*args))
+
+
 class _Stage(NamedTuple):
     curve: Callable  # models.<curve>
-    jacobian: Callable  # models.<curve>_jacobian
+    evaluate: Callable  # (*inputs, p) -> (curve value, (N, n_p) Jacobian)
     names: tuple[str, ...]  # parameter names in fit-vector order
     initial: tuple[float, ...]
     lower: tuple[float, ...]
@@ -178,20 +183,21 @@ class _Stage(NamedTuple):
 # Guesses are order-of-magnitude values a practitioner would read off a
 # plot of the data.
 _STAGES = {
-    "friction": _Stage(models.friction_force, models.friction_force_jacobian,
+    "friction": _Stage(*_side_by_side(models.friction_force, models.friction_force_jacobian),
                        _field_names(FrictionParams),
                        (1.0, 10.0, 0.1), (1e-3, 1e-3, 0.0), (20.0, 100.0, 10.0)),
-    "motor": _Stage(models.motor_force, models.motor_force_jacobian, _field_names(MotorParams),
+    "motor": _Stage(*_side_by_side(models.motor_force, models.motor_force_jacobian),
+                    _field_names(MotorParams),
                     (20.0, 5.0, -0.1), (1e-3, 1e-3, -0.99), (100.0, 100.0, 0.0)),
-    "steering": _Stage(models.steering_angle, models.steering_angle_jacobian,
+    "steering": _Stage(*_side_by_side(models.steering_angle, models.steering_angle_jacobian),
                        _field_names(SteeringParams),
                        (1.0, 1.0, 0.0, 1.0, 1.0), (1e-3, 1e-3, -0.9, 1e-3, 1e-3),
                        (3.0, 5.0, 0.9, 3.0, 5.0)),
-    "front_tire": _Stage(models.pacejka_lateral, models.pacejka_lateral_jacobian,
+    "front_tire": _Stage(models.pacejka_lateral, models.pacejka_lateral_and_jacobian,
                          _field_names(TireParams)[:4],
                          (3.0, 1.0, 1.0, 0.0), (1e-3, 0.05, 1e-3, -10.0),
                          (20.0, 2.0, 20.0, 0.99)),
-    "rear_tire": _Stage(models.rear_lateral, models.rear_lateral_jacobian,
+    "rear_tire": _Stage(*_side_by_side(models.rear_lateral, models.rear_lateral_jacobian),
                         _field_names(TireParams)[4:], (1.0,), (1e-3,), (100.0,)),
 }
 
@@ -211,8 +217,8 @@ def _stage_residuals(sub_model: str, data: Dataset) -> Callable:
     stage = _STAGES[sub_model]
 
     def evaluate(p):
-        p = np.asarray(p, dtype=float)
-        return stage.curve(*data.inputs, p) - data.label, stage.jacobian(*data.inputs, p)
+        value, jac = stage.evaluate(*data.inputs, np.asarray(p, dtype=float))
+        return value - data.label, jac
 
     return evaluate
 

@@ -7,9 +7,10 @@ residuals. Each curve unpacks its parameters in field order
 (``a, b, c = p``), so ``p`` may be the parameter dataclass or a fit
 vector in the same order.
 
-Each curve has one Jacobian, ``<curve>_jacobian(*inputs, p)``: for
-1-D input arrays of N rows it returns a fresh C-contiguous
-``(N, n_p)`` array whose column k is d(curve)/d(p[k]).
+Each curve has one Jacobian, ``<curve>_jacobian(*inputs, p)``, or with
+its value from one pass, ``pacejka_lateral_and_jacobian``: for 1-D
+inputs of N rows a fresh C-contiguous ``(N, n_p)`` array whose column
+k is d(curve)/d(p[k]).
 
 Every other function here is pure and takes either Python floats or
 numpy arrays, so one definition serves the dataset, fitting and
@@ -255,17 +256,21 @@ def pacejka_lateral(alpha, p):
     return D * _sin(C * _arctan(ba - E * (ba - _arctan(ba))))
 
 
-def pacejka_lateral_jacobian(alpha, p) -> np.ndarray:
+def pacejka_lateral_and_jacobian(alpha, p) -> tuple:
+    """``(pacejka_lateral(alpha, p), J)``, sharing their arctan, sin and
+    cos terms: the value is D times column 0 of J, bit for bit."""
     D, C, B, E, *_ = p
     ba = B * alpha
-    atan_ba = np.arctan(ba)
-    u = ba - E * (ba - atan_ba)
+    gap = ba - np.arctan(ba)
+    u = ba - E * gap
     atan_u = np.arctan(u)
-    outer = np.cos(C * atan_u)
-    du = D * outer * C / (1 + u * u)  # d(value)/du
-    du_dB = alpha * (1 - E * (1 - 1 / (1 + ba * ba)))
-    return np.stack([np.sin(C * atan_u), D * outer * atan_u, du * du_dB, du * -(ba - atan_ba)],
-                    axis=-1)
+    d_outer = D * np.cos(C * atan_u)
+    du = d_outer * C / (1 + u * u)  # d(value)/du
+    jac = np.empty((len(alpha), 4))
+    jac[:, 0], jac[:, 1] = np.sin(C * atan_u), d_outer * atan_u
+    jac[:, 2] = du * (alpha * (1 - E * (1 - 1 / (1 + ba * ba))))
+    jac[:, 3] = du * -gap
+    return D * jac[:, 0], jac
 
 
 def rear_lateral(alpha, c_r):

@@ -45,25 +45,23 @@ def _nice_ticks(lo: float, hi: float, target: int = 6) -> list[float]:
     return ticks
 
 
-def _fmt(v: float) -> str:
-    return f"{v:.6g}"
-
-
 def _marks(s: Series, color: str, px, py) -> list[str]:
-    """The SVG elements of one series' finite points. ``px`` and ``py``
-    map whole arrays, by the same IEEE operations as on one point, and
-    one comprehension formats the mapped points."""
-    x = np.asarray(s.x, dtype=float).ravel()
-    y = np.asarray(s.y, dtype=float).ravel()
-    ok = np.isfinite(x) & np.isfinite(y)
-    points = zip(px(x[ok]).tolist(), py(y[ok]).tolist())
+    """The SVG elements of one series' points that map to finite positions,
+    in integer hundredths of a pixel under scale(0.01). ``px`` and ``py``
+    map whole arrays, by the same IEEE operations as on one point."""
+    cx = np.rint(100 * px(np.asarray(s.x, dtype=float).ravel()))
+    cy = np.rint(100 * py(np.asarray(s.y, dtype=float).ravel()))
+    ok = np.isfinite(cx) & np.isfinite(cy)
+    points = zip(cx[ok].astype(np.int64).tolist(), cy[ok].astype(np.int64).tolist())
     if s.kind == "points":
-        return [f'<circle cx="{cx:.2f}" cy="{cy:.2f}" r="1.8" fill="{color}" fill-opacity="0.45"/>'
-                for cx, cy in points]
-    pts = " ".join([f"{cx:.2f},{cy:.2f}" for cx, cy in points])
-    return [f'<polyline points="{pts}" fill="none" stroke="{color}" stroke-width="1.6"/>']
+        return [f'<g fill="{color}" fill-opacity="0.45" transform="scale(0.01)">',
+                *[f'<circle cx="{x}" cy="{y}" r="180"/>' for x, y in points], "</g>"]
+    pts = " ".join([f"{x},{y}" for x, y in points])
+    return [f'<polyline points="{pts}" fill="none" stroke="{color}" stroke-width="160" '
+            f'transform="scale(0.01)"/>']
 
 
+@np.errstate(invalid="ignore")  # data spanning more than the largest float maps to NaN
 def render_plot(series_list, title: str = "", x_label: str = "", y_label: str = "") -> str:
     xs = np.concatenate([np.asarray(s.x, dtype=float).ravel() for s in series_list])
     ys = np.concatenate([np.asarray(s.y, dtype=float).ravel() for s in series_list])
@@ -97,7 +95,7 @@ def render_plot(series_list, title: str = "", x_label: str = "", y_label: str = 
         )
         out.append(
             f'<text x="{px(tx):.2f}" y="{_H - _MB + 16}" font-size="11" '
-            f'text-anchor="middle" fill="#444">{_fmt(tx)}</text>'
+            f'text-anchor="middle" fill="#444">{tx:.6g}</text>'
         )
     for ty in _nice_ticks(y_lo, y_hi):
         out.append(
@@ -106,7 +104,7 @@ def render_plot(series_list, title: str = "", x_label: str = "", y_label: str = 
         )
         out.append(
             f'<text x="{_ML - 6}" y="{py(ty):.2f}" font-size="11" text-anchor="end" '
-            f'dominant-baseline="middle" fill="#444">{_fmt(ty)}</text>'
+            f'dominant-baseline="middle" fill="#444">{ty:.6g}</text>'
         )
     out.append(
         f'<rect x="{_ML}" y="{_MT}" width="{_W - _ML - _MR}" height="{_H - _MT - _MB}" '

@@ -1,7 +1,8 @@
 """On Python floats, every model function gives exactly what the array
 call gives at that element, so the simulator (floats, one scenario) and
 the dataset, fitting and validation code (arrays of rows) evaluate one
-model bit for bit."""
+model bit for bit; and the front-tire fit's one-pass value and Jacobian
+equal the curve and the Jacobian written on their own."""
 
 from dataclasses import replace
 
@@ -11,6 +12,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from minicar import models
+from minicar.fitting import default_config
 from minicar.integrators import rk4_step
 from minicar.params import reference_params
 from minicar.simulator import BLEND_SPEED, held_inputs, stepper
@@ -153,3 +155,33 @@ def test_flat_float_laws_equal_the_array_functions_they_restate(rows, normalized
         flat = (rate(g, state[0]), *rates_at(g, d, *models.steering_terms(d)[1:])(state))
         assert all(type(value) is float for value in flat), flat
         assert list(flat) == [float(c[i]) for c in (speed, *body)]
+
+
+def _stacked_pacejka_jacobian(alpha, p):
+    """The magic formula's Jacobian on its own, its four columns stacked:
+    the reference for the fused pass."""
+    D, C, B, E = p
+    ba = B * alpha
+    atan_ba = np.arctan(ba)
+    u = ba - E * (ba - atan_ba)
+    atan_u = np.arctan(u)
+    outer = np.cos(C * atan_u)
+    du = D * outer * C / (1 + u * u)  # d(value)/du
+    du_dB = alpha * (1 - E * (1 - 1 / (1 + ba * ba)))
+    return np.stack([np.sin(C * atan_u), D * outer * atan_u, du * du_dB, du * -(ba - atan_ba)],
+                    axis=-1)
+
+
+@pytest.mark.parametrize("rows", [11, 1001, 11602])
+def test_fused_pacejka_pass_equals_the_curve_and_the_stacked_jacobian(rows):
+    """At the box's two corners and 23 drawn in-box parameter vectors,
+    ``pacejka_lateral_and_jacobian`` gives ``pacejka_lateral`` and the
+    stacked Jacobian bit for bit, as a C-contiguous array."""
+    rng = np.random.default_rng(rows)
+    alpha = rng.uniform(-0.6, 0.6, rows)
+    box = default_config("front_tire")
+    for p in [box.lower, box.upper, *rng.uniform(box.lower, box.upper, (23, 4))]:
+        value, jac = models.pacejka_lateral_and_jacobian(alpha, p)
+        assert np.array_equal(value, models.pacejka_lateral(alpha, p))
+        assert np.array_equal(jac, _stacked_pacejka_jacobian(alpha, p))
+        assert jac.flags.c_contiguous and jac.shape == (rows, 4)

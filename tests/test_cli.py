@@ -7,12 +7,13 @@ import sys
 import warnings
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
+from xml.etree import ElementTree
 
 import numpy as np
 import pytest
 
 import minicar
-from minicar import cli
+from minicar import cli, svgplot
 from minicar.cli import build_parser, main
 from minicar.params import Geometry, reference_params, save_params
 from minicar.validation import read_table
@@ -818,6 +819,25 @@ def test_generate_records_steps_and_time_per_scenario(tmp_path, params_file):
         f"{s.name}.csv" for s in library]
 
 
+def _run_module(*args) -> subprocess.CompletedProcess:
+    """``python -m minicar.cli *args`` in a fresh interpreter that imports
+    this checkout's package."""
+    src = str(Path(minicar.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    return subprocess.run([sys.executable, "-m", "minicar.cli", *args],
+                          capture_output=True, text=True, env=env, timeout=120)
+
+
+def test_run_as_a_module_the_cli_logs_under_minicar_cli(tmp_path):
+    """Run as ``python -m minicar.cli``, the module is ``__main__``; its
+    records still go to ``minicar.cli``, inside the ``minicar`` logger
+    whose level -v sets."""
+    missing = tmp_path / "missing"
+    proc = _run_module("fit", "--logs", str(missing), "--out", str(tmp_path / "p.json"))
+    assert proc.returncode == 2
+    assert f"ERROR minicar.cli: logs directory {missing} does not exist" in proc.stderr
+
+
 @pytest.mark.parametrize("command", ["simulate", "generate"])
 def test_diverging_run_exits_2_naming_the_scenario(tmp_path, params_file, command):
     """A run whose state leaves the sane envelope fails cleanly from the
@@ -832,12 +852,7 @@ def test_diverging_run_exits_2_naming_the_scenario(tmp_path, params_file, comman
         noise.write_text("{}")
         args = ["--noise", str(noise), "--seed", "1"]
         name = next(iter(scenario_library().values()))[0].name
-    src = str(Path(minicar.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-    proc = subprocess.run(
-        [sys.executable, "-m", "minicar.cli", command, "--params", str(params), *args,
-         "--out", str(tmp_path / "out")],
-        capture_output=True, text=True, env=env, timeout=120)
+    proc = _run_module(command, "--params", str(params), *args, "--out", str(tmp_path / "out"))
     assert proc.returncode == 2
     assert f"scenario {name!r}" in proc.stderr
     assert "sane envelope" in proc.stderr
@@ -899,3 +914,45 @@ def test_generate_leaves_no_worker_behind(tmp_path, params_file, caplog):
     assert f"scenario {library[0]!r}" in caplog.text
     assert not any(f"scenario {name!r}" in caplog.text for name in library[1:])
     assert not (out / "manifest.json").exists()
+
+
+@pytest.fixture(scope="module")
+def written_plots(tmp_path_factory):
+    """Each plot that a battery ``fit`` and a dynamic ``simulate`` write,
+    by file name: its path and the series it was drawn from."""
+    tmp = tmp_path_factory.mktemp("plots")
+    params, noise = tmp / "params.json", tmp / "noise.json"
+    save_params(reference_params(), params)
+    noise.write_text(json.dumps({"v_enc": 0.02, "omega_imu": 0.02, "mocap_xy": 0.001,
+                                 "mocap_eta": 0.002}))
+    scenario = write_scenario(tmp, model="dynamic",
+                              steering={"type": "piecewise", "times": [0.0], "values": [0.4]})
+    drawn, save_plot = {}, svgplot.save_plot
+
+    def recording(path, series, *args, **kwargs):
+        drawn[Path(path).name] = (Path(path), series)
+        save_plot(path, series, *args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(svgplot, "save_plot", recording)
+        assert main(["generate", "--params", str(params), "--noise", str(noise), "--seed", "1",
+                     "--out", str(tmp / "logs")]) == 0
+        assert main(["fit", "--logs", str(tmp / "logs"), "--out", str(tmp / "fit" / "p.json")]) == 0
+        assert main(["simulate", "--params", str(params), "--scenario", str(scenario),
+                     "--out", str(tmp / "sim")]) == 0
+    return drawn
+
+
+@pytest.mark.parametrize("name", ["fit_friction.svg", "fit_motor.svg", "fit_steering.svg",
+                                  "fit_tire_front.svg", "fit_tire_rear.svg", "path.svg",
+                                  "channels.svg"])
+def test_each_written_plot_draws_every_finite_point(written_plots, name):
+    """The file parses as XML and holds one circle per finite row of each
+    point series (a fit's dataset) and one polyline, with one vertex per
+    finite sample, per line series."""
+    path, series = written_plots[name]
+    root = ElementTree.parse(path).getroot()
+    finite = [(s.kind, int(np.sum(np.isfinite(s.x) & np.isfinite(s.y)))) for s in series]
+    assert len(root.findall(".//{*}circle")) == sum(n for kind, n in finite if kind == "points")
+    assert [len(line.get("points").split()) for line in root.findall(".//{*}polyline")] == [
+        n for kind, n in finite if kind == "line"]

@@ -111,12 +111,12 @@ def test_lm_matches_scipy_trust_region_reflective(name, ref, rng):
     scipy's bounded trust-region least squares from the same start."""
     data = _noisy_dataset(name, ref, rng, 401)
     cfg = default_config(name)
-    curve, jacobian = CURVES[name]
+    curve, value_and_jacobian = CURVES[name]
 
     def fun(p):
         return curve(*data.inputs, p) - data.label
 
-    oracle = least_squares(fun, cfg.initial, jac=lambda p: jacobian(*data.inputs, p),
+    oracle = least_squares(fun, cfg.initial, jac=lambda p: value_and_jacobian(*data.inputs, p)[1],
                            bounds=(cfg.lower, cfg.upper),
                            method="trf", xtol=1e-15, ftol=1e-15, gtol=1e-15)
     oracle_loss = float(np.sum(oracle.fun ** 2))
@@ -172,12 +172,17 @@ FIT = {
     "rear_tire": fitting.fit_rear_tire,
 }
 
+def _side_by_side(curve, jacobian):
+    return curve, lambda *args: (curve(*args), jacobian(*args))
+
+
+# Each stage's curve and its value-and-Jacobian function.
 CURVES = {
-    "friction": (models.friction_force, models.friction_force_jacobian),
-    "motor": (models.motor_force, models.motor_force_jacobian),
-    "steering": (models.steering_angle, models.steering_angle_jacobian),
-    "front_tire": (models.pacejka_lateral, models.pacejka_lateral_jacobian),
-    "rear_tire": (models.rear_lateral, models.rear_lateral_jacobian),
+    "friction": _side_by_side(models.friction_force, models.friction_force_jacobian),
+    "motor": _side_by_side(models.motor_force, models.motor_force_jacobian),
+    "steering": _side_by_side(models.steering_angle, models.steering_angle_jacobian),
+    "front_tire": (models.pacejka_lateral, models.pacejka_lateral_and_jacobian),
+    "rear_tire": _side_by_side(models.rear_lateral, models.rear_lateral_jacobian),
 }
 
 
@@ -203,11 +208,12 @@ def test_objective_gradient_does_not_alias_its_buffers(name, ref, rng):
 
 @pytest.mark.parametrize("name", CURVES)
 def test_analytic_gradient_matches_finite_differences(name, ref, rng):
-    """Loss gradients 2·Jᵀr, and the curve's models Jacobian row by row,
-    agree with central differences at 10 random interior points around
-    the realistic parameter region."""
+    """Loss gradients 2·Jᵀr, and the Jacobian of the curve's models
+    value-and-Jacobian function row by row, agree with central
+    differences at 10 random interior points around the realistic
+    parameter region; that function's value is the curve's, bit for bit."""
     columns, truth, p_ref = _submodel_cases(ref, rng)[name]
-    curve, jacobian = CURVES[name]
+    curve, value_and_jacobian = CURVES[name]
     data = Dataset(columns, truth(*columns))
     evaluate = fitting._stage_residuals(name, data)
     cfg = default_config(name)
@@ -222,7 +228,8 @@ def test_analytic_gradient_matches_finite_differences(name, ref, rng):
             np.linalg.norm(grad), np.linalg.norm(grad_fd), 1e-300
         )
         assert rel < 1e-5
-        jac = jacobian(*columns, p)
+        value, jac = value_and_jacobian(*columns, p)
+        assert np.array_equal(value, curve(*columns, p))
         assert jac.shape == (len(data), p_ref.size) and jac.flags.c_contiguous
         for row in (0, len(data) // 2, len(data) - 1):
             jac_fd = finite_difference_gradient(lambda q: curve(*columns, q)[row], p)

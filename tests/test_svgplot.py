@@ -1,3 +1,6 @@
+import re
+from xml.etree import ElementTree
+
 import numpy as np
 import pytest
 
@@ -7,16 +10,17 @@ from minicar.svgplot import Series, render_plot
 
 def _scalar_marks(s, color, px, py):
     """The reference: each finite point mapped by scalar ``px``/``py``
-    calls and formatted on its own."""
+    calls and written on its own, in integer hundredths of a pixel."""
     x = np.asarray(s.x, dtype=float).ravel()
     y = np.asarray(s.y, dtype=float).ravel()
     ok = np.isfinite(x) & np.isfinite(y)
-    x, y = x[ok], y[ok]
+    points = [(round(px(xi) * 100), round(py(yi) * 100)) for xi, yi in zip(x[ok], y[ok])]
     if s.kind == "points":
-        return [f'<circle cx="{px(xi):.2f}" cy="{py(yi):.2f}" r="1.8" '
-                f'fill="{color}" fill-opacity="0.45"/>' for xi, yi in zip(x, y)]
-    pts = " ".join(f"{px(xi):.2f},{py(yi):.2f}" for xi, yi in zip(x, y))
-    return [f'<polyline points="{pts}" fill="none" stroke="{color}" stroke-width="1.6"/>']
+        return [f'<g fill="{color}" fill-opacity="0.45" transform="scale(0.01)">',
+                *[f'<circle cx="{cx}" cy="{cy}" r="180"/>' for cx, cy in points], "</g>"]
+    pts = " ".join(f"{cx},{cy}" for cx, cy in points)
+    return [f'<polyline points="{pts}" fill="none" stroke="{color}" stroke-width="160" '
+            f'transform="scale(0.01)"/>']
 
 
 def _plots():
@@ -45,3 +49,17 @@ def test_render_plot_equals_the_scalar_reference_byte_for_byte(monkeypatch, name
     fast = render_plot(series, title=name, x_label="x", y_label="y")
     monkeypatch.setattr(svgplot, "_marks", _scalar_marks)
     assert fast == render_plot(series, title=name, x_label="x", y_label="y")
+
+
+def test_points_that_map_to_no_finite_position_are_left_out():
+    """Data spanning more than the largest float has an infinite range,
+    so its x maps to NaN: such points are left out, without a cast
+    warning (the suite raises on warnings) or a wrapped-around integer."""
+    wide = np.array([-1e308, 0.0, 1e308])
+    svg = render_plot([Series(wide, np.array([1.0, 2.0, 3.0]), "points", "points"),
+                       Series(wide, np.array([3.0, 2.0, 1.0]), "line")])
+    root = ElementTree.fromstring(svg)
+    assert root.findall(".//{*}circle") == []
+    (line,) = root.findall(".//{*}polyline")
+    assert line.get("points") == ""
+    assert "-9223372036854775808" not in svg and re.search(r"\bnan\b", svg) is None
