@@ -25,11 +25,11 @@ The simulator steps the rest of a state on floats, where a Python call
 costs more than the arithmetic it wraps, so it steps on flat float laws
 built once per run: ``kinematic_speed_law`` (``kinematic_rhs``'s speed
 rate) and ``dynamic_body_law`` (``dynamic_body_rates``), both of
-``net_force``. They keep every operation's order and call
-``friction_force`` and ``pacejka_lateral`` through this module, so
-either way of integrating yields the same states; tests/test_bit_identity.py
-pins each law to what it restates, and tests/test_simulator.py pins
-``simulate`` to ``rk4_step`` on drawn vehicles.
+``net_force``. They call no function here: each writes its curves inline
+on coefficients bound once, in every operation's order and with the same
+numpy ufuncs, so either way of integrating yields the same states;
+tests/test_bit_identity.py pins each law to what it restates on drawn
+coefficients, and tests/test_simulator.py pins ``simulate`` to ``rk4_step``.
 
 A state is a sequence of components, each a float or an array of
 rows, and a right-hand side returns the tuple of their derivatives:
@@ -65,7 +65,6 @@ STEER_BLEND_SHARPNESS = 30.0
 # Normalized slip angles divide by v_x, so they refuse any v_x at or
 # below this speed [m/s].
 SLIP_V_EPS = 1e-6
-_SLIP_REFUSAL = "normalized slip angles need v_x > 0"
 
 # The model kinds and the names of their state components, in order.
 STATE_NAMES = {"kinematic": ("x", "y", "eta", "v"),
@@ -183,6 +182,12 @@ def steering_refusal(t: float | None = None, row: int | None = None) -> ConfigEr
                        + ("" if t is None else f" at t={t:.6f} s"), row=row)
 
 
+def slip_refusal(t: float | None = None, row: int | None = None) -> DataError:
+    """``steering_refusal`` for a step whose normalized slip angles meet v_x <= SLIP_V_EPS."""
+    return DataError("normalized slip angles need v_x > 0"
+                     + ("" if t is None else f" at t={t:.6f} s"), row=row)
+
+
 def kinematic_yaw_rate(v, tan_delta, geom: Geometry):
     """Yaw rate of a rigidly rolling bicycle at speed ``v``."""
     return v * tan_delta / geom.l
@@ -213,13 +218,12 @@ def kinematic_rhs(state, tan_delta, f_total, geom: Geometry) -> tuple:
 
 def kinematic_speed_law(motor, friction, geom: Geometry):
     """``rate(gate, v)``, the speed rate of ``kinematic_rhs`` under
-    ``net_force(gate, v, motor, friction)``, flat on floats with
-    ``drive_force`` inline and ``d``, ``e`` and ``m`` bound once."""
-    d, e, _ = motor
-    m = geom.m
+    ``net_force(gate, v, motor, friction)``, flat on floats with ``drive_force``
+    and ``friction_force`` inline and their coefficients and ``m`` bound once."""
+    (d, e, _), (a, b, c), m, tanh = motor, friction, geom.m, np.tanh
 
     def rate(gate, v):
-        return ((d - v * e) * gate + friction_force(v, friction)) / m
+        return ((d - v * e) * gate + -(a * float(tanh(b * v)) + v * c)) / m
 
     return rate
 
@@ -237,7 +241,7 @@ def slip_angles(v_x, v_y, omega, delta, geom: Geometry, *, normalized: bool = Fa
     rear_arg = v_y - omega * geom.l_r
     if normalized:
         if np.any(v_x <= SLIP_V_EPS):
-            raise DataError(_SLIP_REFUSAL)
+            raise slip_refusal()
         front_arg = front_arg / v_x
         rear_arg = rear_arg / v_x
     alpha_f = -_arctan(front_arg) + delta
@@ -318,25 +322,27 @@ def dynamic_body_rates(body, delta, cos_d, sin_d, f_x_total, tire: tuple,
 
 def dynamic_body_law(motor, friction, tire: tuple, geom: Geometry, *,
                      normalized: bool = False):
-    """``rates_at(gate, delta, cos_d, sin_d)``, the right-hand side
+    """``rates_at(gate, delta, cos_d, sin_d, t)``, the right-hand side
     ``body -> dynamic_body_rates(body, delta, cos_d, sin_d, net_force(gate,
     v_x, motor, friction), tire, geom, normalized=normalized)``, flat on
-    floats with ``drive_force``, ``slip_angles`` and ``rear_lateral``
-    inline and ``d``, ``e``, the geometry and ``C_r`` bound once."""
-    d, e, _ = motor
-    l_f, l_r, m, I_z, c_r = geom.l_f, geom.l_r, geom.m, geom.I_z, tire[4]
+    floats with every curve it reads inline and their coefficients and
+    the geometry bound once. ``t``, the step's start, names a refused step."""
+    (d, e, _), (a, b, c), (D, C, B, E, c_r) = motor, friction, tire
+    l_f, l_r, m, I_z = geom.l_f, geom.l_r, geom.m, geom.I_z
+    tanh, arctan, sin = np.tanh, np.arctan, np.sin
 
-    def rates_at(gate, delta, cos_d, sin_d):
+    def rates_at(gate, delta, cos_d, sin_d, t):
         def rates(body):
             v_x, v_y, omega = body
-            f_half = ((d - v_x * e) * gate + friction_force(v_x, friction)) / 2.0
+            f_half = ((d - v_x * e) * gate + -(a * float(tanh(b * v_x)) + v_x * c)) / 2.0
             front_arg, rear_arg = v_y + omega * l_f, v_y - omega * l_r
             if normalized:
                 if v_x <= SLIP_V_EPS:
-                    raise DataError(_SLIP_REFUSAL)
+                    raise slip_refusal(t)
                 front_arg, rear_arg = front_arg / v_x, rear_arg / v_x
-            alpha_f, alpha_r = -float(np.arctan(front_arg)) + delta, -float(np.arctan(rear_arg))
-            f_yf, f_yr = pacejka_lateral(alpha_f, tire), c_r * alpha_r
+            alpha_f, alpha_r = -float(arctan(front_arg)) + delta, -float(arctan(rear_arg))
+            ba, f_yr = B * alpha_f, c_r * alpha_r
+            f_yf = D * float(sin(C * float(arctan(ba - E * (ba - float(arctan(ba)))))))
             front_y = f_yf * cos_d + f_half * sin_d
             return ((f_half + f_half * cos_d - f_yf * sin_d) / m + omega * v_y,
                     (f_yr + front_y) / m - omega * v_x,

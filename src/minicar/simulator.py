@@ -128,11 +128,11 @@ class Trajectory:
 def simulate(scenario: Scenario, params: VehicleParams) -> Trajectory:
     """Integrate a scenario and record states plus both input series.
 
-    A non-finite state raises IntegrationError, a state beyond
-    DIVERGENCE_LIMIT SimulationDiverged carrying the trajectory up to
-    the last sane state, and a step that would roll at |delta| >= pi/2
-    ConfigError naming its time; the earliest offending step decides.
-    Every error names the scenario.
+    A non-finite state raises IntegrationError, a state beyond DIVERGENCE_LIMIT
+    SimulationDiverged carrying the trajectory up to the last sane state, and a step that
+    would roll at |delta| >= pi/2 ConfigError naming its time; the earliest offending step
+    decides. A step whose normalized slip angles meet v_x <= 0 raises DataError naming its
+    time. Every error names the scenario.
     """
     dt, times = scenario.dt, scenario.times
     tau_cmd, s_cmd = scenario.sample_inputs()
@@ -180,15 +180,15 @@ def _dynamic_states(scenario: Scenario, params: VehicleParams, inputs: tuple) ->
     rate = models.kinematic_speed_law(motor, friction, geom)
 
     def law(u, body):
-        gate, delta, tan_d, cos_d, sin_d = u
+        t, gate, delta, tan_d, cos_d, sin_d = u
         if not (normalized and body[0] < BLEND_SPEED):
-            return rates_at(gate, delta, cos_d, sin_d), None
+            return rates_at(gate, delta, cos_d, sin_d, t), None
         if models.steering_refused(delta):
             return None, None
         return (lambda s: (rate(gate, s[0]), 0.0, 0.0),  # it rolls: the speed alone, then pinned
                 lambda s: models.rolling_body(s[0], tan_d, geom))
 
-    steps = zip(*(c.tolist() for c in inputs))
+    steps = zip(scenario.times.tolist(), *(c.tolist() for c in inputs))
     stages, end = rk4_tuple_stages(law, scenario.initial_state[3:], steps, scenario.dt,
                                    DIVERGENCE_LIMIT)
     body = np.ascontiguousarray(np.frombuffer(stages).reshape(-1, 4, 3).T)  # (3, 4, steps)

@@ -61,26 +61,27 @@ def _marks(s: Series, color: str, px, py) -> list[str]:
             f'transform="scale(0.01)"/>']
 
 
-@np.errstate(invalid="ignore")  # data spanning more than the largest float maps to NaN
+def _axis(values: np.ndarray, pad: float, k: float = 1.0) -> tuple[float, float, float]:
+    """``(lo, hi, k)``: the padded range of the finite ``values`` scaled by ``k``, a power
+    of two: 1 unless the span would overflow a float, so other plots keep every bit."""
+    lo, hi = (float(values.min()) * k, float(values.max()) * k) if values.size else (0.0, 1.0)
+    if hi - lo < 1e-12:
+        lo, hi = lo - 0.5, hi + 0.5
+    lo, hi = lo - pad * (hi - lo), hi + pad * (hi - lo)
+    return (lo, hi, k) if hi - lo < np.inf else _axis(values, pad, k / 4)
+
+
 def render_plot(series_list, title: str = "", x_label: str = "", y_label: str = "") -> str:
     xs = np.concatenate([np.asarray(s.x, dtype=float).ravel() for s in series_list])
     ys = np.concatenate([np.asarray(s.y, dtype=float).ravel() for s in series_list])
-    xs, ys = xs[np.isfinite(xs)], ys[np.isfinite(ys)]
-    x_lo, x_hi = (float(xs.min()), float(xs.max())) if xs.size else (0.0, 1.0)
-    y_lo, y_hi = (float(ys.min()), float(ys.max())) if ys.size else (0.0, 1.0)
-    if x_hi - x_lo < 1e-12:
-        x_lo, x_hi = x_lo - 0.5, x_hi + 0.5
-    if y_hi - y_lo < 1e-12:
-        y_lo, y_hi = y_lo - 0.5, y_hi + 0.5
-    pad_x, pad_y = 0.04 * (x_hi - x_lo), 0.06 * (y_hi - y_lo)
-    x_lo, x_hi = x_lo - pad_x, x_hi + pad_x
-    y_lo, y_hi = y_lo - pad_y, y_hi + pad_y
+    x_lo, x_hi, kx = _axis(xs[np.isfinite(xs)], 0.04)
+    y_lo, y_hi, ky = _axis(ys[np.isfinite(ys)], 0.06)
 
     def px(x):
-        return _ML + (x - x_lo) / (x_hi - x_lo) * (_W - _ML - _MR)
+        return _ML + (x * kx - x_lo) / (x_hi - x_lo) * (_W - _ML - _MR)
 
     def py(y):
-        return _H - _MB - (y - y_lo) / (y_hi - y_lo) * (_H - _MT - _MB)
+        return _H - _MB - (y * ky - y_lo) / (y_hi - y_lo) * (_H - _MT - _MB)
 
     out = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{_W}" height="{_H}" '
@@ -88,7 +89,7 @@ def render_plot(series_list, title: str = "", x_label: str = "", y_label: str = 
         f'<rect width="{_W}" height="{_H}" fill="white"/>',
     ]
     # grid and ticks
-    for tx in _nice_ticks(x_lo, x_hi):
+    for tx in (t / kx for t in _nice_ticks(x_lo, x_hi)):
         out.append(
             f'<line x1="{px(tx):.2f}" y1="{_MT}" x2="{px(tx):.2f}" y2="{_H - _MB}" '
             f'stroke="#e0e0e0" stroke-width="1"/>'
@@ -97,7 +98,7 @@ def render_plot(series_list, title: str = "", x_label: str = "", y_label: str = 
             f'<text x="{px(tx):.2f}" y="{_H - _MB + 16}" font-size="11" '
             f'text-anchor="middle" fill="#444">{tx:.6g}</text>'
         )
-    for ty in _nice_ticks(y_lo, y_hi):
+    for ty in (t / ky for t in _nice_ticks(y_lo, y_hi)):
         out.append(
             f'<line x1="{_ML}" y1="{py(ty):.2f}" x2="{_W - _MR}" y2="{py(ty):.2f}" '
             f'stroke="#e0e0e0" stroke-width="1"/>'

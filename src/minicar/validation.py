@@ -92,9 +92,9 @@ def one_step_rms(table: dict[str, np.ndarray], params: VehicleParams,
     """Per-channel RMS of one-step-ahead predictions along a log whose
     commands lie in [-1, 1]. Rows are stepped as the simulator steps
     them, so an export validates to round-off against the parameters it
-    was simulated with. A non-finite prediction raises IntegrationError
-    naming its 1-based row and time, a kinematic step at |delta| >= pi/2
-    ConfigError naming the same, and a non-finite RMS DataError."""
+    was simulated with. A non-finite prediction raises IntegrationError naming its 1-based
+    row and time, a kinematic step at |delta| >= pi/2 ConfigError and a normalized-slip step
+    at v_x <= 0 DataError naming the same, and a non-finite RMS DataError."""
     if model not in tuple(models.STATE_NAMES):  # not a dict lookup: the model may be a list
         raise ConfigError(f"unknown model kind {model!r}")
     dt = _dt_of(table)
@@ -106,14 +106,14 @@ def one_step_rms(table: dict[str, np.ndarray], params: VehicleParams,
     inputs = held_inputs(tau_app[:-1], s_app[:-1], params)
     try:
         predicted = step(rows, inputs)
-    except (IntegrationError, ConfigError):  # rows step independently: bisect for the first
+    except (IntegrationError, ConfigError, DataError):  # rows step alone: bisect for the first
         lo, hi = 0, rows[0].size  # the first failing row lies in [lo, hi)
         while hi - lo > 1:
             mid = (lo + hi) // 2
             try:
                 step([c[lo:mid] for c in rows], [a[lo:mid] for a in inputs])
                 lo = mid
-            except (IntegrationError, ConfigError):
+            except (IntegrationError, ConfigError, DataError):
                 hi = mid
         try:
             step([c[lo:hi] for c in rows], [a[lo:hi] for a in inputs])
@@ -121,6 +121,8 @@ def one_step_rms(table: dict[str, np.ndarray], params: VehicleParams,
             raise non_finite_state(table["t"][lo], row=lo + 1) from None
         except ConfigError:  # a kinematic step at |delta| >= pi/2
             raise models.steering_refusal(table["t"][lo], row=lo + 1) from None
+        except DataError:  # normalized slip angles at v_x <= 0
+            raise models.slip_refusal(table["t"][lo], row=lo + 1) from None
         raise
 
     rms = {name: float(np.sqrt(np.mean((y - column[1:]) ** 2))) for name, y, column

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
-from minicar.params import reference_params
+from minicar.params import (Delays, FrictionParams, Geometry, MotorParams, SteeringParams,
+                            TireParams, VehicleParams, reference_params)
 from minicar.scenarios import (
     PiecewiseSchedule,
     Scenario,
@@ -16,7 +17,10 @@ from minicar.simulator import NoiseSpec, synthesize_log
 
 # The same generated cases on every run, and no per-example time limit,
 # so that the property and fuzz tests cannot flake on a slow machine.
-settings.register_profile("minicar", derandomize=True, deadline=None)
+# print_blob makes a failure print a @reproduce_failure line, which
+# replays it in one module though its examples depend on the others
+# collected with it.
+settings.register_profile("minicar", derandomize=True, deadline=None, print_blob=True)
 settings.load_profile("minicar")
 
 
@@ -37,6 +41,23 @@ def finite_difference_gradient(fn, p, step: float = 1e-6) -> np.ndarray:
 def ref():
     """Reference parameter set used as ground truth throughout."""
     return reference_params()
+
+
+@pytest.fixture(scope="session")
+def spin():
+    """A normalized-slip vehicle and a 0.3-s run on it at dt = 0.005 s:
+    from v_x = 0.25 m/s at full throttle it spins, and v_x falls from
+    0.398 m/s to 0 or below within the step from t = 0.25 s."""
+    params = VehicleParams(
+        friction=FrictionParams(a=1.0, b=5.0, c=0.0), motor=MotorParams(d=43.0, e=2.0, g=0.0),
+        steering=SteeringParams(a_t=1.0, b_t=2.0, c_t=0.125, d_t=1.0, e_t=1.0),
+        tire=TireParams(D=1.0, C=1.0, B=0.5, E=0.0, C_r=0.5),
+        geometry=Geometry.rectangle(m=1.0, l=0.25, w=0.125), delays=Delays(),
+        normalized_slip=True)
+    scenario = Scenario(name="spin", duration=0.3, dt=0.005, model="dynamic",
+                        throttle=PiecewiseSchedule(times=(0.0, 0.01), values=(0.0, 1.0)),
+                        steering=constant(0.0), initial_state=(0, 0, 0, 0.25, 0, 0))
+    return params, scenario
 
 
 @pytest.fixture()

@@ -136,23 +136,43 @@ def test_rk4_step_on_precomputed_inputs_on_floats_equals_array_element(kind, nor
         lambda *row: tuple(step(list(row[:-2]), held_inputs(*row[-2:], params))), rows)
 
 
-@given(rows=_rows(_floats(0, 1.5), _floats(-0.6, 0.6), _floats(0.01, 4), _floats(-2, 2),
-                  _floats(-6, 6)), normalized=st.booleans())
-def test_flat_float_laws_equal_the_array_functions_they_restate(rows, normalized):
+def _box(stage):
+    """A parameter vector of a fit stage, drawn from the stage's box."""
+    box = default_config(stage)
+    return st.tuples(*(_floats(float(lo), float(hi)) for lo, hi in zip(box.lower, box.upper)))
+
+
+# The ranges of (gate, delta, v_x, v_y, omega) the laws are checked on.
+LAW_INPUTS = ((0, 1.5), (-0.6, 0.6), (0.01, 4), (-2, 2), (-6, 6))
+
+
+@given(rows=_rows(*(_floats(lo, hi) for lo, hi in LAW_INPUTS)), seed=st.integers(0, 2**32 - 1),
+       normalized=st.booleans(),
+       coefficients=st.sampled_from([(FRICTION, TIRE)])
+       | st.tuples(_box("friction"), st.tuples(_box("front_tire"), _box("rear_tire")).map(
+           lambda tire: (*tire[0], *tire[1]))))
+def test_flat_float_laws_equal_the_array_functions_they_restate(rows, seed, normalized,
+                                                                coefficients):
     """The simulator's pass 1 steps on ``kinematic_speed_law`` and
-    ``dynamic_body_law``; on floats they give what the array functions
-    they restate give at each element."""
+    ``dynamic_body_law``, which write the friction and magic-formula
+    curves inline; on floats they give what the array functions they
+    restate give at each element, for the reference friction and tire
+    and for coefficients drawn from the fit stages' boxes. A last-bit
+    slip shows in about 1% of rows, so 64 uniform rows from ``seed``
+    join the drawn ones."""
     geom = REF.geometry
+    friction, tire = coefficients
+    rows = rows + np.random.default_rng(seed).uniform(*zip(*LAW_INPUTS), (64, 5)).tolist()
     gate, delta, v_x, v_y, omega = (np.array(c) for c in zip(*rows))
     _, cos_d, sin_d = models.steering_terms(delta)
-    force = models.net_force(gate, v_x, MOTOR, FRICTION)
+    force = models.net_force(gate, v_x, MOTOR, friction)
     speed = models.kinematic_rhs((0.0, 0.0, 0.0, v_x), 0.0, force, geom)[3]
-    body = models.dynamic_body_rates((v_x, v_y, omega), delta, cos_d, sin_d, force, TIRE, geom,
+    body = models.dynamic_body_rates((v_x, v_y, omega), delta, cos_d, sin_d, force, tire, geom,
                                      normalized=normalized)
-    rate = models.kinematic_speed_law(MOTOR, FRICTION, geom)
-    rates_at = models.dynamic_body_law(MOTOR, FRICTION, TIRE, geom, normalized=normalized)
+    rate = models.kinematic_speed_law(MOTOR, friction, geom)
+    rates_at = models.dynamic_body_law(MOTOR, friction, tire, geom, normalized=normalized)
     for i, (g, d, *state) in enumerate(rows):
-        flat = (rate(g, state[0]), *rates_at(g, d, *models.steering_terms(d)[1:])(state))
+        flat = (rate(g, state[0]), *rates_at(g, d, *models.steering_terms(d)[1:], 0.0)(state))
         assert all(type(value) is float for value in flat), flat
         assert list(flat) == [float(c[i]) for c in (speed, *body)]
 

@@ -145,6 +145,16 @@ def test_a_refused_rolling_step_is_named_by_its_own_time(ref):
         simulate(replace(coast, duration=t + coast.dt), wide)
 
 
+def test_a_normalized_slip_refusal_names_the_time_of_its_step(spin):
+    """A spinning normalized run whose v_x falls to 0 within the step
+    from t = 0.25 s names that time: the run up to it succeeds."""
+    params, scenario = spin
+    with pytest.raises(DataError, match=r"^normalized slip angles need v_x > 0 "
+                                        r"at t=0\.250000 s in scenario 'spin'$"):
+        simulate(scenario, params)
+    assert len(simulate(replace(scenario, duration=0.25), params)) == 51
+
+
 def test_a_speed_beyond_the_envelope_beats_a_later_refused_kinematic_step(ref):
     """One stop rule for both: full lock reaches the wheels at t = 900.15 s,
     but with almost no back-EMF and no viscous friction full throttle has
@@ -209,9 +219,10 @@ def _step_at_a_time(scenario, params, limit=None):
     """Reference states: one scenario, one step at a time on numpy
     scalars, inputs sampled from the schedules and delayed by index, in
     the parameters' slip convention.
-    ``rk4_step`` raises IntegrationError at a non-finite state; with a
-    ``limit``, a state beyond it raises SimulationDiverged with the
-    states before it."""
+    ``rk4_step`` raises IntegrationError at a non-finite state, and a
+    dynamic step whose normalized slip angles meet v_x <= 0 DataError
+    naming its time; with a ``limit``, a state beyond it raises
+    SimulationDiverged with the states before it."""
     geom, dt, times = params.geometry, scenario.dt, scenario.times
     normalized = params.normalized_slip
     lag_tau = int(round(params.delays.long_delay / dt))
@@ -238,10 +249,13 @@ def _step_at_a_time(scenario, params, limit=None):
             omega = kin[3] * np.tan(delta) / geom.l
             states[k + 1] = [*kin, omega * geom.l_r, omega]
         else:
-            states[k + 1] = rk4_step(
-                lambda y: models.dynamic_rhs(y, delta, np.cos(delta), np.sin(delta),
-                                             net_force(y[3]), tuple(params.tire), geom,
-                                             normalized=normalized), y, dt, t)
+            try:
+                states[k + 1] = rk4_step(
+                    lambda y: models.dynamic_rhs(y, delta, np.cos(delta), np.sin(delta),
+                                                 net_force(y[3]), tuple(params.tire), geom,
+                                                 normalized=normalized), y, dt, t)
+            except DataError:
+                raise models.slip_refusal(t) from None
         if limit is not None and np.abs(states[k + 1]).max() > limit:
             raise SimulationDiverged("reference", t=float(times[k + 1]),
                                      trajectory=states[:k + 1])
@@ -320,7 +334,7 @@ def test_batch_divergence_names_the_failing_scenario(ref, monkeypatch):
 
 
 def test_batch_integration_error_names_the_failing_scenario(ref, monkeypatch):
-    monkeypatch.setattr(models, "friction_force", _fragile_friction(0.5))
+    _fragile_friction(monkeypatch, 0.5)
     calm = _scenario(constant(0.0), constant(0.0), duration=4.0)
     wild = Scenario(name="wild", duration=3.0, dt=0.01, model="kinematic",
                     throttle=constant(0.4), steering=constant(0.0))
@@ -336,10 +350,43 @@ def _outcome(run):
     return err.value
 
 
-def _fragile_friction(v_max):
-    """The friction curve, made NaN above ``v_max``."""
+def _patch_pass_1(patch, stage):
+    """Route each stage of pass 1 through ``stage(v, value)``, which gets
+    the stage's speed (v or v_x) and its law's value and returns the
+    value to use; the laws write their curves inline, so patching a
+    curve does not reach them."""
+    speed_law, body_law = models.kinematic_speed_law, models.dynamic_body_law
+
+    def patched_speed_law(*args):
+        rate = speed_law(*args)
+        return lambda gate, v: stage(v, rate(gate, v))
+
+    def patched_body_law(*args, **kwargs):
+        rates_at = body_law(*args, **kwargs)
+
+        def patched_rates_at(*u):
+            rates = rates_at(*u)
+            return lambda body: stage(body[0], rates(body))
+
+        return patched_rates_at
+
+    patch.setattr(models, "kinematic_speed_law", patched_speed_law)
+    patch.setattr(models, "dynamic_body_law", patched_body_law)
+
+
+def _fragile_friction(patch, v_max):
+    """Make the friction curve NaN above ``v_max``: the reference's
+    ``models.friction_force``, and in pass 1 every derivative of a stage
+    above ``v_max``, as a NaN net force makes them."""
     friction = models.friction_force
-    return lambda v, p: np.nan if v > v_max else friction(v, p)
+    patch.setattr(models, "friction_force", lambda v, p: np.nan if v > v_max else friction(v, p))
+
+    def stage(v, value):
+        if v > v_max:
+            return np.nan if value.__class__ is float else (np.nan,) * 3
+        return value
+
+    _patch_pass_1(patch, stage)
 
 
 # (model, throttle, steering, initial state, DIVERGENCE_LIMIT, friction NaN
@@ -382,7 +429,7 @@ def test_earliest_offending_step_decides_the_error(ref, monkeypatch, case):
         with monkeypatch.context() as patch:
             patch.setattr(simulator, "DIVERGENCE_LIMIT", limit)
             if nan_above is not None:
-                patch.setattr(models, "friction_force", _fragile_friction(nan_above))
+                _fragile_friction(patch, nan_above)
             got = _outcome(lambda: simulate(scenario, params))
             expected = _outcome(lambda: _step_at_a_time(scenario, params, limit=limit))
         assert type(got) is type(expected)
@@ -399,10 +446,10 @@ def test_earliest_offending_step_decides_the_error(ref, monkeypatch, case):
                                                ("dynamic", True)])
 def test_pass_1_takes_no_step_after_the_first_speed_beyond_the_limit(ref, monkeypatch, model,
                                                                      normalized):
-    """Each step evaluates the friction curve four times, and the step
-    that ends in the first state beyond the envelope is the last one."""
-    speeds, friction = [], models.friction_force
-    monkeypatch.setattr(models, "friction_force", lambda v, p: speeds.append(v) or friction(v, p))
+    """Each step evaluates its law four times, and the step that ends in
+    the first state beyond the envelope is the last one."""
+    speeds = []
+    _patch_pass_1(monkeypatch, lambda v, value: speeds.append(v) or value)
     monkeypatch.setattr(simulator, "DIVERGENCE_LIMIT", 0.5)
     with pytest.raises(SimulationDiverged) as err:
         simulate(_scenario(constant(0.4), constant(0.0), duration=4.0, model=model),
@@ -451,8 +498,8 @@ def test_kinematic_two_pass_states_equal_rk4_steps(ref, scenario):
 
 def _assert_simulate_equals_step_at_a_time(scenario, params):
     """``simulate`` gives the reference's states, or the reference's
-    DataError where a normalized run's v_x falls to 0 within a dynamic
-    step."""
+    DataError, naming the same time, where a normalized run's v_x falls
+    to 0 within a dynamic step."""
     try:
         expected = _step_at_a_time(scenario, params)
     except DataError as exc:

@@ -51,15 +51,43 @@ def test_render_plot_equals_the_scalar_reference_byte_for_byte(monkeypatch, name
     assert fast == render_plot(series, title=name, x_label="x", y_label="y")
 
 
-def test_points_that_map_to_no_finite_position_are_left_out():
-    """Data spanning more than the largest float has an infinite range,
-    so its x maps to NaN: such points are left out, without a cast
-    warning (the suite raises on warnings) or a wrapped-around integer."""
+def _unscaled_axis(values, pad):
+    """The reference for a finite span: the padded range in data units."""
+    lo, hi = (float(values.min()), float(values.max())) if values.size else (0.0, 1.0)
+    if hi - lo < 1e-12:
+        lo, hi = lo - 0.5, hi + 0.5
+    pad = pad * (hi - lo)
+    return lo - pad, hi + pad, 1.0
+
+
+@pytest.mark.parametrize("name", [*_plots(), "span-8e307"])
+def test_a_plot_whose_span_is_finite_is_drawn_in_data_units(monkeypatch, name):
+    """Ranges that stay finite, up to ±8e307 padded, are not scaled, so
+    their plots keep every byte."""
+    wide = np.array([-8e307, 0.0, 8e307])
+    series = _plots().get(name, [Series(wide, wide, "points", "points"), Series(wide, -wide)])
+    plot = render_plot(series, title=name, x_label="x", y_label="y")
+    monkeypatch.setattr(svgplot, "_axis", _unscaled_axis)
+    assert plot == render_plot(series, title=name, x_label="x", y_label="y")
+
+
+def test_data_spanning_more_than_the_largest_float_is_placed():
+    """Data spanning ±1e308 has a range that overflows a float, so it is
+    drawn scaled by 1/4, a power of two: its points land where those of
+    the data over 4 land, and its ticks read 4 times theirs, with no
+    warning (the suite raises on warnings)."""
     wide = np.array([-1e308, 0.0, 1e308])
-    svg = render_plot([Series(wide, np.array([1.0, 2.0, 3.0]), "points", "points"),
-                       Series(wide, np.array([3.0, 2.0, 1.0]), "line")])
-    root = ElementTree.fromstring(svg)
-    assert root.findall(".//{*}circle") == []
-    (line,) = root.findall(".//{*}polyline")
-    assert line.get("points") == ""
-    assert "-9223372036854775808" not in svg and re.search(r"\bnan\b", svg) is None
+
+    def drawn(x):
+        svg = render_plot([Series(x, np.array([1.0, 2.0, 3.0]), "points", "points"),
+                           Series(x, np.array([3.0, 2.0, 1.0]), "line")])
+        assert re.search(r"\b(nan|inf)\b", svg) is None
+        root = ElementTree.fromstring(svg)
+        marks = [(c.get("cx"), c.get("cy")) for c in root.findall(".//{*}circle")]
+        x_ticks = [float(t.text) for t in root.findall(".//{*}text[@text-anchor='middle']")]
+        return marks, root.find(".//{*}polyline").get("points"), x_ticks
+
+    marks, line, x_ticks = drawn(wide)
+    quarter_marks, quarter_line, quarter_ticks = drawn(wide / 4)
+    assert len(marks) == 3 and (marks, line) == (quarter_marks, quarter_line)
+    assert x_ticks == [4 * v for v in quarter_ticks] and len(x_ticks) >= 3

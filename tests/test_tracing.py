@@ -30,11 +30,12 @@ def test_tracer_installs_and_restores_every_patch():
 def test_traced_simulate_counts_the_stages_of_pass_1():
     """The benchmark's traced spans of a simulation are exact. Both
     models step only what their pose depends on (the speed, or the body
-    state of a dynamic model), through four spans of each curve it
-    reads per step, and evaluate the pose on whole series, so neither
-    opens an ``rk4_step`` or right-hand-side span. A normalized-slip
-    dynamic run above the blend speed, which never rolls, reads the
-    same curves."""
+    state of a dynamic model), on flat float laws that write the
+    friction and tire curves inline, and evaluate the pose on whole
+    series, so neither opens an ``rk4_step``, right-hand-side or curve
+    span; the steering map is one span on the whole input series. A
+    normalized-slip dynamic run above the blend speed, which never
+    rolls, opens the same spans."""
     from dataclasses import replace
 
     from minicar import simulator
@@ -64,9 +65,8 @@ def test_traced_simulate_counts_the_stages_of_pass_1():
 
             assert calls("integrators.rk4_step") == 0
             assert calls("models.kinematic_rhs") == calls("models.dynamic_rhs") == 0
-            assert calls("models.friction_force") == 4 * steps
+            assert calls("models.friction_force") == calls("models.pacejka_lateral") == 0
             assert calls("models.steering_angle") == 1
-            assert calls("models.pacejka_lateral") == (4 * steps if model == "dynamic" else 0)
     finally:
         tracer.restore()
 

@@ -262,6 +262,20 @@ def test_a_refused_steering_angle_names_its_row(ref, tmp_path, model):
         one_step_rms(table, wide, model)
 
 
+def test_a_normalized_slip_refusal_names_its_row(spin):
+    """The export of a spinning normalized run up to t = 0.25 s, with one
+    row more: the step from its last row takes v_x from 0.398 m/s to 0
+    or below, and validation names that row and its time."""
+    params, scenario = spin
+    traj = simulate(replace(scenario, duration=0.25), params)
+    table = read_table(trajectory_to_csv(traj, params).encode())
+    table = {name: np.append(column, column[-1]) for name, column in table.items()}
+    table["t"][-1] = 0.255
+    with pytest.raises(DataError, match=r"^normalized slip angles need v_x > 0 "
+                                        r"at t=0\.250000 s \(row 51\)$"):
+        one_step_rms(table, params, "dynamic")
+
+
 def test_a_refused_row_is_found_by_bisection(ref, tmp_path, monkeypatch):
     """Row 3,990 of a 4,001-row kinematic export, the first at full lock
     of a widened steering map, is named after at most 2·⌈log₂ 4000⌉ + 2
