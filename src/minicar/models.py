@@ -1,5 +1,5 @@
-"""Sub-model curves, their parameter Jacobians and the ODE right-hand
-sides of the two bicycle models.
+"""Sub-model curves, their parameter Jacobians and the laws and
+right-hand sides of the two bicycle models.
 
 This is the one place a curve's formula is written: the simulator
 evaluates the curves and the fitting stages minimise their squared
@@ -13,40 +13,32 @@ inputs of N rows a fresh C-contiguous ``(N, n_p)`` array whose column
 k is d(curve)/d(p[k]).
 
 Every other function here is pure and takes either Python floats or
-numpy arrays, so one definition serves the dataset, fitting and
-validation code, which works on columns of rows, and the simulator,
-which evaluates the pose of either model (yaw rate and world-frame
-velocity) on whole-series arrays. The transcendental functions come
-from numpy's ufuncs, not from ``math``, whose results differ in the
-last bit, so a float input gives exactly what the array call gives at
-that element.
+numpy arrays of rows. The transcendental functions come from numpy's
+ufuncs, not from ``math``, whose results differ in the last bit, so a
+float input gives exactly what the array call gives at that element.
 
-The simulator steps the rest of a state on floats, where a Python call
-costs more than the arithmetic it wraps, so it steps on flat float laws
-built once per run: ``kinematic_speed_law`` (``kinematic_rhs``'s speed
-rate) and ``dynamic_body_law`` (``dynamic_body_rates``), both of
-``net_force``. They call no function here: each writes its curves inline
-on coefficients bound once, in every operation's order and with the same
-numpy ufuncs, so either way of integrating yields the same states;
-tests/test_bit_identity.py pins each law to what it restates on drawn
-coefficients, and tests/test_simulator.py pins ``simulate`` to ``rk4_step``.
+Each model's law is written once: ``kinematic_speed_law`` (the speed
+rate) and ``dynamic_body_law`` (the body rates), built once per run on
+bound coefficients with the curves they read written inline, in every
+operation's order and with the same ufuncs, since on single floats a
+Python call costs more than the arithmetic it wraps. ``simulate`` steps
+them on floats, ``simulator.stepper`` (and so ``validate``) on rows;
+tests/test_bit_identity.py pins them to the curves. A state is a
+sequence of components, each a float or an array of rows, and a
+right-hand side returns the tuple of their derivatives:
 
-A state is a sequence of components, each a float or an array of
-rows, and a right-hand side returns the tuple of their derivatives:
-
-* kinematic: ``(x, y, eta, v)`` with (x, y) at the rear axle; its
-  right-hand side is ``heading_velocity``, ``kinematic_yaw_rate`` and
-  the net force over the mass
-* dynamic:   ``(x, y, eta, v_x, v_y, omega)`` with (x, y) at the CoM
-  and (v_x, v_y) in the body frame; likewise ``world_velocity``, omega
-  and ``dynamic_body_rates``
+* kinematic: ``(x, y, eta, v)`` with (x, y) at the rear axle;
+  ``kinematic_rhs`` is ``heading_velocity``, the yaw rate and the speed law
+* dynamic:   ``(x, y, eta, v_x, v_y, omega)`` with (x, y) at the CoM and
+  (v_x, v_y) in the body frame; ``dynamic_rhs`` is ``world_velocity``,
+  omega and the body law
 
 Headings accumulate without wrapping; wrap only for display.
 
-The inputs are held over an RK4 step, so the right-hand sides take
-what depends on them alone precomputed (``simulator.held_inputs``).
-The kinematic yaw rate is singular at |delta| = pi/2, so no step may
-propagate kinematically at an angle that ``steering_refused`` flags; no
+The inputs are held over an RK4 step, so the laws take what depends on
+them alone precomputed (``simulator.held_inputs``). The kinematic yaw
+rate is singular at |delta| = pi/2, so no step may propagate
+kinematically at an angle that ``steering_refused`` flags; no
 right-hand side checks its inputs.
 """
 
@@ -71,13 +63,14 @@ STATE_NAMES = {"kinematic": ("x", "y", "eta", "v"),
                "dynamic": ("x", "y", "eta", "v_x", "v_y", "omega")}
 
 
+def _float_if_scalar(x):
+    """A ufunc's result as a Python float for a scalar, else as is."""
+    return float(x) if x.__class__ is np.float64 else x
+
+
 def _float_kernel(ufunc):
-    """``ufunc`` made to return a Python float for a Python float."""
-
-    def kernel(x):
-        return float(ufunc(x)) if x.__class__ is float else ufunc(x)
-
-    return kernel
+    """``ufunc`` made to return a Python float for a scalar."""
+    return lambda x: _float_if_scalar(ufunc(x))
 
 
 _tanh, _arctan, _sin, _cos, _tan = map(_float_kernel, (np.tanh, np.arctan, np.sin, np.cos,
@@ -120,15 +113,6 @@ def motor_force(tau, v, p):
     """
     *_, g = p
     return drive_force(smooth_positive_throttle(tau, g), v, p)
-
-
-def net_force(gate, v, motor, friction):
-    """Net longitudinal force at speed ``v``: drive plus friction.
-
-    ``gate`` is ``smooth_positive_throttle(tau, motor.g)`` of the
-    applied throttle, which stays fixed while ``v`` evolves.
-    """
-    return drive_force(gate, v, motor) + friction_force(v, friction)
 
 
 def motor_force_jacobian(tau, v, p) -> np.ndarray:
@@ -205,27 +189,32 @@ def heading_velocity(v, eta) -> tuple:
     return v * _cos(eta), v * _sin(eta)
 
 
-def kinematic_rhs(state, tan_delta, f_total, geom: Geometry) -> tuple:
-    """Time derivative of the kinematic state ``(x, y, eta, v)``.
-
-    ``tan_delta`` is the tangent of the road-wheel angle and ``f_total``
-    the net longitudinal force (drive plus friction), both precomputed
-    by the caller.
-    """
+def kinematic_rhs(state, gate, tan_delta, rate, geom: Geometry) -> tuple:
+    """Time derivative of the kinematic state ``(x, y, eta, v)`` at the
+    throttle gate ``gate`` and the tangent ``tan_delta`` of the
+    road-wheel angle; ``rate`` is a ``kinematic_speed_law``."""
     _, _, eta, v = state
-    return (*heading_velocity(v, eta), kinematic_yaw_rate(v, tan_delta, geom), f_total / geom.m)
+    return (*heading_velocity(v, eta), kinematic_yaw_rate(v, tan_delta, geom), rate(gate, v))
 
 
-def kinematic_speed_law(motor, friction, geom: Geometry):
-    """``rate(gate, v)``, the speed rate of ``kinematic_rhs`` under
-    ``net_force(gate, v, motor, friction)``, flat on floats with ``drive_force``
-    and ``friction_force`` inline and their coefficients and ``m`` bound once."""
+def kinematic_speed_law(motor, friction, geom: Geometry, *, rows: bool = False):
+    """``rate(gate, v)``, the net force ``drive_force(gate, v, motor) +
+    friction_force(v, friction)`` over the mass, on Python floats; with
+    ``rows``, on floats or column arrays of rows."""
     (d, e, _), (a, b, c), m, tanh = motor, friction, geom.m, np.tanh
+    value = _float_if_scalar if rows else float
 
     def rate(gate, v):
-        return ((d - v * e) * gate + -(a * float(tanh(b * v)) + v * c)) / m
+        return ((d - v * e) * gate + -(a * value(tanh(b * v)) + v * c)) / m
 
     return rate
+
+
+def _refuse_slip_speed(v_x):
+    """``v_x`` if normalized slip angles may divide by it, else ``slip_refusal()``."""
+    if np.any(v_x <= SLIP_V_EPS):
+        raise slip_refusal()
+    return v_x
 
 
 def slip_angles(v_x, v_y, omega, delta, geom: Geometry, *, normalized: bool = False):
@@ -240,10 +229,8 @@ def slip_angles(v_x, v_y, omega, delta, geom: Geometry, *, normalized: bool = Fa
     front_arg = v_y + omega * geom.l_f
     rear_arg = v_y - omega * geom.l_r
     if normalized:
-        if np.any(v_x <= SLIP_V_EPS):
-            raise slip_refusal()
-        front_arg = front_arg / v_x
-        rear_arg = rear_arg / v_x
+        v_x = _refuse_slip_speed(v_x)
+        front_arg, rear_arg = front_arg / v_x, rear_arg / v_x
     alpha_f = -_arctan(front_arg) + delta
     alpha_r = -_arctan(rear_arg)
     return alpha_f, alpha_r
@@ -290,60 +277,41 @@ def rear_lateral_jacobian(alpha, c_r) -> np.ndarray:
 
 
 def tire_coefficients(params: VehicleParams) -> tuple:
-    """The tire group as the tuple ``dynamic_body_rates`` reads, (D, C, B, E, C_r)."""
+    """The tire group as the tuple ``dynamic_body_law`` reads, (D, C, B, E, C_r)."""
     if params.tire is None:
         raise ConfigError("dynamic model requires tire parameters")
     return tuple(params.tire)
 
 
-def dynamic_body_rates(body, delta, cos_d, sin_d, f_x_total, tire: tuple,
-                       geom: Geometry, *, normalized: bool = False) -> tuple:
-    """Time derivative of the body state ``(v_x, v_y, omega)``.
-
-    ``delta`` is the road-wheel angle, ``cos_d`` and ``sin_d`` its
-    precomputed cosine and sine, and ``tire`` the tuple of
-    ``tire_coefficients``. ``f_x_total`` is the net longitudinal force;
-    it is split equally between the axles (four-wheel drive), each half
-    acting along its own tire frame. Lateral forces come from the
-    magic-formula front tire and the linear rear tire.
-    """
-    v_x, v_y, omega = body
-    alpha_f, alpha_r = slip_angles(v_x, v_y, omega, delta, geom, normalized=normalized)
-    f_yf = pacejka_lateral(alpha_f, tire)
-    f_yr = rear_lateral(alpha_r, tire[4])
-    f_half = f_x_total / 2.0
-    front_y = f_yf * cos_d + f_half * sin_d  # front axle force, vehicle-frame y
-    return (
-        (f_half + f_half * cos_d - f_yf * sin_d) / geom.m + omega * v_y,
-        (f_yr + front_y) / geom.m - omega * v_x,
-        (geom.l_f * front_y - geom.l_r * f_yr) / geom.I_z,
-    )
-
-
 def dynamic_body_law(motor, friction, tire: tuple, geom: Geometry, *,
-                     normalized: bool = False):
-    """``rates_at(gate, delta, cos_d, sin_d, t)``, the right-hand side
-    ``body -> dynamic_body_rates(body, delta, cos_d, sin_d, net_force(gate,
-    v_x, motor, friction), tire, geom, normalized=normalized)``, flat on
-    floats with every curve it reads inline and their coefficients and
-    the geometry bound once. ``t``, the step's start, names a refused step."""
+                     normalized: bool = False, rows: bool = False):
+    """``rates_at(gate, delta, cos_d, sin_d)``: the time derivative of the
+    body state ``(v_x, v_y, omega)`` as a function of it, at a throttle
+    gate and a road-wheel angle held over the step. The net force is split
+    equally between the axles (four-wheel drive), each half along its own
+    tire frame, and the lateral forces are ``pacejka_lateral`` in front
+    and ``rear_lateral`` behind, at the ``slip_angles`` of the convention
+    ``normalized``. On Python floats, slip angles normalized by
+    v_x <= SLIP_V_EPS make the rates NaN; with ``rows``, on floats or
+    column arrays of rows, they raise ``slip_refusal()``."""
     (d, e, _), (a, b, c), (D, C, B, E, c_r) = motor, friction, tire
     l_f, l_r, m, I_z = geom.l_f, geom.l_r, geom.m, geom.I_z
     tanh, arctan, sin = np.tanh, np.arctan, np.sin
+    value, slip_speed = (_float_if_scalar, _refuse_slip_speed) if rows else (
+        float, lambda v_x: v_x if v_x > SLIP_V_EPS else np.nan)
 
-    def rates_at(gate, delta, cos_d, sin_d, t):
+    def rates_at(gate, delta, cos_d, sin_d):
         def rates(body):
             v_x, v_y, omega = body
-            f_half = ((d - v_x * e) * gate + -(a * float(tanh(b * v_x)) + v_x * c)) / 2.0
+            f_half = ((d - v_x * e) * gate + -(a * value(tanh(b * v_x)) + v_x * c)) / 2.0
             front_arg, rear_arg = v_y + omega * l_f, v_y - omega * l_r
             if normalized:
-                if v_x <= SLIP_V_EPS:
-                    raise slip_refusal(t)
-                front_arg, rear_arg = front_arg / v_x, rear_arg / v_x
-            alpha_f, alpha_r = -float(arctan(front_arg)) + delta, -float(arctan(rear_arg))
+                v = slip_speed(v_x)
+                front_arg, rear_arg = front_arg / v, rear_arg / v
+            alpha_f, alpha_r = -value(arctan(front_arg)) + delta, -value(arctan(rear_arg))
             ba, f_yr = B * alpha_f, c_r * alpha_r
-            f_yf = D * float(sin(C * float(arctan(ba - E * (ba - float(arctan(ba)))))))
-            front_y = f_yf * cos_d + f_half * sin_d
+            f_yf = D * value(sin(C * value(arctan(ba - E * (ba - value(arctan(ba)))))))
+            front_y = f_yf * cos_d + f_half * sin_d  # front axle force, vehicle-frame y
             return ((f_half + f_half * cos_d - f_yf * sin_d) / m + omega * v_y,
                     (f_yr + front_y) / m - omega * v_x,
                     (l_f * front_y - l_r * f_yr) / I_z)
@@ -359,14 +327,11 @@ def world_velocity(v_x, v_y, eta) -> tuple:
     return v_x * cos_e - v_y * sin_e, v_x * sin_e + v_y * cos_e
 
 
-def dynamic_rhs(state, delta, cos_d, sin_d, f_x_total, tire: tuple,
-                geom: Geometry, *, normalized: bool = False) -> tuple:
+def dynamic_rhs(state, rates) -> tuple:
     """Time derivative of the dynamic state ``(x, y, eta, v_x, v_y, omega)``;
-    the other arguments are those of ``dynamic_body_rates``."""
+    ``rates`` is a ``dynamic_body_law``'s body rates at a step's held inputs."""
     _, _, eta, v_x, v_y, omega = state
-    return (*world_velocity(v_x, v_y, eta), omega,
-            *dynamic_body_rates((v_x, v_y, omega), delta, cos_d, sin_d, f_x_total, tire, geom,
-                                normalized=normalized))
+    return (*world_velocity(v_x, v_y, eta), omega, *rates((v_x, v_y, omega)))
 
 
 def body_frame_velocity(v_abs_x, v_abs_y, eta):

@@ -11,30 +11,28 @@ for one-step validation alike: ``held_inputs`` evaluates what stays
 fixed over a step (zero-order hold), the throttle gate and the
 road-wheel angle with its tan, cos and sin, and ``stepper`` advances a
 state one ``rk4_step`` under them, on floats or on column arrays of
-rows. Every state ``simulate`` returns is bit for bit what that step
-gives one step at a time on floats.
+rows, on each model's one law (``models.kinematic_speed_law``,
+``models.dynamic_body_law``). Every state ``simulate`` returns is bit
+for bit what that step gives one step at a time on floats.
 
 Both models are integrated in two passes, since neither reads its pose
 (x, y, eta) to evolve the rest of its state. Pass 1 steps only that
-rest on Python floats and records its four stage values in every step:
-a kinematic speed (dv/dt = net force / m) through
-``rk4_scalar_stages``, a dynamic body state (v_x, v_y, omega) through
-``rk4_tuple_stages``, each on the flat float law that ``models`` builds
-once per run (``kinematic_speed_law``, ``dynamic_body_law``). It is the
-one place a run stops: after the first
-value beyond DIVERGENCE_LIMIT or non-finite, since no later state can
-count, and before the first step that would roll at an angle
-``models.steering_refused`` flags (a kinematic run's input series ends
-there, a rolling step's law gives it no right-hand side). Pass 2 works on
-whole-series arrays: the yaw rate of every stage (v*tan(delta)/l or
-omega), the heading as the running sum of each step's RK4 increment,
+rest on the same laws on Python floats and records its four stage
+values in every step (``rk4_scalar_stages`` for a kinematic speed,
+``rk4_tuple_stages`` for a dynamic body state). It is the one place a
+run stops: after the first value beyond DIVERGENCE_LIMIT or non-finite,
+since no later state can count, and before the first step that would
+roll at an angle ``models.steering_refused`` flags or whose normalized
+slip angles the law refuses (its NaN rates end the loop, and the step
+is dropped). Pass 2 works on whole-series arrays: the yaw rate of every
+stage, the heading as the running sum of each step's RK4 increment,
 then the world-frame velocity at each stage's heading and the position
-as its running sum. ``np.add.accumulate`` adds strictly in sequence,
-so each sum is the float recurrence's own. The whole state is then
-checked by one rule: the earliest offending step decides. Within one
-state a non-finite component (IntegrationError) beats one beyond
-DIVERGENCE_LIMIT (SimulationDiverged), and a run that pass 1 cut short
-with every state sane was refused its next step (ConfigError).
+as its running sum; ``np.add.accumulate`` adds strictly in sequence, so
+each sum is the float recurrence's own. The earliest offending step
+decides: within one state a non-finite component (IntegrationError)
+beats one beyond DIVERGENCE_LIMIT (SimulationDiverged), and a run that
+pass 1 cut short with every state sane was refused its next step
+(ConfigError at a refused angle, DataError at refused slip angles).
 
 A dynamic scenario runs in the slip-angle convention of its parameters
 (``VehicleParams.normalized_slip``). The default raw-velocity form is
@@ -129,10 +127,10 @@ def simulate(scenario: Scenario, params: VehicleParams) -> Trajectory:
     """Integrate a scenario and record states plus both input series.
 
     A non-finite state raises IntegrationError, a state beyond DIVERGENCE_LIMIT
-    SimulationDiverged carrying the trajectory up to the last sane state, and a step that
-    would roll at |delta| >= pi/2 ConfigError naming its time; the earliest offending step
-    decides. A step whose normalized slip angles meet v_x <= 0 raises DataError naming its
-    time. Every error names the scenario.
+    SimulationDiverged carrying the trajectory up to the last sane state, a step that would
+    roll at |delta| >= pi/2 ConfigError and one whose normalized slip angles meet v_x <= 0
+    DataError, naming its time; the earliest offending step decides. Every error names the
+    scenario.
     """
     dt, times = scenario.dt, scenario.times
     tau_cmd, s_cmd = scenario.sample_inputs()
@@ -180,36 +178,42 @@ def _dynamic_states(scenario: Scenario, params: VehicleParams, inputs: tuple) ->
     rate = models.kinematic_speed_law(motor, friction, geom)
 
     def law(u, body):
-        t, gate, delta, tan_d, cos_d, sin_d = u
+        gate, delta, tan_d, cos_d, sin_d = u
         if not (normalized and body[0] < BLEND_SPEED):
-            return rates_at(gate, delta, cos_d, sin_d, t), None
+            return rates_at(gate, delta, cos_d, sin_d), None
         if models.steering_refused(delta):
             return None, None
         return (lambda s: (rate(gate, s[0]), 0.0, 0.0),  # it rolls: the speed alone, then pinned
                 lambda s: models.rolling_body(s[0], tan_d, geom))
 
-    steps = zip(scenario.times.tolist(), *(c.tolist() for c in inputs))
-    stages, end = rk4_tuple_stages(law, scenario.initial_state[3:], steps, scenario.dt,
+    stages, end = rk4_tuple_stages(law, scenario.initial_state[3:],
+                                   zip(*(c.tolist() for c in inputs)), scenario.dt,
                                    DIVERGENCE_LIMIT)
     body = np.ascontiguousarray(np.frombuffer(stages).reshape(-1, 4, 3).T)  # (3, 4, steps)
+    rolls = (body[0, 0] < BLEND_SPEED) & normalized  # as ``law`` chose
+    refusal = models.steering_refusal
+    if normalized and (body[0, :, -1:] <= models.SLIP_V_EPS).any() and not rolls[-1]:
+        # the law refused the last step's slip angles, which ended pass 1: drop that step
+        body, end, rolls, refusal = body[..., :-1], body[:, 0, -1], rolls[:-1], models.slip_refusal
     v_x, v_y, omega = body
-    rolls = (v_x[0] < BLEND_SPEED) & normalized  # as ``law`` chose
     yaw = np.where(rolls, models.kinematic_yaw_rate(v_x, inputs[2][:rolls.size], geom), omega)
 
     def velocity(eta):
         return [np.where(rolls, kin, dyn) for kin, dyn in zip(
             models.heading_velocity(v_x, eta), models.world_velocity(v_x, v_y, eta))]
 
-    return _sane_states(scenario, yaw, velocity, body, end)
+    return _sane_states(scenario, yaw, velocity, body, end, refusal)
 
 
-def _sane_states(scenario: Scenario, yaw: np.ndarray, velocity, body, end) -> np.ndarray:
+def _sane_states(scenario: Scenario, yaw: np.ndarray, velocity, body, end,
+                 refusal=models.steering_refusal) -> np.ndarray:
     """Pass 2 and the one stop rule: the states up to the last sane one
     from the (4, steps) stage yaw rates, ``velocity(stage headings)`` in
     the world frame, and the rest of the state as its stages and its
     value after the last step of pass 1. The earliest offending step
     decides: a non-finite state raises IntegrationError, and a run cut
-    short with every state sane was refused its next step."""
+    short with every state sane was refused its next step, which
+    ``refusal(t)`` names."""
     x0, y0, eta0 = scenario.initial_state[:3]
     dt = scenario.dt
     eta = rk4_accumulate(eta0, yaw, dt)
@@ -220,7 +224,7 @@ def _sane_states(scenario: Scenario, yaw: np.ndarray, velocity, body, end) -> np
     sane = finite & (np.abs(states[1:]) <= DIVERGENCE_LIMIT).all(axis=1)
     if sane.all():
         if len(states) < scenario.times.size:
-            raise models.steering_refusal(scenario.times[len(states) - 1])
+            raise refusal(scenario.times[len(states) - 1])
         return states
     row = int(np.argmin(sane)) + 1  # the earliest offending state
     if not finite[row - 1]:
@@ -244,26 +248,27 @@ def stepper(model: str, params: VehicleParams, dt: float):
     ``models.steering_refusal()`` if any of its angles is refused. Under
     the parameters' normalized slip, a dynamic row that starts below
     BLEND_SPEED propagates the kinematic model instead and pins
-    (v_y, omega) to their rigid-rolling values.
+    (v_y, omega) to their rigid-rolling values, and a dynamic step raises
+    ``models.slip_refusal()`` if any of its slip angles is refused.
     """
     motor, friction, geom = tuple(params.motor), tuple(params.friction), params.geometry
+    rate = models.kinematic_speed_law(motor, friction, geom, rows=True)
 
     def kinematic(y, u):
         gate, delta, tan_d, _, _ = u
         if np.any(models.steering_refused(delta)):
             raise models.steering_refusal()
-        return rk4_step(lambda s: models.kinematic_rhs(
-            s, tan_d, models.net_force(gate, s[3], motor, friction), geom), y, dt)
+        return rk4_step(lambda s: models.kinematic_rhs(s, gate, tan_d, rate, geom), y, dt)
 
     if model == "kinematic":
         return kinematic
-    tire = models.tire_coefficients(params)
+    rates_at = models.dynamic_body_law(motor, friction, models.tire_coefficients(params), geom,
+                                       normalized=params.normalized_slip, rows=True)
 
     def dynamic(y, u):
         gate, delta, _, cos_d, sin_d = u
-        return rk4_step(lambda s: models.dynamic_rhs(
-            s, delta, cos_d, sin_d, models.net_force(gate, s[3], motor, friction), tire, geom,
-            normalized=params.normalized_slip), y, dt)
+        rates = rates_at(gate, delta, cos_d, sin_d)
+        return rk4_step(lambda s: models.dynamic_rhs(s, rates), y, dt)
 
     def rolling(y, u):
         y = kinematic(y[:4], u)

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
+from minicar import models
 from minicar.params import (Delays, FrictionParams, Geometry, MotorParams, SteeringParams,
                             TireParams, VehicleParams, reference_params)
 from minicar.scenarios import (
@@ -35,6 +36,33 @@ def finite_difference_gradient(fn, p, step: float = 1e-6) -> np.ndarray:
         lo[i] -= h
         grad[i] = (fn(hi) - fn(lo)) / (2 * h)
     return grad
+
+
+def curve_laws(motor, friction, tire, geom, normalized=False):
+    """``models.kinematic_speed_law`` and ``models.dynamic_body_law``
+    written from the curves they inline (``drive_force``,
+    ``friction_force``, ``slip_angles``, ``pacejka_lateral``,
+    ``rear_lateral``), on floats or arrays: the reference that the laws
+    and the simulator are checked against."""
+
+    def force(gate, v):
+        return models.drive_force(gate, v, motor) + models.friction_force(v, friction)
+
+    def rates_at(gate, delta, cos_d, sin_d):
+        def rates(body):
+            v_x, v_y, omega = body
+            alpha_f, alpha_r = models.slip_angles(v_x, v_y, omega, delta, geom,
+                                                  normalized=normalized)
+            f_yf, f_yr = models.pacejka_lateral(alpha_f, tire), models.rear_lateral(alpha_r, tire[4])
+            f_half = force(gate, v_x) / 2.0
+            front_y = f_yf * cos_d + f_half * sin_d  # front axle force, vehicle-frame y
+            return ((f_half + f_half * cos_d - f_yf * sin_d) / geom.m + omega * v_y,
+                    (f_yr + front_y) / geom.m - omega * v_x,
+                    (geom.l_f * front_y - geom.l_r * f_yr) / geom.I_z)
+
+        return rates
+
+    return (lambda gate, v: force(gate, v) / geom.m), rates_at
 
 
 @pytest.fixture(scope="session")

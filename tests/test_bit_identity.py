@@ -1,8 +1,9 @@
 """On Python floats, every model function gives exactly what the array
 call gives at that element, so the simulator (floats, one scenario) and
 the dataset, fitting and validation code (arrays of rows) evaluate one
-model bit for bit; and the front-tire fit's one-pass value and Jacobian
-equal the curve and the Jacobian written on their own."""
+model bit for bit; each model's law equals the curves it writes inline;
+and the front-tire fit's one-pass value and Jacobian equal the curve
+and the Jacobian written on their own."""
 
 from dataclasses import replace
 
@@ -11,6 +12,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from conftest import curve_laws
 from minicar import models
 from minicar.fitting import default_config
 from minicar.integrators import rk4_step
@@ -51,8 +53,6 @@ CURVES = {
                     (_floats(0, 1.5), _floats(-5, 5))),
     "motor_force": (lambda tau, v: models.motor_force(tau, v, REF.motor),
                     (_floats(-1, 1), _floats(-5, 5))),
-    "net_force": (lambda gate, v: models.net_force(gate, v, MOTOR, FRICTION),
-                  (_floats(0, 1.5), _floats(-5, 5))),
     "steering_angle": (lambda s: models.steering_angle(s, REF.steering), (_floats(-1, 1),)),
     "steering_terms": (models.steering_terms, (_floats(-1.5, 1.5),)),
     "kinematic_yaw_rate": (lambda v, tan_d: models.kinematic_yaw_rate(v, tan_d, REF.geometry),
@@ -79,34 +79,38 @@ def test_slip_angles_on_floats_equal_array_element(normalized, rows):
 
 
 _POSE = (_floats(-20, 20), _floats(-20, 20), _floats(-30, 30))
+RATE = models.kinematic_speed_law(MOTOR, FRICTION, REF.geometry, rows=True)
+RATES_AT = {normalized: models.dynamic_body_law(MOTOR, FRICTION, TIRE, REF.geometry,
+                                                normalized=normalized, rows=True)
+            for normalized in (False, True)}
 
 
-def _kinematic_rhs(x, y, eta, v, delta, force):
+def _kinematic_rhs(x, y, eta, v, delta, gate):
     tan_d, _, _ = models.steering_terms(delta)
-    return models.kinematic_rhs((x, y, eta, v), tan_d, force, REF.geometry)
+    return models.kinematic_rhs((x, y, eta, v), gate, tan_d, RATE, REF.geometry)
 
 
-def _dynamic_rhs(x, y, eta, v_x, v_y, omega, delta, force, normalized):
+def _dynamic_rhs(x, y, eta, v_x, v_y, omega, delta, gate, normalized):
     _, cos_d, sin_d = models.steering_terms(delta)
-    return models.dynamic_rhs((x, y, eta, v_x, v_y, omega), delta, cos_d, sin_d, force, TIRE,
-                              REF.geometry, normalized=normalized)
+    return models.dynamic_rhs((x, y, eta, v_x, v_y, omega),
+                              RATES_AT[normalized](gate, delta, cos_d, sin_d))
 
 
-@given(rows=_rows(*_POSE, _floats(-4, 4), _floats(-1.5, 1.5), _floats(-5, 5)))
+@given(rows=_rows(*_POSE, _floats(-4, 4), _floats(-1.5, 1.5), _floats(0, 1.5)))
 def test_kinematic_rhs_on_floats_equals_array_element(rows):
     _assert_rowwise_equal(_kinematic_rhs, rows)
 
 
 @pytest.mark.parametrize("normalized", [False, True])
 @given(rows=_rows(*_POSE, _floats(0.1, 4), _floats(-2, 2), _floats(-6, 6), _floats(-0.6, 0.6),
-                  _floats(-5, 5)))
+                  _floats(0, 1.5)))
 def test_dynamic_rhs_and_its_rk4_step_on_floats_equal_array_element(normalized, rows):
     def rhs(*row):
         return _dynamic_rhs(*row, normalized)
 
     def step(*row):
-        *state, delta, force = row
-        return tuple(rk4_step(lambda s: rhs(*s, delta, force), state, 0.01))
+        *state, delta, gate = row
+        return tuple(rk4_step(lambda s: rhs(*s, delta, gate), state, 0.01))
 
     _assert_rowwise_equal(rhs, rows)
     _assert_rowwise_equal(step, rows)
@@ -145,36 +149,59 @@ def _box(stage):
 # The ranges of (gate, delta, v_x, v_y, omega) the laws are checked on.
 LAW_INPUTS = ((0, 1.5), (-0.6, 0.6), (0.01, 4), (-2, 2), (-6, 6))
 
+# Rows of law inputs, a seed for 64 uniform ones more (a last-bit slip
+# shows in about 1% of rows), the slip convention and the friction and
+# tire coefficients: the reference ones or ones drawn from the fit
+# stages' boxes.
+LAW_CASES = dict(
+    rows=_rows(*(_floats(lo, hi) for lo, hi in LAW_INPUTS)), seed=st.integers(0, 2**32 - 1),
+    normalized=st.booleans(),
+    coefficients=st.sampled_from([(FRICTION, TIRE)])
+    | st.tuples(_box("friction"), st.tuples(_box("front_tire"), _box("rear_tire")).map(
+        lambda tire: (*tire[0], *tire[1]))))
 
-@given(rows=_rows(*(_floats(lo, hi) for lo, hi in LAW_INPUTS)), seed=st.integers(0, 2**32 - 1),
-       normalized=st.booleans(),
-       coefficients=st.sampled_from([(FRICTION, TIRE)])
-       | st.tuples(_box("friction"), st.tuples(_box("front_tire"), _box("rear_tire")).map(
-           lambda tire: (*tire[0], *tire[1]))))
-def test_flat_float_laws_equal_the_array_functions_they_restate(rows, seed, normalized,
-                                                                coefficients):
-    """The simulator's pass 1 steps on ``kinematic_speed_law`` and
-    ``dynamic_body_law``, which write the friction and magic-formula
-    curves inline; on floats they give what the array functions they
-    restate give at each element, for the reference friction and tire
-    and for coefficients drawn from the fit stages' boxes. A last-bit
-    slip shows in about 1% of rows, so 64 uniform rows from ``seed``
-    join the drawn ones."""
-    geom = REF.geometry
+
+def _laws(normalized, coefficients, **bindings):
+    """The two laws on the coefficients, built with ``bindings``."""
     friction, tire = coefficients
+    return (models.kinematic_speed_law(MOTOR, friction, REF.geometry, **bindings),
+            models.dynamic_body_law(MOTOR, friction, tire, REF.geometry, normalized=normalized,
+                                    **bindings))
+
+
+def _on_columns(rows, seed, rate, rates_at):
+    """Both laws on the rows and 64 uniform ones more as columns: the
+    speed rate, then the body rates."""
     rows = rows + np.random.default_rng(seed).uniform(*zip(*LAW_INPUTS), (64, 5)).tolist()
     gate, delta, v_x, v_y, omega = (np.array(c) for c in zip(*rows))
     _, cos_d, sin_d = models.steering_terms(delta)
-    force = models.net_force(gate, v_x, MOTOR, friction)
-    speed = models.kinematic_rhs((0.0, 0.0, 0.0, v_x), 0.0, force, geom)[3]
-    body = models.dynamic_body_rates((v_x, v_y, omega), delta, cos_d, sin_d, force, tire, geom,
-                                     normalized=normalized)
-    rate = models.kinematic_speed_law(MOTOR, friction, geom)
-    rates_at = models.dynamic_body_law(MOTOR, friction, tire, geom, normalized=normalized)
+    return rows, (rate(gate, v_x), *rates_at(gate, delta, cos_d, sin_d)((v_x, v_y, omega)))
+
+
+@given(**LAW_CASES)
+def test_each_law_on_floats_equals_the_law_on_arrays(rows, seed, normalized, coefficients):
+    """The simulator's pass 1 steps each law on Python floats and
+    ``stepper`` on column arrays of rows; the two bindings give the same
+    bits, the floats as Python floats."""
+    rate, rates_at = _laws(normalized, coefficients)
+    rows, columns = _on_columns(rows, seed, *_laws(normalized, coefficients, rows=True))
     for i, (g, d, *state) in enumerate(rows):
-        flat = (rate(g, state[0]), *rates_at(g, d, *models.steering_terms(d)[1:], 0.0)(state))
+        flat = (rate(g, state[0]), *rates_at(g, d, *models.steering_terms(d)[1:])(state))
         assert all(type(value) is float for value in flat), flat
-        assert list(flat) == [float(c[i]) for c in (speed, *body)]
+        assert list(flat) == [float(c[i]) for c in columns]
+
+
+@given(**LAW_CASES)
+def test_each_law_equals_the_curves_it_writes_inline(rows, seed, normalized, coefficients):
+    """Each law writes its curves inline; on arrays it gives the bits of
+    the same laws written from ``drive_force``, ``friction_force``,
+    ``slip_angles``, ``pacejka_lateral`` and ``rear_lateral``."""
+    friction, tire = coefficients
+    _, laws = _on_columns(rows, seed, *_laws(normalized, coefficients, rows=True))
+    _, reference = _on_columns(rows, seed, *curve_laws(MOTOR, friction, tire, REF.geometry,
+                                                       normalized))
+    for law, expected in zip(laws, reference):
+        np.testing.assert_array_equal(law, expected)
 
 
 def _stacked_pacejka_jacobian(alpha, p):

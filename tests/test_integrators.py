@@ -58,7 +58,8 @@ def test_kinematic_circle_closure(ref):
     dt = period / n
     state = np.array([0.0, 0.0, 0.0, v])
     for _ in range(n):
-        state = rk4_step(lambda s: models.kinematic_rhs(s, math.tan(delta), 0.0, geom), state, dt)
+        state = rk4_step(lambda s: models.kinematic_rhs(s, 0.0, math.tan(delta), lambda g, v: 0.0,
+                                                        geom), state, dt)
     assert math.hypot(state[0], state[1]) < 1e-6 * radius
     assert state[2] == pytest.approx(2 * math.pi, rel=1e-9)
 

@@ -87,19 +87,21 @@ def test_steering_monotone(ref):
 
 
 def test_kinematic_rhs_straight_roll(ref):
-    d = models.kinematic_rhs(np.array([0.0, 0.0, 0.0, 1.0]), 0.0, 0.0, ref.geometry)
+    d = models.kinematic_rhs(np.array([0.0, 0.0, 0.0, 1.0]), 0.0, 0.0, lambda g, v: 0.0,
+                             ref.geometry)
     np.testing.assert_allclose(d, [1.0, 0.0, 0.0, 0.0], atol=1e-15)
 
 
 def test_kinematic_rhs_unit_yaw_rate(ref):
     # tan(delta) = l makes the yaw rate equal the speed
-    d = models.kinematic_rhs(np.array([0.0, 0.0, 0.0, 1.0]), ref.geometry.l, 0.0, ref.geometry)
+    d = models.kinematic_rhs(np.array([0.0, 0.0, 0.0, 1.0]), 0.0, ref.geometry.l,
+                             lambda g, v: 0.0, ref.geometry)
     assert d[2] == pytest.approx(1.0, rel=1e-12)
 
 
 def test_kinematic_rhs_axis_aligned(ref):
-    m = ref.geometry.m
-    d = models.kinematic_rhs(np.array([0.0, 0.0, math.pi / 2, 2.0]), 0.0, m * 1.0, ref.geometry)
+    d = models.kinematic_rhs(np.array([0.0, 0.0, math.pi / 2, 2.0]), 0.0, 0.0, lambda g, v: 1.0,
+                             ref.geometry)
     np.testing.assert_allclose(d, [0.0, 2.0, 0.0, 1.0], atol=1e-12)
 
 
@@ -125,12 +127,15 @@ def test_steering_terms(ref):
     np.testing.assert_array_equal(sin_d, np.sin(delta))
 
 
-def test_net_force_is_motor_plus_friction_at_the_throttle_gate(ref):
+def test_kinematic_speed_law_is_motor_plus_friction_over_the_mass(ref):
     tau, v = np.array([-0.5, 0.05, 0.3, 1.0]), np.array([0.0, 0.4, -1.0, 2.0])
     gate = models.smooth_positive_throttle(tau, ref.motor.g)
+    rate = models.kinematic_speed_law(tuple(ref.motor), tuple(ref.friction), ref.geometry,
+                                      rows=True)
     np.testing.assert_array_equal(
-        models.net_force(gate, v, ref.motor, ref.friction),
-        models.motor_force(tau, v, ref.motor) + models.friction_force(v, ref.friction))
+        rate(gate, v),
+        (models.motor_force(tau, v, ref.motor) + models.friction_force(v, ref.friction))
+        / ref.geometry.m)
 
 
 def test_slip_angles_zero(ref):
@@ -188,13 +193,14 @@ def test_rear_lateral(ref):
     assert models.rear_lateral(0.4, 0.39) == pytest.approx(2 * models.rear_lateral(0.2, 0.39))
 
 
-def _dynamic_rhs(state, delta, f_x_total, params, normalized=False):
-    """``models.dynamic_rhs`` with its steering terms and tire tuple
-    evaluated here."""
+def _dynamic_rhs(state, delta, gate, params, normalized=False):
+    """``models.dynamic_rhs`` on the body law of ``params`` at the
+    road-wheel angle ``delta`` and the throttle gate ``gate``."""
     _, cos_d, sin_d = models.steering_terms(delta)
-    return models.dynamic_rhs(state, delta, cos_d, sin_d, f_x_total,
-                              models.tire_coefficients(params), params.geometry,
-                              normalized=normalized)
+    rates_at = models.dynamic_body_law(tuple(params.motor), tuple(params.friction),
+                                       models.tire_coefficients(params), params.geometry,
+                                       normalized=normalized, rows=True)
+    return models.dynamic_rhs(state, rates_at(gate, delta, cos_d, sin_d))
 
 
 def test_dynamic_rhs_equilibrium_at_rest(ref):
@@ -231,17 +237,20 @@ def test_dynamic_rhs_steady_cornering_fixed_point(ref):
     geom = ref.geometry
     sin_d, cos_d = float(np.sin(delta)), float(np.cos(delta))
 
-    def holding_force(v_y, omega):
-        # net longitudinal force that keeps dv_x = 0 at this instant
+    def holding_gate(v_y, omega):
+        # the throttle gate of the net longitudinal force that keeps
+        # dv_x = 0 at this instant
         alpha_f, _ = models.slip_angles(v_x, v_y, omega, delta, geom, normalized=True)
         f_yf = models.pacejka_lateral(alpha_f, ref.tire)
-        return 2 * (f_yf * sin_d - geom.m * omega * v_y) / (1 + cos_d)
+        force = 2 * (f_yf * sin_d - geom.m * omega * v_y) / (1 + cos_d)
+        return ((force - models.friction_force(v_x, ref.friction))
+                / models.drive_force(1.0, v_x, ref.motor))
 
     def lateral_rhs(z):
         v_y, omega = z
-        d = _dynamic_rhs((0.0, 0.0, 0.0, v_x, v_y, omega), delta, holding_force(v_y, omega), ref,
+        d = _dynamic_rhs((0.0, 0.0, 0.0, v_x, v_y, omega), delta, holding_gate(v_y, omega), ref,
                          normalized=True)
-        assert abs(d[3]) < 1e-9  # the holding force does its job
+        assert abs(d[3]) < 1e-9  # the holding gate does its job
         return d[4], d[5]
 
     z = (0.0, 0.0)  # stepped on Python floats, far cheaper than numpy's on two values

@@ -1,8 +1,11 @@
 """The package root holds only its version: every public name is
-imported from the one module that defines it, as the README does, and
-the README's command-line section names exactly the CLI's options."""
+imported from the one module that defines it, as the README does; the
+README names no module attribute that does not exist, and its
+command-line section names exactly the CLI's options."""
 
 import argparse
+import importlib
+import pkgutil
 import re
 import types
 from pathlib import Path
@@ -26,6 +29,19 @@ def test_the_readme_python_blocks_run():
     assert blocks
     for block in blocks:
         exec(compile(block, str(README), "exec"), {})
+
+
+def test_every_module_attribute_the_readme_names_exists():
+    """Each backticked ``module.name`` (or ``minicar.module.name``) of
+    the README whose module is a minicar module names an attribute of
+    that module, so the README cannot point at a removed function."""
+    modules = {info.name for info in pkgutil.iter_modules(minicar.__path__)}
+    named = {(module, name) for module, name in
+             re.findall(r"`(?:minicar\.)?(\w+)\.(\w+)", README.read_text()) if module in modules}
+    assert named
+    missing = sorted(f"{module}.{name}" for module, name in named
+                     if not hasattr(importlib.import_module(f"minicar.{module}"), name))
+    assert not missing, missing
 
 
 def _options(parser) -> set[str]:

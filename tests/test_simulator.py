@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import brentq
 
+from conftest import curve_laws
 from minicar import models, simulator
 from minicar.delay import estimate_delay_xcorr
 from minicar.errors import ConfigError, DataError, IntegrationError, SimulationDiverged
@@ -218,28 +219,27 @@ def _short_library():
 def _step_at_a_time(scenario, params, limit=None):
     """Reference states: one scenario, one step at a time on numpy
     scalars, inputs sampled from the schedules and delayed by index, in
-    the parameters' slip convention.
+    the parameters' slip convention, on the laws written from the curves
+    (``curve_laws``).
     ``rk4_step`` raises IntegrationError at a non-finite state, and a
     dynamic step whose normalized slip angles meet v_x <= 0 DataError
     naming its time; with a ``limit``, a state beyond it raises
     SimulationDiverged with the states before it."""
     geom, dt, times = params.geometry, scenario.dt, scenario.times
     normalized = params.normalized_slip
+    rate, rates_at = curve_laws(tuple(params.motor), tuple(params.friction), tuple(params.tire),
+                                geom, normalized)
     lag_tau = int(round(params.delays.long_delay / dt))
     lag_s = int(round(params.delays.steer_delay / dt))
     states = np.empty((times.size, len(scenario.initial_state)))
     states[0] = scenario.initial_state
     tau, s = scenario.throttle.sample(times), scenario.steering.sample(times)
     for k in range(times.size - 1):
-        tau_k = float(tau[max(k - lag_tau, 0)])
+        gate = models.smooth_positive_throttle(float(tau[max(k - lag_tau, 0)]), params.motor.g)
         delta = float(models.steering_angle(float(s[max(k - lag_s, 0)]), params.steering))
 
-        def net_force(v, tau_k=tau_k):
-            return models.motor_force(tau_k, v, params.motor) + models.friction_force(
-                v, params.friction)
-
-        def kin_rhs(y, delta=delta):
-            return models.kinematic_rhs(y, np.tan(delta), net_force(y[3]), geom)
+        def kin_rhs(y, gate=gate, delta=delta):
+            return models.kinematic_rhs(y, gate, np.tan(delta), rate, geom)
 
         y, t = states[k], times[k]
         if scenario.model == "kinematic":
@@ -249,11 +249,9 @@ def _step_at_a_time(scenario, params, limit=None):
             omega = kin[3] * np.tan(delta) / geom.l
             states[k + 1] = [*kin, omega * geom.l_r, omega]
         else:
+            rates = rates_at(gate, delta, np.cos(delta), np.sin(delta))
             try:
-                states[k + 1] = rk4_step(
-                    lambda y: models.dynamic_rhs(y, delta, np.cos(delta), np.sin(delta),
-                                                 net_force(y[3]), tuple(params.tire), geom,
-                                                 normalized=normalized), y, dt, t)
+                states[k + 1] = rk4_step(lambda y: models.dynamic_rhs(y, rates), y, dt, t)
             except DataError:
                 raise models.slip_refusal(t) from None
         if limit is not None and np.abs(states[k + 1]).max() > limit:
@@ -357,8 +355,8 @@ def _patch_pass_1(patch, stage):
     curve does not reach them."""
     speed_law, body_law = models.kinematic_speed_law, models.dynamic_body_law
 
-    def patched_speed_law(*args):
-        rate = speed_law(*args)
+    def patched_speed_law(*args, **kwargs):
+        rate = speed_law(*args, **kwargs)
         return lambda gate, v: stage(v, rate(gate, v))
 
     def patched_body_law(*args, **kwargs):
@@ -440,6 +438,20 @@ def test_earliest_offending_step_decides_the_error(ref, monkeypatch, case):
         np.testing.assert_array_equal(got.trajectory.states, expected.trajectory)
         beyond = np.abs(free.states[len(got.trajectory)]) > limit
         assert (bool(beyond[:3].any()), bool(beyond[3:].any())) == first
+
+
+def test_a_pose_beyond_the_limit_beats_a_later_slip_refusal(spin):
+    """One stop rule for both refusals: the spinning run started at
+    x = 2e6 leaves the envelope in its first step, long before its v_x
+    falls to 0 within the step from t = 0.25 s, and raises what the
+    step-at-a-time reference raises."""
+    params, scenario = spin
+    far = replace(scenario, initial_state=(2e6, 0, 0, 0.25, 0, 0))
+    got = _outcome(lambda: simulate(far, params))
+    expected = _outcome(lambda: _step_at_a_time(far, params, limit=simulator.DIVERGENCE_LIMIT))
+    assert type(got) is type(expected) is SimulationDiverged
+    assert got.t == expected.t == 0.005
+    np.testing.assert_array_equal(got.trajectory.states, expected.trajectory)
 
 
 @pytest.mark.parametrize("model, normalized", [("kinematic", False), ("dynamic", False),
@@ -563,9 +575,9 @@ def _drawn_vehicle_runs(draw):
 @given(run=_drawn_vehicle_runs())
 @settings(max_examples=60)
 def test_simulate_equals_step_at_a_time_on_drawn_vehicles(run):
-    """Pass 1 steps each model on a flat float restatement of its
-    right-hand side; on drawn vehicles, not the reference alone, its
-    states are the step-at-a-time reference's bit for bit. A drawn
+    """Pass 1 steps each model's law on floats; on drawn vehicles, not
+    the reference alone, its states are those of the step-at-a-time
+    reference, on the laws written from the curves, bit for bit. A drawn
     vehicle may spin until a normalized run's v_x falls to 0 within a
     dynamic step; then both raise one DataError."""
     params, scenario = run
