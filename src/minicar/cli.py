@@ -31,14 +31,11 @@ from __future__ import annotations
 
 import argparse
 import functools
-import hashlib
 import json
 import logging
-import multiprocessing
 import os
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
@@ -55,6 +52,8 @@ logger = logging.getLogger("minicar.cli")
 
 
 def _sha256(path: Path) -> str:
+    import hashlib  # here, not at the top: validate writes no manifest
+
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
@@ -336,6 +335,10 @@ def _generate_all(jobs: list[tuple]) -> list[tuple]:
     own. The error of the first failing job in job order is raised once
     no job runs any more.
     """
+    # Imported here, not at the top: no other command forks.
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
     if "fork" not in multiprocessing.get_all_start_methods():
         return [_generate_one(*job) for job in jobs]
     cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")

@@ -31,7 +31,7 @@ hold over breakpoints) and ``sine`` (offset + amplitude * sin(2*pi*f*t
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -39,7 +39,7 @@ import numpy as np
 from .errors import ConfigError
 from .logs import command_out_of_range
 from .models import STATE_NAMES
-from .params import FloatFields, finite_float, finite_floats, from_json, load_json, write_json
+from .params import FloatFields, finite_float, finite_floats, from_json, load_json
 
 MAX_DT = 0.05
 # Most samples a scenario grid may hold, its round(duration / dt) steps
@@ -96,11 +96,6 @@ def constant(value: float) -> PiecewiseSchedule:
 
 
 SCHEDULE_TYPES = {"step": StepSchedule, "piecewise": PiecewiseSchedule, "sine": SineSchedule}
-_SCHEDULE_KINDS = {cls: kind for kind, cls in SCHEDULE_TYPES.items()}
-
-
-def schedule_to_json(schedule) -> dict:
-    return {"type": _SCHEDULE_KINDS[type(schedule)], **asdict(schedule)}
 
 
 def schedule_from_json(doc: dict):
@@ -170,10 +165,6 @@ class Scenario:
                 raise ConfigError(f"{name} schedule leaves [-1, 1] in scenario {self.name!r}")
         return tau, s
 
-    def to_json(self) -> dict:
-        return {**asdict(self), "throttle": schedule_to_json(self.throttle),
-                "steering": schedule_to_json(self.steering)}
-
 
 def _schedule_field(key: str, doc):
     try:
@@ -191,10 +182,6 @@ def scenario_from_json(doc: dict) -> Scenario:
 
 def load_scenario(path: str | Path) -> Scenario:
     return load_json(path, "scenario", scenario_from_json)
-
-
-def save_scenario(scenario: Scenario, path: str | Path) -> None:
-    write_json(path, scenario.to_json())
 
 
 # --- experiment batteries ----------------------------------------------

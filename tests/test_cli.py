@@ -1,3 +1,4 @@
+import concurrent.futures
 import json
 import logging
 import multiprocessing
@@ -838,6 +839,41 @@ def test_run_as_a_module_the_cli_logs_under_minicar_cli(tmp_path):
     assert f"ERROR minicar.cli: logs directory {missing} does not exist" in proc.stderr
 
 
+_LOADED = """
+import json, sys
+from minicar.cli import main
+
+def loaded(*names):
+    return [name for name in names if name in sys.modules]
+
+validate, simulate = json.loads(sys.argv[1])
+pool = ("multiprocessing", "concurrent.futures.process")
+seen = [loaded(*pool, "hashlib")]
+assert main(validate) == 0
+seen.append(loaded(*pool, "hashlib"))
+assert main(simulate) == 0
+seen.append(loaded(*pool))
+print(json.dumps(seen))
+"""
+
+
+def test_only_the_commands_that_need_them_load_the_pool_and_hashlib(tmp_path, params_file):
+    """In a fresh interpreter, importing the CLI and running ``validate``
+    loads neither the process pool nor hashlib, and ``simulate``, which
+    writes a manifest but does not fork, loads no process pool."""
+    scenario = write_scenario(tmp_path)
+    log = tmp_path / "sim" / "trajectory.csv"
+    simulate = ["simulate", "--params", str(params_file), "--scenario", str(scenario), "--out"]
+    assert main([*simulate, str(log.parent)]) == 0
+    validate = ["validate", "--params", str(params_file), "--log", str(log), "--model", "kinematic"]
+    src = str(Path(minicar.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-c", _LOADED, json.dumps([validate, [*simulate, str(tmp_path / "again")]])],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src}, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout.splitlines()[-1]) == [[], [], []]
+
+
 @pytest.mark.parametrize("command", ["simulate", "generate"])
 def test_diverging_run_exits_2_naming_the_scenario(tmp_path, params_file, command):
     """A run whose state leaves the sane envelope fails cleanly from the
@@ -883,7 +919,8 @@ def test_generate_writes_the_same_bytes_on_any_number_of_workers(tmp_path, param
         assert len(files) == 33
         return {f: (out / f).read_bytes() for f in files}
 
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", counted_pool)
+    # _generate_all imports the pool class from its module on each call
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", counted_pool)
     every_cpu = outputs("every_cpu")
     with monkeypatch.context() as m:
         m.setattr(os, "sched_getaffinity", lambda pid: {0})

@@ -1,7 +1,7 @@
 """Every JSON document is read through one field checker and one
 finite-number rule, and written by one writer: an unknown or missing
 field gets one message shape, booleans are not numbers, and a saved
-document loads and saves back to the same bytes."""
+parameter file loads and saves back to the same bytes."""
 
 import json
 import tempfile
@@ -13,9 +13,8 @@ import pytest
 from minicar.cli import _LogEntry, _read_manifest, main
 from minicar.errors import ConfigError
 from minicar.params import (_GROUPS, Delays, VehicleParams, load_params, params_from_dict,
-                            params_to_dict, reference_params, save_params)
-from minicar.scenarios import (SCHEDULE_TYPES, Scenario, load_scenario, save_scenario,
-                               scenario_from_json, scenario_library, schedule_from_json)
+                            params_to_dict, reference_params, save_params, write_json)
+from minicar.scenarios import SCHEDULE_TYPES, Scenario, scenario_from_json, schedule_from_json
 from minicar.simulator import NoiseSpec, load_noise
 
 PARAMS = params_to_dict(reference_params())
@@ -147,7 +146,7 @@ def test_normalized_slip_must_be_a_json_boolean(tmp_path, caplog, value):
     assert str(err.value) == f"parameter document: {message}"
     params, scenario, out = tmp_path / "params.json", tmp_path / "scenario.json", tmp_path / "out"
     params.write_text(json.dumps(doc))
-    save_scenario(scenario_from_json(SCENARIO), scenario)
+    write_json(scenario, SCENARIO)
     assert main(["simulate", "--params", str(params), "--scenario", str(scenario),
                  "--out", str(out)]) == 2
     assert message in caplog.text and not out.exists()
@@ -184,12 +183,3 @@ def test_a_normalized_parameter_file_saves_loads_and_saves_to_the_same_bytes(tmp
     assert first == second
     assert load_params(tmp_path / "second.json") == params
     assert first.endswith(b'\n  },\n  "normalized_slip": true\n}\n')
-
-
-@pytest.mark.parametrize("scenario", [s for battery in scenario_library().values()
-                                      for s in battery[:1]] + [scenario_from_json(SCENARIO)],
-                         ids=lambda s: s.name)
-def test_a_scenario_file_saves_loads_and_saves_to_the_same_bytes(tmp_path, scenario):
-    first, second = _twice(save_scenario, load_scenario, scenario, tmp_path)
-    assert first == second
-    assert load_scenario(tmp_path / "second.json") == scenario

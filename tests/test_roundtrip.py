@@ -1,5 +1,7 @@
 """Zero-noise identifiability: every sub-model fit recovers its own
-generating curve to better than 1e-6 RMS over the sampled range.
+generating curve to better than 1e-6 RMS over the sampled range, and
+the whole loop (``generate`` at zero noise, then ``fit``) returns each
+identifiable parameter within a bound set just above its error today.
 
 Initial guesses follow the plot-reading practice the pipeline
 documents: order-of-magnitude values a person would read off the
@@ -8,13 +10,16 @@ flat parameter valleys, and a deliberately bad initial guess parks
 first-order optimizers on a shelf well above this test's bar.
 """
 
+import json
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from minicar import fitting, models
+from minicar.cli import main
 from minicar.datasets import Dataset
+from minicar.params import load_params, save_params
 
 
 def _curve_rms(curve, params, data):
@@ -58,3 +63,47 @@ def test_rear_tire_zero_noise_round_trip(ref):
     c_r, result = fitting.fit_rear_tire(data)
     assert _curve_rms(models.rear_lateral, result.params, data) < 1e-6
     assert c_r == pytest.approx(ref.tire.C_r, rel=1e-6)
+
+
+# Relative error in percent of each parameter after the zero-noise loop:
+# (today's error, the margin its bound adds). The force labels' 21-sample
+# window biases friction and motor, and the twice-differentiated pose
+# biases the tires; a change that removes a bias tightens its bound.
+LOOP_ERRORS = {
+    ("friction", "a"): (+0.0712, 0.004),
+    ("friction", "b"): (-1.3026, 0.02),
+    ("friction", "c"): (-0.3501, 0.01),
+    ("motor", "d"): (+0.1343, 0.006),
+    ("motor", "e"): (+0.1945, 0.006),
+    ("motor", "g"): (-0.1466, 0.006),
+    ("tire", "C_r"): (-0.4712, 0.01),
+}
+BCD_ERROR = (-3.1351, 0.05)  # B*C*D, the front tire's one pinned combination
+
+
+def test_the_zero_noise_loop_returns_the_truth_within_todays_bounds(tmp_path, ref):
+    """``generate`` with every noise level 0, then ``fit``: the outputs
+    do not depend on the seed. D, C, B and E are not identifiable from
+    the battery and are not asserted."""
+    truth, noise = tmp_path / "truth.json", tmp_path / "noise.json"
+    save_params(ref, truth)
+    noise.write_text(json.dumps(dict.fromkeys(("v_enc", "omega_imu", "mocap_xy", "mocap_eta"), 0)))
+    logs, fitted = tmp_path / "logs", tmp_path / "fit" / "params.json"
+    assert main(["generate", "--params", str(truth), "--noise", str(noise), "--seed", "1",
+                 "--out", str(logs)]) == 0
+    assert main(["fit", "--logs", str(logs), "--out", str(fitted)]) == 0
+    fit = load_params(fitted)
+
+    for name in ("a_t", "b_t", "c_t", "d_t", "e_t"):  # 2.5e-14 relative today
+        assert getattr(fit.steering, name) == pytest.approx(getattr(ref.steering, name),
+                                                            rel=1e-13, abs=0), name
+    assert abs(fit.delays.steer_delay - 0.15) <= 1e-12  # 3.2e-15 s today
+
+    def percent(value, true):
+        return 100.0 * (value - true) / abs(true)
+
+    for (group, name), (today, margin) in LOOP_ERRORS.items():
+        error = percent(getattr(getattr(fit, group), name), getattr(getattr(ref, group), name))
+        assert abs(error) <= abs(today) + margin, (group, name, error)
+    error = percent(fit.tire.B * fit.tire.C * fit.tire.D, ref.tire.B * ref.tire.C * ref.tire.D)
+    assert abs(error) <= abs(BCD_ERROR[0]) + BCD_ERROR[1], ("B*C*D", error)

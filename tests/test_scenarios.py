@@ -17,7 +17,6 @@ from minicar.scenarios import (
     constant_steering_battery,
     load_scenario,
     mocap_circular_ramp,
-    save_scenario,
     scenario_from_json,
     scenario_library,
     schedule_from_json,
@@ -136,20 +135,6 @@ def test_scenario_grid():
     times = scen.times
     assert times.size == 101
     assert times[-1] == pytest.approx(1.0)
-
-
-def test_scenario_json_round_trip(tmp_path):
-    scen = Scenario(
-        name="rt", duration=2.0, dt=0.02, model="dynamic",
-        throttle=StepSchedule(t=0.5, before=0.0, after=0.3),
-        steering=SineSchedule(amplitude=0.4, frequency=0.5, phase=0.1, offset=0.05),
-        initial_state=(0, 0, 0, 0.5, 0, 0),
-        mocap=True,
-    )
-    path = tmp_path / "scen.json"
-    save_scenario(scen, path)
-    back = load_scenario(path)
-    assert back == scen
 
 
 def test_scenario_from_json_rejects_missing_fields():
