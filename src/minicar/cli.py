@@ -1,16 +1,17 @@
 """Command-line front end: fit, simulate, generate, validate.
 
-Every run writes a ``run_manifest.json`` beside its outputs recording
-the exact inputs (with content hashes), the seed, package and library
-versions and the preprocessing defaults in effect, so reruns reproduce
-outputs bit for bit.
+``fit``, ``simulate`` and ``generate`` write a ``run_manifest.json``
+beside their outputs recording the exact inputs (with content hashes),
+the seed, package and library versions and the fixed thresholds of the
+path that ran, so reruns reproduce outputs bit for bit. ``validate``
+writes only the report it prints.
 
 ``fit`` runs the stages of ``pipeline.PLAN`` and writes one report
 entry per stage report, one loss trace per fit and one plot per fitted
 curve. The stages it requires come from ``pipeline.STAGES``: those of
-``--stages``, or else every stage but ``tire`` when there are no
-motion-capture logs, since a vehicle without a tire model still runs
-the kinematic model.
+``--stages``, checked before any log is read, or else every stage but
+``tire`` when there are no motion-capture logs, since a vehicle without
+a tire model still runs the kinematic model.
 
 ``generate`` runs its scenarios in worker processes forked from the
 command, one per CPU it may run on, or in process where the platform
@@ -25,6 +26,11 @@ parameter file records; the other commands follow their ``--params``.
 ``main`` parses with one parser per process. It is built on the first
 call, and its set_defaults(func=...) binds the command functions then.
 Each call sets the ``minicar`` loggers' level: DEBUG with -v, else INFO.
+
+Importing the module loads only the minicar modules every command runs.
+Each command imports the rest where it runs them: ``fit`` the pipeline,
+fitting, dataset, delay and plot modules, ``simulate`` the plot module
+and ``validate`` the validation module.
 """
 
 from __future__ import annotations
@@ -41,8 +47,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import (__version__, datasets, delay, fitting, models, pipeline, scenarios, simulator,
-               svgplot, validation)
+from . import __version__, models, scenarios, simulator
 from .errors import ConfigError, MinicarError
 from .logs import load_log, save_log
 from .params import (Geometry, from_json, load_params, read_json_object, reference_params,
@@ -57,8 +62,15 @@ def _sha256(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
-def _defaults() -> dict:
-    """The fixed thresholds the fit, validate and simulate paths apply."""
+def _simulation_defaults() -> dict:
+    """The one fixed threshold the simulate and generate paths apply."""
+    return {"divergence_limit": simulator.DIVERGENCE_LIMIT}
+
+
+def _fit_defaults() -> dict:
+    """The fixed thresholds the fit path applies."""
+    from . import datasets, delay, pipeline  # only fit records the fit thresholds
+
     return {
         "v_min": datasets.V_MIN,
         "smooth_window": datasets.SMOOTH_WINDOW,
@@ -69,12 +81,12 @@ def _defaults() -> dict:
         "steady_rel_tol": datasets.STEADY_REL_TOL,
         "steady_omega_floor": datasets.STEADY_OMEGA_FLOOR,
         "transition_guard_s": datasets.TRANSITION_GUARD_S,
-        "divergence_limit": simulator.DIVERGENCE_LIMIT,
+        **_simulation_defaults(),
     }
 
 
 def _write_manifest(out_dir: Path, args: argparse.Namespace, inputs: list[Path],
-                    extra: dict | None = None) -> None:
+                    defaults: dict, extra: dict) -> None:
     doc = {
         "command": args.command,
         "arguments": {
@@ -86,10 +98,9 @@ def _write_manifest(out_dir: Path, args: argparse.Namespace, inputs: list[Path],
             "numpy": np.__version__,
             "python": sys.version.split()[0],
         },
-        "defaults": _defaults(),
+        "defaults": defaults,
+        **extra,
     }
-    if extra:
-        doc.update(extra)
     write_json(out_dir / "run_manifest.json", doc)
 
 
@@ -103,8 +114,6 @@ class _LogEntry:
     def __post_init__(self):
         if not isinstance(self.file, str):
             raise ConfigError(f"'file' must be a string, got {self.file!r}")
-        if self.tag not in pipeline.EXPERIMENT_TAGS:  # a tag that is not a string, too
-            raise ConfigError(f"unknown experiment tag {self.tag!r}")
 
 
 @dataclass(frozen=True)
@@ -118,11 +127,22 @@ class _LogManifest:
 
 
 def _read_manifest(path: Path) -> _LogManifest:
-    """The log manifest in ``path``; ConfigError naming the file."""
+    """The log manifest in ``path``; ConfigError naming the file, and
+    the entry, when an entry is malformed or its tag is none that fit
+    reads."""
+    from .pipeline import EXPERIMENT_TAGS  # only fit reads a manifest
+
+    def entry(i, doc):
+        what = f"{path}: logs[{i}]"
+        log = from_json(_LogEntry, doc, what)
+        if log.tag not in EXPERIMENT_TAGS:  # a tag that is not a string, too
+            raise ConfigError(f"{what}: unknown experiment tag {log.tag!r}")
+        return log
+
     def entries(_, docs):
         if not isinstance(docs, list):
             raise ConfigError(f"{path}: 'logs' must be a list")
-        return [from_json(_LogEntry, doc, f"{path}: logs[{i}]") for i, doc in enumerate(docs)]
+        return [entry(i, doc) for i, doc in enumerate(docs)]
 
     return from_json(_LogManifest, read_json_object(path, "log manifest"), str(path),
                      parse={"logs": entries})
@@ -132,15 +152,17 @@ def _collect_logs(logs_dir: Path, tags) -> tuple[dict[str, list], list[Path]]:
     """Tagged logs from manifest.json, or from tag-named subdirectories,
     and the files read. Every entry is listed and checked, but only the
     logs of ``tags`` are parsed: another tag lists its paths, unread."""
+    from .pipeline import EXPERIMENT_TAGS  # only fit collects logs
+
     manifest_path = logs_dir / "manifest.json"
     if manifest_path.is_file():
         files = [manifest_path]
         entries = [(e.tag, logs_dir / e.file) for e in _read_manifest(manifest_path).logs]
     else:
         files = []
-        entries = [(tag, path) for tag in pipeline.EXPERIMENT_TAGS if (logs_dir / tag).is_dir()
+        entries = [(tag, path) for tag in EXPERIMENT_TAGS if (logs_dir / tag).is_dir()
                    for path in sorted((logs_dir / tag).glob("*.csv"))]
-    tagged: dict[str, list] = {tag: [] for tag in pipeline.EXPERIMENT_TAGS}
+    tagged: dict[str, list] = {tag: [] for tag in EXPERIMENT_TAGS}
     for tag, path in entries:
         tagged[tag].append(load_log(path) if tag in tags else path)
     return tagged, files + [path for tag, path in entries if tag in tags]
@@ -171,7 +193,10 @@ _PLOTS = {
 }
 
 
-def _fit_plots(result: pipeline.PipelineResult, out_dir: Path) -> None:
+def _fit_plots(result, out_dir: Path) -> None:
+    """One plot per fitted curve of ``pipeline.fit_pipeline``'s result."""
+    from . import fitting, svgplot  # only fit plots fitted curves
+
     for r in result.stages:
         if r.data is None:
             continue
@@ -208,6 +233,8 @@ def _out_names_directory(out: str, what: str) -> bool:
 
 
 def cmd_fit(args) -> int:
+    from . import pipeline  # here, not at the top: only fit runs the fit modules
+
     if _out_names_directory(args.out, "parameter file"):
         return 2
     logs_dir = Path(args.logs)
@@ -216,6 +243,7 @@ def cmd_fit(args) -> int:
         return 2
 
     stages = tuple(args.stages.split(",")) if args.stages else pipeline.STAGES
+    pipeline.check_stages(stages)
     tagged, files = _collect_logs(logs_dir, {tag for name, tags, *_ in pipeline.PLAN
                                              if name in stages for tag in tags})
     if not any(tagged.values()):
@@ -261,7 +289,7 @@ def cmd_fit(args) -> int:
             logger.warning("%s: steer_delay is 0.0, no stage measured the steering delay",
                            out_path)
         _fit_plots(result, out_dir)
-    _write_manifest(out_dir, args, files, {"report": report})
+    _write_manifest(out_dir, args, files, _fit_defaults(), {"report": report})
 
     requested = set(stages) if args.stages else {
         name for name in pipeline.STAGES if name != "tire" or tagged["mocap"]}
@@ -285,6 +313,8 @@ def _simulate(scenario: scenarios.Scenario, params):
 
 
 def cmd_simulate(args) -> int:
+    from . import svgplot  # here, not at the top: generate and validate draw no plot
+
     params = load_params(args.params)
     scenario = scenarios.load_scenario(args.scenario)
     traj, run = _simulate(scenario, params)
@@ -309,7 +339,7 @@ def cmd_simulate(args) -> int:
         title=f"Channels: {scenario.name}", x_label="t [s]",
     )
     _write_manifest(out_dir, args, [Path(args.params), Path(args.scenario)],
-                    {"scenarios": [run]})
+                    _simulation_defaults(), {"scenarios": [run]})
     print(f"wrote {out_dir / 'trajectory.csv'}")
     return 0
 
@@ -377,12 +407,14 @@ def cmd_generate(args) -> int:
         for (tag, scenario), seed in zip(library, seeds)]))
     write_json(out_dir / "manifest.json", asdict(_LogManifest(logs=list(entries))))
     _write_manifest(out_dir, args, [Path(args.params), Path(args.noise)],
-                    {"seed": args.seed, "scenarios": list(runs)})
+                    _simulation_defaults(), {"seed": args.seed, "scenarios": list(runs)})
     print(f"wrote {len(entries)} logs to {out_dir}")
     return 0
 
 
 def cmd_validate(args) -> int:
+    from . import validation  # here, not at the top: no other command validates
+
     if args.out and _out_names_directory(args.out, "report file"):
         return 2
     params = load_params(args.params)
@@ -408,7 +440,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_fit.add_argument("--logs", required=True, help="directory of tagged log CSVs")
     p_fit.add_argument("--out", required=True, help="output parameter JSON path")
     p_fit.add_argument("--stages", default="",
-                       help="comma-separated subset of: " + ",".join(pipeline.STAGES))
+                       help="comma-separated subset of the fit stages (default: all)")
     reference = reference_params().geometry
     p_fit.add_argument("--mass", type=float, default=reference.m, help="vehicle mass [kg]")
     p_fit.add_argument("--wheelbase", type=float, default=reference.l, help="axle distance [m]")

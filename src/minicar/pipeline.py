@@ -153,6 +153,14 @@ STAGES = tuple(row[0] for row in PLAN)
 EXPERIMENT_TAGS = tuple(dict.fromkeys(tag for row in PLAN for tag in row[1]))
 
 
+def check_stages(stages: Sequence[str]) -> None:
+    """DataError naming the names in ``stages`` that are not in STAGES."""
+    unknown = set(stages) - set(STAGES)
+    if unknown:
+        raise DataError(f"unknown stages requested: {sorted(unknown)} "
+                        f"(the stages are {', '.join(STAGES)})")
+
+
 def fit_pipeline(
     logs: Mapping[str, Sequence[RawLog]],
     geometry: Geometry,
@@ -172,9 +180,7 @@ def fit_pipeline(
     ``result.params`` is populated once every stage of PARAMS_STAGES has
     a result.
     """
-    unknown = set(stages) - set(STAGES)
-    if unknown:
-        raise DataError(f"unknown stages requested: {sorted(unknown)}")
+    check_stages(stages)
     if not any(logs.get(tag) for tag in EXPERIMENT_TAGS):
         raise DataError("no logs supplied")
 

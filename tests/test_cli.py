@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 import minicar
-from minicar import cli, svgplot
+from minicar import cli, svgplot, validation
 from minicar.cli import build_parser, main
 from minicar.params import Geometry, reference_params, save_params
 from minicar.validation import read_table
@@ -220,7 +220,7 @@ def test_validate_refuses_an_out_that_names_a_directory(tmp_path, params_file, c
     log = _straight_log(tmp_path)
     (tmp_path / "existing").mkdir()
     before = sorted(tmp_path.rglob("*"))
-    monkeypatch.setattr(cli.validation, "read_table", lambda path: pytest.fail("the log was read"))
+    monkeypatch.setattr(validation, "read_table", lambda path: pytest.fail("the log was read"))
     target = f"{tmp_path}/{out}"
     assert main(["validate", "--params", str(params_file), "--log", str(log),
                  "--model", "kinematic", "--out", target]) == 2
@@ -463,6 +463,20 @@ def test_fit_refuses_an_out_that_names_a_directory(tmp_path, caplog, monkeypatch
     assert loaded == [] and sorted(tmp_path.rglob("*")) == before
 
 
+def test_fit_checks_its_stages_before_reading_any_log(tmp_path, caplog, monkeypatch):
+    """An unknown name in ``--stages`` exits 2 with one error naming it
+    and the valid stages, before any log is parsed."""
+    logs = _steer_logs(tmp_path)
+    load_log, loaded = cli.load_log, []
+    monkeypatch.setattr(cli, "load_log", lambda path: loaded.append(path) or load_log(path))
+    out = tmp_path / "fit" / "p.json"
+    assert main(["fit", "--logs", str(logs), "--out", str(out),
+                 "--stages", "steering,bogus"]) == 2
+    assert loaded == [] and not out.parent.exists()
+    error = _one_error(caplog)
+    assert "['bogus']" in error and "friction, motor, steering, delay, tire" in error
+
+
 def test_fit_on_empty_directory_fails(tmp_path, params_file):
     empty = tmp_path / "empty"
     empty.mkdir()
@@ -617,14 +631,23 @@ def test_fit_rejects_malformed_manifest_entries(tmp_path, caplog, doc, entry):
     assert str(logs_dir / "manifest.json") in caplog.text
 
 
-def test_run_manifest_records_both_smoothing_windows(tmp_path, params_file):
+def _manifest_defaults(out_dir: Path) -> dict:
+    return json.loads((out_dir / "run_manifest.json").read_text())["defaults"]
+
+
+def _fit_defaults(tmp_path) -> dict:
+    """The ``defaults`` block of a steering-map fit's run manifest."""
+    _steer_logs(tmp_path)
+    out = tmp_path / "fit" / "p.json"
+    assert main(["fit", "--logs", str(tmp_path / "logs"), "--out", str(out),
+                 "--stages", "steering"]) == 0
+    return _manifest_defaults(out.parent)
+
+
+def test_run_manifest_records_both_smoothing_windows(tmp_path):
     from minicar import datasets
 
-    scenario = write_scenario(tmp_path, duration=0.5)
-    out = tmp_path / "sim"
-    assert main(["simulate", "--params", str(params_file), "--scenario", str(scenario),
-                 "--out", str(out)]) == 0
-    defaults = json.loads((out / "run_manifest.json").read_text())["defaults"]
+    defaults = _fit_defaults(tmp_path)
     assert defaults["smooth_window"] == datasets.SMOOTH_WINDOW == 5
     assert defaults["force_window"] == datasets.FORCE_WINDOW == 21
 
@@ -639,13 +662,11 @@ def test_run_manifest_records_the_package_version(tmp_path, params_file):
 
 
 def test_run_manifest_records_every_scalar_default(tmp_path, params_file):
+    """``fit`` records the ten thresholds of its path; ``simulate`` and
+    ``generate`` record the one they apply, the divergence limit."""
     from minicar import datasets, delay, pipeline, simulator
 
-    scenario = write_scenario(tmp_path, duration=0.5)
-    out = tmp_path / "sim"
-    assert main(["simulate", "--params", str(params_file), "--scenario", str(scenario),
-                 "--out", str(out)]) == 0
-    defaults = json.loads((out / "run_manifest.json").read_text())["defaults"]
+    defaults = _fit_defaults(tmp_path)
     assert list(defaults) == ["v_min", "smooth_window", "force_window", "long_delay",
                               "delay_max_lag", "steady_window_s", "steady_rel_tol",
                               "steady_omega_floor", "transition_guard_s", "divergence_limit"]
@@ -657,6 +678,16 @@ def test_run_manifest_records_every_scalar_default(tmp_path, params_file):
     assert defaults["steady_rel_tol"] == datasets.STEADY_REL_TOL
     assert defaults["steady_omega_floor"] == datasets.STEADY_OMEGA_FLOOR
     assert defaults["transition_guard_s"] == datasets.TRANSITION_GUARD_S
+
+    scenario = write_scenario(tmp_path, duration=0.5)
+    assert main(["simulate", "--params", str(params_file), "--scenario", str(scenario),
+                 "--out", str(tmp_path / "sim")]) == 0
+    noise = tmp_path / "noise.json"
+    noise.write_text("{}")
+    assert main(["generate", "--params", str(params_file), "--noise", str(noise),
+                 "--seed", "3", "--dt", "0.05", "--out", str(tmp_path / "gen")]) == 0
+    for out in ("sim", "gen"):
+        assert _manifest_defaults(tmp_path / out) == {"divergence_limit": 1e6}
 
 
 def test_fit_report_records_convergence(tmp_path):
@@ -843,35 +874,53 @@ _LOADED = """
 import json, sys
 from minicar.cli import main
 
-def loaded(*names):
-    return [name for name in names if name in sys.modules]
-
-validate, simulate = json.loads(sys.argv[1])
-pool = ("multiprocessing", "concurrent.futures.process")
-seen = [loaded(*pool, "hashlib")]
-assert main(validate) == 0
-seen.append(loaded(*pool, "hashlib"))
-assert main(simulate) == 0
-seen.append(loaded(*pool))
+argv, names = json.loads(sys.argv[1])
+seen = [[name for name in names if name in sys.modules]]
+assert main(argv) == 0
+seen.append([name for name in names if name in sys.modules])
 print(json.dumps(seen))
 """
 
+_POOL = ["multiprocessing", "concurrent.futures.process"]
+_FIT_OR_VALIDATE_ONLY = [f"minicar.{name}" for name in
+                         ("fitting", "pipeline", "datasets", "preprocess", "validation")]
 
-def test_only_the_commands_that_need_them_load_the_pool_and_hashlib(tmp_path, params_file):
-    """In a fresh interpreter, importing the CLI and running ``validate``
-    loads neither the process pool nor hashlib, and ``simulate``, which
-    writes a manifest but does not fork, loads no process pool."""
+# What each command leaves unloaded: the process pool, which only
+# generate forks, hashlib, which only the run manifest hashes with, and
+# the minicar modules the command does not run.
+_UNLOADED = {
+    "generate": [*_FIT_OR_VALIDATE_ONLY, "minicar.svgplot"],
+    "simulate": [*_POOL, *_FIT_OR_VALIDATE_ONLY],
+    "validate": [*_POOL, "hashlib", "minicar.fitting", "minicar.pipeline", "minicar.svgplot"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(_UNLOADED))
+def test_only_the_commands_that_need_them_load_the_pool_and_hashlib(tmp_path, params_file,
+                                                                    command):
+    """In a fresh interpreter, importing the CLI loads neither the
+    process pool, nor hashlib, nor a minicar module that some command
+    does not run, and each command loads none of those it does not run."""
     scenario = write_scenario(tmp_path)
-    log = tmp_path / "sim" / "trajectory.csv"
-    simulate = ["simulate", "--params", str(params_file), "--scenario", str(scenario), "--out"]
-    assert main([*simulate, str(log.parent)]) == 0
-    validate = ["validate", "--params", str(params_file), "--log", str(log), "--model", "kinematic"]
+    noise = tmp_path / "noise.json"
+    noise.write_text("{}")
+    argv = {
+        "generate": ["generate", "--params", str(params_file), "--noise", str(noise),
+                     "--seed", "3", "--dt", "0.05", "--out", str(tmp_path / "gen")],
+        "simulate": ["simulate", "--params", str(params_file), "--scenario", str(scenario),
+                     "--out", str(tmp_path / "sim")],
+        "validate": ["validate", "--params", str(params_file),
+                     "--log", str(_straight_log(tmp_path)), "--model", "kinematic"],
+    }[command]
+    names = sorted({name for unloaded in _UNLOADED.values() for name in unloaded})
     src = str(Path(minicar.__file__).resolve().parents[1])
     proc = subprocess.run(
-        [sys.executable, "-c", _LOADED, json.dumps([validate, [*simulate, str(tmp_path / "again")]])],
+        [sys.executable, "-c", _LOADED, json.dumps([argv, names])],
         capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src}, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert json.loads(proc.stdout.splitlines()[-1]) == [[], [], []]
+    imported, ran = json.loads(proc.stdout.splitlines()[-1])
+    assert imported == []
+    assert sorted(set(ran) & set(_UNLOADED[command])) == []
 
 
 @pytest.mark.parametrize("command", ["simulate", "generate"])
