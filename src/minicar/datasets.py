@@ -21,10 +21,12 @@ from .errors import DataError
 from .logs import RawLog
 from .params import Geometry, VehicleParams
 from .preprocess import (
+    SMOOTH_WINDOW,
     differentiate,
     erode_mask,
     local_poly_derivative,
     local_poly_value,
+    pose_velocities,
     rolling_stats,
     smooth,
 )
@@ -34,10 +36,6 @@ logger = logging.getLogger(__name__)
 # Speed below which encoder quantization dominates; rows under this are
 # rejected by every operation that divides by or inverts velocity.
 V_MIN = 0.05
-
-# Moving-average width applied to encoder speed, yaw rate and pose
-# tracks before differentiation.
-SMOOTH_WINDOW = 5
 
 # Force labels differentiate noisy encoder speed, and the friction
 # curve's tanh knee bends hard below 0.2 m/s: a moving average wide
@@ -215,15 +213,6 @@ def build_steering_dataset(logs: Sequence[RawLog], l: float) -> Dataset:
     if skipped:
         logger.info("steering dataset: %d segments skipped", skipped)
     return _stacked(blocks)
-
-
-def pose_velocities(t, x, y, eta) -> tuple:
-    """``(eta, vx, vy, v_x, v_y)`` of a pose track: the heading smoothed
-    over SMOOTH_WINDOW, the derivative of the smoothed position and that
-    velocity rotated into the body frame by the smoothed heading."""
-    x, y, eta = (smooth(track, SMOOTH_WINDOW) for track in (x, y, eta))
-    vx, vy = differentiate(x, t), differentiate(y, t)
-    return (eta, vx, vy, *models.body_frame_velocity(vx, vy, eta))
 
 
 def _axle_forces(ax_abs, ay_abs, domega, eta, geom: Geometry) -> tuple:

@@ -3,11 +3,12 @@
 ``rk4_step`` advances a whole state by one classical Runge-Kutta step.
 A component whose derivative depends on nothing but itself and an input
 held over each step can instead be integrated on its own
-(``rk4_scalar_stages``), as can three of them (``rk4_tuple_stages``);
-both stop after the first state beyond a limit and before a refused
-step. A component whose stage derivatives are then known for every
-step needs no step loop at all: ``rk4_stage_points`` gives its value at
-each stage and ``rk4_accumulate`` its series. All of them combine the
+(``rk4_scalar_stages``), as can three of them (``rk4_tuple_stages``,
+whose law refuses a step by raising); both stop after the first state
+beyond a limit and before a refused step. A component whose stage
+derivatives are then known for every step needs no step loop at all:
+``rk4_stage_points`` gives its value at each stage and
+``rk4_accumulate`` its series. All of them combine the
 stages exactly as ``rk4_step`` does, with the same weights and the same order
 of operations, so the states they give are bit for bit those of
 repeated ``rk4_step`` calls.
@@ -16,35 +17,26 @@ repeated ``rk4_step`` calls.
 from __future__ import annotations
 
 from array import array
-from math import isfinite
 
 import numpy as np
 
-from .errors import IntegrationError
+from .errors import ConfigError, DataError, IntegrationError
 
 
-def non_finite_state(t: float, row: int | None = None) -> IntegrationError:
-    """The error for a step from ``t`` (and 1-based log ``row``) that ends non-finite."""
-    return IntegrationError(f"non-finite derivative or state at t={t:.6f} s", row=row)
+def non_finite_state(t: float | None = None, row: int | None = None) -> IntegrationError:
+    """The error for a step (from ``t``, at 1-based log ``row``) that ends non-finite."""
+    return IntegrationError("non-finite derivative or state"
+                            + ("" if t is None else f" at t={t:.6f} s"), row=row)
 
 
-def _all_finite(state) -> bool:
-    """Whether every component of ``state``, floats or arrays of rows,
-    is finite."""
-    if state[0].__class__ is float:
-        return all(map(isfinite, state))
-    return all(bool(np.isfinite(y).all()) for y in state)
-
-
-def rk4_step(rhs, state, dt: float, t: float = 0.0) -> list:
+def rk4_step(rhs, state, dt: float) -> list:
     """One classical 4th-order Runge-Kutta step of ``dt`` seconds.
 
-    A state is a sequence of components, each a float or an array of
-    independent rows, and ``rhs`` maps a state to the sequence of its
-    derivative components; the step returns the next state as a list.
-    ``rhs`` sees only the state; inputs are held constant over the step
-    (zero-order hold), matching discrete command transmission on the
-    robot. ``t`` is used for diagnostics only.
+    A state is a sequence of components, each an array of independent
+    rows, and ``rhs`` maps a state to the sequence of its derivative
+    components; the step returns the next state as a list. ``rhs`` sees
+    only the state; inputs are held constant over the step (zero-order
+    hold), matching discrete command transmission on the robot.
 
     The returned state is finite, or the step raises IntegrationError.
     Every stage derivative enters the update with the weight dt/6 > 0,
@@ -61,8 +53,8 @@ def rk4_step(rhs, state, dt: float, t: float = 0.0) -> list:
     sixth = dt / 6.0
     out = [y + sixth * (a + 2.0 * b + 2.0 * c + d)
            for y, a, b, c, d in zip(state, k1, k2, k3, k4)]
-    if not _all_finite(out):
-        raise non_finite_state(t)
+    if not all(np.isfinite(y).all() for y in out):
+        raise non_finite_state()
     return out
 
 
@@ -94,26 +86,30 @@ def rk4_scalar_stages(rate, y: float, inputs, dt: float, limit: float) -> tuple[
     return stages, y
 
 
-def rk4_tuple_stages(law, y: tuple, inputs, dt: float, limit: float) -> tuple[array, tuple]:
+def rk4_tuple_stages(law, y: tuple, inputs, dt: float,
+                     limit: float) -> tuple[array, tuple, Exception | None]:
     """``rk4_scalar_stages`` for a state ``y`` of three floats. ``law(u, y)``
     gives the step from ``y`` under ``u`` its right-hand side (a state to
-    its three derivatives), None if it refuses the step, and a function
-    that settles the state the step ends in, or None. Stages are flat in
-    step, stage and component order."""
+    its three derivatives) and a function that settles the state the step
+    ends in, or None. Stages are flat in step, stage and component order.
+    The law, or the right-hand side in any stage, refuses the step by
+    raising ConfigError or DataError: the run then ends before that
+    step, and the refusal comes back third, else None."""
     half, sixth = 0.5 * dt, dt / 6.0
     stages = array("d")
     p, q, r = y
     for u in inputs:
-        rhs, settle = law(u, y)
-        if rhs is None:
-            break
-        a = rhs(y)
-        y2 = (p + half * a[0], q + half * a[1], r + half * a[2])
-        b = rhs(y2)
-        y3 = (p + half * b[0], q + half * b[1], r + half * b[2])
-        c = rhs(y3)
-        y4 = (p + dt * c[0], q + dt * c[1], r + dt * c[2])
-        d = rhs(y4)
+        try:
+            rhs, settle = law(u, y)
+            a = rhs(y)
+            y2 = (p + half * a[0], q + half * a[1], r + half * a[2])
+            b = rhs(y2)
+            y3 = (p + half * b[0], q + half * b[1], r + half * b[2])
+            c = rhs(y3)
+            y4 = (p + dt * c[0], q + dt * c[1], r + dt * c[2])
+            d = rhs(y4)
+        except (ConfigError, DataError) as refusal:
+            return stages, y, refusal
         stages.extend((p, q, r, *y2, *y3, *y4))
         y = (p + sixth * (a[0] + 2.0 * b[0] + 2.0 * c[0] + d[0]),
              q + sixth * (a[1] + 2.0 * b[1] + 2.0 * c[1] + d[1]),
@@ -123,7 +119,7 @@ def rk4_tuple_stages(law, y: tuple, inputs, dt: float, limit: float) -> tuple[ar
         p, q, r = y
         if not (-limit <= p <= limit and -limit <= q <= limit and -limit <= r <= limit):
             break
-    return stages, y
+    return stages, y, None
 
 
 def rk4_stage_points(series: np.ndarray, k: np.ndarray, dt: float) -> np.ndarray:

@@ -12,20 +12,21 @@ its value from one pass, ``pacejka_lateral_and_jacobian``: for 1-D
 inputs of N rows a fresh C-contiguous ``(N, n_p)`` array whose column
 k is d(curve)/d(p[k]).
 
-Every other function here is pure and takes either Python floats or
-numpy arrays of rows. The transcendental functions come from numpy's
-ufuncs, not from ``math``, whose results differ in the last bit, so a
-float input gives exactly what the array call gives at that element.
+Every other function here is pure and takes numpy arrays of rows.
+The transcendental functions are numpy's ufuncs, not ``math``'s, whose
+results differ in the last bit.
 
 Each model's law is written once: ``kinematic_speed_law`` (the speed
 rate) and ``dynamic_body_law`` (the body rates), built once per run on
 bound coefficients with the curves they read written inline, in every
 operation's order and with the same ufuncs, since on single floats a
-Python call costs more than the arithmetic it wraps. ``simulate`` steps
-them on floats, ``simulator.stepper`` (and so ``validate``) on rows;
-tests/test_bit_identity.py pins them to the curves. A state is a
-sequence of components, each a float or an array of rows, and a
-right-hand side returns the tuple of their derivatives:
+Python call costs more than the arithmetic it wraps. They are the only
+functions stepped on Python floats: ``simulate`` steps them on floats,
+each ufunc result made a Python float, and ``simulator.stepper`` (and
+so ``validate``) on rows; tests/test_bit_identity.py pins the two to
+each other and to the curves. A state is a sequence of components, each
+an array of rows (or, in a law, a float), and a right-hand side returns
+the tuple of their derivatives:
 
 * kinematic: ``(x, y, eta, v)`` with (x, y) at the rear axle;
   ``kinematic_rhs`` is ``heading_velocity``, the yaw rate and the speed law
@@ -39,7 +40,7 @@ The inputs are held over an RK4 step, so the laws take what depends on
 them alone precomputed (``simulator.held_inputs``). The kinematic yaw
 rate is singular at |delta| = pi/2, so no step may propagate
 kinematically at an angle that ``steering_refused`` flags; no
-right-hand side checks its inputs.
+right-hand side checks its angle.
 """
 
 from __future__ import annotations
@@ -63,24 +64,10 @@ STATE_NAMES = {"kinematic": ("x", "y", "eta", "v"),
                "dynamic": ("x", "y", "eta", "v_x", "v_y", "omega")}
 
 
-def _float_if_scalar(x):
-    """A ufunc's result as a Python float for a scalar, else as is."""
-    return float(x) if x.__class__ is np.float64 else x
-
-
-def _float_kernel(ufunc):
-    """``ufunc`` made to return a Python float for a scalar."""
-    return lambda x: _float_if_scalar(ufunc(x))
-
-
-_tanh, _arctan, _sin, _cos, _tan = map(_float_kernel, (np.tanh, np.arctan, np.sin, np.cos,
-                                                       np.tan))
-
-
 def friction_force(v, p):
     """Longitudinal resistance -(a*tanh(b*v) + v*c); odd in v, opposes motion."""
     a, b, c = p
-    return -(a * _tanh(b * v) + v * c)
+    return -(a * np.tanh(b * v) + v * c)
 
 
 def friction_force_jacobian(v, p) -> np.ndarray:
@@ -97,7 +84,7 @@ def smooth_positive_throttle(tau, g):
     the dead-zone boundary.
     """
     x = tau + g
-    return x * 0.5 * (_tanh(THROTTLE_SHARPNESS * x) + 1.0)
+    return x * 0.5 * (np.tanh(THROTTLE_SHARPNESS * x) + 1.0)
 
 
 def drive_force(gate, v, p):
@@ -132,8 +119,8 @@ def steering_angle(s, p):
     """
     a_t, b_t, c_t, d_t, e_t = p
     x = s + c_t
-    weight = 0.5 * (_tanh(STEER_BLEND_SHARPNESS * x) + 1.0)
-    return weight * a_t * _tanh(b_t * x) + (1.0 - weight) * d_t * _tanh(e_t * x)
+    weight = 0.5 * (np.tanh(STEER_BLEND_SHARPNESS * x) + 1.0)
+    return weight * a_t * np.tanh(b_t * x) + (1.0 - weight) * d_t * np.tanh(e_t * x)
 
 
 def steering_angle_jacobian(s, p) -> np.ndarray:
@@ -151,7 +138,7 @@ def steering_angle_jacobian(s, p) -> np.ndarray:
 
 def steering_terms(delta) -> tuple:
     """``(tan, cos, sin)`` of the road-wheel angle ``delta``."""
-    return _tan(delta), _cos(delta), _sin(delta)
+    return np.tan(delta), np.cos(delta), np.sin(delta)
 
 
 def steering_refused(delta):
@@ -186,7 +173,7 @@ def rolling_body(v, tan_delta, geom: Geometry) -> tuple:
 
 def heading_velocity(v, eta) -> tuple:
     """World-frame velocity ``(dx/dt, dy/dt)`` at speed ``v`` along heading ``eta``."""
-    return v * _cos(eta), v * _sin(eta)
+    return v * np.cos(eta), v * np.sin(eta)
 
 
 def kinematic_rhs(state, gate, tan_delta, rate, geom: Geometry) -> tuple:
@@ -197,24 +184,22 @@ def kinematic_rhs(state, gate, tan_delta, rate, geom: Geometry) -> tuple:
     return (*heading_velocity(v, eta), kinematic_yaw_rate(v, tan_delta, geom), rate(gate, v))
 
 
+def _as_is(x):
+    """A row binding's ufunc result, taken as it is."""
+    return x
+
+
 def kinematic_speed_law(motor, friction, geom: Geometry, *, rows: bool = False):
     """``rate(gate, v)``, the net force ``drive_force(gate, v, motor) +
     friction_force(v, friction)`` over the mass, on Python floats; with
-    ``rows``, on floats or column arrays of rows."""
+    ``rows``, on column arrays of rows."""
     (d, e, _), (a, b, c), m, tanh = motor, friction, geom.m, np.tanh
-    value = _float_if_scalar if rows else float
+    value = _as_is if rows else float
 
     def rate(gate, v):
         return ((d - v * e) * gate + -(a * value(tanh(b * v)) + v * c)) / m
 
     return rate
-
-
-def _refuse_slip_speed(v_x):
-    """``v_x`` if normalized slip angles may divide by it, else ``slip_refusal()``."""
-    if np.any(v_x <= SLIP_V_EPS):
-        raise slip_refusal()
-    return v_x
 
 
 def slip_angles(v_x, v_y, omega, delta, geom: Geometry, *, normalized: bool = False):
@@ -224,15 +209,17 @@ def slip_angles(v_x, v_y, omega, delta, geom: Geometry, *, normalized: bool = Fa
     and ``v_y - omega*l_r`` straight into arctan; this is the convention
     the reference parameter set was fitted against. With ``normalized``
     the arguments are divided by ``v_x`` first (the textbook definition),
-    which requires ``v_x`` to stay away from zero.
+    which requires ``v_x`` to stay away from zero: any v_x <= SLIP_V_EPS
+    raises ``slip_refusal()``.
     """
     front_arg = v_y + omega * geom.l_f
     rear_arg = v_y - omega * geom.l_r
     if normalized:
-        v_x = _refuse_slip_speed(v_x)
+        if np.any(v_x <= SLIP_V_EPS):
+            raise slip_refusal()
         front_arg, rear_arg = front_arg / v_x, rear_arg / v_x
-    alpha_f = -_arctan(front_arg) + delta
-    alpha_r = -_arctan(rear_arg)
+    alpha_f = -np.arctan(front_arg) + delta
+    alpha_r = -np.arctan(rear_arg)
     return alpha_f, alpha_r
 
 
@@ -244,7 +231,7 @@ def pacejka_lateral(alpha, p):
     """
     D, C, B, E, *_ = p
     ba = B * alpha
-    return D * _sin(C * _arctan(ba - E * (ba - _arctan(ba))))
+    return D * np.sin(C * np.arctan(ba - E * (ba - np.arctan(ba))))
 
 
 def pacejka_lateral_and_jacobian(alpha, p) -> tuple:
@@ -291,14 +278,13 @@ def dynamic_body_law(motor, friction, tire: tuple, geom: Geometry, *,
     equally between the axles (four-wheel drive), each half along its own
     tire frame, and the lateral forces are ``pacejka_lateral`` in front
     and ``rear_lateral`` behind, at the ``slip_angles`` of the convention
-    ``normalized``. On Python floats, slip angles normalized by
-    v_x <= SLIP_V_EPS make the rates NaN; with ``rows``, on floats or
-    column arrays of rows, they raise ``slip_refusal()``."""
+    ``normalized``, on Python floats; with ``rows``, on column arrays of
+    rows. Slip angles normalized by any v_x <= SLIP_V_EPS raise
+    ``slip_refusal()``."""
     (d, e, _), (a, b, c), (D, C, B, E, c_r) = motor, friction, tire
     l_f, l_r, m, I_z = geom.l_f, geom.l_r, geom.m, geom.I_z
     tanh, arctan, sin = np.tanh, np.arctan, np.sin
-    value, slip_speed = (_float_if_scalar, _refuse_slip_speed) if rows else (
-        float, lambda v_x: v_x if v_x > SLIP_V_EPS else np.nan)
+    value, any_row = (_as_is, np.any) if rows else (float, bool)
 
     def rates_at(gate, delta, cos_d, sin_d):
         def rates(body):
@@ -306,8 +292,9 @@ def dynamic_body_law(motor, friction, tire: tuple, geom: Geometry, *,
             f_half = ((d - v_x * e) * gate + -(a * value(tanh(b * v_x)) + v_x * c)) / 2.0
             front_arg, rear_arg = v_y + omega * l_f, v_y - omega * l_r
             if normalized:
-                v = slip_speed(v_x)
-                front_arg, rear_arg = front_arg / v, rear_arg / v
+                if any_row(v_x <= SLIP_V_EPS):
+                    raise slip_refusal()
+                front_arg, rear_arg = front_arg / v_x, rear_arg / v_x
             alpha_f, alpha_r = -value(arctan(front_arg)) + delta, -value(arctan(rear_arg))
             ba, f_yr = B * alpha_f, c_r * alpha_r
             f_yf = D * value(sin(C * value(arctan(ba - E * (ba - value(arctan(ba)))))))
@@ -323,7 +310,7 @@ def dynamic_body_law(motor, friction, tire: tuple, geom: Geometry, *,
 
 def world_velocity(v_x, v_y, eta) -> tuple:
     """World-frame velocity ``(dx/dt, dy/dt)`` of ``(v_x, v_y)`` at heading ``eta``."""
-    cos_e, sin_e = _cos(eta), _sin(eta)
+    cos_e, sin_e = np.cos(eta), np.sin(eta)
     return v_x * cos_e - v_y * sin_e, v_x * sin_e + v_y * cos_e
 
 

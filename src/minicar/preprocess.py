@@ -5,6 +5,11 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ConfigError, DataError
+from .models import body_frame_velocity
+
+# Moving-average width applied to encoder speed, yaw rate and pose
+# tracks before differentiation.
+SMOOTH_WINDOW = 5
 
 
 def smooth(series, window: int) -> np.ndarray:
@@ -44,6 +49,15 @@ def differentiate(series, t) -> np.ndarray:
     out[0] = (series[1] - series[0]) / (t[1] - t[0])
     out[-1] = (series[-1] - series[-2]) / (t[-1] - t[-2])
     return out
+
+
+def pose_velocities(t, x, y, eta) -> tuple:
+    """``(eta, vx, vy, v_x, v_y)`` of a pose track: the heading smoothed
+    over SMOOTH_WINDOW, the derivative of the smoothed position and that
+    velocity rotated into the body frame by the smoothed heading."""
+    x, y, eta = (smooth(track, SMOOTH_WINDOW) for track in (x, y, eta))
+    vx, vy = differentiate(x, t), differentiate(y, t)
+    return (eta, vx, vy, *body_frame_velocity(vx, vy, eta))
 
 
 def erode_mask(mask, guard: int) -> np.ndarray:

@@ -9,11 +9,11 @@ commanded and the applied input series are recorded.
 The discrete-time step law is defined here once, for the simulator and
 for one-step validation alike: ``held_inputs`` evaluates what stays
 fixed over a step (zero-order hold), the throttle gate and the
-road-wheel angle with its tan, cos and sin, and ``stepper`` advances a
-state one ``rk4_step`` under them, on floats or on column arrays of
-rows, on each model's one law (``models.kinematic_speed_law``,
-``models.dynamic_body_law``). Every state ``simulate`` returns is bit
-for bit what that step gives one step at a time on floats.
+road-wheel angle with its tan, cos and sin, and ``stepper`` advances
+column arrays of rows one ``rk4_step`` under them, on each model's one
+law (``models.kinematic_speed_law``, ``models.dynamic_body_law``).
+Every state ``simulate`` returns is bit for bit what that step gives
+one step at a time on a one-row state.
 
 Both models are integrated in two passes, since neither reads its pose
 (x, y, eta) to evolve the rest of its state. Pass 1 steps only that
@@ -23,12 +23,12 @@ values in every step (``rk4_scalar_stages`` for a kinematic speed,
 run stops: after the first value beyond DIVERGENCE_LIMIT or non-finite,
 since no later state can count, and before the first step that would
 roll at an angle ``models.steering_refused`` flags or whose normalized
-slip angles the law refuses (its NaN rates end the loop, and the step
-is dropped). Pass 2 works on whole-series arrays: the yaw rate of every
-stage, the heading as the running sum of each step's RK4 increment,
-then the world-frame velocity at each stage's heading and the position
-as its running sum; ``np.add.accumulate`` adds strictly in sequence, so
-each sum is the float recurrence's own. The earliest offending step
+slip angles the law refuses (the law raises, and ``rk4_tuple_stages``
+returns the refusal). Pass 2 works on whole-series arrays: the yaw
+rate of every stage, the heading as the running sum of each step's RK4
+increment, then the world-frame velocity at each stage's heading and
+the position as its running sum; ``np.add.accumulate`` adds strictly
+in sequence, so each sum is the float recurrence's own. The earliest offending step
 decides: within one state a non-finite component (IntegrationError)
 beats one beyond DIVERGENCE_LIMIT (SimulationDiverged), and a run that
 pass 1 cut short with every state sane was refused its next step
@@ -182,19 +182,15 @@ def _dynamic_states(scenario: Scenario, params: VehicleParams, inputs: tuple) ->
         if not (normalized and body[0] < BLEND_SPEED):
             return rates_at(gate, delta, cos_d, sin_d), None
         if models.steering_refused(delta):
-            return None, None
+            raise models.steering_refusal()
         return (lambda s: (rate(gate, s[0]), 0.0, 0.0),  # it rolls: the speed alone, then pinned
                 lambda s: models.rolling_body(s[0], tan_d, geom))
 
-    stages, end = rk4_tuple_stages(law, scenario.initial_state[3:],
-                                   zip(*(c.tolist() for c in inputs)), scenario.dt,
-                                   DIVERGENCE_LIMIT)
+    stages, end, refused = rk4_tuple_stages(law, scenario.initial_state[3:],
+                                            zip(*(c.tolist() for c in inputs)), scenario.dt,
+                                            DIVERGENCE_LIMIT)
     body = np.ascontiguousarray(np.frombuffer(stages).reshape(-1, 4, 3).T)  # (3, 4, steps)
     rolls = (body[0, 0] < BLEND_SPEED) & normalized  # as ``law`` chose
-    refusal = models.steering_refusal
-    if normalized and (body[0, :, -1:] <= models.SLIP_V_EPS).any() and not rolls[-1]:
-        # the law refused the last step's slip angles, which ended pass 1: drop that step
-        body, end, rolls, refusal = body[..., :-1], body[:, 0, -1], rolls[:-1], models.slip_refusal
     v_x, v_y, omega = body
     yaw = np.where(rolls, models.kinematic_yaw_rate(v_x, inputs[2][:rolls.size], geom), omega)
 
@@ -202,6 +198,7 @@ def _dynamic_states(scenario: Scenario, params: VehicleParams, inputs: tuple) ->
         return [np.where(rolls, kin, dyn) for kin, dyn in zip(
             models.heading_velocity(v_x, eta), models.world_velocity(v_x, v_y, eta))]
 
+    refusal = models.slip_refusal if isinstance(refused, DataError) else models.steering_refusal
     return _sane_states(scenario, yaw, velocity, body, end, refusal)
 
 
@@ -235,7 +232,7 @@ def _sane_states(scenario: Scenario, yaw: np.ndarray, velocity, body, end,
 def held_inputs(tau_applied, s_applied, params: VehicleParams) -> tuple:
     """``(gate, delta, tan, cos, sin)``: the throttle gate and the
     road-wheel angle with its ``steering_terms``, which stay fixed over a
-    step (zero-order hold). Works on floats and on arrays."""
+    step (zero-order hold)."""
     delta = models.steering_angle(s_applied, params.steering)
     return (models.smooth_positive_throttle(tau_applied, params.motor.g), delta,
             *models.steering_terms(delta))
@@ -244,7 +241,7 @@ def held_inputs(tau_applied, s_applied, params: VehicleParams) -> tuple:
 def stepper(model: str, params: VehicleParams, dt: float):
     """The one step law: ``step(y, u)`` advances the state ``y``
     of ``model`` one ``rk4_step`` of ``dt`` under the ``held_inputs``
-    ``u``, both floats or column arrays of rows. A kinematic step raises
+    ``u``, both column arrays of rows. A kinematic step raises
     ``models.steering_refusal()`` if any of its angles is refused. Under
     the parameters' normalized slip, a dynamic row that starts below
     BLEND_SPEED propagates the kinematic model instead and pins
@@ -276,8 +273,6 @@ def stepper(model: str, params: VehicleParams, dt: float):
 
     def blended(y, u):
         slow = y[3] < BLEND_SPEED
-        if slow.__class__ is bool:
-            return (rolling if slow else dynamic)(y, u)
         out = [np.empty_like(c) for c in y]
         for rows, branch in ((slow, rolling), (~slow, dynamic)):
             if rows.any():

@@ -16,6 +16,7 @@ PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b", "#1
 
 _W, _H = 640, 420
 _ML, _MR, _MT, _MB = 62, 16, 34, 46
+_TICKS = 6  # about this many ticks per axis
 
 
 @dataclass(frozen=True)
@@ -26,11 +27,11 @@ class Series:
     kind: str = "line"  # "line" | "points"
 
 
-def _nice_ticks(lo: float, hi: float, target: int = 6) -> list[float]:
+def _nice_ticks(lo: float, hi: float) -> list[float]:
     if hi <= lo:
         hi = lo + 1.0
     span = hi - lo
-    raw = span / target
+    raw = span / _TICKS
     mag = 10.0 ** np.floor(np.log10(raw))
     for mult in (1.0, 2.0, 5.0, 10.0):
         if raw <= mult * mag:

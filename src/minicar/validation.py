@@ -7,7 +7,7 @@ export writes bit for bit equal to its state columns. The pose is one
 whole triple, the export's ``x, y, eta`` or else the motion-capture
 ``x_t, y_t, eta_t``. Without a ``v_y`` column the dynamic model's
 lateral velocity is reconstructed from the pose by the tire dataset's
-rule (``datasets.pose_velocities``), which bounds the achievable
+rule (``preprocess.pose_velocities``), which bounds the achievable
 accuracy; exact checks should use trajectory exports. The applied
 inputs are ``tau_applied`` and ``s_applied`` together, or else ``tau``
 and ``s`` shifted by the parameters' delays.
@@ -24,13 +24,13 @@ import logging
 import numpy as np
 
 from . import models
-from .datasets import pose_velocities
 from .delay import delay_shift
 from .errors import ConfigError, DataError, IntegrationError
 from .integrators import non_finite_state
 from .integrators import rk4_step  # unused; perfbench/tracing.py patches it by name
 from .logs import APPLIED_COLUMNS, MOCAP_COLUMNS, command_out_of_range, grid_step, read_table
 from .params import VehicleParams
+from .preprocess import pose_velocities
 from .preprocess import differentiate, smooth  # unused, like rk4_step
 from .simulator import held_inputs, stepper
 

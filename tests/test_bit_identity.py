@@ -1,9 +1,11 @@
-"""On Python floats, every model function gives exactly what the array
-call gives at that element, so the simulator (floats, one scenario) and
-the dataset, fitting and validation code (arrays of rows) evaluate one
-model bit for bit; each model's law equals the curves it writes inline;
-and the front-tire fit's one-pass value and Jacobian equal the curve
-and the Jacobian written on their own."""
+"""On single values, every model function gives exactly what the array
+call gives at that element; each model's law gives on Python floats
+what it gives on arrays, so the simulator (floats, one scenario) and the
+dataset, fitting and validation code (arrays of rows) evaluate one model
+bit for bit; each law equals the curves it writes inline; a row stepped
+alone steps as it does among others; and the front-tire fit's one-pass
+value and Jacobian equal the curve and the Jacobian written on their
+own."""
 
 from dataclasses import replace
 
@@ -33,15 +35,13 @@ def _rows(*columns):
 
 
 def _assert_rowwise_equal(fn, rows):
-    """``fn`` on column arrays equals ``fn`` on each row's floats, and
-    each float call returns Python floats."""
+    """``fn`` on column arrays equals ``fn`` on each row's floats."""
     columns = [np.array(c) for c in zip(*rows)]
     on_columns = fn(*columns)
     for i, row in enumerate(rows):
         on_floats = fn(*row)
         flat = on_floats if isinstance(on_floats, tuple) else (on_floats,)
         expected = on_columns if isinstance(on_columns, tuple) else (on_columns,)
-        assert all(type(value) is float for value in flat), flat
         assert list(flat) == [float(np.broadcast_to(e, (len(rows),))[i]) for e in expected]
 
 
@@ -128,16 +128,22 @@ SPEEDS = {"kinematic": (-4, 4), "dynamic": (BLEND_SPEED, 4), "fallback": (0.01, 
                                               ("blend", True)])
 @given(data=st.data())
 def test_rk4_step_on_precomputed_inputs_on_floats_equals_array_element(kind, normalized, data):
-    """``stepper`` under ``held_inputs`` steps floats as it steps arrays."""
+    """``stepper`` under ``held_inputs`` steps a row alone, as a one-row
+    array, as it steps that row among the others: ``one_step_rms``
+    bisects for the first failing row on this."""
     model = "kinematic" if kind == "kinematic" else "dynamic"
     params = replace(REF, normalized_slip=normalized)
     step = stepper(model, params, 0.01)
     speed = _floats(*SPEEDS[kind])
     state = (*_POSE, speed) if model == "kinematic" else (
         *_POSE, speed, _floats(-2, 2), _floats(-6, 6))
-    rows = data.draw(_rows(*state, _floats(-1, 1), _floats(-1, 1)))
-    _assert_rowwise_equal(
-        lambda *row: tuple(step(list(row[:-2]), held_inputs(*row[-2:], params))), rows)
+    *states, tau, s = (np.array(c) for c in zip(*data.draw(_rows(*state, _floats(-1, 1),
+                                                                   _floats(-1, 1)))))
+    inputs = held_inputs(tau, s, params)
+    together = np.array(step(states, inputs))
+    for i in range(tau.size):
+        alone = step([c[i:i + 1] for c in states], [a[i:i + 1] for a in inputs])
+        np.testing.assert_array_equal(np.array(alone)[:, 0], together[:, i])
 
 
 def _box(stage):
@@ -186,7 +192,8 @@ def test_each_law_on_floats_equals_the_law_on_arrays(rows, seed, normalized, coe
     rate, rates_at = _laws(normalized, coefficients)
     rows, columns = _on_columns(rows, seed, *_laws(normalized, coefficients, rows=True))
     for i, (g, d, *state) in enumerate(rows):
-        flat = (rate(g, state[0]), *rates_at(g, d, *models.steering_terms(d)[1:])(state))
+        _, cos_d, sin_d = map(float, models.steering_terms(d))  # pass 1's inputs are floats
+        flat = (rate(g, state[0]), *rates_at(g, d, cos_d, sin_d)(state))
         assert all(type(value) is float for value in flat), flat
         assert list(flat) == [float(c[i]) for c in columns]
 

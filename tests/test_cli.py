@@ -891,7 +891,8 @@ _FIT_OR_VALIDATE_ONLY = [f"minicar.{name}" for name in
 _UNLOADED = {
     "generate": [*_FIT_OR_VALIDATE_ONLY, "minicar.svgplot"],
     "simulate": [*_POOL, *_FIT_OR_VALIDATE_ONLY],
-    "validate": [*_POOL, "hashlib", "minicar.fitting", "minicar.pipeline", "minicar.svgplot"],
+    "validate": [*_POOL, "hashlib", "minicar.fitting", "minicar.pipeline", "minicar.datasets",
+                 "minicar.svgplot"],
 }
 
 

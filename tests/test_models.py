@@ -215,6 +215,23 @@ def test_dynamic_rhs_straight_roll(ref):
     assert d[4] == 0.0 and d[5] == 0.0
 
 
+@pytest.mark.parametrize("rows", [False, True])
+def test_the_body_law_refuses_normalized_slip_at_or_below_the_speed_floor(ref, rows):
+    """Both bindings of the normalized body law raise ``slip_refusal()``
+    at v_x <= SLIP_V_EPS, the float one too; just above it they give
+    finite rates."""
+    rates_at = models.dynamic_body_law(tuple(ref.motor), tuple(ref.friction),
+                                       models.tire_coefficients(ref), ref.geometry,
+                                       normalized=True, rows=rows)
+    rates = rates_at(0.5, 0.1, math.cos(0.1), math.sin(0.1))
+    speeds = (models.SLIP_V_EPS, 0.0, -0.4)
+    for v_x in ([np.array([1.0, v]) for v in speeds] if rows else speeds):
+        with pytest.raises(DataError, match=r"^normalized slip angles need v_x > 0$"):
+            rates((v_x, 0.1, 0.2))
+    v_x = 2 * models.SLIP_V_EPS
+    assert np.isfinite(rates((np.array([v_x]) if rows else v_x, 0.1, 0.2))).all()
+
+
 def test_dynamic_rhs_requires_tire(ref):
     from dataclasses import replace
 
@@ -253,7 +270,7 @@ def test_dynamic_rhs_steady_cornering_fixed_point(ref):
         assert abs(d[3]) < 1e-9  # the holding gate does its job
         return d[4], d[5]
 
-    z = (0.0, 0.0)  # stepped on Python floats, far cheaper than numpy's on two values
+    z = (0.0, 0.0)  # stepped on scalars, cheaper than on arrays of two values
     for _ in range(30000):
         z = rk4_step(lateral_rhs, z, 0.002)
 

@@ -1,12 +1,15 @@
 """The package root holds only its version: every public name is
 imported from the one module that defines it, as the README does; the
-README names no module attribute that does not exist, and its
-command-line section names exactly the CLI's options."""
+README and the package's own docstrings and comments name no module
+attribute that does not exist, and the README's command-line section
+names exactly the CLI's options."""
 
 import argparse
 import importlib
+import io
 import pkgutil
 import re
+import tokenize
 import types
 from pathlib import Path
 
@@ -31,16 +34,31 @@ def test_the_readme_python_blocks_run():
         exec(compile(block, str(README), "exec"), {})
 
 
-def test_every_module_attribute_the_readme_names_exists():
+def _missing_attributes(text: str) -> list[str]:
     """Each backticked ``module.name`` (or ``minicar.module.name``) of
-    the README whose module is a minicar module names an attribute of
-    that module, so the README cannot point at a removed function."""
+    ``text`` whose module is a minicar module but has no such attribute;
+    asserts that ``text`` names at least one."""
     modules = {info.name for info in pkgutil.iter_modules(minicar.__path__)}
     named = {(module, name) for module, name in
-             re.findall(r"`(?:minicar\.)?(\w+)\.(\w+)", README.read_text()) if module in modules}
+             re.findall(r"`(?:minicar\.)?(\w+)\.(\w+)", text) if module in modules}
     assert named
-    missing = sorted(f"{module}.{name}" for module, name in named
-                     if not hasattr(importlib.import_module(f"minicar.{module}"), name))
+    return sorted(f"{module}.{name}" for module, name in named
+                  if not hasattr(importlib.import_module(f"minicar.{module}"), name))
+
+
+def test_every_module_attribute_the_readme_names_exists():
+    """The README cannot point at a removed function."""
+    missing = _missing_attributes(README.read_text())
+    assert not missing, missing
+
+
+def test_every_module_attribute_the_package_docstrings_and_comments_name_exists():
+    """Nor can a docstring or a comment of the package's own modules."""
+    texts = []
+    for path in sorted(Path(minicar.__file__).parent.glob("*.py")):
+        tokens = tokenize.generate_tokens(io.StringIO(path.read_text()).readline)
+        texts += [tok.string for tok in tokens if tok.type in (tokenize.COMMENT, tokenize.STRING)]
+    missing = _missing_attributes("\n".join(texts))
     assert not missing, missing
 
 

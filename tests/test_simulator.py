@@ -10,7 +10,7 @@ from conftest import curve_laws
 from minicar import models, simulator
 from minicar.delay import estimate_delay_xcorr
 from minicar.errors import ConfigError, DataError, IntegrationError, SimulationDiverged
-from minicar.integrators import rk4_step
+from minicar.integrators import non_finite_state, rk4_step
 from minicar.params import (Delays, FrictionParams, Geometry, MotorParams, SteeringParams,
                             TireParams, VehicleParams)
 from minicar.scenarios import (
@@ -221,9 +221,9 @@ def _step_at_a_time(scenario, params, limit=None):
     scalars, inputs sampled from the schedules and delayed by index, in
     the parameters' slip convention, on the laws written from the curves
     (``curve_laws``).
-    ``rk4_step`` raises IntegrationError at a non-finite state, and a
-    dynamic step whose normalized slip angles meet v_x <= 0 DataError
-    naming its time; with a ``limit``, a state beyond it raises
+    A step that ends non-finite raises IntegrationError, and a dynamic
+    step whose normalized slip angles meet v_x <= 0 DataError, naming
+    its time; with a ``limit``, a state beyond it raises
     SimulationDiverged with the states before it."""
     geom, dt, times = params.geometry, scenario.dt, scenario.times
     normalized = params.normalized_slip
@@ -242,18 +242,20 @@ def _step_at_a_time(scenario, params, limit=None):
             return models.kinematic_rhs(y, gate, np.tan(delta), rate, geom)
 
         y, t = states[k], times[k]
-        if scenario.model == "kinematic":
-            states[k + 1] = rk4_step(kin_rhs, y, dt, t)
-        elif normalized and y[3] < simulator.BLEND_SPEED:
-            kin = rk4_step(kin_rhs, y[:4], dt, t)
-            omega = kin[3] * np.tan(delta) / geom.l
-            states[k + 1] = [*kin, omega * geom.l_r, omega]
-        else:
-            rates = rates_at(gate, delta, np.cos(delta), np.sin(delta))
-            try:
-                states[k + 1] = rk4_step(lambda y: models.dynamic_rhs(y, rates), y, dt, t)
-            except DataError:
-                raise models.slip_refusal(t) from None
+        try:
+            if scenario.model == "kinematic":
+                states[k + 1] = rk4_step(kin_rhs, y, dt)
+            elif normalized and y[3] < simulator.BLEND_SPEED:
+                kin = rk4_step(kin_rhs, y[:4], dt)
+                omega = kin[3] * np.tan(delta) / geom.l
+                states[k + 1] = [*kin, omega * geom.l_r, omega]
+            else:
+                rates = rates_at(gate, delta, np.cos(delta), np.sin(delta))
+                states[k + 1] = rk4_step(lambda y: models.dynamic_rhs(y, rates), y, dt)
+        except IntegrationError:
+            raise non_finite_state(t) from None
+        except DataError:
+            raise models.slip_refusal(t) from None
         if limit is not None and np.abs(states[k + 1]).max() > limit:
             raise SimulationDiverged("reference", t=float(times[k + 1]),
                                      trajectory=states[:k + 1])
