@@ -270,9 +270,8 @@ def build_tire_dataset(logs: Sequence[RawLog], params: VehicleParams) -> tuple[D
         if not np.any(keep):
             continue
 
-        alpha_f, alpha_r = models.slip_angles(
-            v_x[keep], v_y[keep], omega[keep], delta[keep], geom,
-            normalized=params.normalized_slip)
+        alpha_f, alpha_r = models.slip_angles(v_x[keep], v_y[keep], omega[keep], delta[keep],
+                                              params)
         front.append(((alpha_f,), f_yf_tire[keep]))
         rear.append(((alpha_r,), f_yr_veh[keep]))
     if not front:

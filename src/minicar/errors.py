@@ -13,6 +13,10 @@ class MinicarError(Exception):
         super().__init__(message if row is None else f"{message} (row {row})")
         self.row = row
 
+    def at(self, t: float, row: int | None = None) -> MinicarError:
+        """This error of one step placed at its time ``t`` and, in a log, 1-based ``row``."""
+        return type(self)(f"{self} at t={t:.6f} s", row=row)
+
     def __reduce__(self):
         # Unpickling rebuilds the error from its class, args and attributes,
         # without __init__, whose parameters differ between subclasses.

@@ -23,10 +23,9 @@ import numpy as np
 from .errors import ConfigError, DataError, IntegrationError
 
 
-def non_finite_state(t: float | None = None, row: int | None = None) -> IntegrationError:
-    """The error for a step (from ``t``, at 1-based log ``row``) that ends non-finite."""
-    return IntegrationError("non-finite derivative or state"
-                            + ("" if t is None else f" at t={t:.6f} s"), row=row)
+def non_finite_state() -> IntegrationError:
+    """The error for a step that ends non-finite, placed by ``MinicarError.at``."""
+    return IntegrationError("non-finite derivative or state")
 
 
 def rk4_step(rhs, state, dt: float) -> list:

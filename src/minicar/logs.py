@@ -142,7 +142,8 @@ def _parse_rows(lines: list[str], width: int, where: str) -> np.ndarray:
 def read_table(source, name: str = "") -> dict[str, np.ndarray]:
     """Parse a header line and numeric rows into named float columns.
 
-    ``source`` is a path, bytes, or a text or binary stream. Raises
+    ``source`` is a path, bytes, or a text or binary stream; one leading
+    byte-order mark (U+FEFF) is dropped. Raises
     ParseError, naming the 1-based row where there is one, for text
     that is not UTF-8, an empty file, duplicate column names, a header
     without rows, a wrong field count and a non-numeric or non-finite
@@ -164,7 +165,7 @@ def read_table(source, name: str = "") -> dict[str, np.ndarray]:
     except UnicodeDecodeError as exc:
         raise ParseError(f"{where}: not UTF-8 text: {exc}") from exc
 
-    lines = list(filter(str.strip, text.splitlines()))
+    lines = list(filter(str.strip, text.removeprefix("\ufeff").splitlines()))
     if not lines:
         raise ParseError(f"{where}: empty file")
     header = [h.strip() for h in lines[0].split(",")]

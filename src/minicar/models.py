@@ -17,8 +17,8 @@ The transcendental functions are numpy's ufuncs, not ``math``'s, whose
 results differ in the last bit.
 
 Each model's law is written once: ``kinematic_speed_law`` (the speed
-rate) and ``dynamic_body_law`` (the body rates), built once per run on
-bound coefficients with the curves they read written inline, in every
+rate) and ``dynamic_body_law`` (the body rates), built once per run from
+a VehicleParams with the curves they read written inline, in every
 operation's order and with the same ufuncs, since on single floats a
 Python call costs more than the arithmetic it wraps. They are the only
 functions stepped on Python floats: ``simulate`` steps them on floats,
@@ -147,16 +147,14 @@ def steering_refused(delta):
     return abs(delta) >= np.pi / 2
 
 
-def steering_refusal(t: float | None = None, row: int | None = None) -> ConfigError:
-    """The error for a kinematic step at a refused angle, from ``t`` (at 1-based log ``row``)."""
-    return ConfigError("steering angle magnitude must stay below pi/2"
-                       + ("" if t is None else f" at t={t:.6f} s"), row=row)
+def steering_refusal() -> ConfigError:
+    """The error for a kinematic step at a refused angle, placed by ``MinicarError.at``."""
+    return ConfigError("steering angle magnitude must stay below pi/2")
 
 
-def slip_refusal(t: float | None = None, row: int | None = None) -> DataError:
+def slip_refusal() -> DataError:
     """``steering_refusal`` for a step whose normalized slip angles meet v_x <= SLIP_V_EPS."""
-    return DataError("normalized slip angles need v_x > 0"
-                     + ("" if t is None else f" at t={t:.6f} s"), row=row)
+    return DataError("normalized slip angles need v_x > 0")
 
 
 def kinematic_yaw_rate(v, tan_delta, geom: Geometry):
@@ -189,11 +187,11 @@ def _as_is(x):
     return x
 
 
-def kinematic_speed_law(motor, friction, geom: Geometry, *, rows: bool = False):
+def kinematic_speed_law(params: VehicleParams, *, rows: bool = False):
     """``rate(gate, v)``, the net force ``drive_force(gate, v, motor) +
-    friction_force(v, friction)`` over the mass, on Python floats; with
-    ``rows``, on column arrays of rows."""
-    (d, e, _), (a, b, c), m, tanh = motor, friction, geom.m, np.tanh
+    friction_force(v, friction)`` of the parameters' groups over the
+    mass, on Python floats; with ``rows``, on column arrays of rows."""
+    (d, e, _), (a, b, c), m, tanh = params.motor, params.friction, params.geometry.m, np.tanh
     value = _as_is if rows else float
 
     def rate(gate, v):
@@ -202,19 +200,20 @@ def kinematic_speed_law(motor, friction, geom: Geometry, *, rows: bool = False):
     return rate
 
 
-def slip_angles(v_x, v_y, omega, delta, geom: Geometry, *, normalized: bool = False):
-    """Front and rear tire slip angles [rad].
+def slip_angles(v_x, v_y, omega, delta, params: VehicleParams):
+    """Front and rear tire slip angles [rad] in the parameters' convention.
 
     The default form feeds the raw lateral velocities ``v_y + omega*l_f``
     and ``v_y - omega*l_r`` straight into arctan; this is the convention
-    the reference parameter set was fitted against. With ``normalized``
-    the arguments are divided by ``v_x`` first (the textbook definition),
-    which requires ``v_x`` to stay away from zero: any v_x <= SLIP_V_EPS
-    raises ``slip_refusal()``.
+    the reference parameter set was fitted against. Under
+    ``normalized_slip`` the arguments are divided by ``v_x`` first (the
+    textbook definition), which requires ``v_x`` to stay away from zero:
+    any v_x <= SLIP_V_EPS raises ``slip_refusal()``.
     """
+    geom = params.geometry
     front_arg = v_y + omega * geom.l_f
     rear_arg = v_y - omega * geom.l_r
-    if normalized:
+    if params.normalized_slip:
         if np.any(v_x <= SLIP_V_EPS):
             raise slip_refusal()
         front_arg, rear_arg = front_arg / v_x, rear_arg / v_x
@@ -263,25 +262,20 @@ def rear_lateral_jacobian(alpha, c_r) -> np.ndarray:
     return np.stack([alpha], axis=-1)
 
 
-def tire_coefficients(params: VehicleParams) -> tuple:
-    """The tire group as the tuple ``dynamic_body_law`` reads, (D, C, B, E, C_r)."""
-    if params.tire is None:
-        raise ConfigError("dynamic model requires tire parameters")
-    return tuple(params.tire)
-
-
-def dynamic_body_law(motor, friction, tire: tuple, geom: Geometry, *,
-                     normalized: bool = False, rows: bool = False):
+def dynamic_body_law(params: VehicleParams, *, rows: bool = False):
     """``rates_at(gate, delta, cos_d, sin_d)``: the time derivative of the
     body state ``(v_x, v_y, omega)`` as a function of it, at a throttle
     gate and a road-wheel angle held over the step. The net force is split
     equally between the axles (four-wheel drive), each half along its own
     tire frame, and the lateral forces are ``pacejka_lateral`` in front
-    and ``rear_lateral`` behind, at the ``slip_angles`` of the convention
-    ``normalized``, on Python floats; with ``rows``, on column arrays of
-    rows. Slip angles normalized by any v_x <= SLIP_V_EPS raise
-    ``slip_refusal()``."""
-    (d, e, _), (a, b, c), (D, C, B, E, c_r) = motor, friction, tire
+    and ``rear_lateral`` behind, at the parameters' ``slip_angles``, on
+    Python floats; with ``rows``, on column arrays of rows. Slip angles
+    normalized by any v_x <= SLIP_V_EPS raise ``slip_refusal()``, and
+    parameters without a tire group ConfigError."""
+    if params.tire is None:
+        raise ConfigError("dynamic model requires tire parameters")
+    (d, e, _), (a, b, c), (D, C, B, E, c_r) = params.motor, params.friction, params.tire
+    geom, normalized = params.geometry, params.normalized_slip
     l_f, l_r, m, I_z = geom.l_f, geom.l_r, geom.m, geom.I_z
     tanh, arctan, sin = np.tanh, np.arctan, np.sin
     value, any_row = (_as_is, np.any) if rows else (float, bool)

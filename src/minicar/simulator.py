@@ -32,7 +32,7 @@ in sequence, so each sum is the float recurrence's own. The earliest offending s
 decides: within one state a non-finite component (IntegrationError)
 beats one beyond DIVERGENCE_LIMIT (SimulationDiverged), and a run that
 pass 1 cut short with every state sane was refused its next step
-(ConfigError at a refused angle, DataError at refused slip angles).
+(ConfigError or DataError, which ``MinicarError.at`` places at its time).
 
 A dynamic scenario runs in the slip-angle convention of its parameters
 (``VehicleParams.normalized_slip``). The default raw-velocity form is
@@ -160,22 +160,21 @@ def _kinematic_states(scenario: Scenario, params: VehicleParams, inputs: tuple) 
     """A kinematic scenario's states up to the last sane one (``_sane_states``)."""
     gate, delta, tan_delta, _, _ = inputs
     geom = params.geometry
-    rate = models.kinematic_speed_law(tuple(params.motor), tuple(params.friction), geom)
+    rate = models.kinematic_speed_law(params)
     steps = int(np.argmax(np.append(models.steering_refused(delta), True)))  # up to a refused one
     stages, v_end = rk4_scalar_stages(rate, scenario.initial_state[3], gate[:steps].tolist(),
                                       scenario.dt, DIVERGENCE_LIMIT)
     v = np.ascontiguousarray(np.frombuffer(stages).reshape(-1, 4).T)  # (4, steps)
     yaw = models.kinematic_yaw_rate(v, tan_delta[:v.shape[1]], geom)
-    return _sane_states(scenario, yaw, lambda eta: models.heading_velocity(v, eta), [v], (v_end,))
+    return _sane_states(scenario, yaw, lambda eta: models.heading_velocity(v, eta), [v], (v_end,),
+                        models.steering_refusal())
 
 
 def _dynamic_states(scenario: Scenario, params: VehicleParams, inputs: tuple) -> np.ndarray:
     """A dynamic scenario's states up to the last sane one (``_sane_states``)."""
-    geom, motor, friction = params.geometry, tuple(params.motor), tuple(params.friction)
-    normalized = params.normalized_slip
-    rates_at = models.dynamic_body_law(motor, friction, models.tire_coefficients(params), geom,
-                                       normalized=normalized)
-    rate = models.kinematic_speed_law(motor, friction, geom)
+    geom, normalized = params.geometry, params.normalized_slip
+    rates_at = models.dynamic_body_law(params)
+    rate = models.kinematic_speed_law(params)
 
     def law(u, body):
         gate, delta, tan_d, cos_d, sin_d = u
@@ -198,19 +197,18 @@ def _dynamic_states(scenario: Scenario, params: VehicleParams, inputs: tuple) ->
         return [np.where(rolls, kin, dyn) for kin, dyn in zip(
             models.heading_velocity(v_x, eta), models.world_velocity(v_x, v_y, eta))]
 
-    refusal = models.slip_refusal if isinstance(refused, DataError) else models.steering_refusal
-    return _sane_states(scenario, yaw, velocity, body, end, refusal)
+    return _sane_states(scenario, yaw, velocity, body, end, refused)
 
 
 def _sane_states(scenario: Scenario, yaw: np.ndarray, velocity, body, end,
-                 refusal=models.steering_refusal) -> np.ndarray:
+                 refusal: ConfigError | DataError | None) -> np.ndarray:
     """Pass 2 and the one stop rule: the states up to the last sane one
     from the (4, steps) stage yaw rates, ``velocity(stage headings)`` in
     the world frame, and the rest of the state as its stages and its
     value after the last step of pass 1. The earliest offending step
     decides: a non-finite state raises IntegrationError, and a run cut
-    short with every state sane was refused its next step, which
-    ``refusal(t)`` names."""
+    short with every state sane was refused its next step by ``refusal``,
+    raised placed at that step's time."""
     x0, y0, eta0 = scenario.initial_state[:3]
     dt = scenario.dt
     eta = rk4_accumulate(eta0, yaw, dt)
@@ -221,11 +219,11 @@ def _sane_states(scenario: Scenario, yaw: np.ndarray, velocity, body, end,
     sane = finite & (np.abs(states[1:]) <= DIVERGENCE_LIMIT).all(axis=1)
     if sane.all():
         if len(states) < scenario.times.size:
-            raise refusal(scenario.times[len(states) - 1])
+            raise refusal.at(scenario.times[len(states) - 1])
         return states
     row = int(np.argmin(sane)) + 1  # the earliest offending state
     if not finite[row - 1]:
-        raise non_finite_state(scenario.times[row - 1])
+        raise non_finite_state().at(scenario.times[row - 1])
     return states[:row]
 
 
@@ -248,8 +246,8 @@ def stepper(model: str, params: VehicleParams, dt: float):
     (v_y, omega) to their rigid-rolling values, and a dynamic step raises
     ``models.slip_refusal()`` if any of its slip angles is refused.
     """
-    motor, friction, geom = tuple(params.motor), tuple(params.friction), params.geometry
-    rate = models.kinematic_speed_law(motor, friction, geom, rows=True)
+    geom = params.geometry
+    rate = models.kinematic_speed_law(params, rows=True)
 
     def kinematic(y, u):
         gate, delta, tan_d, _, _ = u
@@ -259,8 +257,7 @@ def stepper(model: str, params: VehicleParams, dt: float):
 
     if model == "kinematic":
         return kinematic
-    rates_at = models.dynamic_body_law(motor, friction, models.tire_coefficients(params), geom,
-                                       normalized=params.normalized_slip, rows=True)
+    rates_at = models.dynamic_body_law(params, rows=True)
 
     def dynamic(y, u):
         gate, delta, _, cos_d, sin_d = u

@@ -26,11 +26,10 @@ import numpy as np
 from . import models
 from .delay import delay_shift
 from .errors import ConfigError, DataError, IntegrationError
-from .integrators import non_finite_state
 from .integrators import rk4_step  # unused; perfbench/tracing.py patches it by name
 from .logs import APPLIED_COLUMNS, MOCAP_COLUMNS, command_out_of_range, grid_step, read_table
 from .params import VehicleParams
-from .preprocess import pose_velocities
+from .preprocess import SMOOTH_WINDOW, pose_velocities
 from .preprocess import differentiate, smooth  # unused, like rk4_step
 from .simulator import held_inputs, stepper
 
@@ -81,6 +80,9 @@ def _logged_states(table: dict, model: str) -> tuple[list, tuple[str, ...]]:
         raise DataError("dynamic validation needs an x, y, eta or x_t, y_t, eta_t pose")
     v_y = table.get("v_y")
     if v_y is None:
+        if speed.size < SMOOTH_WINDOW:
+            raise DataError(f"reconstructing v_y from the pose needs at least {SMOOTH_WINDOW} "
+                            f"rows, got {speed.size}")
         logger.warning("no v_y column; reconstructing it from pose by differentiation")
         *_, v_y = pose_velocities(table["t"], *pose)
     return [*pose, speed, v_y, table["omega_imu"]], models.STATE_NAMES[model]
@@ -92,9 +94,9 @@ def one_step_rms(table: dict[str, np.ndarray], params: VehicleParams,
     """Per-channel RMS of one-step-ahead predictions along a log whose
     commands lie in [-1, 1]. Rows are stepped as the simulator steps
     them, so an export validates to round-off against the parameters it
-    was simulated with. A non-finite prediction raises IntegrationError naming its 1-based
-    row and time, a kinematic step at |delta| >= pi/2 ConfigError and a normalized-slip step
-    at v_x <= 0 DataError naming the same, and a non-finite RMS DataError."""
+    was simulated with. The first failing row raises its step's error placed at its 1-based
+    row and time (``MinicarError.at``): IntegrationError if non-finite, ConfigError at
+    |delta| >= pi/2, DataError at normalized slip with v_x <= 0; a non-finite RMS DataError."""
     if model not in tuple(models.STATE_NAMES):  # not a dict lookup: the model may be a list
         raise ConfigError(f"unknown model kind {model!r}")
     dt = _dt_of(table)
@@ -117,12 +119,8 @@ def one_step_rms(table: dict[str, np.ndarray], params: VehicleParams,
                 hi = mid
         try:
             step([c[lo:hi] for c in rows], [a[lo:hi] for a in inputs])
-        except IntegrationError:
-            raise non_finite_state(table["t"][lo], row=lo + 1) from None
-        except ConfigError:  # a kinematic step at |delta| >= pi/2
-            raise models.steering_refusal(table["t"][lo], row=lo + 1) from None
-        except DataError:  # normalized slip angles at v_x <= 0
-            raise models.slip_refusal(table["t"][lo], row=lo + 1) from None
+        except (IntegrationError, ConfigError, DataError) as exc:
+            raise exc.at(table["t"][lo], row=lo + 1) from None
         raise
 
     rms = {name: float(np.sqrt(np.mean((y - column[1:]) ** 2))) for name, y, column

@@ -38,12 +38,13 @@ def finite_difference_gradient(fn, p, step: float = 1e-6) -> np.ndarray:
     return grad
 
 
-def curve_laws(motor, friction, tire, geom, normalized=False):
-    """``models.kinematic_speed_law`` and ``models.dynamic_body_law``
-    written from the curves they inline (``drive_force``,
+def curve_laws(params):
+    """``models.kinematic_speed_law`` and ``models.dynamic_body_law`` of
+    ``params`` written from the curves they inline (``drive_force``,
     ``friction_force``, ``slip_angles``, ``pacejka_lateral``,
     ``rear_lateral``), on floats or arrays: the reference that the laws
     and the simulator are checked against."""
+    motor, friction, tire, geom = params.motor, params.friction, params.tire, params.geometry
 
     def force(gate, v):
         return models.drive_force(gate, v, motor) + models.friction_force(v, friction)
@@ -51,9 +52,9 @@ def curve_laws(motor, friction, tire, geom, normalized=False):
     def rates_at(gate, delta, cos_d, sin_d):
         def rates(body):
             v_x, v_y, omega = body
-            alpha_f, alpha_r = models.slip_angles(v_x, v_y, omega, delta, geom,
-                                                  normalized=normalized)
-            f_yf, f_yr = models.pacejka_lateral(alpha_f, tire), models.rear_lateral(alpha_r, tire[4])
+            alpha_f, alpha_r = models.slip_angles(v_x, v_y, omega, delta, params)
+            f_yf = models.pacejka_lateral(alpha_f, tire)
+            f_yr = models.rear_lateral(alpha_r, tire.C_r)
             f_half = force(gate, v_x) / 2.0
             front_y = f_yf * cos_d + f_half * sin_d  # front axle force, vehicle-frame y
             return ((f_half + f_half * cos_d - f_yf * sin_d) / geom.m + omega * v_y,

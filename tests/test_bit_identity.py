@@ -18,11 +18,10 @@ from conftest import curve_laws
 from minicar import models
 from minicar.fitting import default_config
 from minicar.integrators import rk4_step
-from minicar.params import reference_params
+from minicar.params import FrictionParams, TireParams, reference_params
 from minicar.simulator import BLEND_SPEED, held_inputs, stepper
 
 REF = reference_params()
-MOTOR, FRICTION, TIRE = tuple(REF.motor), tuple(REF.friction), models.tire_coefficients(REF)
 
 
 def _floats(lo, hi):
@@ -49,7 +48,7 @@ CURVES = {
     "friction_force": (lambda v: models.friction_force(v, REF.friction), (_floats(-5, 5),)),
     "smooth_positive_throttle": (lambda tau: models.smooth_positive_throttle(tau, REF.motor.g),
                                  (_floats(-1, 1),)),
-    "drive_force": (lambda gate, v: models.drive_force(gate, v, MOTOR),
+    "drive_force": (lambda gate, v: models.drive_force(gate, v, REF.motor),
                     (_floats(0, 1.5), _floats(-5, 5))),
     "motor_force": (lambda tau, v: models.motor_force(tau, v, REF.motor),
                     (_floats(-1, 1), _floats(-5, 5))),
@@ -57,7 +56,7 @@ CURVES = {
     "steering_terms": (models.steering_terms, (_floats(-1.5, 1.5),)),
     "kinematic_yaw_rate": (lambda v, tan_d: models.kinematic_yaw_rate(v, tan_d, REF.geometry),
                            (_floats(-4, 4), _floats(-20, 20))),
-    "pacejka_lateral": (lambda a: models.pacejka_lateral(a, TIRE), (_floats(-3, 3),)),
+    "pacejka_lateral": (lambda a: models.pacejka_lateral(a, REF.tire), (_floats(-3, 3),)),
     "rear_lateral": (lambda a: models.rear_lateral(a, REF.tire.C_r), (_floats(-3, 3),)),
 }
 
@@ -72,16 +71,15 @@ def test_curve_on_floats_equals_array_element(name, data):
 @pytest.mark.parametrize("normalized", [False, True])
 @given(rows=_rows(_floats(0.01, 4), _floats(-2, 2), _floats(-6, 6), _floats(-0.6, 0.6)))
 def test_slip_angles_on_floats_equal_array_element(normalized, rows):
+    params = replace(REF, normalized_slip=normalized)
     _assert_rowwise_equal(
-        lambda v_x, v_y, omega, delta: models.slip_angles(v_x, v_y, omega, delta, REF.geometry,
-                                                          normalized=normalized),
-        rows)
+        lambda v_x, v_y, omega, delta: models.slip_angles(v_x, v_y, omega, delta, params), rows)
 
 
 _POSE = (_floats(-20, 20), _floats(-20, 20), _floats(-30, 30))
-RATE = models.kinematic_speed_law(MOTOR, FRICTION, REF.geometry, rows=True)
-RATES_AT = {normalized: models.dynamic_body_law(MOTOR, FRICTION, TIRE, REF.geometry,
-                                                normalized=normalized, rows=True)
+RATE = models.kinematic_speed_law(REF, rows=True)
+RATES_AT = {normalized: models.dynamic_body_law(replace(REF, normalized_slip=normalized),
+                                                rows=True)
             for normalized in (False, True)}
 
 
@@ -156,23 +154,25 @@ def _box(stage):
 LAW_INPUTS = ((0, 1.5), (-0.6, 0.6), (0.01, 4), (-2, 2), (-6, 6))
 
 # Rows of law inputs, a seed for 64 uniform ones more (a last-bit slip
-# shows in about 1% of rows), the slip convention and the friction and
-# tire coefficients: the reference ones or ones drawn from the fit
-# stages' boxes.
+# shows in about 1% of rows) and a parameter set in either slip
+# convention whose friction and tire groups are the reference ones or
+# ones drawn from the fit stages' boxes, which lie inside the groups'
+# checks.
 LAW_CASES = dict(
     rows=_rows(*(_floats(lo, hi) for lo, hi in LAW_INPUTS)), seed=st.integers(0, 2**32 - 1),
-    normalized=st.booleans(),
-    coefficients=st.sampled_from([(FRICTION, TIRE)])
-    | st.tuples(_box("friction"), st.tuples(_box("front_tire"), _box("rear_tire")).map(
-        lambda tire: (*tire[0], *tire[1]))))
+    params=st.builds(
+        lambda normalized, groups: replace(REF, friction=groups[0], tire=groups[1],
+                                           normalized_slip=normalized),
+        st.booleans(), st.sampled_from([(REF.friction, REF.tire)])
+        | st.tuples(_box("friction").map(lambda p: FrictionParams(*p)),
+                    st.tuples(_box("front_tire"), _box("rear_tire")).map(
+                        lambda tire: TireParams(*tire[0], *tire[1])))))
 
 
-def _laws(normalized, coefficients, **bindings):
-    """The two laws on the coefficients, built with ``bindings``."""
-    friction, tire = coefficients
-    return (models.kinematic_speed_law(MOTOR, friction, REF.geometry, **bindings),
-            models.dynamic_body_law(MOTOR, friction, tire, REF.geometry, normalized=normalized,
-                                    **bindings))
+def _laws(params, **bindings):
+    """The two laws of ``params``, built with ``bindings``."""
+    return (models.kinematic_speed_law(params, **bindings),
+            models.dynamic_body_law(params, **bindings))
 
 
 def _on_columns(rows, seed, rate, rates_at):
@@ -185,12 +185,12 @@ def _on_columns(rows, seed, rate, rates_at):
 
 
 @given(**LAW_CASES)
-def test_each_law_on_floats_equals_the_law_on_arrays(rows, seed, normalized, coefficients):
+def test_each_law_on_floats_equals_the_law_on_arrays(rows, seed, params):
     """The simulator's pass 1 steps each law on Python floats and
     ``stepper`` on column arrays of rows; the two bindings give the same
     bits, the floats as Python floats."""
-    rate, rates_at = _laws(normalized, coefficients)
-    rows, columns = _on_columns(rows, seed, *_laws(normalized, coefficients, rows=True))
+    rate, rates_at = _laws(params)
+    rows, columns = _on_columns(rows, seed, *_laws(params, rows=True))
     for i, (g, d, *state) in enumerate(rows):
         _, cos_d, sin_d = map(float, models.steering_terms(d))  # pass 1's inputs are floats
         flat = (rate(g, state[0]), *rates_at(g, d, cos_d, sin_d)(state))
@@ -199,14 +199,12 @@ def test_each_law_on_floats_equals_the_law_on_arrays(rows, seed, normalized, coe
 
 
 @given(**LAW_CASES)
-def test_each_law_equals_the_curves_it_writes_inline(rows, seed, normalized, coefficients):
+def test_each_law_equals_the_curves_it_writes_inline(rows, seed, params):
     """Each law writes its curves inline; on arrays it gives the bits of
     the same laws written from ``drive_force``, ``friction_force``,
     ``slip_angles``, ``pacejka_lateral`` and ``rear_lateral``."""
-    friction, tire = coefficients
-    _, laws = _on_columns(rows, seed, *_laws(normalized, coefficients, rows=True))
-    _, reference = _on_columns(rows, seed, *curve_laws(MOTOR, friction, tire, REF.geometry,
-                                                       normalized))
+    _, laws = _on_columns(rows, seed, *_laws(params, rows=True))
+    _, reference = _on_columns(rows, seed, *curve_laws(params))
     for law, expected in zip(laws, reference):
         np.testing.assert_array_equal(law, expected)
 

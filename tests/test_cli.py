@@ -289,6 +289,24 @@ def test_validate_on_own_trajectory(tmp_path, params_file, capsys):
     assert all(v < 1e-6 for v in doc["rms"].values())
 
 
+def test_validate_reads_a_log_with_a_byte_order_mark_as_one_without(tmp_path, params_file,
+                                                                    capsys):
+    """A log saved with a leading U+FEFF, as spreadsheets export it,
+    validates to the same RMS as the plain log."""
+    out = tmp_path / "sim"
+    main(["simulate", "--params", str(params_file), "--scenario", str(write_scenario(tmp_path)),
+          "--out", str(out)])
+    marked = tmp_path / "marked.csv"
+    marked.write_text("\ufeff" + (out / "trajectory.csv").read_text(), encoding="utf-8")
+    rms = []
+    for log in (out / "trajectory.csv", marked):
+        capsys.readouterr()
+        assert main(["validate", "--params", str(params_file), "--log", str(log),
+                     "--model", "kinematic"]) == 0
+        rms.append(json.loads(capsys.readouterr().out)["rms"])
+    assert rms[0] == rms[1] and len(rms[0]) == 4
+
+
 @pytest.mark.parametrize("case", ["overflowed rms", "non-finite prediction"])
 def test_validate_exits_2_on_a_non_finite_result_writing_no_json(tmp_path, params_file, caplog,
                                                                 capsys, case):

@@ -6,7 +6,8 @@ from dataclasses import replace
 
 import pytest
 
-from minicar import errors
+from minicar import errors, models
+from minicar.integrators import non_finite_state
 from minicar.params import reference_params
 from minicar.scenarios import Scenario, constant
 from minicar.simulator import simulate
@@ -23,6 +24,11 @@ def _diverged() -> errors.SimulationDiverged:
     return caught.value
 
 
+def _placed() -> errors.DataError:
+    """A refusal of one step, placed at its time and its log row."""
+    return models.slip_refusal().at(0.45, row=46)
+
+
 CASES = [
     lambda: errors.MinicarError("bad value", row=4),
     lambda: errors.ParseError("malformed number", row=7),
@@ -31,7 +37,12 @@ CASES = [
     lambda: errors.FitDivergedError("non-finite loss", iteration=12),
     lambda: errors.IntegrationError("non-finite state"),
     _diverged,
+    _placed,
 ]
+
+
+def _case_id(make) -> str:
+    return "placed" if make is _placed else type(make()).__name__
 
 
 def _package_errors(cls=errors.MinicarError) -> set:
@@ -43,7 +54,7 @@ def test_the_cases_cover_every_package_error():
     assert {type(make()) for make in CASES} == _package_errors()
 
 
-@pytest.mark.parametrize("make", CASES, ids=lambda make: type(make()).__name__)
+@pytest.mark.parametrize("make", CASES, ids=_case_id)
 def test_a_package_error_survives_pickling(make):
     error = make()
     copy = pickle.loads(pickle.dumps(error))
@@ -55,3 +66,17 @@ def test_a_package_error_survives_pickling(make):
         assert getattr(copy, name, None) == getattr(error, name, None)
     # every attribute, the trajectory's arrays included, pickles as before
     assert pickle.dumps(copy) == pickle.dumps(error)
+
+
+@pytest.mark.parametrize("make", [models.steering_refusal, models.slip_refusal, non_finite_state])
+def test_at_places_an_error_of_one_step_at_its_time_and_row(make):
+    """``at`` keeps the class, appends the time and then the row, and sets
+    ``row``; without a row it appends the time alone."""
+    error = make()
+    placed = error.at(0.45, row=46)
+    assert type(placed) is type(error) and error.row is None
+    assert str(placed) == f"{error} at t=0.450000 s (row 46)"
+    assert placed.row == 46
+    in_run = error.at(0.45)
+    assert (type(in_run), str(in_run), in_run.row) == (type(error), f"{error} at t=0.450000 s",
+                                                       None)

@@ -145,6 +145,28 @@ def test_load_accepts_text_stream():
     assert len(load_log(io.StringIO(text))) == 2
 
 
+@pytest.mark.parametrize("kind", ["path", "bytes", "text stream", "binary stream"])
+def test_a_log_with_a_byte_order_mark_loads_like_one_without(tmp_path, kind):
+    """Spreadsheet exports often start with U+FEFF; one leading mark is
+    dropped after decoding, whatever the source."""
+    text = _csv([[0.0, 0.1, 0.0, 0.5, 0.01, 0.0, 0.0, 0.0],
+                 [0.01, 0.1, 0.0, 0.52, 0.0, 0.005, 0.0, 0.0]],
+                header="t,tau,s,v_enc,omega_imu,x_t,y_t,eta_t")
+
+    def load(body, name):
+        data = body.encode()
+        if kind == "path":
+            path = tmp_path / name
+            path.write_bytes(data)
+            return load_log(path, name="log")
+        return load_log({"bytes": data, "text stream": io.StringIO(body),
+                         "binary stream": io.BytesIO(data)}[kind])
+
+    plain, marked = load(text, "plain.csv"), load("\ufeff" + text, "marked.csv")
+    assert dump_log(marked) == dump_log(plain)
+    assert marked.name == plain.name and marked.mocap is not None
+
+
 def test_dump_load_round_trip(tmp_path, rng):
     n = 20
     log = RawLog(

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -113,7 +114,7 @@ def test_kinematic_rhs_rejects_steering_singularity():
     assert not models.steering_refused(float(np.nextafter(math.pi / 2, 0.0)))
     np.testing.assert_array_equal(models.steering_refused(np.array([0.1, 1.6, -0.2, 1.5])),
                                   [False, True, False, False])
-    refusal = models.steering_refusal(0.45, row=46)
+    refusal = models.steering_refusal().at(0.45, row=46)
     assert isinstance(refusal, ConfigError)
     assert str(refusal) == "steering angle magnitude must stay below pi/2 at t=0.450000 s (row 46)"
     assert str(models.steering_refusal()) == "steering angle magnitude must stay below pi/2"
@@ -130,8 +131,7 @@ def test_steering_terms(ref):
 def test_kinematic_speed_law_is_motor_plus_friction_over_the_mass(ref):
     tau, v = np.array([-0.5, 0.05, 0.3, 1.0]), np.array([0.0, 0.4, -1.0, 2.0])
     gate = models.smooth_positive_throttle(tau, ref.motor.g)
-    rate = models.kinematic_speed_law(tuple(ref.motor), tuple(ref.friction), ref.geometry,
-                                      rows=True)
+    rate = models.kinematic_speed_law(ref, rows=True)
     np.testing.assert_array_equal(
         rate(gate, v),
         (models.motor_force(tau, v, ref.motor) + models.friction_force(v, ref.friction))
@@ -139,30 +139,30 @@ def test_kinematic_speed_law_is_motor_plus_friction_over_the_mass(ref):
 
 
 def test_slip_angles_zero(ref):
-    af, ar = models.slip_angles(1.0, 0.0, 0.0, 0.0, ref.geometry)
+    af, ar = models.slip_angles(1.0, 0.0, 0.0, 0.0, ref)
     assert af == 0.0 and ar == 0.0
 
 
 def test_slip_angles_pure_steering_offset(ref):
-    af, ar = models.slip_angles(1.0, 0.0, 0.0, 0.2, ref.geometry)
+    af, ar = models.slip_angles(1.0, 0.0, 0.0, 0.2, ref)
     assert af == pytest.approx(0.2) and ar == 0.0
 
 
 def test_slip_angles_symmetric_drift(ref):
-    af, ar = models.slip_angles(1.0, 0.1, 0.0, 0.0, ref.geometry)
+    af, ar = models.slip_angles(1.0, 0.1, 0.0, 0.0, ref)
     assert af == pytest.approx(-math.atan(0.1), rel=1e-12)
     assert ar == pytest.approx(-math.atan(0.1), rel=1e-12)
 
 
 def test_slip_angles_normalized_divides_by_speed(ref):
-    af, ar = models.slip_angles(2.0, 0.1, 0.0, 0.0, ref.geometry, normalized=True)
+    af, ar = models.slip_angles(2.0, 0.1, 0.0, 0.0, replace(ref, normalized_slip=True))
     assert af == pytest.approx(-math.atan(0.05), rel=1e-12)
     assert ar == pytest.approx(-math.atan(0.05), rel=1e-12)
 
 
 def test_slip_angles_normalized_rejects_standstill(ref):
     with pytest.raises(DataError):
-        models.slip_angles(0.0, 0.1, 0.0, 0.0, ref.geometry, normalized=True)
+        models.slip_angles(0.0, 0.1, 0.0, 0.0, replace(ref, normalized_slip=True))
 
 
 def test_pacejka_zero(ref):
@@ -193,13 +193,11 @@ def test_rear_lateral(ref):
     assert models.rear_lateral(0.4, 0.39) == pytest.approx(2 * models.rear_lateral(0.2, 0.39))
 
 
-def _dynamic_rhs(state, delta, gate, params, normalized=False):
+def _dynamic_rhs(state, delta, gate, params):
     """``models.dynamic_rhs`` on the body law of ``params`` at the
     road-wheel angle ``delta`` and the throttle gate ``gate``."""
     _, cos_d, sin_d = models.steering_terms(delta)
-    rates_at = models.dynamic_body_law(tuple(params.motor), tuple(params.friction),
-                                       models.tire_coefficients(params), params.geometry,
-                                       normalized=normalized, rows=True)
+    rates_at = models.dynamic_body_law(params, rows=True)
     return models.dynamic_rhs(state, rates_at(gate, delta, cos_d, sin_d))
 
 
@@ -220,9 +218,7 @@ def test_the_body_law_refuses_normalized_slip_at_or_below_the_speed_floor(ref, r
     """Both bindings of the normalized body law raise ``slip_refusal()``
     at v_x <= SLIP_V_EPS, the float one too; just above it they give
     finite rates."""
-    rates_at = models.dynamic_body_law(tuple(ref.motor), tuple(ref.friction),
-                                       models.tire_coefficients(ref), ref.geometry,
-                                       normalized=True, rows=rows)
+    rates_at = models.dynamic_body_law(replace(ref, normalized_slip=True), rows=rows)
     rates = rates_at(0.5, 0.1, math.cos(0.1), math.sin(0.1))
     speeds = (models.SLIP_V_EPS, 0.0, -0.4)
     for v_x in ([np.array([1.0, v]) for v in speeds] if rows else speeds):
@@ -233,8 +229,6 @@ def test_the_body_law_refuses_normalized_slip_at_or_below_the_speed_floor(ref, r
 
 
 def test_dynamic_rhs_requires_tire(ref):
-    from dataclasses import replace
-
     with pytest.raises(ConfigError, match="tire"):
         _dynamic_rhs(np.zeros(6), 0.0, 0.0, replace(ref, tire=None))
 
@@ -251,13 +245,13 @@ def test_dynamic_rhs_steady_cornering_fixed_point(ref):
     from minicar.integrators import rk4_step
 
     delta, v_x = 0.2, 0.3
-    geom = ref.geometry
+    geom, norm_ref = ref.geometry, replace(ref, normalized_slip=True)
     sin_d, cos_d = float(np.sin(delta)), float(np.cos(delta))
 
     def holding_gate(v_y, omega):
         # the throttle gate of the net longitudinal force that keeps
         # dv_x = 0 at this instant
-        alpha_f, _ = models.slip_angles(v_x, v_y, omega, delta, geom, normalized=True)
+        alpha_f, _ = models.slip_angles(v_x, v_y, omega, delta, norm_ref)
         f_yf = models.pacejka_lateral(alpha_f, ref.tire)
         force = 2 * (f_yf * sin_d - geom.m * omega * v_y) / (1 + cos_d)
         return ((force - models.friction_force(v_x, ref.friction))
@@ -265,8 +259,8 @@ def test_dynamic_rhs_steady_cornering_fixed_point(ref):
 
     def lateral_rhs(z):
         v_y, omega = z
-        d = _dynamic_rhs((0.0, 0.0, 0.0, v_x, v_y, omega), delta, holding_gate(v_y, omega), ref,
-                         normalized=True)
+        d = _dynamic_rhs((0.0, 0.0, 0.0, v_x, v_y, omega), delta, holding_gate(v_y, omega),
+                         norm_ref)
         assert abs(d[3]) < 1e-9  # the holding gate does its job
         return d[4], d[5]
 

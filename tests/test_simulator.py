@@ -9,8 +9,9 @@ from scipy.optimize import brentq
 from conftest import curve_laws
 from minicar import models, simulator
 from minicar.delay import estimate_delay_xcorr
-from minicar.errors import ConfigError, DataError, IntegrationError, SimulationDiverged
-from minicar.integrators import non_finite_state, rk4_step
+from minicar.errors import (ConfigError, DataError, IntegrationError, MinicarError,
+                            SimulationDiverged)
+from minicar.integrators import rk4_step
 from minicar.params import (Delays, FrictionParams, Geometry, MotorParams, SteeringParams,
                             TireParams, VehicleParams)
 from minicar.scenarios import (
@@ -227,8 +228,7 @@ def _step_at_a_time(scenario, params, limit=None):
     SimulationDiverged with the states before it."""
     geom, dt, times = params.geometry, scenario.dt, scenario.times
     normalized = params.normalized_slip
-    rate, rates_at = curve_laws(tuple(params.motor), tuple(params.friction), tuple(params.tire),
-                                geom, normalized)
+    rate, rates_at = curve_laws(params)
     lag_tau = int(round(params.delays.long_delay / dt))
     lag_s = int(round(params.delays.steer_delay / dt))
     states = np.empty((times.size, len(scenario.initial_state)))
@@ -252,10 +252,8 @@ def _step_at_a_time(scenario, params, limit=None):
             else:
                 rates = rates_at(gate, delta, np.cos(delta), np.sin(delta))
                 states[k + 1] = rk4_step(lambda y: models.dynamic_rhs(y, rates), y, dt)
-        except IntegrationError:
-            raise non_finite_state(t) from None
-        except DataError:
-            raise models.slip_refusal(t) from None
+        except MinicarError as exc:
+            raise exc.at(t) from None
         if limit is not None and np.abs(states[k + 1]).max() > limit:
             raise SimulationDiverged("reference", t=float(times[k + 1]),
                                      trajectory=states[:k + 1])

@@ -64,6 +64,16 @@ def test_dynamic_validation_requires_pose(ref, tmp_path):
         one_step_rms(read_table(path), ref, "dynamic")
 
 
+def test_dynamic_validation_of_a_pose_log_shorter_than_the_smoothing_window_is_refused(ref):
+    """Reconstructing v_y smooths the pose over SMOOTH_WINDOW rows, so a
+    3-row pose log without v_y fails at the boundary, giving its count."""
+    table = read_table(b"t,tau,s,v_enc,omega_imu,x_t,y_t,eta_t\n0,0.3,0,0.5,0,0,0,0\n"
+                       b"0.01,0.3,0,0.5,0,0.005,0,0\n0.02,0.3,0,0.5,0,0.01,0,0\n")
+    with pytest.raises(DataError, match=rf"^reconstructing v_y from the pose needs at least "
+                                        rf"{SMOOTH_WINDOW} rows, got 3$"):
+        one_step_rms(table, ref, "dynamic")
+
+
 def test_dynamic_validation_reconstructs_lateral_velocity(ref, tmp_path):
     scen = _scenario(model="dynamic", duration=6.0, mocap=True, init=(0, 0, 0, 0.5, 0, 0))
     log = synthesize_log(scen, ref, NoiseSpec(), 0)
