@@ -2,16 +2,16 @@
 
 ``fit``, ``simulate`` and ``generate`` write a ``run_manifest.json``
 beside their outputs recording the exact inputs (with content hashes),
-the seed, package and library versions and the fixed thresholds of the
-path that ran, so reruns reproduce outputs bit for bit. ``validate``
-writes only the report it prints.
+the seed, the versions (numpy's SIMD extensions and libc too) and the
+fixed thresholds of the path that ran, so reruns on the same CPU path
+reproduce outputs bit for bit. ``validate`` writes only its report.
 
 ``fit`` runs the stages of ``pipeline.PLAN`` and writes one report
 entry per stage report, one loss trace per fit and one plot per fitted
 curve. The stages it requires come from ``pipeline.STAGES``: those of
-``--stages``, checked before any log is read, or else every stage but
-``tire`` when there are no motion-capture logs, since a vehicle without
-a tire model still runs the kinematic model.
+``--stages``, checked with the geometry options before any log is
+read, or else every stage but ``tire`` when there are no motion-capture
+logs, since a vehicle without a tire model still runs the kinematic model.
 
 ``generate`` runs its scenarios in worker processes forked from the
 command, one per CPU it may run on, or in process where the platform
@@ -26,6 +26,8 @@ parameter file records; the other commands follow their ``--params``.
 ``main`` parses with one parser per process. It is built on the first
 call, and its set_defaults(func=...) binds the command functions then.
 Each call sets the ``minicar`` loggers' level: DEBUG with -v, else INFO.
+A refusal raises a MinicarError where it is found; ``main`` logs it and
+returns 2, so a command itself returns only 0, or 1 for unfitted stages.
 
 Importing the module loads only the minicar modules every command runs.
 Each command imports the rest where it runs them: ``fit`` the pipeline,
@@ -40,6 +42,7 @@ import functools
 import json
 import logging
 import os
+import platform
 import sys
 import time
 from dataclasses import asdict, dataclass, field
@@ -48,7 +51,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, models, scenarios, simulator
-from .errors import ConfigError, MinicarError
+from .errors import ConfigError, DataError, MinicarError
 from .logs import load_log, save_log
 from .params import (Geometry, from_json, load_params, read_json_object, reference_params,
                      save_params, write_json)
@@ -87,17 +90,16 @@ def _fit_defaults() -> dict:
 
 def _write_manifest(out_dir: Path, args: argparse.Namespace, inputs: list[Path],
                     defaults: dict, extra: dict) -> None:
+    simd = np.show_config(mode="dicts")["SIMD Extensions"]  # the CPU path that made the bytes
     doc = {
         "command": args.command,
         "arguments": {
             k: str(v) for k, v in sorted(vars(args).items()) if k not in ("command", "func")
         },
         "inputs": {str(p): _sha256(p) for p in inputs if p.is_file()},
-        "versions": {
-            "minicar": __version__,
-            "numpy": np.__version__,
-            "python": sys.version.split()[0],
-        },
+        "versions": {"minicar": __version__, "numpy": np.__version__,
+                     "numpy_simd": {key: simd.get(key, []) for key in ("baseline", "found")},
+                     "libc": platform.libc_ver(), "python": sys.version.split()[0]},
         "defaults": defaults,
         **extra,
     }
@@ -224,39 +226,38 @@ _FIT_FIELDS = {
 }
 
 
-def _out_names_directory(out: str, what: str) -> bool:
-    """Whether ``--out`` names a directory, not the ``what`` file; logs why."""
+def _check_out(out: str, what: str) -> None:
+    """ConfigError when ``--out`` names a directory, not the ``what`` file."""
     if out.endswith(("/", os.sep)) or Path(out).is_dir():
-        logger.error("--out %s names a directory, not the %s", out, what)
-        return True
-    return False
+        raise ConfigError(f"--out {out} names a directory, not the {what}")
+
+
+def _geometry(args) -> Geometry:
+    """``Geometry.rectangle`` of fit's options; ConfigError naming one that breaks its rule."""
+    for name in ("mass", "wheelbase", "width"):
+        if not 0 < getattr(args, name) < np.inf:
+            raise ConfigError(f"--{name} {getattr(args, name)}: {name} must be finite and > 0")
+    if args.lf is not None and not 0 <= args.lf <= args.wheelbase:
+        raise ConfigError(f"--lf {args.lf}: lf must lie in [0, wheelbase]")
+    return Geometry.rectangle(args.mass, args.wheelbase, args.width, args.lf)
 
 
 def cmd_fit(args) -> int:
     from . import pipeline  # here, not at the top: only fit runs the fit modules
 
-    if _out_names_directory(args.out, "parameter file"):
-        return 2
+    _check_out(args.out, "parameter file")
+    geometry = _geometry(args)
     logs_dir = Path(args.logs)
     if not logs_dir.is_dir():
-        logger.error("logs directory %s does not exist", logs_dir)
-        return 2
-
+        raise ConfigError(f"logs directory {logs_dir} does not exist")
     stages = tuple(args.stages.split(",")) if args.stages else pipeline.STAGES
     pipeline.check_stages(stages)
     tagged, files = _collect_logs(logs_dir, {tag for name, tags, *_ in pipeline.PLAN
                                              if name in stages for tag in tags})
     if not any(tagged.values()):
-        logger.error("no tagged logs found under %s", logs_dir)
-        return 2
-
-    try:
-        geometry = Geometry.rectangle(args.mass, args.wheelbase, args.width, args.lf)
-        result = pipeline.fit_pipeline(tagged, geometry, normalized_slip=args.normalized_slip,
-                                       stages=stages)
-    except MinicarError as exc:
-        logger.error("fit failed: %s", exc)
-        return 2
+        raise DataError(f"no tagged logs found under {logs_dir}")
+    result = pipeline.fit_pipeline(tagged, geometry, normalized_slip=args.normalized_slip,
+                                   stages=stages)
 
     out_path = Path(args.out)
     out_dir = out_path.parent
@@ -415,8 +416,8 @@ def cmd_generate(args) -> int:
 def cmd_validate(args) -> int:
     from . import validation  # here, not at the top: no other command validates
 
-    if args.out and _out_names_directory(args.out, "report file"):
-        return 2
+    if args.out:
+        _check_out(args.out, "report file")
     params = load_params(args.params)
     table = validation.read_table(args.log)
     rms = validation.one_step_rms(table, params, args.model)

@@ -1,10 +1,10 @@
 """Turn raw logs into labelled rows for the staged sub-model fits.
 
 Each builder's Dataset holds the argument columns of one sub-model
-curve and a label of forces or angles derived from the log by
-smoothing, numerical differentiation and rigid-body bookkeeping. A
-builder skips a log too short for its smoothing windows, and raises
-DataError only when no log gives a row.
+curve and a label derived from the log by smoothing, differentiation,
+rigid-body bookkeeping or ``models.kinematic_steering_angle``. A builder
+skips a log too short for its smoothing windows, and raises DataError
+only when no log gives a row.
 """
 
 from __future__ import annotations
@@ -145,24 +145,6 @@ def build_motor_dataset(logs: Sequence[RawLog], m: float, friction) -> Dataset:
     return _stacked(blocks)
 
 
-def estimate_steering_angle_series(omega, v, l: float) -> np.ndarray:
-    """Steering angle arctan(l * omega / v) from yaw rate and speed.
-
-    Rows with v <= V_MIN are flagged as NaN rather than silently
-    dropped, so callers keep their index alignment.
-    """
-    omega = np.asarray(omega, dtype=float)
-    v = np.asarray(v, dtype=float)
-    if omega.shape != v.shape:
-        raise DataError("omega and v must have equal length")
-    ok = v > V_MIN
-    if not np.any(ok):
-        raise DataError(f"all rows have v <= v_min ({V_MIN} m/s)")
-    out = np.full(omega.shape, np.nan)
-    out[ok] = np.arctan(l * omega[ok] / v[ok])
-    return out
-
-
 def _constant_runs(values: np.ndarray) -> list[tuple[int, int]]:
     """(start, stop) index pairs of the maximal runs of equal values."""
     if values.size == 0:
@@ -206,8 +188,8 @@ def build_steering_dataset(logs: Sequence[RawLog], l: float) -> Dataset:
                     log.name or "<log>",
                 )
                 continue
-            delta = estimate_steering_angle_series(seg_omega[usable], seg_v[usable], l)
-            blocks.append(((log.s[start],), np.nanmean(delta)))
+            delta = models.kinematic_steering_angle(seg_omega[usable], seg_v[usable], l)
+            blocks.append(((log.s[start],), np.mean(delta)))
     if not blocks:
         raise DataError("no steady constant-steering segments found")
     if skipped:

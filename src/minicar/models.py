@@ -162,6 +162,11 @@ def kinematic_yaw_rate(v, tan_delta, geom: Geometry):
     return v * tan_delta / geom.l
 
 
+def kinematic_steering_angle(omega, v, l: float):
+    """The road-wheel angle of ``kinematic_yaw_rate`` inverted; ``v`` must be nonzero."""
+    return np.arctan(l * omega / v)
+
+
 def rolling_body(v, tan_delta, geom: Geometry) -> tuple:
     """The body state ``(v_x, v_y, omega)`` of a dynamic model rolling
     rigidly, like the kinematic one, at speed ``v``."""

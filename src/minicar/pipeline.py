@@ -75,7 +75,7 @@ class PipelineResult:
 
 
 def measure_steer_delay(log: RawLog, steering, l: float) -> float:
-    """Cross-correlate commanded vs kinematically observed steering angle."""
+    """The delay of ``models.kinematic_steering_angle`` behind the commanded angle."""
     v = smooth(log.v_enc, ds.SMOOTH_WINDOW)
     omega = smooth(log.omega_imu, ds.SMOOTH_WINDOW)
     moving = v > ds.V_MIN
@@ -85,7 +85,7 @@ def measure_steer_delay(log: RawLog, steering, l: float) -> float:
     if stop - start < ds.MIN_SEGMENT_ROWS:
         raise DataError("sinusoidal log has no usable stretch with v > v_min")
     commanded = models.steering_angle(log.s[start:stop], steering)
-    measured = ds.estimate_steering_angle_series(omega[start:stop], v[start:stop], l)
+    measured = models.kinematic_steering_angle(omega[start:stop], v[start:stop], l)
     return estimate_delay_xcorr(commanded, measured, log.dt)
 
 

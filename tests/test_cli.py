@@ -3,6 +3,7 @@ import json
 import logging
 import multiprocessing
 import os
+import platform
 import subprocess
 import sys
 import warnings
@@ -495,6 +496,76 @@ def test_fit_checks_its_stages_before_reading_any_log(tmp_path, caplog, monkeypa
     assert "['bogus']" in error and "friction, motor, steering, delay, tire" in error
 
 
+@pytest.mark.parametrize("option, value, rule", [
+    ("--mass", "-1", "mass must be finite and > 0"),
+    ("--width", "0", "width must be finite and > 0"),
+    ("--wheelbase", "0", "wheelbase must be finite and > 0"),
+    ("--lf", "0.3", "lf must lie in [0, wheelbase]"),
+    ("--mass", "nan", "mass must be finite and > 0"),
+])
+def test_fit_checks_its_geometry_before_reading_any_log(tmp_path, caplog, monkeypatch, option,
+                                                        value, rule):
+    """A geometry option that breaks its rule exits 2 with one error
+    naming the option and the rule, before any log is parsed."""
+    monkeypatch.setattr(cli, "load_log", lambda path: pytest.fail(f"{path} was read"))
+    out = tmp_path / "fit" / "p.json"
+    assert main(["fit", "--logs", str(_unreadable_logs(tmp_path)), "--out", str(out),
+                 option, value]) == 2
+    assert _one_error(caplog) == f"{option} {float(value)}: {rule}"
+    assert not out.parent.exists()
+
+
+def _unreadable_logs(tmp_path) -> Path:
+    """A log directory whose one tagged log no parser accepts."""
+    log = tmp_path / "logs" / "steer" / "a.csv"
+    log.parent.mkdir(parents=True, exist_ok=True)
+    log.write_text("not a log\n")
+    return log.parent.parent
+
+
+# Runs ``cli.main`` on its arguments, with the log and table readers
+# failing the run when called, and exits with its status.
+_UNREAD = """
+import sys
+from minicar import cli, validation
+
+def read(path):
+    raise AssertionError(f"{path} was read")
+
+cli.load_log = validation.read_table = read
+sys.exit(cli.main(sys.argv[1:]))
+"""
+
+
+@pytest.mark.parametrize("case", ["fit --out", "missing logs", "empty logs", "stages",
+                                  "geometry", "validate --out"])
+def test_every_refusal_exits_2_with_one_error_line(tmp_path, params_file, case):
+    """Each refusal of the command line is raised where it is found and
+    reported by ``main``: status 2, one ``ERROR minicar.cli:`` line, no
+    traceback, and no log or table read."""
+    logs, empty, out = _unreadable_logs(tmp_path), tmp_path / "empty", tmp_path / "fit" / "p.json"
+    empty.mkdir()
+    fit = ["fit", "--logs", str(logs), "--out", str(out)]
+    argv, error = {
+        "fit --out": (["fit", "--logs", str(logs), "--out", str(tmp_path)],
+                      f"--out {tmp_path} names a directory, not the parameter file"),
+        "missing logs": (["fit", "--logs", str(tmp_path / "none"), "--out", str(out)],
+                         f"logs directory {tmp_path / 'none'} does not exist"),
+        "empty logs": (["fit", "--logs", str(empty), "--out", str(out)],
+                       f"no tagged logs found under {empty}"),
+        "stages": ([*fit, "--stages", "bogus"], "unknown stages requested: ['bogus']"),
+        "geometry": ([*fit, "--width", "-0.1"], "--width -0.1: width must be finite and > 0"),
+        "validate --out": (["validate", "--params", str(params_file), "--log", "log.csv",
+                            "--model", "kinematic", "--out", f"{tmp_path}/"],
+                           f"--out {tmp_path}/ names a directory, not the report file"),
+    }[case]
+    proc = _python("-c", _UNREAD, *argv)
+    assert proc.returncode == 2, proc.stderr
+    (line,) = [line for line in proc.stderr.splitlines() if line.startswith("ERROR ")]
+    assert line.startswith(f"ERROR minicar.cli: {error}")
+    assert "Traceback" not in proc.stderr and proc.stdout == "" and not out.parent.exists()
+
+
 def test_fit_on_empty_directory_fails(tmp_path, params_file):
     empty = tmp_path / "empty"
     empty.mkdir()
@@ -677,6 +748,27 @@ def test_run_manifest_records_the_package_version(tmp_path, params_file):
                  "--out", str(out)]) == 0
     versions = json.loads((out / "run_manifest.json").read_text())["versions"]
     assert versions["minicar"] == minicar.__version__
+
+
+def test_run_manifest_records_the_cpu_path_numpy_took(tmp_path, params_file):
+    """``versions`` records numpy's SIMD baseline and the extensions it
+    found, which NPY_DISABLE_CPU_FEATURES turns off, and the C library."""
+    simd = np.show_config(mode="dicts")["SIMD Extensions"]
+    found = simd.get("found", [])
+    if not found:
+        pytest.skip("numpy finds no SIMD extension beyond its baseline on this CPU")
+    scenario = write_scenario(tmp_path, duration=0.5)
+    for out, disabled in (("sim", None), ("baseline_only", " ".join(found))):
+        env = {"NPY_DISABLE_CPU_FEATURES": disabled} if disabled else {}
+        proc = _run_module("simulate", "--params", str(params_file), "--scenario", str(scenario),
+                           "--out", str(tmp_path / out), **env)
+        assert proc.returncode == 0, proc.stderr
+    sim, baseline_only = (
+        json.loads((tmp_path / out / "run_manifest.json").read_text())["versions"]
+        for out in ("sim", "baseline_only"))
+    assert sim["numpy_simd"] == {"baseline": simd["baseline"], "found": found}
+    assert baseline_only["numpy_simd"] == {"baseline": simd["baseline"], "found": []}
+    assert sim["libc"] == baseline_only["libc"] == list(platform.libc_ver())
 
 
 def test_run_manifest_records_every_scalar_default(tmp_path, params_file):
@@ -869,13 +961,19 @@ def test_generate_records_steps_and_time_per_scenario(tmp_path, params_file):
         f"{s.name}.csv" for s in library]
 
 
-def _run_module(*args) -> subprocess.CompletedProcess:
-    """``python -m minicar.cli *args`` in a fresh interpreter that imports
-    this checkout's package."""
+def _python(*argv, **env) -> subprocess.CompletedProcess:
+    """``python *argv`` in a fresh interpreter that imports this
+    checkout's package, with ``env`` added to the environment."""
     src = str(Path(minicar.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-    return subprocess.run([sys.executable, "-m", "minicar.cli", *args],
-                          capture_output=True, text=True, env=env, timeout=120)
+    env = {**os.environ, **env,
+           "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    return subprocess.run([sys.executable, *argv], capture_output=True, text=True, env=env,
+                          timeout=120)
+
+
+def _run_module(*args, **env) -> subprocess.CompletedProcess:
+    """``python -m minicar.cli *args`` in a fresh interpreter."""
+    return _python("-m", "minicar.cli", *args, **env)
 
 
 def test_run_as_a_module_the_cli_logs_under_minicar_cli(tmp_path):

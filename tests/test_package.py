@@ -16,6 +16,7 @@ import types
 from pathlib import Path
 
 import minicar
+from minicar import cli
 from minicar.cli import build_parser
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -113,3 +114,18 @@ def test_no_module_imports_a_name_it_never_uses():
     each kept for its reason, may stay, and each of them is still unused."""
     unused = set().union(*map(_unused_imports, Path(minicar.__file__).parent.glob("*.py")))
     assert unused == set(UNUSED_IMPORTS), sorted(unused ^ set(UNUSED_IMPORTS))
+
+
+def test_every_command_returns_only_0_or_1():
+    """A command raises its refusals and leaves reporting them, with
+    status 2, to ``main``: every ``return`` of a ``cli.cmd_*`` function
+    returns the literal 0, or 1 for stages that did not fit."""
+    tree = ast.parse(Path(cli.__file__).read_text())
+    commands = [node for node in tree.body
+                if isinstance(node, ast.FunctionDef) and node.name.startswith("cmd_")]
+    assert len(commands) == 4
+    other = [f"{command.name}:{node.lineno}" for command in commands
+             for node in ast.walk(command) if isinstance(node, ast.Return)
+             and not (isinstance(node.value, ast.Constant) and type(node.value.value) is int
+                      and node.value.value in (0, 1))]
+    assert not other, other
