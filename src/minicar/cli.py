@@ -178,32 +178,33 @@ def _data_range(x: np.ndarray) -> np.ndarray:
     return np.linspace(float(x.min()), float(x.max()), 200)
 
 
-# One plot per fitted curve, keyed by its stage report: the file, the fit
-# stage whose curve it draws at its fitted parameters, the dataset's input
+# One plot per fitted curve, keyed by its stage report: the file, the
+# ``models`` curve it draws at its fitted parameters, the dataset's input
 # column on the horizontal axis, the grid over it, the title and the axis
 # labels. The motor curve is drawn at each of the first six throttle levels.
 _PLOTS = {
-    "friction": ("fit_friction.svg", "friction", 0, _from_zero,
+    "friction": ("fit_friction.svg", models.friction_force, 0, _from_zero,
                  "Friction curve", "v [m/s]", "F [N]"),
-    "motor": ("fit_motor.svg", "motor", 1, _from_zero, "Motor curve", "v [m/s]", "F [N]"),
-    "steering": ("fit_steering.svg", "steering", 0, lambda _: np.linspace(-1.0, 1.0, 200),
-                 "Steering map", "s", "delta [rad]"),
-    "tire": ("fit_tire_front.svg", "front_tire", 0, _data_range,
+    "motor": ("fit_motor.svg", models.motor_force, 1, _from_zero,
+              "Motor curve", "v [m/s]", "F [N]"),
+    "steering": ("fit_steering.svg", models.steering_angle, 0,
+                 lambda _: np.linspace(-1.0, 1.0, 200), "Steering map", "s", "delta [rad]"),
+    "tire": ("fit_tire_front.svg", models.pacejka_lateral, 0, _data_range,
              "Front tire", "alpha [rad]", "F_y [N]"),
-    "tire_rear": ("fit_tire_rear.svg", "rear_tire", 0, _data_range,
+    "tire_rear": ("fit_tire_rear.svg", models.rear_lateral, 0, _data_range,
                   "Rear tire", "alpha [rad]", "F_y [N]"),
 }
 
 
 def _fit_plots(result, out_dir: Path) -> None:
     """One plot per fitted curve of ``pipeline.fit_pipeline``'s result."""
-    from . import fitting, svgplot  # only fit plots fitted curves
+    from . import svgplot  # only fit plots fitted curves
 
     for r in result.stages:
         if r.data is None:
             continue
-        filename, stage, column, grid_of, title, x_label, y_label = _PLOTS[r.name]
-        curve, p = fitting._STAGES[stage].curve, r.result.params
+        filename, curve, column, grid_of, title, x_label, y_label = _PLOTS[r.name]
+        p = r.result.params
         x = r.data.inputs[column]
         grid = grid_of(x)
         curves = [("fit", curve(grid, p))] if len(r.data.inputs) == 1 else [
@@ -228,8 +229,8 @@ _FIT_FIELDS = {
 
 def _check_out(out: str, what: str) -> None:
     """ConfigError when ``--out`` names a directory, not the ``what`` file."""
-    if out.endswith(("/", os.sep)) or Path(out).is_dir():
-        raise ConfigError(f"--out {out} names a directory, not the {what}")
+    if out.endswith(("/", os.sep)) or Path(out).is_dir():  # "" is the current directory
+        raise ConfigError(f"--out {out or repr(out)} names a directory, not the {what}")
 
 
 def _geometry(args) -> Geometry:
@@ -398,8 +399,11 @@ def _seed(text: str) -> int:
 def cmd_generate(args) -> int:
     params = load_params(args.params)
     noise = simulator.load_noise(args.noise)
-    library = [(tag, scenario) for tag, battery in
-               scenarios.scenario_library(dt=args.dt).items() for scenario in battery]
+    try:
+        batteries = scenarios.scenario_library(dt=args.dt)
+    except ConfigError as exc:  # the rule is the scenario's; the value is the option's
+        raise ConfigError(f"--dt {args.dt}: {exc}") from None
+    library = [(tag, scenario) for tag, battery in batteries.items() for scenario in battery]
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     seeds = np.random.SeedSequence(args.seed).spawn(len(library))

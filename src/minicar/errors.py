@@ -1,8 +1,7 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package. Each is rebuilt from its message
+alone, so Python's own pickling carries it, attributes and all, between processes."""
 
 from __future__ import annotations
-
-import copyreg
 
 
 class MinicarError(Exception):
@@ -16,11 +15,6 @@ class MinicarError(Exception):
     def at(self, t: float, row: int | None = None) -> MinicarError:
         """This error of one step placed at its time ``t`` and, in a log, 1-based ``row``."""
         return type(self)(f"{self} at t={t:.6f} s", row=row)
-
-    def __reduce__(self):
-        # Unpickling rebuilds the error from its class, args and attributes,
-        # without __init__, whose parameters differ between subclasses.
-        return copyreg.__newobj__, (type(self), *self.args), self.__dict__
 
 
 class ParseError(MinicarError):
@@ -38,8 +32,8 @@ class ConfigError(MinicarError):
 class FitDivergedError(MinicarError):
     """A fit started at a non-finite loss or met a non-finite Jacobian."""
 
-    def __init__(self, message: str, iteration: int):
-        super().__init__(f"{message} (iteration {iteration})")
+    def __init__(self, message: str, iteration: int | None = None):
+        super().__init__(message if iteration is None else f"{message} (iteration {iteration})")
         self.iteration = iteration
 
 
@@ -54,7 +48,7 @@ class SimulationDiverged(MinicarError):
     what happened up to the failure time.
     """
 
-    def __init__(self, message: str, t: float, trajectory=None):
-        super().__init__(f"{message} (t={t:.4f} s)")
+    def __init__(self, message: str, t: float | None = None, trajectory=None):
+        super().__init__(message if t is None else f"{message} (t={t:.4f} s)")
         self.t = t
         self.trajectory = trajectory

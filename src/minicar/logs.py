@@ -21,7 +21,6 @@ header rules on top.
 
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -142,8 +141,9 @@ def _parse_rows(lines: list[str], width: int, where: str) -> np.ndarray:
 def read_table(source, name: str = "") -> dict[str, np.ndarray]:
     """Parse a header line and numeric rows into named float columns.
 
-    ``source`` is a path, bytes, or a text or binary stream; one leading
-    byte-order mark (U+FEFF) is dropped. Raises
+    ``source`` is a path, bytes, or a text or binary stream, read whole;
+    bytes are decoded once, CR LF and a lone CR end a line as LF does,
+    and one leading byte-order mark (U+FEFF) is dropped. Raises
     ParseError, naming the 1-based row where there is one, for text
     that is not UTF-8, an empty file, duplicate column names, a header
     without rows, a wrong field count and a non-numeric or non-finite
@@ -152,16 +152,12 @@ def read_table(source, name: str = "") -> dict[str, np.ndarray]:
     """
     if isinstance(source, (str, Path)):
         name = name or str(source)
+        text = Path(source).read_bytes()  # bound to ``text`` alone, so decoding frees it
+    else:
+        text = source if isinstance(source, bytes) else source.read()
     where = name or "<stream>"
     try:
-        if isinstance(source, (str, Path)):
-            text = Path(source).read_text(encoding="utf-8")
-        elif isinstance(source, bytes):
-            text = source.decode("utf-8")
-        elif isinstance(source, io.TextIOBase):
-            text = source.read()
-        else:  # binary stream
-            text = source.read().decode("utf-8")
+        text = text.decode("utf-8") if isinstance(text, bytes) else text
     except UnicodeDecodeError as exc:
         raise ParseError(f"{where}: not UTF-8 text: {exc}") from exc
 
@@ -188,7 +184,8 @@ def read_table(source, name: str = "") -> dict[str, np.ndarray]:
 def load_log(source, name: str = "") -> RawLog:
     """Parse a RawLog from a path, text or binary stream.
 
-    Raises ParseError with a 1-based row number for malformed rows,
+    Raises ParseError, starting with the path (or ``name``, or
+    ``<stream>``), with a 1-based row number for malformed rows,
     non-finite fields, non-monotone or non-uniform time and
     out-of-range inputs.
     """
@@ -203,7 +200,12 @@ def load_log(source, name: str = "") -> RawLog:
     if extras not in ((), MOCAP_COLUMNS):
         raise ParseError(f"{where}: unrecognized extra columns {extras}")
     mocap = MocapBlock(*(table[c] for c in MOCAP_COLUMNS)) if extras else None
-    return RawLog(*(table[c] for c in REQUIRED_COLUMNS), mocap=mocap, name=name)
+    try:
+        return RawLog(*(table[c] for c in REQUIRED_COLUMNS), mocap=mocap, name=name)
+    except ParseError as exc:  # RawLog's rules name the row, not the file
+        named = ParseError(f"{where}: {exc}")
+        named.row = exc.row
+        raise named from None
 
 
 def format_table(header, columns) -> str:

@@ -67,12 +67,6 @@ class PipelineResult:
     stages: list[StageReport] = field(default_factory=list)
     steer_delay: float | None = None
 
-    def stage(self, name: str) -> StageReport:
-        for report in self.stages:
-            if report.name == name:
-                return report
-        raise KeyError(name)
-
 
 def measure_steer_delay(log: RawLog, steering, l: float) -> float:
     """The delay of ``models.kinematic_steering_angle`` behind the commanded angle."""

@@ -12,6 +12,16 @@ from .models import body_frame_velocity
 SMOOTH_WINDOW = 5
 
 
+def _window_sums(series: np.ndarray, half: int) -> tuple[np.ndarray, np.ndarray]:
+    """Sum and row count of each row's window of ``half`` rows per side,
+    clipped at the ends, by one cumulative sum."""
+    csum = np.concatenate(([0], np.cumsum(series)))
+    idx = np.arange(series.size)
+    lo = np.maximum(idx - half, 0)
+    hi = np.minimum(idx + half + 1, series.size)
+    return csum[hi] - csum[lo], hi - lo
+
+
 def smooth(series, window: int) -> np.ndarray:
     """Moving average with shrinking windows at the edges.
 
@@ -26,12 +36,8 @@ def smooth(series, window: int) -> np.ndarray:
         raise ConfigError(f"smoothing window {window} exceeds series length {n}")
     if window == 1:
         return series.copy()
-    half = window // 2
-    csum = np.concatenate(([0.0], np.cumsum(series)))
-    idx = np.arange(n)
-    lo = np.maximum(idx - half, 0)
-    hi = np.minimum(idx + half + 1, n)
-    return (csum[hi] - csum[lo]) / (hi - lo)
+    total, count = _window_sums(series, window // 2)
+    return total / count
 
 
 def differentiate(series, t) -> np.ndarray:
@@ -64,19 +70,13 @@ def erode_mask(mask, guard: int) -> np.ndarray:
     """Shrink the True regions of a boolean mask by ``guard`` samples per side.
 
     Used to keep differentiation stencils from straddling command
-    transitions: a row survives only if the whole neighborhood shares
-    its condition.
+    transitions: a row survives only if no row of its window of
+    ``guard`` rows per side, clipped at the ends, is False.
     """
     mask = np.asarray(mask, dtype=bool)
     if guard < 0:
         raise ConfigError("guard must be non-negative")
-    if guard == 0:
-        return mask.copy()
-    out = mask.copy()
-    for shift in range(1, guard + 1):
-        out[shift:] &= mask[:-shift]
-        out[:-shift] &= mask[shift:]
-    return out
+    return _window_sums(~mask, guard)[0] == 0
 
 
 def rolling_stats(series, window: int):

@@ -102,25 +102,12 @@ class Trajectory:
     applied_s: np.ndarray
 
     def __post_init__(self):
-        n = self.t.size
-        for a in (
-            self.states,
-            self.commanded_tau,
-            self.commanded_s,
-            self.applied_tau,
-            self.applied_s,
-        ):
-            if a.shape[0] != n:
-                raise ConfigError("trajectory series must share one length")
+        for a in (self.t, self.states, self.commanded_tau, self.commanded_s, self.applied_tau,
+                  self.applied_s):
             a.setflags(write=False)
-        self.t.setflags(write=False)
 
     def __len__(self) -> int:
         return int(self.t.size)
-
-    @property
-    def state_names(self) -> tuple[str, ...]:
-        return models.STATE_NAMES[self.model]
 
 
 def simulate(scenario: Scenario, params: VehicleParams) -> Trajectory:
@@ -316,7 +303,7 @@ def synthesize_log(scenario: Scenario, params: VehicleParams, noise: NoiseSpec, 
 def trajectory_to_csv(traj: Trajectory, params: VehicleParams) -> str:
     """Trajectory as CSV: the RawLog dialect extended with state columns."""
     omega = trajectory_yaw_rate(traj, params)
-    header = [*REQUIRED_COLUMNS, *APPLIED_COLUMNS, *traj.state_names]
+    header = [*REQUIRED_COLUMNS, *APPLIED_COLUMNS, *models.STATE_NAMES[traj.model]]
     columns = [traj.t, traj.commanded_tau, traj.commanded_s, traj.states[:, 3], omega,
                traj.applied_tau, traj.applied_s, *traj.states.T]
     return format_table(header, columns)

@@ -41,7 +41,7 @@ POSE_COLUMNS = (models.STATE_NAMES["kinematic"][:3], MOCAP_COLUMNS)
 def _applied_inputs(table: dict, params: VehicleParams, dt: float):
     for name in ("tau", "s", *APPLIED_COLUMNS):
         if name in table and (bad := command_out_of_range(table[name])) is not None:
-            raise DataError(f"{name} must lie in [-1, 1] (row {bad + 1})")
+            raise DataError(f"{name} must lie in [-1, 1]", row=bad + 1)
     if all(name in table for name in APPLIED_COLUMNS):
         return tuple(table[name] for name in APPLIED_COLUMNS)
     for have, missing in (APPLIED_COLUMNS, APPLIED_COLUMNS[::-1]):

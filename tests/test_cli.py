@@ -566,6 +566,34 @@ def test_every_refusal_exits_2_with_one_error_line(tmp_path, params_file, case):
     assert "Traceback" not in proc.stderr and proc.stdout == "" and not out.parent.exists()
 
 
+@pytest.mark.parametrize("value, rule", [
+    ("nan", "field 'dt' must be a finite number, got nan"),
+    ("-1", "field 'dt' must lie in (0, 0.05] s"),
+    ("0", "field 'dt' must lie in (0, 0.05] s"),
+    ("inf", "field 'dt' must be a finite number, got inf"),
+    ("1e-9", "duration / dt must give 1 to 999999 steps, got 1e+10"),
+])
+def test_generate_names_the_dt_it_refuses(tmp_path, params_file, caplog, value, rule):
+    """A ``--dt`` that breaks the scenarios' rule exits 2 with one error
+    naming the option and its value before the rule, and writes nothing."""
+    noise, out = tmp_path / "noise.json", tmp_path / "gen"
+    noise.write_text("{}")
+    assert main(["generate", "--params", str(params_file), "--noise", str(noise),
+                 "--seed", "1", "--dt", value, "--out", str(out)]) == 2
+    assert _one_error(caplog) == f"--dt {float(value)}: {rule}"
+    assert not out.exists()
+
+
+def test_fit_names_an_empty_out(tmp_path, caplog, monkeypatch):
+    """``fit --out ""`` exits 2 with one error that shows the empty value,
+    and writes nothing in the current directory."""
+    monkeypatch.chdir(tmp_path)
+    logs = _unreadable_logs(tmp_path)
+    assert main(["fit", "--logs", str(logs), "--out", ""]) == 2
+    assert _one_error(caplog) == "--out '' names a directory, not the parameter file"
+    assert sorted(tmp_path.iterdir()) == [logs]
+
+
 def test_fit_on_empty_directory_fails(tmp_path, params_file):
     empty = tmp_path / "empty"
     empty.mkdir()

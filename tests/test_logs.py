@@ -167,6 +167,48 @@ def test_a_log_with_a_byte_order_mark_loads_like_one_without(tmp_path, kind):
     assert marked.name == plain.name and marked.mocap is not None
 
 
+@pytest.mark.parametrize("end", ["\r\n", "\r"])
+def test_crlf_and_lone_cr_read_as_lf_from_every_source(tmp_path, end):
+    """A line may end in CR LF or a lone CR; a path, bytes, a text stream
+    and a binary stream all give the columns of the LF file."""
+    body = _csv([[0.0, 0.1, 0.0, 0.5, 0.01], [0.01, 0.1, 0.0, 0.52, 0.0]]) + "\n"
+    expected = logs.read_table(body.encode())
+    text = body.replace("\n", end)
+    path = tmp_path / "log.csv"
+    path.write_bytes(text.encode())
+    for source in (path, text.encode(), io.StringIO(text), io.BytesIO(text.encode())):
+        table = logs.read_table(source)
+        assert list(table) == list(expected)
+        assert all(table[c].tobytes() == expected[c].tobytes() for c in expected)
+
+
+@pytest.mark.parametrize("spoil, error, row", [
+    (lambda rows: rows[2].__setitem__(0, 0.01), "time must be strictly increasing", 3),
+    (lambda rows: rows[2].__setitem__(0, 0.025), "samples must lie on a uniform time grid", 3),
+    (lambda rows: rows[1].__setitem__(1, 1.5), "throttle and steering must lie in [-1, 1]", 2),
+], ids=["non-increasing", "non-uniform", "command"])
+def test_every_log_rule_names_the_file_in_load_log_and_fit(tmp_path, caplog, spoil, error, row):
+    """RawLog's own rules (a time step and the command range) fail with a
+    ParseError that starts with the log's path and keeps its row, as the
+    parser's do, and ``fit`` reports that error."""
+    from minicar.cli import main
+
+    rows = [[i * 0.01, 0.2, 0.0, 0.5, 0.0] for i in range(10)]
+    spoil(rows)
+    path = tmp_path / "logs" / "steer" / "a.csv"
+    path.parent.mkdir(parents=True)
+    path.write_text(_csv(rows) + "\n")
+    with pytest.raises(ParseError) as refused:
+        load_log(path)
+    assert str(refused.value) == f"{path}: {error} (row {row})"
+    assert refused.value.row == row
+    out = tmp_path / "fit" / "p.json"
+    assert main(["fit", "--logs", str(path.parent.parent), "--out", str(out)]) == 2
+    (message,) = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
+    assert message == str(refused.value)
+    assert not out.parent.exists()
+
+
 def test_dump_load_round_trip(tmp_path, rng):
     n = 20
     log = RawLog(

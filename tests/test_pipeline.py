@@ -9,6 +9,11 @@ from minicar.scenarios import sinusoidal_steering
 from minicar.simulator import NoiseSpec, synthesize_log
 
 
+def _stage(result, name: str):
+    """The report of stage ``name`` in a pipeline result."""
+    return {r.name: r for r in result.stages}[name]
+
+
 @pytest.fixture(scope="module")
 def full_result(ref, small_suite):
     return fit_pipeline(small_suite, ref.geometry)
@@ -47,7 +52,7 @@ def test_pipeline_recovers_parameters_coarsely(ref, full_result):
 def test_pipeline_without_mocap_skips_tire(ref, small_suite):
     logs = {k: v for k, v in small_suite.items() if k != "mocap"}
     result = fit_pipeline(logs, ref.geometry)
-    assert result.stage("tire").status == "skipped"
+    assert _stage(result, "tire").status == "skipped"
     assert result.params is not None
     assert result.params.tire is None
 
@@ -61,7 +66,7 @@ def test_pipeline_reports_a_failed_rear_tire_fit_as_one_failed_tire_stage(
     result = fit_pipeline(small_suite, ref.geometry)
     assert [(r.name, r.status) for r in result.stages][3:] == [("delay", "fitted"),
                                                                ("tire", "failed")]
-    assert result.stage("tire").detail == "rear tire did not fit"
+    assert _stage(result, "tire").detail == "rear tire did not fit"
     assert result.params is not None and result.params.tire is None
 
 
@@ -73,7 +78,7 @@ def test_pipeline_empty_input_raises(ref):
 def test_pipeline_motor_fails_without_friction(ref, small_suite):
     logs = {"step": small_suite["step"]}
     result = fit_pipeline(logs, ref.geometry, stages=("motor",))
-    motor = result.stage("motor")
+    motor = _stage(result, "motor")
     assert motor.status == "failed"
     assert "friction" in motor.detail
 
@@ -81,8 +86,8 @@ def test_pipeline_motor_fails_without_friction(ref, small_suite):
 def test_pipeline_delay_fails_without_steering(ref, small_suite):
     logs = {"sine": small_suite["sine"]}
     result = fit_pipeline(logs, ref.geometry)
-    assert result.stage("delay").status == "failed"
-    assert result.stage("steering").status == "skipped"
+    assert _stage(result, "delay").status == "failed"
+    assert _stage(result, "steering").status == "skipped"
 
 
 def _sine_heads(small_suite):
@@ -98,7 +103,7 @@ def test_pipeline_delay_skips_sine_logs_too_short_to_use(ref, small_suite, full_
     logs = {"steer": small_suite["steer"],
             "sine": _sine_heads(small_suite) + small_suite["sine"]}
     result = fit_pipeline(logs, ref.geometry, stages=("steering", "delay"))
-    assert result.stage("delay").status == "fitted"
+    assert _stage(result, "delay").status == "fitted"
     assert result.steer_delay == full_result.steer_delay
     assert "head4" in caplog.text and "head8" in caplog.text
 
@@ -106,7 +111,7 @@ def test_pipeline_delay_skips_sine_logs_too_short_to_use(ref, small_suite, full_
 def test_pipeline_delay_fails_when_no_sine_log_has_a_usable_stretch(ref, small_suite):
     logs = {"steer": small_suite["steer"], "sine": _sine_heads(small_suite)}
     result = fit_pipeline(logs, ref.geometry, stages=("steering", "delay"))
-    delay = result.stage("delay")
+    delay = _stage(result, "delay")
     assert delay.status == "failed"
     assert "usable stretch" in delay.detail
     assert result.steer_delay is None
@@ -119,8 +124,8 @@ def test_pipeline_rejects_unknown_stage(ref, small_suite):
 
 def test_pipeline_subset_runs_only_requested(ref, small_suite):
     result = fit_pipeline(small_suite, ref.geometry, stages=("friction",))
-    assert result.stage("friction").status == "fitted"
-    assert result.stage("motor").detail == "not requested"
+    assert _stage(result, "friction").status == "fitted"
+    assert _stage(result, "motor").detail == "not requested"
     assert result.params is None  # cannot assemble a full set
 
 

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from minicar.errors import ConfigError, DataError
 from minicar.preprocess import differentiate, erode_mask, rolling_stats, smooth
@@ -71,6 +73,20 @@ def test_erode_mask():
         np.array([0, 0, 1, 1, 1, 0, 0, 0], dtype=bool),
     )
     np.testing.assert_array_equal(erode_mask(mask, 0), mask)
+
+
+def _erode_mask_by_loop(mask, guard):
+    return [all(mask[max(i - guard, 0):i + guard + 1]) for i in range(len(mask))]
+
+
+@given(mask=st.lists(st.booleans(), max_size=60), guard=st.integers(0, 40))
+@example(mask=[], guard=0)
+@example(mask=[], guard=3)
+def test_erode_mask_matches_a_plain_loop(mask, guard):
+    """A row survives when every row of its window, clipped at the ends, is True."""
+    eroded = erode_mask(np.array(mask, dtype=bool), guard)
+    assert eroded.dtype == bool
+    assert eroded.tolist() == _erode_mask_by_loop(mask, guard)
 
 
 def test_rolling_stats_constant():

@@ -148,5 +148,6 @@ def test_traced_fit_pipeline_opens_no_tire_curve_span(ref, small_suite):
         spans = tracer.snapshot()[0]
     finally:
         tracer.restore()
-    assert result.stage("tire").fitted and result.stage("tire_rear").fitted
+    reports = {r.name: r for r in result.stages}
+    assert reports["tire"].fitted and reports["tire_rear"].fitted
     assert spans["models.pacejka_lateral"][0] == spans["models.rear_lateral"][0] == 0

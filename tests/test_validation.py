@@ -168,8 +168,10 @@ def test_one_step_rms_rejects_commands_outside_unit_range(ref, column, value, ro
     table = {name: np.zeros(n) for name in ("tau", "s", "tau_applied", "s_applied", "v_enc")}
     table["t"] = np.arange(n) * 0.01
     table[column][row - 1] = value
-    with pytest.raises(DataError, match=rf"{column} must lie in \[-1, 1\] \(row {row}\)"):
+    with pytest.raises(DataError,
+                       match=rf"{column} must lie in \[-1, 1\] \(row {row}\)") as caught:
         one_step_rms(table, ref, "kinematic")
+    assert caught.value.row == row
     table[column][row - 1] = 1 + 1e-10  # within the tolerance
     one_step_rms(table, ref, "kinematic")
 
