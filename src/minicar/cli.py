@@ -13,12 +13,12 @@ curve. The stages it requires come from ``pipeline.STAGES``: those of
 read, or else every stage but ``tire`` when there are no motion-capture
 logs, since a vehicle without a tire model still runs the kinematic model.
 
-``generate`` runs its scenarios in worker processes forked from the
-command, one per CPU it may run on, or in process where the platform
-cannot fork. Each scenario's noise seed follows its place in the
-library, so the outputs do not depend on the number of CPUs, and the
-manifests list the scenarios in library order. A failure reports the
-first failing scenario in library order and writes no manifest.
+``generate`` runs its scenarios in workers forked from the command
+(``_generate_all``), or in process where the platform cannot fork. Each
+scenario's noise seed follows its place in the library, so the outputs
+do not depend on the number of CPUs, and the manifests list the
+scenarios in library order. A failure reports the first failing scenario
+in library order, or a dead worker, and writes no manifest.
 
 ``fit --normalized-slip`` picks the slip-angle convention, which the
 parameter file records; the other commands follow their ``--params``.
@@ -42,6 +42,7 @@ import functools
 import json
 import logging
 import os
+import pickle
 import platform
 import sys
 import time
@@ -357,31 +358,76 @@ def _generate_one(tag: str, scenario: scenarios.Scenario, seed: int, params, noi
     return _LogEntry(filename, tag), run
 
 
+def _work(jobs: list[tuple], job_r: int, result_w: int):
+    """A forked worker: run each job whose number it reads from ``job_r``,
+    then write one pickle of their results and errors, by job number, to
+    ``result_w``. It leaves by ``os._exit``, even on KeyboardInterrupt, so
+    it never runs the parent's exit handlers or flushes the parent's buffers."""
+    try:
+        done = {}
+        while record := os.read(job_r, 4):
+            i = int.from_bytes(record, "little")
+            try:
+                done[i] = _generate_one(*jobs[i])
+            except Exception as exc:
+                done[i] = exc
+        with open(result_w, "wb") as out:
+            pickle.dump(done, out)
+        os._exit(0)
+    finally:
+        os._exit(1)
+
+
 def _generate_all(jobs: list[tuple]) -> list[tuple]:
     """``_generate_one`` of every job, in job order.
 
-    Where the platform can fork, the jobs run in forked workers, one per
-    CPU this process may run on, the longest scenario first. A forked
-    worker starts without importing numpy again, which takes 0.3-0.8 s,
-    and the pool forks every worker before it starts a thread of its
-    own. The error of the first failing job in job order is raised once
-    no job runs any more.
+    Where the platform can fork, ``_work`` runs the jobs in forked workers,
+    one per CPU this process may run on, which need not import numpy again
+    (0.3-0.8 s); the command starts no thread that a fork could break. The
+    job numbers, longest scenario first, fill one pipe before the first
+    fork. Each worker is read to the end and reaped, and any way out kills
+    and reaps the rest. The first failing job's error in job order is
+    raised, or one naming a dead worker's exit status.
     """
-    # Imported here, not at the top: no other command forks.
-    import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
-
-    if "fork" not in multiprocessing.get_all_start_methods():
+    if not hasattr(os, "fork"):
         return [_generate_one(*job) for job in jobs]
     cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
             else os.cpu_count() or 1)
-    pool = ProcessPoolExecutor(min(cpus, len(jobs)), mp_context=multiprocessing.get_context("fork"))
+    longest_first = sorted(range(len(jobs)), key=lambda i: jobs[i][1].times.size, reverse=True)
+    job_r, job_w = os.pipe()
+    workers, done, died = {}, {}, 0  # workers: the result pipe of each pid not yet reaped
     try:
-        longest_first = sorted(range(len(jobs)), key=lambda i: jobs[i][1].times.size, reverse=True)
-        futures = {i: pool.submit(_generate_one, *jobs[i]) for i in longest_first}
-        return [futures[i].result() for i in range(len(jobs))]
+        with open(job_w, "wb") as pipe:
+            if len(jobs) > 16384:  # more 4-byte records than a pipe holds by default
+                import fcntl
+                fcntl.fcntl(job_w, fcntl.F_SETPIPE_SZ, 4 * len(jobs))
+            pipe.write(b"".join(i.to_bytes(4, "little") for i in longest_first))
+        for _ in range(min(cpus, len(jobs))):
+            result_r, result_w = os.pipe()
+            if (pid := os.fork()) == 0:
+                _work(jobs, job_r, result_w)
+            workers[pid] = open(result_r, "rb")
+            os.close(result_w)
+        for pid in list(workers):
+            with workers[pid] as pipe:
+                data = pipe.read()
+            status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            del workers[pid]
+            if status == 0:
+                done.update(pickle.loads(data))
+            died = died or status
     finally:
-        pool.shutdown(cancel_futures=True)
+        os.close(job_r)
+        for pid, pipe in workers.items():
+            pipe.close()
+            os.kill(pid, 9)  # SIGKILL
+            os.waitpid(pid, 0)
+    if lost := [job[1].name for i, job in enumerate(jobs) if i not in done]:
+        raise MinicarError(f"a generate worker exited with status {died}; "
+                           f"no result for {', '.join(lost)}")
+    if errors := sorted(i for i, result in done.items() if isinstance(result, Exception)):
+        raise done[errors[0]]
+    return [done[i] for i in range(len(jobs))]
 
 
 def _seed(text: str) -> int:

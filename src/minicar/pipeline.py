@@ -25,13 +25,11 @@ import logging
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from . import datasets as ds
 from . import fitting, models
 from .delay import estimate_delay_xcorr
 from .errors import DataError, MinicarError
-from .logs import RawLog
+from .logs import RawLog, median
 from .params import Delays, Geometry, TireParams, VehicleParams
 from .preprocess import smooth
 
@@ -115,7 +113,7 @@ def _delay(logs, vehicle):
             logger.info("delay: log %s skipped (%s)", name, exc)
     if not estimates:
         raise DataError("no sinusoidal log has a usable stretch with v > v_min")
-    value = float(np.median(estimates))
+    value = median(estimates)
     return value, StageReport("delay", "fitted", f"{value:.3f} s from {len(estimates)} log(s)")
 
 

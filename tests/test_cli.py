@@ -1,13 +1,10 @@
-import concurrent.futures
 import json
 import logging
-import multiprocessing
 import os
 import platform
 import subprocess
 import sys
 import warnings
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 from xml.etree import ElementTree
 
@@ -1025,17 +1022,19 @@ seen.append([name for name in names if name in sys.modules])
 print(json.dumps(seen))
 """
 
-_POOL = ["multiprocessing", "concurrent.futures.process"]
+# What no command loads: the process pool and numpy.ma, which np.median
+# imports for its NaN check.
+_NEVER = ["multiprocessing", "concurrent.futures.process", "numpy.ma"]
 _FIT_OR_VALIDATE_ONLY = [f"minicar.{name}" for name in
                          ("fitting", "pipeline", "datasets", "preprocess", "validation")]
 
-# What each command leaves unloaded: the process pool, which only
-# generate forks, hashlib, which only the run manifest hashes with, and
-# the minicar modules the command does not run.
+# What each command leaves unloaded: the above, hashlib, which only the
+# run manifest hashes with, and the minicar modules the command does not run.
 _UNLOADED = {
-    "generate": [*_FIT_OR_VALIDATE_ONLY, "minicar.svgplot"],
-    "simulate": [*_POOL, *_FIT_OR_VALIDATE_ONLY],
-    "validate": [*_POOL, "hashlib", "minicar.fitting", "minicar.pipeline", "minicar.datasets",
+    "fit": [*_NEVER, "minicar.validation"],
+    "generate": [*_NEVER, *_FIT_OR_VALIDATE_ONLY, "minicar.svgplot"],
+    "simulate": [*_NEVER, *_FIT_OR_VALIDATE_ONLY],
+    "validate": [*_NEVER, "hashlib", "minicar.fitting", "minicar.pipeline", "minicar.datasets",
                  "minicar.svgplot"],
 }
 
@@ -1044,14 +1043,19 @@ _UNLOADED = {
 def test_only_the_commands_that_need_them_load_the_pool_and_hashlib(tmp_path, params_file,
                                                                     command):
     """In a fresh interpreter, importing the CLI loads neither the
-    process pool, nor hashlib, nor a minicar module that some command
-    does not run, and each command loads none of those it does not run."""
+    process pool, nor numpy.ma, nor hashlib, nor a minicar module that
+    some command does not run, and each command loads none of those it
+    does not run."""
     scenario = write_scenario(tmp_path)
     noise = tmp_path / "noise.json"
     noise.write_text("{}")
+    generate = ["generate", "--params", str(params_file), "--noise", str(noise),
+                "--seed", "3", "--out", str(tmp_path / "gen")]
+    if command == "fit":
+        assert main(generate) == 0
     argv = {
-        "generate": ["generate", "--params", str(params_file), "--noise", str(noise),
-                     "--seed", "3", "--dt", "0.05", "--out", str(tmp_path / "gen")],
+        "fit": ["fit", "--logs", str(tmp_path / "gen"), "--out", str(tmp_path / "fit" / "p.json")],
+        "generate": [*generate, "--dt", "0.05"],
         "simulate": ["simulate", "--params", str(params_file), "--scenario", str(scenario),
                      "--out", str(tmp_path / "sim")],
         "validate": ["validate", "--params", str(params_file),
@@ -1089,6 +1093,12 @@ def test_diverging_run_exits_2_naming_the_scenario(tmp_path, params_file, comman
     assert "Traceback" not in proc.stderr
 
 
+def _assert_no_child_left() -> None:
+    """This process has no child left, running or a zombie."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
 @pytest.mark.parametrize("slip", [{}, {"normalized_slip": True}])
 def test_generate_writes_the_same_bytes_on_any_number_of_workers(tmp_path, params_file,
                                                                 monkeypatch, slip):
@@ -1099,13 +1109,16 @@ def test_generate_writes_the_same_bytes_on_any_number_of_workers(tmp_path, param
     noise = tmp_path / "noise.json"
     noise.write_text(json.dumps({"v_enc": 0.02, "omega_imu": 0.02, "mocap_xy": 0.001,
                                  "mocap_eta": 0.002}))
-    pools = []
+    forks, fork = [], os.fork
 
-    def counted_pool(max_workers, **kwargs):
-        pools.append(max_workers)
-        return ProcessPoolExecutor(max_workers, **kwargs)
+    def counted_fork():
+        pid = fork()
+        if pid:
+            forks[-1] += 1
+        return pid
 
     def outputs(name):
+        forks.append(0)
         out = tmp_path / name
         assert main(["generate", "--params", str(params_file), "--noise", str(noise),
                      "--seed", "5", "--dt", "0.05", "--out", str(out)]) == 0
@@ -1113,38 +1126,141 @@ def test_generate_writes_the_same_bytes_on_any_number_of_workers(tmp_path, param
         assert len(files) == 33
         return {f: (out / f).read_bytes() for f in files}
 
-    # _generate_all imports the pool class from its module on each call
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", counted_pool)
+    monkeypatch.setattr(os, "fork", counted_fork)
     every_cpu = outputs("every_cpu")
     with monkeypatch.context() as m:
         m.setattr(os, "sched_getaffinity", lambda pid: {0})
         assert outputs("one_cpu") == every_cpu
     with monkeypatch.context() as m:
-        m.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+        m.delattr(os, "fork")
         assert outputs("in_process") == every_cpu
-    assert pools == [min(len(os.sched_getaffinity(0)), 32), 1]
+    assert forks == [min(len(os.sched_getaffinity(0)), 32), 1, 0]
 
 
 def test_generate_leaves_no_worker_behind(tmp_path, params_file, caplog):
-    """After a run, whether it succeeds or fails, no worker process is left;
-    a failure names the first failing scenario in library order and
-    writes no manifest.json."""
+    """After a run, whether it succeeds or fails, no worker process is left,
+    not even a zombie; a failure names the first failing scenario in
+    library order and writes no manifest.json."""
     from minicar.scenarios import scenario_library
 
     noise = tmp_path / "noise.json"
     noise.write_text("{}")
     args = ["generate", "--noise", str(noise), "--seed", "1", "--dt", "0.05", "--out"]
     assert main([*args, str(tmp_path / "ok"), "--params", str(params_file)]) == 0
-    assert multiprocessing.active_children() == []
+    _assert_no_child_left()
 
     out = tmp_path / "wild"
     caplog.clear()
     assert main([*args, str(out), "--params", str(_wild_params(tmp_path, params_file))]) == 2
-    assert multiprocessing.active_children() == []
+    _assert_no_child_left()
     library = [s.name for battery in scenario_library(dt=0.05).values() for s in battery]
     assert f"scenario {library[0]!r}" in caplog.text
     assert not any(f"scenario {name!r}" in caplog.text for name in library[1:])
     assert not (out / "manifest.json").exists()
+
+
+def _generate_dying_on(monkeypatch, name, death):
+    """``cli._generate_one``, patched to call ``death`` on scenario ``name``;
+    pickled by reference, under the name it replaces, as the original is."""
+    one = cli._generate_one
+
+    def dying(tag, scenario, *args):
+        if scenario.name == name:
+            death()
+        return one(tag, scenario, *args)
+
+    dying.__module__, dying.__qualname__ = one.__module__, one.__qualname__
+    monkeypatch.setattr(cli, "_generate_one", dying)
+
+
+def _interrupt():
+    raise KeyboardInterrupt
+
+
+@pytest.mark.parametrize("death, status", [(lambda: os._exit(9), 9), (_interrupt, 1)],
+                         ids=["exit_9", "keyboard_interrupt"])
+def test_a_dead_worker_exits_2_naming_its_status_and_the_lost_scenarios(
+        tmp_path, params_file, monkeypatch, caplog, death, status):
+    """A worker that dies, or whose job raises KeyboardInterrupt, fails
+    the run with status 2 and no traceback: the error names the worker's
+    exit status and the scenarios left without a result, the other
+    workers are reaped and no manifest.json is written."""
+    noise = tmp_path / "noise.json"
+    noise.write_text("{}")
+    _generate_dying_on(monkeypatch, "circle_-0.45", death)
+    out = tmp_path / "out"
+    assert main(["generate", "--params", str(params_file), "--noise", str(noise),
+                 "--seed", "1", "--dt", "0.05", "--out", str(out)]) == 2
+    _assert_no_child_left()
+    assert f"a generate worker exited with status {status}; no result for " in caplog.text
+    assert "circle_-0.45" in caplog.text
+    assert "Traceback" not in caplog.text
+    assert not (out / "manifest.json").exists()
+
+
+def test_an_interrupted_generate_leaves_no_worker_behind(tmp_path, params_file, monkeypatch):
+    """KeyboardInterrupt in the command, while a worker is still busy,
+    kills and reaps every worker before it leaves, without waiting for
+    the busy one."""
+    import signal
+    import time
+
+    noise = tmp_path / "noise.json"
+    noise.write_text("{}")
+    parent = os.getpid()
+
+    def interrupt_then_hang():
+        time.sleep(0.5)  # long after the last fork: a signal during a fork can be lost
+        os.kill(parent, signal.SIGINT)
+        time.sleep(60)
+
+    _generate_dying_on(monkeypatch, "circle_-0.45", interrupt_then_hang)
+    start = time.perf_counter()
+    with pytest.raises(KeyboardInterrupt):
+        main(["generate", "--params", str(params_file), "--noise", str(noise),
+              "--seed", "1", "--dt", "0.05", "--out", str(tmp_path / "out")])
+    assert time.perf_counter() - start < 30
+    _assert_no_child_left()
+
+
+def test_a_generate_worker_starts_without_numpy_ma(tmp_path, params_file):
+    """In a fresh interpreter, no forked worker of generate imports
+    numpy.ma: each scenario's run record says whether it was loaded."""
+    noise = tmp_path / "noise.json"
+    noise.write_text("{}")
+    script = """
+import json, sys
+from minicar import cli
+
+one = cli._generate_one
+
+def recording(*job):
+    entry, run = one(*job)
+    return entry, {**run, "numpy.ma": "numpy.ma" in sys.modules}
+
+recording.__module__, recording.__qualname__ = one.__module__, one.__qualname__
+cli._generate_one = recording
+assert cli.main(sys.argv[1:]) == 0
+"""
+    out = tmp_path / "out"
+    proc = _python("-c", script, "generate", "--params", str(params_file), "--noise",
+                   str(noise), "--seed", "1", "--out", str(out))
+    assert proc.returncode == 0, proc.stderr
+    runs = json.loads((out / "run_manifest.json").read_text())["scenarios"]
+    assert len(runs) == 32 and not any(run["numpy.ma"] for run in runs)
+
+
+def test_the_job_list_is_written_whole_when_it_outgrows_a_pipe(monkeypatch):
+    """More job numbers than a pipe buffer holds are written before the
+    first fork without blocking, and each job runs once, in job order."""
+    from types import SimpleNamespace
+
+    monkeypatch.setattr(cli, "_generate_one", lambda i, scenario: (i, os.getpid()))
+    jobs = [(i, SimpleNamespace(times=np.zeros(i % 7), name=f"s{i}")) for i in range(20_000)]
+    done = cli._generate_all(jobs)
+    assert [i for i, _ in done] == list(range(20_000))
+    assert os.getpid() not in {pid for _, pid in done}
+    _assert_no_child_left()
 
 
 @pytest.fixture(scope="module")

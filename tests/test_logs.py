@@ -104,6 +104,16 @@ def test_load_rejects_non_uniform_grid():
         load_log(_csv(rows).encode())
 
 
+@pytest.mark.parametrize("t, row", [([0.0, math.nan, 0.02], 2), ([0.0, 0.01, math.inf], 3),
+                                    ([-math.inf, 0.0, 0.01], 1)])
+def test_grid_step_refuses_a_non_finite_time_naming_its_row(t, row):
+    with pytest.raises(ParseError, match=rf"time must be finite \(row {row}\)"):
+        logs.grid_step(np.array(t))
+    columns = {name: np.zeros(3) for name in ("tau", "s", "v_enc", "omega_imu")}
+    with pytest.raises(ParseError, match=rf"time must be finite \(row {row}\)"):
+        RawLog(t=np.array(t), **columns)
+
+
 def test_load_accepts_rounding_jitter_in_time():
     rows = [[i * 0.01 + (1e-12 if i % 2 else 0.0), 0.0, 0.0, 0.0, 0.0] for i in range(5)]
     assert load_log(_csv(rows).encode()).dt == pytest.approx(0.01)

@@ -4,7 +4,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from minicar import models
+from minicar import logs, models
 from minicar.delay import delay_shift
 from minicar.params import reference_params
 from minicar.preprocess import smooth
@@ -74,3 +74,12 @@ def test_delay_shift_is_a_pure_shift(commands, steps):
     reference = [commands[0]] * steps + list(commands)
     out = delay_shift(commands, steps * dt, dt)
     assert out.tolist() == reference[: len(commands)]
+
+
+@given(steps=st.lists(st.floats(1e-6, 1.0), min_size=1, max_size=40),
+       jitter=st.lists(st.floats(-1e-7, 1e-7), min_size=40, max_size=40))
+def test_median_equals_numpy_median_bit_for_bit(steps, jitter):
+    """On odd and even lengths, with ties and with rounding jitter."""
+    x = np.array(steps) + np.array(jitter[: len(steps)])
+    assert np.float64(logs.median(x)).tobytes() == np.median(x).tobytes()
+    assert logs.median(list(x)) == np.median(x)

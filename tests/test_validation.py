@@ -151,6 +151,12 @@ def test_one_step_rms_rejects_non_uniform_grid(ref):
         one_step_rms(table, ref, "kinematic")
 
 
+@pytest.mark.parametrize("t, row", [([0.0, math.nan, 0.02], 2), ([0.0, 0.01, math.inf], 3)])
+def test_the_time_step_of_a_non_finite_time_column_is_refused(t, row):
+    with pytest.raises(DataError, match=rf"time must be finite \(row {row}\)"):
+        validation._dt_of({"t": np.array(t)})
+
+
 def test_one_step_rms_names_the_row_where_time_goes_back(ref):
     t = np.arange(8) * 0.01
     t[5] = 0.02  # row 6 (1-based) goes back in time
