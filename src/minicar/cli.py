@@ -44,6 +44,7 @@ import logging
 import os
 import pickle
 import platform
+import signal
 import sys
 import time
 from dataclasses import asdict, dataclass, field
@@ -358,21 +359,23 @@ def _generate_one(tag: str, scenario: scenarios.Scenario, seed: int, params, noi
     return _LogEntry(filename, tag), run
 
 
-def _work(jobs: list[tuple], job_r: int, result_w: int):
-    """A forked worker: run each job whose number it reads from ``job_r``,
-    then write one pickle of their results and errors, by job number, to
-    ``result_w``. It leaves by ``os._exit``, even on KeyboardInterrupt, so
-    it never runs the parent's exit handlers or flushes the parent's buffers."""
+def _work(jobs: list[tuple], job_r: int, result_w: int, mask: set):
+    """A forked worker: restore the signal ``mask``, then run each job whose
+    number it reads from ``job_r`` and write its number and its result or
+    error to ``result_w`` as soon as it ends, one flushed pickle each. It
+    leaves by ``os._exit``, even on KeyboardInterrupt, so it never runs the
+    parent's exit handlers or flushes the parent's buffers."""
     try:
-        done = {}
-        while record := os.read(job_r, 4):
-            i = int.from_bytes(record, "little")
-            try:
-                done[i] = _generate_one(*jobs[i])
-            except Exception as exc:
-                done[i] = exc
+        signal.pthread_sigmask(signal.SIG_SETMASK, mask)
         with open(result_w, "wb") as out:
-            pickle.dump(done, out)
+            while record := os.read(job_r, 4):
+                i = int.from_bytes(record, "little")
+                try:
+                    done = _generate_one(*jobs[i])
+                except Exception as exc:
+                    done = exc
+                pickle.dump((i, done), out)
+                out.flush()
         os._exit(0)
     finally:
         os._exit(1)
@@ -385,9 +388,10 @@ def _generate_all(jobs: list[tuple]) -> list[tuple]:
     one per CPU this process may run on, which need not import numpy again
     (0.3-0.8 s); the command starts no thread that a fork could break. The
     job numbers, longest scenario first, fill one pipe before the first
-    fork. Each worker is read to the end and reaped, and any way out kills
-    and reaps the rest. The first failing job's error in job order is
-    raised, or one naming a dead worker's exit status.
+    fork. SIGINT waits while they are forked, so that one sent then is not
+    lost in a fork hook. Each worker is read to the end and reaped, and any
+    way out kills and reaps the rest. The first failing job's error in job
+    order is raised, or one naming a dead worker's exit status.
     """
     if not hasattr(os, "fork"):
         return [_generate_one(*job) for job in jobs]
@@ -402,19 +406,26 @@ def _generate_all(jobs: list[tuple]) -> list[tuple]:
                 import fcntl
                 fcntl.fcntl(job_w, fcntl.F_SETPIPE_SZ, 4 * len(jobs))
             pipe.write(b"".join(i.to_bytes(4, "little") for i in longest_first))
-        for _ in range(min(cpus, len(jobs))):
-            result_r, result_w = os.pipe()
-            if (pid := os.fork()) == 0:
-                _work(jobs, job_r, result_w)
-            workers[pid] = open(result_r, "rb")
-            os.close(result_w)
+        mask = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT})
+        try:
+            for _ in range(min(cpus, len(jobs))):
+                result_r, result_w = os.pipe()
+                if (pid := os.fork()) == 0:
+                    _work(jobs, job_r, result_w, mask)
+                workers[pid] = open(result_r, "rb")
+                os.close(result_w)
+        finally:
+            signal.pthread_sigmask(signal.SIG_SETMASK, mask)
         for pid in list(workers):
             with workers[pid] as pipe:
-                data = pipe.read()
+                while True:  # to its end, or to a record its worker did not live to finish
+                    try:
+                        i, result = pickle.load(pipe)
+                    except (EOFError, pickle.UnpicklingError):
+                        break
+                    done[i] = result
             status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
             del workers[pid]
-            if status == 0:
-                done.update(pickle.loads(data))
             died = died or status
     finally:
         os.close(job_r)
@@ -470,7 +481,10 @@ def cmd_validate(args) -> int:
         _check_out(args.out, "report file")
     params = load_params(args.params)
     table = validation.read_table(args.log)
-    rms = validation.one_step_rms(table, params, args.model)
+    try:
+        rms = validation.one_step_rms(table, params, args.model)
+    except MinicarError as exc:
+        raise exc.named(args.log) from None
     report = {"log": str(args.log), "model": args.model, "rms": rms}
     print(json.dumps(report, indent=2, allow_nan=False))
     if args.out:

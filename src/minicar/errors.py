@@ -16,6 +16,12 @@ class MinicarError(Exception):
         """This error of one step placed at its time ``t`` and, in a log, 1-based ``row``."""
         return type(self)(f"{self} at t={t:.6f} s", row=row)
 
+    def named(self, where) -> MinicarError:
+        """This error prefixed with the file ``where`` it was found in, its row kept."""
+        named = type(self)(f"{where}: {self}")
+        named.row = self.row
+        return named
+
 
 class ParseError(MinicarError):
     """Malformed input file."""

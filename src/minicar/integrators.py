@@ -88,25 +88,25 @@ def rk4_scalar_stages(rate, y: float, inputs, dt: float, limit: float) -> tuple[
 def rk4_tuple_stages(law, y: tuple, inputs, dt: float,
                      limit: float) -> tuple[array, tuple, Exception | None]:
     """``rk4_scalar_stages`` for a state ``y`` of three floats. ``law(u, y)``
-    gives the step from ``y`` under ``u`` its right-hand side (a state to
-    its three derivatives) and a function that settles the state the step
-    ends in, or None. Stages are flat in step, stage and component order.
-    The law, or the right-hand side in any stage, refuses the step by
-    raising ConfigError or DataError: the run then ends before that
-    step, and the refusal comes back third, else None."""
+    gives the step from ``y`` under ``u`` its right-hand side ``rhs(u, s)``,
+    the three derivatives at a state ``s``, and a function that settles the
+    state the step ends in, or None. Stages are flat in step, stage and
+    component order. The law, or the right-hand side in any stage, refuses
+    the step by raising ConfigError or DataError: the run then ends before
+    that step, and the refusal comes back third, else None."""
     half, sixth = 0.5 * dt, dt / 6.0
     stages = array("d")
     p, q, r = y
     for u in inputs:
         try:
             rhs, settle = law(u, y)
-            a = rhs(y)
+            a = rhs(u, y)
             y2 = (p + half * a[0], q + half * a[1], r + half * a[2])
-            b = rhs(y2)
+            b = rhs(u, y2)
             y3 = (p + half * b[0], q + half * b[1], r + half * b[2])
-            c = rhs(y3)
+            c = rhs(u, y3)
             y4 = (p + dt * c[0], q + dt * c[1], r + dt * c[2])
-            d = rhs(y4)
+            d = rhs(u, y4)
         except (ConfigError, DataError) as refusal:
             return stages, y, refusal
         stages.extend((p, q, r, *y2, *y3, *y4))

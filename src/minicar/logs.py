@@ -212,9 +212,7 @@ def load_log(source, name: str = "") -> RawLog:
     try:
         return RawLog(*(table[c] for c in REQUIRED_COLUMNS), mocap=mocap, name=name)
     except ParseError as exc:  # RawLog's rules name the row, not the file
-        named = ParseError(f"{where}: {exc}")
-        named.row = exc.row
-        raise named from None
+        raise exc.named(where) from None
 
 
 def format_table(header, columns) -> str:

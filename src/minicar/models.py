@@ -37,10 +37,10 @@ the tuple of their derivatives:
 Headings accumulate without wrapping; wrap only for display.
 
 The inputs are held over an RK4 step, so the laws take what depends on
-them alone precomputed (``simulator.held_inputs``). The kinematic yaw
-rate is singular at |delta| = pi/2, so no step may propagate
-kinematically at an angle that ``steering_refused`` flags; no
-right-hand side checks its angle.
+them alone precomputed, ``rate(gate, v)`` the gate and ``rates(u, body)``
+a step's ``simulator.held_inputs`` ``u``. The kinematic yaw rate is
+singular at |delta| = pi/2, so no step may propagate kinematically at
+an angle that ``steering_refused`` flags; no right-hand side checks it.
 """
 
 from __future__ import annotations
@@ -268,13 +268,13 @@ def rear_lateral_jacobian(alpha, c_r) -> np.ndarray:
 
 
 def dynamic_body_law(params: VehicleParams, *, rows: bool = False):
-    """``rates_at(gate, delta, cos_d, sin_d)``: the time derivative of the
-    body state ``(v_x, v_y, omega)`` as a function of it, at a throttle
-    gate and a road-wheel angle held over the step. The net force is split
-    equally between the axles (four-wheel drive), each half along its own
-    tire frame, and the lateral forces are ``pacejka_lateral`` in front
-    and ``rear_lateral`` behind, at the parameters' ``slip_angles``, on
-    Python floats; with ``rows``, on column arrays of rows. Slip angles
+    """``rates(u, body)``: the time derivative of the body state ``body =
+    (v_x, v_y, omega)`` under the ``simulator.held_inputs`` ``u = (gate,
+    delta, tan, cos, sin)`` of a step. The net force is split equally
+    between the axles (four-wheel drive), each half along its own tire
+    frame, and the lateral forces are ``pacejka_lateral`` in front and
+    ``rear_lateral`` behind, at the parameters' ``slip_angles``, on Python
+    floats; with ``rows``, on column arrays of rows. Slip angles
     normalized by any v_x <= SLIP_V_EPS raise ``slip_refusal()``, and
     parameters without a tire group ConfigError."""
     if params.tire is None:
@@ -285,26 +285,24 @@ def dynamic_body_law(params: VehicleParams, *, rows: bool = False):
     tanh, arctan, sin = np.tanh, np.arctan, np.sin
     value, any_row = (_as_is, np.any) if rows else (float, bool)
 
-    def rates_at(gate, delta, cos_d, sin_d):
-        def rates(body):
-            v_x, v_y, omega = body
-            f_half = ((d - v_x * e) * gate + -(a * value(tanh(b * v_x)) + v_x * c)) / 2.0
-            front_arg, rear_arg = v_y + omega * l_f, v_y - omega * l_r
-            if normalized:
-                if any_row(v_x <= SLIP_V_EPS):
-                    raise slip_refusal()
-                front_arg, rear_arg = front_arg / v_x, rear_arg / v_x
-            alpha_f, alpha_r = -value(arctan(front_arg)) + delta, -value(arctan(rear_arg))
-            ba, f_yr = B * alpha_f, c_r * alpha_r
-            f_yf = D * value(sin(C * value(arctan(ba - E * (ba - value(arctan(ba)))))))
-            front_y = f_yf * cos_d + f_half * sin_d  # front axle force, vehicle-frame y
-            return ((f_half + f_half * cos_d - f_yf * sin_d) / m + omega * v_y,
-                    (f_yr + front_y) / m - omega * v_x,
-                    (l_f * front_y - l_r * f_yr) / I_z)
+    def rates(u, body):
+        gate, delta, _, cos_d, sin_d = u
+        v_x, v_y, omega = body
+        f_half = ((d - v_x * e) * gate + -(a * value(tanh(b * v_x)) + v_x * c)) / 2.0
+        front_arg, rear_arg = v_y + omega * l_f, v_y - omega * l_r
+        if normalized:
+            if any_row(v_x <= SLIP_V_EPS):
+                raise slip_refusal()
+            front_arg, rear_arg = front_arg / v_x, rear_arg / v_x
+        alpha_f, alpha_r = -value(arctan(front_arg)) + delta, -value(arctan(rear_arg))
+        ba, f_yr = B * alpha_f, c_r * alpha_r
+        f_yf = D * value(sin(C * value(arctan(ba - E * (ba - value(arctan(ba)))))))
+        front_y = f_yf * cos_d + f_half * sin_d  # front axle force, vehicle-frame y
+        return ((f_half + f_half * cos_d - f_yf * sin_d) / m + omega * v_y,
+                (f_yr + front_y) / m - omega * v_x,
+                (l_f * front_y - l_r * f_yr) / I_z)
 
-        return rates
-
-    return rates_at
+    return rates
 
 
 def world_velocity(v_x, v_y, eta) -> tuple:
@@ -313,11 +311,11 @@ def world_velocity(v_x, v_y, eta) -> tuple:
     return v_x * cos_e - v_y * sin_e, v_x * sin_e + v_y * cos_e
 
 
-def dynamic_rhs(state, rates) -> tuple:
-    """Time derivative of the dynamic state ``(x, y, eta, v_x, v_y, omega)``;
-    ``rates`` is a ``dynamic_body_law``'s body rates at a step's held inputs."""
+def dynamic_rhs(state, u, rates) -> tuple:
+    """Time derivative of the dynamic state ``(x, y, eta, v_x, v_y, omega)``
+    under a step's held inputs ``u``; ``rates`` is a ``dynamic_body_law``."""
     _, _, eta, v_x, v_y, omega = state
-    return (*world_velocity(v_x, v_y, eta), omega, *rates((v_x, v_y, omega)))
+    return (*world_velocity(v_x, v_y, eta), omega, *rates(u, (v_x, v_y, omega)))
 
 
 def body_frame_velocity(v_abs_x, v_abs_y, eta):

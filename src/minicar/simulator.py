@@ -160,17 +160,16 @@ def _kinematic_states(scenario: Scenario, params: VehicleParams, inputs: tuple) 
 def _dynamic_states(scenario: Scenario, params: VehicleParams, inputs: tuple) -> np.ndarray:
     """A dynamic scenario's states up to the last sane one (``_sane_states``)."""
     geom, normalized = params.geometry, params.normalized_slip
-    rates_at = models.dynamic_body_law(params)
+    rates = models.dynamic_body_law(params)
     rate = models.kinematic_speed_law(params)
+    speed_alone = lambda u, s: (rate(u[0], s[0]), 0.0, 0.0)  # a rolling step's rates
 
     def law(u, body):
-        gate, delta, tan_d, cos_d, sin_d = u
         if not (normalized and body[0] < BLEND_SPEED):
-            return rates_at(gate, delta, cos_d, sin_d), None
-        if models.steering_refused(delta):
+            return rates, None
+        if models.steering_refused(u[1]):
             raise models.steering_refusal()
-        return (lambda s: (rate(gate, s[0]), 0.0, 0.0),  # it rolls: the speed alone, then pinned
-                lambda s: models.rolling_body(s[0], tan_d, geom))
+        return speed_alone, lambda s: models.rolling_body(s[0], u[2], geom)  # then pinned
 
     stages, end, refused = rk4_tuple_stages(law, scenario.initial_state[3:],
                                             zip(*(c.tolist() for c in inputs)), scenario.dt,
@@ -244,12 +243,10 @@ def stepper(model: str, params: VehicleParams, dt: float):
 
     if model == "kinematic":
         return kinematic
-    rates_at = models.dynamic_body_law(params, rows=True)
+    rates = models.dynamic_body_law(params, rows=True)
 
     def dynamic(y, u):
-        gate, delta, _, cos_d, sin_d = u
-        rates = rates_at(gate, delta, cos_d, sin_d)
-        return rk4_step(lambda s: models.dynamic_rhs(s, rates), y, dt)
+        return rk4_step(lambda s: models.dynamic_rhs(s, u, rates), y, dt)
 
     def rolling(y, u):
         y = kinematic(y[:4], u)

@@ -72,6 +72,11 @@ def _axis(values: np.ndarray, pad: float, k: float = 1.0) -> tuple[float, float,
     return (lo, hi, k) if hi - lo < np.inf else _axis(values, pad, k / 4)
 
 
+def _text(text: str) -> str:
+    """``text`` as SVG character data, its ``&``, ``<`` and ``>`` escaped."""
+    return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+
+
 def render_plot(series_list, title: str = "", x_label: str = "", y_label: str = "") -> str:
     xs = np.concatenate([np.asarray(s.x, dtype=float).ravel() for s in series_list])
     ys = np.concatenate([np.asarray(s.y, dtype=float).ravel() for s in series_list])
@@ -120,18 +125,18 @@ def render_plot(series_list, title: str = "", x_label: str = "", y_label: str = 
     if title:
         out.append(
             f'<text x="{_W / 2:.0f}" y="20" font-size="14" text-anchor="middle" '
-            f'fill="#111">{title}</text>'
+            f'fill="#111">{_text(title)}</text>'
         )
     if x_label:
         out.append(
             f'<text x="{(_ML + _W - _MR) / 2:.0f}" y="{_H - 10}" font-size="12" '
-            f'text-anchor="middle" fill="#111">{x_label}</text>'
+            f'text-anchor="middle" fill="#111">{_text(x_label)}</text>'
         )
     if y_label:
         out.append(
             f'<text x="14" y="{(_MT + _H - _MB) / 2:.0f}" font-size="12" '
             f'text-anchor="middle" fill="#111" '
-            f'transform="rotate(-90 14 {(_MT + _H - _MB) / 2:.0f})">{y_label}</text>'
+            f'transform="rotate(-90 14 {(_MT + _H - _MB) / 2:.0f})">{_text(y_label)}</text>'
         )
     ly = _MT + 14
     for i, s in enumerate(series_list):
@@ -142,7 +147,7 @@ def render_plot(series_list, title: str = "", x_label: str = "", y_label: str = 
             f'<rect x="{_ML + 8}" y="{ly - 8}" width="14" height="4" fill="{color}"/>'
         )
         out.append(
-            f'<text x="{_ML + 27}" y="{ly - 2}" font-size="11" fill="#222">{s.label}</text>'
+            f'<text x="{_ML + 27}" y="{ly - 2}" font-size="11" fill="#222">{_text(s.label)}</text>'
         )
         ly += 16
     out.append("</svg>")

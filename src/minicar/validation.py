@@ -48,9 +48,10 @@ def _applied_inputs(table: dict, params: VehicleParams, dt: float):
         if have in table:
             raise DataError(f"log has {have} but no {missing} column; a log without the pair "
                             "needs a tau column and an s column")
-    for name in ("tau", "s"):
+    for name, article in (("tau", "a"), ("s", "an")):
         if name not in table:
-            raise DataError(f"log needs a {name} column (or {' and '.join(APPLIED_COLUMNS)})")
+            raise DataError(f"log needs {article} {name} column "
+                            f"(or {' and '.join(APPLIED_COLUMNS)})")
     # reconstruct what the actuators saw by shifting the commands
     return (delay_shift(table["tau"], params.delays.long_delay, dt),
             delay_shift(table["s"], params.delays.steer_delay, dt))
@@ -66,9 +67,9 @@ def _dt_of(table: dict) -> float:
 def _logged_states(table: dict, model: str) -> tuple[list, tuple[str, ...]]:
     """The model's states, one column each, and the names of those that
     were logged rather than filled in."""
-    for name in ("v_enc",) if model == "kinematic" else ("v_enc", "omega_imu"):
+    for name, article in (("v_enc", "a"), ("omega_imu", "an"))[:1 if model == "kinematic" else 2]:
         if name not in table:
-            raise DataError(f"{model} validation needs a {name} column")
+            raise DataError(f"{model} validation needs {article} {name} column")
     speed = table["v_enc"]
     pose = next(([table[name] for name in names] for names in POSE_COLUMNS
                  if all(name in table for name in names)), None)

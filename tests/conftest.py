@@ -49,21 +49,19 @@ def curve_laws(params):
     def force(gate, v):
         return models.drive_force(gate, v, motor) + models.friction_force(v, friction)
 
-    def rates_at(gate, delta, cos_d, sin_d):
-        def rates(body):
-            v_x, v_y, omega = body
-            alpha_f, alpha_r = models.slip_angles(v_x, v_y, omega, delta, params)
-            f_yf = models.pacejka_lateral(alpha_f, tire)
-            f_yr = models.rear_lateral(alpha_r, tire.C_r)
-            f_half = force(gate, v_x) / 2.0
-            front_y = f_yf * cos_d + f_half * sin_d  # front axle force, vehicle-frame y
-            return ((f_half + f_half * cos_d - f_yf * sin_d) / geom.m + omega * v_y,
-                    (f_yr + front_y) / geom.m - omega * v_x,
-                    (geom.l_f * front_y - geom.l_r * f_yr) / geom.I_z)
+    def rates(u, body):
+        gate, delta, _, cos_d, sin_d = u
+        v_x, v_y, omega = body
+        alpha_f, alpha_r = models.slip_angles(v_x, v_y, omega, delta, params)
+        f_yf = models.pacejka_lateral(alpha_f, tire)
+        f_yr = models.rear_lateral(alpha_r, tire.C_r)
+        f_half = force(gate, v_x) / 2.0
+        front_y = f_yf * cos_d + f_half * sin_d  # front axle force, vehicle-frame y
+        return ((f_half + f_half * cos_d - f_yf * sin_d) / geom.m + omega * v_y,
+                (f_yr + front_y) / geom.m - omega * v_x,
+                (geom.l_f * front_y - geom.l_r * f_yr) / geom.I_z)
 
-        return rates
-
-    return (lambda gate, v: force(gate, v) / geom.m), rates_at
+    return (lambda gate, v: force(gate, v) / geom.m), rates
 
 
 @pytest.fixture(scope="session")

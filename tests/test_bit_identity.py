@@ -78,9 +78,9 @@ def test_slip_angles_on_floats_equal_array_element(normalized, rows):
 
 _POSE = (_floats(-20, 20), _floats(-20, 20), _floats(-30, 30))
 RATE = models.kinematic_speed_law(REF, rows=True)
-RATES_AT = {normalized: models.dynamic_body_law(replace(REF, normalized_slip=normalized),
-                                                rows=True)
-            for normalized in (False, True)}
+RATES = {normalized: models.dynamic_body_law(replace(REF, normalized_slip=normalized),
+                                             rows=True)
+         for normalized in (False, True)}
 
 
 def _kinematic_rhs(x, y, eta, v, delta, gate):
@@ -89,9 +89,8 @@ def _kinematic_rhs(x, y, eta, v, delta, gate):
 
 
 def _dynamic_rhs(x, y, eta, v_x, v_y, omega, delta, gate, normalized):
-    _, cos_d, sin_d = models.steering_terms(delta)
     return models.dynamic_rhs((x, y, eta, v_x, v_y, omega),
-                              RATES_AT[normalized](gate, delta, cos_d, sin_d))
+                              (gate, delta, *models.steering_terms(delta)), RATES[normalized])
 
 
 @given(rows=_rows(*_POSE, _floats(-4, 4), _floats(-1.5, 1.5), _floats(0, 1.5)))
@@ -175,13 +174,13 @@ def _laws(params, **bindings):
             models.dynamic_body_law(params, **bindings))
 
 
-def _on_columns(rows, seed, rate, rates_at):
+def _on_columns(rows, seed, rate, rates):
     """Both laws on the rows and 64 uniform ones more as columns: the
     speed rate, then the body rates."""
     rows = rows + np.random.default_rng(seed).uniform(*zip(*LAW_INPUTS), (64, 5)).tolist()
     gate, delta, v_x, v_y, omega = (np.array(c) for c in zip(*rows))
-    _, cos_d, sin_d = models.steering_terms(delta)
-    return rows, (rate(gate, v_x), *rates_at(gate, delta, cos_d, sin_d)((v_x, v_y, omega)))
+    u = (gate, delta, *models.steering_terms(delta))
+    return rows, (rate(gate, v_x), *rates(u, (v_x, v_y, omega)))
 
 
 @given(**LAW_CASES)
@@ -189,11 +188,11 @@ def test_each_law_on_floats_equals_the_law_on_arrays(rows, seed, params):
     """The simulator's pass 1 steps each law on Python floats and
     ``stepper`` on column arrays of rows; the two bindings give the same
     bits, the floats as Python floats."""
-    rate, rates_at = _laws(params)
+    rate, rates = _laws(params)
     rows, columns = _on_columns(rows, seed, *_laws(params, rows=True))
     for i, (g, d, *state) in enumerate(rows):
-        _, cos_d, sin_d = map(float, models.steering_terms(d))  # pass 1's inputs are floats
-        flat = (rate(g, state[0]), *rates_at(g, d, cos_d, sin_d)(state))
+        u = (g, d, *map(float, models.steering_terms(d)))  # pass 1's inputs are floats
+        flat = (rate(g, state[0]), *rates(u, state))
         assert all(type(value) is float for value in flat), flat
         assert list(flat) == [float(c[i]) for c in columns]
 

@@ -203,6 +203,25 @@ def test_validate_without_a_command_column_exits_2_naming_it(tmp_path, params_fi
     assert f"{missing} column" in caplog.text
 
 
+@pytest.mark.parametrize("text, model, refusal", [
+    ("t,tau,s,v_enc\n0,0,0,0\n0.01,0,0,0\n0.01,0,0,0\n", "kinematic",
+     "time must be strictly increasing (row 3)"),
+    ("t,tau,s,v_enc\n0,0,0,0\n0.01,0,0,0\n", "dynamic",
+     "dynamic validation needs an omega_imu column"),
+    ("t,tau,v_enc\n0,0,0\n0.01,0,0\n", "kinematic",
+     "log needs an s column (or tau_applied and s_applied)"),
+], ids=["time", "omega_imu", "s"])
+def test_validate_names_its_log_in_every_refusal(tmp_path, params_file, caplog, text, model,
+                                                 refusal):
+    """As ``fit`` does, ``validate`` starts each refusal of its log's
+    content with the log's path."""
+    log = tmp_path / "bad.csv"
+    log.write_text(text)
+    assert main(["validate", "--params", str(params_file), "--log", str(log),
+                 "--model", model]) == 2
+    assert _one_error(caplog) == f"{log}: {refusal}"
+
+
 def _straight_log(tmp_path) -> Path:
     log = tmp_path / "log.csv"
     log.write_text("t,tau,s,v_enc,omega_imu\n0,0,0,0,0\n0.01,0,0,0,0\n")
@@ -1198,6 +1217,56 @@ def test_a_dead_worker_exits_2_naming_its_status_and_the_lost_scenarios(
     assert not (out / "manifest.json").exists()
 
 
+def test_a_dead_worker_loses_only_the_scenario_it_died_on(tmp_path, params_file, monkeypatch,
+                                                           caplog):
+    """A worker sends each scenario's result as soon as it is done, so one
+    of two workers that dies on coast_0.25, a late job, leaves that
+    scenario alone without a result: not those it finished before it."""
+    noise = tmp_path / "noise.json"
+    noise.write_text("{}")
+    _generate_dying_on(monkeypatch, "coast_0.25", lambda: os._exit(9))
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    out = tmp_path / "out"
+    assert main(["generate", "--params", str(params_file), "--noise", str(noise),
+                 "--seed", "1", "--dt", "0.05", "--out", str(out)]) == 2
+    _assert_no_child_left()
+    assert _one_error(caplog) == "a generate worker exited with status 9; no result for coast_0.25"
+    assert not (out / "manifest.json").exists()
+
+
+def test_a_sigint_while_generate_forks_is_raised_after_the_last_fork(tmp_path, params_file):
+    """In a fresh interpreter, a SIGINT sent from the first fork's
+    after-in-parent hook, where Python would drop its KeyboardInterrupt,
+    ends the command by KeyboardInterrupt: every worker is reaped and no
+    manifest.json is written."""
+    noise = tmp_path / "noise.json"
+    noise.write_text("{}")
+    script = """
+import os, signal, sys
+from minicar import cli
+
+def interrupt(sent=[]):
+    if not sent:
+        sent.append(True)
+        os.kill(os.getpid(), signal.SIGINT)
+
+os.register_at_fork(after_in_parent=interrupt)
+try:
+    cli.main(sys.argv[1:])
+except KeyboardInterrupt:
+    try:
+        os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        print("interrupted, no worker left")
+"""
+    out = tmp_path / "out"
+    proc = _python("-c", script, "generate", "--params", str(params_file), "--noise",
+                   str(noise), "--seed", "1", "--dt", "0.05", "--out", str(out))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["interrupted, no worker left"]
+    assert not (out / "manifest.json").exists()
+
+
 def test_an_interrupted_generate_leaves_no_worker_behind(tmp_path, params_file, monkeypatch):
     """KeyboardInterrupt in the command, while a worker is still busy,
     kills and reaps every worker before it leaves, without waiting for
@@ -1261,6 +1330,18 @@ def test_the_job_list_is_written_whole_when_it_outgrows_a_pipe(monkeypatch):
     assert [i for i, _ in done] == list(range(20_000))
     assert os.getpid() not in {pid for _, pid in done}
     _assert_no_child_left()
+
+
+def test_simulate_escapes_the_scenario_name_in_its_plots(tmp_path, params_file):
+    """A scenario name with ``<`` and ``&`` reaches both plots as text:
+    each parses as XML and reads the name back."""
+    scenario = write_scenario(tmp_path, name="a<b & c")
+    assert main(["simulate", "--params", str(params_file), "--scenario", str(scenario),
+                 "--out", str(tmp_path / "sim")]) == 0
+    texts = {name: [text.text for text in ElementTree.parse(tmp_path / "sim" / name).iter(
+        "{http://www.w3.org/2000/svg}text")] for name in ("path.svg", "channels.svg")}
+    assert "a<b & c" in texts["path.svg"]
+    assert "Channels: a<b & c" in texts["channels.svg"]
 
 
 @pytest.fixture(scope="module")

@@ -110,7 +110,8 @@ def _decay_law(refuse_at_step, refuse_in_stage):
             raise ConfigError("refused by the law")
         calls = []
 
-        def rhs(s):
+        def rhs(u_, s):
+            assert u_ == u
             calls.append(s)
             if u == refuse_at_step and len(calls) == refuse_in_stage:
                 raise DataError("refused by the right-hand side")

@@ -196,9 +196,8 @@ def test_rear_lateral(ref):
 def _dynamic_rhs(state, delta, gate, params):
     """``models.dynamic_rhs`` on the body law of ``params`` at the
     road-wheel angle ``delta`` and the throttle gate ``gate``."""
-    _, cos_d, sin_d = models.steering_terms(delta)
-    rates_at = models.dynamic_body_law(params, rows=True)
-    return models.dynamic_rhs(state, rates_at(gate, delta, cos_d, sin_d))
+    return models.dynamic_rhs(state, (gate, delta, *models.steering_terms(delta)),
+                              models.dynamic_body_law(params, rows=True))
 
 
 def test_dynamic_rhs_equilibrium_at_rest(ref):
@@ -218,14 +217,14 @@ def test_the_body_law_refuses_normalized_slip_at_or_below_the_speed_floor(ref, r
     """Both bindings of the normalized body law raise ``slip_refusal()``
     at v_x <= SLIP_V_EPS, the float one too; just above it they give
     finite rates."""
-    rates_at = models.dynamic_body_law(replace(ref, normalized_slip=True), rows=rows)
-    rates = rates_at(0.5, 0.1, math.cos(0.1), math.sin(0.1))
+    rates = models.dynamic_body_law(replace(ref, normalized_slip=True), rows=rows)
+    u = (0.5, 0.1, math.tan(0.1), math.cos(0.1), math.sin(0.1))
     speeds = (models.SLIP_V_EPS, 0.0, -0.4)
     for v_x in ([np.array([1.0, v]) for v in speeds] if rows else speeds):
         with pytest.raises(DataError, match=r"^normalized slip angles need v_x > 0$"):
-            rates((v_x, 0.1, 0.2))
+            rates(u, (v_x, 0.1, 0.2))
     v_x = 2 * models.SLIP_V_EPS
-    assert np.isfinite(rates((np.array([v_x]) if rows else v_x, 0.1, 0.2))).all()
+    assert np.isfinite(rates(u, (np.array([v_x]) if rows else v_x, 0.1, 0.2))).all()
 
 
 def test_dynamic_rhs_requires_tire(ref):

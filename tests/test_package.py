@@ -2,8 +2,8 @@
 imported from the one module that defines it, as the README does; the
 README and the package's own docstrings and comments name no module
 attribute that does not exist, and the README's command-line section
-names exactly the CLI's options; and no module imports a name it
-never uses."""
+names exactly the CLI's options; no module imports a name it never
+uses; and the functions the two model laws return build no function."""
 
 import argparse
 import ast
@@ -16,7 +16,7 @@ import types
 from pathlib import Path
 
 import minicar
-from minicar import cli
+from minicar import cli, models
 from minicar.cli import build_parser
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -129,3 +129,19 @@ def test_every_command_returns_only_0_or_1():
              and not (isinstance(node.value, ast.Constant) and type(node.value.value) is int
                       and node.value.value in (0, 1))]
     assert not other, other
+
+
+def test_the_functions_the_two_laws_return_define_no_function():
+    """A law is built once per run and called as it is in every stage: the
+    function that ``models.kinematic_speed_law`` or ``dynamic_body_law``
+    returns defines no nested ``def`` or ``lambda``, so no step builds one."""
+    tree = ast.parse(Path(models.__file__).read_text())
+    laws = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    for name in ("kinematic_speed_law", "dynamic_body_law"):
+        returned = laws[name].body[-1]
+        assert isinstance(returned, ast.Return) and isinstance(returned.value, ast.Name), name
+        law, = [node for node in laws[name].body
+                if isinstance(node, ast.FunctionDef) and node.name == returned.value.id]
+        nested = [node.lineno for statement in law.body for node in ast.walk(statement)
+                  if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda))]
+        assert not nested, (name, nested)

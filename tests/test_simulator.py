@@ -23,6 +23,7 @@ from minicar.scenarios import (
     constant,
     constant_steering_battery,
     mocap_circular_battery,
+    mocap_circular_ramp,
     sinusoidal_steering,
     step_throttle_battery,
 )
@@ -228,7 +229,7 @@ def _step_at_a_time(scenario, params, limit=None):
     SimulationDiverged with the states before it."""
     geom, dt, times = params.geometry, scenario.dt, scenario.times
     normalized = params.normalized_slip
-    rate, rates_at = curve_laws(params)
+    rate, rates = curve_laws(params)
     lag_tau = int(round(params.delays.long_delay / dt))
     lag_s = int(round(params.delays.steer_delay / dt))
     states = np.empty((times.size, len(scenario.initial_state)))
@@ -250,8 +251,8 @@ def _step_at_a_time(scenario, params, limit=None):
                 omega = kin[3] * np.tan(delta) / geom.l
                 states[k + 1] = [*kin, omega * geom.l_r, omega]
             else:
-                rates = rates_at(gate, delta, np.cos(delta), np.sin(delta))
-                states[k + 1] = rk4_step(lambda y: models.dynamic_rhs(y, rates), y, dt)
+                u = (gate, delta, np.tan(delta), np.cos(delta), np.sin(delta))
+                states[k + 1] = rk4_step(lambda y: models.dynamic_rhs(y, u, rates), y, dt)
         except MinicarError as exc:
             raise exc.at(t) from None
         if limit is not None and np.abs(states[k + 1]).max() > limit:
@@ -311,6 +312,31 @@ def test_normalized_blend_is_per_row(ref):
     np.testing.assert_array_equal(traj.states, _step_at_a_time(coast, normalized))
 
 
+@pytest.mark.parametrize("normalized, kinds", [(False, 1), (True, 2)])
+def test_pass_1_builds_no_right_hand_side_per_step(ref, monkeypatch, normalized, kinds):
+    """A raw-convention circle hands ``rk4_tuple_stages`` the same function
+    object in every step, and a normalized run from rest, which rolls
+    before it crosses the blend speed and then does not, one of two."""
+    if normalized:
+        scenario = _scenario(constant(0.4), constant(0.3), duration=2.0, model="dynamic")
+    else:
+        scenario = mocap_circular_ramp(0.35, duration=2.0)
+    handed, tuple_stages = [], simulator.rk4_tuple_stages  # each step's right-hand side
+
+    def recording(law, *args):
+        def recorded(u, y):
+            rhs, settle = law(u, y)
+            handed.append(rhs)
+            return rhs, settle
+
+        return tuple_stages(recorded, *args)
+
+    monkeypatch.setattr(simulator, "rk4_tuple_stages", recording)
+    traj = simulate(scenario, replace(ref, normalized_slip=normalized))
+    assert len(traj) == len(handed) + 1 == scenario.times.size
+    assert len({id(rhs) for rhs in handed}) == kinds
+
+
 def test_batch_divergence_names_the_failing_scenario(ref, monkeypatch):
     calm = Scenario(name="calm", duration=8.0, dt=0.01, model="kinematic",
                     throttle=constant(0.0), steering=constant(0.0))
@@ -360,13 +386,8 @@ def _patch_pass_1(patch, stage):
         return lambda gate, v: stage(v, rate(gate, v))
 
     def patched_body_law(*args, **kwargs):
-        rates_at = body_law(*args, **kwargs)
-
-        def patched_rates_at(*u):
-            rates = rates_at(*u)
-            return lambda body: stage(body[0], rates(body))
-
-        return patched_rates_at
+        rates = body_law(*args, **kwargs)
+        return lambda u, body: stage(body[0], rates(u, body))
 
     patch.setattr(models, "kinematic_speed_law", patched_speed_law)
     patch.setattr(models, "dynamic_body_law", patched_body_law)
