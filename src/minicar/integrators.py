@@ -11,7 +11,7 @@ derivatives are then known for every step needs no step loop at all:
 ``rk4_accumulate`` its series. All of them combine the
 stages exactly as ``rk4_step`` does, with the same weights and the same order
 of operations, so the states they give are bit for bit those of
-repeated ``rk4_step`` calls.
+repeated ``rk4_step`` calls on the same right-hand side.
 """
 
 from __future__ import annotations

@@ -13,20 +13,19 @@ inputs of N rows a fresh C-contiguous ``(N, n_p)`` array whose column
 k is d(curve)/d(p[k]).
 
 Every other function here is pure and takes numpy arrays of rows.
-The transcendental functions are numpy's ufuncs, not ``math``'s, whose
-results differ in the last bit.
 
 Each model's law is written once: ``kinematic_speed_law`` (the speed
 rate) and ``dynamic_body_law`` (the body rates), built once per run from
 a VehicleParams with the curves they read written inline, in every
-operation's order and with the same ufuncs, since on single floats a
-Python call costs more than the arithmetic it wraps. They are the only
-functions stepped on Python floats: ``simulate`` steps them on floats,
-each ufunc result made a Python float, and ``simulator.stepper`` (and
-so ``validate``) on rows; tests/test_bit_identity.py pins the two to
-each other and to the curves. A state is a sequence of components, each
-an array of rows (or, in a law, a float), and a right-hand side returns
-the tuple of their derivatives:
+operation's order, since on single floats a Python call costs more than
+the arithmetic it wraps. They are the only functions stepped on Python
+floats: ``simulate`` steps them so, with ``math``'s tanh, atan and sin,
+and ``simulator.stepper`` (so ``validate``) on rows, with the curves'
+numpy ufuncs, whose results differ in the last bit;
+tests/test_bit_identity.py pins the row binding to the curves and the
+float one to it within a bound. A state is a sequence of components,
+each an array of rows (or, in a law, a float), and a right-hand side
+returns the tuple of their derivatives:
 
 * kinematic: ``(x, y, eta, v)`` with (x, y) at the rear axle;
   ``kinematic_rhs`` is ``heading_velocity``, the yaw rate and the speed law
@@ -44,6 +43,8 @@ an angle that ``steering_refused`` flags; no right-hand side checks it.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -187,20 +188,15 @@ def kinematic_rhs(state, gate, tan_delta, rate, geom: Geometry) -> tuple:
     return (*heading_velocity(v, eta), kinematic_yaw_rate(v, tan_delta, geom), rate(gate, v))
 
 
-def _as_is(x):
-    """A row binding's ufunc result, taken as it is."""
-    return x
-
-
 def kinematic_speed_law(params: VehicleParams, *, rows: bool = False):
     """``rate(gate, v)``, the net force ``drive_force(gate, v, motor) +
     friction_force(v, friction)`` of the parameters' groups over the
     mass, on Python floats; with ``rows``, on column arrays of rows."""
-    (d, e, _), (a, b, c), m, tanh = params.motor, params.friction, params.geometry.m, np.tanh
-    value = _as_is if rows else float
+    (d, e, _), (a, b, c), m = params.motor, params.friction, params.geometry.m
+    tanh = np.tanh if rows else math.tanh
 
     def rate(gate, v):
-        return ((d - v * e) * gate + -(a * value(tanh(b * v)) + v * c)) / m
+        return ((d - v * e) * gate + -(a * tanh(b * v) + v * c)) / m
 
     return rate
 
@@ -282,21 +278,21 @@ def dynamic_body_law(params: VehicleParams, *, rows: bool = False):
     (d, e, _), (a, b, c), (D, C, B, E, c_r) = params.motor, params.friction, params.tire
     geom, normalized = params.geometry, params.normalized_slip
     l_f, l_r, m, I_z = geom.l_f, geom.l_r, geom.m, geom.I_z
-    tanh, arctan, sin = np.tanh, np.arctan, np.sin
-    value, any_row = (_as_is, np.any) if rows else (float, bool)
+    tanh, arctan, sin, any_row = (np.tanh, np.arctan, np.sin, np.any) if rows else (
+        math.tanh, math.atan, math.sin, bool)
 
     def rates(u, body):
         gate, delta, _, cos_d, sin_d = u
         v_x, v_y, omega = body
-        f_half = ((d - v_x * e) * gate + -(a * value(tanh(b * v_x)) + v_x * c)) / 2.0
+        f_half = ((d - v_x * e) * gate + -(a * tanh(b * v_x) + v_x * c)) / 2.0
         front_arg, rear_arg = v_y + omega * l_f, v_y - omega * l_r
         if normalized:
             if any_row(v_x <= SLIP_V_EPS):
                 raise slip_refusal()
             front_arg, rear_arg = front_arg / v_x, rear_arg / v_x
-        alpha_f, alpha_r = -value(arctan(front_arg)) + delta, -value(arctan(rear_arg))
+        alpha_f, alpha_r = -arctan(front_arg) + delta, -arctan(rear_arg)
         ba, f_yr = B * alpha_f, c_r * alpha_r
-        f_yf = D * value(sin(C * value(arctan(ba - E * (ba - value(arctan(ba)))))))
+        f_yf = D * sin(C * arctan(ba - E * (ba - arctan(ba))))
         front_y = f_yf * cos_d + f_half * sin_d  # front axle force, vehicle-frame y
         return ((f_half + f_half * cos_d - f_yf * sin_d) / m + omega * v_y,
                 (f_yr + front_y) / m - omega * v_x,

@@ -12,8 +12,10 @@ fixed over a step (zero-order hold), the throttle gate and the
 road-wheel angle with its tan, cos and sin, and ``stepper`` advances
 column arrays of rows one ``rk4_step`` under them, on each model's one
 law (``models.kinematic_speed_law``, ``models.dynamic_body_law``).
-Every state ``simulate`` returns is bit for bit what that step gives
-one step at a time on a one-row state.
+Every state ``simulate`` returns is bit for bit what the laws' float
+binding, with ``math``'s tanh, atan and sin, gives one ``rk4_step`` at
+a time; ``stepper``'s step, with numpy's, agrees with it within
+1e-14 * (1 + |state|).
 
 Both models are integrated in two passes, since neither reads its pose
 (x, y, eta) to evolve the rest of its state. Pass 1 steps only that

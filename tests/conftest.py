@@ -43,7 +43,7 @@ def curve_laws(params):
     ``params`` written from the curves they inline (``drive_force``,
     ``friction_force``, ``slip_angles``, ``pacejka_lateral``,
     ``rear_lateral``), on floats or arrays: the reference that the laws
-    and the simulator are checked against."""
+    are checked against."""
     motor, friction, tire, geom = params.motor, params.friction, params.tire, params.geometry
 
     def force(gate, v):

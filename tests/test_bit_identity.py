@@ -1,11 +1,12 @@
 """On single values, every model function gives exactly what the array
-call gives at that element; each model's law gives on Python floats
-what it gives on arrays, so the simulator (floats, one scenario) and the
-dataset, fitting and validation code (arrays of rows) evaluate one model
-bit for bit; each law equals the curves it writes inline; a row stepped
-alone steps as it does among others; and the front-tire fit's one-pass
-value and Jacobian equal the curve and the Jacobian written on their
-own."""
+call gives at that element; each model's law on arrays equals the
+curves it writes inline, so the dataset, fitting and validation code
+(arrays of rows) evaluate one model bit for bit; each law on Python
+floats, with ``math`` in place of numpy's ufuncs, gives what it gives
+on arrays within FLOAT_LAW_TOLERANCE, so the simulator (floats, one
+scenario) evaluates that model to its last bits; a row stepped alone
+steps as it does among others; and the front-tire fit's one-pass value
+and Jacobian equal the curve and the Jacobian written on their own."""
 
 from dataclasses import replace
 
@@ -19,7 +20,8 @@ from minicar import models
 from minicar.fitting import default_config
 from minicar.integrators import rk4_step
 from minicar.params import FrictionParams, TireParams, reference_params
-from minicar.simulator import BLEND_SPEED, held_inputs, stepper
+from minicar.scenarios import mocap_circular_ramp, sinusoidal_steering
+from minicar.simulator import BLEND_SPEED, held_inputs, simulate, stepper
 
 REF = reference_params()
 
@@ -183,18 +185,66 @@ def _on_columns(rows, seed, rate, rates):
     return rows, (rate(gate, v_x), *rates(u, (v_x, v_y, omega)))
 
 
+# How far a float law may lie from its row law: |float - row| <=
+# FLOAT_LAW_TOLERANCE * (1 + |row|). math's tanh, atan and sin differ
+# from numpy's in the last bit; over the cases below the largest
+# |float - row| / (1 + |row|) was 1.0e-15 in the raw slip convention
+# and 1.4e-15 in the normalized one.
+FLOAT_LAW_TOLERANCE = 1e-14
+
+
 @given(**LAW_CASES)
 def test_each_law_on_floats_equals_the_law_on_arrays(rows, seed, params):
-    """The simulator's pass 1 steps each law on Python floats and
-    ``stepper`` on column arrays of rows; the two bindings give the same
-    bits, the floats as Python floats."""
+    """The simulator's pass 1 steps each law on Python floats, with
+    ``math.tanh``, ``math.atan`` and ``math.sin``, and ``stepper`` on
+    column arrays of rows with numpy's ufuncs; the two bindings agree
+    within FLOAT_LAW_TOLERANCE, the floats as Python floats."""
     rate, rates = _laws(params)
     rows, columns = _on_columns(rows, seed, *_laws(params, rows=True))
     for i, (g, d, *state) in enumerate(rows):
         u = (g, d, *map(float, models.steering_terms(d)))  # pass 1's inputs are floats
         flat = (rate(g, state[0]), *rates(u, state))
         assert all(type(value) is float for value in flat), flat
-        assert list(flat) == [float(c[i]) for c in columns]
+        np.testing.assert_allclose(flat, [float(c[i]) for c in columns],
+                                   rtol=FLOAT_LAW_TOLERANCE, atol=FLOAT_LAW_TOLERANCE)
+
+
+@pytest.mark.parametrize("normalized", [False, True])
+def test_each_law_on_floats_is_non_finite_where_the_law_on_arrays_is(normalized):
+    """``math.sin(inf)`` raises ValueError where ``np.sin`` returns nan,
+    but no law passes ``sin`` an infinity: on states that overflow inside
+    the laws (b*v_x, v_y*omega) or are infinite or NaN, the float laws
+    raise nothing and give inf and NaN where the row laws do."""
+    params = replace(REF, normalized_slip=normalized)
+    rate, rates = _laws(params)
+    gate, delta = 0.5, 0.3
+    u = (gate, delta, *map(float, models.steering_terms(delta)))
+    inf, nan = float("inf"), float("nan")
+    bodies = [(1.4e307, 1e160, 1e160), (inf, 0.0, 0.0), (nan, 1.0, 1.0), (1.0, inf, -inf),
+              (1.0, 1e308, 1e308), (1.0, 1.0, nan)]
+    with np.errstate(all="ignore"):
+        _, columns = _on_columns([(gate, delta, *body) for body in bodies], 0,
+                                 *_laws(params, rows=True))
+    for i, body in enumerate(bodies):
+        flat = (rate(gate, body[0]), *rates(u, body))
+        assert not np.isfinite(flat).all(), (body, flat)
+        np.testing.assert_allclose(flat, [float(c[i]) for c in columns],
+                                   rtol=FLOAT_LAW_TOLERANCE, atol=FLOAT_LAW_TOLERANCE)
+
+
+@pytest.mark.parametrize("normalized", [False, True])
+def test_stepper_from_each_simulated_state_gives_the_next_within_the_tolerance(normalized):
+    """``validate`` predicts with ``stepper``, on the row laws; from each
+    state ``simulate`` returns, on the float laws, its one-step prediction
+    is the next state within FLOAT_LAW_TOLERANCE."""
+    params = replace(REF, normalized_slip=normalized)
+    for scenario in (mocap_circular_ramp(0.45, duration=10.0), sinusoidal_steering(duration=5.0)):
+        traj = simulate(scenario, params)
+        step = stepper(scenario.model, params, scenario.dt)
+        inputs = held_inputs(traj.applied_tau[:-1], traj.applied_s[:-1], params)
+        predicted = np.array(step(list(traj.states[:-1].T), inputs)).T
+        np.testing.assert_allclose(predicted, traj.states[1:], rtol=FLOAT_LAW_TOLERANCE,
+                                   atol=FLOAT_LAW_TOLERANCE)
 
 
 @given(**LAW_CASES)

@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import brentq
 
-from conftest import curve_laws
 from minicar import models, simulator
 from minicar.delay import estimate_delay_xcorr
 from minicar.errors import (ConfigError, DataError, IntegrationError, MinicarError,
@@ -221,15 +220,16 @@ def _short_library():
 def _step_at_a_time(scenario, params, limit=None):
     """Reference states: one scenario, one step at a time on numpy
     scalars, inputs sampled from the schedules and delayed by index, in
-    the parameters' slip convention, on the laws written from the curves
-    (``curve_laws``).
+    the parameters' slip convention, on the float laws pass 1 steps
+    (``models.kinematic_speed_law`` and ``models.dynamic_body_law``;
+    tests/test_bit_identity.py checks their formulas against the curves).
     A step that ends non-finite raises IntegrationError, and a dynamic
     step whose normalized slip angles meet v_x <= 0 DataError, naming
     its time; with a ``limit``, a state beyond it raises
     SimulationDiverged with the states before it."""
     geom, dt, times = params.geometry, scenario.dt, scenario.times
     normalized = params.normalized_slip
-    rate, rates = curve_laws(params)
+    rate, rates = models.kinematic_speed_law(params), models.dynamic_body_law(params)
     lag_tau = int(round(params.delays.long_delay / dt))
     lag_s = int(round(params.delays.steer_delay / dt))
     states = np.empty((times.size, len(scenario.initial_state)))
@@ -375,10 +375,10 @@ def _outcome(run):
 
 
 def _patch_pass_1(patch, stage):
-    """Route each stage of pass 1 through ``stage(v, value)``, which gets
-    the stage's speed (v or v_x) and its law's value and returns the
-    value to use; the laws write their curves inline, so patching a
-    curve does not reach them."""
+    """Route each stage of pass 1, and of the step-at-a-time reference,
+    through ``stage(v, value)``, which gets the stage's speed (v or v_x)
+    and its law's value and returns the value to use; the laws write
+    their curves inline, so patching a curve does not reach them."""
     speed_law, body_law = models.kinematic_speed_law, models.dynamic_body_law
 
     def patched_speed_law(*args, **kwargs):
@@ -394,15 +394,13 @@ def _patch_pass_1(patch, stage):
 
 
 def _fragile_friction(patch, v_max):
-    """Make the friction curve NaN above ``v_max``: the reference's
-    ``models.friction_force``, and in pass 1 every derivative of a stage
-    above ``v_max``, as a NaN net force makes them."""
-    friction = models.friction_force
-    patch.setattr(models, "friction_force", lambda v, p: np.nan if v > v_max else friction(v, p))
+    """Make the friction force NaN above ``v_max``: in pass 1 and the
+    reference, every derivative of a stage above ``v_max``, as a NaN net
+    force makes them."""
 
     def stage(v, value):
         if v > v_max:
-            return np.nan if value.__class__ is float else (np.nan,) * 3
+            return (np.nan,) * 3 if isinstance(value, tuple) else np.nan
         return value
 
     _patch_pass_1(patch, stage)
@@ -431,6 +429,13 @@ PRECEDENCE_CASES = {
     # the heading and its body state stays finite, beyond the limit
     "dynamic heading overflow": ("dynamic", 0.0, 1.0, (0, 0, 0, -2e307, 0, 1e308), 1e6, None,
                                  "non-finite"),
+    # the first stage overflows inside the body law, b*v_x in the
+    # friction's tanh and v_y*omega in the v_x rate; the float law's
+    # math.tanh, math.atan and math.sin raise no ValueError or
+    # OverflowError on what follows, so both sides raise one
+    # IntegrationError
+    "dynamic overflow inside the law": ("dynamic", 0.0, 0.3, (0, 0, 0, 1.4e307, 1e160, 1e160),
+                                        1e6, None, "non-finite"),
 }
 
 
