@@ -31,8 +31,9 @@ returns 2, so a command itself returns only 0, or 1 for unfitted stages.
 
 Importing the module loads only the minicar modules every command runs.
 Each command imports the rest where it runs them: ``fit`` the pipeline,
-fitting, dataset, delay and plot modules, ``simulate`` the plot module
-and ``validate`` the validation module.
+fitting, dataset, delay and plot modules, ``simulate`` the scenario and
+plot modules, ``generate`` the scenario module and ``validate`` the
+validation module.
 """
 
 from __future__ import annotations
@@ -49,14 +50,18 @@ import sys
 import time
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from . import __version__, models, scenarios, simulator
+from . import __version__, models, simulator
 from .errors import ConfigError, DataError, MinicarError
 from .logs import load_log, save_log
 from .params import (Geometry, from_json, load_params, read_json_object, reference_params,
                      save_params, write_json)
+
+if TYPE_CHECKING:  # annotations only: fit and validate never load the scenario library
+    from .scenarios import Scenario
 
 logger = logging.getLogger("minicar.cli")
 
@@ -307,7 +312,7 @@ def cmd_fit(args) -> int:
     return 0
 
 
-def _simulate(scenario: scenarios.Scenario, params):
+def _simulate(scenario: Scenario, params):
     """The scenario's trajectory, and its steps and wall time for the run manifest."""
     start = time.perf_counter()
     traj = simulator.simulate(scenario, params)
@@ -317,7 +322,7 @@ def _simulate(scenario: scenarios.Scenario, params):
 
 
 def cmd_simulate(args) -> int:
-    from . import svgplot  # here, not at the top: generate and validate draw no plot
+    from . import scenarios, svgplot  # here, not at the top: see the module docstring
 
     params = load_params(args.params)
     scenario = scenarios.load_scenario(args.scenario)
@@ -348,7 +353,7 @@ def cmd_simulate(args) -> int:
     return 0
 
 
-def _generate_one(tag: str, scenario: scenarios.Scenario, seed: int, params, noise,
+def _generate_one(tag: str, scenario: Scenario, seed: int, params, noise,
                   out_dir: Path):
     """One job of ``generate``: simulate the scenario, write its noisy log,
     and return the log's manifest entry and the scenario's run record."""
@@ -454,6 +459,8 @@ def _seed(text: str) -> int:
 
 
 def cmd_generate(args) -> int:
+    from . import scenarios  # here, not at the top: fit and validate run no scenario
+
     params = load_params(args.params)
     noise = simulator.load_noise(args.noise)
     try:

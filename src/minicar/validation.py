@@ -26,12 +26,12 @@ import numpy as np
 from . import models
 from .delay import delay_shift
 from .errors import ConfigError, DataError, IntegrationError
-from .integrators import rk4_step  # unused; perfbench/tracing.py patches it by name
 from .logs import APPLIED_COLUMNS, MOCAP_COLUMNS, command_out_of_range, grid_step, read_table
 from .params import VehicleParams
 from .preprocess import SMOOTH_WINDOW, pose_velocities
 from .preprocess import differentiate, smooth  # unused, like rk4_step
 from .simulator import held_inputs, stepper
+from .simulator import rk4_step  # unused; perfbench/tracing.py patches it by name
 
 logger = logging.getLogger(__name__)
 

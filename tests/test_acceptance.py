@@ -34,7 +34,6 @@ from minicar.fitting import (
     fit_rear_tire,
     fit_steering,
 )
-from minicar.integrators import rk4_step
 from minicar.params import TireParams, rectangle_inertia, reference_params, save_params
 from minicar.pipeline import measure_steer_delay
 from minicar.scenarios import (
@@ -46,7 +45,7 @@ from minicar.scenarios import (
     sinusoidal_steering,
     step_throttle_battery,
 )
-from minicar.simulator import NoiseSpec, simulate, synthesize_log
+from minicar.simulator import NoiseSpec, rk4_step, simulate, synthesize_log
 
 REF = reference_params()
 

@@ -18,10 +18,9 @@ from hypothesis import strategies as st
 from conftest import curve_laws
 from minicar import models
 from minicar.fitting import default_config
-from minicar.integrators import rk4_step
 from minicar.params import FrictionParams, TireParams, reference_params
 from minicar.scenarios import mocap_circular_ramp, sinusoidal_steering
-from minicar.simulator import BLEND_SPEED, held_inputs, simulate, stepper
+from minicar.simulator import BLEND_SPEED, held_inputs, rk4_step, simulate, stepper
 
 REF = reference_params()
 

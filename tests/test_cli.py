@@ -1050,11 +1050,11 @@ _FIT_OR_VALIDATE_ONLY = [f"minicar.{name}" for name in
 # What each command leaves unloaded: the above, hashlib, which only the
 # run manifest hashes with, and the minicar modules the command does not run.
 _UNLOADED = {
-    "fit": [*_NEVER, "minicar.validation"],
+    "fit": [*_NEVER, "minicar.validation", "minicar.scenarios"],
     "generate": [*_NEVER, *_FIT_OR_VALIDATE_ONLY, "minicar.svgplot"],
     "simulate": [*_NEVER, *_FIT_OR_VALIDATE_ONLY],
     "validate": [*_NEVER, "hashlib", "minicar.fitting", "minicar.pipeline", "minicar.datasets",
-                 "minicar.svgplot"],
+                 "minicar.svgplot", "minicar.scenarios"],
 }
 
 

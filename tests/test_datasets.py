@@ -280,6 +280,21 @@ def test_steering_dataset_excludes_slow_segments(ref, caplog):
     assert any("excluded" in r.message for r in caplog.records)
 
 
+def test_steering_dataset_skips_segments_shorter_than_its_window(ref, caplog):
+    """A log whose steering changes every 5 rows adds no row, and the
+    builder logs how many segments it skipped."""
+    logs = _steer_logs(ref, (-0.4, 0.4))
+    n = 60
+    chatter = make_log(np.arange(n) * 0.01, np.full(n, 0.25), np.repeat([0.2, -0.2] * 6, 5),
+                       np.full(n, 0.5), np.zeros(n), name="chatter")
+    alone = build_steering_dataset(logs, ref.geometry.l)
+    with caplog.at_level(logging.INFO, logger="minicar.datasets"):
+        with_chatter = build_steering_dataset([chatter, *logs], ref.geometry.l)
+    assert [r.message for r in caplog.records] == ["steering dataset: 12 segments skipped"]
+    for got, want in zip((*with_chatter.inputs, with_chatter.label), (*alone.inputs, alone.label)):
+        np.testing.assert_array_equal(got, want)
+
+
 # --- logs too short for a builder's window ---------------------------------
 
 
@@ -315,6 +330,18 @@ def test_tire_dataset_requires_mocap(ref):
     n = 50
     log = make_log(np.arange(n) * 0.01, np.zeros(n), np.zeros(n), np.ones(n), np.zeros(n))
     with pytest.raises(DataError, match="motion-capture"):
+        build_tire_dataset([log], ref)
+
+
+@pytest.mark.parametrize("n, speed", [(12, 1.0), (50, 0.0)])
+def test_tire_dataset_refuses_logs_with_no_usable_row(ref, n, speed):
+    """A pose log shorter than its two smoothing windows, or one standing
+    still below v_min, is skipped; with no other log there is no row."""
+    t = np.arange(n) * 0.01
+    log = make_log(t, np.zeros(n), np.zeros(n), np.full(n, speed), np.zeros(n),
+                   mocap=MocapBlock(speed * t, np.zeros(n), np.zeros(n)))
+    with pytest.raises(DataError, match=r"^no usable tire rows \(all below v_min or logs too "
+                                        r"short\)$"):
         build_tire_dataset([log], ref)
 
 

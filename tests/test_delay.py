@@ -85,6 +85,12 @@ def test_length_mismatch_rejected():
         estimate_delay_xcorr(np.arange(20.0), np.arange(21.0), 0.01)
 
 
+@pytest.mark.parametrize("dt", [0.0, -0.01])
+def test_non_positive_dt_rejected(dt):
+    with pytest.raises(DataError, match="^dt must be positive$"):
+        estimate_delay_xcorr(np.arange(20.0), np.arange(20.0), dt)
+
+
 def test_lag_search_respects_max_lag(rng):
     dt = 0.01
     x = rng.normal(size=400)

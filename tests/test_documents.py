@@ -92,6 +92,14 @@ def test_unknown_and_missing_fields_have_one_message_shape(what, valid, cls, par
         assert str(missing.value) == f"{what}: missing field {name!r}"
 
 
+def test_a_manifest_entry_whose_file_is_not_a_string_is_refused(tmp_path):
+    path = tmp_path / "manifest.json"
+    path.write_text(json.dumps({"logs": [{"tag": "coast", "file": 3}]}))
+    with pytest.raises(ConfigError) as refusal:
+        _read_manifest(path)
+    assert str(refusal.value) == f"{path}: logs[0]: 'file' must be a string, got 3"
+
+
 @pytest.mark.parametrize("doc", [[1], "step", 0.5, None])
 def test_a_schedule_that_is_not_an_object_has_the_common_message(doc):
     message = f"schedule: expected a JSON object, got {type(doc).__name__}"

@@ -7,10 +7,9 @@ from dataclasses import replace
 import pytest
 
 from minicar import errors, models
-from minicar.integrators import non_finite_state
 from minicar.params import reference_params
 from minicar.scenarios import Scenario, constant
-from minicar.simulator import simulate
+from minicar.simulator import non_finite_state, simulate
 
 
 def _diverged() -> errors.SimulationDiverged:

@@ -5,7 +5,7 @@ import pytest
 
 from minicar import models
 from minicar.errors import ConfigError, DataError, IntegrationError
-from minicar.integrators import rk4_step, rk4_tuple_stages
+from minicar.simulator import rk4_step, rk4_tuple_stages
 
 
 def integrate(rhs, y0, dt, t_end):

@@ -248,6 +248,13 @@ def test_rawlog_rejects_ragged_columns():
         )
 
 
+def test_the_sample_period_of_a_one_row_log_is_refused():
+    log = RawLog(t=np.zeros(1), tau=np.zeros(1), s=np.zeros(1), v_enc=np.zeros(1),
+                 omega_imu=np.zeros(1))
+    with pytest.raises(ParseError, match="^log too short to define a sample period$"):
+        log.dt
+
+
 def test_rawlog_arrays_become_readonly():
     log = RawLog(
         t=np.array([0.0, 0.01]),

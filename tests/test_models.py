@@ -241,7 +241,7 @@ def test_dynamic_rhs_steady_cornering_fixed_point(ref):
     (about 0.5 m/s); the operating point is pinned inside that
     envelope.
     """
-    from minicar.integrators import rk4_step
+    from minicar.simulator import rk4_step
 
     delta, v_x = 0.2, 0.3
     geom, norm_ref = ref.geometry, replace(ref, normalized_slip=True)

@@ -4,7 +4,8 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from minicar.errors import ConfigError, DataError
-from minicar.preprocess import differentiate, erode_mask, rolling_stats, smooth
+from minicar.preprocess import (differentiate, erode_mask, local_poly_derivative, local_poly_value,
+                                rolling_stats, smooth)
 
 
 def test_smooth_window_one_is_identity(rng):
@@ -64,6 +65,34 @@ def test_differentiate_needs_three_samples():
 def test_differentiate_rejects_nonmonotone_time():
     with pytest.raises(DataError):
         differentiate(np.zeros(4), np.array([0.0, 1.0, 0.5, 2.0]))
+
+
+def test_differentiate_rejects_unequal_lengths():
+    with pytest.raises(ConfigError, match="^series and t must have equal length$"):
+        differentiate(np.zeros(4), np.arange(5.0))
+
+
+def test_erode_mask_rejects_a_negative_guard():
+    with pytest.raises(ConfigError, match="^guard must be non-negative$"):
+        erode_mask(np.ones(4, dtype=bool), -1)
+
+
+@pytest.mark.parametrize("window", [3, 6])
+def test_local_poly_rejects_a_window_too_small_or_even(window):
+    with pytest.raises(ConfigError, match=rf"^local polynomial window must be odd and >= 5, "
+                                          rf"got {window}$"):
+        local_poly_value(np.zeros(20), window)
+
+
+def test_local_poly_rejects_a_window_longer_than_the_series():
+    with pytest.raises(ConfigError, match="^window 7 exceeds series length 6$"):
+        local_poly_derivative(np.zeros(6), 0.01, 7)
+
+
+@pytest.mark.parametrize("dt", [0.0, -0.01])
+def test_local_poly_derivative_rejects_a_non_positive_dt(dt):
+    with pytest.raises(ConfigError, match="^dt must be positive$"):
+        local_poly_derivative(np.zeros(20), dt, 5)
 
 
 def test_erode_mask():

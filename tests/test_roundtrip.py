@@ -1,7 +1,9 @@
 """Zero-noise identifiability: every sub-model fit recovers its own
 generating curve to better than 1e-6 RMS over the sampled range, and
 the whole loop (``generate`` at zero noise, then ``fit``) returns each
-identifiable parameter within a bound set just above its error today.
+identifiable parameter within a bound set just above its error today,
+and returns it alike at every SIMD level numpy may take. Under
+normalized slip the loop does not close yet (a strict xfail).
 
 Initial guesses follow the plot-reading practice the pipeline
 documents: order-of-magnitude values a person would read off the
@@ -11,11 +13,16 @@ first-order optimizers on a shelf well above this test's bar.
 """
 
 import json
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import minicar
 from minicar import fitting, models
 from minicar.cli import main
 from minicar.datasets import Dataset
@@ -81,21 +88,44 @@ LOOP_ERRORS = {
 BCD_ERROR = (-3.1351, 0.05)  # B*C*D, the front tire's one pinned combination
 
 
-def test_the_zero_noise_loop_returns_the_truth_within_todays_bounds(tmp_path, ref):
-    """``generate`` with every noise level 0, then ``fit``: the outputs
-    do not depend on the seed. D, C, B and E are not identifiable from
-    the battery and are not asserted."""
-    truth, noise = tmp_path / "truth.json", tmp_path / "noise.json"
-    save_params(ref, truth)
+def _zero_noise_loop(tmp_path, truth, *fit_options, env=None):
+    """``generate`` from ``truth`` with every noise level 0, then ``fit``
+    with ``fit_options``: the fitted parameters. The loop runs in this
+    process, or with ``env`` in a fresh interpreter whose environment
+    adds ``env``."""
+    tmp_path.mkdir(exist_ok=True)
+    truth_file, noise = tmp_path / "truth.json", tmp_path / "noise.json"
+    save_params(truth, truth_file)
     noise.write_text(json.dumps(dict.fromkeys(("v_enc", "omega_imu", "mocap_xy", "mocap_eta"), 0)))
     logs, fitted = tmp_path / "logs", tmp_path / "fit" / "params.json"
-    assert main(["generate", "--params", str(truth), "--noise", str(noise), "--seed", "1",
-                 "--out", str(logs)]) == 0
-    assert main(["fit", "--logs", str(logs), "--out", str(fitted)]) == 0
-    fit = load_params(fitted)
+    commands = [["generate", "--params", str(truth_file), "--noise", str(noise), "--seed", "1",
+                 "--out", str(logs)],
+                ["fit", "--logs", str(logs), "--out", str(fitted), *fit_options]]
+    if env is None:
+        for argv in commands:
+            assert main(argv) == 0
+    else:
+        src = str(Path(minicar.__file__).resolve().parents[1])
+        env = {**os.environ, **env,
+               "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        proc = subprocess.run([sys.executable, "-c", _LOOP, json.dumps(commands)],
+                              capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+    return load_params(fitted)
 
+
+_LOOP = """
+import json, sys
+from minicar.cli import main
+
+for argv in json.loads(sys.argv[1]):
+    assert main(argv) == 0
+"""
+
+
+def _assert_within_todays_bounds(fit, truth):
     for name in ("a_t", "b_t", "c_t", "d_t", "e_t"):  # 2.5e-14 relative today
-        assert getattr(fit.steering, name) == pytest.approx(getattr(ref.steering, name),
+        assert getattr(fit.steering, name) == pytest.approx(getattr(truth.steering, name),
                                                             rel=1e-13, abs=0), name
     assert abs(fit.delays.steer_delay - 0.15) <= 1e-12  # 3.2e-15 s today
 
@@ -103,7 +133,55 @@ def test_the_zero_noise_loop_returns_the_truth_within_todays_bounds(tmp_path, re
         return 100.0 * (value - true) / abs(true)
 
     for (group, name), (today, margin) in LOOP_ERRORS.items():
-        error = percent(getattr(getattr(fit, group), name), getattr(getattr(ref, group), name))
+        error = percent(getattr(getattr(fit, group), name), getattr(getattr(truth, group), name))
         assert abs(error) <= abs(today) + margin, (group, name, error)
-    error = percent(fit.tire.B * fit.tire.C * fit.tire.D, ref.tire.B * ref.tire.C * ref.tire.D)
+    error = percent(_bcd(fit), _bcd(truth))
     assert abs(error) <= abs(BCD_ERROR[0]) + BCD_ERROR[1], ("B*C*D", error)
+
+
+def _bcd(params) -> float:
+    return params.tire.B * params.tire.C * params.tire.D
+
+
+def test_the_zero_noise_loop_returns_the_truth_within_todays_bounds(tmp_path, ref):
+    """``generate`` with every noise level 0, then ``fit``: the outputs
+    do not depend on the seed. D, C, B and E are not identifiable from
+    the battery and are not asserted."""
+    _assert_within_todays_bounds(_zero_noise_loop(tmp_path, ref), ref)
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 21: under normalized slip the rolling "
+                   "switch at BLEND_SPEED makes the tire labels jump, so C_r and B*C*D miss")
+def test_the_zero_noise_loop_under_normalized_slip_returns_the_truth_within_todays_bounds(
+        tmp_path, ref):
+    """The same loop, generated and fitted under normalized slip, within
+    the raw loop's bounds."""
+    truth = replace(ref, normalized_slip=True)
+    _assert_within_todays_bounds(_zero_noise_loop(tmp_path, truth, "--normalized-slip"), truth)
+
+
+# Relative difference allowed between the loop at numpy's best SIMD level
+# and at its baseline alone (largest measured: steering 4.3e-15, C_r
+# 1.3e-14, B*C*D 5.7e-13).
+SIMD_RELATIVE = 1e-12
+SIMD_BCD_RELATIVE = 1e-10
+IDENTIFIABLE = [*(("friction", n) for n in "abc"), *(("motor", n) for n in "deg"),
+                *(("steering", n) for n in ("a_t", "b_t", "c_t", "d_t", "e_t")),
+                ("delays", "steer_delay"), ("tire", "C_r")]
+
+
+def test_the_zero_noise_loop_does_not_hinge_on_numpys_simd_level(tmp_path, ref):
+    """The loop with every SIMD extension numpy found, in this process,
+    and with none (NPY_DISABLE_CPU_FEATURES), in a fresh interpreter,
+    fits the same identifiable parameters within SIMD_RELATIVE, and
+    B*C*D within SIMD_BCD_RELATIVE. D, C, B and E are not asserted."""
+    found = np.show_config(mode="dicts")["SIMD Extensions"].get("found", [])
+    if not found:
+        pytest.skip("numpy finds no SIMD extension beyond its baseline on this CPU")
+    best = _zero_noise_loop(tmp_path / "best", ref)
+    baseline = _zero_noise_loop(tmp_path / "baseline", ref,
+                                env={"NPY_DISABLE_CPU_FEATURES": " ".join(found)})
+    for group, name in IDENTIFIABLE:
+        value, other = (getattr(getattr(fit, group), name) for fit in (best, baseline))
+        assert value == pytest.approx(other, rel=SIMD_RELATIVE, abs=0), (group, name)
+    assert _bcd(best) == pytest.approx(_bcd(baseline), rel=SIMD_BCD_RELATIVE, abs=0)

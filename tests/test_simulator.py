@@ -10,7 +10,6 @@ from minicar import models, simulator
 from minicar.delay import estimate_delay_xcorr
 from minicar.errors import (ConfigError, DataError, IntegrationError, MinicarError,
                             SimulationDiverged)
-from minicar.integrators import rk4_step
 from minicar.params import (Delays, FrictionParams, Geometry, MotorParams, SteeringParams,
                             TireParams, VehicleParams)
 from minicar.scenarios import (
@@ -26,7 +25,7 @@ from minicar.scenarios import (
     sinusoidal_steering,
     step_throttle_battery,
 )
-from minicar.simulator import NoiseSpec, simulate, synthesize_log
+from minicar.simulator import NoiseSpec, rk4_step, simulate, synthesize_log
 
 
 # --- simulate ----------------------------------------------------------------

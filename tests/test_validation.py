@@ -157,6 +157,12 @@ def test_the_time_step_of_a_non_finite_time_column_is_refused(t, row):
         validation._dt_of({"t": np.array(t)})
 
 
+@pytest.mark.parametrize("table", [{}, {"t": np.array([0.0])}])
+def test_a_log_without_a_two_row_time_column_is_refused(table):
+    with pytest.raises(DataError, match="^log needs a time column with at least two rows$"):
+        validation._dt_of(table)
+
+
 def test_one_step_rms_names_the_row_where_time_goes_back(ref):
     t = np.arange(8) * 0.01
     t[5] = 0.02  # row 6 (1-based) goes back in time
