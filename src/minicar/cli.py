@@ -123,6 +123,8 @@ class _LogEntry:
     def __post_init__(self):
         if not isinstance(self.file, str):
             raise ConfigError(f"'file' must be a string, got {self.file!r}")
+        if not self.file or "\0" in self.file:
+            raise ConfigError(f"'file' must name a file, got {self.file!r}")
 
 
 @dataclass(frozen=True)
@@ -137,15 +139,18 @@ class _LogManifest:
 
 def _read_manifest(path: Path) -> _LogManifest:
     """The log manifest in ``path``; ConfigError naming the file, and
-    the entry, when an entry is malformed or its tag is none that fit
-    reads."""
+    the entry, when an entry is malformed, its tag is none that fit
+    reads or its file is an earlier entry's."""
     from .pipeline import EXPERIMENT_TAGS  # only fit reads a manifest
+    first = {}  # the number of the first entry naming each resolved log path
 
     def entry(i, doc):
         what = f"{path}: logs[{i}]"
         log = from_json(_LogEntry, doc, what)
         if log.tag not in EXPERIMENT_TAGS:  # a tag that is not a string, too
             raise ConfigError(f"{what}: unknown experiment tag {log.tag!r}")
+        if (j := first.setdefault((path.parent / log.file).resolve(), i)) != i:
+            raise ConfigError(f"{what}: file {log.file!r} repeats logs[{j}]")
         return log
 
     def entries(_, docs):
@@ -324,8 +329,8 @@ def _simulate(scenario: Scenario, params):
 def cmd_simulate(args) -> int:
     from . import scenarios, svgplot  # here, not at the top: see the module docstring
 
-    params = load_params(args.params)
     scenario = scenarios.load_scenario(args.scenario)
+    params = load_params(args.params, dynamic=scenario.model == "dynamic")
     traj, run = _simulate(scenario, params)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -461,13 +466,13 @@ def _seed(text: str) -> int:
 def cmd_generate(args) -> int:
     from . import scenarios  # here, not at the top: fit and validate run no scenario
 
-    params = load_params(args.params)
-    noise = simulator.load_noise(args.noise)
     try:
         batteries = scenarios.scenario_library(dt=args.dt)
     except ConfigError as exc:  # the rule is the scenario's; the value is the option's
         raise ConfigError(f"--dt {args.dt}: {exc}") from None
     library = [(tag, scenario) for tag, battery in batteries.items() for scenario in battery]
+    params = load_params(args.params, dynamic=any(s.model == "dynamic" for _, s in library))
+    noise = simulator.load_noise(args.noise)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     seeds = np.random.SeedSequence(args.seed).spawn(len(library))
@@ -486,7 +491,7 @@ def cmd_validate(args) -> int:
 
     if args.out:
         _check_out(args.out, "report file")
-    params = load_params(args.params)
+    params = load_params(args.params, dynamic=args.model == "dynamic")
     table = validation.read_table(args.log)
     try:
         rms = validation.one_step_rms(table, params, args.model)

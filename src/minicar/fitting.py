@@ -6,7 +6,7 @@ field order, r = curve(inputs; p) − label is the residual vector and
 its analytic Jacobian J comes with the value from one function:
 ``models.pacejka_lateral_and_jacobian``, or ``models.<curve>`` and
 ``models.<curve>_jacobian`` side by side. No curve formula lives here.
-The stage fits and the diagnostics evaluate r and J the same way.
+``fit_curve`` and ``fit_diagnostics`` evaluate r and J the same way.
 
 Every stage is solved by ``lm_fit``, a box-projected
 Levenberg–Marquardt method (Marquardt 1963; Moré 1978): each step
@@ -22,6 +22,7 @@ are this module's constants.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields, replace
+from functools import partial
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -74,7 +75,7 @@ class FitResult:
     iterations: int
     converged: bool
     evaluations: int  # residual evaluations, rejected trials included
-    diagnostics: dict | None = None  # fit_diagnostics at params, set by the fit_* stages
+    diagnostics: dict | None = None  # fit_diagnostics at params, set by fit_curve
 
 
 # perfbench/tracing.py looks both names up and calls neither; they go
@@ -167,13 +168,13 @@ def _field_names(group) -> tuple[str, ...]:
     return tuple(f.name for f in fields(group))
 
 
-def _side_by_side(curve: Callable, jacobian: Callable) -> tuple[Callable, Callable]:
-    return curve, lambda *args: (curve(*args), jacobian(*args))
+def _side_by_side(curve: Callable, jacobian: Callable) -> Callable:
+    return lambda *args: (curve(*args), jacobian(*args))
 
 
 class _Stage(NamedTuple):
-    curve: Callable  # models.<curve>
     evaluate: Callable  # (*inputs, p) -> (curve value, (N, n_p) Jacobian)
+    value: Callable  # fitted vector -> a parameter group, the tire's D, C, B, E or C_r
     names: tuple[str, ...]  # parameter names in fit-vector order
     initial: tuple[float, ...]
     lower: tuple[float, ...]
@@ -183,22 +184,23 @@ class _Stage(NamedTuple):
 # Guesses are order-of-magnitude values a practitioner would read off a
 # plot of the data.
 _STAGES = {
-    "friction": _Stage(*_side_by_side(models.friction_force, models.friction_force_jacobian),
-                       _field_names(FrictionParams),
+    "friction": _Stage(_side_by_side(models.friction_force, models.friction_force_jacobian),
+                       lambda p: FrictionParams(*p), _field_names(FrictionParams),
                        (1.0, 10.0, 0.1), (1e-3, 1e-3, 0.0), (20.0, 100.0, 10.0)),
-    "motor": _Stage(*_side_by_side(models.motor_force, models.motor_force_jacobian),
-                    _field_names(MotorParams),
+    "motor": _Stage(_side_by_side(models.motor_force, models.motor_force_jacobian),
+                    lambda p: MotorParams(*p), _field_names(MotorParams),
                     (20.0, 5.0, -0.1), (1e-3, 1e-3, -0.99), (100.0, 100.0, 0.0)),
-    "steering": _Stage(*_side_by_side(models.steering_angle, models.steering_angle_jacobian),
-                       _field_names(SteeringParams),
+    "steering": _Stage(_side_by_side(models.steering_angle, models.steering_angle_jacobian),
+                       lambda p: SteeringParams(*p), _field_names(SteeringParams),
                        (1.0, 1.0, 0.0, 1.0, 1.0), (1e-3, 1e-3, -0.9, 1e-3, 1e-3),
                        (3.0, 5.0, 0.9, 3.0, 5.0)),
-    "front_tire": _Stage(models.pacejka_lateral, models.pacejka_lateral_and_jacobian,
+    "front_tire": _Stage(models.pacejka_lateral_and_jacobian, lambda p: p,
                          _field_names(TireParams)[:4],
                          (3.0, 1.0, 1.0, 0.0), (1e-3, 0.05, 1e-3, -10.0),
                          (20.0, 2.0, 20.0, 0.99)),
-    "rear_tire": _Stage(*_side_by_side(models.rear_lateral, models.rear_lateral_jacobian),
-                        _field_names(TireParams)[4:], (1.0,), (1e-3,), (100.0,)),
+    "rear_tire": _Stage(_side_by_side(models.rear_lateral, models.rear_lateral_jacobian),
+                        lambda p: float(p[0]), _field_names(TireParams)[4:],
+                        (1.0,), (1e-3,), (100.0,)),
 }
 
 
@@ -261,29 +263,16 @@ def fit_diagnostics(sub_model: str, data: Dataset, params, config: FitConfig) ->
     }
 
 
-def _fit(sub_model: str, data: Dataset, convert: Callable):
-    config = default_config(sub_model)
-    result = lm_fit(_stage_residuals(sub_model, data), config)
-    result = replace(result, diagnostics=fit_diagnostics(sub_model, data, result.params, config))
-    return convert(result.params), result
+def fit_curve(stage: str, data: Dataset):
+    """The stage's value fitted to ``data`` by ``lm_fit`` from its default
+    start and box, and the FitResult with its ``fit_diagnostics``."""
+    config = default_config(stage)
+    result = lm_fit(_stage_residuals(stage, data), config)
+    result = replace(result, diagnostics=fit_diagnostics(stage, data, result.params, config))
+    return _STAGES[stage].value(result.params), result
 
 
-def fit_friction(data: Dataset):
-    return _fit("friction", data, lambda p: FrictionParams(*p))
-
-
-def fit_motor(data: Dataset):
-    return _fit("motor", data, lambda p: MotorParams(*p))
-
-
-def fit_steering(data: Dataset):
-    return _fit("steering", data, lambda p: SteeringParams(*p))
-
-
-def fit_front_tire(data: Dataset):
-    """Returns the magic-formula coefficients; C_r is fitted separately."""
-    return _fit("front_tire", data, lambda p: p)
-
-
-def fit_rear_tire(data: Dataset):
-    return _fit("rear_tire", data, lambda p: float(p[0]))
+# The stages in _STAGES order. perfbench/tracing.py patches these names and
+# pipeline.PLAN looks them up when it runs, so traced per-stage fit metrics keep reading.
+fit_friction, fit_motor, fit_steering, fit_front_tire, fit_rear_tire = (
+    partial(fit_curve, stage) for stage in _STAGES)

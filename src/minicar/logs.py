@@ -151,13 +151,14 @@ def read_table(source, name: str = "") -> dict[str, np.ndarray]:
     """Parse a header line and numeric rows into named float columns.
 
     ``source`` is a path, bytes, or a text or binary stream, read whole;
-    bytes are decoded once, CR LF and a lone CR end a line as LF does,
-    and one leading byte-order mark (U+FEFF) is dropped. Raises
-    ParseError, naming the 1-based row where there is one, for text
-    that is not UTF-8, an empty file, duplicate column names, a header
-    without rows, a wrong field count and a non-numeric or non-finite
-    field. The rows are parsed in one numpy call; a table it refuses is
-    re-read row by row, and that re-read names the faulty row.
+    bytes are decoded once, a line ends where ``str.splitlines`` ends one
+    (LF, CR LF, CR, VT, FF, FS, GS, RS, NEL, LS or PS), and one leading
+    byte-order mark (U+FEFF) is dropped. Raises ParseError, naming the
+    1-based row where there is one, for text that is not UTF-8, an empty
+    file, duplicate column names, a header without rows, a wrong field
+    count and a non-numeric or non-finite field. The rows are parsed in
+    one numpy call; a table it refuses is re-read row by row, and that
+    re-read names the faulty row.
     """
     if isinstance(source, (str, Path)):
         name = name or str(source)

@@ -300,8 +300,12 @@ def load_json(path: str | Path, what: str, build):
         raise ConfigError(f"{path}: {exc}") from exc
 
 
-def load_params(path: str | Path) -> VehicleParams:
-    return load_json(path, "parameter", params_from_dict)
+def load_params(path: str | Path, *, dynamic: bool = False) -> VehicleParams:
+    """The parameters in ``path``; with ``dynamic``, ConfigError if they hold no tire group."""
+    params = load_json(path, "parameter", params_from_dict)
+    if dynamic and params.tire is None:
+        raise ConfigError(f"{path}: dynamic model requires tire parameters")
+    return params
 
 
 def reference_params() -> VehicleParams:

@@ -727,6 +727,45 @@ def test_simulate_names_the_faulty_document(tmp_path, params_file, caplog, bad):
     assert f"{wrong}: " in caplog.text and str(good) not in caplog.text
 
 
+def _tireless_params(tmp_path, params_file):
+    """A copy of the parameter file without a tire group."""
+    params = tmp_path / "tireless.json"
+    params.write_text(json.dumps({**json.loads(params_file.read_text()), "tire": None}))
+    return params
+
+
+@pytest.mark.parametrize("command", ["validate", "simulate", "generate"])
+def test_a_dynamic_run_refuses_a_parameter_file_without_tires_up_front(
+        tmp_path, params_file, caplog, monkeypatch, command):
+    """``validate --model dynamic``, ``simulate`` of a dynamic scenario and
+    ``generate``, whose library drives the dynamic model, exit 2 with one
+    error that starts with the parameter file, before a log is read or
+    any output is written."""
+    params = _tireless_params(tmp_path, params_file)
+    noise, out = tmp_path / "noise.json", tmp_path / "out"
+    noise.write_text("{}")
+    monkeypatch.setattr(validation, "read_table", lambda path: pytest.fail(f"read {path}"))
+    argv = {
+        "validate": ["--log", str(_straight_log(tmp_path)), "--model", "dynamic"],
+        "simulate": ["--scenario", str(write_scenario(
+            tmp_path, model="dynamic", initial_state=[0.0, 0.0, 0.0, 0.5, 0.0, 0.0])),
+            "--out", str(out)],
+        "generate": ["--noise", str(noise), "--seed", "1", "--out", str(out)],
+    }[command]
+    assert main([command, "--params", str(params), *argv]) == 2
+    assert _one_error(caplog) == f"{params}: dynamic model requires tire parameters"
+    assert len(caplog.records) == 1 and not out.exists()
+
+
+def test_a_kinematic_run_takes_a_parameter_file_without_tires(tmp_path, params_file, capsys):
+    """The refusal is the dynamic model's: the kinematic model runs without tires."""
+    params = _tireless_params(tmp_path, params_file)
+    assert main(["simulate", "--params", str(params), "--scenario", str(write_scenario(tmp_path)),
+                 "--out", str(tmp_path / "sim")]) == 0
+    assert main(["validate", "--params", str(params), "--log",
+                 str(tmp_path / "sim" / "trajectory.csv"), "--model", "kinematic"]) == 0
+
+
 def test_fit_defaults_to_the_reference_geometry():
     args = build_parser().parse_args(["fit", "--logs", "logs", "--out", "p.json"])
     geometry = reference_params().geometry
@@ -753,6 +792,10 @@ def test_fit_rejects_malformed_manifest(tmp_path, caplog):
     ({"schema_version": 7, "logs": []}, "schema_version 7"),
     ({"schema_version": True, "logs": []}, "schema_version True"),
     ({"logs": [{"tag": "coast", "file": "a.csv", "size": 3}]}, "logs[0]: unknown field 'size'"),
+    ({"logs": [{"tag": "coast", "file": ""}]}, "logs[0]: 'file' must name a file, got ''"),
+    ({"logs": [{"tag": "coast", "file": "a\0.csv"}]}, "logs[0]: 'file' must name a file"),
+    ({"logs": [{"tag": "coast", "file": "a.csv"}, {"tag": "step", "file": "./a.csv"}]},
+     "logs[1]: file './a.csv' repeats logs[0]"),
 ])
 def test_fit_rejects_malformed_manifest_entries(tmp_path, caplog, doc, entry):
     logs_dir = tmp_path / "logs"

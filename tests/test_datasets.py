@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from minicar import datasets, fitting, models
+from minicar import datasets, models
 from minicar.datasets import (
     Dataset,
     build_friction_dataset,
@@ -87,12 +87,18 @@ def stage_datasets(ref, circle_logs):
     }
 
 
-@pytest.mark.parametrize("stage", ["friction", "motor", "steering", "front_tire", "rear_tire"])
+# The ``models`` curve each stage fits.
+CURVE = {"friction": models.friction_force, "motor": models.motor_force,
+         "steering": models.steering_angle, "front_tire": models.pacejka_lateral,
+         "rear_tire": models.rear_lateral}
+
+
+@pytest.mark.parametrize("stage", CURVE)
 def test_builder_gives_one_input_column_per_curve_argument(stage, stage_datasets):
     """A stage's dataset holds one input column for each argument its
     ``models`` curve takes before the parameters."""
     data = stage_datasets[stage]
-    arguments = list(inspect.signature(fitting._STAGES[stage].curve).parameters)[:-1]
+    arguments = list(inspect.signature(CURVE[stage]).parameters)[:-1]
     assert len(data.inputs) == len(arguments)
     assert all(column.shape == data.label.shape == (len(data),) for column in data.inputs)
 

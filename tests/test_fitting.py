@@ -97,7 +97,13 @@ def test_lm_reports_an_exhausted_budget_as_not_converged(ref, rng, monkeypatch):
 
 @pytest.mark.parametrize("name", ["friction", "motor", "steering", "front_tire", "rear_tire"])
 def test_lm_result_invariants(name, ref, rng):
-    result = FIT[name](_noisy_dataset(name, ref, rng, 401))[1]
+    data = _noisy_dataset(name, ref, rng, 401)
+    value, result = FIT[name](data)
+    again, same = fitting.fit_curve(name, data)  # fitting.fit_<name> is this call
+    assert np.array_equal(np.asarray(again), np.asarray(value)) and type(again) is type(value)
+    assert all(np.array_equal(getattr(same, f), getattr(result, f)) for f in
+               ("params", "loss", "trace", "iterations", "converged", "evaluations"))
+    assert same.diagnostics == result.diagnostics
     assert result.trace[-1] == result.loss
     assert result.iterations == len(result.trace) - 1
     assert np.all(np.diff(result.trace) < 0)  # only steps that lower the loss count

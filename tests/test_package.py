@@ -47,14 +47,26 @@ def test_the_readme_python_blocks_run():
 
 def _missing_attributes(text: str) -> list[str]:
     """Each backticked ``module.name`` (or ``minicar.module.name``) of
-    ``text`` whose module is a minicar module but has no such attribute;
-    asserts that ``text`` names at least one."""
+    ``text`` whose module is a minicar module but has no such attribute,
+    and each backticked ``minicar.name`` that is neither a minicar module
+    nor an attribute of the package; asserts that ``text`` names at
+    least one module attribute."""
     modules = {info.name for info in pkgutil.iter_modules(minicar.__path__)}
     named = {(module, name) for module, name in
              re.findall(r"`(?:minicar\.)?(\w+)\.(\w+)", text) if module in modules}
     assert named
-    return sorted(f"{module}.{name}" for module, name in named
-                  if not hasattr(importlib.import_module(f"minicar.{module}"), name))
+    missing = {f"{module}.{name}" for module, name in named
+               if not hasattr(importlib.import_module(f"minicar.{module}"), name)}
+    missing |= {f"minicar.{name}" for name in re.findall(r"`minicar\.(\w+)", text)
+                if name not in modules and not hasattr(minicar, name)}
+    return sorted(missing)
+
+
+def test_a_removed_module_named_under_the_package_is_missing():
+    """``minicar.<name>`` that no longer exists is flagged even though no
+    module of that name is left to look attributes up in."""
+    text = "`minicar.integrators.rk4_step`, `minicar.gone`, `minicar.cli` and `fitting.lm_fit`"
+    assert _missing_attributes(text) == ["minicar.gone", "minicar.integrators"]
 
 
 def test_every_module_attribute_the_readme_names_exists():
