@@ -13,12 +13,20 @@ curve. The stages it requires come from ``pipeline.STAGES``: those of
 read, or else every stage but ``tire`` when there are no motion-capture
 logs, since a vehicle without a tire model still runs the kinematic model.
 
-``generate`` runs its scenarios in workers forked from the command
-(``_generate_all``), or in process where the platform cannot fork. Each
-scenario's noise seed follows its place in the library, so the outputs
-do not depend on the number of CPUs, and the manifests list the
-scenarios in library order. A failure reports the first failing scenario
-in library order, or a dead worker, and writes no manifest.
+``generate`` and ``fit`` run their jobs in workers forked from the
+command (``_run_jobs``), or in process where the platform cannot fork,
+on one OpenBLAS thread. A ``generate`` job simulates one scenario and
+writes its log. A ``fit`` job is one chain of ``pipeline.CHAINS``: it
+parses the logs its chain's requested stages read, fits them and renders
+their plots, and the command merges the chains and writes every output.
+Each scenario's noise seed follows its place in the library, so the
+outputs do not depend on the number of CPUs; ``generate``'s manifests
+list the scenarios in library order, and ``fit``'s run manifest its
+logs in the order of theirs. The workers' log records are handled by
+the command, in job order. A failure reports the first
+failing scenario in library order, the log that ``fit`` cannot parse
+earliest in its manifest, or a dead worker and the jobs it left without
+a result, and writes no manifest.
 
 ``fit --normalized-slip`` picks the slip-angle convention, which the
 parameter file records; the other commands follow their ``--params``.
@@ -162,24 +170,17 @@ def _read_manifest(path: Path) -> _LogManifest:
                      parse={"logs": entries})
 
 
-def _collect_logs(logs_dir: Path, tags) -> tuple[dict[str, list], list[Path]]:
-    """Tagged logs from manifest.json, or from tag-named subdirectories,
-    and the files read. Every entry is listed and checked, but only the
-    logs of ``tags`` are parsed: another tag lists its paths, unread."""
+def _log_entries(logs_dir: Path) -> tuple[list[tuple[str, Path]], list[Path]]:
+    """The tagged log paths of manifest.json, checked and in its order, or
+    of the tag-named subdirectories; and the manifest read, if any."""
     from .pipeline import EXPERIMENT_TAGS  # only fit collects logs
 
     manifest_path = logs_dir / "manifest.json"
     if manifest_path.is_file():
-        files = [manifest_path]
-        entries = [(e.tag, logs_dir / e.file) for e in _read_manifest(manifest_path).logs]
-    else:
-        files = []
-        entries = [(tag, path) for tag in EXPERIMENT_TAGS if (logs_dir / tag).is_dir()
-                   for path in sorted((logs_dir / tag).glob("*.csv"))]
-    tagged: dict[str, list] = {tag: [] for tag in EXPERIMENT_TAGS}
-    for tag, path in entries:
-        tagged[tag].append(load_log(path) if tag in tags else path)
-    return tagged, files + [path for tag, path in entries if tag in tags]
+        return ([(e.tag, logs_dir / e.file) for e in _read_manifest(manifest_path).logs],
+                [manifest_path])
+    return [(tag, path) for tag in EXPERIMENT_TAGS if (logs_dir / tag).is_dir()
+            for path in sorted((logs_dir / tag).glob("*.csv"))], []
 
 
 def _from_zero(x: np.ndarray) -> np.ndarray:
@@ -208,11 +209,12 @@ _PLOTS = {
 }
 
 
-def _fit_plots(result, out_dir: Path) -> None:
-    """One plot per fitted curve of ``pipeline.fit_pipeline``'s result."""
+def _fit_plots(reports) -> dict[str, str]:
+    """The SVG text of one plot per fitted curve of ``reports``, by file name."""
     from . import svgplot  # only fit plots fitted curves
 
-    for r in result.stages:
+    plots = {}
+    for r in reports:
         if r.data is None:
             continue
         filename, curve, column, grid_of, title, x_label, y_label = _PLOTS[r.name]
@@ -224,8 +226,9 @@ def _fit_plots(result, out_dir: Path) -> None:
             for tau in sorted(set(np.round(r.data.inputs[0], 6)))[:6]]
         series = [svgplot.Series(x, r.data.label, "data", "points")] + [
             svgplot.Series(grid, y, label) for label, y in curves]
-        svgplot.save_plot(out_dir / filename, series, title=title, x_label=x_label,
-                          y_label=y_label)
+        plots[filename] = svgplot.render_plot(series, title=title, x_label=x_label,
+                                              y_label=y_label)
+    return plots
 
 
 # The report.json fields read from a stage's fit; each is null without one.
@@ -255,6 +258,27 @@ def _geometry(args) -> Geometry:
     return Geometry.rectangle(args.mass, args.wheelbase, args.width, args.lf)
 
 
+def _fit_chain(chain, entries, stages, geometry, normalized_slip):
+    """One job of ``fit``: parse the chain's logs, ``entries`` of (place in
+    the manifest, tag, path), in that order, run ``pipeline.fit_chain`` on
+    them and render the plots of its fitted curves. Returns its reports and
+    results and the plots by file name. The error of a log it cannot parse
+    carries the log's place in the manifest as ``entry``."""
+    from . import pipeline  # only fit runs the fit modules
+
+    tagged: dict[str, list] = {}
+    for i, tag, path in entries:
+        try:
+            tagged.setdefault(tag, []).append(load_log(path))
+        except (MinicarError, OSError) as exc:
+            exc.entry = i
+            raise
+    reports, values = pipeline.fit_chain(chain, tagged, geometry,
+                                         normalized_slip=normalized_slip, stages=stages)
+    return reports, values, _fit_plots(r for chain_reports in reports.values()
+                                       for r in chain_reports)
+
+
 def cmd_fit(args) -> int:
     from . import pipeline  # here, not at the top: only fit runs the fit modules
 
@@ -265,12 +289,21 @@ def cmd_fit(args) -> int:
         raise ConfigError(f"logs directory {logs_dir} does not exist")
     stages = tuple(args.stages.split(",")) if args.stages else pipeline.STAGES
     pipeline.check_stages(stages)
-    tagged, files = _collect_logs(logs_dir, {tag for name, tags, *_ in pipeline.PLAN
-                                             if name in stages for tag in tags})
-    if not any(tagged.values()):
+    entries, files = _log_entries(logs_dir)
+    if not entries:
         raise DataError(f"no tagged logs found under {logs_dir}")
-    result = pipeline.fit_pipeline(tagged, geometry, normalized_slip=args.normalized_slip,
-                                   stages=stages)
+
+    reads = {name: tags for name, tags, *_ in pipeline.PLAN if name in stages}
+    jobs = {}
+    for chain in pipeline.CHAINS:  # each job parses the logs its chain's requested stages read
+        tags = {tag for name in chain for tag in reads.get(name, ())}
+        jobs[", ".join(chain)] = (chain, [(i, tag, path) for i, (tag, path) in enumerate(entries)
+                                          if tag in tags], stages, geometry, args.normalized_slip)
+    chains = _run_jobs("fit", _fit_chain, jobs, cost=lambda job: len(job[1]))
+    if errors := [chain for chain in chains if isinstance(chain, Exception)]:
+        raise min(errors, key=lambda exc: getattr(exc, "entry", len(entries)))
+    result = pipeline.merge_chains([chain[:2] for chain in chains], geometry,
+                                   normalized_slip=args.normalized_slip)
 
     out_path = Path(args.out)
     out_dir = out_path.parent
@@ -302,11 +335,16 @@ def cmd_fit(args) -> int:
         if result.steer_delay is None:
             logger.warning("%s: steer_delay is 0.0, no stage measured the steering delay",
                            out_path)
-        _fit_plots(result, out_dir)
-    _write_manifest(out_dir, args, files, _fit_defaults(), {"report": report})
+        for *_, plots in chains:
+            for filename, text in plots.items():
+                (out_dir / filename).write_text(text, encoding="utf-8")
+    read = {tag for tags in reads.values() for tag in tags}
+    _write_manifest(out_dir, args, files + [path for tag, path in entries if tag in read],
+                    _fit_defaults(), {"report": report})
 
     requested = set(stages) if args.stages else {
-        name for name in pipeline.STAGES if name != "tire" or tagged["mocap"]}
+        name for name in pipeline.STAGES if name != "tire" or any(
+            tag == "mocap" for tag, _ in entries)}
     missing = sorted(requested - fitted)
     for r in result.stages:
         if r.status != "fitted":
@@ -369,47 +407,110 @@ def _generate_one(tag: str, scenario: Scenario, seed: int, params, noise,
     return _LogEntry(filename, tag), run
 
 
-def _work(jobs: list[tuple], job_r: int, result_w: int, mask: set):
+class _Records(logging.Handler):
+    """The log records a forked worker makes, their messages formatted,
+    kept for its parent to handle."""
+
+    def __init__(self):
+        super().__init__()
+        self.records = []
+
+    def emit(self, record):
+        record.msg, record.args, record.exc_info = record.getMessage(), None, None
+        self.records.append(record)
+
+
+def _call(run, job):
+    """``run(*job)``, or the exception it raised."""
+    try:
+        return run(*job)
+    except Exception as exc:
+        return exc
+
+
+def _work(run, jobs: list[tuple], job_r: int, result_w: int, mask: set):
     """A forked worker: restore the signal ``mask``, then run each job whose
-    number it reads from ``job_r`` and write its number and its result or
-    error to ``result_w`` as soon as it ends, one flushed pickle each. It
-    leaves by ``os._exit``, even on KeyboardInterrupt, so it never runs the
-    parent's exit handlers or flushes the parent's buffers."""
+    number it reads from ``job_r`` and write its number, its result or
+    error and its log records to ``result_w`` as soon as it ends, one
+    flushed pickle each. It leaves by ``os._exit``, even on
+    KeyboardInterrupt, so it never runs the parent's exit handlers or
+    flushes the parent's buffers."""
     try:
         signal.pthread_sigmask(signal.SIG_SETMASK, mask)
+        logging.root.handlers = [records := _Records()]
         with open(result_w, "wb") as out:
-            while record := os.read(job_r, 4):
-                i = int.from_bytes(record, "little")
-                try:
-                    done = _generate_one(*jobs[i])
-                except Exception as exc:
-                    done = exc
-                pickle.dump((i, done), out)
+            while number := os.read(job_r, 4):
+                i = int.from_bytes(number, "little")
+                pickle.dump((i, _call(run, jobs[i]), records.records), out)
                 out.flush()
+                records.records = []
         os._exit(0)
     finally:
         os._exit(1)
 
 
-def _generate_all(jobs: list[tuple]) -> list[tuple]:
-    """``_generate_one`` of every job, in job order.
+def _set_blas_threads(count: int) -> int:
+    """Set numpy's bundled OpenBLAS to ``count`` threads and return the
+    count it had, or 0, setting nothing, where no such library is loaded."""
+    import ctypes  # numpy has loaded it
 
-    Where the platform can fork, ``_work`` runs the jobs in forked workers,
-    one per CPU this process may run on, which need not import numpy again
-    (0.3-0.8 s); the command starts no thread that a fork could break. The
-    job numbers, longest scenario first, fill one pipe before the first
-    fork. SIGINT waits while they are forked, so that one sent then is not
-    lost in a fork hook. Each worker is read to the end and reaped, and any
-    way out kills and reaps the rest. The first failing job's error in job
-    order is raised, or one naming a dead worker's exit status.
+    libs = Path(np.__file__).parents[1] / "numpy.libs"
+    for path in libs.glob("libscipy_openblas64_*.so") if hasattr(os, "RTLD_NOLOAD") else ():
+        try:
+            lib = ctypes.CDLL(str(path), mode=os.RTLD_NOLOAD)
+        except OSError:  # not loaded
+            continue
+        get, put = lib.scipy_openblas_get_num_threads64_, lib.scipy_openblas_set_num_threads64_
+        get.argtypes, get.restype = [], ctypes.c_int
+        put.argtypes, put.restype = [ctypes.c_int], None
+        threads = get()
+        put(count)
+        return threads
+    return 0
+
+
+def _run_jobs(command: str, run, jobs: dict[str, tuple], cost) -> list:
+    """``run(*job)`` of every job of ``jobs``, by name, in job order: its
+    result, or the exception it raised. The jobs run in forked workers
+    (``_fork_jobs``), or in process where the platform cannot fork.
+
+    numpy's bundled OpenBLAS runs one thread while they run, and then the
+    count it had. A worker whose SVD of a tall matrix starts OpenBLAS's
+    helper thread would leave it spinning on another CPU, and setting the
+    count in the worker starts it too. One thread also keeps each result
+    the same on either path and on any number of CPUs: OpenBLAS splits a
+    dot product of more than 10,000 terms over its threads, which changes
+    the sum's last bits.
     """
-    if not hasattr(os, "fork"):
-        return [_generate_one(*job) for job in jobs]
+    threads = _set_blas_threads(1)
+    try:
+        if not hasattr(os, "fork"):
+            return [_call(run, job) for job in jobs.values()]
+        return _fork_jobs(command, run, jobs, cost)
+    finally:
+        if threads:
+            _set_blas_threads(threads)
+
+
+def _fork_jobs(command: str, run, jobs: dict[str, tuple], cost) -> list:
+    """``_run_jobs`` in forked workers.
+
+    ``_work`` runs the jobs in workers, one per CPU this process may run
+    on, which need not import numpy again (0.3-0.8 s); the command starts
+    no thread that a fork could break. The job numbers, highest
+    ``cost(job)`` first, fill one pipe before the first fork. SIGINT waits
+    while they are forked, so that one sent then is not lost in a fork
+    hook. Each worker is read to the end and reaped, and any way out kills
+    and reaps the rest. The log records of each job are then handled here,
+    in job order. A dead worker raises a MinicarError naming its exit
+    status and the jobs left without a result.
+    """
+    names, jobs = list(jobs), list(jobs.values())
     cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
             else os.cpu_count() or 1)
-    longest_first = sorted(range(len(jobs)), key=lambda i: jobs[i][1].times.size, reverse=True)
+    longest_first = sorted(range(len(jobs)), key=lambda i: cost(jobs[i]), reverse=True)
     job_r, job_w = os.pipe()
-    workers, done, died = {}, {}, 0  # workers: the result pipe of each pid not yet reaped
+    workers, done, logged, died = {}, {}, {}, 0  # workers: the result pipe of each live pid
     try:
         with open(job_w, "wb") as pipe:
             if len(jobs) > 16384:  # more 4-byte records than a pipe holds by default
@@ -421,7 +522,7 @@ def _generate_all(jobs: list[tuple]) -> list[tuple]:
             for _ in range(min(cpus, len(jobs))):
                 result_r, result_w = os.pipe()
                 if (pid := os.fork()) == 0:
-                    _work(jobs, job_r, result_w, mask)
+                    _work(run, jobs, job_r, result_w, mask)
                 workers[pid] = open(result_r, "rb")
                 os.close(result_w)
         finally:
@@ -430,10 +531,10 @@ def _generate_all(jobs: list[tuple]) -> list[tuple]:
             with workers[pid] as pipe:
                 while True:  # to its end, or to a record its worker did not live to finish
                     try:
-                        i, result = pickle.load(pipe)
+                        i, result, records = pickle.load(pipe)
                     except (EOFError, pickle.UnpicklingError):
                         break
-                    done[i] = result
+                    done[i], logged[i] = result, records
             status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
             del workers[pid]
             died = died or status
@@ -443,11 +544,12 @@ def _generate_all(jobs: list[tuple]) -> list[tuple]:
             pipe.close()
             os.kill(pid, 9)  # SIGKILL
             os.waitpid(pid, 0)
-    if lost := [job[1].name for i, job in enumerate(jobs) if i not in done]:
-        raise MinicarError(f"a generate worker exited with status {died}; "
+    for i in sorted(logged):
+        for record in logged[i]:
+            logging.getLogger(record.name).handle(record)
+    if lost := [name for i, name in enumerate(names) if i not in done]:
+        raise MinicarError(f"a {command} worker exited with status {died}; "
                            f"no result for {', '.join(lost)}")
-    if errors := sorted(i for i, result in done.items() if isinstance(result, Exception)):
-        raise done[errors[0]]
     return [done[i] for i in range(len(jobs))]
 
 
@@ -476,9 +578,12 @@ def cmd_generate(args) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     seeds = np.random.SeedSequence(args.seed).spawn(len(library))
-    entries, runs = zip(*_generate_all([
-        (tag, scenario, int(seed.generate_state(1)[0]), params, noise, out_dir)
-        for (tag, scenario), seed in zip(library, seeds)]))
+    done = _run_jobs("generate", _generate_one, {
+        scenario.name: (tag, scenario, int(seed.generate_state(1)[0]), params, noise, out_dir)
+        for (tag, scenario), seed in zip(library, seeds)}, cost=lambda job: job[1].times.size)
+    if errors := [result for result in done if isinstance(result, Exception)]:
+        raise errors[0]
+    entries, runs = zip(*done)
     write_json(out_dir / "manifest.json", asdict(_LogManifest(logs=list(entries))))
     _write_manifest(out_dir, args, [Path(args.params), Path(args.noise)],
                     _simulation_defaults(), {"seed": args.seed, "scenarios": list(runs)})

@@ -8,7 +8,9 @@ the road-wheel angle from logged commands. ``PLAN`` is the one list of
 the stages: each row names a stage, the experiment tags of its logs,
 the earlier stages it requires with the failure detail when one of
 them has no result, and its action. ``STAGES`` is its names in order
-and ``EXPERIMENT_TAGS`` the tags it reads.
+and ``EXPERIMENT_TAGS`` the tags it reads. ``CHAINS`` groups the stages
+that ``requires`` links; ``fit_chain`` runs one chain, so chains can run
+apart, and ``merge_chains`` joins their results as ``fit_pipeline`` does.
 
 Logs arrive tagged by experiment type:
 
@@ -145,12 +147,71 @@ STAGES = tuple(row[0] for row in PLAN)
 EXPERIMENT_TAGS = tuple(dict.fromkeys(tag for row in PLAN for tag in row[1]))
 
 
+def _chains() -> tuple[tuple[str, ...], ...]:
+    """The stages of PLAN in groups linked by ``requires``, each in PLAN
+    order, ordered by their first stage. An action reads only the results
+    of its own chain: the tire builder reads the delay, which requires the
+    steering map that the tire stage requires too."""
+    chains: list[set] = []
+    for name, _, requires, *_ in PLAN:
+        linked = [chain for chain in chains if not chain.isdisjoint(requires)]
+        chains = [chain for chain in chains if chain not in linked] + [{name}.union(*linked)]
+    return tuple(sorted((tuple(s for s in STAGES if s in chain) for chain in chains),
+                        key=lambda chain: STAGES.index(chain[0])))
+
+
+CHAINS = _chains()
+
+
 def check_stages(stages: Sequence[str]) -> None:
     """DataError naming the names in ``stages`` that are not in STAGES."""
     unknown = set(stages) - set(STAGES)
     if unknown:
         raise DataError(f"unknown stages requested: {sorted(unknown)} "
                         f"(the stages are {', '.join(STAGES)})")
+
+
+def fit_chain(chain: Sequence[str], logs: Mapping[str, Sequence[RawLog]], geometry: Geometry,
+              *, normalized_slip: bool = False, stages: Sequence[str] = STAGES):
+    """The stage reports of each stage of ``chain``, by name, and the
+    results of those that have one, as ``fit_pipeline`` runs them."""
+    reports: dict[str, list[StageReport]] = {}
+    values: dict[str, object] = {}
+    for name, tags, requires, missing, action in PLAN:
+        if name not in chain:
+            continue
+        data_logs = [log for tag in tags for log in logs.get(tag, ())]
+        if name not in stages:
+            status, detail = "skipped", "not requested"
+        elif not data_logs:
+            status, detail = "skipped", f"no logs tagged {' or '.join(tags)}"
+        elif any(earlier not in values for earlier in requires):
+            status, detail = "failed", missing
+        else:
+            try:
+                values[name], *reports[name] = action(data_logs,
+                                                      _vehicle(values, geometry, normalized_slip))
+            except MinicarError as exc:
+                status, detail = "failed", str(exc)
+            else:
+                continue
+        logger.debug("stage %s %s: %s", name, status, detail)
+        reports[name] = [StageReport(name, status, detail)]
+    return reports, values
+
+
+def merge_chains(chains, geometry: Geometry, *, normalized_slip: bool = False) -> PipelineResult:
+    """The PipelineResult of ``fit_chain``'s result on every chain of CHAINS."""
+    reports: dict[str, list[StageReport]] = {}
+    values: dict[str, object] = {}
+    for chain_reports, chain_values in chains:
+        reports.update(chain_reports)
+        values.update(chain_values)
+    result = PipelineResult(params=None, stages=[r for name in STAGES for r in reports[name]],
+                            steer_delay=values.get("delay"))
+    if all(name in values for name in PARAMS_STAGES):
+        result.params = _vehicle(values, geometry, normalized_slip)
+    return result
 
 
 def fit_pipeline(
@@ -175,30 +236,6 @@ def fit_pipeline(
     check_stages(stages)
     if not any(logs.get(tag) for tag in EXPERIMENT_TAGS):
         raise DataError("no logs supplied")
-
-    result = PipelineResult(params=None)
-    values: dict[str, object] = {}
-    for name, tags, requires, missing, action in PLAN:
-        data_logs = [log for tag in tags for log in logs.get(tag, ())]
-        if name not in stages:
-            status, detail = "skipped", "not requested"
-        elif not data_logs:
-            status, detail = "skipped", f"no logs tagged {' or '.join(tags)}"
-        elif any(earlier not in values for earlier in requires):
-            status, detail = "failed", missing
-        else:
-            try:
-                values[name], *fitted = action(data_logs,
-                                               _vehicle(values, geometry, normalized_slip))
-            except MinicarError as exc:
-                status, detail = "failed", str(exc)
-            else:
-                result.stages += fitted
-                continue
-        logger.debug("stage %s %s: %s", name, status, detail)
-        result.stages.append(StageReport(name, status, detail))
-
-    result.steer_delay = values.get("delay")
-    if all(name in values for name in PARAMS_STAGES):
-        result.params = _vehicle(values, geometry, normalized_slip)
-    return result
+    return merge_chains([fit_chain(chain, logs, geometry, normalized_slip=normalized_slip,
+                                   stages=stages) for chain in CHAINS],
+                        geometry, normalized_slip=normalized_slip)

@@ -2,6 +2,7 @@ import json
 import logging
 import os
 import platform
+import shutil
 import subprocess
 import sys
 import warnings
@@ -23,6 +24,28 @@ def params_file(tmp_path):
     path = tmp_path / "params.json"
     save_params(reference_params(), path)
     return path
+
+
+@pytest.fixture(scope="module")
+def battery(tmp_path_factory) -> Path:
+    """The log directory of a --dt 0.05 battery of the reference car, with sensor noise."""
+    tmp = tmp_path_factory.mktemp("battery")
+    params, noise = tmp / "params.json", tmp / "noise.json"
+    save_params(reference_params(), params)
+    noise.write_text(json.dumps({"v_enc": 0.02, "omega_imu": 0.02, "mocap_xy": 0.001,
+                                 "mocap_eta": 0.002}))
+    assert main(["generate", "--params", str(params), "--noise", str(noise), "--seed", "3",
+                 "--dt", "0.05", "--out", str(tmp / "logs")]) == 0
+    return tmp / "logs"
+
+
+def _manifest_of(logs_dir: Path, entries) -> Path:
+    """``logs_dir``, made to hold a manifest.json of ``entries``, (file, tag)
+    pairs; a file named by its absolute path may lie in another directory."""
+    logs_dir.mkdir(parents=True, exist_ok=True)
+    (logs_dir / "manifest.json").write_text(json.dumps(
+        {"logs": [{"file": str(file), "tag": tag} for file, tag in entries]}))
+    return logs_dir
 
 
 def write_scenario(tmp_path, **overrides):
@@ -124,13 +147,138 @@ def test_simulate_that_fails_creates_no_output_directory(tmp_path, params_file, 
     assert "at t=0.450000 s in scenario 'cli_step'" in _one_error(caplog) and not out.exists()
 
 
-def test_fit_on_a_log_it_cannot_read_creates_no_output_directory(tmp_path, caplog):
-    log = tmp_path / "logs" / "coast" / "a.csv"
-    log.parent.mkdir(parents=True)
-    log.write_text("t,tau\n0,0\n0.01,0\n")
+@pytest.mark.parametrize("bad", [(), ("coast",), ("mocap",), ("mocap", "step")],
+                         ids=["alone", "friction_chain", "tire_chain", "each_chain"])
+def test_fit_on_a_log_it_cannot_read_creates_no_output_directory(tmp_path, caplog, request,
+                                                                 bad):
+    """A log that does not parse exits 2 with one error naming it, and no
+    output directory is written: alone in a tag-named directory, or put
+    first in a battery's manifest with a tag of the friction chain, of the
+    tire chain, or one of each, where the one earlier in the manifest is
+    named although its chain's job comes second."""
+    if not bad:
+        log = tmp_path / "logs" / "coast" / "a.csv"
+        log.parent.mkdir(parents=True)
+        log.write_text("t,tau\n0,0\n0.01,0\n")
+    else:
+        battery = request.getfixturevalue("battery")
+        entries = json.loads((battery / "manifest.json").read_text())["logs"]
+        _manifest_of(tmp_path / "logs", [(f"bad_{tag}.csv", tag) for tag in bad] + [
+            (battery / e["file"], e["tag"]) for e in entries])
+        for tag in bad:
+            (tmp_path / "logs" / f"bad_{tag}.csv").write_text("t,tau\n0,0\n0.01,0\n")
+        log = tmp_path / "logs" / f"bad_{bad[0]}.csv"
     out = tmp_path / "fitout"
     assert main(["fit", "--logs", str(tmp_path / "logs"), "--out", str(out / "p.json")]) == 2
     assert _one_error(caplog).startswith(f"{log}: expected header") and not out.exists()
+    _assert_no_child_left()
+
+
+def test_a_dead_fit_worker_exits_2_naming_its_status_and_the_stages_left(tmp_path, battery,
+                                                                          monkeypatch, caplog):
+    """A fit job that dies fails the run with status 2 and one error that
+    names the worker's exit status and the stages of its chain, which
+    have no result; every worker is reaped and nothing is written."""
+    fit_chain = cli._fit_chain
+
+    def dying(chain, *args):
+        if "tire" in chain:
+            os._exit(9)
+        return fit_chain(chain, *args)
+
+    monkeypatch.setattr(cli, "_fit_chain", dying)
+    out = tmp_path / "fit"
+    assert main(["fit", "--logs", str(battery), "--out", str(out / "p.json")]) == 2
+    _assert_no_child_left()
+    assert _one_error(caplog) == ("a fit worker exited with status 9; "
+                                  "no result for steering, delay, tire")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("case", ["all stages", "friction,steering", "no mocap logs",
+                                  "normalized slip"])
+def test_fit_writes_the_same_bytes_with_workers_and_in_process(tmp_path, battery, monkeypatch,
+                                                               caplog, case):
+    """With a worker per stage chain and with no worker at all (the
+    in-process path), fit writes the same params.json, report.json, loss
+    traces and plots, and logs the same records in the same order."""
+    logs, args = battery, {"friction,steering": ["--stages", "friction,steering"],
+                           "normalized slip": ["--normalized-slip"]}.get(case, [])
+    if case == "no mocap logs":
+        entries = json.loads((battery / "manifest.json").read_text())["logs"]
+        logs = _manifest_of(tmp_path / "logs", [(battery / e["file"], e["tag"])
+                                                 for e in entries if e["tag"] != "mocap"])
+    out = tmp_path / "fit" / "p.json"
+    forks, fork = [], os.fork
+
+    def counted_fork():
+        pid = fork()
+        if pid:
+            forks.append(pid)
+        return pid
+
+    def outputs():
+        caplog.clear()
+        assert main(["-v", "fit", "--logs", str(logs), "--out", str(out), *args]) == 0
+        records = [(r.name, r.levelno, r.getMessage()) for r in caplog.records]
+        files = {p.name: p.read_bytes() for p in sorted(out.parent.iterdir())
+                 if p.name != "run_manifest.json"}
+        shutil.rmtree(out.parent)
+        return records, files
+
+    monkeypatch.setattr(os, "fork", counted_fork)
+    workers = outputs()
+    assert len(forks) == min(len(os.sched_getaffinity(0)), 2)
+    monkeypatch.delattr(os, "fork")
+    assert outputs() == workers
+    files = workers[1]
+    assert {"report.json", "loss_friction.csv", "loss_steering.csv"} <= set(files)
+    assert ("p.json" in files) == ("fit_steering.svg" in files) == (case != "friction,steering")
+
+
+def test_fit_writes_the_same_bytes_on_any_blas_thread_count(tmp_path, params_file,
+                                                             monkeypatch):
+    """fit's jobs run on one OpenBLAS thread, in process too, so what it
+    writes does not depend on the count it finds: on this --dt 0.01
+    battery, two threads would split the 11,602-row products of the rear
+    tire fit and change its loss trace in the last digit."""
+    found = cli._set_blas_threads(2)
+    if not found:
+        pytest.skip("numpy's bundled OpenBLAS is not loaded")
+    noise = tmp_path / "noise.json"
+    noise.write_text(json.dumps({"v_enc": 0.02, "omega_imu": 0.02, "mocap_xy": 0.001,
+                                 "mocap_eta": 0.002}))
+    logs = tmp_path / "logs"
+    outputs = []
+    try:
+        assert main(["generate", "--params", str(params_file), "--noise", str(noise),
+                     "--seed", "3", "--out", str(logs)]) == 0
+        monkeypatch.delattr(os, "fork")
+        for threads in (2, 1):
+            cli._set_blas_threads(threads)
+            out = tmp_path / f"fit{threads}"
+            assert main(["fit", "--logs", str(logs), "--out", str(out / "p.json")]) == 0
+            outputs.append({p.name: p.read_bytes() for p in sorted(out.iterdir())
+                            if p.name != "run_manifest.json"})
+    finally:
+        cli._set_blas_threads(found)
+    assert len(outputs[0]) == 12 and outputs[0] == outputs[1]
+
+
+def test_forked_jobs_run_on_one_blas_thread_and_fit_restores_the_count(tmp_path, battery):
+    """Each worker finds numpy's OpenBLAS held to one thread, and the
+    command leaves the count as it found it."""
+    found = cli._set_blas_threads(2)
+    if not found:
+        pytest.skip("numpy's bundled OpenBLAS is not loaded")
+    try:
+        assert cli._run_jobs("test", cli._set_blas_threads, {"a": (1,), "b": (1,)}, len) == [1, 1]
+        assert cli._set_blas_threads(2) == 2
+        out = tmp_path / "fit" / "p.json"
+        assert main(["fit", "--logs", str(battery), "--out", str(out)]) == 0
+        assert cli._set_blas_threads(found) == 2
+    finally:
+        cli._set_blas_threads(found)
 
 
 def test_validate_names_the_row_of_a_refused_steering_angle(tmp_path, params_file, caplog):
@@ -940,7 +1088,8 @@ def test_fit_without_the_delay_stage_warns_that_steer_delay_was_not_measured(
 def test_fit_parses_only_the_logs_its_stages_read(tmp_path, params_file, monkeypatch):
     """``--stages friction`` parses the 16 coast and step logs of the
     32-log battery and lists them, beside the manifest, as the run's
-    inputs; a malformed log of a tag it does not read cannot fail it."""
+    inputs; a malformed log of a tag it does not read cannot fail it.
+    The jobs run in process, where the recorded reader is the one called."""
     noise = tmp_path / "noise.json"
     noise.write_text("{}")
     logs_dir = tmp_path / "g"
@@ -951,6 +1100,7 @@ def test_fit_parses_only_the_logs_its_stages_read(tmp_path, params_file, monkeyp
     assert (len(entries), len(friction)) == (32, 16)
     loaded, load_log = [], cli.load_log
     monkeypatch.setattr(cli, "load_log", lambda path: loaded.append(path) or load_log(path))
+    monkeypatch.delattr(os, "fork")
     out = tmp_path / "fit" / "p.json"
     args = ["fit", "--logs", str(logs_dir), "--out", str(out), "--stages", "friction"]
     assert main(args) == 0
@@ -1368,8 +1518,8 @@ def test_the_job_list_is_written_whole_when_it_outgrows_a_pipe(monkeypatch):
     from types import SimpleNamespace
 
     monkeypatch.setattr(cli, "_generate_one", lambda i, scenario: (i, os.getpid()))
-    jobs = [(i, SimpleNamespace(times=np.zeros(i % 7), name=f"s{i}")) for i in range(20_000)]
-    done = cli._generate_all(jobs)
+    jobs = {f"s{i}": (i, SimpleNamespace(times=np.zeros(i % 7))) for i in range(20_000)}
+    done = cli._run_jobs("generate", cli._generate_one, jobs, lambda job: job[1].times.size)
     assert [i for i, _ in done] == list(range(20_000))
     assert os.getpid() not in {pid for _, pid in done}
     _assert_no_child_left()
@@ -1390,7 +1540,8 @@ def test_simulate_escapes_the_scenario_name_in_its_plots(tmp_path, params_file):
 @pytest.fixture(scope="module")
 def written_plots(tmp_path_factory):
     """Each plot that a battery ``fit`` and a dynamic ``simulate`` write,
-    by file name: its path and the series it was drawn from."""
+    by file name: its path and the series it was drawn from. ``fit``
+    renders its plots in its jobs, here run in process, and writes them."""
     tmp = tmp_path_factory.mktemp("plots")
     params, noise = tmp / "params.json", tmp / "noise.json"
     save_params(reference_params(), params)
@@ -1398,16 +1549,24 @@ def written_plots(tmp_path_factory):
                                  "mocap_eta": 0.002}))
     scenario = write_scenario(tmp, model="dynamic",
                               steering={"type": "piecewise", "times": [0.0], "values": [0.4]})
-    drawn, save_plot = {}, svgplot.save_plot
+    drawn, save_plot, render_plot = {}, svgplot.save_plot, svgplot.render_plot
+    fit_plots = {title: filename for filename, *_, title, _, _ in cli._PLOTS.values()}
 
     def recording(path, series, *args, **kwargs):
         drawn[Path(path).name] = (Path(path), series)
         save_plot(path, series, *args, **kwargs)
 
+    def rendering(series, title="", *args, **kwargs):
+        if title in fit_plots:
+            drawn[fit_plots[title]] = (tmp / "fit" / fit_plots[title], series)
+        return render_plot(series, title, *args, **kwargs)
+
     with pytest.MonkeyPatch.context() as m:
         m.setattr(svgplot, "save_plot", recording)
+        m.setattr(svgplot, "render_plot", rendering)
         assert main(["generate", "--params", str(params), "--noise", str(noise), "--seed", "1",
                      "--out", str(tmp / "logs")]) == 0
+        m.delattr(os, "fork")
         assert main(["fit", "--logs", str(tmp / "logs"), "--out", str(tmp / "fit" / "p.json")]) == 0
         assert main(["simulate", "--params", str(params), "--scenario", str(scenario),
                      "--out", str(tmp / "sim")]) == 0

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from minicar import fitting, models
+from minicar import fitting, models, pipeline
 from minicar.errors import DataError
 from minicar.logs import RawLog
 from minicar.pipeline import fit_pipeline, measure_steer_delay
@@ -47,6 +47,15 @@ def test_pipeline_recovers_parameters_coarsely(ref, full_result):
     assert fitted.delays.steer_delay == pytest.approx(0.15, abs=0.011)
     assert fitted.tire is not None
     assert fitted.tire.C_r == pytest.approx(ref.tire.C_r, rel=0.2)
+
+
+def test_the_chains_hold_every_stage_with_the_stages_it_requires():
+    """``CHAINS`` splits PLAN into the groups that ``requires`` links, each
+    in PLAN order, so ``fit`` can run them in separate workers."""
+    assert pipeline.CHAINS == (("friction", "motor"), ("steering", "delay", "tire"))
+    chain_of = {name: chain for chain in pipeline.CHAINS for name in chain}
+    assert sorted(chain_of) == sorted(pipeline.STAGES)
+    assert all(set(requires) <= set(chain_of[name]) for name, _, requires, *_ in pipeline.PLAN)
 
 
 def test_pipeline_without_mocap_skips_tire(ref, small_suite):
